@@ -4,7 +4,7 @@
 every arm and trial and writes ``metrics.csv`` plus ``summary.csv``;
 ``fedcurr verify <config>`` drives the convergence-bound verification grid
 and writes ``report.csv``. Outputs are byte-identical across reruns and
-worker-thread counts.
+worker-thread counts; ``--threads`` only affects ``run``.
 """
 
 from __future__ import annotations
@@ -174,15 +174,12 @@ def _run_nonconvex_case(case):
     return case, "nonconvex", "none", report
 
 
-def command_verify(cfg: TheoryConfig, out_dir: str, threads: int) -> int:
+def command_verify(cfg: TheoryConfig, out_dir: str) -> int:
+    """Run the cases one after another in config order. Each case batches
+    its Monte-Carlo runs, so worker threads would only contend on the GIL."""
     os.makedirs(out_dir, exist_ok=True)
-    jobs = [(_run_convex_case, c) for c in cfg.convex]
-    jobs += [(_run_nonconvex_case, c) for c in cfg.nonconvex]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: job[0](job[1]), jobs))
-    else:
-        results = [fn(case) for fn, case in jobs]
+    results = [_run_convex_case(c) for c in cfg.convex]
+    results += [_run_nonconvex_case(c) for c in cfg.nonconvex]
 
     report_path = os.path.join(out_dir, "report.csv")
     any_failed = False
@@ -219,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("config", help="path to the sectioned key=value config")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: FEDCURR_THREADS or 1)")
+                       help="worker threads for run; verify ignores it "
+                            "(default: FEDCURR_THREADS or 1)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
 
@@ -241,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             for case in tcfg.convex + tcfg.nonconvex:
                 case.seed = args.seed
-        return command_verify(tcfg, args.out, threads)
+        return command_verify(tcfg, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

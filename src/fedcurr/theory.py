@@ -13,6 +13,13 @@ Index conventions: a schedule matrix has shape (T+1, J+1); one round runs
 local steps j = 0..J. The simulators execute rounds t = 0..T-1 (so the
 measured endpoint is the round-T starting average), while the convex bound
 consumes rows 1..T of the schedules and the nonconvex bound rows 0..T.
+
+Batching: a verifier steps all of its R = n_runs trajectories at once. The
+iterates of every run and client form one (R, Q, d) array, and each local
+step (t, j) is one array update. Run r still draws its noise only from its
+own child generator r of ``rng.spawn(n_runs)``, in the order of the per-call
+oracle: steps (t, j), then clients k, then z1 before z2. Noise is drawn one
+round at a time, so a case holds O(R (J+1) Q d) noise values at once.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -121,6 +128,32 @@ class BiasedGradOracle:
         return self.directions.shape[0]
 
 
+def _perturb(
+    oracle: BiasedGradOracle,
+    g: np.ndarray,
+    directions: np.ndarray,
+    cap: float,
+    z: np.ndarray | None,
+) -> np.ndarray:
+    """The oracle formula applied to exact gradients ``g`` of shape (..., d):
+    add the bias sqrt(cap) * directions, then the noise
+    sqrt(M) ||g + bias|| z[..., 0, :] + sigma z[..., 1, :]. ``z`` holds the
+    standard normals already divided by sqrt(d), shape (..., 2, d), and is
+    None for a noiseless oracle."""
+    if cap > 0:
+        if oracle.num_clients < 2:
+            raise ConfigurationError("zero-sum bias needs a cohort of at least 2 clients")
+        g = g + math.sqrt(cap) * directions
+    if z is not None:
+        norm = np.linalg.norm(g, axis=-1, keepdims=True)
+        g = g + math.sqrt(oracle.rel_var) * norm * z[..., 0, :] + oracle.sigma * z[..., 1, :]
+    return g
+
+
+def _noisy(oracle: BiasedGradOracle) -> bool:
+    return oracle.rel_var > 0 or oracle.sigma > 0
+
+
 def biased_grad(
     oracle: BiasedGradOracle,
     k: int,
@@ -130,18 +163,12 @@ def biased_grad(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One stochastic gradient draw for client k at local step (t, j)."""
+    z = None
+    if _noisy(oracle):
+        dim = theta.shape[0]
+        z = rng.standard_normal((2, dim)) / math.sqrt(dim)
     g = oracle.grad_fn(theta)
-    cap = float(oracle.bias_values[t, j])
-    if cap > 0:
-        if oracle.num_clients < 2:
-            raise ConfigurationError("zero-sum bias needs a cohort of at least 2 clients")
-        g = g + math.sqrt(cap) * oracle.directions[k]
-    if oracle.rel_var > 0 or oracle.sigma > 0:
-        dim = g.shape[0]
-        z1 = rng.standard_normal(dim) / math.sqrt(dim)
-        z2 = rng.standard_normal(dim) / math.sqrt(dim)
-        g = g + math.sqrt(oracle.rel_var) * float(np.linalg.norm(g)) * z1 + oracle.sigma * z2
-    return g
+    return _perturb(oracle, g, oracle.directions[k], float(oracle.bias_values[t, j]), z)
 
 
 @dataclass
@@ -163,7 +190,8 @@ class ConvexProblem:
         return 0.5 * float(d @ self.matrix @ d)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.matrix @ (theta - self.theta_star)
+        """Gradient at one point (d,) or at each row of a batch (..., d)."""
+        return (theta - self.theta_star) @ self.matrix.T
 
 
 def make_quadratic(dim: int, mu: float, L: float, seed: int = 0) -> ConvexProblem:
@@ -302,23 +330,37 @@ def _simulate_rounds(
     oracle: BiasedGradOracle,
     sched: StepsizeSchedule,
     theta0: np.ndarray,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     on_round_start: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """Full-participation Local SGD: rounds t = 0..T-1 of J+1 steps each,
-    averaging the cohort after every round. Returns the final average."""
-    q = oracle.num_clients
+    """Full-participation Local SGD for R = len(rngs) independent runs at
+    once: rounds t = 0..T-1 of J+1 steps each, averaging the cohort after
+    every round. The iterates are one (R, Q, d) array; run r draws its noise
+    from ``rngs[r]`` alone, in the per-call order (j, k, z1 then z2) within a
+    round, into a per-round (R, J+1, Q, 2, d) buffer. ``on_round_start``
+    sees the (R, d) cohort averages at the start of every round and at the
+    end. Returns the (R, d) final averages."""
+    q, dim = oracle.directions.shape
     alpha = sched.alpha
-    theta_hat = theta0.copy()
+    theta_hat = np.tile(theta0, (len(rngs), 1))
+    noise = None
+    if _noisy(oracle):
+        noise = np.empty((len(rngs), sched.local_steps + 1, q, 2, dim))
     for t in range(sched.rounds):
         if on_round_start is not None:
             on_round_start(theta_hat)
-        thetas = [theta_hat.copy() for _ in range(q)]
+        if noise is not None:
+            for r, child in enumerate(rngs):
+                child.standard_normal(out=noise[r])
+            noise /= math.sqrt(dim)
+        thetas = np.repeat(theta_hat[:, None, :], q, axis=1)
         for j in range(sched.local_steps + 1):
-            for k in range(q):
-                g = biased_grad(oracle, k, thetas[k], t, j, rng)
-                thetas[k] = thetas[k] - alpha[t, j] * g
-        theta_hat = np.mean(thetas, axis=0)
+            g = oracle.grad_fn(thetas)
+            z = None if noise is None else noise[:, j]
+            thetas -= alpha[t, j] * _perturb(
+                oracle, g, oracle.directions, float(oracle.bias_values[t, j]), z
+            )
+        theta_hat = thetas.mean(axis=1)
     if on_round_start is not None:
         on_round_start(theta_hat)
     return theta_hat
@@ -348,10 +390,10 @@ def verify_convex(
         rel_var=rel_var,
         sigma=math.sqrt(sigma2),
     )
-    total = 0.0
-    for child in rng.spawn(n_runs):
-        endpoint = _simulate_rounds(oracle, sched, theta0, child)
-        total += float(np.sum((endpoint - prob.theta_star) ** 2))
+    endpoints = _simulate_rounds(oracle, sched, theta0, rng.spawn(n_runs))
+    total = 0.0  # summed run by run, in spawn order, to keep report.csv's digits
+    for dist2 in np.sum((endpoints - prob.theta_star) ** 2, axis=1):
+        total += float(dist2)
     empirical = total / n_runs
     return BoundReport(empirical=empirical, bound=bound, passed=empirical <= bound)
 
@@ -376,15 +418,14 @@ def verify_nonconvex(
         sigma=sigma,
     )
     multiplier = sched.local_steps + 1
-    total = 0.0
-    for child in rng.spawn(n_runs):
-        acc = 0.0
+    acc = np.zeros(n_runs)  # per-run weighted sum of round-start squared norms
 
-        def record(theta_hat: np.ndarray) -> None:
-            nonlocal acc
-            acc += multiplier * float(np.sum(prob.grad(theta_hat) ** 2))
+    def record(theta_hat: np.ndarray) -> None:
+        acc[:] += multiplier * np.sum(prob.grad(theta_hat) ** 2, axis=1)
 
-        _simulate_rounds(oracle, sched, theta0, child, on_round_start=record)
-        total += acc
+    _simulate_rounds(oracle, sched, theta0, rng.spawn(n_runs), on_round_start=record)
+    total = 0.0  # summed run by run, in spawn order, to keep report.csv's digits
+    for run_total in acc:
+        total += float(run_total)
     empirical = total / n_runs
     return BoundReport(empirical=empirical, bound=bound, passed=empirical <= bound)

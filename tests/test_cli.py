@@ -155,6 +155,14 @@ def test_verify_small_grid_passes(tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def test_verify_thread_count_does_not_change_report(tmp_path):
+    cfg = write(tmp_path / "verify.ini", SMALL_VERIFY)
+    out1, out2 = tmp_path / "t1", tmp_path / "t2"
+    assert main(["verify", cfg, "--out", str(out1), "--threads", "1"]) == 0
+    assert main(["verify", cfg, "--out", str(out2), "--threads", "2"]) == 0
+    assert read(out1 / "report.csv") == read(out2 / "report.csv")
+
+
 def test_verify_empty_grid(tmp_path):
     cfg = write(tmp_path / "empty.ini", "")
     out = tmp_path / "out"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from fedcurr import theory
 from fedcurr import (
     BiasKind,
     BiasedGradOracle,
@@ -81,6 +82,75 @@ def test_bias_requires_cohort_of_two():
     oracle = BiasedGradOracle(prob.grad, values, zero_sum_directions(1, 4))
     with pytest.raises(ConfigurationError):
         biased_grad(oracle, 0, np.zeros(4), 0, 0, np.random.default_rng(0))
+
+
+def test_verify_convex_bias_requires_cohort_of_two():
+    prob = make_quadratic(4, 0.5, 2.0, seed=0)
+    bias = make_bias_schedule(BiasKind.CLIENT_BASED, 3, 2, 0.1, 0.5)
+    with pytest.raises(ConfigurationError, match="at least 2"):
+        verify_convex(
+            prob, constant_stepsizes(0.01, 3, 2), bias, 0.0, 0.0, 1,
+            prob.theta_star + 1, 100, np.random.default_rng(0),
+        )
+
+
+def _reference_rounds(oracle, sched, theta0, rng, on_round_start):
+    """One run of Local SGD from per-call biased_grad draws."""
+    q = oracle.num_clients
+    theta_hat = theta0.copy()
+    for t in range(sched.rounds):
+        on_round_start(theta_hat)
+        thetas = [theta_hat.copy() for _ in range(q)]
+        for j in range(sched.local_steps + 1):
+            for k in range(q):
+                g = biased_grad(oracle, k, thetas[k], t, j, rng)
+                thetas[k] = thetas[k] - sched.alpha[t, j] * g
+        theta_hat = np.mean(thetas, axis=0)
+    on_round_start(theta_hat)
+    return theta_hat
+
+
+@pytest.mark.parametrize("kind", list(BiasKind))
+def test_batched_rounds_match_per_call_reference(kind):
+    # Odd cohort (planar triple), M > 0 and sigma > 0: pins the per-run draw
+    # order (t, j, k, z1 then z2) of the batched kernel.
+    T, J, q, dim, n_runs = 3, 2, 3, 4, 5
+    prob = make_quadratic(dim, 0.5, 2.0, seed=4)
+    sched = constant_stepsizes(0.02, T, J)
+    bias = make_bias_schedule(kind, T, J, 0.05, 0.6)
+    oracle = BiasedGradOracle(
+        prob.grad, bias.values, zero_sum_directions(q, dim), rel_var=0.7, sigma=0.3
+    )
+    theta0 = prob.theta_star + np.linspace(-1.0, 1.0, dim)
+    starts = []
+    batched = theory._simulate_rounds(
+        oracle, sched, theta0, np.random.default_rng(9).spawn(n_runs), starts.append
+    )
+    assert batched.shape == (n_runs, dim)
+    for r, child in enumerate(np.random.default_rng(9).spawn(n_runs)):
+        ref_starts = []
+        endpoint = _reference_rounds(oracle, sched, theta0, child, ref_starts.append)
+        assert_allclose(batched[r], endpoint, rtol=1e-12)
+        assert_allclose([s[r] for s in starts], ref_starts, rtol=1e-12)
+
+
+def test_verify_nonconvex_matches_per_call_reference():
+    T, J, q, dim, n_runs = 4, 2, 3, 4, 6
+    prob = NonconvexProblem(dim=dim)
+    sched = constant_stepsizes(0.1, T, J)
+    theta0 = np.linspace(-0.8, 0.5, dim)
+    report = verify_nonconvex(
+        prob, sched, q, theta0, n_runs, np.random.default_rng(5), sigma=0.2
+    )
+    oracle = BiasedGradOracle(
+        prob.grad, np.zeros_like(sched.alpha), zero_sum_directions(q, dim), sigma=0.2
+    )
+    total = 0.0
+    for child in np.random.default_rng(5).spawn(n_runs):
+        starts = []
+        _reference_rounds(oracle, sched, theta0, child, starts.append)
+        total += sum((J + 1) * float(np.sum(prob.grad(s) ** 2)) for s in starts)
+    assert report.empirical == pytest.approx(total / n_runs, rel=1e-12)
 
 
 def test_noise_mean_and_second_moment():
