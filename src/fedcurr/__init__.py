@@ -57,7 +57,6 @@ from .models import (
     ModelKind,
     ModelSpec,
     SgdHyper,
-    accuracy,
     batch_loss,
     grad,
     hessian_decomposition,

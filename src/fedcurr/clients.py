@@ -45,12 +45,12 @@ def client_loss(model: ModelSpec, params: np.ndarray, client_data: Batch) -> flo
     return float(per_sample_losses(model, params, client_data).mean())
 
 
-def score_clients(
-    model: ModelSpec, params: np.ndarray, client_batches: list[Batch]
-) -> list[ClientScore]:
+def score_clients(losses: list[np.ndarray]) -> list[ClientScore]:
+    """Score each client by the mean of its per-sample losses; ``losses[i]``
+    belongs to client ``i``."""
     out = []
-    for cid, batch in enumerate(client_batches):
-        loss = client_loss(model, params, batch)
+    for cid, client_losses in enumerate(losses):
+        loss = float(client_losses.mean())
         out.append(ClientScore(client_id=cid, mean_loss=loss, score=1.0 / max(loss, LOSS_EPS)))
     return out
 

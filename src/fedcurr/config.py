@@ -249,6 +249,10 @@ def parse_run_config(path: str) -> RunConfig:
             ),
         )
 
+    n_trials = _get(cp, "run", "n_trials", int, default=3)
+    if n_trials < 1:
+        raise ConfigError(f"key 'n_trials' in section [run]: must be >= 1, got {n_trials}")
+
     return RunConfig(
         dataset=dataset,
         partition=part_spec,
@@ -267,7 +271,7 @@ def parse_run_config(path: str) -> RunConfig:
         pacing_b=pacing_b,
         client_curriculum=client_cc,
         seed=seed,
-        n_trials=_get(cp, "run", "n_trials", int, default=3),
+        n_trials=n_trials,
         test_n=_get(cp, "run", "test_n", int, default=dataset.n),
     )
 

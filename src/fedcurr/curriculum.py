@@ -75,7 +75,6 @@ class ScoreTable:
 
     raw: np.ndarray
     scores: np.ndarray
-    round: int = 0
 
 
 def _round_half_up(x: float) -> int:
@@ -118,9 +117,14 @@ def score_samples(
     local_params: np.ndarray | None = None,
     expert_params: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-    round_index: int = 0,
+    global_losses: np.ndarray | None = None,
 ) -> ScoreTable:
-    """Score every sample in the batch with the requested method."""
+    """Score every sample in the batch with the requested method.
+
+    ``global_losses``, when given, are the per-sample losses of the batch at
+    ``global_params``; loss-based scoring then reuses them instead of running
+    the model again.
+    """
 
     def need(params, name):
         if params is None:
@@ -128,20 +132,25 @@ def score_samples(
         return params
 
     if kind in LOSS_BASED:
+        if kind in (ScoringKind.G_LOSS, ScoringKind.LG_LOSS) and global_losses is None:
+            global_losses = per_sample_losses(model, need(global_params, "global"), batch)
         if kind is ScoringKind.G_LOSS:
-            losses = per_sample_losses(model, need(global_params, "global"), batch)
+            losses = global_losses
         elif kind is ScoringKind.L_LOSS:
             losses = per_sample_losses(model, need(local_params, "local"), batch)
         elif kind is ScoringKind.EXPERT:
             losses = per_sample_losses(model, need(expert_params, "expert"), batch)
         else:
-            losses = 0.5 * (
-                per_sample_losses(model, need(global_params, "global"), batch)
-                + per_sample_losses(model, need(local_params, "local"), batch)
+            # A client that has not trained yet has its local model at the
+            # global one: both halves are the same losses.
+            local = need(local_params, "local")
+            local_losses = (
+                global_losses
+                if local is global_params
+                else per_sample_losses(model, local, batch)
             )
-        table = scores_from_losses(losses)
-        table.round = round_index
-        return table
+            losses = 0.5 * (global_losses + local_losses)
+        return scores_from_losses(losses)
 
     if kind in PRED_BASED:
         if not model.is_classifier:
@@ -155,12 +164,12 @@ def score_samples(
                 model, need(global_params, "global"), batch
             )
         flags = easy.astype(np.float64)
-        return ScoreTable(raw=flags, scores=flags, round=round_index)
+        return ScoreTable(raw=flags, scores=flags)
 
     if rng is None:
         raise ConfigurationError("random scoring requires an rng")
     keys = rng.random(len(batch))
-    return ScoreTable(raw=keys, scores=keys, round=round_index)
+    return ScoreTable(raw=keys, scores=keys)
 
 
 def order_and_select(
@@ -184,11 +193,3 @@ def order_and_select(
             raise ConfigurationError("random ordering requires an rng")
         return rng.choice(n, size=count, replace=False)
     return order[:count]
-
-
-def dump_score_table(table: ScoreTable, path: str) -> None:
-    """Debug CSV dump: index, raw, score."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,raw,score\n")
-        for i, (r, s) in enumerate(zip(table.raw, table.scores)):
-            fh.write(f"{i},{r:.17g},{s:.17g}\n")

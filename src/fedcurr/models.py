@@ -10,8 +10,10 @@ and a dense Hessian decomposition probe for the least-squares models.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -158,35 +160,130 @@ def _unpack_mlp(model: ModelSpec, params: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _forward(model: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Model outputs: (m,) for regression, (m, C) logits for classifiers."""
+def _forward(
+    model: ModelSpec, params: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Model outputs, (m,) for regression and (m, C) logits for classifiers,
+    and the MLP's hidden activations (None for the other models)."""
     d = model.input_dim
     if model.kind is ModelKind.LINEAR_REGRESSION:
-        return x @ params[:d] + params[d]
+        return x @ params[:d] + params[d], None
     if model.kind is ModelKind.SOFTMAX_REGRESSION:
         c = model.num_classes
-        return x @ params[: c * d].reshape(c, d).T + params[c * d :]
+        return x @ params[: c * d].reshape(c, d).T + params[c * d :], None
     w1, b1, w2, b2 = _unpack_mlp(model, params)
     a = np.tanh(x @ w1.T + b1)
     out = a @ w2.T + b2
-    return out[:, 0] if model.num_classes == 1 else out
+    return (out[:, 0] if model.num_classes == 1 else out), a
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # The row max taken column by column: numpy's max along a short row axis
+    # costs about 50 ns a row, and the max is exact in any order.
+    shifted = logits - functools.reduce(np.maximum, logits.T)[:, None]
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _targets(model: ModelSpec, y: np.ndarray) -> np.ndarray:
+    """The labels in the form the gradient takes them: one-hot rows for
+    classifiers, the labels themselves for the regression models."""
+    if model.is_classifier:
+        return np.eye(model.num_classes)[y]
+    return y
+
+
+def _output_terms(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """What both the losses and the gradient are built from: log-probabilities
+    for classifiers, residuals f - y for the regression models (numpy casts
+    integer labels to float64 for the subtraction)."""
+    if model.is_classifier:
+        return _log_softmax(out)
+    return out - y
+
+
+def _terms_losses(model: ModelSpec, terms: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if model.is_classifier:
+        return -terms[np.arange(len(y)), y]
+    return 0.5 * terms**2
+
+
+def _terms_grad(
+    model: ModelSpec,
+    params: np.ndarray,
+    x: np.ndarray,
+    target: np.ndarray,
+    terms: np.ndarray,
+    hidden: np.ndarray | None,
+) -> np.ndarray:
+    """Mean-loss gradient; ``target`` comes from ``_targets``."""
+    m = len(target)
+    if model.is_classifier:
+        # softmax minus one-hot: subtracting 0.0 leaves the other classes' bits.
+        p = (np.exp(terms) - target) / m
+    else:
+        r = terms / m
+    if model.kind is ModelKind.LINEAR_REGRESSION:
+        return np.concatenate([x.T @ r, [r.sum()]])
+    if model.kind is ModelKind.SOFTMAX_REGRESSION:
+        return np.concatenate([(p.T @ x).ravel(), p.sum(axis=0)])
+    w2 = _unpack_mlp(model, params)[2]
+    if model.num_classes == 1:
+        gw2 = hidden.T @ r
+        gb2 = np.array([r.sum()])
+        delta = np.outer(r, w2[0]) * (1.0 - hidden**2)
+    else:
+        gw2 = (p.T @ hidden).ravel()
+        gb2 = p.sum(axis=0)
+        delta = (p @ w2) * (1.0 - hidden**2)
+    gw1 = delta.T @ x
+    gb1 = delta.sum(axis=0)
+    return np.concatenate([gw1.ravel(), gb1, np.ravel(gw2), gb2])
+
+
+def _losses(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _terms_losses(model, _output_terms(model, out, y), y)
+
+
+def _grad(
+    model: ModelSpec, params: np.ndarray, x: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """Unchecked ``grad`` on raw arrays, for loops that validated their data
+    once up front; ``target`` comes from ``_targets``."""
+    out, hidden = _forward(model, params, x)
+    return _terms_grad(model, params, x, target, _output_terms(model, out, target), hidden)
+
+
+def _losses_and_grads(
+    model: ModelSpec, params: np.ndarray, xs: list[np.ndarray], ys: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[Callable[[], np.ndarray]]]:
+    """Unchecked per-sample losses of several blocks of rows, and per block a
+    function that returns its mean-loss gradient from the same forward pass
+    (computed only when called).
+
+    Each block goes through the model by itself, so every matrix product sees
+    the same rows as it would alone. The row-wise rest runs once over all
+    blocks, which saves numpy calls and leaves each row's bits as they are."""
+    passes = [_forward(model, params, x) for x in xs]
+    hidden = [h for _, h in passes]
+    y = np.concatenate(ys)
+    terms = _output_terms(model, np.concatenate([out for out, _ in passes]), y)
+    losses = _terms_losses(model, terms, y)
+    ends = np.cumsum([len(b) for b in ys]).tolist()
+    blocks = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+
+    def grad_of(k: int) -> Callable[[], np.ndarray]:
+        return lambda: _terms_grad(
+            model, params, xs[k], _targets(model, ys[k]), terms[blocks[k]], hidden[k]
+        )
+
+    return [losses[b] for b in blocks], [grad_of(k) for k in range(len(xs))]
 
 
 def per_sample_losses(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """One nonnegative loss per sample; cross-entropy for classifiers,
     0.5*(f - y)^2 for the regression models."""
     _check_batch(model, params, batch)
-    out = _forward(model, params, batch.x)
-    if model.is_classifier:
-        logp = _log_softmax(out)
-        return -logp[np.arange(len(batch)), batch.y]
-    resid = out - batch.y.astype(np.float64)
-    return 0.5 * resid**2
+    return _losses(model, _forward(model, params, batch.x)[0], batch.y)
 
 
 def batch_loss(model: ModelSpec, params: np.ndarray, batch: Batch) -> float:
@@ -196,34 +293,7 @@ def batch_loss(model: ModelSpec, params: np.ndarray, batch: Batch) -> float:
 def grad(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Gradient of the mean batch loss with respect to the flat parameters."""
     _check_batch(model, params, batch)
-    x, m = batch.x, len(batch)
-    d = model.input_dim
-    if model.kind is ModelKind.LINEAR_REGRESSION:
-        r = (_forward(model, params, x) - batch.y.astype(np.float64)) / m
-        return np.concatenate([x.T @ r, [r.sum()]])
-    if model.kind is ModelKind.SOFTMAX_REGRESSION:
-        c = model.num_classes
-        p = np.exp(_log_softmax(_forward(model, params, x)))
-        p[np.arange(m), batch.y] -= 1.0
-        p /= m
-        return np.concatenate([(p.T @ x).ravel(), p.sum(axis=0)])
-    w1, b1, w2, b2 = _unpack_mlp(model, params)
-    a = np.tanh(x @ w1.T + b1)
-    if model.num_classes == 1:
-        r = ((a @ w2.T + b2)[:, 0] - batch.y.astype(np.float64)) / m
-        gw2 = a.T @ r
-        gb2 = np.array([r.sum()])
-        delta = np.outer(r, w2[0]) * (1.0 - a**2)
-    else:
-        p = np.exp(_log_softmax(a @ w2.T + b2))
-        p[np.arange(m), batch.y] -= 1.0
-        p /= m
-        gw2 = (p.T @ a).ravel()
-        gb2 = p.sum(axis=0)
-        delta = (p @ w2) * (1.0 - a**2)
-    gw1 = delta.T @ x
-    gb1 = delta.sum(axis=0)
-    return np.concatenate([gw1.ravel(), gb1, np.ravel(gw2), gb2])
+    return _grad(model, params, batch.x, _targets(model, batch.y))
 
 
 def predict(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
@@ -231,14 +301,7 @@ def predict(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     if not model.is_classifier:
         raise ConfigurationError("predict requires a classifier model")
     _check_batch(model, params, batch)
-    return _forward(model, params, batch.x).argmax(axis=1)
-
-
-def accuracy(model: ModelSpec, params: np.ndarray, batch: Batch) -> float:
-    if model.is_classifier:
-        return float((predict(model, params, batch) == batch.y).mean())
-    out = np.rint(_forward(model, params, batch.x))
-    return float((out == batch.y).mean())
+    return _forward(model, params, batch.x)[0].argmax(axis=1)
 
 
 def sgd_step(
@@ -319,7 +382,7 @@ def hessian_decomposition(
     m = len(batch)
     g = _output_grads(model, params, batch.x)
     gauss_newton = g.T @ g / m
-    resid = _forward(model, params, batch.x) - batch.y.astype(np.float64)
+    resid = _forward(model, params, batch.x)[0] - batch.y.astype(np.float64)
     p = model.param_count()
     residual_term = np.zeros((p, p))
     if model.kind is ModelKind.MLP_TANH:

@@ -1,4 +1,5 @@
 import os
+import re
 
 from fedcurr.cli import main
 
@@ -192,3 +193,25 @@ def test_shipped_example_config_runs(tmp_path):
     assert main(["run", cfg, "--out", str(out)]) == 0
     lines = read(out / "metrics.csv").decode().strip().splitlines()
     assert len(lines) == 1 + 2 * 2 * 5
+
+
+def test_diverging_run_ends_in_one_error_line(tmp_path, capsys):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(here, "configs", "example_run.ini"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert "eta0 = 0.01" in text
+    cfg = write(tmp_path / "diverge.ini", text.replace("eta0 = 0.01", "eta0 = 1e6"))
+    code = main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert re.match(r"error: round \d+, client \d+: non-finite parameters", lines[0])
+
+
+def test_zero_trials_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path / "bad.ini", MINIMAL_RUN.replace("n_trials = 2", "n_trials = 0"))
+    code = main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'n_trials'" in err and "[run]" in err
+    assert not (tmp_path / "out" / "summary.csv").exists()

@@ -13,6 +13,7 @@ from fedcurr import (
     PacingSpec,
     client_loss,
     curriculum_advantage,
+    per_sample_losses,
     score_clients,
     select_clients,
 )
@@ -45,7 +46,7 @@ def test_client_loss_invariant_to_duplication():
 def test_score_clients_orders_inverse_to_loss():
     params = np.zeros(3)
     batches = [_batch_with_losses([3.0]), _batch_with_losses([1.0]), _batch_with_losses([2.0])]
-    scores = score_clients(MODEL, params, batches)
+    scores = score_clients([per_sample_losses(MODEL, params, b) for b in batches])
     losses = [s.mean_loss for s in scores]
     assert np.argsort(losses).tolist() == np.argsort([-s.score for s in scores]).tolist()
 

@@ -197,14 +197,3 @@ def test_random_scoring_reproducible():
     t2 = score_samples(ScoringKind.RANDOM, model, batch, rng=np.random.default_rng(5))
     assert np.array_equal(t1.scores, t2.scores)
 
-
-def test_score_table_dump_format(tmp_path):
-    from fedcurr.curriculum import dump_score_table
-
-    table = scores_from_losses(np.array([1.0, 0.5]))
-    path = tmp_path / "scores.csv"
-    dump_score_table(table, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "index,raw,score"
-    assert lines[1].split(",")[0] == "0"
-    assert float(lines[2].split(",")[1]) == 2.0

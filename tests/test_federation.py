@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from fedcurr import (
     Algorithm,
+    ClientSelectionConfig,
     ClientState,
     ClientUpdateResult,
     DataCurriculumConfig,
@@ -12,17 +13,26 @@ from fedcurr import (
     ModelSpec,
     OrderingKind,
     PacingFamily,
+    PacingSpec,
     PartitionSpec,
     Scheme,
     ScoringKind,
     SgdHyper,
     aggregate,
     client_update,
+    federation,
     gen_synthetic,
+    grad,
     gradient_dissimilarity,
+    init_params,
+    models,
     order_and_select,
+    pace,
     partition,
+    per_sample_losses,
     run_experiment,
+    score_samples,
+    sgd_step,
 )
 
 MODEL = ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=5, num_classes=2)
@@ -253,17 +263,7 @@ def test_run_is_deterministic():
     assert metrics_equal(run_experiment(cfg, ds, part, test), run_experiment(cfg, ds, part, test))
 
 
-def test_run_independent_of_thread_count():
-    ds, part, test = small_world()
-    cfg = base_config(algorithm=Algorithm.SCAFFOLD, rounds=3)
-    m1 = run_experiment(cfg, ds, part, test, threads=1)
-    m8 = run_experiment(cfg, ds, part, test, threads=8)
-    assert metrics_equal(m1, m8)
-
-
 def test_client_curriculum_run_smoke():
-    from fedcurr import ClientSelectionConfig, PacingSpec
-
     ds, part, test = small_world()
     cc = ClientSelectionConfig(
         pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5, total=8, budget=4),
@@ -297,3 +297,130 @@ def test_expert_scoring_requires_expert_in_run():
 
     with pytest.raises(ConfigurationError):
         run_experiment(cfg, ds, part, test)
+
+
+def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None):
+    """client_update written with the public, per-call-checked functions."""
+    full = ds.batch(state.indices)
+    dc = cfg.data_curriculum
+    if dc is not None:
+        # A copy, so the reference runs the local half instead of reusing
+        # the global losses.
+        local = state.local_params if state.local_params is not None else global_params.copy()
+        table = score_samples(
+            dc.scoring, cfg.model, full, global_params=global_params, local_params=local, rng=rng
+        )
+        n_sel = pace(PacingSpec(dc.family, dc.a, dc.b, len(state.indices), cfg.rounds), t)
+        batch = ds.batch(state.indices[np.sort(order_and_select(table, dc.ordering, n_sel, rng))])
+    else:
+        batch = full
+    theta, v = global_params.copy(), state.momentum.copy()
+    bs = cfg.hyper.batch_size
+    step, eta_sum = 0, 0.0
+    for _ in range(cfg.local_epochs):
+        perm = rng.permutation(len(batch))
+        for lo in range(0, len(batch), bs):
+            g = grad(cfg.model, theta, batch.subset(perm[lo : lo + bs]))
+            if cfg.algorithm is Algorithm.FEDPROX:
+                g = g + cfg.mu_prox * (theta - global_params)
+            if cfg.algorithm is Algorithm.SCAFFOLD:
+                g = g + server_control - state.control
+            eta_sum += cfg.hyper.learning_rate(step)
+            theta, v = sgd_step(theta, g, cfg.hyper, step, v)
+            step += 1
+    control = state.control
+    if cfg.algorithm is Algorithm.SCAFFOLD:
+        control = state.control - server_control + (global_params - theta) / (
+            step * (eta_sum / step)
+        )
+    return theta, v, step, control
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ModelSpec(ModelKind.LINEAR_REGRESSION, input_dim=5),
+        ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=5, num_classes=3),
+        ModelSpec(ModelKind.MLP_TANH, input_dim=5, num_classes=3, hidden_dim=4),
+        ModelSpec(ModelKind.MLP_TANH, input_dim=5, num_classes=1, hidden_dim=4),
+    ],
+    ids=["linear", "softmax", "mlp", "mlp_scalar"],
+)
+@pytest.mark.parametrize("algorithm", [Algorithm.FEDAVG, Algorithm.FEDPROX, Algorithm.SCAFFOLD])
+def test_client_update_matches_checked_reference(model, algorithm):
+    # Two rounds of one client under lg_loss scoring, so the second round
+    # scores with a local model that differs from the global one.
+    ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
+    part = partition(ds, PartitionSpec(Scheme.IID, num_clients=4, seed=5))
+    cfg = base_config(
+        model=model,
+        num_clients=4,
+        participants=2,
+        algorithm=algorithm,
+        mu_prox=0.1 if algorithm is Algorithm.FEDPROX else 0.0,
+        hyper=SgdHyper(eta0=0.05, momentum=0.9, weight_decay=5e-4, batch_size=7),
+        data_curriculum=DataCurriculumConfig(
+            ScoringKind.LG_LOSS, PacingFamily.LINEAR, 0.8, 0.3, OrderingKind.CURRICULUM
+        ),
+    )
+    dim = model.param_count()
+    scaffold = algorithm is Algorithm.SCAFFOLD
+    state = ClientState(
+        client_id=1,
+        indices=part.assignment[1],
+        momentum=np.zeros(dim),
+        control=np.zeros(dim) if scaffold else None,
+    )
+    init_rng = np.random.default_rng(11)
+    theta = init_params(model, init_rng)
+    server_c = init_rng.standard_normal(dim) * 0.01 if scaffold else None
+    for t in range(2):
+        ref_theta, ref_v, ref_tau, ref_control = _reference_update(
+            state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
+        )
+        losses = per_sample_losses(model, theta, ds.batch(state.indices))
+        result, state = client_update(
+            state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c,
+            global_losses=losses,
+        )
+        assert np.array_equal(result.params, ref_theta)
+        assert np.array_equal(state.momentum, ref_v)
+        assert result.tau == state.tau == ref_tau
+        if scaffold:
+            assert np.array_equal(state.control, ref_control)
+        theta = theta + 0.1 * (result.params - theta)
+
+
+def test_round_forwards_each_params_and_data_pair_once(monkeypatch):
+    # Client curriculum and g_loss scoring both need every client's losses at
+    # the broadcast model; each (parameters, data) pair is run through the
+    # model once. Parameters change every round and every local step, so
+    # checking the whole run covers each round.
+    ds, part, test = small_world(scheme=Scheme.IID)
+    cc = ClientSelectionConfig(
+        pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5, total=8, budget=4),
+        ordering=OrderingKind.CURRICULUM,
+        client_batch_size=3,
+    )
+    cfg = base_config(
+        client_curriculum=cc,
+        participants=3,
+        data_curriculum=DataCurriculumConfig(
+            ScoringKind.G_LOSS, PacingFamily.LINEAR, 0.8, 0.2, OrderingKind.CURRICULUM
+        ),
+    )
+    seen = {}
+    original = models._forward
+
+    def counted(model, params, x):
+        key = (params.tobytes(), x.tobytes(), x.shape)
+        seen[key] = seen.get(key, 0) + 1
+        return original(model, params, x)
+
+    monkeypatch.setattr(models, "_forward", counted)
+    monkeypatch.setattr(federation, "_forward", counted)
+    metrics = run_experiment(cfg, ds, part, test)
+    assert len(metrics) == 4
+    # Per round: 8 clients scored, plus the test set.
+    assert len(seen) > 4 * (8 + 1)
+    assert max(seen.values()) == 1

@@ -117,6 +117,47 @@ def test_per_sample_mean_equals_batch_loss(model):
     assert abs(per_sample_losses(model, params, batch).mean() - batch_loss(model, params, batch)) < 1e-12
 
 
+def _indexed_log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("model", [SOFTMAX, MLP_CLF], ids=lambda m: m.kind.value)
+def test_classifier_losses_and_gradient_match_indexed_form_exactly(model):
+    # The models take the row max column by column and subtract a one-hot
+    # matrix; both must give the bits of the row-reduced, indexed form.
+    from fedcurr.models import _forward
+
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        params = 30.0 * init_params(model, rng)  # logits far apart
+        batch = random_batch(model, rng, m=13)
+        m = len(batch)
+        terms = _indexed_log_softmax(_forward(model, params, batch.x)[0])
+        assert np.array_equal(per_sample_losses(model, params, batch), -terms[np.arange(m), batch.y])
+        if model is SOFTMAX:
+            p = np.exp(terms)
+            p[np.arange(m), batch.y] -= 1.0
+            p /= m
+            expected = np.concatenate([(p.T @ batch.x).ravel(), p.sum(axis=0)])
+            assert np.array_equal(grad(model, params, batch), expected)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind.value + str(m.num_classes))
+def test_blockwise_losses_and_grads_match_per_block_calls_exactly(model):
+    # The row-wise part runs once over all blocks; each block must still get
+    # the bits of its own per_sample_losses and grad calls.
+    from fedcurr.models import _losses_and_grads
+
+    rng = np.random.default_rng(19)
+    params = init_params(model, rng)
+    blocks = [random_batch(model, rng, m=m) for m in (1, 5, 13, 2)]
+    losses, grads = _losses_and_grads(model, params, [b.x for b in blocks], [b.y for b in blocks])
+    for block, block_losses, block_grad in zip(blocks, losses, grads):
+        assert np.array_equal(block_losses, per_sample_losses(model, params, block))
+        assert np.array_equal(block_grad(), grad(model, params, block))
+
+
 def test_dimension_mismatch_raises():
     batch = Batch(np.ones((2, 5)), np.array([0, 1]))
     with pytest.raises(ConfigurationError):
@@ -183,7 +224,7 @@ def test_hessian_mlp_zero_residual():
     x = rng.standard_normal((5, 3))
     from fedcurr.models import _forward
 
-    exact = Batch(x, _forward(MLP_REG, params, x))
+    exact = Batch(x, _forward(MLP_REG, params, x)[0])
     dec = hessian_decomposition(MLP_REG, params, exact)
     assert_allclose(dec.residual_term, 0.0, atol=1e-14)
 
