@@ -3,10 +3,8 @@ training on client data and client selection, plus a Monte-Carlo harness for
 the biased-local-SGD convergence bounds."""
 
 from .clients import (
-    ClientScore,
     ClientSelectionConfig,
     client_loss,
-    curriculum_advantage,
     score_clients,
     select_clients,
 )
@@ -28,13 +26,9 @@ from .data import (
     Scheme,
     check_partition,
     gen_synthetic,
-    load_dataset,
-    load_partition,
     partition,
     partition_difficulty,
     partition_score_std,
-    save_dataset,
-    save_partition,
 )
 from .errors import ConfigurationError
 from .federation import (

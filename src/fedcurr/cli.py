@@ -19,17 +19,21 @@ import numpy as np
 
 from .config import (
     TEST_SEED_OFFSET,
-    ConfigError,
     RunConfig,
     TheoryConfig,
-    expand_curriculum_arm,
     parse_run_config,
     parse_theory_config,
 )
 from .curriculum import ScoringKind
 from .data import Dataset, Partition, gen_synthetic, partition, partition_difficulty
 from .errors import ConfigurationError
-from .federation import ExperimentConfig, RoundMetrics, run_experiment, train_centralized
+from .federation import (
+    DataCurriculumConfig,
+    ExperimentConfig,
+    RoundMetrics,
+    run_experiment,
+    train_centralized,
+)
 from .models import per_sample_losses
 from .theory import (
     BiasKind,
@@ -62,7 +66,8 @@ class TrialData:
 
 
 def _build_trial(cfg: RunConfig, trial: int) -> TrialData:
-    seed = cfg.seed + trial
+    seed = cfg.experiment.seed + trial
+    model, hyper = cfg.experiment.model, cfg.experiment.hyper
     d = cfg.dataset
     ds = gen_synthetic(d.n, d.classes, d.dim, d.noise_low, d.noise_high, seed)
     test = gen_synthetic(
@@ -71,43 +76,30 @@ def _build_trial(cfg: RunConfig, trial: int) -> TrialData:
     spec = replace(cfg.partition, seed=seed)
     part = partition(ds, spec)
     expert = None
-    if spec.f_ord is not None or cfg.scoring is ScoringKind.EXPERT:
-        expert = train_centralized(cfg.model, ds, cfg.hyper, cfg.expert_epochs, seed)
+    if spec.f_ord is not None or any(
+        arm is not None and arm.scoring is ScoringKind.EXPERT for arm in cfg.arms
+    ):
+        expert = train_centralized(model, ds, hyper, cfg.expert_epochs, seed)
     if spec.f_ord is not None:
-        losses = per_sample_losses(cfg.model, expert, ds.batch())
+        losses = per_sample_losses(model, expert, ds.batch())
         part = partition_difficulty(ds, part, spec.f_ord, losses, seed)
     return TrialData(seed=seed, ds=ds, part=part, test=test, expert_params=expert)
 
 
-def _run_one(cfg: RunConfig, arm: str, data: TrialData) -> list[RoundMetrics]:
-    exp = ExperimentConfig(
-        model=cfg.model,
-        num_clients=cfg.partition.num_clients,
-        participants=cfg.participants,
-        rounds=cfg.rounds,
-        local_epochs=cfg.local_epochs,
-        algorithm=cfg.algorithm,
-        mu_prox=cfg.mu_prox,
-        data_curriculum=expand_curriculum_arm(cfg, arm),
-        client_curriculum=cfg.client_curriculum,
-        hyper=cfg.hyper,
-        seed=data.seed,
-    )
-    return run_experiment(
-        exp, data.ds, data.part, data.test.batch(), expert_params=data.expert_params
-    )
+def _ordering(arm: DataCurriculumConfig | None) -> str:
+    return "vanilla" if arm is None else arm.ordering.value
 
 
-def _metric_row(cfg: RunConfig, arm: str, seed: int, m: RoundMetrics) -> str:
-    if arm == "vanilla":
+def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> str:
+    arm = exp.data_curriculum
+    if arm is None:
         scoring, family = "none", "none"
         a = b = 0.0
     else:
-        scoring, family = cfg.scoring.value, cfg.pacing_family.value
-        a, b = cfg.pacing_a, cfg.pacing_b
+        scoring, family, a, b = arm.scoring.value, arm.family.value, arm.a, arm.b
     cells = [
-        str(m.round), cfg.algorithm.value, arm, scoring, family,
-        _fmt(a), _fmt(b), str(seed),
+        str(m.round), exp.algorithm.value, _ordering(arm), scoring, family,
+        _fmt(a), _fmt(b), str(exp.seed),
         _fmt(m.test_acc), _fmt(m.test_loss), _fmt(m.mean_client_loss),
         _fmt(m.lam), _fmt(m.subset_frac),
     ]
@@ -117,29 +109,45 @@ def _metric_row(cfg: RunConfig, arm: str, seed: int, m: RoundMetrics) -> str:
 def command_run(cfg: RunConfig, out_dir: str, threads: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
     trials = [_build_trial(cfg, i) for i in range(cfg.n_trials)]
-    jobs = [(arm, data) for arm in cfg.arms for data in trials]
+    jobs = [
+        (replace(cfg.experiment, seed=data.seed, data_curriculum=arm), data)
+        for arm in cfg.arms
+        for data in trials
+    ]
+
+    def run(job: tuple[ExperimentConfig, TrialData]) -> list[RoundMetrics]:
+        exp, data = job
+        return run_experiment(
+            exp, data.ds, data.part, data.test.batch(), expert_params=data.expert_params
+        )
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: _run_one(cfg, *job), jobs))
+            results = list(pool.map(run, jobs))
     else:
-        results = [_run_one(cfg, *job) for job in jobs]
+        results = [run(job) for job in jobs]
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     with open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write(METRIC_COLUMNS + "\n")
-        for (arm, data), rows in zip(jobs, results):
+        for (exp, _), rows in zip(jobs, results):
             for m in rows:
-                fh.write(_metric_row(cfg, arm, data.seed, m) + "\n")
+                fh.write(_metric_row(exp, m) + "\n")
 
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("ordering,n_trials,final_acc_mean,final_acc_std\n")
         for arm in cfg.arms:
-            finals = [rows[-1].test_acc for (a, _), rows in zip(jobs, results) if a == arm]
+            finals = [
+                rows[-1].test_acc
+                for (exp, _), rows in zip(jobs, results)
+                if exp.data_curriculum == arm
+            ]
             mean = float(np.mean(finals))
             std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
-            fh.write(f"{arm},{len(finals)},{_fmt(mean)},{_fmt(std)}\n")
-            print(f"{arm}: final accuracy {mean:.4f} +/- {std:.4f} over {len(finals)} trials")
+            name = _ordering(arm)
+            fh.write(f"{name},{len(finals)},{_fmt(mean)},{_fmt(std)}\n")
+            print(f"{name}: final accuracy {mean:.4f} +/- {std:.4f} over {len(finals)} trials")
     print(f"wrote {metrics_path} and {summary_path}")
     return 0
 
@@ -228,22 +236,25 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
 
+    # Every invalid config fails here, before any work starts.
     try:
         if args.command == "run":
             cfg = parse_run_config(args.config)
             if args.seed is not None:
-                cfg.seed = args.seed
-                cfg.partition = replace(cfg.partition, seed=args.seed)
-            return command_run(cfg, args.out, threads)
-        tcfg = parse_theory_config(args.config)
-        if args.seed is not None:
-            for case in tcfg.convex + tcfg.nonconvex:
-                case.seed = args.seed
-        return command_verify(tcfg, args.out)
-    except ConfigError as exc:
+                cfg.experiment = replace(cfg.experiment, seed=args.seed)
+        else:
+            cfg = parse_theory_config(args.config)
+            if args.seed is not None:
+                for case in cfg.convex + cfg.nonconvex:
+                    case.seed = args.seed
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigurationError, ValueError, FloatingPointError) as exc:
+    try:
+        if args.command == "run":
+            return command_run(cfg, args.out, threads)
+        return command_verify(cfg, args.out)
+    except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,14 +14,7 @@ import numpy as np
 
 from .curriculum import OrderingKind, PacingSpec, pace
 from .errors import ConfigurationError
-from .models import LOSS_EPS, Batch, ModelSpec, per_sample_losses
-
-
-@dataclass
-class ClientScore:
-    client_id: int
-    mean_loss: float
-    score: float  # inverse of the mean loss; higher = easier client
+from .models import Batch, ModelSpec, per_sample_losses
 
 
 @dataclass(frozen=True)
@@ -35,7 +28,9 @@ class ClientSelectionConfig:
 
     def __post_init__(self):
         if not 1 <= self.client_batch_size <= self.pacing.total:
-            raise ConfigurationError("client batch size must be in [1, num_clients]")
+            raise ConfigurationError(
+                "client batch size must be in [1, num_clients]", field="client_batch_size"
+            )
 
 
 def client_loss(model: ModelSpec, params: np.ndarray, client_data: Batch) -> float:
@@ -45,30 +40,26 @@ def client_loss(model: ModelSpec, params: np.ndarray, client_data: Batch) -> flo
     return float(per_sample_losses(model, params, client_data).mean())
 
 
-def score_clients(losses: list[np.ndarray]) -> list[ClientScore]:
-    """Score each client by the mean of its per-sample losses; ``losses[i]``
+def score_clients(losses: list[np.ndarray]) -> np.ndarray:
+    """Each client's mean per-sample loss, as an (M,) array; ``losses[i]``
     belongs to client ``i``."""
-    out = []
-    for cid, client_losses in enumerate(losses):
-        loss = float(client_losses.mean())
-        out.append(ClientScore(client_id=cid, mean_loss=loss, score=1.0 / max(loss, LOSS_EPS)))
-    return out
+    return np.array([client_losses.mean() for client_losses in losses], dtype=np.float64)
 
 
 def select_clients(
-    scores: list[ClientScore],
+    losses: np.ndarray,
     cfg: ClientSelectionConfig,
     t: int,
     rng: np.random.Generator,
 ) -> list[int]:
-    """Eligible set = top-K(t) clients under the ordering; return one uniform
-    mini-batch of size min(batch, K(t)) from it, ascending by id."""
+    """Eligible set = top-K(t) clients under the ordering of their mean
+    losses (ties by id); return one uniform mini-batch of size
+    min(batch, K(t)) from it, ascending by id."""
     m = cfg.pacing.total
-    if len(scores) != m:
-        raise ConfigurationError(f"expected scores for all {m} clients, got {len(scores)}")
+    if len(losses) != m:
+        raise ConfigurationError(f"expected losses for all {m} clients, got {len(losses)}")
     k = pace(cfg.pacing, t)
-    ids = np.array([s.client_id for s in scores])
-    losses = np.array([s.mean_loss for s in scores])
+    ids = np.arange(m)
     if cfg.ordering is OrderingKind.CURRICULUM:
         eligible = ids[np.lexsort((ids, losses))][:k]
     elif cfg.ordering is OrderingKind.ANTI:
@@ -77,8 +68,3 @@ def select_clients(
         eligible = ids[rng.permutation(m)][:k]
     batch = rng.choice(eligible, size=min(cfg.client_batch_size, k), replace=False)
     return sorted(int(c) for c in batch)
-
-
-def curriculum_advantage(acc_o: float, acc_vanilla: float) -> float:
-    """Accuracy advantage of an ordering over vanilla training."""
-    return acc_o - acc_vanilla

@@ -3,19 +3,26 @@
 The format is INI-style: ``[section]`` headers with one ``key = value`` per
 line. ``parse_run_config`` builds the federation experiment description;
 ``parse_theory_config`` builds the list of bound-verification cases.
-Validation failures raise ``ConfigError`` naming the offending section/key;
-syntax problems surface configparser's line-numbered errors.
+
+All validation happens while parsing, before any work starts, and every
+failure raises ``ConfigurationError``: syntax problems carry configparser's
+line-numbered message, everything else names the offending key and section.
+Range rules live once, in the ``__post_init__`` of the domain dataclasses;
+the parser builds those objects and maps the field a failed check names back
+to the key it was read from.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from .clients import ClientSelectionConfig
 from .curriculum import OrderingKind, PacingFamily, PacingSpec, ScoringKind
-from .data import PartitionSpec, Scheme
-from .federation import Algorithm, DataCurriculumConfig
+from .data import PartitionSpec, Scheme, _check_feasible, _check_synthetic
+from .errors import ConfigurationError
+from .federation import Algorithm, DataCurriculumConfig, ExperimentConfig
 from .models import ModelKind, ModelSpec, SgdHyper
 
 DEFAULT_SEED = 202207
@@ -24,12 +31,13 @@ TEST_SEED_OFFSET = 7919
 
 ARMS = ("curriculum", "anti", "random", "vanilla")
 
+_HYPER_KEYS = {
+    "eta0": float, "decay_alpha": float, "decay_b": float,
+    "momentum": float, "weight_decay": float, "batch_size": int,
+}
 
-class ConfigError(Exception):
-    pass
 
-
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig:
     n: int
     classes: int
@@ -37,28 +45,23 @@ class DatasetConfig:
     noise_low: float
     noise_high: float
 
+    def __post_init__(self):
+        _check_synthetic(self.n, self.classes, self.noise_low, self.noise_high)
+
 
 @dataclass
 class RunConfig:
+    """What a run needs beyond one federation. Each (arm, trial) job runs
+    ``experiment`` with its seed set to the trial's and its data curriculum
+    set to the arm (``None`` for vanilla)."""
+
     dataset: DatasetConfig
-    partition: PartitionSpec
+    partition: PartitionSpec  # the seed is set per trial
     expert_epochs: int
-    model: ModelSpec
-    algorithm: Algorithm
-    mu_prox: float
-    rounds: int
-    local_epochs: int
-    participants: int
-    hyper: SgdHyper
-    arms: list[str]
-    scoring: ScoringKind
-    pacing_family: PacingFamily
-    pacing_a: float
-    pacing_b: float
-    client_curriculum: ClientSelectionConfig | None
-    seed: int
     n_trials: int
     test_n: int
+    arms: list[DataCurriculumConfig | None]
+    experiment: ExperimentConfig
 
 
 @dataclass
@@ -109,21 +112,25 @@ def _read(path: str) -> configparser.ConfigParser:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
+        raise ConfigurationError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigurationError(str(exc)) from exc
     return cp
+
+
+def _at(section: str, key: str) -> str:
+    return f"key '{key}' in section [{section}]"
 
 
 def _require(cp: configparser.ConfigParser, section: str, key: str) -> str:
     if not cp.has_section(section):
-        raise ConfigError(f"missing required section [{section}]")
+        raise ConfigurationError(f"missing required section [{section}]")
     if not cp.has_option(section, key):
-        raise ConfigError(f"missing required key '{key}' in section [{section}]")
+        raise ConfigurationError(f"missing required {_at(section, key)}")
     return cp.get(section, key)
 
 
-def _convert(section: str, key: str, raw: str, kind):
+def _convert(section: str, key: str, raw: str, kind, minimum=None):
     try:
         if kind is bool:
             lowered = raw.strip().lower()
@@ -132,17 +139,20 @@ def _convert(section: str, key: str, raw: str, kind):
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"key '{key}' in section [{section}]: cannot parse {raw!r}") from exc
+        raise ConfigurationError(f"{_at(section, key)}: cannot parse {raw!r}") from exc
+    if kind is float and not math.isfinite(value):
+        raise ConfigurationError(f"{_at(section, key)}: {raw!r} is not finite")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{_at(section, key)}: must be >= {minimum}, got {value}")
+    return value
 
 
-def _get(cp, section, key, kind, default=None, required=False):
-    if required:
-        return _convert(section, key, _require(cp, section, key), kind)
-    if cp.has_section(section) and cp.has_option(section, key):
-        return _convert(section, key, cp.get(section, key), kind)
-    return default
+def _get(cp, section, key, kind, default=None, required=False, minimum=None):
+    if not required and not (cp.has_section(section) and cp.has_option(section, key)):
+        return default
+    return _convert(section, key, _require(cp, section, key), kind, minimum)
 
 
 def _enum(section: str, key: str, raw: str, enum_cls):
@@ -150,94 +160,98 @@ def _enum(section: str, key: str, raw: str, enum_cls):
         return enum_cls(raw.strip().lower())
     except ValueError as exc:
         valid = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(
-            f"key '{key}' in section [{section}]: {raw!r} is not one of {valid}"
-        ) from exc
+        raise ConfigurationError(f"{_at(section, key)}: {raw!r} is not one of {valid}") from exc
+
+
+def _keys(section: str, *names: str) -> dict[str, tuple[str, str]]:
+    """Fields read from keys of the same name in ``section``."""
+    return {name: (section, name) for name in names}
+
+
+def _built(make, keys: dict[str, tuple[str, str]], **kwargs):
+    """``make(**kwargs)``. A ``ConfigurationError`` whose field ``keys`` maps
+    to a (section, key) is raised again with that key and section named."""
+    try:
+        return make(**kwargs)
+    except ConfigurationError as exc:
+        if exc.field not in keys:
+            raise
+        raise ConfigurationError(f"{_at(*keys[exc.field])}: {exc}") from exc
+
+
+def _pacing(cp, section: str) -> tuple[dict, dict[str, tuple[str, str]]]:
+    """The pacing family and fractions of ``section`` as keyword arguments,
+    and the keys the fraction fields are read from."""
+    family = _get(cp, section, "pacing_family", str, default="linear")
+    kwargs = dict(
+        family=_enum(section, "pacing_family", family, PacingFamily),
+        a=_get(cp, section, "pacing_a", float, default=0.8),
+        b=_get(cp, section, "pacing_b", float, default=0.2),
+    )
+    return kwargs, {"a": (section, "pacing_a"), "b": (section, "pacing_b")}
 
 
 def parse_run_config(path: str) -> RunConfig:
     cp = _read(path)
 
-    dataset = DatasetConfig(
+    dataset = _built(
+        DatasetConfig,
+        _keys("dataset", "n", "classes", "noise_low"),
         n=_get(cp, "dataset", "n", int, required=True),
         classes=_get(cp, "dataset", "classes", int, required=True),
         dim=_get(cp, "dataset", "dim", int, required=True),
         noise_low=_get(cp, "dataset", "noise_low", float, required=True),
         noise_high=_get(cp, "dataset", "noise_high", float, required=True),
     )
+    test_n = _get(cp, "run", "test_n", int, default=dataset.n)
+    _built(
+        _check_synthetic, {"n": ("run", "test_n")}, n=test_n, classes=dataset.classes,
+        noise_low=dataset.noise_low, noise_high=dataset.noise_high,
+    )
 
-    scheme = _enum("partition", "scheme", _require(cp, "partition", "scheme"), Scheme)
-    num_clients = _get(cp, "partition", "num_clients", int, required=True)
-    beta = _get(cp, "partition", "beta", float, default=0.0)
-    if scheme is Scheme.DIRICHLET and beta <= 0:
-        raise ConfigError("missing required key 'beta' in section [partition]")
-    skew = _get(cp, "partition", "skew_classes", int, default=0)
-    if scheme is Scheme.LABEL_SKEW and skew < 1:
-        raise ConfigError("missing required key 'skew_classes' in section [partition]")
-    f_ord = _get(cp, "partition", "f_ord", float, default=None)
-    seed = _get(cp, "run", "seed", int, default=DEFAULT_SEED)
-    part_spec = PartitionSpec(
-        scheme=scheme, num_clients=num_clients, beta=beta, skew_classes=skew,
-        f_ord=f_ord, seed=seed,
+    part_spec = _built(
+        PartitionSpec,
+        _keys("partition", "num_clients", "beta", "f_ord"),
+        scheme=_enum("partition", "scheme", _require(cp, "partition", "scheme"), Scheme),
+        num_clients=_get(cp, "partition", "num_clients", int, required=True),
+        beta=_get(cp, "partition", "beta", float, default=0.0),
+        skew_classes=_get(cp, "partition", "skew_classes", int, default=0),
+        f_ord=_get(cp, "partition", "f_ord", float, default=None),
+    )
+    _built(
+        _check_feasible, _keys("partition", "num_clients", "skew_classes"),
+        spec=part_spec, n=dataset.n, num_classes=dataset.classes,
     )
 
     kind = _enum("model", "kind", _require(cp, "model", "kind"), ModelKind)
-    hidden = _get(cp, "model", "hidden_dim", int, default=0)
-    if kind is ModelKind.MLP_TANH and hidden < 1:
-        raise ConfigError("missing required key 'hidden_dim' in section [model]")
-    model = ModelSpec(
+    model = _built(
+        ModelSpec,
+        {"input_dim": ("dataset", "dim"), "num_classes": ("dataset", "classes"),
+         "hidden_dim": ("model", "hidden_dim")},
         kind=kind,
         input_dim=dataset.dim,
         num_classes=dataset.classes if kind is not ModelKind.LINEAR_REGRESSION else 1,
-        hidden_dim=hidden,
+        hidden_dim=_get(cp, "model", "hidden_dim", int, default=0),
     )
-
-    algorithm = _enum(
-        "federation", "algorithm",
-        _get(cp, "federation", "algorithm", str, default="fedavg"), Algorithm,
+    hyper = _built(
+        SgdHyper,
+        _keys("optimizer", *_HYPER_KEYS),
+        **{
+            key: _get(cp, "optimizer", key, kind, default=getattr(SgdHyper, key))
+            for key, kind in _HYPER_KEYS.items()
+        },
     )
     rounds = _get(cp, "federation", "rounds", int, required=True)
-    hyper = SgdHyper(
-        eta0=_get(cp, "optimizer", "eta0", float, default=SgdHyper.eta0),
-        decay_alpha=_get(cp, "optimizer", "decay_alpha", float, default=SgdHyper.decay_alpha),
-        decay_b=_get(cp, "optimizer", "decay_b", float, default=SgdHyper.decay_b),
-        momentum=_get(cp, "optimizer", "momentum", float, default=SgdHyper.momentum),
-        weight_decay=_get(cp, "optimizer", "weight_decay", float, default=SgdHyper.weight_decay),
-        batch_size=_get(cp, "optimizer", "batch_size", int, default=SgdHyper.batch_size),
-    )
-
-    arms_raw = _get(cp, "data_curriculum", "orderings", str, default="vanilla")
-    arms = [a.strip().lower() for a in arms_raw.split(",") if a.strip()]
-    for arm in arms:
-        if arm not in ARMS:
-            raise ConfigError(
-                f"key 'orderings' in section [data_curriculum]: {arm!r} is not one of "
-                + ", ".join(ARMS)
-            )
-    scoring = _enum(
-        "data_curriculum", "scoring",
-        _get(cp, "data_curriculum", "scoring", str, default="g_loss"), ScoringKind,
-    )
-    family = _enum(
-        "data_curriculum", "pacing_family",
-        _get(cp, "data_curriculum", "pacing_family", str, default="linear"), PacingFamily,
-    )
-    pacing_a = _get(cp, "data_curriculum", "pacing_a", float, default=0.8)
-    pacing_b = _get(cp, "data_curriculum", "pacing_b", float, default=0.2)
 
     client_cc = None
     if _get(cp, "client_curriculum", "enabled", bool, default=False):
-        cc_family = _enum(
-            "client_curriculum", "pacing_family",
-            _get(cp, "client_curriculum", "pacing_family", str, default="linear"), PacingFamily,
-        )
-        client_cc = ClientSelectionConfig(
-            pacing=PacingSpec(
-                family=cc_family,
-                a=_get(cp, "client_curriculum", "pacing_a", float, default=0.8),
-                b=_get(cp, "client_curriculum", "pacing_b", float, default=0.2),
-                total=num_clients,
-                budget=max(rounds, 1),
+        pacing_kwargs, pacing_keys = _pacing(cp, "client_curriculum")
+        client_cc = _built(
+            ClientSelectionConfig,
+            _keys("client_curriculum", "client_batch_size"),
+            pacing=_built(
+                PacingSpec, pacing_keys, **pacing_kwargs,
+                total=part_spec.num_clients, budget=max(rounds, 1),
             ),
             ordering=_enum(
                 "client_curriculum", "ordering",
@@ -249,30 +263,55 @@ def parse_run_config(path: str) -> RunConfig:
             ),
         )
 
-    n_trials = _get(cp, "run", "n_trials", int, default=3)
-    if n_trials < 1:
-        raise ConfigError(f"key 'n_trials' in section [run]: must be >= 1, got {n_trials}")
+    names = _get(cp, "data_curriculum", "orderings", str, default="vanilla").split(",")
+    names = [name.strip().lower() for name in names if name.strip()]
+    for name in names:
+        if name not in ARMS:
+            valid = ", ".join(ARMS)
+            raise ConfigurationError(
+                f"{_at('data_curriculum', 'orderings')}: {name!r} is not one of {valid}"
+            )
+    # Checked even when every arm is vanilla; each other arm sets its ordering.
+    pacing_kwargs, pacing_keys = _pacing(cp, "data_curriculum")
+    curriculum = _built(
+        DataCurriculumConfig, pacing_keys, **pacing_kwargs,
+        scoring=_enum(
+            "data_curriculum", "scoring",
+            _get(cp, "data_curriculum", "scoring", str, default="g_loss"), ScoringKind,
+        ),
+        ordering=OrderingKind.CURRICULUM,
+    )
+    arms = [
+        None if name == "vanilla" else replace(curriculum, ordering=OrderingKind(name))
+        for name in names
+    ]
+
+    experiment = _built(
+        ExperimentConfig,
+        _keys("federation", "participants", "rounds", "local_epochs", "mu_prox"),
+        model=model,
+        num_clients=part_spec.num_clients,
+        participants=_get(cp, "federation", "participants", int, default=10),
+        rounds=rounds,
+        local_epochs=_get(cp, "federation", "local_epochs", int, default=10),
+        algorithm=_enum(
+            "federation", "algorithm",
+            _get(cp, "federation", "algorithm", str, default="fedavg"), Algorithm,
+        ),
+        mu_prox=_get(cp, "federation", "mu_prox", float, default=0.0),
+        client_curriculum=client_cc,
+        hyper=hyper,
+        seed=_get(cp, "run", "seed", int, default=DEFAULT_SEED),
+    )
 
     return RunConfig(
         dataset=dataset,
         partition=part_spec,
         expert_epochs=_get(cp, "partition", "expert_epochs", int, default=30),
-        model=model,
-        algorithm=algorithm,
-        mu_prox=_get(cp, "federation", "mu_prox", float, default=0.0),
-        rounds=rounds,
-        local_epochs=_get(cp, "federation", "local_epochs", int, default=10),
-        participants=_get(cp, "federation", "participants", int, default=10),
-        hyper=hyper,
+        n_trials=_get(cp, "run", "n_trials", int, default=3, minimum=1),
+        test_n=test_n,
         arms=arms,
-        scoring=scoring,
-        pacing_family=family,
-        pacing_a=pacing_a,
-        pacing_b=pacing_b,
-        client_curriculum=client_cc,
-        seed=seed,
-        n_trials=n_trials,
-        test_n=_get(cp, "run", "test_n", int, default=dataset.n),
+        experiment=experiment,
     )
 
 
@@ -284,26 +323,25 @@ def parse_theory_config(path: str) -> TheoryConfig:
         if kind == "convex":
             schedule = _get(cp, section, "schedule", str, default="client").strip().lower()
             if schedule not in ("client", "data"):
-                raise ConfigError(
-                    f"key 'schedule' in section [{section}]: must be 'client' or 'data'"
+                raise ConfigurationError(
+                    f"{_at(section, 'schedule')}: must be 'client' or 'data'"
                 )
             alpha_mode = _get(cp, section, "alpha_mode", str, default="constant").strip().lower()
             if alpha_mode not in ("constant", "inverse_round"):
-                raise ConfigError(
-                    f"key 'alpha_mode' in section [{section}]: must be "
-                    "'constant' or 'inverse_round'"
+                raise ConfigurationError(
+                    f"{_at(section, 'alpha_mode')}: must be 'constant' or 'inverse_round'"
                 )
             out.convex.append(
                 ConvexCase(
                     name=section,
-                    dim=_get(cp, section, "dim", int, required=True),
+                    dim=_get(cp, section, "dim", int, required=True, minimum=1),
                     mu=_get(cp, section, "mu", float, required=True),
                     lipschitz=_get(cp, section, "L", float, required=True),
                     rel_var=_get(cp, section, "M", float, default=0.0),
                     sigma=_get(cp, section, "sigma", float, default=0.0),
-                    clients=_get(cp, section, "Q", int, required=True),
-                    rounds=_get(cp, section, "T", int, required=True),
-                    local_steps=_get(cp, section, "J", int, required=True),
+                    clients=_get(cp, section, "Q", int, required=True, minimum=1),
+                    rounds=_get(cp, section, "T", int, required=True, minimum=1),
+                    local_steps=_get(cp, section, "J", int, required=True, minimum=1),
                     schedule=schedule,
                     b_start=_get(cp, section, "B_start", float, default=0.0),
                     b_end=_get(cp, section, "B_end", float, required=True),
@@ -319,10 +357,10 @@ def parse_theory_config(path: str) -> TheoryConfig:
             out.nonconvex.append(
                 NonconvexCase(
                     name=section,
-                    dim=_get(cp, section, "dim", int, required=True),
-                    clients=_get(cp, section, "Q", int, required=True),
-                    rounds=_get(cp, section, "T", int, required=True),
-                    local_steps=_get(cp, section, "J", int, required=True),
+                    dim=_get(cp, section, "dim", int, required=True, minimum=1),
+                    clients=_get(cp, section, "Q", int, required=True, minimum=1),
+                    rounds=_get(cp, section, "T", int, required=True, minimum=1),
+                    local_steps=_get(cp, section, "J", int, required=True, minimum=1),
                     alpha=_get(cp, section, "alpha", float, required=True),
                     sigma=_get(cp, section, "sigma", float, default=0.0),
                     theta0_scale=_get(cp, section, "theta0", float, default=0.4),
@@ -331,20 +369,5 @@ def parse_theory_config(path: str) -> TheoryConfig:
                 )
             )
         else:
-            raise ConfigError(
-                f"key 'kind' in section [{section}]: must be 'convex' or 'nonconvex'"
-            )
+            raise ConfigurationError(f"{_at(section, 'kind')}: must be 'convex' or 'nonconvex'")
     return out
-
-
-def expand_curriculum_arm(cfg: RunConfig, arm: str) -> DataCurriculumConfig | None:
-    """Map an arm name to its data-curriculum setting (None for vanilla)."""
-    if arm == "vanilla":
-        return None
-    return DataCurriculumConfig(
-        scoring=cfg.scoring,
-        family=cfg.pacing_family,
-        a=cfg.pacing_a,
-        b=cfg.pacing_b,
-        ordering=OrderingKind(arm),
-    )

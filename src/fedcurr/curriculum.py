@@ -61,12 +61,16 @@ class PacingSpec:
     budget: int
 
     def __post_init__(self):
-        if not 0 < self.a <= 1:
-            raise ConfigurationError("pacing a must be in (0, 1]")
-        if not 0 < self.b <= 1:
-            raise ConfigurationError("pacing b must be in (0, 1]")
+        _check_fractions(self.a, self.b)
         if self.total < 1 or self.budget < 1:
             raise ConfigurationError("pacing total and budget must be >= 1")
+
+
+def _check_fractions(a: float, b: float) -> None:
+    """Raise unless both pacing fractions lie in (0, 1]."""
+    for name, value in (("a", a), ("b", b)):
+        if not 0 < value <= 1:
+            raise ConfigurationError(f"pacing {name} must be in (0, 1]", field=name)
 
 
 @dataclass

@@ -64,11 +64,43 @@ class PartitionSpec:
 
     def __post_init__(self):
         if self.num_clients < 1:
-            raise ConfigurationError("num_clients must be >= 1")
+            raise ConfigurationError("num_clients must be >= 1", field="num_clients")
         if self.scheme is Scheme.DIRICHLET and self.beta <= 0:
-            raise ConfigurationError("Dirichlet beta must be > 0")
-        if self.f_ord is not None and not 0 <= self.f_ord <= 1:
-            raise ConfigurationError("f_ord must be in [0, 1]")
+            raise ConfigurationError("Dirichlet beta must be > 0", field="beta")
+        if self.f_ord is not None:
+            _check_f_ord(self.f_ord)
+
+
+def _check_f_ord(f_ord: float) -> None:
+    if not 0 <= f_ord <= 1:
+        raise ConfigurationError("f_ord must be in [0, 1]", field="f_ord")
+
+
+def _check_synthetic(n: int, classes: int, noise_low: float, noise_high: float) -> None:
+    if classes < 1:
+        raise ConfigurationError("need n >= classes >= 1", field="classes")
+    if n < classes:
+        raise ConfigurationError("need n >= classes >= 1", field="n")
+    if noise_low < 0 or noise_low > noise_high:
+        raise ConfigurationError("need 0 <= noise_low <= noise_high", field="noise_low")
+
+
+def _check_feasible(spec: PartitionSpec, n: int, num_classes: int) -> None:
+    """Rules that tie a partition spec to the size and classes of its data."""
+    if n < spec.num_clients:
+        raise ConfigurationError("fewer samples than clients", field="num_clients")
+    if spec.scheme is not Scheme.LABEL_SKEW:
+        return
+    m, k = spec.num_clients, spec.skew_classes
+    if not 1 <= k <= num_classes:
+        raise ConfigurationError(
+            "label-skew classes per client must be in [1, C]", field="skew_classes"
+        )
+    if m * k < num_classes:
+        raise ConfigurationError(
+            f"label skew infeasible: {m} clients * {k} classes < {num_classes}",
+            field="skew_classes",
+        )
 
 
 @dataclass
@@ -108,10 +140,7 @@ def gen_synthetic(
 ) -> Dataset:
     """Gaussian blobs around unit-norm class means with per-sample noise
     magnitude drawn uniform from [noise_low, noise_high]."""
-    if n < classes or classes < 1:
-        raise ConfigurationError("need n >= classes >= 1")
-    if noise_low < 0 or noise_low > noise_high:
-        raise ConfigurationError("need 0 <= noise_low <= noise_high")
+    _check_synthetic(n, classes, noise_low, noise_high)
     rng = np.random.default_rng(seed)
     means = _class_means(classes, dim, rng)
     labels = np.arange(n) % classes
@@ -146,6 +175,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 def partition(ds: Dataset, spec: PartitionSpec) -> Partition:
     """Deal dataset indices to clients under the requested scheme."""
     m, n = spec.num_clients, len(ds)
+    _check_feasible(spec, n, ds.num_classes)
     rng = np.random.default_rng(spec.seed)
 
     if spec.scheme is Scheme.IID:
@@ -162,20 +192,15 @@ def partition(ds: Dataset, spec: PartitionSpec) -> Partition:
                 assignment[i].extend(pool[start : start + quotas[i]])
                 start += quotas[i]
         # Small beta concentrates whole classes on few clients and can starve
-        # the rest; give every empty client one sample from the largest one.
+        # the rest; give every empty client one sample from the largest one,
+        # which holds two or more since n >= m.
         for i in range(m):
             while not assignment[i]:
                 donor = max(range(m), key=lambda j: (len(assignment[j]), j))
-                if len(assignment[donor]) <= 1:
-                    raise ConfigurationError("fewer samples than clients")
                 assignment[i].append(assignment[donor].pop())
         return _finalize(ds, [np.array(a) for a in assignment])
 
     k, c_total = spec.skew_classes, ds.num_classes
-    if not 1 <= k <= c_total:
-        raise ConfigurationError("label-skew classes per client must be in [1, C]")
-    if m * k < c_total:
-        raise ConfigurationError(f"label skew infeasible: {m} clients * {k} classes < {c_total}")
     holders: list[list[int]] = [[] for _ in range(c_total)]
     for i in range(m):
         for j in range(k):
@@ -204,8 +229,7 @@ def partition_difficulty(
     list contiguously in id order), and the leftover samples of the class are
     dealt uniformly at random to fill each client's remaining class quota.
     """
-    if not 0 <= f_ord <= 1:
-        raise ConfigurationError("f_ord must be in [0, 1]")
+    _check_f_ord(f_ord)
     expert_losses = np.asarray(expert_losses, dtype=np.float64)
     if expert_losses.shape != (len(ds),):
         raise ConfigurationError("expert loss vector length must match the dataset")
@@ -258,66 +282,3 @@ def check_partition(ds: Dataset, part: Partition) -> None:
                 raise AssertionError(f"class count mismatch at client {i}, class {c}")
     if abs(part.weights.sum() - 1.0) > 1e-12:
         raise AssertionError("client weights do not sum to 1")
-
-
-# --- line-oriented text serialization -------------------------------------
-#
-# Dataset file:   first line "n d C", then one sample per line:
-#                 "<label> <difficulty_noise> <x_0> ... <x_{d-1}>".
-# Partition file: first line "num_clients n", then one client per line:
-#                 "<client_id>: <idx> <idx> ...".
-# Floats use %.17g and round-trip exactly.
-
-
-def save_dataset(ds: Dataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(ds)} {ds.dim} {ds.num_classes}\n")
-        for i in range(len(ds)):
-            coords = " ".join(f"{v:.17g}" for v in ds.features[i])
-            fh.write(f"{ds.labels[i]} {ds.difficulty_noise[i]:.17g} {coords}\n")
-
-
-def load_dataset(path: str) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ConfigurationError(f"{path}: malformed dataset header")
-        n, d, c = (int(v) for v in header)
-        labels = np.empty(n, dtype=np.int64)
-        eps = np.empty(n)
-        features = np.empty((n, d))
-        for i in range(n):
-            parts = fh.readline().split()
-            if len(parts) != d + 2:
-                raise ConfigurationError(f"{path}: malformed sample line {i + 2}")
-            labels[i] = int(parts[0])
-            eps[i] = float(parts[1])
-            features[i] = [float(v) for v in parts[2:]]
-    return Dataset(features=features, labels=labels, difficulty_noise=eps, num_classes=c)
-
-
-def save_partition(part: Partition, path: str) -> None:
-    n = int(part.sizes().sum())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{part.num_clients} {n}\n")
-        for i, idx in enumerate(part.assignment):
-            fh.write(f"{i}: " + " ".join(str(int(v)) for v in idx) + "\n")
-
-
-def load_partition(path: str, ds: Dataset) -> Partition:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ConfigurationError(f"{path}: malformed partition header")
-        m, n = int(header[0]), int(header[1])
-        if n != len(ds):
-            raise ConfigurationError(f"{path}: partition is for a dataset of size {n}")
-        assignment = []
-        for i in range(m):
-            line = fh.readline().split(":")
-            if len(line) != 2 or int(line[0]) != i:
-                raise ConfigurationError(f"{path}: malformed client line {i + 2}")
-            assignment.append(np.array([int(v) for v in line[1].split()], dtype=np.int64))
-    part = _finalize(ds, assignment)
-    check_partition(ds, part)
-    return part

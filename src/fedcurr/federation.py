@@ -26,6 +26,7 @@ from .curriculum import (
     PacingFamily,
     PacingSpec,
     ScoringKind,
+    _check_fractions,
     order_and_select,
     pace,
     score_samples,
@@ -68,6 +69,9 @@ class DataCurriculumConfig:
     b: float
     ordering: OrderingKind
 
+    def __post_init__(self):
+        _check_fractions(self.a, self.b)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -84,12 +88,18 @@ class ExperimentConfig:
     seed: int = 202207
 
     def __post_init__(self):
-        if self.num_clients < 1 or not 1 <= self.participants <= self.num_clients:
-            raise ConfigurationError("need 1 <= participants <= num_clients")
-        if self.rounds < 0 or self.local_epochs < 1:
-            raise ConfigurationError("rounds must be >= 0 and local_epochs >= 1")
+        if self.num_clients < 1:
+            raise ConfigurationError("num_clients must be >= 1", field="num_clients")
+        if not 1 <= self.participants <= self.num_clients:
+            raise ConfigurationError(
+                "need 1 <= participants <= num_clients", field="participants"
+            )
+        if self.rounds < 0:
+            raise ConfigurationError("rounds must be >= 0", field="rounds")
+        if self.local_epochs < 1:
+            raise ConfigurationError("local_epochs must be >= 1", field="local_epochs")
         if self.mu_prox < 0:
-            raise ConfigurationError("mu_prox must be >= 0")
+            raise ConfigurationError("mu_prox must be >= 0", field="mu_prox")
         if self.client_curriculum is not None:
             if self.client_curriculum.pacing.total != self.num_clients:
                 raise ConfigurationError("client pacing total must equal num_clients")

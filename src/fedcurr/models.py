@@ -40,13 +40,15 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.input_dim < 1:
-            raise ConfigurationError("input_dim must be >= 1")
+            raise ConfigurationError("input_dim must be >= 1", field="input_dim")
         if self.kind is ModelKind.SOFTMAX_REGRESSION and self.num_classes < 2:
-            raise ConfigurationError("softmax regression needs num_classes >= 2")
+            raise ConfigurationError(
+                "softmax regression needs num_classes >= 2", field="num_classes"
+            )
         if self.kind is ModelKind.MLP_TANH and self.hidden_dim < 1:
-            raise ConfigurationError("MLP needs hidden_dim >= 1")
+            raise ConfigurationError("MLP needs hidden_dim >= 1", field="hidden_dim")
         if self.num_classes < 1:
-            raise ConfigurationError("num_classes must be >= 1")
+            raise ConfigurationError("num_classes must be >= 1", field="num_classes")
 
     @property
     def is_classifier(self) -> bool:
@@ -79,14 +81,13 @@ class SgdHyper:
     batch_size: int = 10
 
     def __post_init__(self):
-        if self.eta0 < 0 or self.decay_alpha < 0 or self.decay_b < 0:
-            raise ConfigurationError("learning-rate schedule parameters must be >= 0")
+        for name in ("eta0", "decay_alpha", "decay_b", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0", field=name)
         if not 0 <= self.momentum < 1:
-            raise ConfigurationError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be >= 0")
+            raise ConfigurationError("momentum must be in [0, 1)", field="momentum")
         if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
+            raise ConfigurationError("batch_size must be >= 1", field="batch_size")
 
     def learning_rate(self, step_index: int) -> float:
         return self.eta0 * (1.0 + self.decay_alpha * step_index) ** (-self.decay_b)

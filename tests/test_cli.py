@@ -1,7 +1,12 @@
+import configparser
 import os
 import re
 
+import pytest
+
 from fedcurr.cli import main
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 MINIMAL_RUN = """
 [dataset]
@@ -176,7 +181,7 @@ def test_verify_stepsize_precondition_violation(tmp_path, capsys):
     bad = SMALL_VERIFY.replace("B_end = 0.3", "B_end = 0.3\nalpha = 5.0")
     cfg = write(tmp_path / "verify.ini", bad)
     code = main(["verify", cfg, "--out", str(tmp_path / "out")])
-    assert code != 0
+    assert code == 1
     assert "alpha[" in capsys.readouterr().err
 
 
@@ -215,3 +220,61 @@ def test_zero_trials_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'n_trials'" in err and "[run]" in err
     assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+CLIENT_CC = {"enabled": "true"}
+
+# (command, section, key, value, other keys of that section)
+INVALID_CONFIGS = [
+    ("run", "data_curriculum", "pacing_a", "1.5", {}),
+    ("run", "client_curriculum", "pacing_a", "1.5", CLIENT_CC),
+    ("run", "client_curriculum", "client_batch_size", "40", CLIENT_CC),
+    ("run", "federation", "participants", "40", {}),
+    ("run", "federation", "local_epochs", "0", {}),
+    ("run", "federation", "rounds", "-1", {}),
+    ("run", "optimizer", "batch_size", "0", {}),
+    ("run", "optimizer", "momentum", "1.5", {}),
+    ("run", "optimizer", "eta0", "inf", {}),
+    ("run", "partition", "num_clients", "0", {}),
+    ("run", "partition", "num_clients", "700", {}),
+    ("run", "partition", "skew_classes", "3", {"scheme": "label_skew"}),
+    ("run", "dataset", "noise_low", "nan", {}),
+    ("run", "dataset", "noise_low", "-1", {}),
+    ("run", "run", "n_trials", "0", {}),
+    ("run", "run", "test_n", "1", {}),
+    ("verify", "convex_client_schedule", "dim", "0", {}),
+    ("verify", "convex_data_schedule", "dim", "0", {}),
+    ("verify", "convex_diminishing_alpha", "dim", "0", {}),
+    ("verify", "nonconvex_logcosh", "dim", "0", {}),
+    ("verify", "convex_data_schedule", "Q", "0", {}),
+    ("verify", "convex_diminishing_alpha", "T", "0", {}),
+    ("verify", "nonconvex_logcosh", "J", "0", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "command,section,key,value,others",
+    INVALID_CONFIGS,
+    ids=[f"{c[1]}.{c[2]}={c[3]}" for c in INVALID_CONFIGS],
+)
+def test_invalid_config_exits_2_before_any_output(
+    tmp_path, capsys, command, section, key, value, others
+):
+    shipped = "example_run.ini" if command == "run" else "theory_verify.ini"
+    cp = configparser.ConfigParser()
+    cp.optionxform = str  # keep the keys' case
+    cp.read(os.path.join(CONFIGS, shipped), encoding="utf-8")
+    if not cp.has_section(section):
+        cp.add_section(section)
+    for k, v in {**others, key: value}.items():
+        cp.set(section, k, v)
+    path = tmp_path / "bad.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert f"'{key}'" in lines[0] and f"[{section}]" in lines[0], lines[0]
+    for name in ("metrics.csv", "summary.csv", "report.csv"):
+        assert not (out / name).exists()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from fedcurr import (
     Batch,
-    ClientScore,
     ClientSelectionConfig,
     ConfigurationError,
     ModelKind,
@@ -12,7 +12,6 @@ from fedcurr import (
     PacingFamily,
     PacingSpec,
     client_loss,
-    curriculum_advantage,
     per_sample_losses,
     score_clients,
     select_clients,
@@ -46,9 +45,10 @@ def test_client_loss_invariant_to_duplication():
 def test_score_clients_orders_inverse_to_loss():
     params = np.zeros(3)
     batches = [_batch_with_losses([3.0]), _batch_with_losses([1.0]), _batch_with_losses([2.0])]
-    scores = score_clients([per_sample_losses(MODEL, params, b) for b in batches])
-    losses = [s.mean_loss for s in scores]
-    assert np.argsort(losses).tolist() == np.argsort([-s.score for s in scores]).tolist()
+    losses = score_clients([per_sample_losses(MODEL, params, b) for b in batches])
+    assert losses.shape == (3,)
+    assert_allclose(losses, [3.0, 1.0, 2.0], rtol=1e-12)
+    assert np.argsort(losses).tolist() == [1, 2, 0]
 
 
 def _config(m, ordering, batch_size, budget=10, a=0.8, b=0.2):
@@ -60,9 +60,7 @@ def _config(m, ordering, batch_size, budget=10, a=0.8, b=0.2):
 
 
 def _scores(losses):
-    return [
-        ClientScore(client_id=i, mean_loss=l, score=1.0 / l) for i, l in enumerate(losses)
-    ]
+    return np.asarray(losses, dtype=np.float64)
 
 
 def test_select_clients_batch_equals_eligible_when_k_matches():
@@ -139,9 +137,3 @@ def test_everything_eligible_random_ordering_matches_vanilla_sampling():
     freq = counts / counts.sum()
     assert freq.max() / freq.min() < 1.3
 
-
-def test_curriculum_advantage():
-    assert curriculum_advantage(0.55, 0.52) == pytest.approx(0.03)
-    assert curriculum_advantage(0.7, 0.7) == 0.0
-    # Headline-scale sanity: 46.34 - 39.56 = 6.78.
-    assert curriculum_advantage(46.34, 39.56) == pytest.approx(6.78, abs=1e-12)

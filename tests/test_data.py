@@ -9,13 +9,9 @@ from fedcurr import (
     Scheme,
     check_partition,
     gen_synthetic,
-    load_dataset,
-    load_partition,
     partition,
     partition_difficulty,
     partition_score_std,
-    save_dataset,
-    save_partition,
 )
 
 
@@ -224,24 +220,3 @@ def test_partition_score_std_examples():
     with pytest.raises(ValueError):
         partition_score_std(empty, np.zeros(4))
 
-
-def test_dataset_roundtrip(tmp_path):
-    ds = gen_synthetic(120, 3, 5, 0.1, 1.7, seed=31)
-    path = tmp_path / "data.txt"
-    save_dataset(ds, str(path))
-    back = load_dataset(str(path))
-    assert np.array_equal(ds.features, back.features)
-    assert np.array_equal(ds.labels, back.labels)
-    assert np.array_equal(ds.difficulty_noise, back.difficulty_noise)
-    assert ds.num_classes == back.num_classes
-
-
-def test_partition_roundtrip(tmp_path):
-    ds = gen_synthetic(300, 4, 3, 0.1, 1.0, seed=6)
-    part = partition(ds, PartitionSpec(scheme=Scheme.DIRICHLET, num_clients=7, beta=0.4, seed=1))
-    path = tmp_path / "part.txt"
-    save_partition(part, str(path))
-    back = load_partition(str(path), ds)
-    assert all(np.array_equal(a, b) for a, b in zip(part.assignment, back.assignment))
-    assert np.array_equal(part.class_counts, back.class_counts)
-    assert_allclose(part.weights, back.weights, rtol=1e-15)

@@ -299,6 +299,15 @@ def test_expert_scoring_requires_expert_in_run():
         run_experiment(cfg, ds, part, test)
 
 
+@pytest.mark.parametrize("a,b,field", [(1.5, 0.2, "a"), (0.0, 0.2, "a"), (0.8, 0.0, "b")])
+def test_data_curriculum_rejects_pacing_fractions_when_built(a, b, field):
+    from fedcurr import ConfigurationError
+
+    with pytest.raises(ConfigurationError) as info:
+        DataCurriculumConfig(ScoringKind.G_LOSS, PacingFamily.LINEAR, a, b, OrderingKind.ANTI)
+    assert info.value.field == field
+
+
 def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None):
     """client_update written with the public, per-call-checked functions."""
     full = ds.batch(state.indices)
