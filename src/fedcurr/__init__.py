@@ -24,11 +24,9 @@ from .data import (
     Partition,
     PartitionSpec,
     Scheme,
-    check_partition,
     gen_synthetic,
     partition,
     partition_difficulty,
-    partition_score_std,
 )
 from .errors import ConfigurationError
 from .federation import (

@@ -4,15 +4,17 @@
 every arm and trial and writes ``metrics.csv`` plus ``summary.csv``;
 ``fedcurr verify <config>`` drives the convergence-bound verification grid
 and writes ``report.csv``. Outputs are byte-identical across reruns and
-worker-thread counts; ``--threads`` only affects ``run``.
+``--threads`` counts; ``--threads`` only affects ``run``, where it is the
+number of processes that run (arm, trial) jobs at once.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,7 +108,107 @@ def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> str:
     return ",".join(cells)
 
 
-def command_run(cfg: RunConfig, out_dir: str, threads: int) -> int:
+Job = tuple[ExperimentConfig, TrialData]
+# Per share: the rows of each job run, in share order, and the first failure
+# as (job index, error), or None.
+ShareResult = tuple[list[list[RoundMetrics]], tuple[int, Exception] | None]
+
+
+def _run_share(jobs: list[Job], share: range) -> ShareResult:
+    """Run the jobs of ``share`` in order, stopping at the first that fails
+    with one of the errors ``main`` reports. ``run_experiment`` is looked up
+    here at call time, so a replacement of ``cli.run_experiment`` also holds
+    in forked workers."""
+    done = []
+    for i in share:
+        exp, data = jobs[i]
+        try:
+            done.append(run_experiment(
+                exp, data.ds, data.part, data.test.batch(), expert_params=data.expert_params
+            ))
+        except (ValueError, FloatingPointError) as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _worker(jobs: list[Job], share: range, fd: int) -> None:
+    """Body of a forked worker: run ``share``, write the pickled result to
+    ``fd`` and end the process without returning to the caller's stack."""
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(_run_share(jobs, share), fh)
+        code = 0
+    except BaseException:  # a bug, or an unpicklable error: show it, exit 1
+        traceback.print_exc()
+    finally:
+        sys.stderr.flush()
+        os._exit(code)
+
+
+def _read_share(pid: int, fd: int) -> ShareResult:
+    """The result a worker wrote to ``fd``; reaps the worker."""
+    try:
+        with os.fdopen(fd, "rb") as fh:
+            payload = fh.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0 or not payload:
+        raise RuntimeError(f"job worker {pid} failed (wait status {status})")
+    return pickle.loads(payload)
+
+
+def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
+    """Each job's round metrics, in job order.
+
+    The jobs are dealt into ``p = min(processes, len(jobs))`` fixed shares,
+    share ``k`` being ``jobs[k::p]``. Shares 1..p-1 run in workers forked
+    here, after every trial's data is built, so the workers inherit the data
+    and send back only their metrics; the parent runs share 0 itself before
+    it waits on any worker. The process runs no threads of its own when it
+    forks. With one share, or where ``fork`` does not exist, no process is
+    started. A failed job raises the error of the lowest failing job index,
+    as a run in job order would.
+    """
+    p = min(processes, len(jobs)) if hasattr(os, "fork") else 1
+    shares = [range(k, len(jobs), p) for k in range(p)]
+    workers: list[tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for share in shares[1:]:
+            sys.stdout.flush()  # a worker must not write the parent's buffered output
+            sys.stderr.flush()
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                for fd in [read_fd] + [fd for _, fd in workers]:
+                    os.close(fd)
+                _worker(jobs, share, write_fd)
+            os.close(write_fd)
+            workers.append((pid, read_fd))
+        outcomes = [_run_share(jobs, shares[0])]
+        while workers:
+            outcomes.append(_read_share(*workers.pop(0)))
+    finally:
+        if workers:  # the parent failed: stop and reap the rest
+            import signal
+
+            for pid, fd in workers:
+                os.close(fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    results: list[list[RoundMetrics]] = [[] for _ in jobs]
+    failures = []
+    for share, (done, failure) in zip(shares, outcomes):
+        for i, rows in zip(share, done):
+            results[i] = rows
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
+def command_run(cfg: RunConfig, out_dir: str, processes: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
     trials = [_build_trial(cfg, i) for i in range(cfg.n_trials)]
     jobs = [
@@ -114,18 +216,7 @@ def command_run(cfg: RunConfig, out_dir: str, threads: int) -> int:
         for arm in cfg.arms
         for data in trials
     ]
-
-    def run(job: tuple[ExperimentConfig, TrialData]) -> list[RoundMetrics]:
-        exp, data = job
-        return run_experiment(
-            exp, data.ds, data.part, data.test.batch(), expert_params=data.expert_params
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+    results = _run_jobs(jobs, processes)
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     with open(metrics_path, "w", encoding="utf-8") as fh:
@@ -183,8 +274,8 @@ def _run_nonconvex_case(case):
 
 
 def command_verify(cfg: TheoryConfig, out_dir: str) -> int:
-    """Run the cases one after another in config order. Each case batches
-    its Monte-Carlo runs, so worker threads would only contend on the GIL."""
+    """Run the cases one after another in config order, in this process;
+    each case batches its Monte-Carlo runs. ``--threads`` does not apply."""
     os.makedirs(out_dir, exist_ok=True)
     results = [_run_convex_case(c) for c in cfg.convex]
     results += [_run_nonconvex_case(c) for c in cfg.nonconvex]
@@ -224,16 +315,21 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("config", help="path to the sectioned key=value config")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for run; verify ignores it "
-                            "(default: FEDCURR_THREADS or 1)")
+                       help="processes running (arm, trial) jobs at once for run; "
+                            "verify ignores it (default: FEDCURR_THREADS or 1)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("FEDCURR_THREADS", "1"))
-    if threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
+    if args.threads is not None:
+        source, raw = "--threads", str(args.threads)
+    else:
+        source, raw = "FEDCURR_THREADS", os.environ.get("FEDCURR_THREADS", "1")
+    try:
+        processes = int(raw)
+    except ValueError:
+        processes = 0
+    if processes < 1:
+        print(f"error: {source} must be an integer >= 1, got {raw!r}", file=sys.stderr)
         return 2
 
     # Every invalid config fails here, before any work starts.
@@ -252,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         if args.command == "run":
-            return command_run(cfg, args.out, threads)
+            return command_run(cfg, args.out, processes)
         return command_verify(cfg, args.out)
     except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field, replace
 
 from .clients import ClientSelectionConfig
 from .curriculum import OrderingKind, PacingFamily, PacingSpec, ScoringKind
-from .data import PartitionSpec, Scheme, _check_feasible, _check_synthetic
+from .data import (
+    PartitionSpec,
+    Scheme,
+    _check_feasible,
+    _check_synthetic,
+    _synthetic_class_sizes,
+)
 from .errors import ConfigurationError
 from .federation import Algorithm, DataCurriculumConfig, ExperimentConfig
 from .models import ModelKind, ModelSpec, SgdHyper
@@ -220,7 +226,7 @@ def parse_run_config(path: str) -> RunConfig:
     )
     _built(
         _check_feasible, _keys("partition", "num_clients", "skew_classes"),
-        spec=part_spec, n=dataset.n, num_classes=dataset.classes,
+        spec=part_spec, class_sizes=_synthetic_class_sizes(dataset.n, dataset.classes),
     )
 
     kind = _enum("model", "kind", _require(cp, "model", "kind"), ModelKind)

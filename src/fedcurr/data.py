@@ -85,13 +85,30 @@ def _check_synthetic(n: int, classes: int, noise_low: float, noise_high: float) 
         raise ConfigurationError("need 0 <= noise_low <= noise_high", field="noise_low")
 
 
-def _check_feasible(spec: PartitionSpec, n: int, num_classes: int) -> None:
-    """Rules that tie a partition spec to the size and classes of its data."""
-    if n < spec.num_clients:
+def _synthetic_class_sizes(n: int, classes: int) -> np.ndarray:
+    """Samples per class of ``gen_synthetic(n, classes, ...)``, whose labels
+    are ``arange(n) % classes``."""
+    return n // classes + (np.arange(classes) < n % classes)
+
+
+def _skew_holders(num_clients: int, skew_classes: int, num_classes: int) -> list[list[int]]:
+    """Label skew's holders of each class, in ascending client id: client i
+    holds classes (i*k + j) % C for j < k."""
+    holders: list[list[int]] = [[] for _ in range(num_classes)]
+    for i in range(num_clients):
+        for j in range(skew_classes):
+            holders[(i * skew_classes + j) % num_classes].append(i)
+    return holders
+
+
+def _check_feasible(spec: PartitionSpec, class_sizes: np.ndarray) -> None:
+    """Rules that tie a partition spec to the per-class sample counts of its
+    data."""
+    if int(class_sizes.sum()) < spec.num_clients:
         raise ConfigurationError("fewer samples than clients", field="num_clients")
     if spec.scheme is not Scheme.LABEL_SKEW:
         return
-    m, k = spec.num_clients, spec.skew_classes
+    m, k, num_classes = spec.num_clients, spec.skew_classes, len(class_sizes)
     if not 1 <= k <= num_classes:
         raise ConfigurationError(
             "label-skew classes per client must be in [1, C]", field="skew_classes"
@@ -100,6 +117,17 @@ def _check_feasible(spec: PartitionSpec, n: int, num_classes: int) -> None:
         raise ConfigurationError(
             f"label skew infeasible: {m} clients * {k} classes < {num_classes}",
             field="skew_classes",
+        )
+    # A class of size s is split among its holders with np.array_split, which
+    # gives rows to the first s holders only.
+    fed = np.zeros(m, dtype=bool)
+    for size, clients in zip(class_sizes, _skew_holders(m, k, num_classes)):
+        fed[clients[:size]] = True
+    if not fed.all():
+        raise ConfigurationError(
+            f"label skew leaves client {int(np.argmin(fed))} with no samples: "
+            f"too few samples per class for {m} clients",
+            field="num_clients",
         )
 
 
@@ -175,7 +203,7 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
 def partition(ds: Dataset, spec: PartitionSpec) -> Partition:
     """Deal dataset indices to clients under the requested scheme."""
     m, n = spec.num_clients, len(ds)
-    _check_feasible(spec, n, ds.num_classes)
+    _check_feasible(spec, np.bincount(ds.labels, minlength=ds.num_classes))
     rng = np.random.default_rng(spec.seed)
 
     if spec.scheme is Scheme.IID:
@@ -200,13 +228,9 @@ def partition(ds: Dataset, spec: PartitionSpec) -> Partition:
                 assignment[i].append(assignment[donor].pop())
         return _finalize(ds, [np.array(a) for a in assignment])
 
-    k, c_total = spec.skew_classes, ds.num_classes
-    holders: list[list[int]] = [[] for _ in range(c_total)]
-    for i in range(m):
-        for j in range(k):
-            holders[(i * k + j) % c_total].append(i)
+    holders = _skew_holders(m, spec.skew_classes, ds.num_classes)
     assignment = [[] for _ in range(m)]
-    for c in range(c_total):
+    for c in range(ds.num_classes):
         pool = rng.permutation(np.flatnonzero(ds.labels == c))
         chunks = np.array_split(pool, len(holders[c]))
         for client, chunk in zip(holders[c], chunks):
@@ -257,28 +281,3 @@ def partition_difficulty(
     if not np.array_equal(out.class_counts, base.class_counts):
         raise AssertionError("difficulty reshuffle changed class counts")
     return out
-
-
-def partition_score_std(part: Partition, scores: np.ndarray) -> np.ndarray:
-    """Population standard deviation of the scores held by each client."""
-    scores = np.asarray(scores, dtype=np.float64)
-    out = np.empty(part.num_clients)
-    for i, idx in enumerate(part.assignment):
-        if len(idx) < 1:
-            raise ValueError(f"client {i} holds no samples")
-        out[i] = np.std(scores[idx])
-    return out
-
-
-def check_partition(ds: Dataset, part: Partition) -> None:
-    """Raise if the partition is not a disjoint, exhaustive, count-consistent
-    cover of the dataset."""
-    seen = np.concatenate(part.assignment) if part.assignment else np.array([], dtype=int)
-    if len(seen) != len(ds) or len(np.unique(seen)) != len(ds):
-        raise AssertionError("partition is not a disjoint cover of the dataset")
-    for i, idx in enumerate(part.assignment):
-        for c in range(ds.num_classes):
-            if int((ds.labels[idx] == c).sum()) != int(part.class_counts[i, c]):
-                raise AssertionError(f"class count mismatch at client {i}, class {c}")
-    if abs(part.weights.sum() - 1.0) > 1e-12:
-        raise AssertionError("client weights do not sum to 1")

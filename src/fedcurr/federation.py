@@ -4,13 +4,14 @@ aggregation under FedAvg, FedProx, SCAFFOLD or FedNova.
 Each round runs the model once per needed client at the broadcast
 parameters, and that pass's per-sample losses and gradient feed the client
 ranking, the round diagnostics and loss-based sample scoring. Local training
-checks its data once per client update and then steps on raw array slices.
+takes the rows gathered for that pass, checks them and the parameter shapes
+once per client update and then steps on raw array slices.
 
 Determinism contract: every random draw comes from a generator keyed by
 (seed, stream tag, round, client id), and the clients of a round train one
 after another in ascending id order, so reruns are bitwise identical. Runs
-share no state, so the CLI's worker threads, one (arm, trial) job each,
-change no digit either.
+share no state, so the CLI's worker processes, each running a fixed share
+of the (arm, trial) jobs one after another, change no digit either.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ def client_update(
     state: ClientState,
     global_params: np.ndarray,
     cfg: ExperimentConfig,
-    ds: Dataset,
+    x: np.ndarray,
+    y: np.ndarray,
     t: int,
     rng: np.random.Generator,
     server_control: np.ndarray | None = None,
@@ -166,16 +168,20 @@ def client_update(
     trained parameters. The momentum buffer persists across rounds; the step
     index (and with it the learning-rate schedule) resets each round.
 
-    ``global_losses``, when given, are the per-sample losses of the client's
-    data at ``global_params``; loss-based scoring reuses them. The data and
-    parameters are checked once, then the steps run unchecked on raw slices
-    with ``sgd_step``'s arithmetic. A step that leaves non-finite parameters
-    raises FloatingPointError naming the round and the client."""
-    if len(state.indices) < 1:
+    ``x`` and ``y`` are the client's rows, ``ds.features[state.indices]`` and
+    ``ds.labels[state.indices]`` (``run_experiment`` passes the rows it
+    gathered for the pass at the broadcast parameters). ``global_losses``, when given, are the
+    per-sample losses of those rows at ``global_params``; loss-based scoring
+    reuses them. The rows and parameter shapes are checked here, then the
+    steps run unchecked on raw slices with ``sgd_step``'s arithmetic. A step
+    that leaves non-finite parameters raises FloatingPointError naming the
+    round and the client."""
+    if len(y) < 1:
         raise ConfigurationError(f"client {state.client_id} holds no data")
     model, hyper = cfg.model, cfg.hyper
-    full = ds.batch(state.indices)
-    _check_batch(model, global_params, full)
+    batch = Batch(x, y)
+    _check_batch(model, global_params, batch)
+    x, y = batch.x, batch.y
     if state.momentum.shape != global_params.shape:
         raise ConfigurationError("parameter and momentum lengths must match")
     dc = cfg.data_curriculum
@@ -183,20 +189,21 @@ def client_update(
         table = score_samples(
             dc.scoring,
             model,
-            full,
+            batch,
             global_params=global_params,
-            local_params=state.local_params if state.local_params is not None else global_params,
+            local_params=(
+                state.local_params if state.local_params is not None else global_params
+            ),
             expert_params=expert_params,
             rng=rng,
             global_losses=global_losses,
         )
-        spec = PacingSpec(dc.family, dc.a, dc.b, total=len(state.indices), budget=cfg.rounds)
+        spec = PacingSpec(dc.family, dc.a, dc.b, total=len(y), budget=cfg.rounds)
         n_sel = pace(spec, t)
         chosen = np.sort(order_and_select(table, dc.ordering, n_sel, rng))
-        x, y = full.x[chosen], full.y[chosen]
+        x, y = x[chosen], y[chosen]
     else:
-        n_sel = len(state.indices)
-        x, y = full.x, full.y
+        n_sel = len(y)
 
     target = _targets(model, y)
     bs = hyper.batch_size
@@ -353,21 +360,20 @@ def run_experiment(
         # One forward pass per scored client at theta. Its losses serve the
         # client ranking, the round diagnostics and loss-based sample scoring;
         # its gradient serves lambda.
-        block_losses, block_grads = _losses_and_grads(
-            model,
-            theta,
-            [data.x.take(states[i].indices, axis=0) for i in scored],
-            [data.y[states[i].indices] for i in scored],
-        )
+        xs = [data.x.take(states[i].indices, axis=0) for i in scored]
+        ys = [data.y[states[i].indices] for i in scored]
+        block_losses, block_grads = _losses_and_grads(model, theta, xs, ys)
         if cfg.client_curriculum is not None:  # block i is client i
             ids = select_clients(score_clients(block_losses), cfg.client_curriculum, t, round_rng)
         losses = dict(zip(scored, block_losses))
+        # The participants' rows go on to local training.
+        rows = {i: (x, y) for i, x, y in zip(scored, xs, ys) if i in ids}
 
         sizes = np.array([len(states[i].indices) for i in ids], dtype=np.float64)
         w = sizes / sizes.sum()
         grad_at_theta = dict(zip(scored, block_grads))
         grads = [grad_at_theta[i]() for i in ids]
-        del grad_at_theta, block_grads  # free the forward passes before training
+        del grad_at_theta, block_grads, xs, ys  # free the forward passes before training
         try:
             lam = gradient_dissimilarity(grads, w)
         except ValueError:
@@ -378,7 +384,7 @@ def run_experiment(
         for cid in ids:  # ascending id: fixed reduction order
             crng = np.random.default_rng([cfg.seed, _CLIENT_STREAM, t, cid])
             result, states[cid] = client_update(
-                states[cid], theta, cfg, ds, t, crng, server_control, expert_params,
+                states[cid], theta, cfg, *rows[cid], t, crng, server_control, expert_params,
                 global_losses=losses[cid],
             )
             updates.append(result)

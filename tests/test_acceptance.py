@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from _helpers import check_partition, partition_score_std
 
 import fedcurr as fc
 from fedcurr.cli import main as cli_main
@@ -117,10 +118,10 @@ def test_criterion_3_partition_invariants():
         ]
         for spec in specs:
             part = fc.partition(ds, spec)
-            fc.check_partition(ds, part)
+            check_partition(ds, part)
             for f_ord in (0.0, 0.5, 1.0):
                 shuffled = fc.partition_difficulty(ds, part, f_ord, ds.difficulty_noise, seed=5)
-                fc.check_partition(ds, shuffled)
+                check_partition(ds, shuffled)
                 assert np.array_equal(shuffled.class_counts, part.class_counts)
 
         # Single-class rank-order property at f_ord = 1.
@@ -150,7 +151,7 @@ def test_criterion_3_partition_invariants():
             scores = fc.scores_from_losses(exp_losses).scores * len(dsx)
             for i, f in enumerate(grid):
                 out = fc.partition_difficulty(dsx, basex, f, exp_losses, seed=seed)
-                totals[i] += fc.partition_score_std(out, scores).mean()
+                totals[i] += partition_score_std(out, scores).mean()
         totals /= len(DESK_SEEDS)
         assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:])), totals
     report(3, f"partition invariants hold; score std falls {totals[0]:.3f} -> {totals[-1]:.3f}")
@@ -281,7 +282,7 @@ def test_criterion_9_algorithm_equivalences():
         )
         assert metrics_equal(m_avg_i, m_nova)
 
-        from test_federation import MODEL, fresh_state
+        from test_federation import MODEL, client_rows, fresh_state
 
         cfg = base_config(algorithm=fc.Algorithm.SCAFFOLD, participants=8, rounds=3)
         dim = MODEL.param_count()
@@ -292,7 +293,8 @@ def test_criterion_9_algorithm_equivalences():
             for cid in range(8):
                 rng = np.random.default_rng([cfg.seed, 9, t, cid])
                 result, states[cid] = fc.client_update(
-                    states[cid], theta, cfg, ds_i, t, rng, server_control=server_c
+                    states[cid], theta, cfg, *client_rows(ds_i, states[cid]), t, rng,
+                    server_control=server_c,
                 )
                 updates.append(result)
             theta, server_c = fc.aggregate(updates, fc.Algorithm.SCAFFOLD, theta, server_c, 8)

@@ -1,9 +1,11 @@
 import configparser
 import os
 import re
+import time
 
 import pytest
 
+from fedcurr import ConfigurationError, cli
 from fedcurr.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -81,6 +83,11 @@ def read(path):
         return fh.read()
 
 
+def assert_no_child_processes():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_missing_required_key_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "bad.ini", MINIMAL_RUN.replace("n = 120\n", ""))
     code = main(["run", cfg, "--out", str(tmp_path / "out")])
@@ -149,6 +156,98 @@ def test_threads_env_fallback(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_threads_env_typo_exits_2(tmp_path, capsys, monkeypatch, value):
+    cfg = write(tmp_path / "run.ini", MINIMAL_RUN)
+    monkeypatch.setenv("FEDCURR_THREADS", value)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: FEDCURR_THREADS"), lines
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_uneven_shares_match_one_process(tmp_path):
+    # Three jobs in two processes: the parent runs jobs 0 and 2, a worker job 1.
+    text = MINIMAL_RUN.replace("curriculum,vanilla", "curriculum,anti,vanilla")
+    cfg = write(tmp_path / "run.ini", text.replace("n_trials = 2", "n_trials = 1"))
+    outs = {}
+    for threads in ("1", "2"):
+        outs[threads] = tmp_path / threads
+        assert main(["run", cfg, "--out", str(outs[threads]), "--threads", threads]) == 0
+        assert_no_child_processes()
+    assert len(read(outs["1"] / "metrics.csv").splitlines()) == 1 + 3
+    for name in ("metrics.csv", "summary.csv"):
+        assert read(outs["1"] / name) == read(outs["2"] / name)
+
+
+def test_processes_are_capped_at_the_job_count(tmp_path, monkeypatch):
+    cfg = write(tmp_path / "run.ini", MINIMAL_RUN)  # 2 arms x 2 trials = 4 jobs
+    real_fork = os.fork
+    forks = []
+
+    def guarded_fork():
+        if len(forks) >= 3:
+            pytest.fail("more worker processes than jobs - 1")
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", guarded_fork)
+    out1, out_many = tmp_path / "t1", tmp_path / "many"
+    assert main(["run", cfg, "--out", str(out1), "--threads", "1"]) == 0
+    assert forks == []
+    assert main(["run", cfg, "--out", str(out_many), "--threads", "1000000"]) == 0
+    assert len(forks) == 3
+    assert_no_child_processes()
+    for name in ("metrics.csv", "summary.csv"):
+        assert read(out1 / name) == read(out_many / name)
+
+
+def test_worker_error_is_reported_as_in_job_order(tmp_path, capfd, monkeypatch):
+    # Jobs run arm by arm: 0 curriculum/202207, 1 curriculum/202208,
+    # 2 vanilla/202207, 3 vanilla/202208. Jobs 1 and 2 fail. At --threads 2
+    # job 1 runs in the worker and job 2 in the parent, which fails first;
+    # job 1's error is still the one reported.
+    real = cli.run_experiment
+
+    def flaky(exp, *args, **kwargs):
+        if exp.data_curriculum is not None and exp.seed == 202208:
+            raise ConfigurationError("job 1 failed", field="rounds")
+        if exp.data_curriculum is None and exp.seed == 202207:
+            raise FloatingPointError("job 2 failed")
+        return real(exp, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", flaky)
+    cfg = write(tmp_path / "run.ini", MINIMAL_RUN)
+    errors = []
+    for threads in ("1", "2"):
+        assert main(["run", cfg, "--out", str(tmp_path / threads), "--threads", threads]) == 1
+        assert_no_child_processes()
+        errors.append(capfd.readouterr().err)
+    assert errors[0] == errors[1] == "error: job 1 failed\n"
+
+
+def test_parent_failure_stops_and_reaps_workers(tmp_path, monkeypatch):
+    parent = os.getpid()
+    real = cli.run_experiment
+
+    def stuck_worker(exp, *args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)  # ended by the parent's SIGKILL
+        if exp.seed == 202207 and exp.data_curriculum is not None:
+            raise RuntimeError("parent job failed")
+        return real(exp, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", stuck_worker)
+    cfg = write(tmp_path / "run.ini", MINIMAL_RUN)
+    began = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent job failed"):
+        main(["run", cfg, "--out", str(tmp_path / "out"), "--threads", "4"])
+    assert time.monotonic() - began < 30
+    assert_no_child_processes()
+
+
 def test_verify_small_grid_passes(tmp_path):
     cfg = write(tmp_path / "verify.ini", SMALL_VERIFY)
     out = tmp_path / "out"
@@ -200,15 +299,21 @@ def test_shipped_example_config_runs(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 5
 
 
-def test_diverging_run_ends_in_one_error_line(tmp_path, capsys):
+def test_diverging_run_ends_in_one_error_line(tmp_path, capfd):
+    # capfd also sees what a forked worker writes to the inherited stderr.
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(here, "configs", "example_run.ini"), encoding="utf-8") as fh:
         text = fh.read()
     assert "eta0 = 0.01" in text
     cfg = write(tmp_path / "diverge.ini", text.replace("eta0 = 0.01", "eta0 = 1e6"))
-    code = main(["run", cfg, "--out", str(tmp_path / "out")])
-    assert code == 1
-    lines = capsys.readouterr().err.strip().splitlines()
+    errors = []
+    for threads in ("1", "2"):
+        code = main(["run", cfg, "--out", str(tmp_path / threads), "--threads", threads])
+        assert code == 1
+        assert_no_child_processes()
+        errors.append(capfd.readouterr().err)
+    assert errors[0] == errors[1]
+    lines = errors[0].strip().splitlines()
     assert len(lines) == 1
     assert re.match(r"error: round \d+, client \d+: non-finite parameters", lines[0])
 
@@ -238,6 +343,8 @@ INVALID_CONFIGS = [
     ("run", "partition", "num_clients", "0", {}),
     ("run", "partition", "num_clients", "700", {}),
     ("run", "partition", "skew_classes", "3", {"scheme": "label_skew"}),
+    # 300 samples per class dealt to 400 holders: clients 300-399 get none.
+    ("run", "partition", "num_clients", "400", {"scheme": "label_skew", "skew_classes": "2"}),
     ("run", "dataset", "noise_low", "nan", {}),
     ("run", "dataset", "noise_low", "-1", {}),
     ("run", "run", "n_trials", "0", {}),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from _helpers import check_partition, partition_score_std
 from numpy.testing import assert_allclose
 
 from fedcurr import (
@@ -7,11 +8,9 @@ from fedcurr import (
     Partition,
     PartitionSpec,
     Scheme,
-    check_partition,
     gen_synthetic,
     partition,
     partition_difficulty,
-    partition_score_std,
 )
 
 
@@ -109,6 +108,18 @@ def test_label_skew_infeasible():
         partition(
             ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=4, skew_classes=2, seed=0)
         )
+
+
+def test_label_skew_rejects_a_client_left_without_samples():
+    # Both classes of 5 samples are split 8 ways; clients 5-7 would get none.
+    ds = gen_synthetic(10, 2, 3, 0.1, 1.0, seed=1)
+    with pytest.raises(ConfigurationError) as info:
+        partition(ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=8, skew_classes=2))
+    assert info.value.field == "num_clients"
+    assert "client 5" in str(info.value)
+    part = partition(ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=5, skew_classes=2))
+    check_partition(ds, part)
+    assert min(part.sizes()) >= 1
 
 
 def _single_class_dataset(n):

@@ -71,6 +71,11 @@ def fresh_state(ds, part, cid, scaffold=False):
     )
 
 
+def client_rows(ds, state):
+    """The client's rows, as run_experiment hands them to client_update."""
+    return ds.features[state.indices], ds.labels[state.indices]
+
+
 def metrics_equal(a, b):
     return all(
         x.test_acc == y.test_acc
@@ -86,8 +91,9 @@ def test_zero_learning_rate_returns_broadcast_unchanged():
     ds, part, _ = small_world()
     cfg = base_config(hyper=SgdHyper(eta0=0.0, momentum=0.9))
     theta = np.linspace(-1, 1, MODEL.param_count())
+    state = fresh_state(ds, part, 0)
     result, _ = client_update(
-        fresh_state(ds, part, 0), theta, cfg, ds, 0, np.random.default_rng(0)
+        state, theta, cfg, *client_rows(ds, state), 0, np.random.default_rng(0)
     )
     assert np.array_equal(result.params, theta)
 
@@ -95,14 +101,15 @@ def test_zero_learning_rate_returns_broadcast_unchanged():
 def test_fedprox_zero_mu_identical_to_fedavg():
     ds, part, _ = small_world()
     theta = np.random.default_rng(1).standard_normal(MODEL.param_count()) * 0.1
+    state = fresh_state(ds, part, 2)
     res_a, _ = client_update(
-        fresh_state(ds, part, 2), theta, base_config(), ds, 0, np.random.default_rng(9)
+        state, theta, base_config(), *client_rows(ds, state), 0, np.random.default_rng(9)
     )
     res_p, _ = client_update(
-        fresh_state(ds, part, 2),
+        state,
         theta,
         base_config(algorithm=Algorithm.FEDPROX, mu_prox=0.0),
-        ds,
+        *client_rows(ds, state),
         0,
         np.random.default_rng(9),
     )
@@ -195,7 +202,8 @@ def test_scaffold_control_is_mean_of_client_controls():
         for cid in range(8):
             rng = np.random.default_rng([cfg.seed, 2, t, cid])
             result, states[cid] = client_update(
-                states[cid], theta, cfg, ds, t, rng, server_control=server_c
+                states[cid], theta, cfg, *client_rows(ds, states[cid]), t, rng,
+                server_control=server_c,
             )
             updates.append(result)
         theta, server_c = aggregate(updates, Algorithm.SCAFFOLD, theta, server_c, 8)
@@ -308,6 +316,29 @@ def test_data_curriculum_rejects_pacing_fractions_when_built(a, b, field):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda x, y: (x, -1 - y),  # labels below 0 (numpy would wrap them)
+        lambda x, y: (x, y + MODEL.num_classes),  # labels past the last class
+        lambda x, y: (x[:-1], y),  # fewer feature rows than labels
+        lambda x, y: (x[:, :-1], y),  # wrong feature width
+    ],
+    ids=["negative_labels", "labels_past_classes", "short_features", "narrow_features"],
+)
+def test_client_update_rejects_rows_that_do_not_fit_the_model(bad):
+    from fedcurr import ConfigurationError
+
+    ds, part, _ = small_world()
+    state = fresh_state(ds, part, 0)
+    theta = np.zeros(MODEL.param_count())
+    with pytest.raises(ConfigurationError):
+        client_update(
+            state, theta, base_config(), *bad(*client_rows(ds, state)), 0,
+            np.random.default_rng(0),
+        )
+
+
 def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None):
     """client_update written with the public, per-call-checked functions."""
     full = ds.batch(state.indices)
@@ -389,7 +420,8 @@ def test_client_update_matches_checked_reference(model, algorithm):
         )
         losses = per_sample_losses(model, theta, ds.batch(state.indices))
         result, state = client_update(
-            state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c,
+            state, theta, cfg, *client_rows(ds, state), t, np.random.default_rng([3, t]),
+            server_c,
             global_losses=losses,
         )
         assert np.array_equal(result.params, ref_theta)
