@@ -49,7 +49,6 @@ from .models import (
     ModelKind,
     ModelSpec,
     SgdHyper,
-    batch_loss,
     grad,
     hessian_decomposition,
     init_params,

@@ -70,6 +70,15 @@ class RunConfig:
     experiment: ExperimentConfig
 
 
+def _check_case(n_runs: int, clients: int, dim: int) -> None:
+    """Rules both kinds of verify case share."""
+    if n_runs < 100:
+        raise ConfigurationError("need n_runs >= 100 for a meaningful average", field="n_runs")
+    # zero_sum_directions lays an odd cohort of 3 or more out in a plane.
+    if clients % 2 == 1 and clients > 1 and dim < 2:
+        raise ConfigurationError("an odd cohort of 3 or more clients needs dim >= 2", field="dim")
+
+
 @dataclass
 class ConvexCase:
     name: str
@@ -91,6 +100,25 @@ class ConvexCase:
     seed: int
     problem_seed: int
 
+    def __post_init__(self):
+        if not 0 < self.mu <= self.lipschitz:
+            raise ConfigurationError(
+                f"need 0 < mu <= L, got mu = {self.mu}, L = {self.lipschitz}", field="mu"
+            )
+        if not 0 <= self.b_start < self.b_end:
+            raise ConfigurationError(
+                f"need 0 <= B_start < B_end, got {self.b_start} and {self.b_end}",
+                field="b_start",
+            )
+        # The bias caps of the rounds a run takes (t < T) are all zero only
+        # for a client schedule from B_start = 0 over one round.
+        bias_on = self.schedule == "data" or self.b_start > 0 or self.rounds >= 2
+        if bias_on and self.clients < 2:
+            raise ConfigurationError(
+                "a zero-sum bias needs a cohort of at least 2 clients", field="clients"
+            )
+        _check_case(self.n_runs, self.clients, self.dim)
+
 
 @dataclass
 class NonconvexCase:
@@ -104,6 +132,9 @@ class NonconvexCase:
     theta0_scale: float
     n_runs: int
     seed: int
+
+    def __post_init__(self):
+        _check_case(self.n_runs, self.clients, self.dim)
 
 
 @dataclass
@@ -338,7 +369,10 @@ def parse_theory_config(path: str) -> TheoryConfig:
                     f"{_at(section, 'alpha_mode')}: must be 'constant' or 'inverse_round'"
                 )
             out.convex.append(
-                ConvexCase(
+                _built(
+                    ConvexCase,
+                    {**_keys(section, "mu", "n_runs", "dim"), "b_start": (section, "B_start"),
+                     "clients": (section, "Q")},
                     name=section,
                     dim=_get(cp, section, "dim", int, required=True, minimum=1),
                     mu=_get(cp, section, "mu", float, required=True),
@@ -361,7 +395,9 @@ def parse_theory_config(path: str) -> TheoryConfig:
             )
         elif kind == "nonconvex":
             out.nonconvex.append(
-                NonconvexCase(
+                _built(
+                    NonconvexCase,
+                    _keys(section, "n_runs", "dim"),
                     name=section,
                     dim=_get(cp, section, "dim", int, required=True, minimum=1),
                     clients=_get(cp, section, "Q", int, required=True, minimum=1),

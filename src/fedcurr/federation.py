@@ -4,8 +4,9 @@ aggregation under FedAvg, FedProx, SCAFFOLD or FedNova.
 Each round runs the model once per needed client at the broadcast
 parameters, and that pass's per-sample losses and gradient feed the client
 ranking, the round diagnostics and loss-based sample scoring. Local training
-takes the rows gathered for that pass, checks them and the parameter shapes
-once per client update and then steps on raw array slices.
+takes the rows gathered for that pass and checks them and the parameter
+shapes once per client update. It then runs ``models._local_sgd``, the one
+momentum-SGD loop, which ``train_centralized`` shares for the expert model.
 
 Determinism contract: every random draw comes from a generator keyed by
 (seed, stream tag, round, client id), and the clients of a round train one
@@ -40,13 +41,11 @@ from .models import (
     SgdHyper,
     _check_batch,
     _forward,
-    _grad,
+    _local_sgd,
     _losses,
     _losses_and_grads,
     _targets,
-    grad,
     init_params,
-    sgd_step,
 )
 
 # Seed-stream tags; each generator is keyed (seed, tag, ...).
@@ -170,15 +169,16 @@ def client_update(
 
     ``x`` and ``y`` are the client's rows, ``ds.features[state.indices]`` and
     ``ds.labels[state.indices]`` (``run_experiment`` passes the rows it
-    gathered for the pass at the broadcast parameters). ``global_losses``, when given, are the
-    per-sample losses of those rows at ``global_params``; loss-based scoring
-    reuses them. The rows and parameter shapes are checked here, then the
-    steps run unchecked on raw slices with ``sgd_step``'s arithmetic. A step
-    that leaves non-finite parameters raises FloatingPointError naming the
-    round and the client."""
+    gathered for the pass at the broadcast parameters). ``global_losses``,
+    when given, are the per-sample losses of those rows at ``global_params``; loss-based scoring
+    reuses them. The rows and parameter shapes are checked here, then
+    ``models._local_sgd`` steps on them unchecked, with the FedProx and
+    SCAFFOLD terms added to each gradient in place. A step that leaves
+    non-finite parameters raises FloatingPointError naming the round, the
+    client and the step."""
     if len(y) < 1:
         raise ConfigurationError(f"client {state.client_id} holds no data")
-    model, hyper = cfg.model, cfg.hyper
+    model = cfg.model
     batch = Batch(x, y)
     _check_batch(model, global_params, batch)
     x, y = batch.x, batch.y
@@ -205,41 +205,26 @@ def client_update(
     else:
         n_sel = len(y)
 
-    target = _targets(model, y)
-    bs = hyper.batch_size
-    starts = range(0, len(y), bs)
-    etas = [hyper.learning_rate(i) for i in range(cfg.local_epochs * len(starts))]
-    rho, wd, mu = hyper.momentum, hyper.weight_decay, cfg.mu_prox
-    prox = cfg.algorithm is Algorithm.FEDPROX and mu != 0.0
+    prox = cfg.algorithm is Algorithm.FEDPROX and cfg.mu_prox != 0.0
     scaffold = cfg.algorithm is Algorithm.SCAFFOLD
+    diff = np.empty_like(global_params) if prox else None
+
+    def adjust(g: np.ndarray, theta: np.ndarray) -> None:
+        # g + mu*(theta - theta_g) + c - c_k, added left to right.
+        if prox:
+            np.subtract(theta, global_params, out=diff)
+            np.multiply(diff, cfg.mu_prox, out=diff)
+            g += diff
+        if scaffold:
+            g += server_control
+            g -= state.control
+
     theta = global_params.copy()
     v = state.momentum.copy()
-    step = 0
-    eta_sum = 0.0
-    # The finite check reports a diverging step, so numpy's overflow
-    # warnings on the way there would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.local_epochs):
-            # One gather per epoch (take copies rows about 3x faster than
-            # fancy indexing); each mini-batch is then a contiguous slice.
-            perm = rng.permutation(len(y))
-            xp, tp = x.take(perm, axis=0), target.take(perm, axis=0)
-            for lo in starts:
-                g = _grad(model, theta, xp[lo : lo + bs], tp[lo : lo + bs])
-                if prox:
-                    g = g + mu * (theta - global_params)
-                if scaffold:
-                    g = g + server_control - state.control
-                eta = etas[step]
-                eta_sum += eta
-                v = rho * v + (g + wd * theta)
-                theta = theta - eta * v
-                if not np.isfinite(theta).all():
-                    raise FloatingPointError(
-                        f"round {t}, client {state.client_id}: non-finite parameters "
-                        f"after local step {step}"
-                    )
-                step += 1
+    step, eta_sum = _local_sgd(
+        model, cfg.hyper, theta, v, x, _targets(model, y), cfg.local_epochs, rng,
+        f"round {t}, client {state.client_id}", adjust if prox or scaffold else None,
+    )
 
     control_delta = None
     new_control = state.control
@@ -406,16 +391,16 @@ def train_centralized(
     seed: int,
 ) -> np.ndarray:
     """Plain centralized SGD over the full dataset; used to build expert
-    and reference models."""
+    and reference models. The data is checked once, then the steps run in
+    ``models._local_sgd``, as local training does. A step that leaves
+    non-finite parameters raises FloatingPointError naming expert training
+    and the step."""
     rng = np.random.default_rng([seed, _INIT_STREAM])
     theta = init_params(model, rng)
-    v = np.zeros_like(theta)
     data = ds.batch()
-    step = 0
-    for _ in range(epochs):
-        perm = rng.permutation(len(data))
-        for lo in range(0, len(data), hyper.batch_size):
-            mini = data.subset(perm[lo : lo + hyper.batch_size])
-            theta, v = sgd_step(theta, grad(model, theta, mini), hyper, step, v)
-            step += 1
+    _check_batch(model, theta, data)
+    _local_sgd(
+        model, hyper, theta, np.zeros_like(theta), data.x, _targets(model, data.y), epochs,
+        rng, "expert training",
+    )
     return theta

@@ -6,6 +6,16 @@ tanh MLP. The MLP acts as a scalar least-squares regressor when
 ``num_classes == 1`` and as a softmax classifier otherwise. Also provides
 the momentum/weight-decay SGD step with a per-round decaying learning rate,
 and a dense Hessian decomposition probe for the least-squares models.
+
+The public functions check their inputs on every call. The private kernels
+behind them take raw arrays checked once by the caller, and do their
+elementwise work in arrays they already own: the forward pass adds the bias
+and applies tanh in place, the gradient writes each block into its view of
+one output vector, and ``_local_sgd``, the mini-batch loop that local and
+centralized training share, updates the parameters and momentum in buffers
+allocated once per call. Each keeps the bits of the out-of-place
+expressions, and a large pass does not page in fresh memory for every
+temporary.
 """
 
 from __future__ import annotations
@@ -165,16 +175,26 @@ def _forward(
     model: ModelSpec, params: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Model outputs, (m,) for regression and (m, C) logits for classifiers,
-    and the MLP's hidden activations (None for the other models)."""
+    and the MLP's hidden activations (None for the other models).
+
+    The bias adds and the tanh write into the product they follow, so a pass
+    allocates one array per layer; the bits are those of ``x @ w.T + b``."""
     d = model.input_dim
     if model.kind is ModelKind.LINEAR_REGRESSION:
-        return x @ params[:d] + params[d], None
+        z = x @ params[:d]
+        z += params[d]
+        return z, None
     if model.kind is ModelKind.SOFTMAX_REGRESSION:
         c = model.num_classes
-        return x @ params[: c * d].reshape(c, d).T + params[c * d :], None
+        z = x @ params[: c * d].reshape(c, d).T
+        z += params[c * d :]
+        return z, None
     w1, b1, w2, b2 = _unpack_mlp(model, params)
-    a = np.tanh(x @ w1.T + b1)
-    out = a @ w2.T + b2
+    a = x @ w1.T
+    a += b1
+    np.tanh(a, out=a)
+    out = a @ w2.T
+    out += b2
     return (out[:, 0] if model.num_classes == 1 else out), a
 
 
@@ -182,7 +202,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     # The row max taken column by column: numpy's max along a short row axis
     # costs about 50 ns a row, and the max is exact in any order.
     shifted = logits - functools.reduce(np.maximum, logits.T)[:, None]
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return shifted
 
 
 def _targets(model: ModelSpec, y: np.ndarray) -> np.ndarray:
@@ -215,43 +236,107 @@ def _terms_grad(
     target: np.ndarray,
     terms: np.ndarray,
     hidden: np.ndarray | None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Mean-loss gradient; ``target`` comes from ``_targets``."""
+    """Mean-loss gradient; ``target`` comes from ``_targets``. Each block is
+    written into its view of ``out`` (allocated when None), which gives the
+    bits of the products and sums concatenated."""
     m = len(target)
+    g = np.empty(model.param_count()) if out is None else out
     if model.is_classifier:
         # softmax minus one-hot: subtracting 0.0 leaves the other classes' bits.
-        p = (np.exp(terms) - target) / m
+        err = np.exp(terms)
+        err -= target
+        err /= m
     else:
-        r = terms / m
+        err = terms / m
+    d, c, h = model.input_dim, model.num_classes, model.hidden_dim
     if model.kind is ModelKind.LINEAR_REGRESSION:
-        return np.concatenate([x.T @ r, [r.sum()]])
+        np.matmul(x.T, err, out=g[:d])
+        np.add.reduce(err, axis=0, keepdims=True, out=g[d:])
+        return g
     if model.kind is ModelKind.SOFTMAX_REGRESSION:
-        return np.concatenate([(p.T @ x).ravel(), p.sum(axis=0)])
+        np.matmul(err.T, x, out=g[: c * d].reshape(c, d))
+        np.add.reduce(err, axis=0, out=g[c * d :])
+        return g
     w2 = _unpack_mlp(model, params)[2]
-    if model.num_classes == 1:
-        gw2 = hidden.T @ r
-        gb2 = np.array([r.sum()])
-        delta = np.outer(r, w2[0]) * (1.0 - hidden**2)
+    if c == 1:
+        np.matmul(hidden.T, err, out=g[h * d + h : h * d + 2 * h])
+        np.add.reduce(err, axis=0, keepdims=True, out=g[-1:])
+        delta = np.outer(err, w2[0])
     else:
-        gw2 = (p.T @ hidden).ravel()
-        gb2 = p.sum(axis=0)
-        delta = (p @ w2) * (1.0 - hidden**2)
-    gw1 = delta.T @ x
-    gb1 = delta.sum(axis=0)
-    return np.concatenate([gw1.ravel(), gb1, np.ravel(gw2), gb2])
+        np.matmul(err.T, hidden, out=g[h * d + h : -c].reshape(c, h))
+        np.add.reduce(err, axis=0, out=g[-c:])
+        delta = err @ w2
+    s = np.square(hidden)
+    np.subtract(1.0, s, out=s)
+    delta *= s
+    np.matmul(delta.T, x, out=g[: h * d].reshape(h, d))
+    np.add.reduce(delta, axis=0, out=g[h * d : h * d + h])
+    return g
 
 
 def _losses(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _terms_losses(model, _output_terms(model, out, y), y)
 
 
-def _grad(
-    model: ModelSpec, params: np.ndarray, x: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    """Unchecked ``grad`` on raw arrays, for loops that validated their data
-    once up front; ``target`` comes from ``_targets``."""
-    out, hidden = _forward(model, params, x)
-    return _terms_grad(model, params, x, target, _output_terms(model, out, target), hidden)
+def _local_sgd(
+    model: ModelSpec,
+    hyper: SgdHyper,
+    theta: np.ndarray,
+    v: np.ndarray,
+    x: np.ndarray,
+    target: np.ndarray,
+    epochs: int,
+    rng: np.random.Generator,
+    where: str,
+    adjust: Callable[[np.ndarray, np.ndarray], None] | None = None,
+) -> tuple[int, float]:
+    """Mini-batch momentum SGD on rows checked by the caller, overwriting
+    ``theta`` and the momentum ``v``; ``target`` comes from ``_targets``.
+
+    Each epoch gathers the rows once in a fresh permutation from ``rng`` (one
+    ``take``, about 3x faster than fancy indexing), then steps on contiguous
+    slices of ``hyper.batch_size`` rows with eta(i), i counting steps from 0.
+    ``adjust(g, theta)``, when given, adds its terms to the gradient in place
+    before the update. The update is ``sgd_step``'s in its operation order,
+    done in buffers allocated once per call. A step that leaves non-finite
+    parameters raises FloatingPointError naming ``where`` and the step; the
+    overflow warnings on the way there would only repeat it, so they are
+    silenced. Returns the step count and the sum of the rates used."""
+    bs = hyper.batch_size
+    starts = range(0, len(target), bs)
+    etas = [hyper.learning_rate(i) for i in range(epochs * len(starts))]
+    rho, wd = hyper.momentum, hyper.weight_decay
+    g, tmp = np.empty_like(theta), np.empty_like(theta)
+    finite = np.empty(theta.shape, dtype=bool)
+    step = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            perm = rng.permutation(len(target))
+            xp, tp = x.take(perm, axis=0), target.take(perm, axis=0)
+            for lo in starts:
+                xb, tb = xp[lo : lo + bs], tp[lo : lo + bs]
+                out, hidden = _forward(model, theta, xb)
+                _terms_grad(model, theta, xb, tb, _output_terms(model, out, tb), hidden, out=g)
+                if adjust is not None:
+                    adjust(g, theta)
+                # v <- rho*v + (g + wd*theta); theta <- theta - eta*v
+                np.multiply(theta, wd, out=tmp)
+                tmp += g
+                v *= rho
+                v += tmp
+                np.multiply(v, etas[step], out=tmp)
+                theta -= tmp
+                if not np.isfinite(theta, out=finite).all():
+                    raise FloatingPointError(
+                        f"{where}: non-finite parameters after step {step}"
+                    )
+                step += 1
+    eta_sum = 0.0
+    for eta in etas:  # added one by one, as the steps took them
+        eta_sum += eta
+    return step, eta_sum
 
 
 def _losses_and_grads(
@@ -287,14 +372,12 @@ def per_sample_losses(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.
     return _losses(model, _forward(model, params, batch.x)[0], batch.y)
 
 
-def batch_loss(model: ModelSpec, params: np.ndarray, batch: Batch) -> float:
-    return float(per_sample_losses(model, params, batch).mean())
-
-
 def grad(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Gradient of the mean batch loss with respect to the flat parameters."""
     _check_batch(model, params, batch)
-    return _grad(model, params, batch.x, _targets(model, batch.y))
+    target = _targets(model, batch.y)
+    out, hidden = _forward(model, params, batch.x)
+    return _terms_grad(model, params, batch.x, target, _output_terms(model, out, target), hidden)
 
 
 def predict(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:

@@ -1,8 +1,22 @@
-"""Checks the tests share; the package itself has no use for them."""
+"""Checks and reference implementations the tests share; the package itself has
+no use for them."""
 
 import numpy as np
 
-from fedcurr import Dataset, Partition
+from fedcurr import (
+    Batch,
+    Dataset,
+    ModelKind,
+    ModelSpec,
+    Partition,
+    SgdHyper,
+    grad,
+    init_params,
+    per_sample_losses,
+    sgd_step,
+)
+from fedcurr.federation import _INIT_STREAM
+from fedcurr.models import _unpack_mlp
 
 
 def partition_score_std(part: Partition, scores: np.ndarray) -> np.ndarray:
@@ -28,3 +42,64 @@ def check_partition(ds: Dataset, part: Partition) -> None:
                 raise AssertionError(f"class count mismatch at client {i}, class {c}")
     if abs(part.weights.sum() - 1.0) > 1e-12:
         raise AssertionError("client weights do not sum to 1")
+
+
+def batch_loss(model: ModelSpec, params: np.ndarray, batch: Batch) -> float:
+    return float(per_sample_losses(model, params, batch).mean())
+
+
+def forward_reference(model: ModelSpec, params: np.ndarray, x: np.ndarray):
+    """``models._forward`` as out-of-place expressions: (outputs, hidden)."""
+    d = model.input_dim
+    if model.kind is ModelKind.LINEAR_REGRESSION:
+        return x @ params[:d] + params[d], None
+    if model.kind is ModelKind.SOFTMAX_REGRESSION:
+        c = model.num_classes
+        return x @ params[: c * d].reshape(c, d).T + params[c * d :], None
+    w1, b1, w2, b2 = _unpack_mlp(model, params)
+    a = np.tanh(x @ w1.T + b1)
+    out = a @ w2.T + b2
+    return (out[:, 0] if model.num_classes == 1 else out), a
+
+
+def terms_grad_reference(model, params, x, target, terms, hidden) -> np.ndarray:
+    """``models._terms_grad`` as out-of-place expressions joined by
+    ``np.concatenate``."""
+    m = len(target)
+    if model.is_classifier:
+        p = (np.exp(terms) - target) / m
+    else:
+        r = terms / m
+    if model.kind is ModelKind.LINEAR_REGRESSION:
+        return np.concatenate([x.T @ r, [r.sum()]])
+    if model.kind is ModelKind.SOFTMAX_REGRESSION:
+        return np.concatenate([(p.T @ x).ravel(), p.sum(axis=0)])
+    w2 = _unpack_mlp(model, params)[2]
+    if model.num_classes == 1:
+        gw2 = hidden.T @ r
+        gb2 = np.array([r.sum()])
+        delta = np.outer(r, w2[0]) * (1.0 - hidden**2)
+    else:
+        gw2 = (p.T @ hidden).ravel()
+        gb2 = p.sum(axis=0)
+        delta = (p @ w2) * (1.0 - hidden**2)
+    return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0), np.ravel(gw2), gb2])
+
+
+def train_centralized_reference(
+    model: ModelSpec, ds: Dataset, hyper: SgdHyper, epochs: int, seed: int
+) -> np.ndarray:
+    """``train_centralized`` as a loop of the public, per-call-checked
+    ``grad`` and ``sgd_step`` on gathered mini-batches."""
+    rng = np.random.default_rng([seed, _INIT_STREAM])
+    theta = init_params(model, rng)
+    v = np.zeros_like(theta)
+    data = ds.batch()
+    step = 0
+    for _ in range(epochs):
+        perm = rng.permutation(len(data))
+        for lo in range(0, len(data), hyper.batch_size):
+            mini = data.subset(perm[lo : lo + hyper.batch_size])
+            theta, v = sgd_step(theta, grad(model, theta, mini), hyper, step, v)
+            step += 1
+    return theta

@@ -2,6 +2,7 @@ import configparser
 import os
 import re
 import time
+import warnings
 
 import pytest
 
@@ -318,6 +319,28 @@ def test_diverging_run_ends_in_one_error_line(tmp_path, capfd):
     assert re.match(r"error: round \d+, client \d+: non-finite parameters", lines[0])
 
 
+def test_diverging_expert_training_ends_in_one_error_line(tmp_path, capsys):
+    with open(os.path.join(CONFIGS, "example_run.ini"), encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in (
+        ("eta0 = 0.01", "eta0 = 1e6"),
+        ("kind = softmax", "kind = mlp\nhidden_dim = 8"),
+        ("num_clients = 10", "num_clients = 10\nf_ord = 0.5\nexpert_epochs = 3"),
+    ):
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write(tmp_path / "diverge.ini", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", cfg, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert re.fullmatch(r"error: expert training: non-finite parameters after step \d+", lines[0])
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_zero_trials_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "bad.ini", MINIMAL_RUN.replace("n_trials = 2", "n_trials = 0"))
     code = main(["run", cfg, "--out", str(tmp_path / "out")])
@@ -356,6 +379,14 @@ INVALID_CONFIGS = [
     ("verify", "convex_data_schedule", "Q", "0", {}),
     ("verify", "convex_diminishing_alpha", "T", "0", {}),
     ("verify", "nonconvex_logcosh", "J", "0", {}),
+    ("verify", "convex_client_schedule", "mu", "5", {}),
+    ("verify", "convex_client_schedule", "mu", "0", {}),
+    ("verify", "convex_data_schedule", "B_start", "0.6", {}),
+    ("verify", "convex_diminishing_alpha", "n_runs", "50", {}),
+    ("verify", "nonconvex_logcosh", "n_runs", "0", {}),
+    ("verify", "convex_client_schedule", "Q", "1", {}),
+    ("verify", "convex_data_schedule", "dim", "1", {"Q": "3"}),
+    ("verify", "nonconvex_logcosh", "dim", "1", {"Q": "3"}),
 ]
 
 

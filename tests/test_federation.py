@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _helpers import train_centralized_reference
+
 from fedcurr import (
     Algorithm,
     ClientSelectionConfig,
@@ -33,10 +35,17 @@ from fedcurr import (
     run_experiment,
     score_samples,
     sgd_step,
+    train_centralized,
 )
 
 MODEL = ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=5, num_classes=2)
 HYPER = SgdHyper(eta0=0.05, momentum=0.9, weight_decay=5e-4, batch_size=10)
+FOUR_MODELS = [
+    ModelSpec(ModelKind.LINEAR_REGRESSION, input_dim=5),
+    ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=5, num_classes=3),
+    ModelSpec(ModelKind.MLP_TANH, input_dim=5, num_classes=3, hidden_dim=4),
+    ModelSpec(ModelKind.MLP_TANH, input_dim=5, num_classes=1, hidden_dim=4),
+]
 
 
 def small_world(seed=42, n=400, clients=8, scheme=Scheme.DIRICHLET, beta=0.3):
@@ -376,16 +385,7 @@ def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None
     return theta, v, step, control
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        ModelSpec(ModelKind.LINEAR_REGRESSION, input_dim=5),
-        ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=5, num_classes=3),
-        ModelSpec(ModelKind.MLP_TANH, input_dim=5, num_classes=3, hidden_dim=4),
-        ModelSpec(ModelKind.MLP_TANH, input_dim=5, num_classes=1, hidden_dim=4),
-    ],
-    ids=["linear", "softmax", "mlp", "mlp_scalar"],
-)
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
 @pytest.mark.parametrize("algorithm", [Algorithm.FEDAVG, Algorithm.FEDPROX, Algorithm.SCAFFOLD])
 def test_client_update_matches_checked_reference(model, algorithm):
     # Two rounds of one client under lg_loss scoring, so the second round
@@ -465,3 +465,12 @@ def test_round_forwards_each_params_and_data_pair_once(monkeypatch):
     # Per round: 8 clients scored, plus the test set.
     assert len(seen) > 4 * (8 + 1)
     assert max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+def test_train_centralized_matches_checked_reference(model):
+    # 230 rows in batches of 7 end each epoch on a 6-row remainder.
+    ds = gen_synthetic(230, 3, 5, 0.1, 1.5, seed=9)
+    hyper = SgdHyper(eta0=0.05, momentum=0.9, weight_decay=5e-4, batch_size=7)
+    expected = train_centralized_reference(model, ds, hyper, epochs=3, seed=4)
+    assert np.array_equal(train_centralized(model, ds, hyper, epochs=3, seed=4), expected)

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+from _helpers import batch_loss, forward_reference, terms_grad_reference
 
 from fedcurr import (
     Batch,
@@ -10,7 +13,6 @@ from fedcurr import (
     ModelKind,
     ModelSpec,
     SgdHyper,
-    batch_loss,
     grad,
     hessian_decomposition,
     init_params,
@@ -156,6 +158,59 @@ def test_blockwise_losses_and_grads_match_per_block_calls_exactly(model):
     for block, block_losses, block_grad in zip(blocks, losses, grads):
         assert np.array_equal(block_losses, per_sample_losses(model, params, block))
         assert np.array_equal(block_grad(), grad(model, params, block))
+
+
+WIDE_MODELS = [
+    ModelSpec(ModelKind.LINEAR_REGRESSION, input_dim=20),
+    ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=20, num_classes=10),
+    ModelSpec(ModelKind.MLP_TANH, input_dim=20, num_classes=10, hidden_dim=64),
+    ModelSpec(ModelKind.MLP_TANH, input_dim=20, num_classes=1, hidden_dim=64),
+]
+
+
+@pytest.mark.parametrize(
+    "rows", [slice(0, 1), slice(10_000, None), slice(0, 10_000)], ids=["m1", "remainder", "m10000"]
+)
+@pytest.mark.parametrize("model", WIDE_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+def test_in_place_kernels_match_out_of_place_formulas(model, rows):
+    # The forward pass and the gradient write into arrays they own; every
+    # bit must equal the out-of-place expressions and np.concatenate. The
+    # 7-row remainder is a view that starts mid-array, as the last
+    # mini-batch of an epoch does.
+    from fedcurr.models import _forward, _output_terms, _targets, _terms_grad
+
+    rng = np.random.default_rng(29)
+    params = 3.0 * init_params(model, rng)
+    x, y = rng.standard_normal((10_007, 20))[rows], rng.integers(0, 10, 10_007)[rows]
+    out, hidden = _forward(model, params, x)
+    ref_out, ref_hidden = forward_reference(model, params, x)
+    assert np.array_equal(out, ref_out)
+    assert hidden is ref_hidden is None or np.array_equal(hidden, ref_hidden)
+    target = _targets(model, y)
+    terms = _output_terms(model, out, target)
+    if model.is_classifier:
+        assert np.array_equal(terms, _indexed_log_softmax(ref_out))
+    g = np.full(model.param_count(), np.nan)
+    assert _terms_grad(model, params, x, target, terms, hidden, out=g) is g
+    assert np.array_equal(g, terms_grad_reference(model, params, x, target, terms, hidden))
+    assert np.array_equal(_terms_grad(model, params, x, target, terms, hidden), g)
+
+
+def test_mlp_forward_allocates_one_hidden_array():
+    # x @ w1.T + b1 and its tanh used to take a fresh (m, h) array each,
+    # a peak of about 2 m*h*8 bytes; in place it is one plus the logits.
+    from fedcurr.models import _forward
+
+    model = WIDE_MODELS[2]
+    rng = np.random.default_rng(31)
+    params, x = init_params(model, rng), rng.standard_normal((10_000, 20))
+    tracemalloc.start()
+    try:
+        _forward(model, params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 10_000 * 64 * 8
 
 
 def test_dimension_mismatch_raises():
