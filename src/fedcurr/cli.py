@@ -5,16 +5,21 @@ every arm and trial and writes ``metrics.csv`` plus ``summary.csv``;
 ``fedcurr verify <config>`` drives the convergence-bound verification grid
 and writes ``report.csv``. Outputs are byte-identical across reruns and
 ``--threads`` counts; ``--threads`` only affects ``run``, where it is the
-number of processes that run (arm, trial) jobs at once.
+number of processes that run (arm, trial) jobs at once. Both commands run
+numpy's OpenBLAS on one thread, so outputs do not depend on
+``OPENBLAS_NUM_THREADS`` either.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import os
 import pickle
 import sys
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -245,13 +250,10 @@ def command_run(cfg: RunConfig, out_dir: str, processes: int) -> int:
 
 def _run_convex_case(case):
     prob = make_quadratic(case.dim, case.mu, case.lipschitz, case.problem_seed)
-    alpha = case.alpha
-    if alpha <= 0:
-        alpha = 1.0 / (8.0 * (3.0 + 2.0 * case.rel_var) * case.lipschitz)
     if case.alpha_mode == "constant":
-        sched = constant_stepsizes(alpha, case.rounds, case.local_steps)
+        sched = constant_stepsizes(case.step_size, case.rounds, case.local_steps)
     else:
-        sched = inverse_round_stepsizes(alpha, case.rounds, case.local_steps)
+        sched = inverse_round_stepsizes(case.step_size, case.rounds, case.local_steps)
     kind = BiasKind.CLIENT_BASED if case.schedule == "client" else BiasKind.DATA_BASED
     bias = make_bias_schedule(kind, case.rounds, case.local_steps, case.b_start, case.b_end)
     theta0 = prob.theta_star + case.theta0_scale * np.ones(case.dim)
@@ -301,6 +303,51 @@ def command_verify(cfg: TheoryConfig, out_dir: str) -> int:
     return 1 if any_failed else 0
 
 
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded from its wheel's library directory, or None when there is none."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    paths = glob.glob(os.path.join(site, "numpy.libs", "*openblas*"))
+    paths += glob.glob(os.path.join(site, "numpy", ".dylibs", "*openblas*"))
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                try:
+                    get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+                    set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+                except AttributeError:
+                    continue
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+
+    A matrix product split across BLAS threads can sum in another order, so
+    outputs would depend on the BLAS thread count; and BLAS threads on top
+    of the job processes oversubscribe the cores. Forked workers inherit the
+    pin. Without a known OpenBLAS the block runs as it is."""
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fedcurr",
@@ -332,6 +379,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {source} must be an integer >= 1, got {raw!r}", file=sys.stderr)
         return 2
 
+    with _one_blas_thread():
+        return _main(args, processes)
+
+
+def _main(args: argparse.Namespace, processes: int) -> int:
     # Every invalid config fails here, before any work starts.
     try:
         if args.command == "run":

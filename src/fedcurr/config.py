@@ -30,6 +30,7 @@ from .data import (
 from .errors import ConfigurationError
 from .federation import Algorithm, DataCurriculumConfig, ExperimentConfig
 from .models import ModelKind, ModelSpec, SgdHyper
+from .theory import max_convex_stepsize
 
 DEFAULT_SEED = 202207
 # Offset between the training-data seed and the held-out test-data seed.
@@ -70,8 +71,10 @@ class RunConfig:
     experiment: ExperimentConfig
 
 
-def _check_case(n_runs: int, clients: int, dim: int) -> None:
+def _check_case(n_runs: int, clients: int, dim: int, sigma: float) -> None:
     """Rules both kinds of verify case share."""
+    if sigma < 0:
+        raise ConfigurationError(f"need sigma >= 0, got {sigma}", field="sigma")
     if n_runs < 100:
         raise ConfigurationError("need n_runs >= 100 for a meaningful average", field="n_runs")
     # zero_sum_directions lays an odd cohort of 3 or more out in a plane.
@@ -105,6 +108,14 @@ class ConvexCase:
             raise ConfigurationError(
                 f"need 0 < mu <= L, got mu = {self.mu}, L = {self.lipschitz}", field="mu"
             )
+        if self.rel_var < 0:
+            raise ConfigurationError(f"need M >= 0, got {self.rel_var}", field="rel_var")
+        # An inverse_round schedule takes its largest step, alpha, in round 0.
+        limit = max_convex_stepsize(self.lipschitz, self.rel_var)
+        if self.step_size > limit:
+            raise ConfigurationError(
+                f"stepsize {self.step_size:g} exceeds 1/(4(3+2M)L) = {limit:g}", field="alpha"
+            )
         if not 0 <= self.b_start < self.b_end:
             raise ConfigurationError(
                 f"need 0 <= B_start < B_end, got {self.b_start} and {self.b_end}",
@@ -117,7 +128,14 @@ class ConvexCase:
             raise ConfigurationError(
                 "a zero-sum bias needs a cohort of at least 2 clients", field="clients"
             )
-        _check_case(self.n_runs, self.clients, self.dim)
+        _check_case(self.n_runs, self.clients, self.dim, self.sigma)
+
+    @property
+    def step_size(self) -> float:
+        """``alpha``, or the default 1/(8(3+2M)L) when ``alpha <= 0``."""
+        if self.alpha > 0:
+            return self.alpha
+        return 1.0 / (8.0 * (3.0 + 2.0 * self.rel_var) * self.lipschitz)
 
 
 @dataclass
@@ -134,7 +152,9 @@ class NonconvexCase:
     seed: int
 
     def __post_init__(self):
-        _check_case(self.n_runs, self.clients, self.dim)
+        if self.alpha < 0:
+            raise ConfigurationError(f"need alpha >= 0, got {self.alpha}", field="alpha")
+        _check_case(self.n_runs, self.clients, self.dim, self.sigma)
 
 
 @dataclass
@@ -371,8 +391,9 @@ def parse_theory_config(path: str) -> TheoryConfig:
             out.convex.append(
                 _built(
                     ConvexCase,
-                    {**_keys(section, "mu", "n_runs", "dim"), "b_start": (section, "B_start"),
-                     "clients": (section, "Q")},
+                    {**_keys(section, "mu", "n_runs", "dim", "sigma", "alpha"),
+                     "b_start": (section, "B_start"), "clients": (section, "Q"),
+                     "rel_var": (section, "M")},
                     name=section,
                     dim=_get(cp, section, "dim", int, required=True, minimum=1),
                     mu=_get(cp, section, "mu", float, required=True),
@@ -397,7 +418,7 @@ def parse_theory_config(path: str) -> TheoryConfig:
             out.nonconvex.append(
                 _built(
                     NonconvexCase,
-                    _keys(section, "n_runs", "dim"),
+                    _keys(section, "n_runs", "dim", "sigma", "alpha"),
                     name=section,
                     dim=_get(cp, section, "dim", int, required=True, minimum=1),
                     clients=_get(cp, section, "Q", int, required=True, minimum=1),

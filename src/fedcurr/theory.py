@@ -3,8 +3,11 @@ closed-form evaluators for the strongly-convex and nonconvex error bounds.
 
 The gradient oracle realizes a per-client bias of exactly the scheduled
 squared norm through a fixed family of unit directions that sums to zero
-over the cohort, plus zero-mean noise with second moment at most
-M * ||grad + bias||^2 + sigma^2. Monte-Carlo verification averages many
+over the cohort, plus zero-mean Gaussian noise with second moment exactly
+M * ||grad + bias||^2 + sigma^2. The noise is one scaled draw,
+sqrt(M ||grad + bias||^2 + sigma^2) z with z ~ N(0, I/d): the sum of a
+relative and an additive Gaussian term has that law, so one standard normal
+per coordinate suffices. Monte-Carlo verification averages many
 simulated trajectories and checks them against the evaluated bound; the
 bounds are deterministic upper bounds, so a failure indicates a bug rather
 than bad luck.
@@ -18,7 +21,7 @@ Batching: a verifier steps all of its R = n_runs trajectories at once. The
 iterates of every run and client form one (R, Q, d) array, and each local
 step (t, j) is one array update. Run r still draws its noise only from its
 own child generator r of ``rng.spawn(n_runs)``, in the order of the per-call
-oracle: steps (t, j), then clients k, then z1 before z2. Noise is drawn one
+oracle: steps (t, j), then clients k, d normals each. Noise is drawn one
 round at a time, so a case holds O(R (J+1) Q d) noise values at once.
 """
 
@@ -115,13 +118,21 @@ def zero_sum_directions(num_clients: int, dim: int) -> np.ndarray:
 @dataclass
 class BiasedGradOracle:
     """Gradient oracle g = grad(theta) + bias_k + noise with a zero-sum,
-    norm-capped bias per client and relative-plus-additive noise."""
+    norm-capped bias per client and relative-plus-additive noise. The noise
+    of one call is sqrt(M ||grad + bias_k||^2 + sigma^2) z with z ~ N(0, I/d),
+    one standard normal per coordinate."""
 
     grad_fn: Callable[[np.ndarray], np.ndarray]
     bias_values: np.ndarray  # (T+1, J+1) squared-norm caps
     directions: np.ndarray  # (num_clients, dim) zero-sum unit family
     rel_var: float = 0.0  # M: relative variance coefficient
     sigma: float = 0.0  # additive noise scale
+
+    def __post_init__(self):
+        if not (self.rel_var >= 0 and self.sigma >= 0):
+            raise ConfigurationError(
+                f"need M >= 0 and sigma >= 0, got M = {self.rel_var}, sigma = {self.sigma}"
+            )
 
     @property
     def num_clients(self) -> int:
@@ -137,16 +148,16 @@ def _perturb(
 ) -> np.ndarray:
     """The oracle formula applied to exact gradients ``g`` of shape (..., d):
     add the bias sqrt(cap) * directions, then the noise
-    sqrt(M) ||g + bias|| z[..., 0, :] + sigma z[..., 1, :]. ``z`` holds the
-    standard normals already divided by sqrt(d), shape (..., 2, d), and is
-    None for a noiseless oracle."""
+    sqrt((M ||g + bias||^2 + sigma^2) / d) z. ``z`` holds one standard normal
+    per coordinate, shape (..., d), and is None for a noiseless oracle; the
+    1/sqrt(d) of z ~ N(0, I/d) is folded into the scale."""
     if cap > 0:
         if oracle.num_clients < 2:
             raise ConfigurationError("zero-sum bias needs a cohort of at least 2 clients")
         g = g + math.sqrt(cap) * directions
     if z is not None:
-        norm = np.linalg.norm(g, axis=-1, keepdims=True)
-        g = g + math.sqrt(oracle.rel_var) * norm * z[..., 0, :] + oracle.sigma * z[..., 1, :]
+        var = oracle.rel_var * np.sum(g * g, axis=-1, keepdims=True) + oracle.sigma**2
+        g = g + np.sqrt(var / g.shape[-1]) * z
     return g
 
 
@@ -165,8 +176,7 @@ def biased_grad(
     """One stochastic gradient draw for client k at local step (t, j)."""
     z = None
     if _noisy(oracle):
-        dim = theta.shape[0]
-        z = rng.standard_normal((2, dim)) / math.sqrt(dim)
+        z = rng.standard_normal(theta.shape[0])
     g = oracle.grad_fn(theta)
     return _perturb(oracle, g, oracle.directions[k], float(oracle.bias_values[t, j]), z)
 
@@ -266,6 +276,12 @@ def _bias_matrix(bias: BiasSchedule | np.ndarray, shape: tuple[int, int]) -> np.
     return values
 
 
+def max_convex_stepsize(lipschitz: float, rel_var: float) -> float:
+    """The largest stepsize the convex bound admits, 1/(4(3+2M)L), widened by
+    a relative 1e-12 so that a stepsize computed to the limit passes."""
+    return 1.0 / (4.0 * (3.0 + 2.0 * rel_var) * lipschitz) * (1 + 1e-12)
+
+
 def bound_convex(
     prob: ConvexProblem,
     sched: StepsizeSchedule,
@@ -286,8 +302,8 @@ def bound_convex(
     3 sigma^3 as an alternate reading of the constant.
     """
     alpha = sched.alpha
-    limit = 1.0 / (4.0 * (3.0 + 2.0 * rel_var) * prob.L)
-    bad = np.argwhere(alpha > limit * (1 + 1e-12))
+    limit = max_convex_stepsize(prob.L, rel_var)
+    bad = np.argwhere(alpha > limit)
     if len(bad):
         t, j = (int(v) for v in bad[0])
         raise ValueError(
@@ -336,8 +352,9 @@ def _simulate_rounds(
     """Full-participation Local SGD for R = len(rngs) independent runs at
     once: rounds t = 0..T-1 of J+1 steps each, averaging the cohort after
     every round. The iterates are one (R, Q, d) array; run r draws its noise
-    from ``rngs[r]`` alone, in the per-call order (j, k, z1 then z2) within a
-    round, into a per-round (R, J+1, Q, 2, d) buffer. ``on_round_start``
+    from ``rngs[r]`` alone, in the per-call order (j, k) within a round, into
+    a per-round (R, J+1, Q, d) buffer: one standard normal per coordinate of
+    each oracle call, scaled by ``_perturb``. ``on_round_start``
     sees the (R, d) cohort averages at the start of every round and at the
     end. Returns the (R, d) final averages."""
     q, dim = oracle.directions.shape
@@ -345,14 +362,13 @@ def _simulate_rounds(
     theta_hat = np.tile(theta0, (len(rngs), 1))
     noise = None
     if _noisy(oracle):
-        noise = np.empty((len(rngs), sched.local_steps + 1, q, 2, dim))
+        noise = np.empty((len(rngs), sched.local_steps + 1, q, dim))
     for t in range(sched.rounds):
         if on_round_start is not None:
             on_round_start(theta_hat)
         if noise is not None:
             for r, child in enumerate(rngs):
                 child.standard_normal(out=noise[r])
-            noise /= math.sqrt(dim)
         thetas = np.repeat(theta_hat[:, None, :], q, axis=1)
         for j in range(sched.local_steps + 1):
             g = oracle.grad_fn(thetas)

@@ -1,6 +1,8 @@
 import configparser
 import os
 import re
+import subprocess
+import sys
 import time
 import warnings
 
@@ -249,6 +251,80 @@ def test_parent_failure_stops_and_reaps_workers(tmp_path, monkeypatch):
     assert_no_child_processes()
 
 
+# Big enough that OpenBLAS splits the MLP's matrix products across threads,
+# which changes the digits of `lambda` when BLAS runs unpinned.
+MLP_RUN = """
+[dataset]
+n = 4000
+classes = 10
+dim = 20
+noise_low = 0.1
+noise_high = 2.0
+
+[partition]
+scheme = iid
+num_clients = 4
+
+[model]
+kind = mlp
+hidden_dim = 64
+
+[federation]
+rounds = 5
+local_epochs = 1
+participants = 4
+
+[optimizer]
+eta0 = 0.05
+momentum = 0.9
+batch_size = 100
+
+[run]
+seed = 1
+n_trials = 1
+test_n = 2000
+"""
+
+
+def test_output_does_not_depend_on_blas_threads(tmp_path):
+    # On a single-core machine OpenBLAS runs one thread either way, and this
+    # test cannot tell a pinned command from an unpinned one.
+    cfg = write(tmp_path / "mlp.ini", MLP_RUN)
+    src = os.path.join(os.path.dirname(CONFIGS), "src")
+    base = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    base["PYTHONPATH"] = src
+    outputs = []
+    for blas in (None, "1"):
+        env = dict(base) if blas is None else dict(base, OPENBLAS_NUM_THREADS=blas)
+        out = tmp_path / f"blas_{blas}"
+        subprocess.run(
+            [sys.executable, "-m", "fedcurr.cli", "run", cfg, "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append(read(out / "metrics.csv"))
+    assert outputs[0] == outputs[1]
+
+
+def test_main_pins_blas_and_restores_the_count(tmp_path, monkeypatch):
+    api = cli._openblas_threads()
+    if api is None:
+        pytest.skip("numpy has no OpenBLAS of a known layout here")
+    get, set_ = api
+    seen = []
+    monkeypatch.setattr(cli, "command_verify", lambda cfg, out: seen.append(get()) or 0)
+    previous = get()
+    set_(2)
+    try:
+        assert main(["verify", write(tmp_path / "v.ini", SMALL_VERIFY)]) == 0
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        set_(previous)
+
+
 def test_verify_small_grid_passes(tmp_path):
     cfg = write(tmp_path / "verify.ini", SMALL_VERIFY)
     out = tmp_path / "out"
@@ -278,11 +354,15 @@ def test_verify_empty_grid(tmp_path):
 
 
 def test_verify_stepsize_precondition_violation(tmp_path, capsys):
+    # L = 2, M = 0.5: the limit 1/(4(3+2M)L) is 1/32. Checked at parse time.
     bad = SMALL_VERIFY.replace("B_end = 0.3", "B_end = 0.3\nalpha = 5.0")
     cfg = write(tmp_path / "verify.ini", bad)
     code = main(["verify", cfg, "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert "alpha[" in capsys.readouterr().err
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'alpha'" in err[0] and "[tiny_convex]" in err[0], err
+    assert "0.03125" in err[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_unknown_kind_exits_2(tmp_path, capsys):
@@ -387,6 +467,14 @@ INVALID_CONFIGS = [
     ("verify", "convex_client_schedule", "Q", "1", {}),
     ("verify", "convex_data_schedule", "dim", "1", {"Q": "3"}),
     ("verify", "nonconvex_logcosh", "dim", "1", {"Q": "3"}),
+    ("verify", "convex_client_schedule", "M", "-1", {}),
+    ("verify", "convex_data_schedule", "sigma", "-0.1", {}),
+    ("verify", "nonconvex_logcosh", "sigma", "-0.1", {}),
+    ("verify", "nonconvex_logcosh", "alpha", "-0.05", {}),
+    # L = 4, M = 1: the convex stepsize limit 1/(4(3+2M)L) is 0.0125.
+    ("verify", "convex_client_schedule", "alpha", "5", {}),
+    # inverse_round takes its largest step, alpha, in round 0.
+    ("verify", "convex_diminishing_alpha", "alpha", "0.02", {}),
 ]
 
 

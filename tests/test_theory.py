@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def _reference_rounds(oracle, sched, theta0, rng, on_round_start):
 @pytest.mark.parametrize("kind", list(BiasKind))
 def test_batched_rounds_match_per_call_reference(kind):
     # Odd cohort (planar triple), M > 0 and sigma > 0: pins the per-run draw
-    # order (t, j, k, z1 then z2) of the batched kernel.
+    # order (t, j, k, then d coordinates) of the batched kernel.
     T, J, q, dim, n_runs = 3, 2, 3, 4, 5
     prob = make_quadratic(dim, 0.5, 2.0, seed=4)
     sched = constant_stepsizes(0.02, T, J)
@@ -132,6 +133,49 @@ def test_batched_rounds_match_per_call_reference(kind):
         endpoint = _reference_rounds(oracle, sched, theta0, child, ref_starts.append)
         assert_allclose(batched[r], endpoint, rtol=1e-12)
         assert_allclose([s[r] for s in starts], ref_starts, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rel_var,sigma,noisy", [(0.7, 0.3, True), (0.0, 0.0, False)])
+def test_batched_rounds_draw_one_normal_per_coordinate(rel_var, sigma, noisy):
+    # Each oracle call draws d normals, so a run of T rounds draws
+    # T (J+1) Q d of them from its child generator; a noiseless oracle none.
+    T, J, q, dim, n_runs = 3, 2, 3, 4, 5
+    prob = make_quadratic(dim, 0.5, 2.0, seed=4)
+    oracle = BiasedGradOracle(
+        prob.grad, np.zeros((T + 1, J + 1)), zero_sum_directions(q, dim),
+        rel_var=rel_var, sigma=sigma,
+    )
+    children = np.random.default_rng(9).spawn(n_runs)
+    theory._simulate_rounds(
+        oracle, constant_stepsizes(0.02, T, J), prob.theta_star + 1.0, children
+    )
+    draws = T * (J + 1) * q * dim if noisy else 0
+    for child, fresh in zip(children, np.random.default_rng(9).spawn(n_runs)):
+        fresh.standard_normal(draws)
+        assert child.bit_generator.state == fresh.bit_generator.state
+
+
+@pytest.mark.parametrize("rel_var,sigma", [(0.5, 0.0), (0.0, 0.3), (0.5, 0.3)])
+def test_noise_second_moment_matches_the_assumption(rel_var, sigma):
+    # E ||xi||^2 = M ||grad + bias||^2 + sigma^2 with equality; 10,000 draws
+    # put the 5% tolerance near 9 standard errors.
+    bias = np.full((3, 4), 0.2)
+    prob, oracle = _oracle(bias=bias, rel_var=rel_var, sigma=sigma)
+    theta = np.full(6, 0.7)
+    rng = np.random.default_rng(17)
+    exact = biased_grad(replace(oracle, rel_var=0.0, sigma=0.0), 1, theta, 0, 0, rng)
+    draws = np.array(
+        [biased_grad(oracle, 1, theta, 0, 0, rng) - exact for _ in range(10_000)]
+    )
+    second = float((draws**2).sum(axis=1).mean())
+    target = rel_var * float(exact @ exact) + sigma**2
+    assert abs(second - target) / target < 0.05
+
+
+@pytest.mark.parametrize("rel_var,sigma", [(-0.1, 0.0), (0.0, -0.1)])
+def test_oracle_rejects_negative_noise_parameters(rel_var, sigma):
+    with pytest.raises(ConfigurationError):
+        _oracle(rel_var=rel_var, sigma=sigma)
 
 
 def test_verify_nonconvex_matches_per_call_reference():
