@@ -71,7 +71,6 @@ from .theory import (
     inverse_round_stepsizes,
     make_bias_schedule,
     make_quadratic,
-    validate_bias_schedule,
     verify_convex,
     verify_nonconvex,
     zero_sum_directions,

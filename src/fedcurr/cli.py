@@ -2,8 +2,9 @@
 
 ``fedcurr run <config>`` executes the configured federation experiment for
 every arm and trial and writes ``metrics.csv`` plus ``summary.csv``;
-``fedcurr verify <config>`` drives the convergence-bound verification grid
-and writes ``report.csv``. Outputs are byte-identical across reruns and
+``fedcurr verify <config>`` runs each case of the convergence-bound
+verification grid (a ``fedcurr.theory`` case runs itself through
+``verify()``) and writes ``report.csv``. Outputs are byte-identical across reruns and
 ``--threads`` counts; ``--threads`` only affects ``run``, where it is the
 number of processes that run (arm, trial) jobs at once. Both commands run
 numpy's OpenBLAS on one thread, so outputs do not depend on
@@ -42,16 +43,6 @@ from .federation import (
     train_centralized,
 )
 from .models import per_sample_losses
-from .theory import (
-    BiasKind,
-    NonconvexProblem,
-    constant_stepsizes,
-    inverse_round_stepsizes,
-    make_bias_schedule,
-    make_quadratic,
-    verify_convex,
-    verify_nonconvex,
-)
 
 METRIC_COLUMNS = (
     "round,algorithm,ordering,scoring,pacing_family,pacing_a,pacing_b,seed,"
@@ -248,48 +239,21 @@ def command_run(cfg: RunConfig, out_dir: str, processes: int) -> int:
     return 0
 
 
-def _run_convex_case(case):
-    prob = make_quadratic(case.dim, case.mu, case.lipschitz, case.problem_seed)
-    if case.alpha_mode == "constant":
-        sched = constant_stepsizes(case.step_size, case.rounds, case.local_steps)
-    else:
-        sched = inverse_round_stepsizes(case.step_size, case.rounds, case.local_steps)
-    kind = BiasKind.CLIENT_BASED if case.schedule == "client" else BiasKind.DATA_BASED
-    bias = make_bias_schedule(kind, case.rounds, case.local_steps, case.b_start, case.b_end)
-    theta0 = prob.theta_star + case.theta0_scale * np.ones(case.dim)
-    report = verify_convex(
-        prob, sched, bias, case.rel_var, case.sigma**2, case.clients,
-        theta0, case.n_runs, np.random.default_rng(case.seed),
-    )
-    return case, "convex", case.schedule, report
-
-
-def _run_nonconvex_case(case):
-    prob = NonconvexProblem(dim=case.dim)
-    sched = constant_stepsizes(case.alpha, case.rounds, case.local_steps)
-    theta0 = case.theta0_scale * np.ones(case.dim)
-    report = verify_nonconvex(
-        prob, sched, case.clients, theta0, case.n_runs,
-        np.random.default_rng(case.seed), sigma=case.sigma,
-    )
-    return case, "nonconvex", "none", report
-
-
 def command_verify(cfg: TheoryConfig, out_dir: str) -> int:
     """Run the cases one after another in config order, in this process;
     each case batches its Monte-Carlo runs. ``--threads`` does not apply."""
     os.makedirs(out_dir, exist_ok=True)
-    results = [_run_convex_case(c) for c in cfg.convex]
-    results += [_run_nonconvex_case(c) for c in cfg.nonconvex]
+    reports = [case.verify() for case in cfg.cases]
 
     report_path = os.path.join(out_dir, "report.csv")
     any_failed = False
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("case,kind,T,J,Q,schedule,empirical,bound,slack,passed\n")
-        for case, kind, schedule, rep in results:
+        for case, rep in zip(cfg.cases, reports):
             slack = rep.bound - rep.empirical
+            schedule = "none" if case.schedule is None else case.schedule.value
             fh.write(
-                f"{case.name},{kind},{case.rounds},{case.local_steps},{case.clients},"
+                f"{case.name},{case.kind},{case.rounds},{case.local_steps},{case.clients},"
                 f"{schedule},{_fmt(rep.empirical)},{_fmt(rep.bound)},{_fmt(slack)},"
                 f"{int(rep.passed)}\n"
             )
@@ -393,7 +357,7 @@ def _main(args: argparse.Namespace, processes: int) -> int:
         else:
             cfg = parse_theory_config(args.config)
             if args.seed is not None:
-                for case in cfg.convex + cfg.nonconvex:
+                for case in cfg.cases:
                     case.seed = args.seed
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,14 +2,17 @@
 
 The format is INI-style: ``[section]`` headers with one ``key = value`` per
 line. ``parse_run_config`` builds the federation experiment description;
-``parse_theory_config`` builds the list of bound-verification cases.
+``parse_theory_config`` builds the bound-verification cases of
+``fedcurr.theory``, in config order.
 
-All validation happens while parsing, before any work starts, and every
-failure raises ``ConfigurationError``: syntax problems carry configparser's
-line-numbered message, everything else names the offending key and section.
-Range rules live once, in the ``__post_init__`` of the domain dataclasses;
-the parser builds those objects and maps the field a failed check names back
-to the key it was read from.
+This module only parses keys: it reads each value, converts it to its type
+and enum, and builds the domain objects. All validation happens while
+parsing, before any work starts, and every failure raises
+``ConfigurationError``: syntax problems carry configparser's line-numbered
+message, everything else names the offending key and section. Range rules
+live once, in the domain modules, which raise ``ConfigurationError`` with
+the field at fault; the parser maps that field back to the key it was read
+from.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .data import (
 from .errors import ConfigurationError
 from .federation import Algorithm, DataCurriculumConfig, ExperimentConfig
 from .models import ModelKind, ModelSpec, SgdHyper
-from .theory import max_convex_stepsize
+from .theory import BiasKind, ConvexCase, NonconvexCase, StepsizeMode
 
 DEFAULT_SEED = 202207
 # Offset between the training-data seed and the held-out test-data seed.
@@ -71,96 +74,9 @@ class RunConfig:
     experiment: ExperimentConfig
 
 
-def _check_case(n_runs: int, clients: int, dim: int, sigma: float) -> None:
-    """Rules both kinds of verify case share."""
-    if sigma < 0:
-        raise ConfigurationError(f"need sigma >= 0, got {sigma}", field="sigma")
-    if n_runs < 100:
-        raise ConfigurationError("need n_runs >= 100 for a meaningful average", field="n_runs")
-    # zero_sum_directions lays an odd cohort of 3 or more out in a plane.
-    if clients % 2 == 1 and clients > 1 and dim < 2:
-        raise ConfigurationError("an odd cohort of 3 or more clients needs dim >= 2", field="dim")
-
-
-@dataclass
-class ConvexCase:
-    name: str
-    dim: int
-    mu: float
-    lipschitz: float
-    rel_var: float
-    sigma: float
-    clients: int
-    rounds: int
-    local_steps: int
-    schedule: str  # "client" | "data"
-    b_start: float
-    b_end: float
-    alpha: float  # <= 0 means the default 1/(8(3+2M)L)
-    alpha_mode: str  # "constant" | "inverse_round"
-    theta0_scale: float
-    n_runs: int
-    seed: int
-    problem_seed: int
-
-    def __post_init__(self):
-        if not 0 < self.mu <= self.lipschitz:
-            raise ConfigurationError(
-                f"need 0 < mu <= L, got mu = {self.mu}, L = {self.lipschitz}", field="mu"
-            )
-        if self.rel_var < 0:
-            raise ConfigurationError(f"need M >= 0, got {self.rel_var}", field="rel_var")
-        # An inverse_round schedule takes its largest step, alpha, in round 0.
-        limit = max_convex_stepsize(self.lipschitz, self.rel_var)
-        if self.step_size > limit:
-            raise ConfigurationError(
-                f"stepsize {self.step_size:g} exceeds 1/(4(3+2M)L) = {limit:g}", field="alpha"
-            )
-        if not 0 <= self.b_start < self.b_end:
-            raise ConfigurationError(
-                f"need 0 <= B_start < B_end, got {self.b_start} and {self.b_end}",
-                field="b_start",
-            )
-        # The bias caps of the rounds a run takes (t < T) are all zero only
-        # for a client schedule from B_start = 0 over one round.
-        bias_on = self.schedule == "data" or self.b_start > 0 or self.rounds >= 2
-        if bias_on and self.clients < 2:
-            raise ConfigurationError(
-                "a zero-sum bias needs a cohort of at least 2 clients", field="clients"
-            )
-        _check_case(self.n_runs, self.clients, self.dim, self.sigma)
-
-    @property
-    def step_size(self) -> float:
-        """``alpha``, or the default 1/(8(3+2M)L) when ``alpha <= 0``."""
-        if self.alpha > 0:
-            return self.alpha
-        return 1.0 / (8.0 * (3.0 + 2.0 * self.rel_var) * self.lipschitz)
-
-
-@dataclass
-class NonconvexCase:
-    name: str
-    dim: int
-    clients: int
-    rounds: int
-    local_steps: int
-    alpha: float
-    sigma: float
-    theta0_scale: float
-    n_runs: int
-    seed: int
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ConfigurationError(f"need alpha >= 0, got {self.alpha}", field="alpha")
-        _check_case(self.n_runs, self.clients, self.dim, self.sigma)
-
-
 @dataclass
 class TheoryConfig:
-    convex: list[ConvexCase] = field(default_factory=list)
-    nonconvex: list[NonconvexCase] = field(default_factory=list)
+    cases: list[ConvexCase | NonconvexCase] = field(default_factory=list)
 
 
 def _read(path: str) -> configparser.ConfigParser:
@@ -377,60 +293,44 @@ def parse_theory_config(path: str) -> TheoryConfig:
     out = TheoryConfig()
     for section in cp.sections():
         kind = _require(cp, section, "kind").strip().lower()
+        if kind not in ("convex", "nonconvex"):
+            raise ConfigurationError(f"{_at(section, 'kind')}: must be 'convex' or 'nonconvex'")
+        keys = {
+            **_keys(section, "mu", "n_runs", "dim", "sigma", "alpha"),
+            "b_start": (section, "B_start"), "clients": (section, "Q"), "rel_var": (section, "M"),
+        }
+        shared = dict(
+            name=section,
+            dim=_get(cp, section, "dim", int, required=True, minimum=1),
+            clients=_get(cp, section, "Q", int, required=True, minimum=1),
+            rounds=_get(cp, section, "T", int, required=True, minimum=1),
+            local_steps=_get(cp, section, "J", int, required=True, minimum=1),
+            sigma=_get(cp, section, "sigma", float, default=0.0),
+            seed=_get(cp, section, "seed", int, default=DEFAULT_SEED),
+        )
         if kind == "convex":
-            schedule = _get(cp, section, "schedule", str, default="client").strip().lower()
-            if schedule not in ("client", "data"):
-                raise ConfigurationError(
-                    f"{_at(section, 'schedule')}: must be 'client' or 'data'"
-                )
-            alpha_mode = _get(cp, section, "alpha_mode", str, default="constant").strip().lower()
-            if alpha_mode not in ("constant", "inverse_round"):
-                raise ConfigurationError(
-                    f"{_at(section, 'alpha_mode')}: must be 'constant' or 'inverse_round'"
-                )
-            out.convex.append(
-                _built(
-                    ConvexCase,
-                    {**_keys(section, "mu", "n_runs", "dim", "sigma", "alpha"),
-                     "b_start": (section, "B_start"), "clients": (section, "Q"),
-                     "rel_var": (section, "M")},
-                    name=section,
-                    dim=_get(cp, section, "dim", int, required=True, minimum=1),
-                    mu=_get(cp, section, "mu", float, required=True),
-                    lipschitz=_get(cp, section, "L", float, required=True),
-                    rel_var=_get(cp, section, "M", float, default=0.0),
-                    sigma=_get(cp, section, "sigma", float, default=0.0),
-                    clients=_get(cp, section, "Q", int, required=True, minimum=1),
-                    rounds=_get(cp, section, "T", int, required=True, minimum=1),
-                    local_steps=_get(cp, section, "J", int, required=True, minimum=1),
-                    schedule=schedule,
-                    b_start=_get(cp, section, "B_start", float, default=0.0),
-                    b_end=_get(cp, section, "B_end", float, required=True),
-                    alpha=_get(cp, section, "alpha", float, default=-1.0),
-                    alpha_mode=alpha_mode,
-                    theta0_scale=_get(cp, section, "theta0", float, default=1.0),
-                    n_runs=_get(cp, section, "n_runs", int, default=500),
-                    seed=_get(cp, section, "seed", int, default=DEFAULT_SEED),
-                    problem_seed=_get(cp, section, "problem_seed", int, default=0),
-                )
-            )
-        elif kind == "nonconvex":
-            out.nonconvex.append(
-                _built(
-                    NonconvexCase,
-                    _keys(section, "n_runs", "dim", "sigma", "alpha"),
-                    name=section,
-                    dim=_get(cp, section, "dim", int, required=True, minimum=1),
-                    clients=_get(cp, section, "Q", int, required=True, minimum=1),
-                    rounds=_get(cp, section, "T", int, required=True, minimum=1),
-                    local_steps=_get(cp, section, "J", int, required=True, minimum=1),
-                    alpha=_get(cp, section, "alpha", float, required=True),
-                    sigma=_get(cp, section, "sigma", float, default=0.0),
-                    theta0_scale=_get(cp, section, "theta0", float, default=0.4),
-                    n_runs=_get(cp, section, "n_runs", int, default=200),
-                    seed=_get(cp, section, "seed", int, default=DEFAULT_SEED),
-                )
+            schedule = _get(cp, section, "schedule", str, default="client")
+            alpha_mode = _get(cp, section, "alpha_mode", str, default="constant")
+            case = _built(
+                ConvexCase, keys, **shared,
+                mu=_get(cp, section, "mu", float, required=True),
+                lipschitz=_get(cp, section, "L", float, required=True),
+                rel_var=_get(cp, section, "M", float, default=0.0),
+                schedule=_enum(section, "schedule", schedule, BiasKind),
+                b_start=_get(cp, section, "B_start", float, default=0.0),
+                b_end=_get(cp, section, "B_end", float, required=True),
+                alpha=_get(cp, section, "alpha", float, default=-1.0),
+                alpha_mode=_enum(section, "alpha_mode", alpha_mode, StepsizeMode),
+                theta0_scale=_get(cp, section, "theta0", float, default=1.0),
+                n_runs=_get(cp, section, "n_runs", int, default=500),
+                problem_seed=_get(cp, section, "problem_seed", int, default=0),
             )
         else:
-            raise ConfigurationError(f"{_at(section, 'kind')}: must be 'convex' or 'nonconvex'")
+            case = _built(
+                NonconvexCase, keys, **shared,
+                alpha=_get(cp, section, "alpha", float, required=True),
+                theta0_scale=_get(cp, section, "theta0", float, default=0.4),
+                n_runs=_get(cp, section, "n_runs", int, default=200),
+            )
+        out.cases.append(case)
     return out

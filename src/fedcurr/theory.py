@@ -23,6 +23,13 @@ step (t, j) is one array update. Run r still draws its noise only from its
 own child generator r of ``rng.spawn(n_runs)``, in the order of the per-call
 oracle: steps (t, j), then clients k, d normals each. Noise is drawn one
 round at a time, so a case holds O(R (J+1) Q d) noise values at once.
+
+Verify cases: ``ConvexCase`` and ``NonconvexCase`` describe one case of a
+verification grid, and ``verify()`` builds its problem, stepsizes, bias and
+start point and runs the verifier. Each range rule has one check that
+raises ``ConfigurationError`` naming the field at fault. The library
+functions call these checks, and building a case runs the ones its
+``verify()`` would meet, so a bad case fails before any case runs.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -40,6 +47,54 @@ from .errors import ConfigurationError
 class BiasKind(Enum):
     CLIENT_BASED = "client"  # grows across rounds, constant within a round
     DATA_BASED = "data"  # grows within rounds, continuous at round boundaries
+
+
+def _check_curvature(mu: float, lipschitz: float) -> None:
+    if not 0 < mu <= lipschitz:
+        raise ConfigurationError(f"need 0 < mu <= L, got mu = {mu}, L = {lipschitz}", field="mu")
+
+
+def _check_noise(rel_var: float, sigma: float) -> None:
+    """M >= 0 and sigma >= 0; a caller that holds sigma^2 passes that."""
+    if not rel_var >= 0:
+        raise ConfigurationError(f"need M >= 0, got {rel_var}", field="rel_var")
+    if not sigma >= 0:
+        raise ConfigurationError(f"need sigma >= 0, got {sigma}", field="sigma")
+
+
+def _check_convex_stepsizes(alpha: np.ndarray, lipschitz: float, rel_var: float) -> None:
+    """The convex bound admits stepsizes up to 1/(4(3+2M)L), widened by a
+    relative 1e-12 so that a stepsize computed to the limit passes."""
+    limit = 1.0 / (4.0 * (3.0 + 2.0 * rel_var) * lipschitz) * (1 + 1e-12)
+    bad = np.argwhere(alpha > limit)
+    if len(bad):
+        t, j = (int(v) for v in bad[0])
+        raise ConfigurationError(
+            f"stepsize alpha[{t},{j}] = {alpha[t, j]:g} exceeds 1/(4(3+2M)L) = {limit:g}",
+            field="alpha",
+        )
+
+
+def _check_cohort(num_clients: int, caps: float | np.ndarray) -> None:
+    """A positive bias cap (a float or an array of them) needs a zero-sum
+    family, so a cohort of at least 2 clients."""
+    if num_clients < 2 and np.any(caps > 0):
+        raise ConfigurationError(
+            "a zero-sum bias needs a cohort of at least 2 clients", field="clients"
+        )
+
+
+def _check_directions(num_clients: int, dim: int) -> None:
+    # zero_sum_directions lays an odd cohort of 3 or more out in a plane.
+    if num_clients % 2 == 1 and num_clients > 1 and dim < 2:
+        raise ConfigurationError("an odd cohort of 3 or more clients needs dim >= 2", field="dim")
+
+
+def _check_runs(n_runs: int) -> None:
+    if n_runs < 100:
+        raise ConfigurationError(
+            f"need n_runs >= 100 for a meaningful average, got {n_runs}", field="n_runs"
+        )
 
 
 @dataclass
@@ -53,15 +108,17 @@ def make_bias_schedule(
 ) -> BiasSchedule:
     """Linear bias growth from b_start to b_end over the (t, j) grid."""
     if not 0 <= b_start < b_end:
-        raise ValueError("need 0 <= b_start < b_end")
+        raise ConfigurationError(
+            f"need 0 <= B_start < B_end, got {b_start} and {b_end}", field="b_start"
+        )
     if kind is BiasKind.CLIENT_BASED:
         if T < 1:
-            raise ValueError("client-based schedule needs T >= 1")
+            raise ConfigurationError("client-based schedule needs T >= 1", field="rounds")
         rows = b_start + (b_end - b_start) * np.arange(T + 1) / T
         values = np.repeat(rows[:, None], J + 1, axis=1)
     else:
         if J < 1:
-            raise ValueError("data-based schedule needs J >= 1")
+            raise ConfigurationError("data-based schedule needs J >= 1", field="local_steps")
         flat_max = (T + 1) * (J + 1) - 1
         values = (
             b_start + (b_end - b_start) * np.arange(flat_max + 1) / flat_max
@@ -71,36 +128,17 @@ def make_bias_schedule(
     return BiasSchedule(kind=kind, values=values)
 
 
-def validate_bias_schedule(schedule: BiasSchedule) -> None:
-    v = schedule.values
-    if v.ndim != 2 or np.any(v < 0):
-        raise AssertionError("bias values must be a nonnegative (T+1, J+1) matrix")
-    T = v.shape[0] - 1
-    if schedule.kind is BiasKind.CLIENT_BASED:
-        if np.any(v.max(axis=1) != v.min(axis=1)):
-            raise AssertionError("client-based caps must be constant within a round")
-        if np.any(np.diff(v[:, 0]) <= 0):
-            raise AssertionError("client-based caps must strictly increase across rounds")
-    else:
-        if np.any(np.diff(v, axis=1) <= 0):
-            raise AssertionError("data-based caps must strictly increase within a round")
-        for t in range(T):
-            if v[t, -1] != v[t + 1, 0]:
-                raise AssertionError("data-based caps must be continuous across rounds")
-
-
 def zero_sum_directions(num_clients: int, dim: int) -> np.ndarray:
     """Unit-norm direction per client whose running sum cancels exactly in
     floating point: an equilateral planar triple when the count is odd,
     then +/- basis-vector pairs."""
+    _check_directions(num_clients, dim)
     dirs = np.zeros((num_clients, dim))
     if num_clients == 1:
         return dirs
     i = 0
     axis = 0
     if num_clients % 2 == 1:
-        if dim < 2:
-            raise ConfigurationError("odd cohorts need dimension >= 2 for zero-sum directions")
         s = math.sqrt(3.0) / 2.0
         dirs[0, 0] = 1.0
         dirs[1, 0], dirs[1, 1] = -0.5, s
@@ -129,10 +167,7 @@ class BiasedGradOracle:
     sigma: float = 0.0  # additive noise scale
 
     def __post_init__(self):
-        if not (self.rel_var >= 0 and self.sigma >= 0):
-            raise ConfigurationError(
-                f"need M >= 0 and sigma >= 0, got M = {self.rel_var}, sigma = {self.sigma}"
-            )
+        _check_noise(self.rel_var, self.sigma)
 
     @property
     def num_clients(self) -> int:
@@ -152,8 +187,7 @@ def _perturb(
     per coordinate, shape (..., d), and is None for a noiseless oracle; the
     1/sqrt(d) of z ~ N(0, I/d) is folded into the scale."""
     if cap > 0:
-        if oracle.num_clients < 2:
-            raise ConfigurationError("zero-sum bias needs a cohort of at least 2 clients")
+        _check_cohort(oracle.num_clients, cap)
         g = g + math.sqrt(cap) * directions
     if z is not None:
         var = oracle.rel_var * np.sum(g * g, axis=-1, keepdims=True) + oracle.sigma**2
@@ -192,8 +226,7 @@ class ConvexProblem:
     L: float
 
     def __post_init__(self):
-        if self.mu <= 0 or self.mu > self.L:
-            raise ConfigurationError("need 0 < mu <= L")
+        _check_curvature(self.mu, self.L)
 
     def value(self, theta: np.ndarray) -> float:
         d = theta - self.theta_star
@@ -219,7 +252,6 @@ class NonconvexProblem:
     """Separable log-cosh objective: smooth, bounded gradient, lower bounded."""
 
     dim: int
-    offset: float = 0.0
 
     @property
     def grad_bound(self) -> float:  # uniform bound on ||grad f||
@@ -231,11 +263,11 @@ class NonconvexProblem:
 
     @property
     def f_star(self) -> float:
-        return self.offset
+        return 0.0
 
     def value(self, theta: np.ndarray) -> float:
         ax = np.abs(theta)
-        return float(np.sum(ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0))) + self.offset
+        return float(np.sum(ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)))
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return np.tanh(theta)
@@ -248,7 +280,9 @@ class StepsizeSchedule:
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         if self.alpha.ndim != 2 or np.any(self.alpha < 0):
-            raise ConfigurationError("stepsizes must be a nonnegative (T+1, J+1) matrix")
+            raise ConfigurationError(
+                "stepsizes must be a nonnegative (T+1, J+1) matrix", field="alpha"
+            )
 
     @property
     def rounds(self) -> int:
@@ -276,12 +310,6 @@ def _bias_matrix(bias: BiasSchedule | np.ndarray, shape: tuple[int, int]) -> np.
     return values
 
 
-def max_convex_stepsize(lipschitz: float, rel_var: float) -> float:
-    """The largest stepsize the convex bound admits, 1/(4(3+2M)L), widened by
-    a relative 1e-12 so that a stepsize computed to the limit passes."""
-    return 1.0 / (4.0 * (3.0 + 2.0 * rel_var) * lipschitz) * (1 + 1e-12)
-
-
 def bound_convex(
     prob: ConvexProblem,
     sched: StepsizeSchedule,
@@ -290,7 +318,6 @@ def bound_convex(
     sigma2: float,
     num_clients: int,
     theta0: np.ndarray,
-    strict_sigma_cubed: bool = False,
 ) -> float:
     """Right-hand side of the strongly convex distance bound.
 
@@ -298,24 +325,17 @@ def bound_convex(
       + sum 2 a^2 (L (3+2M) B + 3 sigma^2) / Q
       + sum 2 a L B^2 / (mu Q)
     with the contraction product and both sums running over rounds 1..T and
-    local steps 0..J. ``strict_sigma_cubed`` switches the noise term to
-    3 sigma^3 as an alternate reading of the constant.
+    local steps 0..J.
     """
     alpha = sched.alpha
-    limit = max_convex_stepsize(prob.L, rel_var)
-    bad = np.argwhere(alpha > limit)
-    if len(bad):
-        t, j = (int(v) for v in bad[0])
-        raise ValueError(
-            f"stepsize alpha[{t},{j}]={alpha[t, j]:g} violates alpha <= 1/(4(3+2M)L)={limit:g}"
-        )
+    _check_noise(rel_var, sigma2)
+    _check_convex_stepsizes(alpha, prob.L, rel_var)
     values = _bias_matrix(bias, alpha.shape)
     a = alpha[1:, :]
     b = values[1:, :]
     d0 = float(np.sum((theta0 - prob.theta_star) ** 2))
-    noise = 3.0 * sigma2**1.5 if strict_sigma_cubed else 3.0 * sigma2
     contraction = float(np.prod(1.0 - a * prob.mu / 2.0))
-    term_var = float(np.sum(2.0 * a**2 * (prob.L * (3.0 + 2.0 * rel_var) * b + noise)))
+    term_var = float(np.sum(2.0 * a**2 * (prob.L * (3.0 + 2.0 * rel_var) * b + 3.0 * sigma2)))
     term_bias = float(np.sum(2.0 * a * prob.L * b**2)) / prob.mu
     return contraction * d0 + term_var / num_clients + term_bias / num_clients
 
@@ -395,8 +415,7 @@ def verify_convex(
 ) -> BoundReport:
     """Monte-Carlo check that the mean squared distance of the simulated
     endpoint stays below the evaluated convex bound."""
-    if n_runs < 100:
-        raise ValueError("need n_runs >= 100 for a meaningful average")
+    _check_runs(n_runs)
     bound = bound_convex(prob, sched, bias, rel_var, sigma2, num_clients, theta0)
     values = _bias_matrix(bias, sched.alpha.shape)
     oracle = BiasedGradOracle(
@@ -426,6 +445,7 @@ def verify_nonconvex(
     """Monte-Carlo check of the ergodic bound: the (J+1)-weighted sum of
     squared round-start gradient norms against the nonconvex right-hand
     side. Gradients carry additive noise only; bias is off."""
+    _check_runs(n_runs)
     bound = bound_nonconvex(prob, sched, num_clients, theta0)
     oracle = BiasedGradOracle(
         grad_fn=prob.grad,
@@ -445,3 +465,105 @@ def verify_nonconvex(
         total += float(run_total)
     empirical = total / n_runs
     return BoundReport(empirical=empirical, bound=bound, passed=empirical <= bound)
+
+
+class StepsizeMode(Enum):
+    CONSTANT = "constant"
+    INVERSE_ROUND = "inverse_round"  # alpha / (t + 1)
+
+
+@dataclass
+class ConvexCase:
+    """A strongly convex case: a random quadratic with spectrum in [mu, L],
+    a bias schedule from B_start to B_end, and Local SGD started at
+    theta* + theta0_scale * (1, ..., 1)."""
+
+    kind: ClassVar[str] = "convex"
+
+    name: str
+    dim: int
+    mu: float
+    lipschitz: float
+    rel_var: float
+    sigma: float
+    clients: int
+    rounds: int
+    local_steps: int
+    schedule: BiasKind
+    b_start: float
+    b_end: float
+    alpha: float  # <= 0 means the default 1/(8(3+2M)L)
+    alpha_mode: StepsizeMode
+    theta0_scale: float
+    n_runs: int
+    seed: int
+    problem_seed: int
+
+    def __post_init__(self):
+        # M before the default stepsize divides by 3 + 2M, sigma before
+        # verify() squares it.
+        _check_curvature(self.mu, self.lipschitz)
+        _check_noise(self.rel_var, self.sigma)
+        _check_convex_stepsizes(self._stepsizes().alpha, self.lipschitz, self.rel_var)
+        # Only the caps of the rounds a run takes (t < T) reach the oracle.
+        _check_cohort(self.clients, self._bias().values[:-1])
+        _check_runs(self.n_runs)
+        _check_directions(self.clients, self.dim)
+
+    def _stepsizes(self) -> StepsizeSchedule:
+        alpha = self.alpha
+        if alpha <= 0:
+            alpha = 1.0 / (8.0 * (3.0 + 2.0 * self.rel_var) * self.lipschitz)
+        if self.alpha_mode is StepsizeMode.CONSTANT:
+            return constant_stepsizes(alpha, self.rounds, self.local_steps)
+        return inverse_round_stepsizes(alpha, self.rounds, self.local_steps)
+
+    def _bias(self) -> BiasSchedule:
+        return make_bias_schedule(
+            self.schedule, self.rounds, self.local_steps, self.b_start, self.b_end
+        )
+
+    def verify(self) -> BoundReport:
+        prob = make_quadratic(self.dim, self.mu, self.lipschitz, self.problem_seed)
+        return verify_convex(
+            prob, self._stepsizes(), self._bias(), self.rel_var, self.sigma**2, self.clients,
+            prob.theta_star + self.theta0_scale * np.ones(self.dim), self.n_runs,
+            np.random.default_rng(self.seed),
+        )
+
+
+@dataclass
+class NonconvexCase:
+    """A nonconvex case: log-cosh in ``dim`` coordinates, a constant
+    stepsize, additive noise only, and Local SGD started at
+    theta0_scale * (1, ..., 1)."""
+
+    kind: ClassVar[str] = "nonconvex"
+    schedule: ClassVar[None] = None  # the oracle adds no bias
+
+    name: str
+    dim: int
+    clients: int
+    rounds: int
+    local_steps: int
+    alpha: float
+    sigma: float
+    theta0_scale: float
+    n_runs: int
+    seed: int
+
+    def __post_init__(self):
+        _check_noise(0.0, self.sigma)
+        self._stepsizes()  # alpha >= 0
+        _check_runs(self.n_runs)
+        _check_directions(self.clients, self.dim)
+
+    def _stepsizes(self) -> StepsizeSchedule:
+        return constant_stepsizes(self.alpha, self.rounds, self.local_steps)
+
+    def verify(self) -> BoundReport:
+        return verify_nonconvex(
+            NonconvexProblem(dim=self.dim), self._stepsizes(), self.clients,
+            self.theta0_scale * np.ones(self.dim), self.n_runs,
+            np.random.default_rng(self.seed), sigma=self.sigma,
+        )

@@ -5,6 +5,8 @@ import numpy as np
 
 from fedcurr import (
     Batch,
+    BiasKind,
+    BiasSchedule,
     Dataset,
     ModelKind,
     ModelSpec,
@@ -42,6 +44,26 @@ def check_partition(ds: Dataset, part: Partition) -> None:
                 raise AssertionError(f"class count mismatch at client {i}, class {c}")
     if abs(part.weights.sum() - 1.0) > 1e-12:
         raise AssertionError("client weights do not sum to 1")
+
+
+def validate_bias_schedule(schedule: BiasSchedule) -> None:
+    """Raise if the caps are not a nonnegative (T+1, J+1) matrix shaped as
+    their kind promises."""
+    v = schedule.values
+    if v.ndim != 2 or np.any(v < 0):
+        raise AssertionError("bias values must be a nonnegative (T+1, J+1) matrix")
+    T = v.shape[0] - 1
+    if schedule.kind is BiasKind.CLIENT_BASED:
+        if np.any(v.max(axis=1) != v.min(axis=1)):
+            raise AssertionError("client-based caps must be constant within a round")
+        if np.any(np.diff(v[:, 0]) <= 0):
+            raise AssertionError("client-based caps must strictly increase across rounds")
+    else:
+        if np.any(np.diff(v, axis=1) <= 0):
+            raise AssertionError("data-based caps must strictly increase within a round")
+        for t in range(T):
+            if v[t, -1] != v[t + 1, 0]:
+                raise AssertionError("data-based caps must be continuous across rounds")
 
 
 def batch_loss(model: ModelSpec, params: np.ndarray, batch: Batch) -> float:

@@ -345,6 +345,19 @@ def test_verify_thread_count_does_not_change_report(tmp_path):
     assert read(out1 / "report.csv") == read(out2 / "report.csv")
 
 
+def test_verify_report_rows_follow_config_order(tmp_path):
+    convex, nonconvex = SMALL_VERIFY.split("[tiny_nonconvex]")
+    swapped = "[tiny_nonconvex]" + nonconvex + convex
+    reports = {}
+    for order, text in (("given", SMALL_VERIFY), ("swapped", swapped)):
+        cfg = write(tmp_path / f"{order}.ini", text)
+        assert main(["verify", cfg, "--out", str(tmp_path / order)]) == 0
+        reports[order] = read(tmp_path / order / "report.csv").decode().splitlines()
+    header, *rows = reports["swapped"]
+    assert [row.split(",")[0] for row in rows] == ["tiny_nonconvex", "tiny_convex"]
+    assert [header] + rows[::-1] == reports["given"]
+
+
 def test_verify_empty_grid(tmp_path):
     cfg = write(tmp_path / "empty.ini", "")
     out = tmp_path / "out"
@@ -468,6 +481,11 @@ INVALID_CONFIGS = [
     ("verify", "convex_data_schedule", "dim", "1", {"Q": "3"}),
     ("verify", "nonconvex_logcosh", "dim", "1", {"Q": "3"}),
     ("verify", "convex_client_schedule", "M", "-1", {}),
+    # alpha omitted: the default stepsize 1/(8(3+2M)L) would divide by zero.
+    ("verify", "convex_client_schedule", "M", "-1.5", {}),
+    ("verify", "convex_data_schedule", "schedule", "bogus", {}),
+    ("verify", "convex_diminishing_alpha", "alpha_mode", "bogus", {}),
+    ("verify", "nonconvex_logcosh", "kind", "bogus", {}),
     ("verify", "convex_data_schedule", "sigma", "-0.1", {}),
     ("verify", "nonconvex_logcosh", "sigma", "-0.1", {}),
     ("verify", "nonconvex_logcosh", "alpha", "-0.05", {}),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from _helpers import validate_bias_schedule
 from fedcurr import theory
 from fedcurr import (
     BiasKind,
@@ -19,7 +20,6 @@ from fedcurr import (
     inverse_round_stepsizes,
     make_bias_schedule,
     make_quadratic,
-    validate_bias_schedule,
     verify_convex,
     verify_nonconvex,
     zero_sum_directions,
@@ -179,7 +179,7 @@ def test_oracle_rejects_negative_noise_parameters(rel_var, sigma):
 
 
 def test_verify_nonconvex_matches_per_call_reference():
-    T, J, q, dim, n_runs = 4, 2, 3, 4, 6
+    T, J, q, dim, n_runs = 4, 2, 3, 4, 100
     prob = NonconvexProblem(dim=dim)
     sched = constant_stepsizes(0.1, T, J)
     theta0 = np.linspace(-0.8, 0.5, dim)
@@ -297,18 +297,6 @@ def test_bound_convex_stepsize_precondition_names_entry():
                      prob.theta_star + 1)
 
 
-def test_bound_convex_strict_reading_toggle():
-    prob = make_quadratic(5, 0.5, 2.0, seed=3)
-    sched = constant_stepsizes(0.01, 6, 2)
-    bias = np.zeros((7, 3))
-    default = bound_convex(prob, sched, bias, 0.0, 0.25, 4, prob.theta_star + 1)
-    strict = bound_convex(
-        prob, sched, bias, 0.0, 0.25, 4, prob.theta_star + 1, strict_sigma_cubed=True
-    )
-    # sigma = 0.5: sigma^3 < sigma^2, so the strict reading is smaller here.
-    assert strict < default
-
-
 def test_bound_nonconvex_zero_stepsize():
     prob = NonconvexProblem(dim=4)
     theta0 = np.full(4, 0.8)
@@ -330,9 +318,9 @@ def test_bound_nonconvex_hand_expanded_cross_term():
 
 
 def test_nonconvex_problem_properties():
-    prob = NonconvexProblem(dim=9, offset=2.0)
+    prob = NonconvexProblem(dim=9)
     assert prob.grad_bound == 3.0
-    assert prob.f_star == 2.0
+    assert prob.f_star == 0.0
     rng = np.random.default_rng(0)
     for _ in range(20):
         theta = rng.standard_normal(9) * 10
@@ -371,6 +359,103 @@ def test_verify_convex_requires_enough_runs():
             prob, constant_stepsizes(0.0, 2, 2), np.zeros((3, 3)), 0.0, 0.0, 4,
             prob.theta_star, 50, np.random.default_rng(0),
         )
+
+
+@pytest.mark.parametrize("n_runs", [0, 1, 99])
+def test_verify_nonconvex_requires_enough_runs(n_runs):
+    with pytest.raises(ConfigurationError, match="n_runs >= 100") as caught:
+        verify_nonconvex(
+            NonconvexProblem(dim=4), constant_stepsizes(0.1, 2, 2), 4, np.zeros(4), n_runs,
+            np.random.default_rng(0),
+        )
+    assert caught.value.field == "n_runs"
+
+
+def _convex_case(**changes):
+    fields = dict(
+        name="c", dim=4, mu=0.5, lipschitz=2.0, rel_var=0.5, sigma=0.1, clients=4, rounds=3,
+        local_steps=2, schedule=BiasKind.DATA_BASED, b_start=0.0, b_end=0.3, alpha=-1.0,
+        alpha_mode=theory.StepsizeMode.CONSTANT, theta0_scale=1.0, n_runs=100, seed=1,
+        problem_seed=0,
+    )
+    return theory.ConvexCase(**{**fields, **changes})
+
+
+def _nonconvex_case(**changes):
+    fields = dict(
+        name="n", dim=3, clients=4, rounds=3, local_steps=2, alpha=0.1, sigma=0.02,
+        theta0_scale=0.4, n_runs=100, seed=2,
+    )
+    return theory.NonconvexCase(**{**fields, **changes})
+
+
+def _quadratic():
+    return make_quadratic(4, 0.5, 2.0, seed=0)
+
+
+# (rule, field, a bad case, the library call that breaks the same rule). L = 2 and
+# M = 0.5 in both, so the stepsize limit 1/(4(3+2M)L) is 1/32.
+RULES = [
+    ("mu", "mu", lambda: _convex_case(mu=3.0),
+     lambda: theory.ConvexProblem(np.eye(4), np.zeros(4), 3.0, 2.0)),
+    # With alpha omitted the default stepsize would divide by 3 + 2M = 0.
+    ("M", "rel_var", lambda: _convex_case(rel_var=-1.5),
+     lambda: bound_convex(_quadratic(), constant_stepsizes(0.01, 3, 2), np.zeros((4, 3)),
+                          -1.5, 0.0, 4, np.zeros(4))),
+    ("sigma", "sigma", lambda: _nonconvex_case(sigma=-0.1),
+     lambda: _oracle(sigma=-0.1)),
+    ("stepsize_limit", "alpha", lambda: _convex_case(alpha=5.0),
+     lambda: bound_convex(_quadratic(), constant_stepsizes(5.0, 3, 2), np.zeros((4, 3)),
+                          0.5, 0.0, 4, np.zeros(4))),
+    ("bias_range", "b_start", lambda: _convex_case(b_start=0.6),
+     lambda: make_bias_schedule(BiasKind.DATA_BASED, 3, 2, 0.6, 0.3)),
+    ("cohort", "clients", lambda: _convex_case(clients=1),
+     lambda: verify_convex(
+         _quadratic(), constant_stepsizes(0.01, 3, 2),
+         make_bias_schedule(BiasKind.DATA_BASED, 3, 2, 0.0, 0.3), 0.5, 0.0, 1, np.zeros(4),
+         100, np.random.default_rng(0))),
+    ("n_runs", "n_runs", lambda: _nonconvex_case(n_runs=50),
+     lambda: verify_nonconvex(NonconvexProblem(dim=3), constant_stepsizes(0.1, 3, 2), 4,
+                              np.zeros(3), 50, np.random.default_rng(0))),
+    ("odd_cohort_dim", "dim", lambda: _convex_case(dim=1, clients=3),
+     lambda: zero_sum_directions(3, 1)),
+    ("nonnegative_alpha", "alpha", lambda: _nonconvex_case(alpha=-0.05),
+     lambda: constant_stepsizes(-0.05, 3, 2)),
+]
+
+
+@pytest.mark.parametrize("rule,field,case,library", RULES, ids=[r[0] for r in RULES])
+def test_case_and_library_share_each_range_check(rule, field, case, library):
+    errors = []
+    for build in (case, library):
+        with pytest.raises(ConfigurationError) as caught:
+            build()
+        errors.append(caught.value)
+    assert [e.field for e in errors] == [field, field]
+    assert str(errors[0]) == str(errors[1])
+
+
+def test_convex_case_with_zero_caps_in_its_rounds_runs_with_one_client():
+    # A client schedule from B_start = 0 over T = 1 applies only its round-0
+    # caps, all zero, so the cohort rule does not apply.
+    case = _convex_case(clients=1, rounds=1, schedule=BiasKind.CLIENT_BASED, dim=2)
+    assert case.verify().passed
+
+
+def test_cases_verify_as_the_library_calls_do():
+    case = _convex_case(alpha=0.02, alpha_mode=theory.StepsizeMode.INVERSE_ROUND)
+    prob = make_quadratic(4, 0.5, 2.0, seed=0)
+    expected = verify_convex(
+        prob, inverse_round_stepsizes(0.02, 3, 2),
+        make_bias_schedule(BiasKind.DATA_BASED, 3, 2, 0.0, 0.3), 0.5, 0.1**2, 4,
+        prob.theta_star + 1.0, 100, np.random.default_rng(1),
+    )
+    assert case.verify() == expected
+    expected = verify_nonconvex(
+        NonconvexProblem(dim=3), constant_stepsizes(0.1, 3, 2), 4, np.full(3, 0.4), 100,
+        np.random.default_rng(2), sigma=0.02,
+    )
+    assert _nonconvex_case().verify() == expected
 
 
 def test_verify_convex_diminishing_stepsizes_pass():
