@@ -21,8 +21,8 @@ Batching: a verifier steps all of its R = n_runs trajectories at once. The
 iterates of every run and client form one (R, Q, d) array, and each local
 step (t, j) is one array update. Run r still draws its noise only from its
 own child generator r of ``rng.spawn(n_runs)``, in the order of the per-call
-oracle: steps (t, j), then clients k, d normals each. Noise is drawn one
-round at a time, so a case holds O(R (J+1) Q d) noise values at once.
+oracle: steps (t, j), then clients k, d normals each. Noise is drawn two
+rounds per run and call, so a case holds 2 R (J+1) Q d noise values at once.
 
 Verify cases: ``ConvexCase`` and ``NonconvexCase`` describe one case of a
 verification grid, and ``verify()`` builds its problem, stepsizes, bias and
@@ -181,17 +181,35 @@ def _perturb(
     cap: float,
     z: np.ndarray | None,
 ) -> np.ndarray:
-    """The oracle formula applied to exact gradients ``g`` of shape (..., d):
-    add the bias sqrt(cap) * directions, then the noise
-    sqrt((M ||g + bias||^2 + sigma^2) / d) z. ``z`` holds one standard normal
-    per coordinate, shape (..., d), and is None for a noiseless oracle; the
-    1/sqrt(d) of z ~ N(0, I/d) is folded into the scale."""
+    """The oracle formula applied in place to exact gradients ``g`` of shape
+    (..., d), which the caller owns (``_fresh_grad``): add the bias
+    sqrt(cap) * directions, then the noise sqrt((M ||g + bias||^2 + sigma^2) / d) z.
+    ``z`` holds one standard normal per coordinate, shape (..., d), and is
+    None for a noiseless oracle; the 1/sqrt(d) of z ~ N(0, I/d) is folded
+    into the scale. ``z`` is scaled in place too. Returns ``g``."""
     if cap > 0:
         _check_cohort(oracle.num_clients, cap)
-        g = g + math.sqrt(cap) * directions
+        g += math.sqrt(cap) * directions
     if z is not None:
         var = oracle.rel_var * np.sum(g * g, axis=-1, keepdims=True) + oracle.sigma**2
-        g = g + np.sqrt(var / g.shape[-1]) * z
+        var /= g.shape[-1]
+        z *= np.sqrt(var, out=var)
+        g += z
+    return g
+
+
+def _fresh_grad(oracle: BiasedGradOracle, theta: np.ndarray) -> np.ndarray:
+    """``grad_fn(theta)`` as a float64 array that ``_perturb`` may overwrite:
+    copied when ``grad_fn`` hands back ``theta`` itself, a view of it, or an
+    array it may not write."""
+    g = oracle.grad_fn(theta)
+    if (
+        not isinstance(g, np.ndarray)
+        or g.dtype != np.float64
+        or not g.flags.writeable
+        or np.may_share_memory(g, theta)
+    ):
+        g = np.array(g, dtype=np.float64)
     return g
 
 
@@ -211,7 +229,7 @@ def biased_grad(
     z = None
     if _noisy(oracle):
         z = rng.standard_normal(theta.shape[0])
-    g = oracle.grad_fn(theta)
+    g = _fresh_grad(oracle, theta)
     return _perturb(oracle, g, oracle.directions[k], float(oracle.bias_values[t, j]), z)
 
 
@@ -304,9 +322,20 @@ def inverse_round_stepsizes(alpha0: float, T: int, J: int) -> StepsizeSchedule:
 
 
 def _bias_matrix(bias: BiasSchedule | np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The caps of ``bias`` as a (T+1, J+1) matrix. Each must be >= 0: the
+    oracle applies no bias for a cap <= 0, so a bound that used a negative
+    cap would not bound the simulated runs."""
     values = bias.values if isinstance(bias, BiasSchedule) else np.asarray(bias, dtype=np.float64)
     if values.shape != shape:
-        raise ConfigurationError(f"bias schedule shape {values.shape} != stepsize shape {shape}")
+        raise ConfigurationError(
+            f"bias schedule shape {values.shape} != stepsize shape {shape}", field="bias"
+        )
+    bad = np.argwhere(~(values >= 0))
+    if len(bad):
+        t, j = (int(v) for v in bad[0])
+        raise ConfigurationError(
+            f"bias cap bias[{t},{j}] = {values[t, j]:g}, need >= 0", field="bias"
+        )
     return values
 
 
@@ -362,6 +391,11 @@ class BoundReport:
     passed: bool
 
 
+# Rounds of noise one draw call fills per run: k rounds hold the noise buffer
+# at k (R, J+1, Q, d) blocks and take 1/k of the per-run calls.
+_NOISE_ROUNDS = 2
+
+
 def _simulate_rounds(
     oracle: BiasedGradOracle,
     sched: StepsizeSchedule,
@@ -371,32 +405,55 @@ def _simulate_rounds(
 ) -> np.ndarray:
     """Full-participation Local SGD for R = len(rngs) independent runs at
     once: rounds t = 0..T-1 of J+1 steps each, averaging the cohort after
-    every round. The iterates are one (R, Q, d) array; run r draws its noise
-    from ``rngs[r]`` alone, in the per-call order (j, k) within a round, into
-    a per-round (R, J+1, Q, d) buffer: one standard normal per coordinate of
-    each oracle call, scaled by ``_perturb``. ``on_round_start``
-    sees the (R, d) cohort averages at the start of every round and at the
-    end. Returns the (R, d) final averages."""
+    every round. Returns the (R, d) final averages.
+
+    The iterates are one C-contiguous (R, Q, d) array, and ``grad_fn`` gets
+    its (R Q, d) view, so a quadratic's gradient is one 2-D product per
+    step. For Q = 1 it gets the (R, 1, d) array instead: numpy takes that
+    stacked product as one vector-matrix product per run, whose rounding a
+    2-D product does not repeat. ``_perturb`` adds bias and noise in place
+    on that fresh gradient, which is then scaled by the stepsize in place
+    and subtracted.
+
+    Run r draws its noise from ``rngs[r]`` alone, in the per-call order
+    (t, j, k, coordinate), one standard normal per coordinate of each
+    oracle call. One call fills up to ``_NOISE_ROUNDS`` rounds of it into an
+    (R, _NOISE_ROUNDS, J+1, Q, d) buffer, the last call only the rounds
+    left; the stream is the one per-round calls would give.
+
+    The cohort average is ((theta_0 + theta_1) + ...) / Q, one client column
+    at a time, the order ``mean(axis=1)`` sums in; for Q = 1 it is a copy of
+    the one column. ``on_round_start`` sees the (R, d) averages at the start
+    of every round and at the end, each a new array."""
     q, dim = oracle.directions.shape
+    runs, rounds, steps = len(rngs), sched.rounds, sched.local_steps + 1
     alpha = sched.alpha
-    theta_hat = np.tile(theta0, (len(rngs), 1))
+    theta_hat = np.tile(theta0, (runs, 1))
+    thetas = np.empty((runs, q, dim))
+    points = thetas.reshape(runs * q, dim) if q > 1 else thetas
     noise = None
     if _noisy(oracle):
-        noise = np.empty((len(rngs), sched.local_steps + 1, q, dim))
-    for t in range(sched.rounds):
+        noise = np.empty((runs, _NOISE_ROUNDS, steps, q, dim))
+    for t in range(rounds):
         if on_round_start is not None:
             on_round_start(theta_hat)
-        if noise is not None:
+        block = t % _NOISE_ROUNDS
+        if noise is not None and block == 0:
+            n = min(_NOISE_ROUNDS, rounds - t)
             for r, child in enumerate(rngs):
-                child.standard_normal(out=noise[r])
-        thetas = np.repeat(theta_hat[:, None, :], q, axis=1)
-        for j in range(sched.local_steps + 1):
-            g = oracle.grad_fn(thetas)
-            z = None if noise is None else noise[:, j]
-            thetas -= alpha[t, j] * _perturb(
-                oracle, g, oracle.directions, float(oracle.bias_values[t, j]), z
-            )
-        theta_hat = thetas.mean(axis=1)
+                child.standard_normal(out=noise[r, :n])
+        thetas[...] = theta_hat[:, None, :]
+        for j in range(steps):
+            g = _fresh_grad(oracle, points).reshape(runs, q, dim)
+            z = None if noise is None else noise[:, block, j]
+            _perturb(oracle, g, oracle.directions, float(oracle.bias_values[t, j]), z)
+            g *= alpha[t, j]
+            thetas -= g
+        theta_hat = thetas[:, 0].copy()
+        for k in range(1, q):
+            theta_hat += thetas[:, k]
+        if q > 1:
+            theta_hat /= q
     if on_round_start is not None:
         on_round_start(theta_hat)
     return theta_hat

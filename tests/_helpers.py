@@ -1,6 +1,8 @@
 """Checks and reference implementations the tests share; the package itself has
 no use for them."""
 
+import math
+
 import numpy as np
 
 from fedcurr import (
@@ -19,6 +21,7 @@ from fedcurr import (
 )
 from fedcurr.federation import _INIT_STREAM
 from fedcurr.models import _unpack_mlp
+from fedcurr.theory import _check_cohort, _noisy
 
 
 def partition_score_std(part: Partition, scores: np.ndarray) -> np.ndarray:
@@ -125,3 +128,43 @@ def train_centralized_reference(
             theta, v = sgd_step(theta, grad(model, theta, mini), hyper, step, v)
             step += 1
     return theta
+
+
+def _perturb_reference(oracle, g, directions, cap, z):
+    """The oracle formula on exact gradients ``g`` as out-of-place expressions."""
+    if cap > 0:
+        _check_cohort(oracle.num_clients, cap)
+        g = g + math.sqrt(cap) * directions
+    if z is not None:
+        var = oracle.rel_var * np.sum(g * g, axis=-1, keepdims=True) + oracle.sigma**2
+        g = g + np.sqrt(var / g.shape[-1]) * z
+    return g
+
+
+def simulate_rounds_reference(oracle, sched, theta0, rngs, on_round_start=None):
+    """``theory._simulate_rounds`` as a stacked (R, Q, d) kernel: a 3-D ``grad_fn``
+    call per step, one noise draw per run and round, out-of-place updates and
+    ``mean(axis=1)`` for the cohort average."""
+    q, dim = oracle.directions.shape
+    alpha = sched.alpha
+    theta_hat = np.tile(theta0, (len(rngs), 1))
+    noise = None
+    if _noisy(oracle):
+        noise = np.empty((len(rngs), sched.local_steps + 1, q, dim))
+    for t in range(sched.rounds):
+        if on_round_start is not None:
+            on_round_start(theta_hat)
+        if noise is not None:
+            for r, child in enumerate(rngs):
+                child.standard_normal(out=noise[r])
+        thetas = np.repeat(theta_hat[:, None, :], q, axis=1)
+        for j in range(sched.local_steps + 1):
+            g = oracle.grad_fn(thetas)
+            z = None if noise is None else noise[:, j]
+            thetas -= alpha[t, j] * _perturb_reference(
+                oracle, g, oracle.directions, float(oracle.bias_values[t, j]), z
+            )
+        theta_hat = thetas.mean(axis=1)
+    if on_round_start is not None:
+        on_round_start(theta_hat)
+    return theta_hat

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _helpers import validate_bias_schedule
+from _helpers import simulate_rounds_reference, validate_bias_schedule
 from fedcurr import theory
 from fedcurr import (
     BiasKind,
@@ -85,6 +85,24 @@ def test_bias_requires_cohort_of_two():
         biased_grad(oracle, 0, np.zeros(4), 0, 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("caps", [np.full((4, 3), -1.0), np.eye(4, 3) * -1e-3])
+def test_negative_bias_caps_are_rejected(caps):
+    # The oracle applies no bias for a cap <= 0, so a bound that used a
+    # negative cap would not bound what the simulation ran.
+    prob = make_quadratic(4, 0.5, 2.0, seed=0)
+    sched = constant_stepsizes(0.01, 3, 2)
+    calls = [
+        lambda: bound_convex(prob, sched, caps, 0.0, 0.0, 4, prob.theta_star + 1),
+        lambda: verify_convex(
+            prob, sched, caps, 0.0, 0.0, 4, prob.theta_star + 1, 100, np.random.default_rng(0)
+        ),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigurationError, match=r"bias\[0,0\]") as caught:
+            call()
+        assert caught.value.field == "bias"
+
+
 def test_verify_convex_bias_requires_cohort_of_two():
     prob = make_quadratic(4, 0.5, 2.0, seed=0)
     bias = make_bias_schedule(BiasKind.CLIENT_BASED, 3, 2, 0.1, 0.5)
@@ -135,11 +153,20 @@ def test_batched_rounds_match_per_call_reference(kind):
         assert_allclose([s[r] for s in starts], ref_starts, rtol=1e-12)
 
 
-@pytest.mark.parametrize("rel_var,sigma,noisy", [(0.7, 0.3, True), (0.0, 0.0, False)])
-def test_batched_rounds_draw_one_normal_per_coordinate(rel_var, sigma, noisy):
+_DRAW_ORACLES = [(0.7, 0.3, True), (0.0, 0.0, False)]
+
+
+@pytest.mark.parametrize(
+    "rel_var,sigma,noisy,T",
+    # T = 1 and 3 end in a partly filled two-round noise block, T = 2 in a full one.
+    [pytest.param(m, s, n, 3, id=f"{m}-{s}-{n}") for m, s, n in _DRAW_ORACLES]
+    + [pytest.param(m, s, n, T, id=f"{m}-{s}-{n}-T{T}")
+       for T in (1, 2) for m, s, n in _DRAW_ORACLES],
+)
+def test_batched_rounds_draw_one_normal_per_coordinate(rel_var, sigma, noisy, T):
     # Each oracle call draws d normals, so a run of T rounds draws
     # T (J+1) Q d of them from its child generator; a noiseless oracle none.
-    T, J, q, dim, n_runs = 3, 2, 3, 4, 5
+    J, q, dim, n_runs = 2, 3, 4, 5
     prob = make_quadratic(dim, 0.5, 2.0, seed=4)
     oracle = BiasedGradOracle(
         prob.grad, np.zeros((T + 1, J + 1)), zero_sum_directions(q, dim),
@@ -153,6 +180,71 @@ def test_batched_rounds_draw_one_normal_per_coordinate(rel_var, sigma, noisy):
     for child, fresh in zip(children, np.random.default_rng(9).spawn(n_runs)):
         fresh.standard_normal(draws)
         assert child.bit_generator.state == fresh.bit_generator.state
+
+
+def _assert_same_trajectories(oracle, sched, theta0, n_runs):
+    """The kernel and the stacked reference, each on fresh children of one
+    seed: equal bits at every round start and at the end."""
+    results = []
+    for kernel in (theory._simulate_rounds, simulate_rounds_reference):
+        starts = []
+        end = kernel(oracle, sched, theta0, np.random.default_rng(3).spawn(n_runs), starts.append)
+        results.append((end, starts))
+    (end, starts), (ref_end, ref_starts) = results
+    assert np.array_equal(end, ref_end)
+    assert len(starts) == len(ref_starts) == sched.rounds + 1
+    for s, ref in zip(starts, ref_starts):
+        assert np.array_equal(s, ref)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 5])
+@pytest.mark.parametrize("q,dim", [(q, dim) for q in (1, 2, 3, 4) for dim in (2, 3, 8, 17)])
+def test_convex_kernel_matches_stacked_reference_bitwise(q, dim, T):
+    # 2-D gradient, column-wise average, two-round noise blocks and in-place
+    # updates against the stacked (R, Q, d) kernel; a single client has no bias.
+    J, n_runs = 2, 40
+    prob = make_quadratic(dim, 0.5, 2.0, seed=dim)
+    sched = constant_stepsizes(0.02, T, J)
+    caps = np.zeros((T + 1, J + 1))
+    if q > 1:
+        caps = make_bias_schedule(BiasKind.DATA_BASED, T, J, 0.05, 0.6).values
+    theta0 = prob.theta_star + np.linspace(-1.0, 1.0, dim)
+    for rel_var, sigma in [(0.0, 0.0), (0.7, 0.3)]:
+        oracle = BiasedGradOracle(
+            prob.grad, caps, zero_sum_directions(q, dim), rel_var=rel_var, sigma=sigma
+        )
+        _assert_same_trajectories(oracle, sched, theta0, n_runs)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 5])
+@pytest.mark.parametrize("q", [1, 4])
+def test_nonconvex_kernel_matches_stacked_reference_bitwise(q, T):
+    J, dim, n_runs = 3, 4, 40
+    prob = NonconvexProblem(dim=dim)
+    sched = constant_stepsizes(0.05, T, J)
+    oracle = BiasedGradOracle(
+        prob.grad, np.zeros_like(sched.alpha), zero_sum_directions(q, dim), sigma=0.05
+    )
+    _assert_same_trajectories(oracle, sched, np.full(dim, 0.4), n_runs)
+
+
+def test_kernel_leaves_an_aliasing_gradient_input_alone():
+    # grad_fn of 0.5 ||theta||^2 may hand back its input; the in-place
+    # oracle formula must then work on a copy, not on the iterates.
+    T, J, q, dim = 2, 1, 2, 3
+    sched = constant_stepsizes(0.1, T, J)
+    caps = np.full((T + 1, J + 1), 0.04)
+    theta0 = np.linspace(0.5, 1.5, dim)
+    identity = BiasedGradOracle(lambda th: th, caps, zero_sum_directions(q, dim), sigma=0.2)
+    fresh = BiasedGradOracle(lambda th: th.copy(), caps, zero_sum_directions(q, dim), sigma=0.2)
+    ends = [
+        theory._simulate_rounds(o, sched, theta0, np.random.default_rng(0).spawn(3))
+        for o in (identity, fresh)
+    ]
+    assert np.array_equal(ends[0], ends[1])
+    theta = theta0.copy()
+    biased_grad(identity, 0, theta, 0, 0, np.random.default_rng(0))
+    assert np.array_equal(theta, theta0)
 
 
 @pytest.mark.parametrize("rel_var,sigma", [(0.5, 0.0), (0.0, 0.3), (0.5, 0.3)])
