@@ -12,7 +12,6 @@ from .curriculum import (
     OrderingKind,
     PacingFamily,
     PacingSpec,
-    ScoreTable,
     ScoringKind,
     order_and_select,
     pace,
@@ -32,7 +31,6 @@ from .errors import ConfigurationError
 from .federation import (
     Algorithm,
     ClientState,
-    ClientUpdateResult,
     DataCurriculumConfig,
     ExperimentConfig,
     RoundMetrics,
@@ -58,7 +56,6 @@ from .models import (
 )
 from .theory import (
     BiasKind,
-    BiasSchedule,
     BiasedGradOracle,
     BoundReport,
     ConvexProblem,

@@ -25,13 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import (
-    TEST_SEED_OFFSET,
-    RunConfig,
-    TheoryConfig,
-    parse_run_config,
-    parse_theory_config,
-)
+from .config import TEST_SEED_OFFSET, RunConfig, parse_run_config, parse_theory_config
 from .curriculum import ScoringKind
 from .data import Dataset, Partition, gen_synthetic, partition, partition_difficulty
 from .errors import ConfigurationError
@@ -43,6 +37,7 @@ from .federation import (
     train_centralized,
 )
 from .models import per_sample_losses
+from .theory import ConvexCase, NonconvexCase
 
 METRIC_COLUMNS = (
     "round,algorithm,ordering,scoring,pacing_family,pacing_a,pacing_b,seed,"
@@ -239,17 +234,17 @@ def command_run(cfg: RunConfig, out_dir: str, processes: int) -> int:
     return 0
 
 
-def command_verify(cfg: TheoryConfig, out_dir: str) -> int:
+def command_verify(cases: list[ConvexCase | NonconvexCase], out_dir: str) -> int:
     """Run the cases one after another in config order, in this process;
     each case batches its Monte-Carlo runs. ``--threads`` does not apply."""
     os.makedirs(out_dir, exist_ok=True)
-    reports = [case.verify() for case in cfg.cases]
+    reports = [case.verify() for case in cases]
 
     report_path = os.path.join(out_dir, "report.csv")
     any_failed = False
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("case,kind,T,J,Q,schedule,empirical,bound,slack,passed\n")
-        for case, rep in zip(cfg.cases, reports):
+        for case, rep in zip(cases, reports):
             slack = rep.bound - rep.empirical
             schedule = "none" if case.schedule is None else case.schedule.value
             fh.write(
@@ -357,7 +352,7 @@ def _main(args: argparse.Namespace, processes: int) -> int:
         else:
             cfg = parse_theory_config(args.config)
             if args.seed is not None:
-                for case in cfg.cases:
+                for case in cfg:
                     case.seed = args.seed
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .clients import ClientSelectionConfig
 from .curriculum import OrderingKind, PacingFamily, PacingSpec, ScoringKind
@@ -72,11 +72,6 @@ class RunConfig:
     test_n: int
     arms: list[DataCurriculumConfig | None]
     experiment: ExperimentConfig
-
-
-@dataclass
-class TheoryConfig:
-    cases: list[ConvexCase | NonconvexCase] = field(default_factory=list)
 
 
 def _read(path: str) -> configparser.ConfigParser:
@@ -280,7 +275,7 @@ def parse_run_config(path: str) -> RunConfig:
     return RunConfig(
         dataset=dataset,
         partition=part_spec,
-        expert_epochs=_get(cp, "partition", "expert_epochs", int, default=30),
+        expert_epochs=_get(cp, "partition", "expert_epochs", int, default=30, minimum=0),
         n_trials=_get(cp, "run", "n_trials", int, default=3, minimum=1),
         test_n=test_n,
         arms=arms,
@@ -288,9 +283,10 @@ def parse_run_config(path: str) -> RunConfig:
     )
 
 
-def parse_theory_config(path: str) -> TheoryConfig:
+def parse_theory_config(path: str) -> list[ConvexCase | NonconvexCase]:
+    """The verify cases of the config, one per section, in config order."""
     cp = _read(path)
-    out = TheoryConfig()
+    cases = []
     for section in cp.sections():
         kind = _require(cp, section, "kind").strip().lower()
         if kind not in ("convex", "nonconvex"):
@@ -332,5 +328,5 @@ def parse_theory_config(path: str) -> TheoryConfig:
                 theta0_scale=_get(cp, section, "theta0", float, default=0.4),
                 n_runs=_get(cp, section, "n_runs", int, default=200),
             )
-        out.cases.append(case)
-    return out
+        cases.append(case)
+    return cases

@@ -73,14 +73,6 @@ def _check_fractions(a: float, b: float) -> None:
             raise ConfigurationError(f"pacing {name} must be in (0, 1]", field=name)
 
 
-@dataclass
-class ScoreTable:
-    """Raw keys and scores for one scoring pass; loss-based scores sum to 1."""
-
-    raw: np.ndarray
-    scores: np.ndarray
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -107,10 +99,10 @@ def pace(spec: PacingSpec, t: int) -> int:
     return int(min(spec.total, max(lo, _round_half_up(g))))
 
 
-def scores_from_losses(losses: np.ndarray) -> ScoreTable:
+def scores_from_losses(losses: np.ndarray) -> np.ndarray:
     """Normalized inverse-loss scores: r_i = 1/max(loss_i, eps), s = r/sum(r)."""
     raw = 1.0 / np.maximum(np.asarray(losses, dtype=np.float64), LOSS_EPS)
-    return ScoreTable(raw=raw, scores=raw / raw.sum())
+    return raw / raw.sum()
 
 
 def score_samples(
@@ -122,8 +114,9 @@ def score_samples(
     expert_params: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     global_losses: np.ndarray | None = None,
-) -> ScoreTable:
-    """Score every sample in the batch with the requested method.
+) -> np.ndarray:
+    """Score every sample in the batch with the requested method: one score
+    per sample, the higher the easier. Loss-based scores sum to 1.
 
     ``global_losses``, when given, are the per-sample losses of the batch at
     ``global_params``; loss-based scoring then reuses them instead of running
@@ -164,27 +157,30 @@ def score_samples(
         elif kind is ScoringKind.L_PRED:
             easy = predict(model, need(local_params, "local"), batch) == batch.y
         else:
-            easy = predict(model, need(local_params, "local"), batch) == predict(
-                model, need(global_params, "global"), batch
+            # As for lg_loss: an untrained client agrees with the global
+            # model by construction, from one prediction.
+            local = need(local_params, "local")
+            global_pred = predict(model, need(global_params, "global"), batch)
+            local_pred = (
+                global_pred if local is global_params else predict(model, local, batch)
             )
-        flags = easy.astype(np.float64)
-        return ScoreTable(raw=flags, scores=flags)
+            easy = local_pred == global_pred
+        return easy.astype(np.float64)
 
     if rng is None:
         raise ConfigurationError("random scoring requires an rng")
-    keys = rng.random(len(batch))
-    return ScoreTable(raw=keys, scores=keys)
+    return rng.random(len(batch))
 
 
 def order_and_select(
-    scores: np.ndarray | ScoreTable,
+    scores: np.ndarray,
     ordering: OrderingKind,
     count: int,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Pick ``count`` sample indices: highest scores for curriculum, lowest
     for anti, a uniform draw for random. Ties break by ascending index."""
-    s = scores.scores if isinstance(scores, ScoreTable) else np.asarray(scores)
+    s = np.asarray(scores)
     n = len(s)
     if not 1 <= count <= n:
         raise ValueError(f"selection count {count} outside [1, {n}]")

@@ -43,10 +43,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
     def batch(self, idx: np.ndarray | None = None) -> Batch:
         if idx is None:
             return Batch(self.features, self.labels)
@@ -135,14 +131,10 @@ def _check_feasible(spec: PartitionSpec, class_sizes: np.ndarray) -> None:
 class Partition:
     assignment: list[np.ndarray]  # client -> sorted sample indices
     class_counts: np.ndarray  # (num_clients, num_classes)
-    weights: np.ndarray  # (num_clients,), sums to 1
 
     @property
     def num_clients(self) -> int:
         return len(self.assignment)
-
-    def sizes(self) -> np.ndarray:
-        return np.array([len(idx) for idx in self.assignment])
 
 
 def _class_means(classes: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -185,8 +177,7 @@ def _finalize(ds: Dataset, assignment: list[np.ndarray]) -> Partition:
         assignment[i] = np.sort(np.asarray(idx, dtype=np.int64))
         vals, cnt = np.unique(ds.labels[assignment[i]], return_counts=True)
         counts[i, vals] = cnt
-    sizes = np.array([len(idx) for idx in assignment], dtype=np.float64)
-    return Partition(assignment=assignment, class_counts=counts, weights=sizes / sizes.sum())
+    return Partition(assignment=assignment, class_counts=counts)
 
 
 def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:

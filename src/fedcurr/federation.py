@@ -107,22 +107,17 @@ class ExperimentConfig:
 
 @dataclass
 class ClientState:
+    """One client across rounds: its data and optimizer state, and what its
+    last ``client_update`` produced, which ``aggregate`` reads."""
+
     client_id: int
     indices: np.ndarray
     momentum: np.ndarray
     local_params: np.ndarray | None = None  # last locally trained parameters
     control: np.ndarray | None = None  # SCAFFOLD control variate
     tau: int = 0  # local steps taken in the last update
-
-
-@dataclass
-class ClientUpdateResult:
-    client_id: int
-    params: np.ndarray
-    num_samples: int
-    tau: int
-    selected: int  # size of the trained subset
-    control_delta: np.ndarray | None = None
+    selected: int = 0  # size of the subset trained in the last update
+    control_delta: np.ndarray | None = None  # SCAFFOLD control change in the last update
 
 
 @dataclass
@@ -161,11 +156,13 @@ def client_update(
     server_control: np.ndarray | None = None,
     expert_params: np.ndarray | None = None,
     global_losses: np.ndarray | None = None,
-) -> tuple[ClientUpdateResult, ClientState]:
+) -> ClientState:
     """One local-training pass: select the paced subset, run the configured
-    epochs of mini-batch SGD from the broadcast parameters, and report the
-    trained parameters. The momentum buffer persists across rounds; the step
-    index (and with it the learning-rate schedule) resets each round.
+    epochs of mini-batch SGD from the broadcast parameters, and return the
+    client's new state, with the trained parameters in ``local_params``.
+    ``state`` itself is left as it was. The momentum buffer persists across
+    rounds; the step index (and with it the learning-rate schedule) resets
+    each round.
 
     ``x`` and ``y`` are the client's rows, ``ds.features[state.indices]`` and
     ``ds.labels[state.indices]`` (``run_experiment`` passes the rows it
@@ -186,7 +183,7 @@ def client_update(
         raise ConfigurationError("parameter and momentum lengths must match")
     dc = cfg.data_curriculum
     if dc is not None:
-        table = score_samples(
+        scores = score_samples(
             dc.scoring,
             model,
             batch,
@@ -200,7 +197,7 @@ def client_update(
         )
         spec = PacingSpec(dc.family, dc.a, dc.b, total=len(y), budget=cfg.rounds)
         n_sel = pace(spec, t)
-        chosen = np.sort(order_and_select(table, dc.ordering, n_sel, rng))
+        chosen = np.sort(order_and_select(scores, dc.ordering, n_sel, rng))
         x, y = x[chosen], y[chosen]
     else:
         n_sel = len(y)
@@ -232,32 +229,26 @@ def client_update(
         alpha_bar = eta_sum / step
         new_control = state.control - server_control + (global_params - theta) / (step * alpha_bar)
         control_delta = new_control - state.control
-    new_state = replace(
+    return replace(
         state,
         momentum=v,
-        local_params=theta.copy(),
+        local_params=theta,
         control=new_control,
-        tau=step,
-    )
-    result = ClientUpdateResult(
-        client_id=state.client_id,
-        params=theta,
-        num_samples=len(state.indices),
         tau=step,
         selected=n_sel,
         control_delta=control_delta,
     )
-    return result, new_state
 
 
 def aggregate(
-    updates: list[ClientUpdateResult],
+    states: list[ClientState],
     algorithm: Algorithm,
     global_params: np.ndarray,
     server_control: np.ndarray | None = None,
     num_clients_total: int = 0,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Combine client parameters into the new global model.
+    """Combine the participants' trained parameters into the new global
+    model; ``states`` are the states ``client_update`` returned this round.
 
     Weights are the participants' sample counts renormalized to sum to 1.
     The update is applied in delta form, theta - sum w_k * s_k * (theta -
@@ -265,26 +256,27 @@ def aggregate(
     tau_eff is computed with an integer numerator so equal step counts give
     s_k exactly 1.
     """
-    if not updates:
+    if not states:
         raise ValueError("no client updates to aggregate")
-    n_round = sum(u.num_samples for u in updates)
+    sizes = [len(s.indices) for s in states]
+    n_round = sum(sizes)
     if algorithm is Algorithm.FEDNOVA:
-        tau_eff = sum(u.num_samples * u.tau for u in updates) / n_round
-        scales = [tau_eff / u.tau for u in updates]
+        tau_eff = sum(n * s.tau for n, s in zip(sizes, states)) / n_round
+        scales = [tau_eff / s.tau for s in states]
     else:
-        scales = [1.0] * len(updates)
-    if len(updates) == 1:
-        new = updates[0].params.copy()
+        scales = [1.0] * len(states)
+    if len(states) == 1:
+        new = states[0].local_params.copy()
     else:
         new = global_params.copy()
-        for u, s in zip(updates, scales):
-            new = new - (u.num_samples / n_round) * s * (global_params - u.params)
+        for n, s, scale in zip(sizes, states, scales):
+            new = new - (n / n_round) * scale * (global_params - s.local_params)
     new_control = server_control
     if algorithm is Algorithm.SCAFFOLD:
         if server_control is None or num_clients_total < 1:
             raise ConfigurationError("SCAFFOLD aggregation needs server control state")
-        mean_delta = sum(u.control_delta for u in updates) / len(updates)
-        new_control = server_control + (len(updates) / num_clients_total) * mean_delta
+        mean_delta = sum(s.control_delta for s in states) / len(states)
+        new_control = server_control + (len(states) / num_clients_total) * mean_delta
     return new, new_control
 
 
@@ -365,20 +357,19 @@ def run_experiment(
             lam = float("nan")
         mean_cl = float(np.mean([float(losses[i].mean()) for i in ids]))
 
-        updates = []
         for cid in ids:  # ascending id: fixed reduction order
             crng = np.random.default_rng([cfg.seed, _CLIENT_STREAM, t, cid])
-            result, states[cid] = client_update(
+            states[cid] = client_update(
                 states[cid], theta, cfg, *rows[cid], t, crng, server_control, expert_params,
                 global_losses=losses[cid],
             )
-            updates.append(result)
+        updated = [states[cid] for cid in ids]
         theta, server_control = aggregate(
-            updates, cfg.algorithm, theta, server_control, cfg.num_clients
+            updated, cfg.algorithm, theta, server_control, cfg.num_clients
         )
 
         acc, loss = evaluate(model, theta, test)
-        subset_frac = float(np.mean([u.selected / u.num_samples for u in updates]))
+        subset_frac = float(np.mean([s.selected / len(s.indices) for s in updated]))
         metrics.append(RoundMetrics(t, acc, loss, list(ids), mean_cl, lam, subset_frac))
     return metrics
 

@@ -121,9 +121,6 @@ class Batch:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def subset(self, idx: np.ndarray) -> "Batch":
-        return Batch(self.x[idx], self.y[idx])
-
 
 @dataclass
 class HessianDecomposition:

@@ -97,16 +97,13 @@ def _check_runs(n_runs: int) -> None:
         )
 
 
-@dataclass
-class BiasSchedule:
-    kind: BiasKind
-    values: np.ndarray  # (T+1, J+1) nonnegative squared-norm caps
-
-
 def make_bias_schedule(
     kind: BiasKind, T: int, J: int, b_start: float, b_end: float
-) -> BiasSchedule:
-    """Linear bias growth from b_start to b_end over the (t, j) grid."""
+) -> np.ndarray:
+    """The (T+1, J+1) matrix of squared-norm bias caps, growing linearly from
+    b_start to b_end over the (t, j) grid: by round for a client-based
+    schedule (constant within a round), by local step for a data-based one
+    (continuous at round boundaries)."""
     if not 0 <= b_start < b_end:
         raise ConfigurationError(
             f"need 0 <= B_start < B_end, got {b_start} and {b_end}", field="b_start"
@@ -125,7 +122,7 @@ def make_bias_schedule(
         ).reshape(T + 1, J + 1)
         for t in range(1, T + 1):
             values[t, 0] = values[t - 1, J]
-    return BiasSchedule(kind=kind, values=values)
+    return values
 
 
 def zero_sum_directions(num_clients: int, dim: int) -> np.ndarray:
@@ -321,11 +318,11 @@ def inverse_round_stepsizes(alpha0: float, T: int, J: int) -> StepsizeSchedule:
     return StepsizeSchedule(np.repeat(rows[:, None], J + 1, axis=1))
 
 
-def _bias_matrix(bias: BiasSchedule | np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """The caps of ``bias`` as a (T+1, J+1) matrix. Each must be >= 0: the
+def _bias_matrix(bias: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The caps ``bias`` as a float (T+1, J+1) matrix. Each must be >= 0: the
     oracle applies no bias for a cap <= 0, so a bound that used a negative
     cap would not bound the simulated runs."""
-    values = bias.values if isinstance(bias, BiasSchedule) else np.asarray(bias, dtype=np.float64)
+    values = np.asarray(bias, dtype=np.float64)
     if values.shape != shape:
         raise ConfigurationError(
             f"bias schedule shape {values.shape} != stepsize shape {shape}", field="bias"
@@ -342,7 +339,7 @@ def _bias_matrix(bias: BiasSchedule | np.ndarray, shape: tuple[int, int]) -> np.
 def bound_convex(
     prob: ConvexProblem,
     sched: StepsizeSchedule,
-    bias: BiasSchedule | np.ndarray,
+    bias: np.ndarray,
     rel_var: float,
     sigma2: float,
     num_clients: int,
@@ -462,7 +459,7 @@ def _simulate_rounds(
 def verify_convex(
     prob: ConvexProblem,
     sched: StepsizeSchedule,
-    bias: BiasSchedule | np.ndarray,
+    bias: np.ndarray,
     rel_var: float,
     sigma2: float,
     num_clients: int,
@@ -563,7 +560,7 @@ class ConvexCase:
         _check_noise(self.rel_var, self.sigma)
         _check_convex_stepsizes(self._stepsizes().alpha, self.lipschitz, self.rel_var)
         # Only the caps of the rounds a run takes (t < T) reach the oracle.
-        _check_cohort(self.clients, self._bias().values[:-1])
+        _check_cohort(self.clients, self._bias()[:-1])
         _check_runs(self.n_runs)
         _check_directions(self.clients, self.dim)
 
@@ -575,7 +572,7 @@ class ConvexCase:
             return constant_stepsizes(alpha, self.rounds, self.local_steps)
         return inverse_round_stepsizes(alpha, self.rounds, self.local_steps)
 
-    def _bias(self) -> BiasSchedule:
+    def _bias(self) -> np.ndarray:
         return make_bias_schedule(
             self.schedule, self.rounds, self.local_steps, self.b_start, self.b_end
         )

@@ -8,7 +8,6 @@ import numpy as np
 from fedcurr import (
     Batch,
     BiasKind,
-    BiasSchedule,
     Dataset,
     ModelKind,
     ModelSpec,
@@ -45,18 +44,15 @@ def check_partition(ds: Dataset, part: Partition) -> None:
         for c in range(ds.num_classes):
             if int((ds.labels[idx] == c).sum()) != int(part.class_counts[i, c]):
                 raise AssertionError(f"class count mismatch at client {i}, class {c}")
-    if abs(part.weights.sum() - 1.0) > 1e-12:
-        raise AssertionError("client weights do not sum to 1")
 
 
-def validate_bias_schedule(schedule: BiasSchedule) -> None:
-    """Raise if the caps are not a nonnegative (T+1, J+1) matrix shaped as
-    their kind promises."""
-    v = schedule.values
+def validate_bias_schedule(kind: BiasKind, v: np.ndarray) -> None:
+    """Raise if the caps ``v`` are not a nonnegative (T+1, J+1) matrix shaped
+    as their kind promises."""
     if v.ndim != 2 or np.any(v < 0):
         raise AssertionError("bias values must be a nonnegative (T+1, J+1) matrix")
     T = v.shape[0] - 1
-    if schedule.kind is BiasKind.CLIENT_BASED:
+    if kind is BiasKind.CLIENT_BASED:
         if np.any(v.max(axis=1) != v.min(axis=1)):
             raise AssertionError("client-based caps must be constant within a round")
         if np.any(np.diff(v[:, 0]) <= 0):
@@ -124,7 +120,8 @@ def train_centralized_reference(
     for _ in range(epochs):
         perm = rng.permutation(len(data))
         for lo in range(0, len(data), hyper.batch_size):
-            mini = data.subset(perm[lo : lo + hyper.batch_size])
+            idx = perm[lo : lo + hyper.batch_size]
+            mini = Batch(data.x[idx], data.y[idx])
             theta, v = sgd_step(theta, grad(model, theta, mini), hyper, step, v)
             step += 1
     return theta

@@ -89,16 +89,16 @@ def test_criterion_2_scoring_normalization_and_scale_invariance():
         for _ in range(100):
             n = int(rng.integers(3, 50))
             losses = rng.uniform(0.01, 10.0, n)
-            table = fc.scores_from_losses(losses)
-            assert abs(table.scores.sum() - 1.0) <= 1e-12
+            scores = fc.scores_from_losses(losses)
+            assert abs(scores.sum() - 1.0) <= 1e-12
             c = rng.uniform(0.5, 2.0)
             count = int(rng.integers(1, n + 1))
             scaled = fc.scores_from_losses(c * losses)
             for ordering in (fc.OrderingKind.CURRICULUM, fc.OrderingKind.ANTI):
-                assert set(fc.order_and_select(table, ordering, count).tolist()) == set(
+                assert set(fc.order_and_select(scores, ordering, count).tolist()) == set(
                     fc.order_and_select(scaled, ordering, count).tolist()
                 )
-            r1 = fc.order_and_select(table, fc.OrderingKind.RANDOM, count,
+            r1 = fc.order_and_select(scores, fc.OrderingKind.RANDOM, count,
                                      np.random.default_rng(17))
             r2 = fc.order_and_select(scaled, fc.OrderingKind.RANDOM, count,
                                      np.random.default_rng(17))
@@ -131,7 +131,6 @@ def test_criterion_3_partition_invariants():
         base = fc.Partition(
             assignment=[idx[:20], idx[20:45], idx[45:]],
             class_counts=np.array([[20], [25], [15]]),
-            weights=np.array([20, 25, 15]) / 60,
         )
         ranked = fc.partition_difficulty(single, base, 1.0, losses, seed=9)
         chained = np.concatenate([np.sort(losses[ranked.assignment[i]]) for i in range(3)])
@@ -148,7 +147,7 @@ def test_criterion_3_partition_invariants():
             )
             expert = fc.train_centralized(model, dsx, DESK_HYPER, epochs=20, seed=seed)
             exp_losses = fc.per_sample_losses(model, expert, dsx.batch())
-            scores = fc.scores_from_losses(exp_losses).scores * len(dsx)
+            scores = fc.scores_from_losses(exp_losses) * len(dsx)
             for i, f in enumerate(grid):
                 out = fc.partition_difficulty(dsx, basex, f, exp_losses, seed=seed)
                 totals[i] += partition_score_std(out, scores).mean()
@@ -289,15 +288,13 @@ def test_criterion_9_algorithm_equivalences():
         states = [fresh_state(ds_i, part_i, i, scaffold=True) for i in range(8)]
         theta, server_c = np.zeros(dim), np.zeros(dim)
         for t in range(3):
-            updates = []
             for cid in range(8):
                 rng = np.random.default_rng([cfg.seed, 9, t, cid])
-                result, states[cid] = fc.client_update(
+                states[cid] = fc.client_update(
                     states[cid], theta, cfg, *client_rows(ds_i, states[cid]), t, rng,
                     server_control=server_c,
                 )
-                updates.append(result)
-            theta, server_c = fc.aggregate(updates, fc.Algorithm.SCAFFOLD, theta, server_c, 8)
+            theta, server_c = fc.aggregate(states, fc.Algorithm.SCAFFOLD, theta, server_c, 8)
             mean_c = np.mean([s.control for s in states], axis=0)
             assert np.abs(server_c - mean_c).max() <= 1e-10
     report(9, "FedProx(0) and equal-step FedNova match FedAvg bitwise; SCAFFOLD control mean holds")
@@ -359,7 +356,7 @@ def test_criterion_12_hessian_probe_and_bound_comparison():
         prob = fc.make_quadratic(8, 0.5, 4.0, seed=5)
         sched = fc.inverse_round_stepsizes(1 / 160, 20, 5)
         fwd = fc.make_bias_schedule(fc.BiasKind.DATA_BASED, 20, 5, 0.0, 0.5)
-        rev = fwd.values[::-1, ::-1].copy()
+        rev = fwd[::-1, ::-1].copy()
         theta0 = prob.theta_star + np.ones(8)
         b_fwd = fc.bound_convex(prob, sched, fwd, 1.0, 0.01, 4, theta0)
         b_rev = fc.bound_convex(prob, sched, rev, 1.0, 0.01, 4, theta0)

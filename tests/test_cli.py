@@ -464,6 +464,8 @@ INVALID_CONFIGS = [
     ("run", "dataset", "noise_low", "nan", {}),
     ("run", "dataset", "noise_low", "-1", {}),
     ("run", "run", "n_trials", "0", {}),
+    # Without the check the untrained init model would rank the data.
+    ("run", "partition", "expert_epochs", "-3", {"f_ord": "0.5"}),
     ("run", "run", "test_n", "1", {}),
     ("verify", "convex_client_schedule", "dim", "0", {}),
     ("verify", "convex_data_schedule", "dim", "0", {}),

@@ -11,6 +11,7 @@ from fedcurr import (
     PacingFamily,
     PacingSpec,
     ScoringKind,
+    curriculum,
     init_params,
     order_and_select,
     pace,
@@ -74,26 +75,27 @@ def test_invalid_pacing_parameters():
 
 
 def test_inverse_loss_scores():
-    table = scores_from_losses(np.array([1.0, 0.5, 0.25]))
-    assert_allclose(table.raw, [1.0, 2.0, 4.0], rtol=1e-15)
-    assert_allclose(table.scores, [1 / 7, 2 / 7, 4 / 7], rtol=1e-14)
-    assert abs(table.scores.sum() - 1.0) < 1e-12
+    scores = scores_from_losses(np.array([1.0, 0.5, 0.25]))
+    # Proportional to the inverse losses 1, 2, 4.
+    assert_allclose(scores / scores[0], [1.0, 2.0, 4.0], rtol=1e-15)
+    assert_allclose(scores, [1 / 7, 2 / 7, 4 / 7], rtol=1e-14)
+    assert abs(scores.sum() - 1.0) < 1e-12
 
 
 def test_equal_losses_give_uniform_scores():
-    table = scores_from_losses(np.full(8, 0.37))
-    assert_allclose(table.scores, 1 / 8, rtol=1e-14)
+    scores = scores_from_losses(np.full(8, 0.37))
+    assert_allclose(scores, 1 / 8, rtol=1e-14)
 
 
 def test_scores_sum_to_one_and_positive():
     rng = np.random.default_rng(0)
     for _ in range(50):
         losses = rng.uniform(0.01, 10.0, int(rng.integers(2, 60)))
-        table = scores_from_losses(losses)
-        assert abs(table.scores.sum() - 1.0) < 1e-12
-        assert (table.scores > 0).all()
+        scores = scores_from_losses(losses)
+        assert abs(scores.sum() - 1.0) < 1e-12
+        assert (scores > 0).all()
         order = np.argsort(losses)
-        assert (np.diff(table.scores[order]) <= 0).all()
+        assert (np.diff(scores[order]) <= 0).all()
 
 
 def test_loss_scaling_leaves_selection_unchanged():
@@ -153,17 +155,42 @@ def test_pred_scoring_all_correct_flags_easy():
     from fedcurr.models import predict
 
     agreeing = Batch(batch.x, predict(model, params, batch))
-    table = score_samples(ScoringKind.G_PRED, model, agreeing, global_params=params)
-    assert_allclose(table.scores, 1.0)
+    scores = score_samples(ScoringKind.G_PRED, model, agreeing, global_params=params)
+    assert_allclose(scores, 1.0)
 
 
 def test_lg_pred_flags_model_agreement():
     model, batch, rng = _classifier_setup()
     params = init_params(model, rng)
-    table = score_samples(
+    scores = score_samples(
         ScoringKind.LG_PRED, model, batch, global_params=params, local_params=params
     )
-    assert_allclose(table.scores, 1.0)
+    assert_allclose(scores, 1.0)
+
+
+@pytest.mark.parametrize("local", ["global", "copy", "other"])
+def test_lg_pred_predicts_once_when_local_is_global(monkeypatch, local):
+    # A client that has not trained yet holds the global parameters
+    # themselves: one prediction serves both halves, with the same flags.
+    model, batch, rng = _classifier_setup()
+    params, other = init_params(model, rng), init_params(model, rng)
+    local_params = {"global": params, "copy": params.copy(), "other": other}[local]
+    original = curriculum.predict
+    expected = (original(model, local_params, batch) == original(model, params, batch)).astype(
+        np.float64
+    )
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(curriculum, "predict", counted)
+    flags = score_samples(
+        ScoringKind.LG_PRED, model, batch, global_params=params, local_params=local_params
+    )
+    assert len(calls) == (1 if local == "global" else 2)
+    assert np.array_equal(flags, expected)
 
 
 def test_lg_loss_averages_global_and_local():
@@ -174,8 +201,8 @@ def test_lg_loss_averages_global_and_local():
     mean_loss = 0.5 * (
         per_sample_losses(model, p1, batch) + per_sample_losses(model, p2, batch)
     )
-    table = score_samples(ScoringKind.LG_LOSS, model, batch, global_params=p1, local_params=p2)
-    assert_allclose(table.scores, scores_from_losses(mean_loss).scores, rtol=1e-14)
+    scores = score_samples(ScoringKind.LG_LOSS, model, batch, global_params=p1, local_params=p2)
+    assert_allclose(scores, scores_from_losses(mean_loss), rtol=1e-14)
 
 
 def test_expert_scoring_requires_expert_params():
@@ -195,5 +222,5 @@ def test_random_scoring_reproducible():
     model, batch, _ = _classifier_setup()
     t1 = score_samples(ScoringKind.RANDOM, model, batch, rng=np.random.default_rng(5))
     t2 = score_samples(ScoringKind.RANDOM, model, batch, rng=np.random.default_rng(5))
-    assert np.array_equal(t1.scores, t2.scores)
+    assert np.array_equal(t1, t2)
 

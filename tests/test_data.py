@@ -72,8 +72,9 @@ def test_partition_invariants(spec_kwargs):
     for seed in range(3):
         part = partition(ds, PartitionSpec(num_clients=15, seed=seed, **spec_kwargs))
         check_partition(ds, part)
-        assert abs(part.weights.sum() - 1.0) < 1e-12
-        assert min(part.sizes()) >= 1
+        sizes = [len(a) for a in part.assignment]
+        assert sum(sizes) == len(ds)
+        assert min(sizes) >= 1
 
 
 def test_iid_single_client_gets_everything():
@@ -89,7 +90,7 @@ def test_dirichlet_high_beta_approaches_uniform():
         part = partition(
             ds, PartitionSpec(scheme=Scheme.DIRICHLET, num_clients=10, beta=1e6, seed=seed)
         )
-        hist = part.class_counts / part.sizes()[:, None]
+        hist = part.class_counts / np.array([len(a) for a in part.assignment])[:, None]
         assert np.abs(hist - 0.1).max() / 0.1 <= 0.2
 
 
@@ -119,7 +120,7 @@ def test_label_skew_rejects_a_client_left_without_samples():
     assert "client 5" in str(info.value)
     part = partition(ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=5, skew_classes=2))
     check_partition(ds, part)
-    assert min(part.sizes()) >= 1
+    assert min(len(a) for a in part.assignment) >= 1
 
 
 def _single_class_dataset(n):
@@ -130,7 +131,6 @@ def _two_client_partition(ds):
     return Partition(
         assignment=[np.array([0, 2]), np.array([1, 3])],
         class_counts=np.array([[2], [2]]),
-        weights=np.array([0.5, 0.5]),
     )
 
 
@@ -183,12 +183,10 @@ def test_full_reshuffle_concatenation_sorted_single_class():
     ds = _single_class_dataset(60)
     rng = np.random.default_rng(12)
     losses = rng.uniform(0.0, 5.0, 60)
-    sizes = [10, 25, 5, 20]
     idx = np.arange(60)
     base = Partition(
         assignment=[idx[0:10], idx[10:35], idx[35:40], idx[40:60]],
         class_counts=np.array([[10], [25], [5], [20]]),
-        weights=np.array(sizes) / 60,
     )
     out = partition_difficulty(ds, base, 1.0, losses, seed=0)
     # Assignments are stored index-sorted, so compare rank blocks: sorted
@@ -219,14 +217,12 @@ def test_partition_score_std_examples():
     part = Partition(
         assignment=[np.array([0, 1]), np.array([2, 3])],
         class_counts=np.array([[2], [2]]),
-        weights=np.array([0.5, 0.5]),
     )
     stds = partition_score_std(part, np.array([0.0, 2.0, 1.0, 1.0]))
     assert_allclose(stds, [1.0, 0.0])
     empty = Partition(
         assignment=[np.array([0, 1, 2, 3]), np.array([], dtype=int)],
         class_counts=np.array([[4], [0]]),
-        weights=np.array([1.0, 0.0]),
     )
     with pytest.raises(ValueError):
         partition_score_std(empty, np.zeros(4))

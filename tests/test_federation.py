@@ -6,9 +6,9 @@ from _helpers import train_centralized_reference
 
 from fedcurr import (
     Algorithm,
+    Batch,
     ClientSelectionConfig,
     ClientState,
-    ClientUpdateResult,
     DataCurriculumConfig,
     ExperimentConfig,
     ModelKind,
@@ -101,20 +101,20 @@ def test_zero_learning_rate_returns_broadcast_unchanged():
     cfg = base_config(hyper=SgdHyper(eta0=0.0, momentum=0.9))
     theta = np.linspace(-1, 1, MODEL.param_count())
     state = fresh_state(ds, part, 0)
-    result, _ = client_update(
+    new = client_update(
         state, theta, cfg, *client_rows(ds, state), 0, np.random.default_rng(0)
     )
-    assert np.array_equal(result.params, theta)
+    assert np.array_equal(new.local_params, theta)
 
 
 def test_fedprox_zero_mu_identical_to_fedavg():
     ds, part, _ = small_world()
     theta = np.random.default_rng(1).standard_normal(MODEL.param_count()) * 0.1
     state = fresh_state(ds, part, 2)
-    res_a, _ = client_update(
+    res_a = client_update(
         state, theta, base_config(), *client_rows(ds, state), 0, np.random.default_rng(9)
     )
-    res_p, _ = client_update(
+    res_p = client_update(
         state,
         theta,
         base_config(algorithm=Algorithm.FEDPROX, mu_prox=0.0),
@@ -122,7 +122,7 @@ def test_fedprox_zero_mu_identical_to_fedavg():
         0,
         np.random.default_rng(9),
     )
-    assert np.array_equal(res_a.params, res_p.params)
+    assert np.array_equal(res_a.local_params, res_p.local_params)
 
 
 def test_curriculum_with_full_initial_fraction_matches_off():
@@ -140,9 +140,11 @@ def test_curriculum_with_full_initial_fraction_matches_off():
 
 
 def _update(cid, params, n, tau):
-    return ClientUpdateResult(
-        client_id=cid, params=np.asarray(params, dtype=np.float64),
-        num_samples=n, tau=tau, selected=n,
+    """A client of ``n`` samples after a ``tau``-step update to ``params``."""
+    params = np.asarray(params, dtype=np.float64)
+    return ClientState(
+        client_id=cid, indices=np.arange(n), momentum=np.zeros_like(params),
+        local_params=params, tau=tau, selected=n,
     )
 
 
@@ -181,7 +183,7 @@ def test_fednova_unequal_steps_differs_from_fedavg():
     rng = np.random.default_rng(4)
     theta = rng.standard_normal(6)
     updates = [
-        ClientUpdateResult(i, rng.standard_normal(6), n, tau, n)
+        _update(i, rng.standard_normal(6), n, tau)
         for i, (n, tau) in enumerate([(17, 10), (23, 40), (11, 25)])
     ]
     avg, _ = aggregate(updates, Algorithm.FEDAVG, theta)
@@ -207,15 +209,13 @@ def test_scaffold_control_is_mean_of_client_controls():
     theta = np.zeros(dim)
     server_c = np.zeros(dim)
     for t in range(3):
-        updates = []
         for cid in range(8):
             rng = np.random.default_rng([cfg.seed, 2, t, cid])
-            result, states[cid] = client_update(
+            states[cid] = client_update(
                 states[cid], theta, cfg, *client_rows(ds, states[cid]), t, rng,
                 server_control=server_c,
             )
-            updates.append(result)
-        theta, server_c = aggregate(updates, Algorithm.SCAFFOLD, theta, server_c, 8)
+        theta, server_c = aggregate(states, Algorithm.SCAFFOLD, theta, server_c, 8)
         mean_control = np.mean([s.control for s in states], axis=0)
         assert np.abs(server_c - mean_control).max() <= 1e-10
 
@@ -356,11 +356,11 @@ def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None
         # A copy, so the reference runs the local half instead of reusing
         # the global losses.
         local = state.local_params if state.local_params is not None else global_params.copy()
-        table = score_samples(
+        scores = score_samples(
             dc.scoring, cfg.model, full, global_params=global_params, local_params=local, rng=rng
         )
         n_sel = pace(PacingSpec(dc.family, dc.a, dc.b, len(state.indices), cfg.rounds), t)
-        batch = ds.batch(state.indices[np.sort(order_and_select(table, dc.ordering, n_sel, rng))])
+        batch = ds.batch(state.indices[np.sort(order_and_select(scores, dc.ordering, n_sel, rng))])
     else:
         batch = full
     theta, v = global_params.copy(), state.momentum.copy()
@@ -369,7 +369,8 @@ def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None
     for _ in range(cfg.local_epochs):
         perm = rng.permutation(len(batch))
         for lo in range(0, len(batch), bs):
-            g = grad(cfg.model, theta, batch.subset(perm[lo : lo + bs]))
+            idx = perm[lo : lo + bs]
+            g = grad(cfg.model, theta, Batch(batch.x[idx], batch.y[idx]))
             if cfg.algorithm is Algorithm.FEDPROX:
                 g = g + cfg.mu_prox * (theta - global_params)
             if cfg.algorithm is Algorithm.SCAFFOLD:
@@ -419,17 +420,17 @@ def test_client_update_matches_checked_reference(model, algorithm):
             state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
         )
         losses = per_sample_losses(model, theta, ds.batch(state.indices))
-        result, state = client_update(
+        state = client_update(
             state, theta, cfg, *client_rows(ds, state), t, np.random.default_rng([3, t]),
             server_c,
             global_losses=losses,
         )
-        assert np.array_equal(result.params, ref_theta)
+        assert np.array_equal(state.local_params, ref_theta)
         assert np.array_equal(state.momentum, ref_v)
-        assert result.tau == state.tau == ref_tau
+        assert state.tau == ref_tau
         if scaffold:
             assert np.array_equal(state.control, ref_control)
-        theta = theta + 0.1 * (result.params - theta)
+        theta = theta + 0.1 * (state.local_params - theta)
 
 
 def test_round_forwards_each_params_and_data_pair_once(monkeypatch):

@@ -138,7 +138,7 @@ def test_batched_rounds_match_per_call_reference(kind):
     sched = constant_stepsizes(0.02, T, J)
     bias = make_bias_schedule(kind, T, J, 0.05, 0.6)
     oracle = BiasedGradOracle(
-        prob.grad, bias.values, zero_sum_directions(q, dim), rel_var=0.7, sigma=0.3
+        prob.grad, bias, zero_sum_directions(q, dim), rel_var=0.7, sigma=0.3
     )
     theta0 = prob.theta_star + np.linspace(-1.0, 1.0, dim)
     starts = []
@@ -207,7 +207,7 @@ def test_convex_kernel_matches_stacked_reference_bitwise(q, dim, T):
     sched = constant_stepsizes(0.02, T, J)
     caps = np.zeros((T + 1, J + 1))
     if q > 1:
-        caps = make_bias_schedule(BiasKind.DATA_BASED, T, J, 0.05, 0.6).values
+        caps = make_bias_schedule(BiasKind.DATA_BASED, T, J, 0.05, 0.6)
     theta0 = prob.theta_star + np.linspace(-1.0, 1.0, dim)
     for rel_var, sigma in [(0.0, 0.0), (0.7, 0.3)]:
         oracle = BiasedGradOracle(
@@ -306,21 +306,21 @@ def test_noise_mean_and_second_moment():
 
 
 def test_client_based_schedule_values():
-    sched = make_bias_schedule(BiasKind.CLIENT_BASED, T=1, J=1, b_start=0.0, b_end=1.0)
-    assert_allclose(sched.values, [[0.0, 0.0], [1.0, 1.0]])
-    validate_bias_schedule(sched)
+    caps = make_bias_schedule(BiasKind.CLIENT_BASED, T=1, J=1, b_start=0.0, b_end=1.0)
+    assert_allclose(caps, [[0.0, 0.0], [1.0, 1.0]])
+    validate_bias_schedule(BiasKind.CLIENT_BASED, caps)
 
 
 def test_data_based_schedule_values():
-    sched = make_bias_schedule(BiasKind.DATA_BASED, T=1, J=1, b_start=0.0, b_end=1.0)
-    assert_allclose(sched.values, [[0.0, 1 / 3], [1 / 3, 1.0]])
-    validate_bias_schedule(sched)
+    caps = make_bias_schedule(BiasKind.DATA_BASED, T=1, J=1, b_start=0.0, b_end=1.0)
+    assert_allclose(caps, [[0.0, 1 / 3], [1 / 3, 1.0]])
+    validate_bias_schedule(BiasKind.DATA_BASED, caps)
 
 
 @pytest.mark.parametrize("kind", list(BiasKind))
 def test_generated_schedules_pass_validation(kind):
     for t, j in [(1, 1), (3, 2), (10, 5)]:
-        validate_bias_schedule(make_bias_schedule(kind, t, j, 0.1, 2.0))
+        validate_bias_schedule(kind, make_bias_schedule(kind, t, j, 0.1, 2.0))
 
 
 def test_bias_schedule_rejects_bad_range():
@@ -331,10 +331,10 @@ def test_bias_schedule_rejects_bad_range():
 
 
 def test_validator_rejects_nonmonotone():
-    sched = make_bias_schedule(BiasKind.CLIENT_BASED, 2, 2, 0.0, 1.0)
-    sched.values[2, :] = 0.0
+    caps = make_bias_schedule(BiasKind.CLIENT_BASED, 2, 2, 0.0, 1.0)
+    caps[2, :] = 0.0
     with pytest.raises(AssertionError):
-        validate_bias_schedule(sched)
+        validate_bias_schedule(BiasKind.CLIENT_BASED, caps)
 
 
 def test_bound_convex_zero_stepsize_is_initial_distance():
@@ -362,7 +362,7 @@ def test_bound_convex_monotone_in_bias():
     theta0 = prob.theta_star + np.ones(5)
     base = make_bias_schedule(BiasKind.CLIENT_BASED, 6, 2, 0.0, 0.8)
     b1 = bound_convex(prob, sched, base, 0.0, 0.0, 4, theta0)
-    b2 = bound_convex(prob, sched, 2.0 * base.values, 0.0, 0.0, 4, theta0)
+    b2 = bound_convex(prob, sched, 2.0 * base, 0.0, 0.0, 4, theta0)
     assert b2 > b1
 
 
@@ -627,7 +627,7 @@ def test_curriculum_ordered_bias_beats_reversed_under_diminishing_steps():
     prob = make_quadratic(8, 0.5, 4.0, seed=5)
     sched = inverse_round_stepsizes(1 / (8 * 5 * 4.0), 20, 5)
     forward = make_bias_schedule(BiasKind.DATA_BASED, 20, 5, 0.0, 0.5)
-    reversed_values = forward.values[::-1, ::-1].copy()
+    reversed_values = forward[::-1, ::-1].copy()
     theta0 = prob.theta_star + np.ones(8)
     b_fwd = bound_convex(prob, sched, forward, 1.0, 0.01, 4, theta0)
     b_rev = bound_convex(prob, sched, reversed_values, 1.0, 0.01, 4, theta0)
