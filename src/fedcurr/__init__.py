@@ -60,7 +60,6 @@ from .theory import (
     BoundReport,
     ConvexProblem,
     NonconvexProblem,
-    StepsizeSchedule,
     biased_grad,
     bound_convex,
     bound_nonconvex,

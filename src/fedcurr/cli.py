@@ -66,16 +66,16 @@ def _build_trial(cfg: RunConfig, trial: int) -> TrialData:
     test = gen_synthetic(
         cfg.test_n, d.classes, d.dim, d.noise_low, d.noise_high, seed + TEST_SEED_OFFSET
     )
-    spec = replace(cfg.partition, seed=seed)
-    part = partition(ds, spec)
+    f_ord = cfg.partition.f_ord
+    part = partition(ds, cfg.partition, seed)
     expert = None
-    if spec.f_ord is not None or any(
+    if f_ord is not None or any(
         arm is not None and arm.scoring is ScoringKind.EXPERT for arm in cfg.arms
     ):
         expert = train_centralized(model, ds, hyper, cfg.expert_epochs, seed)
-    if spec.f_ord is not None:
+    if f_ord is not None:
         losses = per_sample_losses(model, expert, ds.batch())
-        part = partition_difficulty(ds, part, spec.f_ord, losses, seed)
+        part = partition_difficulty(ds, part, f_ord, losses, seed)
     return TrialData(seed=seed, ds=ds, part=part, test=test, expert_params=expert)
 
 
@@ -89,7 +89,8 @@ def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> str:
         scoring, family = "none", "none"
         a = b = 0.0
     else:
-        scoring, family, a, b = arm.scoring.value, arm.family.value, arm.a, arm.b
+        scoring, family = arm.scoring.value, arm.pacing.family.value
+        a, b = arm.pacing.a, arm.pacing.b
     cells = [
         str(m.round), exp.algorithm.value, _ordering(arm), scoring, family,
         _fmt(a), _fmt(b), str(exp.seed),

@@ -19,18 +19,16 @@ from .models import Batch, ModelSpec, per_sample_losses
 
 @dataclass(frozen=True)
 class ClientSelectionConfig:
-    """Pacing over the client count (total = clients, budget = rounds),
-    an ordering over client scores, and the participating batch size."""
+    """Pacing over the client pool (one step per round), an ordering over
+    client scores, and the participating batch size."""
 
     pacing: PacingSpec
     ordering: OrderingKind
     client_batch_size: int
 
     def __post_init__(self):
-        if not 1 <= self.client_batch_size <= self.pacing.total:
-            raise ConfigurationError(
-                "client batch size must be in [1, num_clients]", field="client_batch_size"
-            )
+        if self.client_batch_size < 1:
+            raise ConfigurationError("client batch size must be >= 1", field="client_batch_size")
 
 
 def client_loss(model: ModelSpec, params: np.ndarray, client_data: Batch) -> float:
@@ -50,15 +48,15 @@ def select_clients(
     losses: np.ndarray,
     cfg: ClientSelectionConfig,
     t: int,
+    rounds: int,
     rng: np.random.Generator,
 ) -> list[int]:
     """Eligible set = top-K(t) clients under the ordering of their mean
-    losses (ties by id); return one uniform mini-batch of size
-    min(batch, K(t)) from it, ascending by id."""
-    m = cfg.pacing.total
-    if len(losses) != m:
-        raise ConfigurationError(f"expected losses for all {m} clients, got {len(losses)}")
-    k = pace(cfg.pacing, t)
+    losses (ties by id), K paced over ``rounds`` for a pool of every client
+    in ``losses``; return one uniform mini-batch of size min(batch, K(t))
+    from it, ascending by id."""
+    m = len(losses)
+    k = pace(cfg.pacing, t, m, rounds)
     ids = np.arange(m)
     if cfg.ordering is OrderingKind.CURRICULUM:
         eligible = ids[np.lexsort((ids, losses))][:k]

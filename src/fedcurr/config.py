@@ -66,7 +66,7 @@ class RunConfig:
     set to the arm (``None`` for vanilla)."""
 
     dataset: DatasetConfig
-    partition: PartitionSpec  # the seed is set per trial
+    partition: PartitionSpec  # dealt with each trial's seed
     expert_epochs: int
     n_trials: int
     test_n: int
@@ -147,16 +147,16 @@ def _built(make, keys: dict[str, tuple[str, str]], **kwargs):
         raise ConfigurationError(f"{_at(*keys[exc.field])}: {exc}") from exc
 
 
-def _pacing(cp, section: str) -> tuple[dict, dict[str, tuple[str, str]]]:
-    """The pacing family and fractions of ``section`` as keyword arguments,
-    and the keys the fraction fields are read from."""
+def _pacing(cp, section: str) -> PacingSpec:
+    """The pacing family and fractions of ``section``."""
     family = _get(cp, section, "pacing_family", str, default="linear")
-    kwargs = dict(
+    return _built(
+        PacingSpec,
+        {"a": (section, "pacing_a"), "b": (section, "pacing_b")},
         family=_enum(section, "pacing_family", family, PacingFamily),
         a=_get(cp, section, "pacing_a", float, default=0.8),
         b=_get(cp, section, "pacing_b", float, default=0.2),
     )
-    return kwargs, {"a": (section, "pacing_a"), "b": (section, "pacing_b")}
 
 
 def parse_run_config(path: str) -> RunConfig:
@@ -209,18 +209,13 @@ def parse_run_config(path: str) -> RunConfig:
             for key, kind in _HYPER_KEYS.items()
         },
     )
-    rounds = _get(cp, "federation", "rounds", int, required=True)
 
     client_cc = None
     if _get(cp, "client_curriculum", "enabled", bool, default=False):
-        pacing_kwargs, pacing_keys = _pacing(cp, "client_curriculum")
         client_cc = _built(
             ClientSelectionConfig,
             _keys("client_curriculum", "client_batch_size"),
-            pacing=_built(
-                PacingSpec, pacing_keys, **pacing_kwargs,
-                total=part_spec.num_clients, budget=max(rounds, 1),
-            ),
+            pacing=_pacing(cp, "client_curriculum"),
             ordering=_enum(
                 "client_curriculum", "ordering",
                 _get(cp, "client_curriculum", "ordering", str, default="curriculum"),
@@ -240,13 +235,12 @@ def parse_run_config(path: str) -> RunConfig:
                 f"{_at('data_curriculum', 'orderings')}: {name!r} is not one of {valid}"
             )
     # Checked even when every arm is vanilla; each other arm sets its ordering.
-    pacing_kwargs, pacing_keys = _pacing(cp, "data_curriculum")
-    curriculum = _built(
-        DataCurriculumConfig, pacing_keys, **pacing_kwargs,
+    curriculum = DataCurriculumConfig(
         scoring=_enum(
             "data_curriculum", "scoring",
             _get(cp, "data_curriculum", "scoring", str, default="g_loss"), ScoringKind,
         ),
+        pacing=_pacing(cp, "data_curriculum"),
         ordering=OrderingKind.CURRICULUM,
     )
     arms = [
@@ -256,11 +250,14 @@ def parse_run_config(path: str) -> RunConfig:
 
     experiment = _built(
         ExperimentConfig,
-        _keys("federation", "participants", "rounds", "local_epochs", "mu_prox"),
+        {
+            **_keys("federation", "participants", "rounds", "local_epochs", "mu_prox"),
+            **_keys("client_curriculum", "client_batch_size"),
+        },
         model=model,
         num_clients=part_spec.num_clients,
         participants=_get(cp, "federation", "participants", int, default=10),
-        rounds=rounds,
+        rounds=_get(cp, "federation", "rounds", int, required=True),
         local_epochs=_get(cp, "federation", "local_epochs", int, default=10),
         algorithm=_enum(
             "federation", "algorithm",

@@ -50,41 +50,35 @@ class PacingFamily(Enum):
 
 @dataclass(frozen=True)
 class PacingSpec:
-    """Pacing parameters: subset size over a budget of ``budget`` steps for a
-    pool of ``total`` items, starting at fraction ``b`` and reaching the full
-    pool at step ``a * budget``."""
+    """Pacing parameters: a pool's subset size grows from fraction ``b`` of
+    the pool to all of it at fraction ``a`` of the step budget. The pool
+    size and the budget come from where the pacing is used."""
 
     family: PacingFamily
     a: float
     b: float
-    total: int
-    budget: int
 
     def __post_init__(self):
-        _check_fractions(self.a, self.b)
-        if self.total < 1 or self.budget < 1:
-            raise ConfigurationError("pacing total and budget must be >= 1")
-
-
-def _check_fractions(a: float, b: float) -> None:
-    """Raise unless both pacing fractions lie in (0, 1]."""
-    for name, value in (("a", a), ("b", b)):
-        if not 0 < value <= 1:
-            raise ConfigurationError(f"pacing {name} must be in (0, 1]", field=name)
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not 0 < value <= 1:
+                raise ConfigurationError(f"pacing {name} must be in (0, 1]", field=name)
 
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def pace(spec: PacingSpec, t: int) -> int:
-    """Subset size at step t, clamped to [round(total*b) or 1, total]."""
-    if not 0 <= t <= spec.budget:
-        raise ValueError(f"pacing step {t} outside [0, {spec.budget}]")
-    n, a, b = float(spec.total), spec.a, spec.b
-    at = a * spec.budget
+def pace(spec: PacingSpec, t: int, total: int, budget: int) -> int:
+    """Subset size at step t of ``budget`` for a pool of ``total`` items,
+    clamped to [round(total*b) or 1, total]."""
+    if total < 1 or budget < 1:
+        raise ConfigurationError("pacing total and budget must be >= 1")
+    if not 0 <= t <= budget:
+        raise ValueError(f"pacing step {t} outside [0, {budget}]")
+    n, a, b = float(total), spec.a, spec.b
+    at = a * budget
     if t >= at:  # every family saturates at the full pool from a*budget on
-        return spec.total
+        return total
     if spec.family is PacingFamily.LINEAR:
         g = n * b + n * (1 - b) * t / at
     elif spec.family is PacingFamily.QUADRATIC:
@@ -96,7 +90,7 @@ def pace(spec: PacingSpec, t: int) -> int:
     else:  # STEP: single jump to the full set at t = a*budget
         g = n * b + n * math.floor(t / at)
     lo = max(1, _round_half_up(n * b))
-    return int(min(spec.total, max(lo, _round_half_up(g))))
+    return int(min(total, max(lo, _round_half_up(g))))
 
 
 def scores_from_losses(losses: np.ndarray) -> np.ndarray:
@@ -119,8 +113,9 @@ def score_samples(
     per sample, the higher the easier. Loss-based scores sum to 1.
 
     ``global_losses``, when given, are the per-sample losses of the batch at
-    ``global_params``; loss-based scoring then reuses them instead of running
-    the model again.
+    ``global_params``. Loss-based scoring computes the losses at
+    ``global_params`` at most once, reusing ``global_losses`` when given, and
+    this holds for any scored parameters that are ``global_params`` itself.
     """
 
     def need(params, name):
@@ -129,24 +124,27 @@ def score_samples(
         return params
 
     if kind in LOSS_BASED:
-        if kind in (ScoringKind.G_LOSS, ScoringKind.LG_LOSS) and global_losses is None:
-            global_losses = per_sample_losses(model, need(global_params, "global"), batch)
-        if kind is ScoringKind.G_LOSS:
-            losses = global_losses
-        elif kind is ScoringKind.L_LOSS:
-            losses = per_sample_losses(model, need(local_params, "local"), batch)
-        elif kind is ScoringKind.EXPERT:
-            losses = per_sample_losses(model, need(expert_params, "expert"), batch)
-        else:
+
+        def losses_at(params: np.ndarray) -> np.ndarray:
             # A client that has not trained yet has its local model at the
-            # global one: both halves are the same losses.
-            local = need(local_params, "local")
-            local_losses = (
-                global_losses
-                if local is global_params
-                else per_sample_losses(model, local, batch)
+            # global one: its losses are the global losses.
+            nonlocal global_losses
+            if params is not global_params:
+                return per_sample_losses(model, params, batch)
+            if global_losses is None:
+                global_losses = per_sample_losses(model, params, batch)
+            return global_losses
+
+        if kind is ScoringKind.G_LOSS:
+            losses = losses_at(need(global_params, "global"))
+        elif kind is ScoringKind.L_LOSS:
+            losses = losses_at(need(local_params, "local"))
+        elif kind is ScoringKind.EXPERT:
+            losses = losses_at(need(expert_params, "expert"))
+        else:
+            losses = 0.5 * (
+                losses_at(need(global_params, "global")) + losses_at(need(local_params, "local"))
             )
-            losses = 0.5 * (global_losses + local_losses)
         return scores_from_losses(losses)
 
     if kind in PRED_BASED:

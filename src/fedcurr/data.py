@@ -43,10 +43,8 @@ class Dataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    def batch(self, idx: np.ndarray | None = None) -> Batch:
-        if idx is None:
-            return Batch(self.features, self.labels)
-        return Batch(self.features[idx], self.labels[idx])
+    def batch(self) -> Batch:
+        return Batch(self.features, self.labels)
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class PartitionSpec:
     beta: float = 0.0  # Dirichlet concentration
     skew_classes: int = 0  # classes per client for label skew
     f_ord: float | None = None  # difficulty-reshuffle fraction, None = off
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_clients < 1:
@@ -191,11 +188,12 @@ def _largest_remainder(proportions: np.ndarray, total: int) -> np.ndarray:
     return quotas
 
 
-def partition(ds: Dataset, spec: PartitionSpec) -> Partition:
-    """Deal dataset indices to clients under the requested scheme."""
+def partition(ds: Dataset, spec: PartitionSpec, seed: int) -> Partition:
+    """Deal dataset indices to clients under the requested scheme, drawing
+    from a generator seeded with ``seed``."""
     m, n = spec.num_clients, len(ds)
     _check_feasible(spec, np.bincount(ds.labels, minlength=ds.num_classes))
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
 
     if spec.scheme is Scheme.IID:
         perm = rng.permutation(n)

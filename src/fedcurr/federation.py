@@ -25,10 +25,8 @@ import numpy as np
 from .clients import ClientSelectionConfig, score_clients, select_clients
 from .curriculum import (
     OrderingKind,
-    PacingFamily,
     PacingSpec,
     ScoringKind,
-    _check_fractions,
     order_and_select,
     pace,
     score_samples,
@@ -63,14 +61,11 @@ class Algorithm(Enum):
 
 @dataclass(frozen=True)
 class DataCurriculumConfig:
-    scoring: ScoringKind
-    family: PacingFamily
-    a: float
-    b: float
-    ordering: OrderingKind
+    """Sample scoring, and pacing over a client's data (one step per round)."""
 
-    def __post_init__(self):
-        _check_fractions(self.a, self.b)
+    scoring: ScoringKind
+    pacing: PacingSpec
+    ordering: OrderingKind
 
 
 @dataclass(frozen=True)
@@ -100,9 +95,11 @@ class ExperimentConfig:
             raise ConfigurationError("local_epochs must be >= 1", field="local_epochs")
         if self.mu_prox < 0:
             raise ConfigurationError("mu_prox must be >= 0", field="mu_prox")
-        if self.client_curriculum is not None:
-            if self.client_curriculum.pacing.total != self.num_clients:
-                raise ConfigurationError("client pacing total must equal num_clients")
+        cc = self.client_curriculum
+        if cc is not None and cc.client_batch_size > self.num_clients:
+            raise ConfigurationError(
+                "client batch size must be <= num_clients", field="client_batch_size"
+            )
 
 
 @dataclass
@@ -195,8 +192,7 @@ def client_update(
             rng=rng,
             global_losses=global_losses,
         )
-        spec = PacingSpec(dc.family, dc.a, dc.b, total=len(y), budget=cfg.rounds)
-        n_sel = pace(spec, t)
+        n_sel = pace(dc.pacing, t, len(y), cfg.rounds)
         chosen = np.sort(order_and_select(scores, dc.ordering, n_sel, rng))
         x, y = x[chosen], y[chosen]
     else:
@@ -341,7 +337,9 @@ def run_experiment(
         ys = [data.y[states[i].indices] for i in scored]
         block_losses, block_grads = _losses_and_grads(model, theta, xs, ys)
         if cfg.client_curriculum is not None:  # block i is client i
-            ids = select_clients(score_clients(block_losses), cfg.client_curriculum, t, round_rng)
+            ids = select_clients(
+                score_clients(block_losses), cfg.client_curriculum, t, cfg.rounds, round_rng
+            )
         losses = dict(zip(scored, block_losses))
         # The participants' rows go on to local training.
         rows = {i: (x, y) for i, x, y in zip(scored, xs, ys) if i in ids}

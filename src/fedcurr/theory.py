@@ -288,34 +288,24 @@ class NonconvexProblem:
         return np.tanh(theta)
 
 
-@dataclass
-class StepsizeSchedule:
-    alpha: np.ndarray  # (T+1, J+1), nonnegative
-
-    def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if self.alpha.ndim != 2 or np.any(self.alpha < 0):
-            raise ConfigurationError(
-                "stepsizes must be a nonnegative (T+1, J+1) matrix", field="alpha"
-            )
-
-    @property
-    def rounds(self) -> int:
-        return self.alpha.shape[0] - 1
-
-    @property
-    def local_steps(self) -> int:
-        return self.alpha.shape[1] - 1
+def constant_stepsizes(alpha: float, T: int, J: int) -> np.ndarray:
+    """The (T+1, J+1) stepsize matrix alpha(t, j) = alpha."""
+    return np.full((T + 1, J + 1), alpha)
 
 
-def constant_stepsizes(alpha: float, T: int, J: int) -> StepsizeSchedule:
-    return StepsizeSchedule(np.full((T + 1, J + 1), alpha))
-
-
-def inverse_round_stepsizes(alpha0: float, T: int, J: int) -> StepsizeSchedule:
-    """alpha(t, j) = alpha0 / (t + 1): diminishing across rounds."""
+def inverse_round_stepsizes(alpha0: float, T: int, J: int) -> np.ndarray:
+    """The (T+1, J+1) stepsize matrix alpha(t, j) = alpha0 / (t + 1):
+    diminishing across rounds."""
     rows = alpha0 / (np.arange(T + 1) + 1.0)
-    return StepsizeSchedule(np.repeat(rows[:, None], J + 1, axis=1))
+    return np.repeat(rows[:, None], J + 1, axis=1)
+
+
+def _stepsize_matrix(alpha: np.ndarray) -> np.ndarray:
+    """``alpha`` as a float (T+1, J+1) matrix; each stepsize must be >= 0."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim != 2 or np.any(alpha < 0):
+        raise ConfigurationError("stepsizes must be a nonnegative (T+1, J+1) matrix", field="alpha")
+    return alpha
 
 
 def _bias_matrix(bias: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -338,7 +328,7 @@ def _bias_matrix(bias: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def bound_convex(
     prob: ConvexProblem,
-    sched: StepsizeSchedule,
+    alpha: np.ndarray,
     bias: np.ndarray,
     rel_var: float,
     sigma2: float,
@@ -353,7 +343,7 @@ def bound_convex(
     with the contraction product and both sums running over rounds 1..T and
     local steps 0..J.
     """
-    alpha = sched.alpha
+    alpha = _stepsize_matrix(alpha)
     _check_noise(rel_var, sigma2)
     _check_convex_stepsizes(alpha, prob.L, rel_var)
     values = _bias_matrix(bias, alpha.shape)
@@ -368,13 +358,13 @@ def bound_convex(
 
 def bound_nonconvex(
     prob: NonconvexProblem,
-    sched: StepsizeSchedule,
+    alpha: np.ndarray,
     num_clients: int,
     theta0: np.ndarray,
 ) -> float:
     """Right-hand side of the nonconvex ergodic bound:
     Q (f(theta0) - f*) + 2 sum a (a + suffix-sum of a) L G^2 over all (t, j)."""
-    alpha = sched.alpha
+    alpha = _stepsize_matrix(alpha)
     suffix = np.cumsum(alpha[:, ::-1], axis=1)[:, ::-1]
     cross = float(np.sum(alpha * (alpha + suffix)))
     gap = prob.value(theta0) - prob.f_star
@@ -395,14 +385,15 @@ _NOISE_ROUNDS = 2
 
 def _simulate_rounds(
     oracle: BiasedGradOracle,
-    sched: StepsizeSchedule,
+    alpha: np.ndarray,
     theta0: np.ndarray,
     rngs: Sequence[np.random.Generator],
     on_round_start: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Full-participation Local SGD for R = len(rngs) independent runs at
-    once: rounds t = 0..T-1 of J+1 steps each, averaging the cohort after
-    every round. Returns the (R, d) final averages.
+    once: rounds t = 0..T-1 of J+1 steps each, with the (T+1, J+1)
+    stepsizes ``alpha``, averaging the cohort after every round. Returns
+    the (R, d) final averages.
 
     The iterates are one C-contiguous (R, Q, d) array, and ``grad_fn`` gets
     its (R Q, d) view, so a quadratic's gradient is one 2-D product per
@@ -423,8 +414,8 @@ def _simulate_rounds(
     the one column. ``on_round_start`` sees the (R, d) averages at the start
     of every round and at the end, each a new array."""
     q, dim = oracle.directions.shape
-    runs, rounds, steps = len(rngs), sched.rounds, sched.local_steps + 1
-    alpha = sched.alpha
+    runs = len(rngs)
+    rounds, steps = alpha.shape[0] - 1, alpha.shape[1]
     theta_hat = np.tile(theta0, (runs, 1))
     thetas = np.empty((runs, q, dim))
     points = thetas.reshape(runs * q, dim) if q > 1 else thetas
@@ -458,7 +449,7 @@ def _simulate_rounds(
 
 def verify_convex(
     prob: ConvexProblem,
-    sched: StepsizeSchedule,
+    alpha: np.ndarray,
     bias: np.ndarray,
     rel_var: float,
     sigma2: float,
@@ -470,8 +461,8 @@ def verify_convex(
     """Monte-Carlo check that the mean squared distance of the simulated
     endpoint stays below the evaluated convex bound."""
     _check_runs(n_runs)
-    bound = bound_convex(prob, sched, bias, rel_var, sigma2, num_clients, theta0)
-    values = _bias_matrix(bias, sched.alpha.shape)
+    bound = bound_convex(prob, alpha, bias, rel_var, sigma2, num_clients, theta0)
+    values = _bias_matrix(bias, alpha.shape)
     oracle = BiasedGradOracle(
         grad_fn=prob.grad,
         bias_values=values,
@@ -479,7 +470,7 @@ def verify_convex(
         rel_var=rel_var,
         sigma=math.sqrt(sigma2),
     )
-    endpoints = _simulate_rounds(oracle, sched, theta0, rng.spawn(n_runs))
+    endpoints = _simulate_rounds(oracle, alpha, theta0, rng.spawn(n_runs))
     total = 0.0  # summed run by run, in spawn order, to keep report.csv's digits
     for dist2 in np.sum((endpoints - prob.theta_star) ** 2, axis=1):
         total += float(dist2)
@@ -489,7 +480,7 @@ def verify_convex(
 
 def verify_nonconvex(
     prob: NonconvexProblem,
-    sched: StepsizeSchedule,
+    alpha: np.ndarray,
     num_clients: int,
     theta0: np.ndarray,
     n_runs: int,
@@ -500,20 +491,20 @@ def verify_nonconvex(
     squared round-start gradient norms against the nonconvex right-hand
     side. Gradients carry additive noise only; bias is off."""
     _check_runs(n_runs)
-    bound = bound_nonconvex(prob, sched, num_clients, theta0)
+    bound = bound_nonconvex(prob, alpha, num_clients, theta0)
     oracle = BiasedGradOracle(
         grad_fn=prob.grad,
-        bias_values=np.zeros_like(sched.alpha),
+        bias_values=np.zeros_like(alpha),
         directions=zero_sum_directions(num_clients, theta0.shape[0]),
         sigma=sigma,
     )
-    multiplier = sched.local_steps + 1
+    multiplier = alpha.shape[1]  # J + 1
     acc = np.zeros(n_runs)  # per-run weighted sum of round-start squared norms
 
     def record(theta_hat: np.ndarray) -> None:
         acc[:] += multiplier * np.sum(prob.grad(theta_hat) ** 2, axis=1)
 
-    _simulate_rounds(oracle, sched, theta0, rng.spawn(n_runs), on_round_start=record)
+    _simulate_rounds(oracle, alpha, theta0, rng.spawn(n_runs), on_round_start=record)
     total = 0.0  # summed run by run, in spawn order, to keep report.csv's digits
     for run_total in acc:
         total += float(run_total)
@@ -558,13 +549,13 @@ class ConvexCase:
         # verify() squares it.
         _check_curvature(self.mu, self.lipschitz)
         _check_noise(self.rel_var, self.sigma)
-        _check_convex_stepsizes(self._stepsizes().alpha, self.lipschitz, self.rel_var)
+        _check_convex_stepsizes(self._stepsizes(), self.lipschitz, self.rel_var)
         # Only the caps of the rounds a run takes (t < T) reach the oracle.
         _check_cohort(self.clients, self._bias()[:-1])
         _check_runs(self.n_runs)
         _check_directions(self.clients, self.dim)
 
-    def _stepsizes(self) -> StepsizeSchedule:
+    def _stepsizes(self) -> np.ndarray:
         alpha = self.alpha
         if alpha <= 0:
             alpha = 1.0 / (8.0 * (3.0 + 2.0 * self.rel_var) * self.lipschitz)
@@ -608,11 +599,11 @@ class NonconvexCase:
 
     def __post_init__(self):
         _check_noise(0.0, self.sigma)
-        self._stepsizes()  # alpha >= 0
+        _stepsize_matrix(self._stepsizes())  # alpha >= 0
         _check_runs(self.n_runs)
         _check_directions(self.clients, self.dim)
 
-    def _stepsizes(self) -> StepsizeSchedule:
+    def _stepsizes(self) -> np.ndarray:
         return constant_stepsizes(self.alpha, self.rounds, self.local_steps)
 
     def verify(self) -> BoundReport:

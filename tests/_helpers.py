@@ -138,24 +138,23 @@ def _perturb_reference(oracle, g, directions, cap, z):
     return g
 
 
-def simulate_rounds_reference(oracle, sched, theta0, rngs, on_round_start=None):
+def simulate_rounds_reference(oracle, alpha, theta0, rngs, on_round_start=None):
     """``theory._simulate_rounds`` as a stacked (R, Q, d) kernel: a 3-D ``grad_fn``
     call per step, one noise draw per run and round, out-of-place updates and
     ``mean(axis=1)`` for the cohort average."""
     q, dim = oracle.directions.shape
-    alpha = sched.alpha
     theta_hat = np.tile(theta0, (len(rngs), 1))
     noise = None
     if _noisy(oracle):
-        noise = np.empty((len(rngs), sched.local_steps + 1, q, dim))
-    for t in range(sched.rounds):
+        noise = np.empty((len(rngs), alpha.shape[1], q, dim))
+    for t in range(alpha.shape[0] - 1):
         if on_round_start is not None:
             on_round_start(theta_hat)
         if noise is not None:
             for r, child in enumerate(rngs):
                 child.standard_normal(out=noise[r])
         thetas = np.repeat(theta_hat[:, None, :], q, axis=1)
-        for j in range(sched.local_steps + 1):
+        for j in range(alpha.shape[1]):
             g = oracle.grad_fn(thetas)
             z = None if noise is None else noise[:, j]
             thetas -= alpha[t, j] * _perturb_reference(

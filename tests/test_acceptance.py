@@ -44,7 +44,7 @@ def report(n, text):
 
 def desk_world(seed):
     ds = fc.gen_synthetic(4000, 2, 10, 0.1, 2.0, seed)
-    part = fc.partition(ds, fc.PartitionSpec(fc.Scheme.DIRICHLET, 20, beta=0.1, seed=seed))
+    part = fc.partition(ds, fc.PartitionSpec(fc.Scheme.DIRICHLET, 20, beta=0.1), seed)
     test = fc.gen_synthetic(4000, 2, 10, 0.1, 2.0, seed + 7919).batch()
     return ds, part, test
 
@@ -53,7 +53,7 @@ def desk_config(seed, arm, client_curriculum=None):
     dc = None
     if arm != "vanilla":
         dc = fc.DataCurriculumConfig(
-            fc.ScoringKind.G_LOSS, fc.PacingFamily.LINEAR, a=0.8, b=0.2,
+            fc.ScoringKind.G_LOSS, fc.PacingSpec(fc.PacingFamily.LINEAR, a=0.8, b=0.2),
             ordering=fc.OrderingKind(arm),
         )
     return fc.ExperimentConfig(
@@ -73,13 +73,13 @@ def final_accuracy(seed, arm, part=None, ds=None, test=None, client_curriculum=N
 def test_criterion_1_pacing_exactness():
     with Timer(1.0):
         for family in fc.PacingFamily:
-            spec = fc.PacingSpec(family, a=0.8, b=0.2, total=100, budget=100)
-            values = [fc.pace(spec, t) for t in range(101)]
+            spec = fc.PacingSpec(family, a=0.8, b=0.2)
+            values = [fc.pace(spec, t, 100, 100) for t in range(101)]
             assert values[0] == 20
             assert all(v == 100 for t, v in enumerate(values) if t >= 80)
             assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
-        linear = fc.PacingSpec(fc.PacingFamily.LINEAR, 0.8, 0.2, 100, 100)
-        assert fc.pace(linear, 40) == 60
+        linear = fc.PacingSpec(fc.PacingFamily.LINEAR, 0.8, 0.2)
+        assert fc.pace(linear, 40, 100, 100) == 60
     report(1, "pacing families exact at the pinned parameters")
 
 
@@ -110,14 +110,14 @@ def test_criterion_3_partition_invariants():
     with Timer(30.0):
         ds = fc.gen_synthetic(2000, 10, 4, 0.1, 2.0, seed=1)
         specs = [
-            fc.PartitionSpec(fc.Scheme.IID, 15, seed=3),
-            fc.PartitionSpec(fc.Scheme.DIRICHLET, 15, beta=0.05, seed=3),
-            fc.PartitionSpec(fc.Scheme.DIRICHLET, 15, beta=0.2, seed=3),
-            fc.PartitionSpec(fc.Scheme.DIRICHLET, 15, beta=0.9, seed=3),
-            fc.PartitionSpec(fc.Scheme.LABEL_SKEW, 15, skew_classes=2, seed=3),
+            fc.PartitionSpec(fc.Scheme.IID, 15),
+            fc.PartitionSpec(fc.Scheme.DIRICHLET, 15, beta=0.05),
+            fc.PartitionSpec(fc.Scheme.DIRICHLET, 15, beta=0.2),
+            fc.PartitionSpec(fc.Scheme.DIRICHLET, 15, beta=0.9),
+            fc.PartitionSpec(fc.Scheme.LABEL_SKEW, 15, skew_classes=2),
         ]
         for spec in specs:
-            part = fc.partition(ds, spec)
+            part = fc.partition(ds, spec, 3)
             check_partition(ds, part)
             for f_ord in (0.0, 0.5, 1.0):
                 shuffled = fc.partition_difficulty(ds, part, f_ord, ds.difficulty_noise, seed=5)
@@ -142,9 +142,7 @@ def test_criterion_3_partition_invariants():
         totals = np.zeros(len(grid))
         for seed in DESK_SEEDS:
             dsx = fc.gen_synthetic(4000, 10, 8, 0.1, 2.0, seed)
-            basex = fc.partition(
-                dsx, fc.PartitionSpec(fc.Scheme.DIRICHLET, 20, beta=0.2, seed=seed)
-            )
+            basex = fc.partition(dsx, fc.PartitionSpec(fc.Scheme.DIRICHLET, 20, beta=0.2), seed)
             expert = fc.train_centralized(model, dsx, DESK_HYPER, epochs=20, seed=seed)
             exp_losses = fc.per_sample_losses(model, expert, dsx.batch())
             scores = fc.scores_from_losses(exp_losses) * len(dsx)
@@ -236,7 +234,7 @@ def test_criterion_8_consistency_and_client_curriculum():
     with Timer(600.0):
         a_f0, a_f1, a_cc = [], [], []
         client_cc = fc.ClientSelectionConfig(
-            pacing=fc.PacingSpec(fc.PacingFamily.LINEAR, a=0.5, b=0.4, total=20, budget=50),
+            pacing=fc.PacingSpec(fc.PacingFamily.LINEAR, a=0.5, b=0.4),
             ordering=fc.OrderingKind.CURRICULUM,
             client_batch_size=2,
         )

@@ -449,7 +449,9 @@ CLIENT_CC = {"enabled": "true"}
 INVALID_CONFIGS = [
     ("run", "data_curriculum", "pacing_a", "1.5", {}),
     ("run", "client_curriculum", "pacing_a", "1.5", CLIENT_CC),
+    # > num_clients is a rule of the experiment, < 1 one of the selection config.
     ("run", "client_curriculum", "client_batch_size", "40", CLIENT_CC),
+    ("run", "client_curriculum", "client_batch_size", "0", CLIENT_CC),
     ("run", "federation", "participants", "40", {}),
     ("run", "federation", "local_epochs", "0", {}),
     ("run", "federation", "rounds", "-1", {}),

@@ -19,20 +19,20 @@ from fedcurr import (
     scores_from_losses,
 )
 
-LINEAR_SPEC = PacingSpec(PacingFamily.LINEAR, a=0.8, b=0.2, total=100, budget=100)
+LINEAR_SPEC = PacingSpec(PacingFamily.LINEAR, a=0.8, b=0.2)
 
 
 def test_linear_pacing_exact_values():
-    assert pace(LINEAR_SPEC, 0) == 20
-    assert pace(LINEAR_SPEC, 40) == 60
-    assert pace(LINEAR_SPEC, 80) == 100
-    assert pace(LINEAR_SPEC, 100) == 100
+    assert pace(LINEAR_SPEC, 0, 100, 100) == 20
+    assert pace(LINEAR_SPEC, 40, 100, 100) == 60
+    assert pace(LINEAR_SPEC, 80, 100, 100) == 100
+    assert pace(LINEAR_SPEC, 100, 100, 100) == 100
 
 
 @pytest.mark.parametrize("family", list(PacingFamily))
 def test_pacing_boundaries_and_monotonicity(family):
-    spec = PacingSpec(family, a=0.8, b=0.2, total=100, budget=100)
-    values = [pace(spec, t) for t in range(101)]
+    spec = PacingSpec(family, a=0.8, b=0.2)
+    values = [pace(spec, t, 100, 100) for t in range(101)]
     assert values[0] == 20
     assert all(v == 100 for t, v in enumerate(values) if t >= 80)
     assert all(b >= a for a, b in zip(values, values[1:]))
@@ -46,8 +46,8 @@ def test_pacing_random_parameters(family):
         b = rng.uniform(0.05, 1.0)
         n = int(rng.integers(1, 500))
         budget = int(rng.integers(1, 200))
-        spec = PacingSpec(family, a=a, b=b, total=n, budget=budget)
-        values = [pace(spec, t) for t in range(budget + 1)]
+        spec = PacingSpec(family, a=a, b=b)
+        values = [pace(spec, t, n, budget) for t in range(budget + 1)]
         assert values[0] == min(n, max(1, int(np.floor(n * b + 0.5))))
         assert all(v2 >= v1 for v1, v2 in zip(values, values[1:]))
         assert all(v == n for t, v in enumerate(values) if t >= a * budget)
@@ -55,23 +55,23 @@ def test_pacing_random_parameters(family):
 
 def test_pacing_far_past_saturation():
     # Steps far beyond a*budget must not overflow the exponential family.
-    spec = PacingSpec(PacingFamily.EXPONENTIAL, a=0.01, b=0.1, total=50, budget=1000)
-    assert pace(spec, 1000) == 50
-    assert pace(spec, 10) == 50
+    spec = PacingSpec(PacingFamily.EXPONENTIAL, a=0.01, b=0.1)
+    assert pace(spec, 1000, 50, 1000) == 50
+    assert pace(spec, 10, 50, 1000) == 50
 
 
 def test_pacing_step_out_of_range():
     with pytest.raises(ValueError):
-        pace(LINEAR_SPEC, -1)
+        pace(LINEAR_SPEC, -1, 100, 100)
     with pytest.raises(ValueError):
-        pace(LINEAR_SPEC, 101)
+        pace(LINEAR_SPEC, 101, 100, 100)
 
 
 def test_invalid_pacing_parameters():
     with pytest.raises(ConfigurationError):
-        PacingSpec(PacingFamily.LINEAR, a=0.0, b=0.2, total=10, budget=10)
+        PacingSpec(PacingFamily.LINEAR, a=0.0, b=0.2)
     with pytest.raises(ConfigurationError):
-        PacingSpec(PacingFamily.LINEAR, a=0.5, b=1.5, total=10, budget=10)
+        PacingSpec(PacingFamily.LINEAR, a=0.5, b=1.5)
 
 
 def test_inverse_loss_scores():

@@ -70,7 +70,7 @@ def test_difficulty_axis_raises_converged_loss():
 def test_partition_invariants(spec_kwargs):
     ds = gen_synthetic(1200, 10, 4, 0.1, 1.0, seed=5)
     for seed in range(3):
-        part = partition(ds, PartitionSpec(num_clients=15, seed=seed, **spec_kwargs))
+        part = partition(ds, PartitionSpec(num_clients=15, **spec_kwargs), seed)
         check_partition(ds, part)
         sizes = [len(a) for a in part.assignment]
         assert sum(sizes) == len(ds)
@@ -79,7 +79,7 @@ def test_partition_invariants(spec_kwargs):
 
 def test_iid_single_client_gets_everything():
     ds = gen_synthetic(100, 2, 3, 0.1, 1.0, seed=1)
-    part = partition(ds, PartitionSpec(scheme=Scheme.IID, num_clients=1, seed=0))
+    part = partition(ds, PartitionSpec(scheme=Scheme.IID, num_clients=1), 0)
     assert part.assignment[0].tolist() == list(range(100))
 
 
@@ -88,7 +88,7 @@ def test_dirichlet_high_beta_approaches_uniform():
     for seed in range(5):
         ds = gen_synthetic(5000, 10, 4, 0.1, 1.0, seed=seed)
         part = partition(
-            ds, PartitionSpec(scheme=Scheme.DIRICHLET, num_clients=10, beta=1e6, seed=seed)
+            ds, PartitionSpec(scheme=Scheme.DIRICHLET, num_clients=10, beta=1e6), seed
         )
         hist = part.class_counts / np.array([len(a) for a in part.assignment])[:, None]
         assert np.abs(hist - 0.1).max() / 0.1 <= 0.2
@@ -97,7 +97,7 @@ def test_dirichlet_high_beta_approaches_uniform():
 def test_label_skew_two_classes_per_client():
     ds = gen_synthetic(10000, 10, 4, 0.1, 1.0, seed=9)
     part = partition(
-        ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=100, skew_classes=2, seed=2)
+        ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=100, skew_classes=2), 2
     )
     check_partition(ds, part)
     assert np.all((part.class_counts > 0).sum(axis=1) == 2)
@@ -107,7 +107,7 @@ def test_label_skew_infeasible():
     ds = gen_synthetic(100, 10, 4, 0.1, 1.0, seed=9)
     with pytest.raises(ConfigurationError):
         partition(
-            ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=4, skew_classes=2, seed=0)
+            ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=4, skew_classes=2), 0
         )
 
 
@@ -115,10 +115,10 @@ def test_label_skew_rejects_a_client_left_without_samples():
     # Both classes of 5 samples are split 8 ways; clients 5-7 would get none.
     ds = gen_synthetic(10, 2, 3, 0.1, 1.0, seed=1)
     with pytest.raises(ConfigurationError) as info:
-        partition(ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=8, skew_classes=2))
+        partition(ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=8, skew_classes=2), 0)
     assert info.value.field == "num_clients"
     assert "client 5" in str(info.value)
-    part = partition(ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=5, skew_classes=2))
+    part = partition(ds, PartitionSpec(scheme=Scheme.LABEL_SKEW, num_clients=5, skew_classes=2), 0)
     check_partition(ds, part)
     assert min(len(a) for a in part.assignment) >= 1
 
@@ -161,7 +161,7 @@ def test_difficulty_reshuffle_half_fraction():
 
 def test_difficulty_reshuffle_zero_fraction_is_random_deal():
     ds = gen_synthetic(600, 3, 4, 0.1, 1.0, seed=8)
-    base = partition(ds, PartitionSpec(scheme=Scheme.DIRICHLET, num_clients=6, beta=0.3, seed=1))
+    base = partition(ds, PartitionSpec(scheme=Scheme.DIRICHLET, num_clients=6, beta=0.3), 1)
     losses = np.random.default_rng(0).uniform(0.1, 2.0, 600)
     out = partition_difficulty(ds, base, 0.0, losses, seed=4)
     check_partition(ds, out)
@@ -173,7 +173,7 @@ def test_difficulty_reshuffle_zero_fraction_is_random_deal():
 @pytest.mark.parametrize("f_ord", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_difficulty_reshuffle_preserves_class_counts(f_ord):
     ds = gen_synthetic(900, 4, 3, 0.1, 1.5, seed=2)
-    base = partition(ds, PartitionSpec(scheme=Scheme.DIRICHLET, num_clients=9, beta=0.2, seed=3))
+    base = partition(ds, PartitionSpec(scheme=Scheme.DIRICHLET, num_clients=9, beta=0.2), 3)
     out = partition_difficulty(ds, base, f_ord, ds.difficulty_noise, seed=5)
     check_partition(ds, out)
     assert np.array_equal(out.class_counts, base.class_counts)
@@ -203,7 +203,7 @@ def test_mean_score_std_nonincreasing_in_f_ord():
     for seed in range(5):
         ds = gen_synthetic(4000, 10, 4, 0.1, 2.0, seed=seed)
         base = partition(
-            ds, PartitionSpec(scheme=Scheme.DIRICHLET, num_clients=20, beta=0.2, seed=seed)
+            ds, PartitionSpec(scheme=Scheme.DIRICHLET, num_clients=20, beta=0.2), seed
         )
         losses = ds.difficulty_noise
         for i, f in enumerate(grid):

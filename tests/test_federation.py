@@ -51,7 +51,7 @@ FOUR_MODELS = [
 def small_world(seed=42, n=400, clients=8, scheme=Scheme.DIRICHLET, beta=0.3):
     ds = gen_synthetic(n, 2, 5, 0.1, 1.5, seed=seed)
     kwargs = dict(beta=beta) if scheme is Scheme.DIRICHLET else {}
-    part = partition(ds, PartitionSpec(scheme=scheme, num_clients=clients, seed=seed, **kwargs))
+    part = partition(ds, PartitionSpec(scheme=scheme, num_clients=clients, **kwargs), seed)
     test = gen_synthetic(n, 2, 5, 0.1, 1.5, seed=seed + 1).batch()
     return ds, part, test
 
@@ -129,7 +129,7 @@ def test_curriculum_with_full_initial_fraction_matches_off():
     ds, part, test = small_world()
     on = base_config(
         data_curriculum=DataCurriculumConfig(
-            ScoringKind.G_LOSS, PacingFamily.LINEAR, a=0.8, b=1.0,
+            ScoringKind.G_LOSS, PacingSpec(PacingFamily.LINEAR, a=0.8, b=1.0),
             ordering=OrderingKind.CURRICULUM,
         )
     )
@@ -274,7 +274,7 @@ def test_run_is_deterministic():
     ds, part, test = small_world()
     cfg = base_config(
         data_curriculum=DataCurriculumConfig(
-            ScoringKind.G_LOSS, PacingFamily.LINEAR, 0.8, 0.2, OrderingKind.CURRICULUM
+            ScoringKind.G_LOSS, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
         )
     )
     assert metrics_equal(run_experiment(cfg, ds, part, test), run_experiment(cfg, ds, part, test))
@@ -283,7 +283,7 @@ def test_run_is_deterministic():
 def test_client_curriculum_run_smoke():
     ds, part, test = small_world()
     cc = ClientSelectionConfig(
-        pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5, total=8, budget=4),
+        pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5),
         ordering=OrderingKind.CURRICULUM,
         client_batch_size=3,
     )
@@ -307,7 +307,7 @@ def test_expert_scoring_requires_expert_in_run():
     ds, part, test = small_world()
     cfg = base_config(
         data_curriculum=DataCurriculumConfig(
-            ScoringKind.EXPERT, PacingFamily.LINEAR, 0.8, 0.2, OrderingKind.CURRICULUM
+            ScoringKind.EXPERT, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
         )
     )
     from fedcurr import ConfigurationError
@@ -321,7 +321,9 @@ def test_data_curriculum_rejects_pacing_fractions_when_built(a, b, field):
     from fedcurr import ConfigurationError
 
     with pytest.raises(ConfigurationError) as info:
-        DataCurriculumConfig(ScoringKind.G_LOSS, PacingFamily.LINEAR, a, b, OrderingKind.ANTI)
+        DataCurriculumConfig(
+            ScoringKind.G_LOSS, PacingSpec(PacingFamily.LINEAR, a, b), OrderingKind.ANTI
+        )
     assert info.value.field == field
 
 
@@ -350,7 +352,7 @@ def test_client_update_rejects_rows_that_do_not_fit_the_model(bad):
 
 def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None):
     """client_update written with the public, per-call-checked functions."""
-    full = ds.batch(state.indices)
+    full = Batch(ds.features[state.indices], ds.labels[state.indices])
     dc = cfg.data_curriculum
     if dc is not None:
         # A copy, so the reference runs the local half instead of reusing
@@ -359,8 +361,9 @@ def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None
         scores = score_samples(
             dc.scoring, cfg.model, full, global_params=global_params, local_params=local, rng=rng
         )
-        n_sel = pace(PacingSpec(dc.family, dc.a, dc.b, len(state.indices), cfg.rounds), t)
-        batch = ds.batch(state.indices[np.sort(order_and_select(scores, dc.ordering, n_sel, rng))])
+        n_sel = pace(dc.pacing, t, len(state.indices), cfg.rounds)
+        idx = state.indices[np.sort(order_and_select(scores, dc.ordering, n_sel, rng))]
+        batch = Batch(ds.features[idx], ds.labels[idx])
     else:
         batch = full
     theta, v = global_params.copy(), state.momentum.copy()
@@ -392,7 +395,7 @@ def test_client_update_matches_checked_reference(model, algorithm):
     # Two rounds of one client under lg_loss scoring, so the second round
     # scores with a local model that differs from the global one.
     ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
-    part = partition(ds, PartitionSpec(Scheme.IID, num_clients=4, seed=5))
+    part = partition(ds, PartitionSpec(Scheme.IID, num_clients=4), 5)
     cfg = base_config(
         model=model,
         num_clients=4,
@@ -401,7 +404,7 @@ def test_client_update_matches_checked_reference(model, algorithm):
         mu_prox=0.1 if algorithm is Algorithm.FEDPROX else 0.0,
         hyper=SgdHyper(eta0=0.05, momentum=0.9, weight_decay=5e-4, batch_size=7),
         data_curriculum=DataCurriculumConfig(
-            ScoringKind.LG_LOSS, PacingFamily.LINEAR, 0.8, 0.3, OrderingKind.CURRICULUM
+            ScoringKind.LG_LOSS, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.CURRICULUM
         ),
     )
     dim = model.param_count()
@@ -419,7 +422,9 @@ def test_client_update_matches_checked_reference(model, algorithm):
         ref_theta, ref_v, ref_tau, ref_control = _reference_update(
             state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
         )
-        losses = per_sample_losses(model, theta, ds.batch(state.indices))
+        losses = per_sample_losses(
+            model, theta, Batch(ds.features[state.indices], ds.labels[state.indices])
+        )
         state = client_update(
             state, theta, cfg, *client_rows(ds, state), t, np.random.default_rng([3, t]),
             server_c,
@@ -433,14 +438,18 @@ def test_client_update_matches_checked_reference(model, algorithm):
         theta = theta + 0.1 * (state.local_params - theta)
 
 
-def test_round_forwards_each_params_and_data_pair_once(monkeypatch):
-    # Client curriculum and g_loss scoring both need every client's losses at
-    # the broadcast model; each (parameters, data) pair is run through the
-    # model once. Parameters change every round and every local step, so
+@pytest.mark.parametrize(
+    "scoring", [ScoringKind.G_LOSS, ScoringKind.L_LOSS, ScoringKind.LG_LOSS], ids=lambda k: k.value
+)
+def test_round_forwards_each_params_and_data_pair_once(monkeypatch, scoring):
+    # Client curriculum and loss-based scoring both need every client's
+    # losses at the broadcast model (a client that has not trained yet has
+    # its local model there); each (parameters, data) pair is run through
+    # the model once. Parameters change every round and every local step, so
     # checking the whole run covers each round.
     ds, part, test = small_world(scheme=Scheme.IID)
     cc = ClientSelectionConfig(
-        pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5, total=8, budget=4),
+        pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5),
         ordering=OrderingKind.CURRICULUM,
         client_batch_size=3,
     )
@@ -448,7 +457,7 @@ def test_round_forwards_each_params_and_data_pair_once(monkeypatch):
         client_curriculum=cc,
         participants=3,
         data_curriculum=DataCurriculumConfig(
-            ScoringKind.G_LOSS, PacingFamily.LINEAR, 0.8, 0.2, OrderingKind.CURRICULUM
+            scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
         ),
     )
     seen = {}

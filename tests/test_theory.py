@@ -12,7 +12,6 @@ from fedcurr import (
     BiasedGradOracle,
     ConfigurationError,
     NonconvexProblem,
-    StepsizeSchedule,
     biased_grad,
     bound_convex,
     bound_nonconvex,
@@ -113,17 +112,17 @@ def test_verify_convex_bias_requires_cohort_of_two():
         )
 
 
-def _reference_rounds(oracle, sched, theta0, rng, on_round_start):
+def _reference_rounds(oracle, alpha, theta0, rng, on_round_start):
     """One run of Local SGD from per-call biased_grad draws."""
     q = oracle.num_clients
     theta_hat = theta0.copy()
-    for t in range(sched.rounds):
+    for t in range(alpha.shape[0] - 1):
         on_round_start(theta_hat)
         thetas = [theta_hat.copy() for _ in range(q)]
-        for j in range(sched.local_steps + 1):
+        for j in range(alpha.shape[1]):
             for k in range(q):
                 g = biased_grad(oracle, k, thetas[k], t, j, rng)
-                thetas[k] = thetas[k] - sched.alpha[t, j] * g
+                thetas[k] = thetas[k] - alpha[t, j] * g
         theta_hat = np.mean(thetas, axis=0)
     on_round_start(theta_hat)
     return theta_hat
@@ -182,17 +181,17 @@ def test_batched_rounds_draw_one_normal_per_coordinate(rel_var, sigma, noisy, T)
         assert child.bit_generator.state == fresh.bit_generator.state
 
 
-def _assert_same_trajectories(oracle, sched, theta0, n_runs):
+def _assert_same_trajectories(oracle, alpha, theta0, n_runs):
     """The kernel and the stacked reference, each on fresh children of one
     seed: equal bits at every round start and at the end."""
     results = []
     for kernel in (theory._simulate_rounds, simulate_rounds_reference):
         starts = []
-        end = kernel(oracle, sched, theta0, np.random.default_rng(3).spawn(n_runs), starts.append)
+        end = kernel(oracle, alpha, theta0, np.random.default_rng(3).spawn(n_runs), starts.append)
         results.append((end, starts))
     (end, starts), (ref_end, ref_starts) = results
     assert np.array_equal(end, ref_end)
-    assert len(starts) == len(ref_starts) == sched.rounds + 1
+    assert len(starts) == len(ref_starts) == alpha.shape[0]  # T + 1
     for s, ref in zip(starts, ref_starts):
         assert np.array_equal(s, ref)
 
@@ -223,7 +222,7 @@ def test_nonconvex_kernel_matches_stacked_reference_bitwise(q, T):
     prob = NonconvexProblem(dim=dim)
     sched = constant_stepsizes(0.05, T, J)
     oracle = BiasedGradOracle(
-        prob.grad, np.zeros_like(sched.alpha), zero_sum_directions(q, dim), sigma=0.05
+        prob.grad, np.zeros_like(sched), zero_sum_directions(q, dim), sigma=0.05
     )
     _assert_same_trajectories(oracle, sched, np.full(dim, 0.4), n_runs)
 
@@ -279,7 +278,7 @@ def test_verify_nonconvex_matches_per_call_reference():
         prob, sched, q, theta0, n_runs, np.random.default_rng(5), sigma=0.2
     )
     oracle = BiasedGradOracle(
-        prob.grad, np.zeros_like(sched.alpha), zero_sum_directions(q, dim), sigma=0.2
+        prob.grad, np.zeros_like(sched), zero_sum_directions(q, dim), sigma=0.2
     )
     total = 0.0
     for child in np.random.default_rng(5).spawn(n_runs):
@@ -385,7 +384,7 @@ def test_bound_convex_stepsize_precondition_names_entry():
     alpha = np.full((3, 3), 0.01)
     alpha[2, 1] = 1.0
     with pytest.raises(ValueError, match=r"alpha\[2,1\]"):
-        bound_convex(prob, StepsizeSchedule(alpha), np.zeros((3, 3)), 0.0, 0.0, 4,
+        bound_convex(prob, alpha, np.zeros((3, 3)), 0.0, 0.0, 4,
                      prob.theta_star + 1)
 
 
@@ -512,7 +511,8 @@ RULES = [
     ("odd_cohort_dim", "dim", lambda: _convex_case(dim=1, clients=3),
      lambda: zero_sum_directions(3, 1)),
     ("nonnegative_alpha", "alpha", lambda: _nonconvex_case(alpha=-0.05),
-     lambda: constant_stepsizes(-0.05, 3, 2)),
+     lambda: bound_nonconvex(NonconvexProblem(dim=3), constant_stepsizes(-0.05, 3, 2), 4,
+                             np.zeros(3))),
 ]
 
 
