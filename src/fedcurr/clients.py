@@ -13,22 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curriculum import OrderingKind, PacingSpec, pace
-from .errors import ConfigurationError
 from .models import Batch, ModelSpec, per_sample_losses
 
 
 @dataclass(frozen=True)
 class ClientSelectionConfig:
-    """Pacing over the client pool (one step per round), an ordering over
-    client scores, and the participating batch size."""
+    """Pacing over the client pool (one step per round) and an ordering over
+    client scores."""
 
     pacing: PacingSpec
     ordering: OrderingKind
-    client_batch_size: int
-
-    def __post_init__(self):
-        if self.client_batch_size < 1:
-            raise ConfigurationError("client batch size must be >= 1", field="client_batch_size")
 
 
 def client_loss(model: ModelSpec, params: np.ndarray, client_data: Batch) -> float:
@@ -49,11 +43,12 @@ def select_clients(
     cfg: ClientSelectionConfig,
     t: int,
     rounds: int,
+    count: int,
     rng: np.random.Generator,
 ) -> list[int]:
     """Eligible set = top-K(t) clients under the ordering of their mean
     losses (ties by id), K paced over ``rounds`` for a pool of every client
-    in ``losses``; return one uniform mini-batch of size min(batch, K(t))
+    in ``losses``; return one uniform mini-batch of size min(count, K(t))
     from it, ascending by id."""
     m = len(losses)
     k = pace(cfg.pacing, t, m, rounds)
@@ -64,5 +59,5 @@ def select_clients(
         eligible = ids[np.lexsort((ids, -losses))][:k]
     else:
         eligible = ids[rng.permutation(m)][:k]
-    batch = rng.choice(eligible, size=min(cfg.client_batch_size, k), replace=False)
+    batch = rng.choice(eligible, size=min(count, k), replace=False)
     return sorted(int(c) for c in batch)

@@ -6,20 +6,21 @@ line. ``parse_run_config`` builds the federation experiment description;
 ``fedcurr.theory``, in config order.
 
 This module only parses keys: it reads each value, converts it to its type
-and enum, and builds the domain objects. All validation happens while
-parsing, before any work starts, and every failure raises
-``ConfigurationError``: syntax problems carry configparser's line-numbered
-message, everything else names the offending key and section. Range rules
-live once, in the domain modules, which raise ``ConfigurationError`` with
-the field at fault; the parser maps that field back to the key it was read
-from.
+and enum, and builds the domain objects. A key that nothing reads is an
+error, so a misspelt key cannot silently leave its default in place. All
+validation happens while parsing, before any work starts, and every failure
+raises ``ConfigurationError``: syntax problems carry configparser's
+line-numbered message, everything else names the offending key and
+section. Range rules live once, in the domain modules, which raise
+``ConfigurationError`` with the field at fault; the parser maps that field
+back to the key it was read from.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .clients import ClientSelectionConfig
 from .curriculum import OrderingKind, PacingFamily, PacingSpec, ScoringKind
@@ -31,7 +32,7 @@ from .data import (
     _synthetic_class_sizes,
 )
 from .errors import ConfigurationError
-from .federation import Algorithm, DataCurriculumConfig, ExperimentConfig
+from .federation import Algorithm, DataCurriculumConfig, ExperimentConfig, _check_participants
 from .models import ModelKind, ModelSpec, SgdHyper
 from .theory import BiasKind, ConvexCase, NonconvexCase, StepsizeMode
 
@@ -76,6 +77,7 @@ class RunConfig:
 
 def _read(path: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp.read_keys = set()  # the (section, key) pairs _require has read
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
@@ -95,7 +97,16 @@ def _require(cp: configparser.ConfigParser, section: str, key: str) -> str:
         raise ConfigurationError(f"missing required section [{section}]")
     if not cp.has_option(section, key):
         raise ConfigurationError(f"missing required {_at(section, key)}")
+    cp.read_keys.add((section, cp.optionxform(key)))
     return cp.get(section, key)
+
+
+def _check_all_read(cp: configparser.ConfigParser) -> None:
+    """A key the parser did not read is a typo or sits in the wrong section."""
+    for section in cp.sections():
+        for key in cp.options(section):
+            if (section, key) not in cp.read_keys:
+                raise ConfigurationError(f"{_at(section, key)}: unused; check its spelling")
 
 
 def _convert(section: str, key: str, raw: str, kind, minimum=None):
@@ -190,6 +201,11 @@ def parse_run_config(path: str) -> RunConfig:
         _check_feasible, _keys("partition", "num_clients", "skew_classes"),
         spec=part_spec, class_sizes=_synthetic_class_sizes(dataset.n, dataset.classes),
     )
+    participants = _get(cp, "federation", "participants", int, default=10)
+    _built(
+        _check_participants, _keys("federation", "participants"),
+        participants=participants, num_clients=part_spec.num_clients,
+    )
 
     kind = _enum("model", "kind", _require(cp, "model", "kind"), ModelKind)
     model = _built(
@@ -210,53 +226,51 @@ def parse_run_config(path: str) -> RunConfig:
         },
     )
 
-    client_cc = None
-    if _get(cp, "client_curriculum", "enabled", bool, default=False):
-        client_cc = _built(
-            ClientSelectionConfig,
-            _keys("client_curriculum", "client_batch_size"),
-            pacing=_pacing(cp, "client_curriculum"),
-            ordering=_enum(
-                "client_curriculum", "ordering",
-                _get(cp, "client_curriculum", "ordering", str, default="curriculum"),
-                OrderingKind,
-            ),
-            client_batch_size=_get(
-                cp, "client_curriculum", "client_batch_size", int, default=10
-            ),
+    # Checked even when the client curriculum is off.
+    client_cc = ClientSelectionConfig(
+        pacing=_pacing(cp, "client_curriculum"),
+        ordering=_enum(
+            "client_curriculum", "ordering",
+            _get(cp, "client_curriculum", "ordering", str, default="curriculum"),
+            OrderingKind,
+        ),
+    )
+    client_enabled = _get(cp, "client_curriculum", "enabled", bool, default=False)
+    # Retired: [federation] participants sets the clients per round under
+    # either selection rule. The key is still accepted where it agrees.
+    retired = _get(cp, "client_curriculum", "client_batch_size", int)
+    if retired is not None and retired != participants:
+        raise ConfigurationError(
+            f"{_at('client_curriculum', 'client_batch_size')}: retired; it must equal "
+            f"{_at('federation', 'participants')} ({participants}), the clients per round"
         )
 
     names = _get(cp, "data_curriculum", "orderings", str, default="vanilla").split(",")
     names = [name.strip().lower() for name in names if name.strip()]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in ARMS:
             valid = ", ".join(ARMS)
             raise ConfigurationError(
                 f"{_at('data_curriculum', 'orderings')}: {name!r} is not one of {valid}"
             )
-    # Checked even when every arm is vanilla; each other arm sets its ordering.
-    curriculum = DataCurriculumConfig(
-        scoring=_enum(
-            "data_curriculum", "scoring",
-            _get(cp, "data_curriculum", "scoring", str, default="g_loss"), ScoringKind,
-        ),
-        pacing=_pacing(cp, "data_curriculum"),
-        ordering=OrderingKind.CURRICULUM,
+        if name in names[:i]:
+            raise ConfigurationError(f"{_at('data_curriculum', 'orderings')}: {name!r} repeats")
+    # Checked even when every arm is vanilla.
+    scoring = _enum(
+        "data_curriculum", "scoring",
+        _get(cp, "data_curriculum", "scoring", str, default="g_loss"), ScoringKind,
     )
+    pacing = _pacing(cp, "data_curriculum")
     arms = [
-        None if name == "vanilla" else replace(curriculum, ordering=OrderingKind(name))
+        None if name == "vanilla" else DataCurriculumConfig(scoring, pacing, OrderingKind(name))
         for name in names
     ]
 
     experiment = _built(
         ExperimentConfig,
-        {
-            **_keys("federation", "participants", "rounds", "local_epochs", "mu_prox"),
-            **_keys("client_curriculum", "client_batch_size"),
-        },
+        _keys("federation", "rounds", "local_epochs", "mu_prox"),
         model=model,
-        num_clients=part_spec.num_clients,
-        participants=_get(cp, "federation", "participants", int, default=10),
+        participants=participants,
         rounds=_get(cp, "federation", "rounds", int, required=True),
         local_epochs=_get(cp, "federation", "local_epochs", int, default=10),
         algorithm=_enum(
@@ -264,12 +278,12 @@ def parse_run_config(path: str) -> RunConfig:
             _get(cp, "federation", "algorithm", str, default="fedavg"), Algorithm,
         ),
         mu_prox=_get(cp, "federation", "mu_prox", float, default=0.0),
-        client_curriculum=client_cc,
+        client_curriculum=client_cc if client_enabled else None,
         hyper=hyper,
         seed=_get(cp, "run", "seed", int, default=DEFAULT_SEED),
     )
 
-    return RunConfig(
+    run = RunConfig(
         dataset=dataset,
         partition=part_spec,
         expert_epochs=_get(cp, "partition", "expert_epochs", int, default=30, minimum=0),
@@ -278,6 +292,8 @@ def parse_run_config(path: str) -> RunConfig:
         arms=arms,
         experiment=experiment,
     )
+    _check_all_read(cp)
+    return run
 
 
 def parse_theory_config(path: str) -> list[ConvexCase | NonconvexCase]:
@@ -312,7 +328,7 @@ def parse_theory_config(path: str) -> list[ConvexCase | NonconvexCase]:
                 schedule=_enum(section, "schedule", schedule, BiasKind),
                 b_start=_get(cp, section, "B_start", float, default=0.0),
                 b_end=_get(cp, section, "B_end", float, required=True),
-                alpha=_get(cp, section, "alpha", float, default=-1.0),
+                alpha=_get(cp, section, "alpha", float),
                 alpha_mode=_enum(section, "alpha_mode", alpha_mode, StepsizeMode),
                 theta0_scale=_get(cp, section, "theta0", float, default=1.0),
                 n_runs=_get(cp, section, "n_runs", int, default=500),
@@ -326,4 +342,5 @@ def parse_theory_config(path: str) -> list[ConvexCase | NonconvexCase]:
                 n_runs=_get(cp, section, "n_runs", int, default=200),
             )
         cases.append(case)
+    _check_all_read(cp)
     return cases

@@ -71,8 +71,7 @@ class DataCurriculumConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: ModelSpec
-    num_clients: int = 100
-    participants: int = 10
+    participants: int = 10  # clients per round, under either selection rule
     rounds: int = 100
     local_epochs: int = 10
     algorithm: Algorithm = Algorithm.FEDAVG
@@ -83,23 +82,17 @@ class ExperimentConfig:
     seed: int = 202207
 
     def __post_init__(self):
-        if self.num_clients < 1:
-            raise ConfigurationError("num_clients must be >= 1", field="num_clients")
-        if not 1 <= self.participants <= self.num_clients:
-            raise ConfigurationError(
-                "need 1 <= participants <= num_clients", field="participants"
-            )
         if self.rounds < 0:
             raise ConfigurationError("rounds must be >= 0", field="rounds")
         if self.local_epochs < 1:
             raise ConfigurationError("local_epochs must be >= 1", field="local_epochs")
         if self.mu_prox < 0:
             raise ConfigurationError("mu_prox must be >= 0", field="mu_prox")
-        cc = self.client_curriculum
-        if cc is not None and cc.client_batch_size > self.num_clients:
-            raise ConfigurationError(
-                "client batch size must be <= num_clients", field="client_batch_size"
-            )
+
+
+def _check_participants(participants: int, num_clients: int) -> None:
+    if not 1 <= participants <= num_clients:
+        raise ConfigurationError("need 1 <= participants <= num_clients", field="participants")
 
 
 @dataclass
@@ -293,8 +286,8 @@ def run_experiment(
 ) -> list[RoundMetrics]:
     """Run the full federation and return one metrics row per round
     (or the initial model's row when rounds == 0)."""
-    if part.num_clients != cfg.num_clients:
-        raise ConfigurationError("partition does not match num_clients")
+    m = part.num_clients
+    _check_participants(cfg.participants, m)
     if cfg.data_curriculum is not None and cfg.data_curriculum.scoring is ScoringKind.EXPERT:
         if expert_params is None:
             raise ConfigurationError("expert scoring needs expert parameters")
@@ -308,7 +301,7 @@ def run_experiment(
             momentum=np.zeros(dim),
             control=np.zeros(dim) if cfg.algorithm is Algorithm.SCAFFOLD else None,
         )
-        for i in range(cfg.num_clients)
+        for i in range(m)
     ]
     server_control = np.zeros(dim) if cfg.algorithm is Algorithm.SCAFFOLD else None
 
@@ -323,12 +316,9 @@ def run_experiment(
     for t in range(cfg.rounds):
         round_rng = np.random.default_rng([cfg.seed, _SERVER_STREAM, t])
         if cfg.client_curriculum is not None:
-            scored = range(cfg.num_clients)
+            scored = range(m)
         else:
-            ids = sorted(
-                int(c)
-                for c in round_rng.choice(cfg.num_clients, size=cfg.participants, replace=False)
-            )
+            ids = sorted(int(c) for c in round_rng.choice(m, size=cfg.participants, replace=False))
             scored = ids
         # One forward pass per scored client at theta. Its losses serve the
         # client ranking, the round diagnostics and loss-based sample scoring;
@@ -338,7 +328,8 @@ def run_experiment(
         block_losses, block_grads = _losses_and_grads(model, theta, xs, ys)
         if cfg.client_curriculum is not None:  # block i is client i
             ids = select_clients(
-                score_clients(block_losses), cfg.client_curriculum, t, cfg.rounds, round_rng
+                score_clients(block_losses), cfg.client_curriculum, t, cfg.rounds,
+                cfg.participants, round_rng,
             )
         losses = dict(zip(scored, block_losses))
         # The participants' rows go on to local training.
@@ -362,9 +353,7 @@ def run_experiment(
                 global_losses=losses[cid],
             )
         updated = [states[cid] for cid in ids]
-        theta, server_control = aggregate(
-            updated, cfg.algorithm, theta, server_control, cfg.num_clients
-        )
+        theta, server_control = aggregate(updated, cfg.algorithm, theta, server_control, m)
 
         acc, loss = evaluate(model, theta, test)
         subset_frac = float(np.mean([s.selected / len(s.indices) for s in updated]))

@@ -537,7 +537,7 @@ class ConvexCase:
     schedule: BiasKind
     b_start: float
     b_end: float
-    alpha: float  # <= 0 means the default 1/(8(3+2M)L)
+    alpha: float | None  # None means the default 1/(8(3+2M)L)
     alpha_mode: StepsizeMode
     theta0_scale: float
     n_runs: int
@@ -549,6 +549,8 @@ class ConvexCase:
         # verify() squares it.
         _check_curvature(self.mu, self.lipschitz)
         _check_noise(self.rel_var, self.sigma)
+        if self.alpha is not None and self.alpha <= 0:
+            raise ConfigurationError("alpha must be > 0; omit it for the default", field="alpha")
         _check_convex_stepsizes(self._stepsizes(), self.lipschitz, self.rel_var)
         # Only the caps of the rounds a run takes (t < T) reach the oracle.
         _check_cohort(self.clients, self._bias()[:-1])
@@ -557,7 +559,7 @@ class ConvexCase:
 
     def _stepsizes(self) -> np.ndarray:
         alpha = self.alpha
-        if alpha <= 0:
+        if alpha is None:
             alpha = 1.0 / (8.0 * (3.0 + 2.0 * self.rel_var) * self.lipschitz)
         if self.alpha_mode is StepsizeMode.CONSTANT:
             return constant_stepsizes(alpha, self.rounds, self.local_steps)

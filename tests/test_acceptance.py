@@ -57,7 +57,7 @@ def desk_config(seed, arm, client_curriculum=None):
             ordering=fc.OrderingKind(arm),
         )
     return fc.ExperimentConfig(
-        model=SOFTMAX2, num_clients=20, participants=2, rounds=50, local_epochs=1,
+        model=SOFTMAX2, participants=2, rounds=50, local_epochs=1,
         data_curriculum=dc, client_curriculum=client_curriculum,
         hyper=DESK_HYPER, seed=seed,
     )
@@ -236,7 +236,6 @@ def test_criterion_8_consistency_and_client_curriculum():
         client_cc = fc.ClientSelectionConfig(
             pacing=fc.PacingSpec(fc.PacingFamily.LINEAR, a=0.5, b=0.4),
             ordering=fc.OrderingKind.CURRICULUM,
-            client_batch_size=2,
         )
         for seed in DESK_SEEDS:
             ds, base, test = desk_world(seed)

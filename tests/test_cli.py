@@ -10,6 +10,7 @@ import pytest
 
 from fedcurr import ConfigurationError, cli
 from fedcurr.cli import main
+from fedcurr.config import parse_run_config
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -434,6 +435,21 @@ def test_diverging_expert_training_ends_in_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+def test_client_curriculum_draws_the_participants_per_round(tmp_path):
+    # 5 clients, 3 per round; the retired client_batch_size, where given,
+    # must agree and changes nothing.
+    text = MINIMAL_RUN.replace("num_clients = 6", "num_clients = 5") + (
+        "\n[client_curriculum]\nenabled = true\n"
+    )
+    for i, extra in enumerate(("", "client_batch_size = 3\n")):
+        cfg = write(tmp_path / f"cc{i}.ini", text + extra)
+        exp = parse_run_config(cfg).experiment
+        assert exp.participants == 3 and exp.client_curriculum is not None
+        assert main(["run", cfg, "--out", str(tmp_path / f"out{i}")]) == 0
+    for name in ("metrics.csv", "summary.csv"):
+        assert read(tmp_path / "out0" / name) == read(tmp_path / "out1" / name)
+
+
 def test_zero_trials_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "bad.ini", MINIMAL_RUN.replace("n_trials = 2", "n_trials = 0"))
     code = main(["run", cfg, "--out", str(tmp_path / "out")])
@@ -449,9 +465,17 @@ CLIENT_CC = {"enabled": "true"}
 INVALID_CONFIGS = [
     ("run", "data_curriculum", "pacing_a", "1.5", {}),
     ("run", "client_curriculum", "pacing_a", "1.5", CLIENT_CC),
-    # > num_clients is a rule of the experiment, < 1 one of the selection config.
+    # Retired: it must equal [federation] participants, 4 in the shipped config.
     ("run", "client_curriculum", "client_batch_size", "40", CLIENT_CC),
     ("run", "client_curriculum", "client_batch_size", "0", CLIENT_CC),
+    ("run", "client_curriculum", "client_batch_size", "3", CLIENT_CC),
+    # Checked with the client curriculum off too.
+    ("run", "client_curriculum", "pacing_b", "0", {}),
+    # A repeated arm would run twice and count twice in summary.csv.
+    ("run", "data_curriculum", "orderings", "curriculum,curriculum", {}),
+    # Keys nothing reads: a typo, and a section the parser does not know.
+    ("run", "federation", "participnts", "4", {}),
+    ("run", "federaton", "participants", "4", {}),
     ("run", "federation", "participants", "40", {}),
     ("run", "federation", "local_epochs", "0", {}),
     ("run", "federation", "rounds", "-1", {}),
@@ -493,6 +517,11 @@ INVALID_CONFIGS = [
     ("verify", "convex_data_schedule", "sigma", "-0.1", {}),
     ("verify", "nonconvex_logcosh", "sigma", "-0.1", {}),
     ("verify", "nonconvex_logcosh", "alpha", "-0.05", {}),
+    # A convex-only key in a nonconvex case is not read.
+    ("verify", "nonconvex_logcosh", "schedule", "client", {}),
+    # Omit alpha for the default; a given convex alpha must be > 0.
+    ("verify", "convex_client_schedule", "alpha", "-5", {}),
+    ("verify", "convex_client_schedule", "alpha", "0", {}),
     # L = 4, M = 1: the convex stepsize limit 1/(4(3+2M)L) is 0.0125.
     ("verify", "convex_client_schedule", "alpha", "5", {}),
     # inverse_round takes its largest step, alpha, in round 0.

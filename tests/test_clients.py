@@ -50,11 +50,10 @@ def test_score_clients_orders_inverse_to_loss():
     assert np.argsort(losses).tolist() == [1, 2, 0]
 
 
-def _config(ordering, batch_size, a=0.8, b=0.2):
+def _config(ordering, a=0.8, b=0.2):
     return ClientSelectionConfig(
         pacing=PacingSpec(PacingFamily.LINEAR, a=a, b=b),
         ordering=ordering,
-        client_batch_size=batch_size,
     )
 
 
@@ -63,38 +62,38 @@ def _scores(losses):
 
 
 def test_select_clients_batch_equals_eligible_when_k_matches():
-    cfg = _config(OrderingKind.CURRICULUM, batch_size=2, b=0.2)
+    cfg = _config(OrderingKind.CURRICULUM, b=0.2)
     losses = np.arange(1.0, 11.0)
-    picked = select_clients(_scores(losses), cfg, 0, 10, np.random.default_rng(0))
+    picked = select_clients(_scores(losses), cfg, 0, 10, 2, np.random.default_rng(0))
     assert picked == [0, 1]
 
 
 def test_select_clients_curriculum_prefers_low_loss():
-    cfg = _config(OrderingKind.CURRICULUM, batch_size=2, b=0.67)
-    picked = select_clients(_scores([3.0, 1.0, 2.0]), cfg, 0, 10, np.random.default_rng(1))
+    cfg = _config(OrderingKind.CURRICULUM, b=0.67)
+    picked = select_clients(_scores([3.0, 1.0, 2.0]), cfg, 0, 10, 2, np.random.default_rng(1))
     assert picked == [1, 2]
 
 
 def test_select_clients_anti_prefers_high_loss():
-    cfg = _config(OrderingKind.ANTI, batch_size=2, b=0.67)
-    picked = select_clients(_scores([3.0, 1.0, 2.0]), cfg, 0, 10, np.random.default_rng(1))
+    cfg = _config(OrderingKind.ANTI, b=0.67)
+    picked = select_clients(_scores([3.0, 1.0, 2.0]), cfg, 0, 10, 2, np.random.default_rng(1))
     assert picked == [0, 2]
 
 
 def test_select_clients_random_reproducible():
-    cfg = _config(OrderingKind.RANDOM, batch_size=5)
+    cfg = _config(OrderingKind.RANDOM)
     losses = np.random.default_rng(3).uniform(0.5, 2.0, 20)
-    a = select_clients(_scores(losses), cfg, 2, 10, np.random.default_rng(42))
-    b = select_clients(_scores(losses), cfg, 2, 10, np.random.default_rng(42))
+    a = select_clients(_scores(losses), cfg, 2, 10, 5, np.random.default_rng(42))
+    b = select_clients(_scores(losses), cfg, 2, 10, 5, np.random.default_rng(42))
     assert a == b
 
 
 def test_select_clients_rescaling_invariance():
     losses = np.random.default_rng(8).uniform(0.5, 3.0, 12)
     for ordering in (OrderingKind.CURRICULUM, OrderingKind.ANTI):
-        cfg = _config(ordering, batch_size=4, b=0.5)
-        a = select_clients(_scores(losses), cfg, 1, 10, np.random.default_rng(5))
-        b = select_clients(_scores(3.7 * losses), cfg, 1, 10, np.random.default_rng(5))
+        cfg = _config(ordering, b=0.5)
+        a = select_clients(_scores(losses), cfg, 1, 10, 4, np.random.default_rng(5))
+        b = select_clients(_scores(3.7 * losses), cfg, 1, 10, 4, np.random.default_rng(5))
         assert a == b
 
 
@@ -103,12 +102,12 @@ def test_selected_batch_subset_of_eligible():
     losses = rng.uniform(0.1, 5.0, 30)
     order = np.argsort(losses)
     for t in range(0, 11, 2):
-        cfg = _config(OrderingKind.CURRICULUM, batch_size=6)
+        cfg = _config(OrderingKind.CURRICULUM)
         from fedcurr import pace
 
         k = pace(cfg.pacing, t, 30, 10)
         eligible = set(order[:k].tolist())
-        picked = select_clients(_scores(losses), cfg, t, 10, rng)
+        picked = select_clients(_scores(losses), cfg, t, 10, 6, rng)
         assert set(picked) <= eligible
         assert len(picked) == min(6, k)
         assert picked == sorted(picked)
@@ -119,12 +118,12 @@ def test_everything_eligible_random_ordering_matches_vanilla_sampling():
     # sampling of Q clients: every client is eligible from round 0 and the
     # draw frequencies are flat.
     m, q = 20, 5
-    cfg = _config(OrderingKind.RANDOM, batch_size=q, b=1.0)
+    cfg = _config(OrderingKind.RANDOM, b=1.0)
     losses = np.random.default_rng(2).uniform(0.5, 2.0, m)
     rng = np.random.default_rng(0)
     counts = np.zeros(m)
     for t in range(2000):
-        picked = select_clients(_scores(losses), cfg, t % 10, 10, rng)
+        picked = select_clients(_scores(losses), cfg, t % 10, 10, q, rng)
         assert len(picked) == q
         counts[picked] += 1
     freq = counts / counts.sum()

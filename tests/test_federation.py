@@ -59,7 +59,6 @@ def small_world(seed=42, n=400, clients=8, scheme=Scheme.DIRICHLET, beta=0.3):
 def base_config(**overrides):
     defaults = dict(
         model=MODEL,
-        num_clients=8,
         participants=4,
         rounds=4,
         local_epochs=2,
@@ -285,11 +284,19 @@ def test_client_curriculum_run_smoke():
     cc = ClientSelectionConfig(
         pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5),
         ordering=OrderingKind.CURRICULUM,
-        client_batch_size=3,
     )
     metrics = run_experiment(base_config(client_curriculum=cc, participants=3), ds, part, test)
     assert len(metrics) == 4
     assert all(len(m.participants) == 3 for m in metrics)
+
+
+def test_run_checks_participants_against_the_partition():
+    from fedcurr import ConfigurationError
+
+    ds, part, test = small_world(clients=4)
+    with pytest.raises(ConfigurationError) as info:
+        run_experiment(base_config(participants=5), ds, part, test)
+    assert info.value.field == "participants"
 
 
 def test_frozen_scores_give_nested_selections():
@@ -398,7 +405,6 @@ def test_client_update_matches_checked_reference(model, algorithm):
     part = partition(ds, PartitionSpec(Scheme.IID, num_clients=4), 5)
     cfg = base_config(
         model=model,
-        num_clients=4,
         participants=2,
         algorithm=algorithm,
         mu_prox=0.1 if algorithm is Algorithm.FEDPROX else 0.0,
@@ -451,7 +457,6 @@ def test_round_forwards_each_params_and_data_pair_once(monkeypatch, scoring):
     cc = ClientSelectionConfig(
         pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5),
         ordering=OrderingKind.CURRICULUM,
-        client_batch_size=3,
     )
     cfg = base_config(
         client_curriculum=cc,

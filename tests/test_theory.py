@@ -465,7 +465,7 @@ def test_verify_nonconvex_requires_enough_runs(n_runs):
 def _convex_case(**changes):
     fields = dict(
         name="c", dim=4, mu=0.5, lipschitz=2.0, rel_var=0.5, sigma=0.1, clients=4, rounds=3,
-        local_steps=2, schedule=BiasKind.DATA_BASED, b_start=0.0, b_end=0.3, alpha=-1.0,
+        local_steps=2, schedule=BiasKind.DATA_BASED, b_start=0.0, b_end=0.3, alpha=None,
         alpha_mode=theory.StepsizeMode.CONSTANT, theta0_scale=1.0, n_runs=100, seed=1,
         problem_seed=0,
     )
