@@ -34,8 +34,9 @@ def client_loss(model: ModelSpec, params: np.ndarray, client_data: Batch) -> flo
 
 def score_clients(losses: list[np.ndarray]) -> np.ndarray:
     """Each client's mean per-sample loss, as an (M,) array; ``losses[i]``
-    belongs to client ``i``."""
-    return np.array([client_losses.mean() for client_losses in losses], dtype=np.float64)
+    belongs to client ``i``. ``np.add.reduce(l) / len(l)`` gives the bits of
+    ``l.mean()`` without numpy's Python wrapper."""
+    return np.array([np.add.reduce(l) / len(l) for l in losses], dtype=np.float64)
 
 
 def select_clients(

@@ -108,14 +108,17 @@ def score_samples(
     expert_params: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     global_losses: np.ndarray | None = None,
+    global_predictions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Score every sample in the batch with the requested method: one score
     per sample, the higher the easier. Loss-based scores sum to 1.
 
-    ``global_losses``, when given, are the per-sample losses of the batch at
-    ``global_params``. Loss-based scoring computes the losses at
-    ``global_params`` at most once, reusing ``global_losses`` when given, and
-    this holds for any scored parameters that are ``global_params`` itself.
+    ``global_losses`` and ``global_predictions``, when given, are the
+    per-sample losses and the argmax class predictions of the batch at
+    ``global_params``. The scorings compute each at ``global_params`` at most
+    once, reusing the given values, and this holds for any scored parameters
+    that are ``global_params`` itself: a client that has not trained yet has
+    its local model at the global one.
     """
 
     def need(params, name):
@@ -123,18 +126,19 @@ def score_samples(
             raise ConfigurationError(f"scoring {kind.value} requires {name} parameters")
         return params
 
-    if kind in LOSS_BASED:
-
-        def losses_at(params: np.ndarray) -> np.ndarray:
-            # A client that has not trained yet has its local model at the
-            # global one: its losses are the global losses.
-            nonlocal global_losses
+    def reusing_global(compute, at_global):
+        def value_at(params: np.ndarray) -> np.ndarray:
+            nonlocal at_global
             if params is not global_params:
-                return per_sample_losses(model, params, batch)
-            if global_losses is None:
-                global_losses = per_sample_losses(model, params, batch)
-            return global_losses
+                return compute(model, params, batch)
+            if at_global is None:
+                at_global = compute(model, params, batch)
+            return at_global
 
+        return value_at
+
+    if kind in LOSS_BASED:
+        losses_at = reusing_global(per_sample_losses, global_losses)
         if kind is ScoringKind.G_LOSS:
             losses = losses_at(need(global_params, "global"))
         elif kind is ScoringKind.L_LOSS:
@@ -150,19 +154,14 @@ def score_samples(
     if kind in PRED_BASED:
         if not model.is_classifier:
             raise ConfigurationError("prediction-based scoring requires a classifier")
+        predictions_at = reusing_global(predict, global_predictions)
         if kind is ScoringKind.G_PRED:
-            easy = predict(model, need(global_params, "global"), batch) == batch.y
+            easy = predictions_at(need(global_params, "global")) == batch.y
         elif kind is ScoringKind.L_PRED:
-            easy = predict(model, need(local_params, "local"), batch) == batch.y
+            easy = predictions_at(need(local_params, "local")) == batch.y
         else:
-            # As for lg_loss: an untrained client agrees with the global
-            # model by construction, from one prediction.
-            local = need(local_params, "local")
-            global_pred = predict(model, need(global_params, "global"), batch)
-            local_pred = (
-                global_pred if local is global_params else predict(model, local, batch)
-            )
-            easy = local_pred == global_pred
+            global_pred = predictions_at(need(global_params, "global"))
+            easy = predictions_at(need(local_params, "local")) == global_pred
         return easy.astype(np.float64)
 
     if rng is None:

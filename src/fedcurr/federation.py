@@ -1,12 +1,13 @@
 """Federated round loop: broadcast, curriculum-aware local training, and
 aggregation under FedAvg, FedProx, SCAFFOLD or FedNova.
 
-Each round runs the model once per needed client at the broadcast
-parameters, and that pass's per-sample losses and gradient feed the client
-ranking, the round diagnostics and loss-based sample scoring. Local training
-takes the rows gathered for that pass and checks them and the parameter
-shapes once per client update. It then runs ``models._local_sgd``, the one
-momentum-SGD loop, which ``train_centralized`` shares for the expert model.
+Each client's rows and one-hot targets are gathered once per run. Each
+round runs the model once per needed client at the broadcast parameters, and
+that pass's per-sample losses, argmax predictions and gradient feed the
+client ranking, the round diagnostics and sample scoring. Local training
+takes the same rows and checks them and the parameter shapes once per client
+update. It then runs ``models._local_sgd``, the one momentum-SGD loop, which
+``train_centralized`` shares for the expert model.
 
 Determinism contract: every random draw comes from a generator keyed by
 (seed, stream tag, round, client id), and the clients of a round train one
@@ -24,6 +25,7 @@ import numpy as np
 
 from .clients import ClientSelectionConfig, score_clients, select_clients
 from .curriculum import (
+    PRED_BASED,
     OrderingKind,
     PacingSpec,
     ScoringKind,
@@ -146,6 +148,8 @@ def client_update(
     server_control: np.ndarray | None = None,
     expert_params: np.ndarray | None = None,
     global_losses: np.ndarray | None = None,
+    global_predictions: np.ndarray | None = None,
+    target: np.ndarray | None = None,
 ) -> ClientState:
     """One local-training pass: select the paced subset, run the configured
     epochs of mini-batch SGD from the broadcast parameters, and return the
@@ -155,10 +159,13 @@ def client_update(
     each round.
 
     ``x`` and ``y`` are the client's rows, ``ds.features[state.indices]`` and
-    ``ds.labels[state.indices]`` (``run_experiment`` passes the rows it
-    gathered for the pass at the broadcast parameters). ``global_losses``,
-    when given, are the per-sample losses of those rows at ``global_params``; loss-based scoring
-    reuses them. The rows and parameter shapes are checked here, then
+    ``ds.labels[state.indices]``, and ``target`` their one-hot rows for a
+    classifier (computed from ``y`` when None). ``run_experiment`` gathers
+    all three once per run and passes the same arrays every round.
+    ``global_losses`` and ``global_predictions``, when given, are the
+    per-sample losses and argmax predictions of those rows at
+    ``global_params``; loss- and prediction-based scoring reuse them. The
+    rows and parameter shapes are checked here, on every call, then
     ``models._local_sgd`` steps on them unchecked, with the FedProx and
     SCAFFOLD terms added to each gradient in place. A step that leaves
     non-finite parameters raises FloatingPointError naming the round, the
@@ -169,6 +176,10 @@ def client_update(
     batch = Batch(x, y)
     _check_batch(model, global_params, batch)
     x, y = batch.x, batch.y
+    if target is None:
+        target = _targets(model, y)
+    elif len(target) != len(y):
+        raise ConfigurationError("targets and labels must have the same length")
     if state.momentum.shape != global_params.shape:
         raise ConfigurationError("parameter and momentum lengths must match")
     dc = cfg.data_curriculum
@@ -184,10 +195,11 @@ def client_update(
             expert_params=expert_params,
             rng=rng,
             global_losses=global_losses,
+            global_predictions=global_predictions,
         )
         n_sel = pace(dc.pacing, t, len(y), cfg.rounds)
         chosen = np.sort(order_and_select(scores, dc.ordering, n_sel, rng))
-        x, y = x[chosen], y[chosen]
+        x, target = x[chosen], target[chosen]
     else:
         n_sel = len(y)
 
@@ -208,7 +220,7 @@ def client_update(
     theta = global_params.copy()
     v = state.momentum.copy()
     step, eta_sum = _local_sgd(
-        model, cfg.hyper, theta, v, x, _targets(model, y), cfg.local_epochs, rng,
+        model, cfg.hyper, theta, v, x, target, cfg.local_epochs, rng,
         f"round {t}, client {state.client_id}", adjust if prox or scaffold else None,
     )
 
@@ -285,7 +297,12 @@ def run_experiment(
     expert_params: np.ndarray | None = None,
 ) -> list[RoundMetrics]:
     """Run the full federation and return one metrics row per round
-    (or the initial model's row when rounds == 0)."""
+    (or the initial model's row when rounds == 0).
+
+    The dataset is checked against the model once, and each client's rows,
+    labels and one-hot targets are gathered from it once per run. Every
+    round's pass at the broadcast parameters and every ``client_update``
+    read those arrays; ``client_update`` checks them again on each call."""
     m = part.num_clients
     _check_participants(cfg.participants, m)
     if cfg.data_curriculum is not None and cfg.data_curriculum.scoring is ScoringKind.EXPERT:
@@ -309,9 +326,13 @@ def run_experiment(
         acc, loss = evaluate(model, theta, test)
         return [RoundMetrics(0, acc, loss, [], float("nan"), float("nan"), float("nan"))]
 
-    # Every client's data is a subset of the dataset: check it once.
     data = ds.batch()
     _check_batch(model, theta, data)
+    xs = [data.x.take(s.indices, axis=0) for s in states]
+    ys = [data.y[s.indices] for s in states]
+    targets = [_targets(model, y) for y in ys]
+    dc = cfg.data_curriculum
+    predicting = dc is not None and dc.scoring in PRED_BASED and model.is_classifier
     metrics = []
     for t in range(cfg.rounds):
         round_rng = np.random.default_rng([cfg.seed, _SERVER_STREAM, t])
@@ -321,25 +342,28 @@ def run_experiment(
             ids = sorted(int(c) for c in round_rng.choice(m, size=cfg.participants, replace=False))
             scored = ids
         # One forward pass per scored client at theta. Its losses serve the
-        # client ranking, the round diagnostics and loss-based sample scoring;
-        # its gradient serves lambda.
-        xs = [data.x.take(states[i].indices, axis=0) for i in scored]
-        ys = [data.y[states[i].indices] for i in scored]
-        block_losses, block_grads = _losses_and_grads(model, theta, xs, ys)
+        # client ranking, the round diagnostics and loss-based sample scoring,
+        # the argmax of its outputs prediction-based scoring, and its gradient
+        # lambda.
+        block_losses, block_grads, block_outputs = _losses_and_grads(
+            model, theta, [xs[i] for i in scored], [ys[i] for i in scored],
+            [targets[i] for i in scored],
+        )
         if cfg.client_curriculum is not None:  # block i is client i
             ids = select_clients(
                 score_clients(block_losses), cfg.client_curriculum, t, cfg.rounds,
                 cfg.participants, round_rng,
             )
         losses = dict(zip(scored, block_losses))
-        # The participants' rows go on to local training.
-        rows = {i: (x, y) for i, x, y in zip(scored, xs, ys) if i in ids}
+        predictions = {
+            i: out.argmax(axis=1) for i, out in zip(scored, block_outputs) if predicting and i in ids
+        }
 
         sizes = np.array([len(states[i].indices) for i in ids], dtype=np.float64)
         w = sizes / sizes.sum()
         grad_at_theta = dict(zip(scored, block_grads))
         grads = [grad_at_theta[i]() for i in ids]
-        del grad_at_theta, block_grads, xs, ys  # free the forward passes before training
+        del grad_at_theta, block_grads, block_outputs  # free the forward passes before training
         try:
             lam = gradient_dissimilarity(grads, w)
         except ValueError:
@@ -349,8 +373,9 @@ def run_experiment(
         for cid in ids:  # ascending id: fixed reduction order
             crng = np.random.default_rng([cfg.seed, _CLIENT_STREAM, t, cid])
             states[cid] = client_update(
-                states[cid], theta, cfg, *rows[cid], t, crng, server_control, expert_params,
-                global_losses=losses[cid],
+                states[cid], theta, cfg, xs[cid], ys[cid], t, crng, server_control,
+                expert_params, global_losses=losses[cid],
+                global_predictions=predictions.get(cid), target=targets[cid],
             )
         updated = [states[cid] for cid in ids]
         theta, server_control = aggregate(updated, cfg.algorithm, theta, server_control, m)

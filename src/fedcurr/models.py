@@ -8,19 +8,23 @@ the momentum/weight-decay SGD step with a per-round decaying learning rate,
 and a dense Hessian decomposition probe for the least-squares models.
 
 The public functions check their inputs on every call. The private kernels
-behind them take raw arrays checked once by the caller, and do their
-elementwise work in arrays they already own: the forward pass adds the bias
-and applies tanh in place, the gradient writes each block into its view of
-one output vector, and ``_local_sgd``, the mini-batch loop that local and
-centralized training share, updates the parameters and momentum in buffers
-allocated once per call. Each keeps the bits of the out-of-place
-expressions, and a large pass does not page in fresh memory for every
-temporary.
+behind them take raw arrays checked once by the caller. The formulas live in
+two binders: ``_bind_forward`` and ``_bind_grad`` settle the dispatch on the
+model kind and take the views of the parameter (and gradient) vector once,
+and return functions that see later in-place updates of those vectors. The
+one-shot helpers (``_forward``, ``_terms_grad``), the block pass and
+evaluation call them once; ``_local_sgd``, the mini-batch loop that local and
+centralized training share, binds one step kernel per batch length at the
+start of a call (``_bind_step``), with its buffers. Each step then runs the
+forward pass, the log-softmax and softmax minus one-hot in place on one
+array and writes the gradient into one vector, and the update works in
+buffers allocated once per call. Every in-place form keeps the bits of the
+out-of-place expressions, and a large pass does not page in fresh memory for
+every temporary.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -168,39 +172,96 @@ def _unpack_mlp(model: ModelSpec, params: np.ndarray):
     return w1, b1, w2, b2
 
 
+def _bind_forward(
+    model: ModelSpec,
+    params: np.ndarray,
+    out: np.ndarray | None = None,
+    hidden: np.ndarray | None = None,
+) -> Callable:
+    """The forward pass with the dispatch on the model kind and the layer
+    views of ``params`` bound once: ``forward(x)`` returns the outputs, (m,)
+    for regression and (m, C) logits for classifiers, and the MLP's hidden
+    activations (None for the other models). The views follow in-place
+    updates of ``params``.
+
+    Each call writes its last product into ``out`` (an (m, 1) array for the
+    MLP's scalar head) and the MLP's first into ``hidden``; buffers that are
+    None are allocated by each call. The bias adds and the tanh then work in
+    place. The bits are those of ``x @ w.T + b``."""
+    d, c = model.input_dim, model.num_classes
+    if model.kind is not ModelKind.MLP_TANH:
+        if model.kind is ModelKind.LINEAR_REGRESSION:
+            wt, b = params[:d], params[d:]
+        else:
+            wt, b = params[: c * d].reshape(c, d).T, params[c * d :]
+
+        def forward(x):
+            z = np.matmul(x, wt, out=out)
+            z += b
+            return z, None
+
+        return forward
+    w1, b1, w2, b2 = _unpack_mlp(model, params)
+    w1t, w2t, scalar = w1.T, w2.T, c == 1
+
+    def mlp_forward(x):
+        a = np.matmul(x, w1t, out=hidden)
+        a += b1
+        np.tanh(a, out=a)
+        z = np.matmul(a, w2t, out=out)
+        z += b2
+        return (z[:, 0] if scalar else z), a
+
+    return mlp_forward
+
+
 def _forward(
     model: ModelSpec, params: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Model outputs, (m,) for regression and (m, C) logits for classifiers,
-    and the MLP's hidden activations (None for the other models).
-
-    The bias adds and the tanh write into the product they follow, so a pass
-    allocates one array per layer; the bits are those of ``x @ w.T + b``."""
-    d = model.input_dim
-    if model.kind is ModelKind.LINEAR_REGRESSION:
-        z = x @ params[:d]
-        z += params[d]
-        return z, None
-    if model.kind is ModelKind.SOFTMAX_REGRESSION:
-        c = model.num_classes
-        z = x @ params[: c * d].reshape(c, d).T
-        z += params[c * d :]
-        return z, None
-    w1, b1, w2, b2 = _unpack_mlp(model, params)
-    a = x @ w1.T
-    a += b1
-    np.tanh(a, out=a)
-    out = a @ w2.T
-    out += b2
-    return (out[:, 0] if model.num_classes == 1 else out), a
+    """One forward pass in fresh arrays; see ``_bind_forward``."""
+    return _bind_forward(model, params)(x)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def _log_softmax(z: np.ndarray, e: np.ndarray, s: np.ndarray, columns) -> np.ndarray:
+    """Log-probabilities of the logits ``z`` (m, C), written over ``z``.
+    ``columns`` are the (m,) views of z's columns; ``e`` (m, C) and ``s``
+    (m, 1) are scratch."""
     # The row max taken column by column: numpy's max along a short row axis
     # costs about 50 ns a row, and the max is exact in any order.
-    shifted = logits - functools.reduce(np.maximum, logits.T)[:, None]
-    shifted -= np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted
+    rowmax = s[:, 0]
+    np.maximum(columns[0], columns[1], out=rowmax)
+    for column in columns[2:]:
+        np.maximum(rowmax, column, out=rowmax)
+    z -= s
+    np.exp(z, out=e)
+    np.add.reduce(e, axis=1, keepdims=True, out=s)
+    np.log(s, out=s)
+    z -= s
+    return z
+
+
+def _residual(out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """f - y, written over ``out`` (numpy casts integer labels to float64)."""
+    return np.subtract(out, y, out=out)
+
+
+def _bind_terms(model: ModelSpec, out: np.ndarray | None = None) -> Callable:
+    """``terms(z, y)``: what both the losses and the gradient are built from,
+    written over the outputs ``z``: log-probabilities for classifiers,
+    residuals f - y for the regression models. When every ``z`` is the one
+    buffer ``out``, the log-softmax's scratch and the views of its columns
+    are bound once; otherwise each call allocates them."""
+    if not model.is_classifier:
+        return _residual
+    if out is None:
+        return lambda z, y: _log_softmax(z, np.empty_like(z), np.empty((len(z), 1)), z.T)
+    e, s, columns = np.empty_like(out), np.empty((len(out), 1)), list(out.T)
+    return lambda z, y: _log_softmax(z, e, s, columns)
+
+
+def _output_terms(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_bind_terms``' terms, written over ``out``."""
+    return _bind_terms(model)(out, y)
 
 
 def _targets(model: ModelSpec, y: np.ndarray) -> np.ndarray:
@@ -211,19 +272,84 @@ def _targets(model: ModelSpec, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _output_terms(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """What both the losses and the gradient are built from: log-probabilities
-    for classifiers, residuals f - y for the regression models (numpy casts
-    integer labels to float64 for the subtraction)."""
-    if model.is_classifier:
-        return _log_softmax(out)
-    return out - y
-
-
 def _terms_losses(model: ModelSpec, terms: np.ndarray, y: np.ndarray) -> np.ndarray:
     if model.is_classifier:
         return -terms[np.arange(len(y)), y]
     return 0.5 * terms**2
+
+
+def _bind_grad(
+    model: ModelSpec,
+    params: np.ndarray,
+    g: np.ndarray,
+    err: np.ndarray | None = None,
+    delta: np.ndarray | None = None,
+    square: np.ndarray | None = None,
+) -> Callable:
+    """The mean-loss gradient with the dispatch on the model kind and the
+    views of ``params`` and of the output vector ``g`` bound once:
+    ``grad(x, target, terms, hidden)`` writes each block into its view of
+    ``g``, which gives the bits of the products and sums concatenated.
+    ``target`` comes from ``_targets`` and ``terms`` from ``_bind_terms``.
+
+    Each call writes the loss derivative with respect to the outputs into
+    ``err``: softmax minus one-hot for classifiers (subtracting 0.0 leaves
+    the other classes' bits), the residual for the regression models, each
+    over m. ``err`` may be the array the terms arrive in, which is then
+    overwritten. The MLP's backpropagated (m, h) blocks go into ``delta``
+    and ``square``. Buffers that are None are allocated by each call."""
+    d, c, h = model.input_dim, model.num_classes, model.hidden_dim
+    classifier = model.is_classifier
+
+    def loss_derivative(target, terms):
+        if classifier:
+            e = np.exp(terms, out=err)
+            e -= target
+            e /= len(target)
+            return e
+        return np.divide(terms, len(target), out=err)
+
+    if model.kind is ModelKind.LINEAR_REGRESSION:
+        gw, gb = g[:d], g[d:]
+
+        def linear_grad(x, target, terms, hidden):
+            e = loss_derivative(target, terms)
+            np.matmul(x.T, e, out=gw)
+            np.add.reduce(e, axis=0, keepdims=True, out=gb)
+
+        return linear_grad
+    if model.kind is ModelKind.SOFTMAX_REGRESSION:
+        gw, gb = g[: c * d].reshape(c, d), g[c * d :]
+
+        def softmax_grad(x, target, terms, hidden):
+            e = loss_derivative(target, terms)
+            np.matmul(e.T, x, out=gw)
+            np.add.reduce(e, axis=0, out=gb)
+
+        return softmax_grad
+    w2 = _unpack_mlp(model, params)[2]
+    gw1, gb1 = g[: h * d].reshape(h, d), g[h * d : h * d + h]
+    gw2, gb2 = g[h * d + h : -c].reshape(c, h), g[-c:]
+    if c == 1:
+        gw2 = gw2[0]
+
+    def mlp_grad(x, target, terms, hidden):
+        e = loss_derivative(target, terms)
+        if c == 1:
+            np.matmul(hidden.T, e, out=gw2)
+            np.add.reduce(e, axis=0, keepdims=True, out=gb2)
+            back = np.multiply(e[:, None], w2[0], out=delta)  # np.outer
+        else:
+            np.matmul(e.T, hidden, out=gw2)
+            np.add.reduce(e, axis=0, out=gb2)
+            back = np.matmul(e, w2, out=delta)
+        s = np.square(hidden, out=square)
+        np.subtract(1.0, s, out=s)
+        back *= s
+        np.matmul(back.T, x, out=gw1)
+        np.add.reduce(back, axis=0, out=gb1)
+
+    return mlp_grad
 
 
 def _terms_grad(
@@ -235,46 +361,40 @@ def _terms_grad(
     hidden: np.ndarray | None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Mean-loss gradient; ``target`` comes from ``_targets``. Each block is
-    written into its view of ``out`` (allocated when None), which gives the
-    bits of the products and sums concatenated."""
-    m = len(target)
+    """Mean-loss gradient written into ``out`` (allocated when None), leaving
+    ``terms`` as it is; see ``_bind_grad``."""
     g = np.empty(model.param_count()) if out is None else out
-    if model.is_classifier:
-        # softmax minus one-hot: subtracting 0.0 leaves the other classes' bits.
-        err = np.exp(terms)
-        err -= target
-        err /= m
-    else:
-        err = terms / m
-    d, c, h = model.input_dim, model.num_classes, model.hidden_dim
-    if model.kind is ModelKind.LINEAR_REGRESSION:
-        np.matmul(x.T, err, out=g[:d])
-        np.add.reduce(err, axis=0, keepdims=True, out=g[d:])
-        return g
-    if model.kind is ModelKind.SOFTMAX_REGRESSION:
-        np.matmul(err.T, x, out=g[: c * d].reshape(c, d))
-        np.add.reduce(err, axis=0, out=g[c * d :])
-        return g
-    w2 = _unpack_mlp(model, params)[2]
-    if c == 1:
-        np.matmul(hidden.T, err, out=g[h * d + h : h * d + 2 * h])
-        np.add.reduce(err, axis=0, keepdims=True, out=g[-1:])
-        delta = np.outer(err, w2[0])
-    else:
-        np.matmul(err.T, hidden, out=g[h * d + h : -c].reshape(c, h))
-        np.add.reduce(err, axis=0, out=g[-c:])
-        delta = err @ w2
-    s = np.square(hidden)
-    np.subtract(1.0, s, out=s)
-    delta *= s
-    np.matmul(delta.T, x, out=g[: h * d].reshape(h, d))
-    np.add.reduce(delta, axis=0, out=g[h * d : h * d + h])
+    _bind_grad(model, params, g)(x, target, terms, hidden)
     return g
 
 
 def _losses(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample losses from the outputs ``out``, which are overwritten."""
     return _terms_losses(model, _output_terms(model, out, y), y)
+
+
+def _bind_step(model: ModelSpec, params: np.ndarray, g: np.ndarray, m: int) -> Callable:
+    """``step(x, target)``: the mean-loss gradient of ``m`` rows at
+    ``params``, written into ``g``. The forward pass, the terms and the loss
+    derivative run in place on one outputs array, beside scratch arrays, all
+    allocated here once; each keeps the bits of the one-shot calls."""
+    c, h, mlp = model.num_classes, model.hidden_dim, model.kind is ModelKind.MLP_TANH
+    out = np.empty((m,) if model.kind is ModelKind.LINEAR_REGRESSION else (m, c))
+    hidden = delta = square = None
+    if mlp:
+        hidden, delta, square = np.empty((m, h)), np.empty((m, h)), np.empty((m, h))
+    forward = _bind_forward(model, params, out, hidden)
+    terms = _bind_terms(model, out)
+    # The loss derivative goes over the terms: for the MLP's scalar head, over
+    # the (m,) view of its (m, 1) outputs that the forward pass returns.
+    err = out[:, 0] if mlp and c == 1 else out
+    grad = _bind_grad(model, params, g, err, delta, square)
+
+    def step(x, target):
+        z, a = forward(x)
+        grad(x, target, terms(z, target), a)
+
+    return step
 
 
 def _local_sgd(
@@ -292,30 +412,40 @@ def _local_sgd(
     """Mini-batch momentum SGD on rows checked by the caller, overwriting
     ``theta`` and the momentum ``v``; ``target`` comes from ``_targets``.
 
-    Each epoch gathers the rows once in a fresh permutation from ``rng`` (one
-    ``take``, about 3x faster than fancy indexing), then steps on contiguous
-    slices of ``hyper.batch_size`` rows with eta(i), i counting steps from 0.
-    ``adjust(g, theta)``, when given, adds its terms to the gradient in place
-    before the update. The update is ``sgd_step``'s in its operation order,
-    done in buffers allocated once per call. A step that leaves non-finite
+    Each epoch gathers the rows once in a fresh permutation from ``rng`` into
+    one buffer (one ``take``, about 3x faster than fancy indexing), then
+    steps on its contiguous slices of ``hyper.batch_size`` rows with eta(i),
+    i counting steps from 0. Everything that does not change within the call
+    is bound once at its start: the slices, one ``_bind_step`` kernel per
+    batch length, and the update's buffers. ``adjust(g, theta)``, when given,
+    adds its terms to the gradient in place before the update. The update is
+    ``sgd_step``'s in its operation order. A step that leaves non-finite
     parameters raises FloatingPointError naming ``where`` and the step; the
     overflow warnings on the way there would only repeat it, so they are
     silenced. Returns the step count and the sum of the rates used."""
-    bs = hyper.batch_size
-    starts = range(0, len(target), bs)
-    etas = [hyper.learning_rate(i) for i in range(epochs * len(starts))]
+    n, bs = len(target), hyper.batch_size
     rho, wd = hyper.momentum, hyper.weight_decay
     g, tmp = np.empty_like(theta), np.empty_like(theta)
     finite = np.empty(theta.shape, dtype=bool)
+    xp, tp = np.empty(x.shape), np.empty(target.shape, dtype=target.dtype)
+    kernels: dict[int, Callable] = {}
+    batches = []
+    for lo in range(0, n, bs):
+        hi = min(lo + bs, n)
+        if hi - lo not in kernels:
+            kernels[hi - lo] = _bind_step(model, theta, g, hi - lo)
+        batches.append((xp[lo:hi], tp[lo:hi], kernels[hi - lo]))
+    etas = [hyper.learning_rate(i) for i in range(epochs * len(batches))]
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            perm = rng.permutation(len(target))
-            xp, tp = x.take(perm, axis=0), target.take(perm, axis=0)
-            for lo in starts:
-                xb, tb = xp[lo : lo + bs], tp[lo : lo + bs]
-                out, hidden = _forward(model, theta, xb)
-                _terms_grad(model, theta, xb, tb, _output_terms(model, out, tb), hidden, out=g)
+            perm = rng.permutation(n)
+            # mode="clip" leaves a permutation as it is and skips the copy
+            # that the default mode makes of an ``out``.
+            x.take(perm, axis=0, out=xp, mode="clip")
+            target.take(perm, axis=0, out=tp, mode="clip")
+            for xb, tb, kernel in batches:
+                kernel(xb, tb)
                 if adjust is not None:
                     adjust(g, theta)
                 # v <- rho*v + (g + wd*theta); theta <- theta - eta*v
@@ -325,7 +455,8 @@ def _local_sgd(
                 v += tmp
                 np.multiply(v, etas[step], out=tmp)
                 theta -= tmp
-                if not np.isfinite(theta, out=finite).all():
+                np.isfinite(theta, out=finite)
+                if not np.logical_and.reduce(finite):
                     raise FloatingPointError(
                         f"{where}: non-finite parameters after step {step}"
                     )
@@ -337,29 +468,35 @@ def _local_sgd(
 
 
 def _losses_and_grads(
-    model: ModelSpec, params: np.ndarray, xs: list[np.ndarray], ys: list[np.ndarray]
-) -> tuple[list[np.ndarray], list[Callable[[], np.ndarray]]]:
-    """Unchecked per-sample losses of several blocks of rows, and per block a
+    model: ModelSpec,
+    params: np.ndarray,
+    xs: list[np.ndarray],
+    ys: list[np.ndarray],
+    targets: list[np.ndarray],
+) -> tuple[list[np.ndarray], list[Callable[[], np.ndarray]], list[np.ndarray]]:
+    """Unchecked per-sample losses of several blocks of rows, per block a
     function that returns its mean-loss gradient from the same forward pass
-    (computed only when called).
+    (computed only when called; ``targets[k]`` comes from ``_targets``), and
+    per block the raw model outputs of that pass.
 
     Each block goes through the model by itself, so every matrix product sees
     the same rows as it would alone. The row-wise rest runs once over all
     blocks, which saves numpy calls and leaves each row's bits as they are."""
-    passes = [_forward(model, params, x) for x in xs]
-    hidden = [h for _, h in passes]
+    forward = _bind_forward(model, params)
+    passes = [forward(x) for x in xs]
+    outputs = [out for out, _ in passes]
     y = np.concatenate(ys)
-    terms = _output_terms(model, np.concatenate([out for out, _ in passes]), y)
+    terms = _output_terms(model, np.concatenate(outputs), y)
     losses = _terms_losses(model, terms, y)
     ends = np.cumsum([len(b) for b in ys]).tolist()
     blocks = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
 
     def grad_of(k: int) -> Callable[[], np.ndarray]:
         return lambda: _terms_grad(
-            model, params, xs[k], _targets(model, ys[k]), terms[blocks[k]], hidden[k]
+            model, params, xs[k], targets[k], terms[blocks[k]], passes[k][1]
         )
 
-    return [losses[b] for b in blocks], [grad_of(k) for k in range(len(xs))]
+    return [losses[b] for b in blocks], [grad_of(k) for k in range(len(xs))], outputs
 
 
 def per_sample_losses(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:

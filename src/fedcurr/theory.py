@@ -601,7 +601,9 @@ class NonconvexCase:
 
     def __post_init__(self):
         _check_noise(0.0, self.sigma)
-        _stepsize_matrix(self._stepsizes())  # alpha >= 0
+        _stepsize_matrix(self._stepsizes())  # alpha >= 0, as the library checks it
+        if not self.alpha > 0:  # a zero step never moves theta0
+            raise ConfigurationError("alpha must be > 0", field="alpha")
         _check_runs(self.n_runs)
         _check_directions(self.clients, self.dim)
 

@@ -107,24 +107,42 @@ def terms_grad_reference(model, params, x, target, terms, hidden) -> np.ndarray:
     return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0), np.ravel(gw2), gb2])
 
 
+def local_sgd_reference(model, hyper, theta, v, data, epochs, rng, where, extra=None):
+    """``models._local_sgd`` as a loop of the public, per-call-checked ``grad``
+    and ``sgd_step`` on mini-batches gathered from the ``Batch`` ``data``.
+    ``extra(g, theta)``, when given, returns the gradient with the FedProx or
+    SCAFFOLD terms added, out of place. A step that leaves non-finite
+    parameters raises FloatingPointError naming ``where`` and the step.
+    Returns (theta, v, steps, the sum of the rates used)."""
+    step, eta_sum = 0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            perm = rng.permutation(len(data))
+            for lo in range(0, len(data), hyper.batch_size):
+                idx = perm[lo : lo + hyper.batch_size]
+                g = grad(model, theta, Batch(data.x[idx], data.y[idx]))
+                if extra is not None:
+                    g = extra(g, theta)
+                eta_sum += hyper.learning_rate(step)
+                try:
+                    theta, v = sgd_step(theta, g, hyper, step, v)
+                except FloatingPointError:
+                    raise FloatingPointError(
+                        f"{where}: non-finite parameters after step {step}"
+                    ) from None
+                step += 1
+    return theta, v, step, eta_sum
+
+
 def train_centralized_reference(
     model: ModelSpec, ds: Dataset, hyper: SgdHyper, epochs: int, seed: int
 ) -> np.ndarray:
-    """``train_centralized`` as a loop of the public, per-call-checked
-    ``grad`` and ``sgd_step`` on gathered mini-batches."""
+    """``train_centralized`` as ``local_sgd_reference`` over the dataset."""
     rng = np.random.default_rng([seed, _INIT_STREAM])
     theta = init_params(model, rng)
-    v = np.zeros_like(theta)
-    data = ds.batch()
-    step = 0
-    for _ in range(epochs):
-        perm = rng.permutation(len(data))
-        for lo in range(0, len(data), hyper.batch_size):
-            idx = perm[lo : lo + hyper.batch_size]
-            mini = Batch(data.x[idx], data.y[idx])
-            theta, v = sgd_step(theta, grad(model, theta, mini), hyper, step, v)
-            step += 1
-    return theta
+    return local_sgd_reference(
+        model, hyper, theta, np.zeros_like(theta), ds.batch(), epochs, rng, "expert training"
+    )[0]
 
 
 def _perturb_reference(oracle, g, directions, cap, z):

@@ -517,6 +517,8 @@ INVALID_CONFIGS = [
     ("verify", "convex_data_schedule", "sigma", "-0.1", {}),
     ("verify", "nonconvex_logcosh", "sigma", "-0.1", {}),
     ("verify", "nonconvex_logcosh", "alpha", "-0.05", {}),
+    # A zero step never moves theta0.
+    ("verify", "nonconvex_logcosh", "alpha", "0", {}),
     # A convex-only key in a nonconvex case is not read.
     ("verify", "nonconvex_logcosh", "schedule", "client", {}),
     # Omit alpha for the default; a given convex alpha must be > 0.

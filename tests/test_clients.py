@@ -50,6 +50,16 @@ def test_score_clients_orders_inverse_to_loss():
     assert np.argsort(losses).tolist() == [1, 2, 0]
 
 
+def test_score_clients_is_each_mean_bit_for_bit():
+    # Sizes from one sample up, past numpy's 8-wide pairwise-summation
+    # blocks, with losses whose sums round.
+    rng = np.random.default_rng(23)
+    losses = [rng.exponential(size=n) * 10.0 ** rng.integers(-8, 8) for n in
+              (1, 1, 2, 3, 7, 8, 9, 17, 128, 129, 1000)]
+    expected = np.array([l.mean() for l in losses])
+    assert score_clients(losses).tobytes() == expected.tobytes()
+
+
 def _config(ordering, a=0.8, b=0.2):
     return ClientSelectionConfig(
         pacing=PacingSpec(PacingFamily.LINEAR, a=a, b=b),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _helpers import train_centralized_reference
+from _helpers import local_sgd_reference, train_centralized_reference
 
 from fedcurr import (
     Algorithm,
@@ -357,6 +357,19 @@ def test_client_update_rejects_rows_that_do_not_fit_the_model(bad):
         )
 
 
+def test_client_update_rejects_targets_that_do_not_fit_the_labels():
+    from fedcurr import ConfigurationError
+
+    ds, part, _ = small_world()
+    state = fresh_state(ds, part, 0)
+    x, y = client_rows(ds, state)
+    with pytest.raises(ConfigurationError):
+        client_update(
+            state, np.zeros(MODEL.param_count()), base_config(), x, y, 0,
+            np.random.default_rng(0), target=models._targets(MODEL, y[:-1]),
+        )
+
+
 def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None):
     """client_update written with the public, per-call-checked functions."""
     full = Batch(ds.features[state.indices], ds.labels[state.indices])
@@ -373,21 +386,18 @@ def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None
         batch = Batch(ds.features[idx], ds.labels[idx])
     else:
         batch = full
-    theta, v = global_params.copy(), state.momentum.copy()
-    bs = cfg.hyper.batch_size
-    step, eta_sum = 0, 0.0
-    for _ in range(cfg.local_epochs):
-        perm = rng.permutation(len(batch))
-        for lo in range(0, len(batch), bs):
-            idx = perm[lo : lo + bs]
-            g = grad(cfg.model, theta, Batch(batch.x[idx], batch.y[idx]))
-            if cfg.algorithm is Algorithm.FEDPROX:
-                g = g + cfg.mu_prox * (theta - global_params)
-            if cfg.algorithm is Algorithm.SCAFFOLD:
-                g = g + server_control - state.control
-            eta_sum += cfg.hyper.learning_rate(step)
-            theta, v = sgd_step(theta, g, cfg.hyper, step, v)
-            step += 1
+
+    def extra(g, theta):
+        if cfg.algorithm is Algorithm.FEDPROX:
+            g = g + cfg.mu_prox * (theta - global_params)
+        if cfg.algorithm is Algorithm.SCAFFOLD:
+            g = g + server_control - state.control
+        return g
+
+    theta, v, step, eta_sum = local_sgd_reference(
+        cfg.model, cfg.hyper, global_params.copy(), state.momentum.copy(), batch,
+        cfg.local_epochs, rng, f"round {t}, client {state.client_id}", extra,
+    )
     control = state.control
     if cfg.algorithm is Algorithm.SCAFFOLD:
         control = state.control - server_control + (global_params - theta) / (
@@ -396,11 +406,9 @@ def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None
     return theta, v, step, control
 
 
-@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
-@pytest.mark.parametrize("algorithm", [Algorithm.FEDAVG, Algorithm.FEDPROX, Algorithm.SCAFFOLD])
-def test_client_update_matches_checked_reference(model, algorithm):
-    # Two rounds of one client under lg_loss scoring, so the second round
-    # scores with a local model that differs from the global one.
+def _one_client(model, algorithm, hyper, data_curriculum=None):
+    """A config, a client of 75 IID rows and its broadcast parameters (and
+    SCAFFOLD server control) for the bitwise training tests."""
     ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
     part = partition(ds, PartitionSpec(Scheme.IID, num_clients=4), 5)
     cfg = base_config(
@@ -408,10 +416,8 @@ def test_client_update_matches_checked_reference(model, algorithm):
         participants=2,
         algorithm=algorithm,
         mu_prox=0.1 if algorithm is Algorithm.FEDPROX else 0.0,
-        hyper=SgdHyper(eta0=0.05, momentum=0.9, weight_decay=5e-4, batch_size=7),
-        data_curriculum=DataCurriculumConfig(
-            ScoringKind.LG_LOSS, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.CURRICULUM
-        ),
+        hyper=hyper,
+        data_curriculum=data_curriculum,
     )
     dim = model.param_count()
     scaffold = algorithm is Algorithm.SCAFFOLD
@@ -424,6 +430,63 @@ def test_client_update_matches_checked_reference(model, algorithm):
     init_rng = np.random.default_rng(11)
     theta = init_params(model, init_rng)
     server_c = init_rng.standard_normal(dim) * 0.01 if scaffold else None
+    return ds, cfg, state, theta, server_c
+
+
+ALGORITHMS = [Algorithm.FEDAVG, Algorithm.FEDPROX, Algorithm.SCAFFOLD]
+BATCH_7 = SgdHyper(eta0=0.05, momentum=0.9, weight_decay=5e-4, batch_size=7)
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_client_update_trains_bit_for_bit_as_the_public_functions(model, algorithm):
+    # 75 rows in batches of 7 end each epoch on a 5-row remainder. Three
+    # rounds carry the momentum and the SCAFFOLD control across updates.
+    ds, cfg, state, theta, server_c = _one_client(model, algorithm, BATCH_7)
+    assert len(state.indices) % BATCH_7.batch_size != 0
+    for t in range(3):
+        ref_theta, ref_v, ref_tau, ref_control = _reference_update(
+            state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
+        )
+        state = client_update(
+            state, theta, cfg, *client_rows(ds, state), t, np.random.default_rng([3, t]),
+            server_c,
+        )
+        assert np.array_equal(state.local_params, ref_theta)
+        assert np.array_equal(state.momentum, ref_v)
+        assert state.tau == ref_tau == cfg.local_epochs * 11
+        if algorithm is Algorithm.SCAFFOLD:
+            assert np.array_equal(state.control, ref_control)
+        theta = theta + 0.5 * (state.local_params - theta)
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_diverging_client_update_fails_at_the_reference_step(model, algorithm):
+    hyper = SgdHyper(eta0=1e20, decay_alpha=0.0, momentum=0.9, weight_decay=5e-4, batch_size=7)
+    ds, cfg, state, theta, server_c = _one_client(model, algorithm, hyper)
+    with pytest.raises(FloatingPointError) as expected:
+        _reference_update(state, theta, cfg, ds, 2, np.random.default_rng(3), server_c)
+    with pytest.raises(FloatingPointError) as caught:
+        client_update(
+            state, theta, cfg, *client_rows(ds, state), 2, np.random.default_rng(3), server_c
+        )
+    assert str(caught.value) == str(expected.value)
+    assert str(caught.value).startswith("round 2, client 1: non-finite parameters after step ")
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_client_update_matches_checked_reference(model, algorithm):
+    # Two rounds of one client under lg_loss scoring, so the second round
+    # scores with a local model that differs from the global one. The paced
+    # subsets, 23 and 39 rows, end on a short batch.
+    ds, cfg, state, theta, server_c = _one_client(
+        model, algorithm, BATCH_7,
+        DataCurriculumConfig(
+            ScoringKind.LG_LOSS, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.CURRICULUM
+        ),
+    )
     for t in range(2):
         ref_theta, ref_v, ref_tau, ref_control = _reference_update(
             state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
@@ -436,12 +499,42 @@ def test_client_update_matches_checked_reference(model, algorithm):
             server_c,
             global_losses=losses,
         )
+        assert state.selected % BATCH_7.batch_size != 0
         assert np.array_equal(state.local_params, ref_theta)
         assert np.array_equal(state.momentum, ref_v)
         assert state.tau == ref_tau
-        if scaffold:
+        if algorithm is Algorithm.SCAFFOLD:
             assert np.array_equal(state.control, ref_control)
         theta = theta + 0.1 * (state.local_params - theta)
+
+
+def count_forwards(monkeypatch) -> dict:
+    """Count every forward pass, local steps included, by its round and the
+    bytes of its (parameters, rows) at the moment it runs. Each pass binds
+    its parameters through ``models._bind_forward``, and ``evaluate`` ends a
+    round."""
+    seen, rounds = {}, [0]
+    bind_forward, evaluate = models._bind_forward, federation.evaluate
+
+    def bind(model, params, *buffers):
+        forward = bind_forward(model, params, *buffers)
+
+        def counted(x):
+            key = (rounds[0], params.tobytes(), x.tobytes(), x.shape)
+            seen[key] = seen.get(key, 0) + 1
+            return forward(x)
+
+        return counted
+
+    def end_round(*args):
+        try:
+            return evaluate(*args)
+        finally:
+            rounds[0] += 1
+
+    monkeypatch.setattr(models, "_bind_forward", bind)
+    monkeypatch.setattr(federation, "evaluate", end_round)
+    return seen
 
 
 @pytest.mark.parametrize(
@@ -451,8 +544,7 @@ def test_round_forwards_each_params_and_data_pair_once(monkeypatch, scoring):
     # Client curriculum and loss-based scoring both need every client's
     # losses at the broadcast model (a client that has not trained yet has
     # its local model there); each (parameters, data) pair is run through
-    # the model once. Parameters change every round and every local step, so
-    # checking the whole run covers each round.
+    # the model once in a round.
     ds, part, test = small_world(scheme=Scheme.IID)
     cc = ClientSelectionConfig(
         pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5),
@@ -465,20 +557,34 @@ def test_round_forwards_each_params_and_data_pair_once(monkeypatch, scoring):
             scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
         ),
     )
-    seen = {}
-    original = models._forward
-
-    def counted(model, params, x):
-        key = (params.tobytes(), x.tobytes(), x.shape)
-        seen[key] = seen.get(key, 0) + 1
-        return original(model, params, x)
-
-    monkeypatch.setattr(models, "_forward", counted)
-    monkeypatch.setattr(federation, "_forward", counted)
+    seen = count_forwards(monkeypatch)
     metrics = run_experiment(cfg, ds, part, test)
     assert len(metrics) == 4
     # Per round: 8 clients scored, plus the test set.
     assert len(seen) > 4 * (8 + 1)
+    assert max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("scoring", list(ScoringKind), ids=lambda k: k.value)
+def test_every_scoring_forwards_each_params_and_data_pair_once(monkeypatch, scoring):
+    # The participants' pass at the broadcast model serves the prediction-
+    # based scorings too: g_pred, l_pred for a client that has not trained
+    # yet and the global half of lg_pred take its argmax instead of running
+    # the model again. Expert scoring repeats its pass across rounds, since
+    # the expert does not change, but not within one.
+    ds, part, test = small_world(scheme=Scheme.IID)
+    cfg = base_config(
+        data_curriculum=DataCurriculumConfig(
+            scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
+        ),
+    )
+    expert = init_params(MODEL, np.random.default_rng(5))
+    expected = run_experiment(cfg, ds, part, test, expert_params=expert)
+    seen = count_forwards(monkeypatch)
+    metrics = run_experiment(cfg, ds, part, test, expert_params=expert)
+    assert metrics_equal(metrics, expected)
+    # Per round: 4 participants, their local steps and the test set.
+    assert len(seen) > 4 * (4 + 1)
     assert max(seen.values()) == 1
 
 

@@ -527,6 +527,13 @@ def test_case_and_library_share_each_range_check(rule, field, case, library):
     assert str(errors[0]) == str(errors[1])
 
 
+@pytest.mark.parametrize("alpha", [0.0, float("nan")])
+def test_nonconvex_case_rejects_a_step_that_is_not_positive(alpha):
+    with pytest.raises(ConfigurationError) as caught:
+        _nonconvex_case(alpha=alpha)
+    assert caught.value.field == "alpha"
+
+
 def test_convex_case_with_zero_caps_in_its_rounds_runs_with_one_client():
     # A client schedule from B_start = 0 over T = 1 applies only its round-0
     # caps, all zero, so the cohort rule does not apply.
