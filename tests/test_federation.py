@@ -24,7 +24,6 @@ from fedcurr import (
     client_update,
     federation,
     gen_synthetic,
-    grad,
     gradient_dissimilarity,
     init_params,
     models,
@@ -34,7 +33,6 @@ from fedcurr import (
     per_sample_losses,
     run_experiment,
     score_samples,
-    sgd_step,
     train_centralized,
 )
 
