@@ -149,7 +149,6 @@ def client_update(
     expert_params: np.ndarray | None = None,
     global_losses: np.ndarray | None = None,
     global_predictions: np.ndarray | None = None,
-    target: np.ndarray | None = None,
 ) -> ClientState:
     """One local-training pass: select the paced subset, run the configured
     epochs of mini-batch SGD from the broadcast parameters, and return the
@@ -159,27 +158,22 @@ def client_update(
     each round.
 
     ``x`` and ``y`` are the client's rows, ``ds.features[state.indices]`` and
-    ``ds.labels[state.indices]``, and ``target`` their one-hot rows for a
-    classifier (computed from ``y`` when None). ``run_experiment`` gathers
-    all three once per run and passes the same arrays every round.
-    ``global_losses`` and ``global_predictions``, when given, are the
-    per-sample losses and argmax predictions of those rows at
-    ``global_params``; loss- and prediction-based scoring reuse them. The
-    rows and parameter shapes are checked here, on every call, then
-    ``models._local_sgd`` steps on them unchecked, with the FedProx and
-    SCAFFOLD terms added to each gradient in place. A step that leaves
-    non-finite parameters raises FloatingPointError naming the round, the
-    client and the step."""
+    ``ds.labels[state.indices]``; ``run_experiment`` gathers them once per
+    run and passes the same arrays every round. ``global_losses`` and
+    ``global_predictions``, when given, are the per-sample losses and argmax
+    predictions of those rows at ``global_params``; loss- and
+    prediction-based scoring reuse them. The rows and parameter shapes are
+    checked here, on every call, and the training targets are built here
+    from the selected labels. ``models._local_sgd`` then steps on them
+    unchecked, with the FedProx and SCAFFOLD terms added to each gradient in
+    place. A step that leaves non-finite parameters raises
+    FloatingPointError naming the round, the client and the step."""
     if len(y) < 1:
         raise ConfigurationError(f"client {state.client_id} holds no data")
     model = cfg.model
     batch = Batch(x, y)
     _check_batch(model, global_params, batch)
     x, y = batch.x, batch.y
-    if target is None:
-        target = _targets(model, y)
-    elif len(target) != len(y):
-        raise ConfigurationError("targets and labels must have the same length")
     if state.momentum.shape != global_params.shape:
         raise ConfigurationError("parameter and momentum lengths must match")
     dc = cfg.data_curriculum
@@ -199,7 +193,7 @@ def client_update(
         )
         n_sel = pace(dc.pacing, t, len(y), cfg.rounds)
         chosen = np.sort(order_and_select(scores, dc.ordering, n_sel, rng))
-        x, target = x[chosen], target[chosen]
+        x, y = x[chosen], y[chosen]
     else:
         n_sel = len(y)
 
@@ -220,7 +214,7 @@ def client_update(
     theta = global_params.copy()
     v = state.momentum.copy()
     step, eta_sum = _local_sgd(
-        model, cfg.hyper, theta, v, x, target, cfg.local_epochs, rng,
+        model, cfg.hyper, theta, v, x, _targets(model, y), cfg.local_epochs, rng,
         f"round {t}, client {state.client_id}", adjust if prox or scaffold else None,
     )
 
@@ -301,8 +295,9 @@ def run_experiment(
 
     The dataset is checked against the model once, and each client's rows,
     labels and one-hot targets are gathered from it once per run. Every
-    round's pass at the broadcast parameters and every ``client_update``
-    read those arrays; ``client_update`` checks them again on each call."""
+    round's pass at the broadcast parameters reads all three, and every
+    ``client_update`` the rows and labels, which it checks again on each
+    call."""
     m = part.num_clients
     _check_participants(cfg.participants, m)
     if cfg.data_curriculum is not None and cfg.data_curriculum.scoring is ScoringKind.EXPERT:
@@ -375,7 +370,7 @@ def run_experiment(
             states[cid] = client_update(
                 states[cid], theta, cfg, xs[cid], ys[cid], t, crng, server_control,
                 expert_params, global_losses=losses[cid],
-                global_predictions=predictions.get(cid), target=targets[cid],
+                global_predictions=predictions.get(cid),
             )
         updated = [states[cid] for cid in ids]
         theta, server_control = aggregate(updated, cfg.algorithm, theta, server_control, m)

@@ -240,28 +240,23 @@ def _log_softmax(z: np.ndarray, e: np.ndarray, s: np.ndarray, columns) -> np.nda
     return z
 
 
-def _residual(out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """f - y, written over ``out`` (numpy casts integer labels to float64)."""
+def _output_terms(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """What both the losses and the gradient are built from, written over the
+    outputs ``out``: log-probabilities for classifiers, residuals f - y for
+    the regression models (numpy casts integer labels to float64)."""
+    if model.is_classifier:
+        return _log_softmax(out, np.empty_like(out), np.empty((len(out), 1)), out.T)
     return np.subtract(out, y, out=out)
 
 
-def _bind_terms(model: ModelSpec, out: np.ndarray | None = None) -> Callable:
-    """``terms(z, y)``: what both the losses and the gradient are built from,
-    written over the outputs ``z``: log-probabilities for classifiers,
-    residuals f - y for the regression models. When every ``z`` is the one
-    buffer ``out``, the log-softmax's scratch and the views of its columns
-    are bound once; otherwise each call allocates them."""
+def _bind_terms(model: ModelSpec, out: np.ndarray) -> Callable:
+    """``terms(z, y)``: ``_output_terms`` for outputs ``z`` that are always
+    the one buffer ``out``, with the log-softmax's scratch and the views of
+    its columns bound once."""
     if not model.is_classifier:
-        return _residual
-    if out is None:
-        return lambda z, y: _log_softmax(z, np.empty_like(z), np.empty((len(z), 1)), z.T)
+        return lambda z, y: np.subtract(z, y, out=z)
     e, s, columns = np.empty_like(out), np.empty((len(out), 1)), list(out.T)
     return lambda z, y: _log_softmax(z, e, s, columns)
-
-
-def _output_terms(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``_bind_terms``' terms, written over ``out``."""
-    return _bind_terms(model)(out, y)
 
 
 def _targets(model: ModelSpec, y: np.ndarray) -> np.ndarray:

@@ -355,19 +355,6 @@ def test_client_update_rejects_rows_that_do_not_fit_the_model(bad):
         )
 
 
-def test_client_update_rejects_targets_that_do_not_fit_the_labels():
-    from fedcurr import ConfigurationError
-
-    ds, part, _ = small_world()
-    state = fresh_state(ds, part, 0)
-    x, y = client_rows(ds, state)
-    with pytest.raises(ConfigurationError):
-        client_update(
-            state, np.zeros(MODEL.param_count()), base_config(), x, y, 0,
-            np.random.default_rng(0), target=models._targets(MODEL, y[:-1]),
-        )
-
-
 def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None):
     """client_update written with the public, per-call-checked functions."""
     full = Batch(ds.features[state.indices], ds.labels[state.indices])
@@ -542,7 +529,8 @@ def test_round_forwards_each_params_and_data_pair_once(monkeypatch, scoring):
     # Client curriculum and loss-based scoring both need every client's
     # losses at the broadcast model (a client that has not trained yet has
     # its local model there); each (parameters, data) pair is run through
-    # the model once in a round.
+    # the model once. Parameters change every round and every local step, so
+    # checking the whole run covers each round.
     ds, part, test = small_world(scheme=Scheme.IID)
     cc = ClientSelectionConfig(
         pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5),
@@ -558,9 +546,12 @@ def test_round_forwards_each_params_and_data_pair_once(monkeypatch, scoring):
     seen = count_forwards(monkeypatch)
     metrics = run_experiment(cfg, ds, part, test)
     assert len(metrics) == 4
+    whole_run = {}
+    for (_, *pair), n in seen.items():
+        whole_run[tuple(pair)] = whole_run.get(tuple(pair), 0) + n
     # Per round: 8 clients scored, plus the test set.
-    assert len(seen) > 4 * (8 + 1)
-    assert max(seen.values()) == 1
+    assert len(whole_run) > 4 * (8 + 1)
+    assert max(whole_run.values()) == 1
 
 
 @pytest.mark.parametrize("scoring", list(ScoringKind), ids=lambda k: k.value)
