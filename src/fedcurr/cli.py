@@ -55,10 +55,11 @@ class TrialData:
     ds: Dataset
     part: Partition
     test: Dataset
-    expert_params: np.ndarray | None
+    expert_losses: np.ndarray | None  # the expert's per-sample loss of each row of ds
 
 
 def _build_trial(cfg: RunConfig, trial: int) -> TrialData:
+    """A trial's data; the expert runs over it once if ``f_ord`` or an arm ranks by it."""
     seed = cfg.experiment.seed + trial
     model, hyper = cfg.experiment.model, cfg.experiment.hyper
     d = cfg.dataset
@@ -68,15 +69,15 @@ def _build_trial(cfg: RunConfig, trial: int) -> TrialData:
     )
     f_ord = cfg.partition.f_ord
     part = partition(ds, cfg.partition, seed)
-    expert = None
+    losses = None
     if f_ord is not None or any(
         arm is not None and arm.scoring is ScoringKind.EXPERT for arm in cfg.arms
     ):
         expert = train_centralized(model, ds, hyper, cfg.expert_epochs, seed)
-    if f_ord is not None:
         losses = per_sample_losses(model, expert, ds.batch())
+    if f_ord is not None:
         part = partition_difficulty(ds, part, f_ord, losses, seed)
-    return TrialData(seed=seed, ds=ds, part=part, test=test, expert_params=expert)
+    return TrialData(seed=seed, ds=ds, part=part, test=test, expert_losses=losses)
 
 
 def _ordering(arm: DataCurriculumConfig | None) -> str:
@@ -116,7 +117,7 @@ def _run_share(jobs: list[Job], share: range) -> ShareResult:
         exp, data = jobs[i]
         try:
             done.append(run_experiment(
-                exp, data.ds, data.part, data.test.batch(), expert_params=data.expert_params
+                exp, data.ds, data.part, data.test.batch(), expert_losses=data.expert_losses
             ))
         except (ValueError, FloatingPointError) as exc:
             return done, (i, exc)

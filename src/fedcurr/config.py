@@ -36,7 +36,7 @@ from .federation import Algorithm, DataCurriculumConfig, ExperimentConfig, _chec
 from .models import ModelKind, ModelSpec, SgdHyper
 from .theory import BiasKind, ConvexCase, NonconvexCase, StepsizeMode
 
-DEFAULT_SEED = 202207
+DEFAULT_SEED = ExperimentConfig.seed  # for verify cases too
 # Offset between the training-data seed and the held-out test-data seed.
 TEST_SEED_OFFSET = 7919
 
@@ -170,6 +170,12 @@ def _pacing(cp, section: str) -> PacingSpec:
     )
 
 
+def _federation(cp, key: str, kind):
+    """``[federation] key``; its default is ``ExperimentConfig``'s (an enum's value)."""
+    default = getattr(ExperimentConfig, key)
+    return _get(cp, "federation", key, kind, default=getattr(default, "value", default))
+
+
 def parse_run_config(path: str) -> RunConfig:
     cp = _read(path)
 
@@ -201,7 +207,7 @@ def parse_run_config(path: str) -> RunConfig:
         _check_feasible, _keys("partition", "num_clients", "skew_classes"),
         spec=part_spec, class_sizes=_synthetic_class_sizes(dataset.n, dataset.classes),
     )
-    participants = _get(cp, "federation", "participants", int, default=10)
+    participants = _federation(cp, "participants", int)
     _built(
         _check_participants, _keys("federation", "participants"),
         participants=participants, num_clients=part_spec.num_clients,
@@ -272,12 +278,9 @@ def parse_run_config(path: str) -> RunConfig:
         model=model,
         participants=participants,
         rounds=_get(cp, "federation", "rounds", int, required=True),
-        local_epochs=_get(cp, "federation", "local_epochs", int, default=10),
-        algorithm=_enum(
-            "federation", "algorithm",
-            _get(cp, "federation", "algorithm", str, default="fedavg"), Algorithm,
-        ),
-        mu_prox=_get(cp, "federation", "mu_prox", float, default=0.0),
+        local_epochs=_federation(cp, "local_epochs", int),
+        algorithm=_enum("federation", "algorithm", _federation(cp, "algorithm", str), Algorithm),
+        mu_prox=_federation(cp, "mu_prox", float),
         client_curriculum=client_cc if client_enabled else None,
         hyper=hyper,
         seed=_get(cp, "run", "seed", int, default=DEFAULT_SEED),

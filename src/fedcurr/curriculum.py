@@ -1,10 +1,10 @@
 """Sample scoring, pacing families and ordered subset selection.
 
-Scores come in three flavours: normalized inverse losses (from the global,
-local, expert model, or a global/local average), binary easy/hard flags from
-prediction agreement, and random keys. The pacing function maps a step index
-to a subset size that grows from a fraction ``b`` of the data to the full set
-over a fraction ``a`` of the budget.
+Scores come in three flavours: normalized inverse losses (from the global
+or local model, their average, or a fixed expert's precomputed losses),
+binary easy/hard flags from prediction agreement, and random keys. The
+pacing function maps a step index to a subset size that grows from a
+fraction ``b`` of the data to the full set over a fraction ``a`` of the budget.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def pace(spec: PacingSpec, t: int, total: int, budget: int) -> int:
     if total < 1 or budget < 1:
         raise ConfigurationError("pacing total and budget must be >= 1")
     if not 0 <= t <= budget:
-        raise ValueError(f"pacing step {t} outside [0, {budget}]")
+        raise ConfigurationError(f"pacing step {t} outside [0, {budget}]")
     n, a, b = float(total), spec.a, spec.b
     at = a * budget
     if t >= at:  # every family saturates at the full pool from a*budget on
@@ -105,7 +105,7 @@ def score_samples(
     batch: Batch,
     global_params: np.ndarray | None = None,
     local_params: np.ndarray | None = None,
-    expert_params: np.ndarray | None = None,
+    expert_losses: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
     global_losses: np.ndarray | None = None,
     global_predictions: np.ndarray | None = None,
@@ -113,12 +113,14 @@ def score_samples(
     """Score every sample in the batch with the requested method: one score
     per sample, the higher the easier. Loss-based scores sum to 1.
 
-    ``global_losses`` and ``global_predictions``, when given, are the
-    per-sample losses and the argmax class predictions of the batch at
-    ``global_params``. The scorings compute each at ``global_params`` at most
-    once, reusing the given values, and this holds for any scored parameters
-    that are ``global_params`` itself: a client that has not trained yet has
-    its local model at the global one.
+    Expert scoring reads ``expert_losses``, the expert's per-sample losses
+    on the batch, and runs no model. ``global_losses`` and
+    ``global_predictions``, when given, are the per-sample losses and the
+    argmax class predictions of the batch at ``global_params``. The scorings
+    compute each at ``global_params`` at most once, reusing the given values,
+    and this holds for any scored parameters that are ``global_params``
+    itself: a client that has not trained yet has its local model at the
+    global one.
     """
 
     def need(params, name):
@@ -144,7 +146,9 @@ def score_samples(
         elif kind is ScoringKind.L_LOSS:
             losses = losses_at(need(local_params, "local"))
         elif kind is ScoringKind.EXPERT:
-            losses = losses_at(need(expert_params, "expert"))
+            losses = expert_losses
+            if losses is None or len(losses) != len(batch):
+                raise ConfigurationError("scoring expert requires one expert loss per sample")
         else:
             losses = 0.5 * (
                 losses_at(need(global_params, "global")) + losses_at(need(local_params, "local"))
@@ -180,7 +184,7 @@ def order_and_select(
     s = np.asarray(scores)
     n = len(s)
     if not 1 <= count <= n:
-        raise ValueError(f"selection count {count} outside [1, {n}]")
+        raise ConfigurationError(f"selection count {count} outside [1, {n}]")
     if ordering is OrderingKind.CURRICULUM:
         order = np.argsort(-s, kind="stable")
     elif ordering is OrderingKind.ANTI:

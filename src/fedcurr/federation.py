@@ -1,12 +1,12 @@
 """Federated round loop: broadcast, curriculum-aware local training, and
 aggregation under FedAvg, FedProx, SCAFFOLD or FedNova.
 
-Each client's rows and one-hot targets are gathered once per run. Each
-round runs the model once per needed client at the broadcast parameters, and
-that pass's per-sample losses, argmax predictions and gradient feed the
-client ranking, the round diagnostics and sample scoring. Local training
-takes the same rows and checks them and the parameter shapes once per client
-update. It then runs ``models._local_sgd``, the one momentum-SGD loop, which
+Each client's rows, labels and, under expert scoring, expert losses are
+gathered once per run. Each round runs the model once per needed client at
+the broadcast parameters, and that pass's per-sample losses, argmax
+predictions and gradient feed the client ranking, the round diagnostics and
+sample scoring. Local training takes the same rows and checks them and the
+parameter shapes once per client update. It then runs ``models._local_sgd``, the one momentum-SGD loop, which
 ``train_centralized`` shares for the expert model.
 
 Determinism contract: every random draw comes from a generator keyed by
@@ -44,7 +44,6 @@ from .models import (
     _local_sgd,
     _losses,
     _losses_and_grads,
-    _targets,
     init_params,
 )
 
@@ -125,15 +124,16 @@ class RoundMetrics:
 
 def gradient_dissimilarity(grads: list[np.ndarray], weights: np.ndarray) -> float:
     """Weighted per-client gradient energy over the energy of the weighted
-    aggregate; 1 for homogeneous gradients, larger for dissimilar ones."""
+    aggregate; 1 for homogeneous gradients, larger for dissimilar ones, and
+    nan where the aggregate is zero and the ratio undefined."""
     weights = np.asarray(weights, dtype=np.float64)
     if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
+        raise ConfigurationError("weights must sum to 1")
     num = sum(w * float(g @ g) for w, g in zip(weights, grads))
     agg = sum(w * g for w, g in zip(weights, grads))
     den = float(agg @ agg)
     if den <= 1e-300 * max(num, 1.0):
-        raise ValueError("aggregate gradient is zero; dissimilarity undefined")
+        return float("nan")
     return num / den
 
 
@@ -146,7 +146,7 @@ def client_update(
     t: int,
     rng: np.random.Generator,
     server_control: np.ndarray | None = None,
-    expert_params: np.ndarray | None = None,
+    expert_losses: np.ndarray | None = None,
     global_losses: np.ndarray | None = None,
     global_predictions: np.ndarray | None = None,
 ) -> ClientState:
@@ -158,16 +158,17 @@ def client_update(
     each round.
 
     ``x`` and ``y`` are the client's rows, ``ds.features[state.indices]`` and
-    ``ds.labels[state.indices]``; ``run_experiment`` gathers them once per
+    ``ds.labels[state.indices]``, and ``expert_losses`` the expert's
+    per-sample losses on them; ``run_experiment`` gathers all three once per
     run and passes the same arrays every round. ``global_losses`` and
     ``global_predictions``, when given, are the per-sample losses and argmax
     predictions of those rows at ``global_params``; loss- and
     prediction-based scoring reuse them. The rows and parameter shapes are
-    checked here, on every call, and the training targets are built here
-    from the selected labels. ``models._local_sgd`` then steps on them
-    unchecked, with the FedProx and SCAFFOLD terms added to each gradient in
-    place. A step that leaves non-finite parameters raises
-    FloatingPointError naming the round, the client and the step."""
+    checked here, on every call. ``models._local_sgd`` then steps on the
+    selected rows and labels unchecked, with the FedProx and SCAFFOLD terms
+    added to each gradient in place. A step that leaves non-finite
+    parameters raises FloatingPointError naming the round, the client and
+    the step."""
     if len(y) < 1:
         raise ConfigurationError(f"client {state.client_id} holds no data")
     model = cfg.model
@@ -186,7 +187,7 @@ def client_update(
             local_params=(
                 state.local_params if state.local_params is not None else global_params
             ),
-            expert_params=expert_params,
+            expert_losses=expert_losses,
             rng=rng,
             global_losses=global_losses,
             global_predictions=global_predictions,
@@ -214,7 +215,7 @@ def client_update(
     theta = global_params.copy()
     v = state.momentum.copy()
     step, eta_sum = _local_sgd(
-        model, cfg.hyper, theta, v, x, _targets(model, y), cfg.local_epochs, rng,
+        model, cfg.hyper, theta, v, x, y, cfg.local_epochs, rng,
         f"round {t}, client {state.client_id}", adjust if prox or scaffold else None,
     )
 
@@ -252,7 +253,7 @@ def aggregate(
     s_k exactly 1.
     """
     if not states:
-        raise ValueError("no client updates to aggregate")
+        raise ConfigurationError("no client updates to aggregate")
     sizes = [len(s.indices) for s in states]
     n_round = sum(sizes)
     if algorithm is Algorithm.FEDNOVA:
@@ -288,21 +289,23 @@ def run_experiment(
     ds: Dataset,
     part: Partition,
     test: Batch,
-    expert_params: np.ndarray | None = None,
+    expert_losses: np.ndarray | None = None,
 ) -> list[RoundMetrics]:
     """Run the full federation and return one metrics row per round
     (or the initial model's row when rounds == 0).
 
-    The dataset is checked against the model once, and each client's rows,
-    labels and one-hot targets are gathered from it once per run. Every
-    round's pass at the broadcast parameters reads all three, and every
-    ``client_update`` the rows and labels, which it checks again on each
-    call."""
+    ``expert_losses``, which expert scoring needs, holds the expert's
+    per-sample loss of each row of ``ds``. The dataset is checked against the
+    model once, and each client's rows, labels and expert losses are
+    gathered from it once per run. Every round's pass at the broadcast
+    parameters reads the rows and labels, and every ``client_update`` all
+    three, checking the rows and labels again on each call."""
     m = part.num_clients
     _check_participants(cfg.participants, m)
-    if cfg.data_curriculum is not None and cfg.data_curriculum.scoring is ScoringKind.EXPERT:
-        if expert_params is None:
-            raise ConfigurationError("expert scoring needs expert parameters")
+    dc = cfg.data_curriculum
+    expert = dc is not None and dc.scoring is ScoringKind.EXPERT
+    if expert and np.shape(expert_losses) != (len(ds),):
+        raise ConfigurationError("expert scoring needs one expert loss per dataset row")
     model = cfg.model
     theta = init_params(model, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     dim = theta.shape[0]
@@ -325,8 +328,7 @@ def run_experiment(
     _check_batch(model, theta, data)
     xs = [data.x.take(s.indices, axis=0) for s in states]
     ys = [data.y[s.indices] for s in states]
-    targets = [_targets(model, y) for y in ys]
-    dc = cfg.data_curriculum
+    experts = [expert_losses[s.indices] if expert else None for s in states]
     predicting = dc is not None and dc.scoring in PRED_BASED and model.is_classifier
     metrics = []
     for t in range(cfg.rounds):
@@ -341,8 +343,7 @@ def run_experiment(
         # the argmax of its outputs prediction-based scoring, and its gradient
         # lambda.
         block_losses, block_grads, block_outputs = _losses_and_grads(
-            model, theta, [xs[i] for i in scored], [ys[i] for i in scored],
-            [targets[i] for i in scored],
+            model, theta, [xs[i] for i in scored], [ys[i] for i in scored]
         )
         if cfg.client_curriculum is not None:  # block i is client i
             ids = select_clients(
@@ -359,17 +360,14 @@ def run_experiment(
         grad_at_theta = dict(zip(scored, block_grads))
         grads = [grad_at_theta[i]() for i in ids]
         del grad_at_theta, block_grads, block_outputs  # free the forward passes before training
-        try:
-            lam = gradient_dissimilarity(grads, w)
-        except ValueError:
-            lam = float("nan")
+        lam = gradient_dissimilarity(grads, w)
         mean_cl = float(np.mean([float(losses[i].mean()) for i in ids]))
 
         for cid in ids:  # ascending id: fixed reduction order
             crng = np.random.default_rng([cfg.seed, _CLIENT_STREAM, t, cid])
             states[cid] = client_update(
                 states[cid], theta, cfg, xs[cid], ys[cid], t, crng, server_control,
-                expert_params, global_losses=losses[cid],
+                experts[cid], global_losses=losses[cid],
                 global_predictions=predictions.get(cid),
             )
         updated = [states[cid] for cid in ids]
@@ -398,7 +396,6 @@ def train_centralized(
     data = ds.batch()
     _check_batch(model, theta, data)
     _local_sgd(
-        model, hyper, theta, np.zeros_like(theta), data.x, _targets(model, data.y), epochs,
-        rng, "expert training",
+        model, hyper, theta, np.zeros_like(theta), data.x, data.y, epochs, rng, "expert training"
     )
     return theta

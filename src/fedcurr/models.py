@@ -398,26 +398,27 @@ def _local_sgd(
     theta: np.ndarray,
     v: np.ndarray,
     x: np.ndarray,
-    target: np.ndarray,
+    y: np.ndarray,
     epochs: int,
     rng: np.random.Generator,
     where: str,
     adjust: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[int, float]:
-    """Mini-batch momentum SGD on rows checked by the caller, overwriting
-    ``theta`` and the momentum ``v``; ``target`` comes from ``_targets``.
+    """Mini-batch momentum SGD on rows ``x`` with labels ``y``, checked by
+    the caller, overwriting ``theta`` and the momentum ``v``.
 
     Each epoch gathers the rows once in a fresh permutation from ``rng`` into
     one buffer (one ``take``, about 3x faster than fancy indexing), then
     steps on its contiguous slices of ``hyper.batch_size`` rows with eta(i),
     i counting steps from 0. Everything that does not change within the call
-    is bound once at its start: the slices, one ``_bind_step`` kernel per
-    batch length, and the update's buffers. ``adjust(g, theta)``, when given,
-    adds its terms to the gradient in place before the update. The update is
-    ``sgd_step``'s in its operation order. A step that leaves non-finite
+    is bound once at its start: the targets built from ``y``, the slices, one
+    ``_bind_step`` kernel per batch length, and the update's buffers.
+    ``adjust(g, theta)``, when given, adds its terms to the gradient in place
+    before the update. The update is ``sgd_step``'s in its operation order. A step that leaves non-finite
     parameters raises FloatingPointError naming ``where`` and the step; the
     overflow warnings on the way there would only repeat it, so they are
     silenced. Returns the step count and the sum of the rates used."""
+    target = _targets(model, y)
     n, bs = len(target), hyper.batch_size
     rho, wd = hyper.momentum, hyper.weight_decay
     g, tmp = np.empty_like(theta), np.empty_like(theta)
@@ -467,12 +468,11 @@ def _losses_and_grads(
     params: np.ndarray,
     xs: list[np.ndarray],
     ys: list[np.ndarray],
-    targets: list[np.ndarray],
 ) -> tuple[list[np.ndarray], list[Callable[[], np.ndarray]], list[np.ndarray]]:
-    """Unchecked per-sample losses of several blocks of rows, per block a
-    function that returns its mean-loss gradient from the same forward pass
-    (computed only when called; ``targets[k]`` comes from ``_targets``), and
-    per block the raw model outputs of that pass.
+    """Unchecked per-sample losses of several blocks of rows ``xs[k]`` with
+    labels ``ys[k]``, per block a function that returns its mean-loss
+    gradient from the same forward pass (computed, targets included, only
+    when called), and per block the raw model outputs of that pass.
 
     Each block goes through the model by itself, so every matrix product sees
     the same rows as it would alone. The row-wise rest runs once over all
@@ -488,7 +488,7 @@ def _losses_and_grads(
 
     def grad_of(k: int) -> Callable[[], np.ndarray]:
         return lambda: _terms_grad(
-            model, params, xs[k], targets[k], terms[blocks[k]], passes[k][1]
+            model, params, xs[k], _targets(model, ys[k]), terms[blocks[k]], passes[k][1]
         )
 
     return [losses[b] for b in blocks], [grad_of(k) for k in range(len(xs))], outputs
@@ -534,8 +534,11 @@ def sgd_step(
     return new, v
 
 
-def _mlp_output_hessian(model: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Dense Hessian of the scalar MLP output f(theta, x) for one sample.
+def _mlp_output_hessian(
+    model: ModelSpec, params: np.ndarray, x: np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """Dense Hessian of the scalar MLP output f(theta, x) for one sample,
+    whose hidden activations ``a`` come from the forward pass.
 
     Nonzero blocks per hidden unit k (s = 1 - a^2, dd = -2*a*s):
       d2f/dW1_k dW1_k = w2_k*dd_k * x x^T     d2f/dW1_k db1_k = w2_k*dd_k * x
@@ -543,8 +546,7 @@ def _mlp_output_hessian(model: ModelSpec, params: np.ndarray, x: np.ndarray) -> 
       d2f/db1_k dw2_k = s_k                   (all blocks touching b2 vanish)
     """
     d, h = model.input_dim, model.hidden_dim
-    w1, b1, w2, _ = _unpack_mlp(model, params)
-    a = np.tanh(w1 @ x + b1)
+    w2 = _unpack_mlp(model, params)[2]
     s = 1.0 - a**2
     dd = -2.0 * a * s
     p = model.param_count()
@@ -565,19 +567,6 @@ def _mlp_output_hessian(model: ModelSpec, params: np.ndarray, x: np.ndarray) -> 
     return hes
 
 
-def _output_grads(model: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-sample gradients of the scalar output f(theta, x), rows (m, P)."""
-    m = x.shape[0]
-    if model.kind is ModelKind.LINEAR_REGRESSION:
-        return np.hstack([x, np.ones((m, 1))])
-    w1, b1, w2, _ = _unpack_mlp(model, params)
-    a = np.tanh(x @ w1.T + b1)
-    s = 1.0 - a**2
-    ws = w2[0] * s
-    gw1 = ws[:, :, None] * x[:, None, :]
-    return np.hstack([gw1.reshape(m, -1), ws, a, np.ones((m, 1))])
-
-
 def hessian_decomposition(
     model: ModelSpec, params: np.ndarray, batch: Batch
 ) -> HessianDecomposition:
@@ -592,15 +581,23 @@ def hessian_decomposition(
     if model.param_count() > 512:
         raise ConfigurationError("parameter count too large for the dense probe")
     _check_batch(model, params, batch)
-    m = len(batch)
-    g = _output_grads(model, params, batch.x)
+    # One forward pass gives the residuals and, from its hidden activations,
+    # the per-sample gradients of the scalar output f(theta, x), rows (m, P).
+    m, x = len(batch), batch.x
+    out, hidden = _forward(model, params, x)
+    resid = out - batch.y.astype(np.float64)
+    if model.kind is ModelKind.LINEAR_REGRESSION:
+        g = np.hstack([x, np.ones((m, 1))])
+    else:
+        ws = _unpack_mlp(model, params)[2][0] * (1.0 - hidden**2)
+        gw1 = (ws[:, :, None] * x[:, None, :]).reshape(m, -1)
+        g = np.hstack([gw1, ws, hidden, np.ones((m, 1))])
     gauss_newton = g.T @ g / m
-    resid = _forward(model, params, batch.x)[0] - batch.y.astype(np.float64)
     p = model.param_count()
     residual_term = np.zeros((p, p))
     if model.kind is ModelKind.MLP_TANH:
         for i in range(m):
-            residual_term += resid[i] * _mlp_output_hessian(model, params, batch.x[i])
+            residual_term += resid[i] * _mlp_output_hessian(model, params, x[i], hidden[i])
         residual_term /= m
     full = gauss_newton + residual_term
     return HessianDecomposition(

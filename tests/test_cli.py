@@ -435,6 +435,52 @@ def test_diverging_expert_training_ends_in_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "f_ord,scoring", [(True, "expert"), (False, "expert"), (True, "g_loss"), (False, "g_loss")]
+)
+def test_trial_trains_and_runs_the_expert_once(tmp_path, monkeypatch, f_ord, scoring):
+    # The f_ord reshuffle and expert scoring rank samples by one array: the
+    # expert's per-sample losses over the whole dataset, taken once a trial.
+    with open(os.path.join(CONFIGS, "example_run.ini"), encoding="utf-8") as fh:
+        text = fh.read().replace("scoring = g_loss", f"scoring = {scoring}")
+    if f_ord:
+        text = text.replace("num_clients = 10", "num_clients = 10\nf_ord = 0.5\nexpert_epochs = 3")
+    else:
+        text = text.replace("num_clients = 10", "num_clients = 10\nexpert_epochs = 3")
+    cfg = parse_run_config(write(tmp_path / "expert.ini", text))
+    experts, passes, ranked = [], [], []
+    train, losses = cli.train_centralized, cli.per_sample_losses
+    reshuffle = cli.partition_difficulty
+
+    def counted_train(*args, **kwargs):
+        experts.append(train(*args, **kwargs))
+        return experts[-1]
+
+    def counted_losses(model, params, batch):
+        passes.append((params, len(batch)))
+        return losses(model, params, batch)
+
+    def counted_reshuffle(ds, part, f, scores, seed):
+        ranked.append(scores)
+        return reshuffle(ds, part, f, scores, seed)
+
+    monkeypatch.setattr(cli, "train_centralized", counted_train)
+    monkeypatch.setattr(cli, "per_sample_losses", counted_losses)
+    monkeypatch.setattr(cli, "partition_difficulty", counted_reshuffle)
+    for trial in range(cfg.n_trials):
+        for seen in (experts, passes, ranked):
+            seen.clear()
+        data = cli._build_trial(cfg, trial)
+        if not f_ord and scoring != "expert":
+            assert (experts, passes, data.expert_losses) == ([], [], None)
+            continue
+        assert len(experts) == 1
+        assert len(passes) == 1
+        assert passes[0][0] is experts[0] and passes[0][1] == len(data.ds)
+        assert data.expert_losses.shape == (len(data.ds),)
+        assert len(ranked) == f_ord and all(r is data.expert_losses for r in ranked)
+
+
 def test_client_curriculum_draws_the_participants_per_round(tmp_path):
     # 5 clients, 3 per round; the retired client_batch_size, where given,
     # must agree and changes nothing.

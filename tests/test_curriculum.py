@@ -205,10 +205,19 @@ def test_lg_loss_averages_global_and_local():
     assert_allclose(scores, scores_from_losses(mean_loss), rtol=1e-14)
 
 
-def test_expert_scoring_requires_expert_params():
+def test_expert_scoring_requires_expert_losses():
     model, batch, _ = _classifier_setup()
     with pytest.raises(ConfigurationError):
         score_samples(ScoringKind.EXPERT, model, batch, global_params=np.zeros(15))
+    with pytest.raises(ConfigurationError, match="one expert loss per sample"):
+        score_samples(ScoringKind.EXPERT, model, batch, expert_losses=np.ones(len(batch) + 1))
+
+
+def test_expert_scoring_reads_the_given_losses():
+    model, batch, _ = _classifier_setup()
+    losses = np.linspace(0.5, 2.0, len(batch))
+    scores = score_samples(ScoringKind.EXPERT, model, batch, expert_losses=losses)
+    assert np.array_equal(scores, scores_from_losses(losses))
 
 
 def test_pred_scoring_requires_classifier():

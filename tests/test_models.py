@@ -149,14 +149,13 @@ def test_classifier_losses_and_gradient_match_indexed_form_exactly(model):
 def test_blockwise_losses_and_grads_match_per_block_calls_exactly(model):
     # The row-wise part runs once over all blocks; each block must still get
     # the bits of its own per_sample_losses and grad calls.
-    from fedcurr.models import _forward, _losses_and_grads, _targets
+    from fedcurr.models import _forward, _losses_and_grads
 
     rng = np.random.default_rng(19)
     params = init_params(model, rng)
     blocks = [random_batch(model, rng, m=m) for m in (1, 5, 13, 2)]
     losses, grads, outputs = _losses_and_grads(
-        model, params, [b.x for b in blocks], [b.y for b in blocks],
-        [_targets(model, b.y) for b in blocks],
+        model, params, [b.x for b in blocks], [b.y for b in blocks]
     )
     for block, block_losses, block_grad, out in zip(blocks, losses, grads, outputs):
         assert np.array_equal(block_losses, per_sample_losses(model, params, block))
