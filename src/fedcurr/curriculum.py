@@ -2,7 +2,9 @@
 
 Scores come in three flavours: normalized inverse losses (from the global
 or local model, their average, or a fixed expert's precomputed losses),
-binary easy/hard flags from prediction agreement, and random keys. The
+binary easy/hard flags from prediction agreement, and random keys. Each is
+computed from arrays the caller already holds, the losses and outputs of the
+round's forward passes, so no scoring runs a model. The
 pacing function maps a step index to a subset size that grows from a
 fraction ``b`` of the data to the full set over a fraction ``a`` of the budget.
 """
@@ -16,7 +18,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError
-from .models import LOSS_EPS, Batch, ModelSpec, per_sample_losses, predict
+
+# Guard when inverting near-zero losses into scores.
+LOSS_EPS = 1e-8
 
 
 class ScoringKind(Enum):
@@ -30,8 +34,8 @@ class ScoringKind(Enum):
     RANDOM = "random"
 
 
-LOSS_BASED = {ScoringKind.G_LOSS, ScoringKind.L_LOSS, ScoringKind.LG_LOSS, ScoringKind.EXPERT}
 PRED_BASED = {ScoringKind.G_PRED, ScoringKind.L_PRED, ScoringKind.LG_PRED}
+LOCAL_BASED = {ScoringKind.L_LOSS, ScoringKind.LG_LOSS, ScoringKind.L_PRED, ScoringKind.LG_PRED}
 
 
 class OrderingKind(Enum):
@@ -99,78 +103,52 @@ def scores_from_losses(losses: np.ndarray) -> np.ndarray:
     return raw / raw.sum()
 
 
+def _check_scoring(kind: ScoringKind, classifier: bool) -> None:
+    """Prediction-based scorings compare argmax classes, so they need a classifier."""
+    if kind in PRED_BASED and not classifier:
+        raise ConfigurationError("prediction-based scoring requires a classifier", field="scoring")
+
+
 def score_samples(
     kind: ScoringKind,
-    model: ModelSpec,
-    batch: Batch,
-    global_params: np.ndarray | None = None,
-    local_params: np.ndarray | None = None,
+    y: np.ndarray,
+    at_global: tuple[np.ndarray, np.ndarray] | None,
+    at_local: tuple[np.ndarray, np.ndarray] | None,
     expert_losses: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-    global_losses: np.ndarray | None = None,
-    global_predictions: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Score every sample in the batch with the requested method: one score
-    per sample, the higher the easier. Loss-based scores sum to 1.
+    """Score the samples with labels ``y``: one score per sample, the higher
+    the easier. Loss-based scores sum to 1.
 
-    Expert scoring reads ``expert_losses``, the expert's per-sample losses
-    on the batch, and runs no model. ``global_losses`` and
-    ``global_predictions``, when given, are the per-sample losses and the
-    argmax class predictions of the batch at ``global_params``. The scorings
-    compute each at ``global_params`` at most once, reusing the given values,
-    and this holds for any scored parameters that are ``global_params``
-    itself: a client that has not trained yet has its local model at the
-    global one.
+    ``at_global`` and ``at_local`` are the (per-sample losses, raw model
+    outputs) of the samples at the global and at the client's local model;
+    the outputs are (m, C) logits for classifiers and (m,) for regression,
+    and prediction-based scorings take their argmax. Expert scoring reads
+    ``expert_losses``, the expert's per-sample losses, and random scoring
+    draws from ``rng``. No scoring runs a model.
     """
-
-    def need(params, name):
-        if params is None:
-            raise ConfigurationError(f"scoring {kind.value} requires {name} parameters")
-        return params
-
-    def reusing_global(compute, at_global):
-        def value_at(params: np.ndarray) -> np.ndarray:
-            nonlocal at_global
-            if params is not global_params:
-                return compute(model, params, batch)
-            if at_global is None:
-                at_global = compute(model, params, batch)
-            return at_global
-
-        return value_at
-
-    if kind in LOSS_BASED:
-        losses_at = reusing_global(per_sample_losses, global_losses)
-        if kind is ScoringKind.G_LOSS:
-            losses = losses_at(need(global_params, "global"))
-        elif kind is ScoringKind.L_LOSS:
-            losses = losses_at(need(local_params, "local"))
-        elif kind is ScoringKind.EXPERT:
-            losses = expert_losses
-            if losses is None or len(losses) != len(batch):
-                raise ConfigurationError("scoring expert requires one expert loss per sample")
-        else:
-            losses = 0.5 * (
-                losses_at(need(global_params, "global")) + losses_at(need(local_params, "local"))
-            )
-        return scores_from_losses(losses)
-
-    if kind in PRED_BASED:
-        if not model.is_classifier:
-            raise ConfigurationError("prediction-based scoring requires a classifier")
-        predictions_at = reusing_global(predict, global_predictions)
-        if kind is ScoringKind.G_PRED:
-            easy = predictions_at(need(global_params, "global")) == batch.y
-        elif kind is ScoringKind.L_PRED:
-            easy = predictions_at(need(local_params, "local")) == batch.y
-        else:
-            global_pred = predictions_at(need(global_params, "global"))
-            easy = predictions_at(need(local_params, "local")) == global_pred
-        return easy.astype(np.float64)
-
-    if rng is None:
-        raise ConfigurationError("random scoring requires an rng")
-    return rng.random(len(batch))
+    if kind is ScoringKind.EXPERT:
+        if expert_losses is None or len(expert_losses) != len(y):
+            raise ConfigurationError("scoring expert requires one expert loss per sample")
+        return scores_from_losses(expert_losses)
+    if kind is ScoringKind.RANDOM:
+        if rng is None:
+            raise ConfigurationError("random scoring requires an rng")
+        return rng.random(len(y))
+    if kind is ScoringKind.G_LOSS:
+        return scores_from_losses(at_global[0])
+    if kind is ScoringKind.L_LOSS:
+        return scores_from_losses(at_local[0])
+    if kind is ScoringKind.LG_LOSS:
+        return scores_from_losses(0.5 * (at_global[0] + at_local[0]))
+    outputs = at_global[1] if kind is ScoringKind.G_PRED else at_local[1]
+    _check_scoring(kind, outputs.ndim == 2)
+    predicted = outputs.argmax(axis=1)
+    if kind is ScoringKind.LG_PRED:
+        easy = predicted == at_global[1].argmax(axis=1)
+    else:
+        easy = predicted == y
+    return easy.astype(np.float64)
 
 
 def order_and_select(

@@ -3,10 +3,13 @@ aggregation under FedAvg, FedProx, SCAFFOLD or FedNova.
 
 Each client's rows, labels and, under expert scoring, expert losses are
 gathered once per run. Each round runs the model once per needed client at
-the broadcast parameters, and that pass's per-sample losses, argmax
-predictions and gradient feed the client ranking, the round diagnostics and
-sample scoring. Local training takes the same rows and checks them and the
-parameter shapes once per client update. It then runs ``models._local_sgd``, the one momentum-SGD loop, which
+the broadcast parameters. That pass's per-sample losses feed the client
+ranking and the round diagnostics, its gradient the dissimilarity, and its
+losses and raw outputs sample scoring, which runs no model itself. A client
+that has trained before runs its rows through its own last local model too,
+and only under a scoring that reads it. Local training takes the same rows
+and checks them and the parameter shapes once per client update. It then
+runs ``models._local_sgd``, the one momentum-SGD loop, which
 ``train_centralized`` shares for the expert model.
 
 Determinism contract: every random draw comes from a generator keyed by
@@ -25,7 +28,7 @@ import numpy as np
 
 from .clients import ClientSelectionConfig, score_clients, select_clients
 from .curriculum import (
-    PRED_BASED,
+    LOCAL_BASED,
     OrderingKind,
     PacingSpec,
     ScoringKind,
@@ -147,8 +150,7 @@ def client_update(
     rng: np.random.Generator,
     server_control: np.ndarray | None = None,
     expert_losses: np.ndarray | None = None,
-    global_losses: np.ndarray | None = None,
-    global_predictions: np.ndarray | None = None,
+    at_global: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ClientState:
     """One local-training pass: select the paced subset, run the configured
     epochs of mini-batch SGD from the broadcast parameters, and return the
@@ -160,11 +162,13 @@ def client_update(
     ``x`` and ``y`` are the client's rows, ``ds.features[state.indices]`` and
     ``ds.labels[state.indices]``, and ``expert_losses`` the expert's
     per-sample losses on them; ``run_experiment`` gathers all three once per
-    run and passes the same arrays every round. ``global_losses`` and
-    ``global_predictions``, when given, are the per-sample losses and argmax
-    predictions of those rows at ``global_params``; loss- and
-    prediction-based scoring reuse them. The rows and parameter shapes are
-    checked here, on every call. ``models._local_sgd`` then steps on the
+    run and passes the same arrays every round. ``at_global``, which a data
+    curriculum needs, holds the per-sample losses and raw outputs of those
+    rows at ``global_params``. The same pair at the client's last local model
+    is computed here, only under a scoring that reads the local model and
+    only for a client that has trained before; otherwise the local model is
+    the global one and ``at_global`` serves both. The rows and parameter
+    shapes are checked here, on every call. ``models._local_sgd`` then steps on the
     selected rows and labels unchecked, with the FedProx and SCAFFOLD terms
     added to each gradient in place. A step that leaves non-finite
     parameters raises FloatingPointError naming the round, the client and
@@ -179,19 +183,13 @@ def client_update(
         raise ConfigurationError("parameter and momentum lengths must match")
     dc = cfg.data_curriculum
     if dc is not None:
-        scores = score_samples(
-            dc.scoring,
-            model,
-            batch,
-            global_params=global_params,
-            local_params=(
-                state.local_params if state.local_params is not None else global_params
-            ),
-            expert_losses=expert_losses,
-            rng=rng,
-            global_losses=global_losses,
-            global_predictions=global_predictions,
-        )
+        if at_global is None:
+            raise ConfigurationError("a data curriculum needs the losses and outputs at theta")
+        at_local = at_global
+        if dc.scoring in LOCAL_BASED and state.local_params is not None:
+            losses, _, outputs = _losses_and_grads(model, state.local_params, [x], [y])
+            at_local = losses[0], outputs[0]
+        scores = score_samples(dc.scoring, y, at_global, at_local, expert_losses, rng)
         n_sel = pace(dc.pacing, t, len(y), cfg.rounds)
         chosen = np.sort(order_and_select(scores, dc.ordering, n_sel, rng))
         x, y = x[chosen], y[chosen]
@@ -329,7 +327,6 @@ def run_experiment(
     xs = [data.x.take(s.indices, axis=0) for s in states]
     ys = [data.y[s.indices] for s in states]
     experts = [expert_losses[s.indices] if expert else None for s in states]
-    predicting = dc is not None and dc.scoring in PRED_BASED and model.is_classifier
     metrics = []
     for t in range(cfg.rounds):
         round_rng = np.random.default_rng([cfg.seed, _SERVER_STREAM, t])
@@ -339,9 +336,8 @@ def run_experiment(
             ids = sorted(int(c) for c in round_rng.choice(m, size=cfg.participants, replace=False))
             scored = ids
         # One forward pass per scored client at theta. Its losses serve the
-        # client ranking, the round diagnostics and loss-based sample scoring,
-        # the argmax of its outputs prediction-based scoring, and its gradient
-        # lambda.
+        # client ranking and the round diagnostics, its losses and outputs
+        # sample scoring, and its gradient lambda.
         block_losses, block_grads, block_outputs = _losses_and_grads(
             model, theta, [xs[i] for i in scored], [ys[i] for i in scored]
         )
@@ -350,25 +346,23 @@ def run_experiment(
                 score_clients(block_losses), cfg.client_curriculum, t, cfg.rounds,
                 cfg.participants, round_rng,
             )
-        losses = dict(zip(scored, block_losses))
-        predictions = {
-            i: out.argmax(axis=1) for i, out in zip(scored, block_outputs) if predicting and i in ids
-        }
+        block = {cid: k for k, cid in enumerate(scored)}
+        at_theta = {i: (block_losses[block[i]], block_outputs[block[i]]) for i in ids}
 
         sizes = np.array([len(states[i].indices) for i in ids], dtype=np.float64)
         w = sizes / sizes.sum()
-        grad_at_theta = dict(zip(scored, block_grads))
-        grads = [grad_at_theta[i]() for i in ids]
-        del grad_at_theta, block_grads, block_outputs  # free the forward passes before training
+        grads = [block_grads[block[i]]() for i in ids]
+        # Free the gradient closures, which hold the MLP's hidden activations,
+        # and the other clients' outputs before training.
+        del block_grads, block_outputs
         lam = gradient_dissimilarity(grads, w)
-        mean_cl = float(np.mean([float(losses[i].mean()) for i in ids]))
+        mean_cl = float(np.mean([float(at_theta[i][0].mean()) for i in ids]))
 
         for cid in ids:  # ascending id: fixed reduction order
             crng = np.random.default_rng([cfg.seed, _CLIENT_STREAM, t, cid])
             states[cid] = client_update(
                 states[cid], theta, cfg, xs[cid], ys[cid], t, crng, server_control,
-                experts[cid], global_losses=losses[cid],
-                global_predictions=predictions.get(cid),
+                experts[cid], at_theta[cid],
             )
         updated = [states[cid] for cid in ids]
         theta, server_control = aggregate(updated, cfg.algorithm, theta, server_control, m)

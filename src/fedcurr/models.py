@@ -33,9 +33,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# Guard when inverting near-zero losses into scores.
-LOSS_EPS = 1e-8
-
 
 class ModelKind(Enum):
     LINEAR_REGRESSION = "linear"

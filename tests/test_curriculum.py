@@ -3,21 +3,17 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fedcurr import (
-    Batch,
     ConfigurationError,
-    ModelKind,
-    ModelSpec,
     OrderingKind,
     PacingFamily,
     PacingSpec,
     ScoringKind,
-    curriculum,
-    init_params,
     order_and_select,
     pace,
     score_samples,
     scores_from_losses,
 )
+from fedcurr.curriculum import PRED_BASED
 
 LINEAR_SPEC = PacingSpec(PacingFamily.LINEAR, a=0.8, b=0.2)
 
@@ -139,97 +135,91 @@ def test_selection_count_out_of_range():
         order_and_select(np.array([0.5, 0.5]), OrderingKind.CURRICULUM, 3)
 
 
-def _classifier_setup():
-    model = ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=4, num_classes=3)
+def _classifier_arrays(m=10, classes=3):
+    """Labels and two (per-sample losses, logits) pairs, as a client holds
+    them at the global and at its local model."""
     rng = np.random.default_rng(21)
-    x = rng.standard_normal((10, 4))
-    y = rng.integers(0, 3, 10)
-    return model, Batch(x, y), rng
+    y = rng.integers(0, classes, m)
+
+    def at_model():
+        return rng.uniform(0.1, 3.0, m), rng.standard_normal((m, classes))
+
+    return y, at_model(), at_model()
 
 
-def test_pred_scoring_all_correct_flags_easy():
-    # Relabel the batch with the model's own predictions so that every
-    # prediction is correct by construction.
-    model, batch, rng = _classifier_setup()
-    params = init_params(model, rng)
-    from fedcurr.models import predict
+@pytest.mark.parametrize("kind", [ScoringKind.G_PRED, ScoringKind.L_PRED])
+def test_pred_scoring_all_correct_flags_easy(kind):
+    # Labels that are the model's own argmax: every prediction is correct.
+    _, at_global, at_local = _classifier_arrays()
+    outputs = at_global[1] if kind is ScoringKind.G_PRED else at_local[1]
+    y = outputs.argmax(axis=1)
+    assert_allclose(score_samples(kind, y, at_global, at_local), 1.0)
 
-    agreeing = Batch(batch.x, predict(model, params, batch))
-    scores = score_samples(ScoringKind.G_PRED, model, agreeing, global_params=params)
-    assert_allclose(scores, 1.0)
+
+def test_pred_scoring_flags_correct_predictions_only():
+    y, at_global, at_local = _classifier_arrays()
+    for kind, (_, outputs) in ((ScoringKind.G_PRED, at_global), (ScoringKind.L_PRED, at_local)):
+        flags = score_samples(kind, y, at_global, at_local)
+        assert np.array_equal(flags, (outputs.argmax(axis=1) == y).astype(np.float64))
 
 
 def test_lg_pred_flags_model_agreement():
-    model, batch, rng = _classifier_setup()
-    params = init_params(model, rng)
-    scores = score_samples(
-        ScoringKind.LG_PRED, model, batch, global_params=params, local_params=params
-    )
-    assert_allclose(scores, 1.0)
+    # Agreement between the two models' argmax, whatever the labels say.
+    y, at_global, at_local = _classifier_arrays(m=40)
+    agree = at_local[1].argmax(axis=1) == at_global[1].argmax(axis=1)
+    assert 0 < agree.sum() < len(y)
+    flags = score_samples(ScoringKind.LG_PRED, y, at_global, at_local)
+    assert np.array_equal(flags, agree.astype(np.float64))
+    assert_allclose(score_samples(ScoringKind.LG_PRED, y, at_global, at_global), 1.0)
 
 
-@pytest.mark.parametrize("local", ["global", "copy", "other"])
-def test_lg_pred_predicts_once_when_local_is_global(monkeypatch, local):
-    # A client that has not trained yet holds the global parameters
-    # themselves: one prediction serves both halves, with the same flags.
-    model, batch, rng = _classifier_setup()
-    params, other = init_params(model, rng), init_params(model, rng)
-    local_params = {"global": params, "copy": params.copy(), "other": other}[local]
-    original = curriculum.predict
-    expected = (original(model, local_params, batch) == original(model, params, batch)).astype(
-        np.float64
-    )
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(curriculum, "predict", counted)
-    flags = score_samples(
-        ScoringKind.LG_PRED, model, batch, global_params=params, local_params=local_params
-    )
-    assert len(calls) == (1 if local == "global" else 2)
-    assert np.array_equal(flags, expected)
+def test_loss_scorings_read_their_model_losses():
+    y, at_global, at_local = _classifier_arrays()
+    for kind, losses in ((ScoringKind.G_LOSS, at_global[0]), (ScoringKind.L_LOSS, at_local[0])):
+        scores = score_samples(kind, y, at_global, at_local)
+        assert np.array_equal(scores, scores_from_losses(losses))
 
 
 def test_lg_loss_averages_global_and_local():
-    model, batch, rng = _classifier_setup()
-    p1, p2 = init_params(model, rng), init_params(model, rng)
-    from fedcurr.models import per_sample_losses
-
-    mean_loss = 0.5 * (
-        per_sample_losses(model, p1, batch) + per_sample_losses(model, p2, batch)
-    )
-    scores = score_samples(ScoringKind.LG_LOSS, model, batch, global_params=p1, local_params=p2)
-    assert_allclose(scores, scores_from_losses(mean_loss), rtol=1e-14)
+    y, at_global, at_local = _classifier_arrays()
+    mean_loss = 0.5 * (at_global[0] + at_local[0])
+    scores = score_samples(ScoringKind.LG_LOSS, y, at_global, at_local)
+    assert np.array_equal(scores, scores_from_losses(mean_loss))
 
 
-def test_expert_scoring_requires_expert_losses():
-    model, batch, _ = _classifier_setup()
-    with pytest.raises(ConfigurationError):
-        score_samples(ScoringKind.EXPERT, model, batch, global_params=np.zeros(15))
+def test_expert_scoring_requires_one_expert_loss_per_sample():
+    y, at_global, at_local = _classifier_arrays()
     with pytest.raises(ConfigurationError, match="one expert loss per sample"):
-        score_samples(ScoringKind.EXPERT, model, batch, expert_losses=np.ones(len(batch) + 1))
+        score_samples(ScoringKind.EXPERT, y, at_global, at_local)
+    for rows in (-1, 1):
+        with pytest.raises(ConfigurationError, match="one expert loss per sample"):
+            score_samples(
+                ScoringKind.EXPERT, y, at_global, at_local, expert_losses=np.ones(len(y) + rows)
+            )
 
 
 def test_expert_scoring_reads_the_given_losses():
-    model, batch, _ = _classifier_setup()
-    losses = np.linspace(0.5, 2.0, len(batch))
-    scores = score_samples(ScoringKind.EXPERT, model, batch, expert_losses=losses)
+    y, _, _ = _classifier_arrays()
+    losses = np.linspace(0.5, 2.0, len(y))
+    scores = score_samples(ScoringKind.EXPERT, y, None, None, expert_losses=losses)
     assert np.array_equal(scores, scores_from_losses(losses))
 
 
-def test_pred_scoring_requires_classifier():
-    model = ModelSpec(ModelKind.LINEAR_REGRESSION, input_dim=2)
-    batch = Batch(np.ones((3, 2)), np.array([0.0, 1.0, 2.0]))
-    with pytest.raises(ConfigurationError):
-        score_samples(ScoringKind.G_PRED, model, batch, global_params=np.zeros(3))
+@pytest.mark.parametrize("kind", sorted(PRED_BASED, key=lambda k: k.value), ids=lambda k: k.value)
+def test_pred_scoring_requires_classifier(kind):
+    # Regression outputs are one value per sample: there is no class to take.
+    y = np.array([0.0, 1.0, 2.0])
+    at_model = (np.ones(3), np.array([0.2, 0.9, 2.1]))
+    with pytest.raises(ConfigurationError, match="requires a classifier") as info:
+        score_samples(kind, y, at_model, at_model)
+    assert info.value.field == "scoring"
 
 
 def test_random_scoring_reproducible():
-    model, batch, _ = _classifier_setup()
-    t1 = score_samples(ScoringKind.RANDOM, model, batch, rng=np.random.default_rng(5))
-    t2 = score_samples(ScoringKind.RANDOM, model, batch, rng=np.random.default_rng(5))
+    y, at_global, at_local = _classifier_arrays()
+    t1 = score_samples(ScoringKind.RANDOM, y, at_global, at_local, rng=np.random.default_rng(5))
+    t2 = score_samples(ScoringKind.RANDOM, y, None, None, rng=np.random.default_rng(5))
     assert np.array_equal(t1, t2)
-
+    assert t1.shape == (len(y),)
+    with pytest.raises(ConfigurationError, match="requires an rng"):
+        score_samples(ScoringKind.RANDOM, y, at_global, at_local)

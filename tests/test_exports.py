@@ -24,6 +24,7 @@ ALLOWED = {
     ("clients", "client_loss"): _BENCHMARK,
     ("models", "sgd_step"): _BENCHMARK,
     ("models", "grad"): _BENCHMARK,
+    ("models", "predict"): _BENCHMARK,
     ("theory", "biased_grad"): _BENCHMARK,
     ("models", "hessian_decomposition"): _CRITERION_12,
     ("models", "HessianDecomposition"): _CRITERION_12,

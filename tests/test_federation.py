@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _helpers import local_sgd_reference, train_centralized_reference
+from _helpers import forward_reference, local_sgd_reference, train_centralized_reference
 
 from fedcurr import (
     Algorithm,
@@ -391,16 +391,22 @@ def test_client_update_rejects_rows_that_do_not_fit_the_model(bad):
         )
 
 
-def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None):
-    """client_update written with the public, per-call-checked functions."""
+def at_model(model, params, batch):
+    """The (per-sample losses, raw outputs) of ``batch`` at ``params``."""
+    return per_sample_losses(model, params, batch), forward_reference(model, params, batch.x)[0]
+
+
+def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None, expert=None):
+    """client_update written with the public, per-call-checked functions;
+    ``expert`` holds the expert's losses on the client's rows."""
     full = Batch(ds.features[state.indices], ds.labels[state.indices])
     dc = cfg.data_curriculum
     if dc is not None:
-        # A copy, so the reference runs the local half instead of reusing
-        # the global losses.
-        local = state.local_params if state.local_params is not None else global_params.copy()
+        # Both passes, the local one even where the local model is the global.
+        local = state.local_params if state.local_params is not None else global_params
         scores = score_samples(
-            dc.scoring, cfg.model, full, global_params=global_params, local_params=local, rng=rng
+            dc.scoring, full.y, at_model(cfg.model, global_params, full),
+            at_model(cfg.model, local, full), expert, rng,
         )
         n_sel = pace(dc.pacing, t, len(state.indices), cfg.rounds)
         idx = state.indices[np.sort(order_and_select(scores, dc.ordering, n_sel, rng))]
@@ -512,13 +518,9 @@ def test_client_update_matches_checked_reference(model, algorithm):
         ref_theta, ref_v, ref_tau, ref_control = _reference_update(
             state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
         )
-        losses = per_sample_losses(
-            model, theta, Batch(ds.features[state.indices], ds.labels[state.indices])
-        )
         state = client_update(
             state, theta, cfg, *client_rows(ds, state), t, np.random.default_rng([3, t]),
-            server_c,
-            global_losses=losses,
+            server_c, at_global=at_model(model, theta, Batch(*client_rows(ds, state))),
         )
         assert state.selected % BATCH_7.batch_size != 0
         assert np.array_equal(state.local_params, ref_theta)
@@ -527,6 +529,47 @@ def test_client_update_matches_checked_reference(model, algorithm):
         if algorithm is Algorithm.SCAFFOLD:
             assert np.array_equal(state.control, ref_control)
         theta = theta + 0.1 * (state.local_params - theta)
+
+
+CLASSIFIERS = [FOUR_MODELS[1], FOUR_MODELS[2]]
+
+
+@pytest.mark.parametrize("model", CLASSIFIERS, ids=["softmax", "mlp"])
+@pytest.mark.parametrize("scoring", list(ScoringKind), ids=lambda k: k.value)
+def test_every_scoring_matches_checked_reference(model, scoring):
+    # Three rounds of one client: the first scores at the global model only,
+    # the later ones also at the client's own last local model.
+    ds, cfg, state, theta, _ = _one_client(
+        model, Algorithm.FEDAVG, BATCH_7,
+        DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.ANTI),
+    )
+    expert = np.random.default_rng(8).uniform(0.1, 2.0, len(state.indices))
+    for t in range(3):
+        ref_theta, ref_v, _, _ = _reference_update(
+            state, theta, cfg, ds, t, np.random.default_rng([4, t]), expert=expert
+        )
+        state = client_update(
+            state, theta, cfg, *client_rows(ds, state), t, np.random.default_rng([4, t]),
+            expert_losses=expert, at_global=at_model(model, theta, Batch(*client_rows(ds, state))),
+        )
+        assert np.array_equal(state.local_params, ref_theta)
+        assert np.array_equal(state.momentum, ref_v)
+        theta = theta + 0.5 * (state.local_params - theta)
+
+
+@pytest.mark.parametrize("scoring", list(ScoringKind), ids=lambda k: k.value)
+def test_data_curriculum_needs_the_pass_at_theta(scoring):
+    from fedcurr import ConfigurationError
+
+    ds, cfg, state, theta, _ = _one_client(
+        CLASSIFIERS[0], Algorithm.FEDAVG, BATCH_7,
+        DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.ANTI),
+    )
+    with pytest.raises(ConfigurationError, match="losses and outputs at theta"):
+        client_update(
+            state, theta, cfg, *client_rows(ds, state), 0, np.random.default_rng(0),
+            expert_losses=np.ones(len(state.indices)),
+        )
 
 
 def count_forwards(monkeypatch) -> dict:
