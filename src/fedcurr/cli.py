@@ -339,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     if processes < 1:
         print(f"error: {source} must be an integer >= 1, got {raw!r}", file=sys.stderr)
         return 2
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed must be an integer >= 0, got '{args.seed}'", file=sys.stderr)
+        return 2
 
     with _one_blas_thread():
         return _main(args, processes)

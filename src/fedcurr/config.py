@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .clients import ClientSelectionConfig
-from .curriculum import OrderingKind, PacingFamily, PacingSpec, ScoringKind
+from .curriculum import OrderingKind, PacingFamily, PacingSpec, ScoringKind, _check_scoring
 from .data import (
     PartitionSpec,
     Scheme,
@@ -266,6 +266,10 @@ def parse_run_config(path: str) -> RunConfig:
         "data_curriculum", "scoring",
         _get(cp, "data_curriculum", "scoring", str, default="g_loss"), ScoringKind,
     )
+    _built(
+        _check_scoring, _keys("data_curriculum", "scoring"),
+        kind=scoring, classifier=model.is_classifier,
+    )
     pacing = _pacing(cp, "data_curriculum")
     arms = [
         None if name == "vanilla" else DataCurriculumConfig(scoring, pacing, OrderingKind(name))
@@ -283,7 +287,7 @@ def parse_run_config(path: str) -> RunConfig:
         mu_prox=_federation(cp, "mu_prox", float),
         client_curriculum=client_cc if client_enabled else None,
         hyper=hyper,
-        seed=_get(cp, "run", "seed", int, default=DEFAULT_SEED),
+        seed=_get(cp, "run", "seed", int, default=DEFAULT_SEED, minimum=0),
     )
 
     run = RunConfig(
@@ -318,7 +322,7 @@ def parse_theory_config(path: str) -> list[ConvexCase | NonconvexCase]:
             rounds=_get(cp, section, "T", int, required=True, minimum=1),
             local_steps=_get(cp, section, "J", int, required=True, minimum=1),
             sigma=_get(cp, section, "sigma", float, default=0.0),
-            seed=_get(cp, section, "seed", int, default=DEFAULT_SEED),
+            seed=_get(cp, section, "seed", int, default=DEFAULT_SEED, minimum=0),
         )
         if kind == "convex":
             schedule = _get(cp, section, "schedule", str, default="client")
@@ -335,7 +339,7 @@ def parse_theory_config(path: str) -> list[ConvexCase | NonconvexCase]:
                 alpha_mode=_enum(section, "alpha_mode", alpha_mode, StepsizeMode),
                 theta0_scale=_get(cp, section, "theta0", float, default=1.0),
                 n_runs=_get(cp, section, "n_runs", int, default=500),
-                problem_seed=_get(cp, section, "problem_seed", int, default=0),
+                problem_seed=_get(cp, section, "problem_seed", int, default=0, minimum=0),
             )
         else:
             case = _built(

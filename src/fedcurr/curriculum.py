@@ -117,16 +117,12 @@ def score_samples(
     expert_losses: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Score the samples with labels ``y``: one score per sample, the higher
-    the easier. Loss-based scores sum to 1.
-
-    ``at_global`` and ``at_local`` are the (per-sample losses, raw model
-    outputs) of the samples at the global and at the client's local model;
-    the outputs are (m, C) logits for classifiers and (m,) for regression,
-    and prediction-based scorings take their argmax. Expert scoring reads
-    ``expert_losses``, the expert's per-sample losses, and random scoring
-    draws from ``rng``. No scoring runs a model.
-    """
+    """One score per sample with label ``y``, the higher the easier;
+    loss-based scores sum to 1. No scoring runs a model: ``at_global`` and
+    ``at_local`` are the (per-sample losses, raw outputs) at the global and
+    at the client's local model, outputs being (m, C) logits, whose argmax
+    prediction-based scorings take, or (m,) for regression. Expert scoring
+    reads ``expert_losses``, random scoring draws from ``rng``."""
     if kind is ScoringKind.EXPERT:
         if expert_losses is None or len(expert_losses) != len(y):
             raise ConfigurationError("scoring expert requires one expert loss per sample")
@@ -143,12 +139,8 @@ def score_samples(
         return scores_from_losses(0.5 * (at_global[0] + at_local[0]))
     outputs = at_global[1] if kind is ScoringKind.G_PRED else at_local[1]
     _check_scoring(kind, outputs.ndim == 2)
-    predicted = outputs.argmax(axis=1)
-    if kind is ScoringKind.LG_PRED:
-        easy = predicted == at_global[1].argmax(axis=1)
-    else:
-        easy = predicted == y
-    return easy.astype(np.float64)
+    agrees_with = at_global[1].argmax(axis=1) if kind is ScoringKind.LG_PRED else y
+    return (outputs.argmax(axis=1) == agrees_with).astype(np.float64)
 
 
 def order_and_select(

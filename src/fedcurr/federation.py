@@ -3,13 +3,10 @@ aggregation under FedAvg, FedProx, SCAFFOLD or FedNova.
 
 Each client's rows, labels and, under expert scoring, expert losses are
 gathered once per run. Each round runs the model once per needed client at
-the broadcast parameters. That pass's per-sample losses feed the client
-ranking and the round diagnostics, its gradient the dissimilarity, and its
-losses and raw outputs sample scoring, which runs no model itself. A client
-that has trained before runs its rows through its own last local model too,
-and only under a scoring that reads it. Local training takes the same rows
-and checks them and the parameter shapes once per client update. It then
-runs ``models._local_sgd``, the one momentum-SGD loop, which
+the broadcast parameters; that pass's losses, raw outputs and gradient feed
+the client ranking, the round diagnostics and sample scoring, which runs no
+model. Local training checks the rows and parameter shapes once per client
+update and runs ``models._local_sgd``, the one momentum-SGD loop, which
 ``train_centralized`` shares for the expert model.
 
 Determinism contract: every random draw comes from a generator keyed by
@@ -163,16 +160,14 @@ def client_update(
     ``ds.labels[state.indices]``, and ``expert_losses`` the expert's
     per-sample losses on them; ``run_experiment`` gathers all three once per
     run and passes the same arrays every round. ``at_global``, which a data
-    curriculum needs, holds the per-sample losses and raw outputs of those
-    rows at ``global_params``. The same pair at the client's last local model
-    is computed here, only under a scoring that reads the local model and
-    only for a client that has trained before; otherwise the local model is
-    the global one and ``at_global`` serves both. The rows and parameter
-    shapes are checked here, on every call. ``models._local_sgd`` then steps on the
-    selected rows and labels unchecked, with the FedProx and SCAFFOLD terms
-    added to each gradient in place. A step that leaves non-finite
-    parameters raises FloatingPointError naming the round, the client and
-    the step."""
+    curriculum needs, holds the per-sample losses and raw outputs of the rows
+    at ``global_params``. The pair at the local model is computed here only
+    for a scoring that reads it and a client that has trained before, and is
+    ``at_global`` otherwise. The rows and parameter shapes are checked on
+    every call; ``models._local_sgd`` then steps on the selected rows
+    unchecked, with the FedProx and SCAFFOLD terms added to each gradient in
+    place. A step that leaves non-finite parameters raises
+    FloatingPointError naming the round, the client and the step."""
     if len(y) < 1:
         raise ConfigurationError(f"client {state.client_id} holds no data")
     model = cfg.model
@@ -352,9 +347,7 @@ def run_experiment(
         sizes = np.array([len(states[i].indices) for i in ids], dtype=np.float64)
         w = sizes / sizes.sum()
         grads = [block_grads[block[i]]() for i in ids]
-        # Free the gradient closures, which hold the MLP's hidden activations,
-        # and the other clients' outputs before training.
-        del block_grads, block_outputs
+        del block_grads, block_outputs  # free the MLP activations the closures hold
         lam = gradient_dissimilarity(grads, w)
         mean_cl = float(np.mean([float(at_theta[i][0].mean()) for i in ids]))
 

@@ -15,7 +15,9 @@ than bad luck.
 Index conventions: a schedule matrix has shape (T+1, J+1); one round runs
 local steps j = 0..J. The simulators execute rounds t = 0..T-1 (so the
 measured endpoint is the round-T starting average), while the convex bound
-consumes rows 1..T of the schedules and the nonconvex bound rows 0..T.
+consumes rows 1..T of the schedules and the nonconvex bound rows 0..T. The
+nonconvex left side weights the squared gradient norm at the start of each
+round t < T by that round's total stepsize, the sum of row t.
 
 Batching: a verifier steps all of its R = n_runs trajectories at once. The
 iterates of every run and client form one (R, Q, d) array, and each local
@@ -361,14 +363,19 @@ def bound_nonconvex(
     alpha: np.ndarray,
     num_clients: int,
     theta0: np.ndarray,
+    sigma: float = 0.0,
 ) -> float:
     """Right-hand side of the nonconvex ergodic bound:
-    Q (f(theta0) - f*) + 2 sum a (a + suffix-sum of a) L G^2 over all (t, j)."""
+    Q (f(theta0) - f*) + 2 sum a (a + suffix-sum of a) L G^2 over all (t, j).
+    G^2 bounds the second moment of a stochastic gradient, E||grad f + xi||^2
+    = ||grad f||^2 + sigma^2 <= dim + sigma^2 for the additive-noise oracle."""
     alpha = _stepsize_matrix(alpha)
+    _check_noise(0.0, sigma)
     suffix = np.cumsum(alpha[:, ::-1], axis=1)[:, ::-1]
     cross = float(np.sum(alpha * (alpha + suffix)))
     gap = prob.value(theta0) - prob.f_star
-    return num_clients * gap + 2.0 * cross * prob.lipschitz * prob.grad_bound**2
+    second_moment = prob.grad_bound**2 + sigma**2
+    return num_clients * gap + 2.0 * cross * prob.lipschitz * second_moment
 
 
 @dataclass
@@ -412,7 +419,7 @@ def _simulate_rounds(
     The cohort average is ((theta_0 + theta_1) + ...) / Q, one client column
     at a time, the order ``mean(axis=1)`` sums in; for Q = 1 it is a copy of
     the one column. ``on_round_start`` sees the (R, d) averages at the start
-    of every round and at the end, each a new array."""
+    of every round, each a new array."""
     q, dim = oracle.directions.shape
     runs = len(rngs)
     rounds, steps = alpha.shape[0] - 1, alpha.shape[1]
@@ -442,8 +449,6 @@ def _simulate_rounds(
             theta_hat += thetas[:, k]
         if q > 1:
             theta_hat /= q
-    if on_round_start is not None:
-        on_round_start(theta_hat)
     return theta_hat
 
 
@@ -487,22 +492,35 @@ def verify_nonconvex(
     rng: np.random.Generator,
     sigma: float = 0.0,
 ) -> BoundReport:
-    """Monte-Carlo check of the ergodic bound: the (J+1)-weighted sum of
-    squared round-start gradient norms against the nonconvex right-hand
-    side. Gradients carry additive noise only; bias is off."""
+    """Monte-Carlo check of the ergodic bound: per run the stepsize-weighted
+    sum over rounds t < T of (sum_j alpha(t, j)) ||grad f(theta_hat_t)||^2,
+    the squared gradient norm at each round's start, averaged over runs and
+    compared with ``bound_nonconvex``. Gradients carry additive noise only;
+    bias is off.
+
+    The weights are those of the standard nonconvex SGD and Local-SGD
+    results (Ghadimi & Lan 2013; Stich 2019; Koloskova et al. 2020): summing
+    the descent lemma over the steps bounds each round's decrease by its
+    total stepsize times the squared gradient norm. An unweighted left side
+    is no valid inequality: as alpha -> 0 the right side tends to
+    Q (f(theta0) - f*), while an unweighted sum tends to T (J+1)
+    ||grad f(theta0)||^2, which can be far larger; the weighted sum tends to
+    0. The right side's G^2 must bound the oracle's second moment, so the
+    noise enters it as sigma^2 (see ``bound_nonconvex``); without it, a
+    large sigma breaks the check on a correct simulator."""
     _check_runs(n_runs)
-    bound = bound_nonconvex(prob, alpha, num_clients, theta0)
+    bound = bound_nonconvex(prob, alpha, num_clients, theta0, sigma)
     oracle = BiasedGradOracle(
         grad_fn=prob.grad,
         bias_values=np.zeros_like(alpha),
         directions=zero_sum_directions(num_clients, theta0.shape[0]),
         sigma=sigma,
     )
-    multiplier = alpha.shape[1]  # J + 1
+    weights = iter(alpha[:-1].sum(axis=1))  # sum_j alpha(t, j) of rounds t < T
     acc = np.zeros(n_runs)  # per-run weighted sum of round-start squared norms
 
     def record(theta_hat: np.ndarray) -> None:
-        acc[:] += multiplier * np.sum(prob.grad(theta_hat) ** 2, axis=1)
+        acc[:] += next(weights) * np.sum(prob.grad(theta_hat) ** 2, axis=1)
 
     _simulate_rounds(oracle, alpha, theta0, rng.spawn(n_runs), on_round_start=record)
     total = 0.0  # summed run by run, in spawn order, to keep report.csv's digits

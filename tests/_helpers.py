@@ -179,6 +179,4 @@ def simulate_rounds_reference(oracle, alpha, theta0, rngs, on_round_start=None):
                 oracle, g, oracle.directions, float(oracle.bias_values[t, j]), z
             )
         theta_hat = thetas.mean(axis=1)
-    if on_round_start is not None:
-        on_round_start(theta_hat)
     return theta_hat

@@ -505,6 +505,61 @@ def test_zero_trials_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command):
+    shipped = "example_run.ini" if command == "run" else "theory_verify.ini"
+    out = tmp_path / "out"
+    assert main([command, os.path.join(CONFIGS, shipped), "--out", str(out), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert lines == ["error: --seed must be an integer >= 0, got '-1'"], lines
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scoring", ["g_pred", "l_pred", "lg_pred"])
+@pytest.mark.parametrize("model", ["kind = linear", "kind = mlp\nhidden_dim = 4"])
+@pytest.mark.parametrize("orderings", ["curriculum,vanilla", "vanilla"])
+def test_prediction_scoring_with_a_regression_model_exits_2(
+    tmp_path, capsys, monkeypatch, scoring, model, orderings
+):
+    # A regression model has no class to predict: the parser rejects the
+    # scoring before any trial is built, even when every arm is vanilla.
+    text = (
+        MINIMAL_RUN.replace("kind = softmax", model)
+        .replace("classes = 2", "classes = 1" if "mlp" in model else "classes = 2")
+        .replace("orderings = curriculum,vanilla", f"orderings = {orderings}\nscoring = {scoring}")
+    )
+    monkeypatch.setattr(cli, "_build_trial", lambda *args: pytest.fail("a trial was built"))
+    out = tmp_path / "out"
+    assert main(["run", write(tmp_path / "bad.ini", text), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [
+        "error: key 'scoring' in section [data_curriculum]: "
+        "prediction-based scoring requires a classifier"
+    ], lines
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("alpha", "0.02"), ("alpha", "0.001"), ("sigma", "3")])
+def test_shipped_nonconvex_case_passes_at_other_settings(tmp_path, key, value):
+    # The stepsize-weighted left side holds for small stepsizes, and G^2
+    # with sigma^2 for large noise; either failed on a correct simulator.
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read(os.path.join(CONFIGS, "theory_verify.ini"), encoding="utf-8")
+    for section in cp.sections():
+        if section != "nonconvex_logcosh":
+            cp.remove_section(section)
+    cp.set("nonconvex_logcosh", key, value)
+    path = tmp_path / "case.ini"
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    assert main(["verify", str(path), "--out", str(out)]) == 0
+    assert read(out / "report.csv").decode().splitlines()[1].endswith(",1")
+
+
 CLIENT_CC = {"enabled": "true"}
 
 # (command, section, key, value, other keys of that section)
@@ -539,6 +594,11 @@ INVALID_CONFIGS = [
     # Without the check the untrained init model would rank the data.
     ("run", "partition", "expert_epochs", "-3", {"f_ord": "0.5"}),
     ("run", "run", "test_n", "1", {}),
+    # numpy's generators take no negative seed.
+    ("run", "run", "seed", "-1", {}),
+    ("verify", "convex_client_schedule", "seed", "-1", {}),
+    ("verify", "nonconvex_logcosh", "seed", "-1", {}),
+    ("verify", "convex_data_schedule", "problem_seed", "-1", {}),
     ("verify", "convex_client_schedule", "dim", "0", {}),
     ("verify", "convex_data_schedule", "dim", "0", {}),
     ("verify", "convex_diminishing_alpha", "dim", "0", {}),

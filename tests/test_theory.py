@@ -124,7 +124,6 @@ def _reference_rounds(oracle, alpha, theta0, rng, on_round_start):
                 g = biased_grad(oracle, k, thetas[k], t, j, rng)
                 thetas[k] = thetas[k] - alpha[t, j] * g
         theta_hat = np.mean(thetas, axis=0)
-    on_round_start(theta_hat)
     return theta_hat
 
 
@@ -191,7 +190,7 @@ def _assert_same_trajectories(oracle, alpha, theta0, n_runs):
         results.append((end, starts))
     (end, starts), (ref_end, ref_starts) = results
     assert np.array_equal(end, ref_end)
-    assert len(starts) == len(ref_starts) == alpha.shape[0]  # T + 1
+    assert len(starts) == len(ref_starts) == alpha.shape[0] - 1  # T
     for s, ref in zip(starts, ref_starts):
         assert np.array_equal(s, ref)
 
@@ -284,7 +283,9 @@ def test_verify_nonconvex_matches_per_call_reference():
     for child in np.random.default_rng(5).spawn(n_runs):
         starts = []
         _reference_rounds(oracle, sched, theta0, child, starts.append)
-        total += sum((J + 1) * float(np.sum(prob.grad(s) ** 2)) for s in starts)
+        total += sum(
+            float(np.sum(sched[t])) * float(np.sum(prob.grad(s) ** 2)) for t, s in enumerate(starts)
+        )
     assert report.empirical == pytest.approx(total / n_runs, rel=1e-12)
 
 
@@ -406,6 +407,9 @@ def test_bound_nonconvex_hand_expanded_cross_term():
     sched = constant_stepsizes(alpha, 0, 1)
     expected = 10 * alpha**2 * prob.lipschitz * prob.grad_bound**2
     assert bound_nonconvex(prob, sched, 4, np.zeros(4)) == pytest.approx(expected, rel=1e-12)
+    # The noise adds sigma^2 to G^2, the oracle's second moment.
+    noisy = 10 * alpha**2 * prob.lipschitz * (prob.grad_bound**2 + 0.5**2)
+    assert bound_nonconvex(prob, sched, 4, np.zeros(4), 0.5) == pytest.approx(noisy, rel=1e-12)
 
 
 def test_nonconvex_problem_properties():
@@ -597,16 +601,46 @@ def test_verify_convex_grid_of_settings():
 
 
 def test_verify_nonconvex_frozen_iterates():
-    # Zero stepsize freezes the iterates; the accumulated left side is just
-    # the multiplicity-weighted squared gradient at the start point.
+    # Zero stepsizes freeze the iterates and weigh every round by zero: the
+    # left side is 0 and the bound is the gap term alone.
     prob = NonconvexProblem(dim=4)
     theta0 = np.full(4, 0.6)
-    T, J = 5, 3
     report = verify_nonconvex(
-        prob, constant_stepsizes(0.0, T, J), 4, theta0, 100, np.random.default_rng(0)
+        prob, constant_stepsizes(0.0, 5, 3), 4, theta0, 100, np.random.default_rng(0), sigma=0.3
     )
-    expected = (T + 1) * (J + 1) * float(prob.grad(theta0) @ prob.grad(theta0))
+    assert report.empirical == 0.0
+    assert report.bound == pytest.approx(4 * prob.value(theta0), rel=1e-12)
+
+
+def test_verify_nonconvex_weights_each_round_by_its_stepsizes():
+    # Without noise every run is gradient descent on tanh, the same in each
+    # client: round t adds (sum_j alpha(t, j)) ||tanh(theta_t)||^2, and the
+    # final average adds nothing.
+    prob = NonconvexProblem(dim=3)
+    sched = inverse_round_stepsizes(0.4, 4, 2)
+    theta = np.array([1.5, -0.4, 0.8])
+    report = verify_nonconvex(prob, sched, 2, theta, 100, np.random.default_rng(0))
+    expected = 0.0
+    for t in range(4):
+        expected += float(np.sum(sched[t])) * float(np.sum(np.tanh(theta) ** 2))
+        for j in range(3):
+            theta = theta - sched[t, j] * np.tanh(theta)
     assert report.empirical == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.02, 0.05, 0.5])
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 3.0, 20.0])
+@pytest.mark.parametrize("theta0", [0.0, 0.4, 3.0])
+def test_verify_nonconvex_passes_on_the_correct_simulator(alpha, sigma, theta0):
+    # The shipped case's shape with one stepsize, noise level and start
+    # each. A small alpha failed while the left side was not weighted by the
+    # stepsizes, and a large sigma while G^2 left out the noise.
+    prob = NonconvexProblem(dim=4)
+    report = verify_nonconvex(
+        prob, constant_stepsizes(alpha, 20, 5), 4, np.full(4, theta0), 100,
+        np.random.default_rng(202207), sigma=sigma,
+    )
+    assert report.passed, (report.empirical, report.bound)
 
 
 def test_verify_nonconvex_at_minimizer():
