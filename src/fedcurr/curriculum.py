@@ -4,9 +4,9 @@ Scores come in three flavours: normalized inverse losses (from the global
 or local model, their average, or a fixed expert's precomputed losses),
 binary easy/hard flags from prediction agreement, and random keys. Each is
 computed from arrays the caller already holds, the losses and outputs of the
-round's forward passes, so no scoring runs a model. The
-pacing function maps a step index to a subset size that grows from a
-fraction ``b`` of the data to the full set over a fraction ``a`` of the budget.
+round's forward passes, so no scoring runs a model. The pacing function maps
+a step index to a subset size that grows from a fraction ``b`` of the data
+to the full set over a fraction ``a`` of the budget.
 """
 
 from __future__ import annotations

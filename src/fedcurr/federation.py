@@ -347,7 +347,7 @@ def run_experiment(
         sizes = np.array([len(states[i].indices) for i in ids], dtype=np.float64)
         w = sizes / sizes.sum()
         grads = [block_grads[block[i]]() for i in ids]
-        del block_grads, block_outputs  # free the MLP activations the closures hold
+        del block_grads, block_outputs  # free the closures' MLP activations before training
         lam = gradient_dissimilarity(grads, w)
         mean_cl = float(np.mean([float(at_theta[i][0].mean()) for i in ids]))
 

@@ -147,7 +147,7 @@ def _classifier_arrays(m=10, classes=3):
     return y, at_model(), at_model()
 
 
-@pytest.mark.parametrize("kind", [ScoringKind.G_PRED, ScoringKind.L_PRED])
+@pytest.mark.parametrize("kind", [ScoringKind.G_PRED, ScoringKind.L_PRED], ids=lambda k: k.value)
 def test_pred_scoring_all_correct_flags_easy(kind):
     # Labels that are the model's own argmax: every prediction is correct.
     _, at_global, at_local = _classifier_arrays()
@@ -187,7 +187,7 @@ def test_lg_loss_averages_global_and_local():
     assert np.array_equal(scores, scores_from_losses(mean_loss))
 
 
-def test_expert_scoring_requires_one_expert_loss_per_sample():
+def test_expert_scoring_requires_expert_losses():
     y, at_global, at_local = _classifier_arrays()
     with pytest.raises(ConfigurationError, match="one expert loss per sample"):
         score_samples(ScoringKind.EXPERT, y, at_global, at_local)
