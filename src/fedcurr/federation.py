@@ -18,7 +18,7 @@ of the (arm, trial) jobs one after another, change no digit either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -162,12 +162,13 @@ def client_update(
     run and passes the same arrays every round. ``at_global``, which a data
     curriculum needs, holds the per-sample losses and raw outputs of the rows
     at ``global_params``. The pair at the local model is computed here only
-    for a scoring that reads it and a client that has trained before, and is
-    ``at_global`` otherwise. The rows and parameter shapes are checked on
-    every call; ``models._local_sgd`` then steps on the selected rows
-    unchecked, with the FedProx and SCAFFOLD terms added to each gradient in
-    place. A step that leaves non-finite parameters raises
-    FloatingPointError naming the round, the client and the step."""
+    for a scoring that reads it and a client that has trained before to
+    parameters other than ``global_params``, and is ``at_global`` otherwise.
+    The rows and parameter shapes are checked on every call;
+    ``models._local_sgd`` then steps on the selected rows unchecked, with the
+    FedProx and SCAFFOLD terms added to each gradient in place. A step that
+    leaves non-finite parameters raises FloatingPointError naming the round,
+    the client and the step."""
     if len(y) < 1:
         raise ConfigurationError(f"client {state.client_id} holds no data")
     model = cfg.model
@@ -181,7 +182,11 @@ def client_update(
         if at_global is None:
             raise ConfigurationError("a data curriculum needs the losses and outputs at theta")
         at_local = at_global
-        if dc.scoring in LOCAL_BASED and state.local_params is not None:
+        if (
+            dc.scoring in LOCAL_BASED
+            and state.local_params is not None
+            and not np.array_equal(state.local_params, global_params)
+        ):
             losses, _, outputs = _losses_and_grads(model, state.local_params, [x], [y])
             at_local = losses[0], outputs[0]
         scores = score_samples(dc.scoring, y, at_global, at_local, expert_losses, rng)
@@ -218,8 +223,9 @@ def client_update(
         alpha_bar = eta_sum / step
         new_control = state.control - server_control + (global_params - theta) / (step * alpha_bar)
         control_delta = new_control - state.control
-    return replace(
-        state,
+    return ClientState(
+        client_id=state.client_id,
+        indices=state.indices,
         momentum=v,
         local_params=theta,
         control=new_control,

@@ -18,9 +18,13 @@ centralized training share, binds one step kernel per batch length at the
 start of a call (``_bind_step``), with its buffers. Each step then runs the
 forward pass, the log-softmax and softmax minus one-hot in place on one
 array and writes the gradient into one vector, and the update works in
-buffers allocated once per call. Every in-place form keeps the bits of the
-out-of-place expressions, and a large pass does not page in fresh memory for
-every temporary.
+buffers allocated once per call. The steps check nothing: one finite check
+at the end of the call covers them all, and a call whose parameters end
+non-finite replays its steps, each checked, to name the first bad one. The
+matrix products go through ``np.dot``, which writes into a buffer at less
+cost per call than ``np.matmul`` and reaches the same BLAS routine. Every
+in-place form keeps the bits of the out-of-place expressions, and a large
+pass does not page in fresh memory for every temporary.
 """
 
 from __future__ import annotations
@@ -193,7 +197,7 @@ def _bind_forward(
             wt, b = params[: c * d].reshape(c, d).T, params[c * d :]
 
         def forward(x):
-            z = np.matmul(x, wt, out=out)
+            z = np.dot(x, wt, out=out)
             z += b
             return z, None
 
@@ -202,10 +206,10 @@ def _bind_forward(
     w1t, w2t, scalar = w1.T, w2.T, c == 1
 
     def mlp_forward(x):
-        a = np.matmul(x, w1t, out=hidden)
+        a = np.dot(x, w1t, out=hidden)
         a += b1
         np.tanh(a, out=a)
-        z = np.matmul(a, w2t, out=out)
+        z = np.dot(a, w2t, out=out)
         z += b2
         return (z[:, 0] if scalar else z), a
 
@@ -219,10 +223,14 @@ def _forward(
     return _bind_forward(model, params)(x)
 
 
-def _log_softmax(z: np.ndarray, e: np.ndarray, s: np.ndarray, columns) -> np.ndarray:
+def _log_softmax(
+    z: np.ndarray, e: np.ndarray, s: np.ndarray, columns, e_columns=None
+) -> np.ndarray:
     """Log-probabilities of the logits ``z`` (m, C), written over ``z``.
     ``columns`` are the (m,) views of z's columns; ``e`` (m, C) and ``s``
-    (m, 1) are scratch."""
+    (m, 1) are scratch. The row sums of ``e`` are added column by column
+    when ``e_columns``, the views of e's columns, are given, and by
+    ``np.add.reduce`` otherwise."""
     # The row max taken column by column: numpy's max along a short row axis
     # costs about 50 ns a row, and the max is exact in any order.
     rowmax = s[:, 0]
@@ -231,7 +239,12 @@ def _log_softmax(z: np.ndarray, e: np.ndarray, s: np.ndarray, columns) -> np.nda
         np.maximum(rowmax, column, out=rowmax)
     z -= s
     np.exp(z, out=e)
-    np.add.reduce(e, axis=1, keepdims=True, out=s)
+    if e_columns is None:
+        np.add.reduce(e, axis=1, keepdims=True, out=s)
+    else:
+        np.add(e_columns[0], e_columns[1], out=rowmax)
+        for column in e_columns[2:]:
+            np.add(rowmax, column, out=rowmax)
     np.log(s, out=s)
     z -= s
     return z
@@ -242,7 +255,12 @@ def _output_terms(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarra
     outputs ``out``: log-probabilities for classifiers, residuals f - y for
     the regression models (numpy casts integer labels to float64)."""
     if model.is_classifier:
-        return _log_softmax(out, np.empty_like(out), np.empty((len(out), 1)), out.T)
+        e = np.empty_like(out)
+        # Below 8 terms numpy's add.reduce adds a row's terms one after
+        # another, the order of a sum taken column by column, which costs a
+        # quarter as much on a long pass. From 8 on it sums pairwise.
+        e_columns = e.T if out.shape[1] < 8 else None
+        return _log_softmax(out, e, np.empty((len(out), 1)), out.T, e_columns)
     return np.subtract(out, y, out=out)
 
 
@@ -306,7 +324,7 @@ def _bind_grad(
 
         def linear_grad(x, target, terms, hidden):
             e = loss_derivative(target, terms)
-            np.matmul(x.T, e, out=gw)
+            np.dot(x.T, e, out=gw)
             np.add.reduce(e, axis=0, keepdims=True, out=gb)
 
         return linear_grad
@@ -315,7 +333,7 @@ def _bind_grad(
 
         def softmax_grad(x, target, terms, hidden):
             e = loss_derivative(target, terms)
-            np.matmul(e.T, x, out=gw)
+            np.dot(e.T, x, out=gw)
             np.add.reduce(e, axis=0, out=gb)
 
         return softmax_grad
@@ -328,17 +346,17 @@ def _bind_grad(
     def mlp_grad(x, target, terms, hidden):
         e = loss_derivative(target, terms)
         if c == 1:
-            np.matmul(hidden.T, e, out=gw2)
+            np.dot(hidden.T, e, out=gw2)
             np.add.reduce(e, axis=0, keepdims=True, out=gb2)
             back = np.multiply(e[:, None], w2[0], out=delta)  # np.outer
         else:
-            np.matmul(e.T, hidden, out=gw2)
+            np.dot(e.T, hidden, out=gw2)
             np.add.reduce(e, axis=0, out=gb2)
-            back = np.matmul(e, w2, out=delta)
+            back = np.dot(e, w2, out=delta)
         s = np.square(hidden, out=square)
         np.subtract(1.0, s, out=s)
         back *= s
-        np.matmul(back.T, x, out=gw1)
+        np.dot(back.T, x, out=gw1)
         np.add.reduce(back, axis=0, out=gb1)
 
     return mlp_grad
@@ -408,18 +426,27 @@ def _local_sgd(
     one buffer (one ``take``, about 3x faster than fancy indexing), then
     steps on its contiguous slices of ``hyper.batch_size`` rows with eta(i),
     i counting steps from 0. Everything that does not change within the call
-    is bound once at its start: the targets built from ``y``, the slices, one
-    ``_bind_step`` kernel per batch length, and the update's buffers.
-    ``adjust(g, theta)``, when given, adds its terms to the gradient in place
-    before the update. The update is ``sgd_step``'s in its operation order. A step that leaves non-finite
-    parameters raises FloatingPointError naming ``where`` and the step; the
-    overflow warnings on the way there would only repeat it, so they are
+    is bound once at its start: the epochs' permutations (the steps draw
+    nothing else from ``rng``, so its stream is as if each epoch drew its
+    own), the targets built from ``y``, the slices, one ``_bind_step`` kernel
+    per batch length, and the update's buffers. ``adjust(g, theta)``, when
+    given, adds its terms to the gradient in place before the update. The
+    update is ``sgd_step``'s in its operation order.
+
+    A step that leaves non-finite parameters raises FloatingPointError
+    naming ``where`` and the step, yet the steps check nothing: ``theta -=
+    tmp`` is the one write to ``theta``, and x - t is inf or nan for every t
+    when x is, so a coordinate that turns non-finite stays so, and ``theta``
+    is finite after the last step only if it was after every step. One check
+    at the end therefore suffices. If it fails, ``theta`` and ``v`` are
+    restored from copies taken at the start and the same steps run again,
+    each checked, which raises at the first bad step. The floating-point
+    warnings on the way there would only repeat the error, so they are
     silenced. Returns the step count and the sum of the rates used."""
     target = _targets(model, y)
     n, bs = len(target), hyper.batch_size
     rho, wd = hyper.momentum, hyper.weight_decay
     g, tmp = np.empty_like(theta), np.empty_like(theta)
-    finite = np.empty(theta.shape, dtype=bool)
     xp, tp = np.empty(x.shape), np.empty(target.shape, dtype=target.dtype)
     kernels: dict[int, Callable] = {}
     batches = []
@@ -429,35 +456,42 @@ def _local_sgd(
             kernels[hi - lo] = _bind_step(model, theta, g, hi - lo)
         batches.append((xp[lo:hi], tp[lo:hi], kernels[hi - lo]))
     etas = [hyper.learning_rate(i) for i in range(epochs * len(batches))]
-    step = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
-            perm = rng.permutation(n)
-            # mode="clip" leaves a permutation as it is and skips the copy
-            # that the default mode makes of an ``out``.
-            x.take(perm, axis=0, out=xp, mode="clip")
-            target.take(perm, axis=0, out=tp, mode="clip")
-            for xb, tb, kernel in batches:
-                kernel(xb, tb)
-                if adjust is not None:
-                    adjust(g, theta)
-                # v <- rho*v + (g + wd*theta); theta <- theta - eta*v
-                np.multiply(theta, wd, out=tmp)
-                tmp += g
-                v *= rho
-                v += tmp
-                np.multiply(v, etas[step], out=tmp)
-                theta -= tmp
-                np.isfinite(theta, out=finite)
-                if not np.logical_and.reduce(finite):
-                    raise FloatingPointError(
-                        f"{where}: non-finite parameters after step {step}"
-                    )
-                step += 1
+    perms = [rng.permutation(n) for _ in range(epochs)]
+    theta0, v0 = theta.copy(), v.copy()
+
+    with np.errstate(all="ignore"):
+        for check in (False, True):
+            step = 0
+            for perm in perms:
+                # mode="clip" leaves a permutation as it is and skips the copy
+                # that the default mode makes of an ``out``.
+                x.take(perm, axis=0, out=xp, mode="clip")
+                target.take(perm, axis=0, out=tp, mode="clip")
+                for xb, tb, kernel in batches:
+                    kernel(xb, tb)
+                    if adjust is not None:
+                        adjust(g, theta)
+                    # v <- rho*v + (g + wd*theta); theta <- theta - eta*v
+                    np.multiply(theta, wd, out=tmp)
+                    tmp += g
+                    v *= rho
+                    v += tmp
+                    np.multiply(v, etas[step], out=tmp)
+                    theta -= tmp
+                    if check and not np.isfinite(theta).all():
+                        raise FloatingPointError(
+                            f"{where}: non-finite parameters after step {step}"
+                        )
+                    step += 1
+            if np.isfinite(theta).all():
+                break
+            # Some step left non-finite values: replay from the start, checked.
+            np.copyto(theta, theta0)
+            np.copyto(v, v0)
     eta_sum = 0.0
     for eta in etas:  # added one by one, as the steps took them
         eta_sum += eta
-    return step, eta_sum
+    return len(etas), eta_sum
 
 
 def _losses_and_grads(

@@ -487,10 +487,10 @@ def test_client_update_trains_bit_for_bit_as_the_public_functions(model, algorit
         theta = theta + 0.5 * (state.local_params - theta)
 
 
-@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_diverging_client_update_fails_at_the_reference_step(model, algorithm):
-    hyper = SgdHyper(eta0=1e20, decay_alpha=0.0, momentum=0.9, weight_decay=5e-4, batch_size=7)
+def _diverging_client_update_step(model, algorithm, eta0) -> int:
+    """Check that client_update fails with the message of the reference loop,
+    and return the step that message names."""
+    hyper = SgdHyper(eta0=eta0, decay_alpha=0.0, momentum=0.9, weight_decay=5e-4, batch_size=7)
     ds, cfg, state, theta, server_c = _one_client(model, algorithm, hyper)
     with pytest.raises(FloatingPointError) as expected:
         _reference_update(state, theta, cfg, ds, 2, np.random.default_rng(3), server_c)
@@ -500,6 +500,65 @@ def test_diverging_client_update_fails_at_the_reference_step(model, algorithm):
         )
     assert str(caught.value) == str(expected.value)
     assert str(caught.value).startswith("round 2, client 1: non-finite parameters after step ")
+    return int(str(caught.value).rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_diverging_client_update_fails_at_the_reference_step(model, algorithm):
+    _diverging_client_update_step(model, algorithm, 1e20)
+
+
+# Per model of FOUR_MODELS, a rate at which training first leaves finite
+# values mid-way through its second epoch: in local training on 75 rows
+# (11 steps an epoch) and in expert training on 230 rows (33 steps).
+LATE_CLIENT_ETA0 = [1e16, 1e20, 1e20, 1e10]
+LATE_EXPERT_ETA0 = [1e6, 1e9, 1e9, 1e3]
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_late_diverging_client_update_fails_at_the_reference_step(model, algorithm):
+    # The steps run unchecked and are replayed, each checked, once the
+    # parameters end non-finite; the replay must take the second epoch's
+    # permutation from the same place in the stream.
+    eta0 = LATE_CLIENT_ETA0[FOUR_MODELS.index(model)]
+    assert 11 < _diverging_client_update_step(model, algorithm, eta0) < 21
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+def test_diverging_local_sgd_replays_the_reference_steps(model):
+    # The unchecked pass runs all 33 steps; the checked replay must run the
+    # same steps on the same permutations, so every step up to the failing
+    # one sees the reference loop's gradient in both passes.
+    hyper = SgdHyper(
+        eta0=LATE_CLIENT_ETA0[FOUR_MODELS.index(model)], decay_alpha=0.0, momentum=0.9,
+        weight_decay=5e-4, batch_size=7,
+    )
+    ds, _, state, theta, _ = _one_client(model, Algorithm.FEDAVG, hyper)
+    x, y = client_rows(ds, state)
+    expected, seen = [], []
+
+    def record(g, _theta):
+        expected.append(g.copy())
+        return g
+
+    with pytest.raises(FloatingPointError) as ref:
+        local_sgd_reference(
+            model, hyper, theta.copy(), np.zeros_like(theta), Batch(x, y), 3,
+            np.random.default_rng(6), "client", record,
+        )
+    with pytest.raises(FloatingPointError) as caught:
+        models._local_sgd(
+            model, hyper, theta.copy(), np.zeros_like(theta), x, y, 3,
+            np.random.default_rng(6), "client", lambda g, _theta: seen.append(g.copy()),
+        )
+    assert str(caught.value) == str(ref.value)
+    assert 11 < len(expected) < 22
+    assert len(seen) == 33 + len(expected)
+    for g, first, replayed in zip(expected, seen, seen[33:]):
+        assert np.array_equal(first, g, equal_nan=True)
+        assert np.array_equal(replayed, g, equal_nan=True)
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
@@ -534,11 +593,9 @@ def test_client_update_matches_checked_reference(model, algorithm):
 CLASSIFIERS = [FOUR_MODELS[1], FOUR_MODELS[2]]
 
 
-@pytest.mark.parametrize("model", CLASSIFIERS, ids=["softmax", "mlp"])
-@pytest.mark.parametrize("scoring", list(ScoringKind), ids=lambda k: k.value)
-def test_every_scoring_matches_checked_reference(model, scoring):
-    # Three rounds of one client: the first scores at the global model only,
-    # the later ones also at the client's own last local model.
+def _check_scoring_rounds(model, scoring, next_theta):
+    """Three rounds of one client against the reference, the broadcast model
+    of each next round made by ``next_theta(theta, local_params)``."""
     ds, cfg, state, theta, _ = _one_client(
         model, Algorithm.FEDAVG, BATCH_7,
         DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.ANTI),
@@ -554,7 +611,23 @@ def test_every_scoring_matches_checked_reference(model, scoring):
         )
         assert np.array_equal(state.local_params, ref_theta)
         assert np.array_equal(state.momentum, ref_v)
-        theta = theta + 0.5 * (state.local_params - theta)
+        theta = next_theta(theta, state.local_params)
+
+
+@pytest.mark.parametrize("model", CLASSIFIERS, ids=["softmax", "mlp"])
+@pytest.mark.parametrize("scoring", list(ScoringKind), ids=lambda k: k.value)
+def test_every_scoring_matches_checked_reference(model, scoring):
+    # The first round scores at the global model only, the later ones also
+    # at the client's own last local model.
+    _check_scoring_rounds(model, scoring, lambda theta, local: theta + 0.5 * (local - theta))
+
+
+@pytest.mark.parametrize("model", CLASSIFIERS, ids=["softmax", "mlp"])
+@pytest.mark.parametrize("scoring", list(ScoringKind), ids=lambda k: k.value)
+def test_sole_participant_scoring_matches_checked_reference(model, scoring):
+    # As the sole participant, the client's local model is the next global
+    # one, whose pass at theta then serves both sides; the reference runs both.
+    _check_scoring_rounds(model, scoring, lambda theta, local: local.copy())
 
 
 @pytest.mark.parametrize("scoring", list(ScoringKind), ids=lambda k: k.value)
@@ -645,6 +718,48 @@ def test_every_scoring_forwards_each_params_and_data_pair_once(monkeypatch, scor
     # Per round: 4 participants, their local steps and the test set.
     assert len(seen) > 4 * (4 + 1)
     assert max(seen.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "scoring",
+    [ScoringKind.L_LOSS, ScoringKind.LG_LOSS, ScoringKind.L_PRED, ScoringKind.LG_PRED],
+    ids=lambda k: k.value,
+)
+def test_redrawn_sole_participant_is_forwarded_once(monkeypatch, scoring):
+    # With one participant, aggregate hands that client's local parameters
+    # on as the next broadcast model. A client drawn in two rounds running
+    # then has its local model equal to the global one, and the round's pass
+    # at theta serves the local-based scoring too.
+    ds, part, test = small_world(clients=2)
+    cfg = base_config(
+        participants=1,
+        rounds=8,
+        data_curriculum=DataCurriculumConfig(
+            scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
+        ),
+    )
+    expected = run_experiment(cfg, ds, part, test)
+    seen = count_forwards(monkeypatch)
+    metrics = run_experiment(cfg, ds, part, test)
+    assert metrics_equal(metrics, expected)
+    assert any(a.participants == b.participants for a, b in zip(metrics, metrics[1:]))
+    assert max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+def test_late_diverging_train_centralized_fails_at_the_reference_step(model):
+    # 230 rows in batches of 7 take 33 steps an epoch; the parameters first
+    # leave finite values mid-way through the second.
+    ds = gen_synthetic(230, 3, 5, 0.1, 1.5, seed=9)
+    eta0 = LATE_EXPERT_ETA0[FOUR_MODELS.index(model)]
+    hyper = SgdHyper(eta0=eta0, decay_alpha=0.0, momentum=0.9, weight_decay=5e-4, batch_size=7)
+    with pytest.raises(FloatingPointError) as expected:
+        train_centralized_reference(model, ds, hyper, epochs=3, seed=4)
+    with pytest.raises(FloatingPointError) as caught:
+        train_centralized(model, ds, hyper, epochs=3, seed=4)
+    assert str(caught.value) == str(expected.value)
+    assert str(caught.value).startswith("expert training: non-finite parameters after step ")
+    assert 33 < int(str(caught.value).rsplit(" ", 1)[1]) < 65
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])

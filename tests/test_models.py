@@ -169,22 +169,35 @@ WIDE_MODELS = [
     ModelSpec(ModelKind.MLP_TANH, input_dim=20, num_classes=10, hidden_dim=64),
     ModelSpec(ModelKind.MLP_TANH, input_dim=20, num_classes=1, hidden_dim=64),
 ]
+# The desk benchmark's model: 10 features, 4 classes, batches of 10 rows.
+DESK_SOFTMAX = ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=10, num_classes=4)
 
 
 @pytest.mark.parametrize(
-    "rows", [slice(0, 1), slice(10_000, None), slice(0, 10_000)], ids=["m1", "remainder", "m10000"]
+    "rows",
+    [
+        slice(0, 1), slice(10_000, None), slice(0, 10_000),
+        slice(0, 10), slice(0, 100), slice(0, 2000),
+    ],
+    ids=["m1", "remainder", "m10000", "m10", "m100", "m2000"],
 )
-@pytest.mark.parametrize("model", WIDE_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+@pytest.mark.parametrize(
+    "model", WIDE_MODELS + [DESK_SOFTMAX], ids=["linear", "softmax", "mlp", "mlp_scalar", "desk"]
+)
 def test_in_place_kernels_match_out_of_place_formulas(model, rows):
-    # The forward pass and the gradient write into arrays they own; every
-    # bit must equal the out-of-place expressions and np.concatenate. The
-    # 7-row remainder is a view that starts mid-array, as the last
-    # mini-batch of an epoch does.
-    from fedcurr.models import _forward, _output_terms, _targets, _terms_grad
+    # The forward pass and the gradient write their products with np.dot
+    # into arrays they own; every bit must equal the out-of-place @
+    # expressions and np.concatenate, in the one-shot calls and in a local
+    # step's kernel. The 7-row remainder is a view that starts mid-array, as
+    # the last mini-batch of an epoch does. With fewer than 8 classes the
+    # one-shot log-softmax sums each row column by column.
+    from fedcurr.models import _bind_step, _forward, _output_terms, _targets, _terms_grad
 
     rng = np.random.default_rng(29)
     params = 3.0 * init_params(model, rng)
-    x, y = rng.standard_normal((10_007, 20))[rows], rng.integers(0, 10, 10_007)[rows]
+    labels = model.num_classes if model.is_classifier else 10
+    x = rng.standard_normal((10_007, model.input_dim))[rows]
+    y = rng.integers(0, labels, 10_007)[rows]
     out, hidden = _forward(model, params, x)
     ref_out, ref_hidden = forward_reference(model, params, x)
     assert np.array_equal(out, ref_out)
@@ -197,6 +210,35 @@ def test_in_place_kernels_match_out_of_place_formulas(model, rows):
     assert _terms_grad(model, params, x, target, terms, hidden, out=g) is g
     assert np.array_equal(g, terms_grad_reference(model, params, x, target, terms, hidden))
     assert np.array_equal(_terms_grad(model, params, x, target, terms, hidden), g)
+    step_g = np.full(model.param_count(), np.nan)
+    _bind_step(model, params, step_g, len(x))(x, target)
+    assert np.array_equal(step_g, g)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 65, 2000])
+@pytest.mark.parametrize("classes", range(2, 8))
+def test_column_row_sums_match_add_reduce(classes, rows):
+    # Below 8 classes the one-shot log-softmax adds each row's terms column
+    # by column instead of np.add.reduce along the row; the sums, and with
+    # them the log-probabilities, must keep every bit, for rows that overflow
+    # (inf, 1e308 beside -1e308) or hold nan too.
+    from fedcurr.models import _log_softmax
+
+    rng = np.random.default_rng([classes, rows])
+    z = 30.0 * rng.standard_normal((rows, classes))
+    special = [np.inf, 1e308, -1e308, -np.inf, np.nan]
+    for i in range(min(rows - 1, len(special))):
+        z[-1 - i, : i + 1] = special[i]
+        z[-1 - i, -1] = special[(i + 1) % len(special)]
+    by_column, by_reduce = z.copy(), z.copy()
+    e, s = np.empty_like(z), np.empty((rows, 1))
+    e2, s2 = np.empty_like(z), np.empty((rows, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _log_softmax(by_column, e, s, by_column.T, e.T)
+        _log_softmax(by_reduce, e2, s2, by_reduce.T)
+        assert np.array_equal(s, np.log(np.add.reduce(e, axis=1, keepdims=True)), equal_nan=True)
+    assert np.array_equal(s, s2, equal_nan=True)
+    assert np.array_equal(by_column, by_reduce, equal_nan=True)
 
 
 def test_mlp_forward_allocates_one_hidden_array():
