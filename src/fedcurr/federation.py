@@ -5,15 +5,18 @@ Each client's rows, labels and, under expert scoring, expert losses are
 gathered once per run. Each round runs the model once per needed client at
 the broadcast parameters; that pass's losses, raw outputs and gradient feed
 the client ranking, the round diagnostics and sample scoring, which runs no
-model. Local training checks the rows and parameter shapes once per client
-update and runs ``models._local_sgd``, the one momentum-SGD loop, which
+model. The rows are checked once per run, when the run's training pool is
+built. Each round's local training is one call of ``models._local_sgd``, the
+one momentum-SGD loop, which trains the participants together and which
 ``train_centralized`` shares for the expert model.
 
 Determinism contract: every random draw comes from a generator keyed by
-(seed, stream tag, round, client id), and the clients of a round train one
-after another in ascending id order, so reruns are bitwise identical. Runs
-share no state, so the CLI's worker processes, each running a fixed share
-of the (arm, trial) jobs one after another, change no digit either.
+(seed, stream tag, round, client id). The participants of a round train in
+lockstep, each getting the bits it would get training alone, and
+aggregation sums their updates in ascending id order, so reruns are
+bitwise identical. Runs share no state, so the CLI's worker processes, each
+running a fixed share of the (arm, trial) jobs one after another, change no
+digit either.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .models import (
     _local_sgd,
     _losses,
     _losses_and_grads,
+    _Pool,
     init_params,
 )
 
@@ -138,50 +142,60 @@ def gradient_dissimilarity(grads: list[np.ndarray], weights: np.ndarray) -> floa
 
 
 def client_update(
-    state: ClientState,
+    states: list[ClientState],
     global_params: np.ndarray,
     cfg: ExperimentConfig,
-    x: np.ndarray,
-    y: np.ndarray,
+    pool: _Pool,
+    rows: list[tuple[np.ndarray, np.ndarray]],
     t: int,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
     server_control: np.ndarray | None = None,
-    expert_losses: np.ndarray | None = None,
-    at_global: tuple[np.ndarray, np.ndarray] | None = None,
-) -> ClientState:
-    """One local-training pass: select the paced subset, run the configured
-    epochs of mini-batch SGD from the broadcast parameters, and return the
-    client's new state, with the trained parameters in ``local_params``.
-    ``state`` itself is left as it was. The momentum buffer persists across
+    expert_losses: list[np.ndarray | None] | None = None,
+    at_global: list[tuple[np.ndarray, np.ndarray]] | None = None,
+) -> list[ClientState]:
+    """One round's local training: for each participant, in the order of
+    ``states`` (ascending id), select the paced subset with its own
+    generator ``rngs[k]``; then run the configured epochs of mini-batch SGD
+    for all of them from the broadcast parameters, and return their new
+    states, with the trained parameters in ``local_params``. The states
+    themselves are left as they were. The momentum buffer persists across
     rounds; the step index (and with it the learning-rate schedule) resets
     each round.
 
-    ``x`` and ``y`` are the client's rows, ``ds.features[state.indices]`` and
-    ``ds.labels[state.indices]``, and ``expert_losses`` the expert's
-    per-sample losses on them; ``run_experiment`` gathers all three once per
-    run and passes the same arrays every round. ``at_global``, which a data
-    curriculum needs, holds the per-sample losses and raw outputs of the rows
-    at ``global_params``. The pair at the local model is computed here only
-    for a scoring that reads it and a client that has trained before to
-    parameters other than ``global_params``, and is ``at_global`` otherwise.
-    The rows and parameter shapes are checked on every call;
-    ``models._local_sgd`` then steps on the selected rows unchecked, with the
-    FedProx and SCAFFOLD terms added to each gradient in place. A step that
-    leaves non-finite parameters raises FloatingPointError naming the round,
-    the client and the step."""
-    if len(y) < 1:
-        raise ConfigurationError(f"client {state.client_id} holds no data")
+    ``pool`` holds the dataset's rows and targets, checked once per run, and
+    the run's rates (``models._Pool``). ``rows[k]`` are participant k's rows
+    and labels, ``pool.x[state.indices]`` and ``ds.labels[state.indices]``,
+    and ``expert_losses[k]`` the expert's per-sample losses on them;
+    ``run_experiment`` gathers all three once per run and passes the same
+    arrays every round. ``at_global[k]``, which a data curriculum needs,
+    holds the per-sample losses and raw outputs of those rows at
+    ``global_params``. The pair at the local model is computed here only for
+    a scoring that reads it and a client that has trained before to
+    parameters other than ``global_params``, and is ``at_global[k]``
+    otherwise. Only the parameter and momentum shapes are checked here;
+    ``models._local_sgd`` then trains the participants in lockstep, with
+    the FedProx and SCAFFOLD terms added to each gradient. A step that
+    leaves non-finite parameters raises FloatingPointError naming the
+    round, the lowest-id such client and its step."""
     model = cfg.model
-    batch = Batch(x, y)
-    _check_batch(model, global_params, batch)
-    x, y = batch.x, batch.y
-    if state.momentum.shape != global_params.shape:
-        raise ConfigurationError("parameter and momentum lengths must match")
+    if global_params.shape != (model.param_count(),):
+        raise ConfigurationError(
+            f"parameter length {global_params.shape} does not match model ({model.param_count()},)"
+        )
     dc = cfg.data_curriculum
-    if dc is not None:
-        if at_global is None:
-            raise ConfigurationError("a data curriculum needs the losses and outputs at theta")
-        at_local = at_global
+    if dc is not None and at_global is None:
+        raise ConfigurationError("a data curriculum needs the losses and outputs at theta")
+    chosen = []
+    for k, state in enumerate(states):
+        if len(state.indices) < 1:
+            raise ConfigurationError(f"client {state.client_id} holds no data")
+        if state.momentum.shape != global_params.shape:
+            raise ConfigurationError("parameter and momentum lengths must match")
+        if dc is None:
+            chosen.append(state.indices)
+            continue
+        x, y = rows[k]
+        at_local = at_global[k]
         if (
             dc.scoring in LOCAL_BASED
             and state.local_params is not None
@@ -189,50 +203,47 @@ def client_update(
         ):
             losses, _, outputs = _losses_and_grads(model, state.local_params, [x], [y])
             at_local = losses[0], outputs[0]
-        scores = score_samples(dc.scoring, y, at_global, at_local, expert_losses, rng)
+        expert = None if expert_losses is None else expert_losses[k]
+        scores = score_samples(dc.scoring, y, at_global[k], at_local, expert, rngs[k])
         n_sel = pace(dc.pacing, t, len(y), cfg.rounds)
-        chosen = np.sort(order_and_select(scores, dc.ordering, n_sel, rng))
-        x, y = x[chosen], y[chosen]
-    else:
-        n_sel = len(y)
+        chosen.append(state.indices[np.sort(order_and_select(scores, dc.ordering, n_sel, rngs[k]))])
 
-    prox = cfg.algorithm is Algorithm.FEDPROX and cfg.mu_prox != 0.0
     scaffold = cfg.algorithm is Algorithm.SCAFFOLD
-    diff = np.empty_like(global_params) if prox else None
+    prox = None
+    if cfg.algorithm is Algorithm.FEDPROX and cfg.mu_prox != 0.0:
+        prox = cfg.mu_prox, global_params
+    theta = np.tile(global_params, (len(states), 1))
+    v = np.array([state.momentum for state in states])
+    taus = _local_sgd(
+        pool, chosen, theta, v, cfg.local_epochs, rngs,
+        [f"round {t}, client {state.client_id}" for state in states], prox,
+        (server_control, np.array([state.control for state in states])) if scaffold else None,
+    )
 
-    def adjust(g: np.ndarray, theta: np.ndarray) -> None:
-        # g + mu*(theta - theta_g) + c - c_k, added left to right.
-        if prox:
-            np.subtract(theta, global_params, out=diff)
-            np.multiply(diff, cfg.mu_prox, out=diff)
-            g += diff
+    updated = []
+    for k, state in enumerate(states):
+        control_delta = None
+        new_control = state.control
         if scaffold:
-            g += server_control
-            g -= state.control
-
-    theta = global_params.copy()
-    v = state.momentum.copy()
-    step, eta_sum = _local_sgd(
-        model, cfg.hyper, theta, v, x, y, cfg.local_epochs, rng,
-        f"round {t}, client {state.client_id}", adjust if prox or scaffold else None,
-    )
-
-    control_delta = None
-    new_control = state.control
-    if scaffold:
-        alpha_bar = eta_sum / step
-        new_control = state.control - server_control + (global_params - theta) / (step * alpha_bar)
-        control_delta = new_control - state.control
-    return ClientState(
-        client_id=state.client_id,
-        indices=state.indices,
-        momentum=v,
-        local_params=theta,
-        control=new_control,
-        tau=step,
-        selected=n_sel,
-        control_delta=control_delta,
-    )
+            step = taus[k]
+            alpha_bar = pool.eta_sums[step - 1] / step
+            new_control = (
+                state.control - server_control + (global_params - theta[k]) / (step * alpha_bar)
+            )
+            control_delta = new_control - state.control
+        updated.append(
+            ClientState(
+                client_id=state.client_id,
+                indices=state.indices,
+                momentum=v[k],
+                local_params=theta[k],
+                control=new_control,
+                tau=taus[k],
+                selected=len(chosen[k]),
+                control_delta=control_delta,
+            )
+        )
+    return updated
 
 
 def aggregate(
@@ -295,10 +306,10 @@ def run_experiment(
 
     ``expert_losses``, which expert scoring needs, holds the expert's
     per-sample loss of each row of ``ds``. The dataset is checked against the
-    model once, and each client's rows, labels and expert losses are
-    gathered from it once per run. Every round's pass at the broadcast
-    parameters reads the rows and labels, and every ``client_update`` all
-    three, checking the rows and labels again on each call."""
+    model once, when its training pool is built, and each client's rows,
+    labels and expert losses are gathered from it once per run. Every
+    round's pass at the broadcast parameters reads the rows and labels, and
+    the round's ``client_update`` all three."""
     m = part.num_clients
     _check_participants(cfg.participants, m)
     dc = cfg.data_curriculum
@@ -324,7 +335,8 @@ def run_experiment(
         return [RoundMetrics(0, acc, loss, [], float("nan"), float("nan"), float("nan"))]
 
     data = ds.batch()
-    _check_batch(model, theta, data)
+    largest = max(len(s.indices) for s in states)
+    pool = _Pool(model, theta, data, cfg.hyper, cfg.local_epochs * -(-largest // cfg.hyper.batch_size))
     xs = [data.x.take(s.indices, axis=0) for s in states]
     ys = [data.y[s.indices] for s in states]
     experts = [expert_losses[s.indices] if expert else None for s in states]
@@ -357,13 +369,13 @@ def run_experiment(
         lam = gradient_dissimilarity(grads, w)
         mean_cl = float(np.mean([float(at_theta[i][0].mean()) for i in ids]))
 
-        for cid in ids:  # ascending id: fixed reduction order
-            crng = np.random.default_rng([cfg.seed, _CLIENT_STREAM, t, cid])
-            states[cid] = client_update(
-                states[cid], theta, cfg, xs[cid], ys[cid], t, crng, server_control,
-                experts[cid], at_theta[cid],
-            )
-        updated = [states[cid] for cid in ids]
+        updated = client_update(  # ascending id: fixed reduction order
+            [states[cid] for cid in ids], theta, cfg, pool, [(xs[cid], ys[cid]) for cid in ids], t,
+            [np.random.default_rng([cfg.seed, _CLIENT_STREAM, t, cid]) for cid in ids],
+            server_control, [experts[cid] for cid in ids], [at_theta[cid] for cid in ids],
+        )
+        for state in updated:
+            states[state.client_id] = state
         theta, server_control = aggregate(updated, cfg.algorithm, theta, server_control, m)
 
         acc, loss = evaluate(model, theta, test)
@@ -381,14 +393,15 @@ def train_centralized(
 ) -> np.ndarray:
     """Plain centralized SGD over the full dataset; used to build expert
     and reference models. The data is checked once, then the steps run in
-    ``models._local_sgd``, as local training does. A step that leaves
-    non-finite parameters raises FloatingPointError naming expert training
-    and the step."""
+    ``models._local_sgd``, as a cohort of one. A step that leaves non-finite
+    parameters raises FloatingPointError naming expert training and the
+    step."""
     rng = np.random.default_rng([seed, _INIT_STREAM])
-    theta = init_params(model, rng)
+    theta = init_params(model, rng)[None]
     data = ds.batch()
-    _check_batch(model, theta, data)
+    pool = _Pool(model, theta[0], data, hyper, epochs * -(-len(data) // hyper.batch_size))
     _local_sgd(
-        model, hyper, theta, np.zeros_like(theta), data.x, data.y, epochs, rng, "expert training"
+        pool, [np.arange(len(data))], theta, np.zeros_like(theta), epochs, [rng],
+        ["expert training"],
     )
-    return theta
+    return theta[0]

@@ -8,27 +8,34 @@ the momentum/weight-decay SGD step with a per-round decaying learning rate,
 and a dense Hessian decomposition probe for the least-squares models.
 
 The public functions check their inputs on every call. The private kernels
-behind them take raw arrays checked once by the caller. The formulas live in
-two binders: ``_bind_forward`` and ``_bind_grad`` settle the dispatch on the
-model kind and take the views of the parameter (and gradient) vector once,
-and return functions that see later in-place updates of those vectors. The
-one-shot helpers (``_forward``, ``_terms_grad``), the block pass and
-evaluation call them once; ``_local_sgd``, the mini-batch loop that local and
-centralized training share, binds one step kernel per batch length at the
-start of a call (``_bind_step``), with its buffers. Each step then runs the
-forward pass, the log-softmax and softmax minus one-hot in place on one
-array and writes the gradient into one vector, and the update works in
-buffers allocated once per call. The steps check nothing: one finite check
-at the end of the call covers them all, and a call whose parameters end
-non-finite replays its steps, each checked, to name the first bad one. The
+behind them take raw arrays checked once by the caller. The one-shot
+formulas live in two binders: ``_bind_forward`` and ``_bind_backward``
+settle the dispatch on the model kind and take the views of the parameter
+(and gradient) vector once, and return functions that see later in-place
+updates of those vectors. The one-shot helpers (``_forward``,
+``_terms_grad``), the block pass and evaluation call them once; their
 matrix products go through ``np.dot``, which writes into a buffer at less
-cost per call than ``np.matmul`` and reaches the same BLAS routine. Every
+cost per call than ``np.matmul`` and reaches the same BLAS routine.
+
+``_local_sgd``, the mini-batch loop that local and centralized training
+share, trains a round's participants in lockstep: ``_bind_cohort`` writes
+the same formulas over a stack of clients, one stacked ``np.matmul`` per
+product, and each step runs the forward pass, the log-softmax and softmax
+minus one-hot in place on one stacked array. A client's short last batch
+of an epoch runs its products again alone, through the one-shot binders, so
+every client gets the bits it would get training alone. The run's rows,
+targets, rates and slot buffers (``_Pool``, ``_Cohort``) are built once per
+run. The steps check nothing: one finite check at the end of the call
+covers them all, and a call that ends with a non-finite client replays that
+client's steps, alone and each checked, to name the first bad one. Every
 in-place form keeps the bits of the out-of-place expressions, and a large
 pass does not page in fresh memory for every temporary.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -264,16 +271,6 @@ def _output_terms(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarra
     return np.subtract(out, y, out=out)
 
 
-def _bind_terms(model: ModelSpec, out: np.ndarray) -> Callable:
-    """``terms(z, y)``: ``_output_terms`` for outputs ``z`` that are always
-    the one buffer ``out``, with the log-softmax's scratch and the views of
-    its columns bound once."""
-    if not model.is_classifier:
-        return lambda z, y: np.subtract(z, y, out=z)
-    e, s, columns = np.empty_like(out), np.empty((len(out), 1)), list(out.T)
-    return lambda z, y: _log_softmax(z, e, s, columns)
-
-
 def _targets(model: ModelSpec, y: np.ndarray) -> np.ndarray:
     """The labels in the form the gradient takes them: one-hot rows for
     classifiers, the labels themselves for the regression models."""
@@ -288,63 +285,60 @@ def _terms_losses(model: ModelSpec, terms: np.ndarray, y: np.ndarray) -> np.ndar
     return 0.5 * terms**2
 
 
-def _bind_grad(
+def _loss_derivative(
+    model: ModelSpec, target: np.ndarray, terms: np.ndarray, rows, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The mean loss's derivative with respect to the outputs, from the
+    terms: softmax minus one-hot for classifiers (subtracting 0.0 leaves the
+    other classes' bits), the residual for the regression models, each over
+    ``rows``, a row count or per-slot counts that broadcast. Written into
+    ``out``, which may be ``terms``, or a fresh array when None."""
+    if model.is_classifier:
+        e = np.exp(terms, out=out)
+        e -= target
+        e /= rows
+        return e
+    return np.divide(terms, rows, out=out)
+
+
+def _bind_backward(
     model: ModelSpec,
     params: np.ndarray,
     g: np.ndarray,
-    err: np.ndarray | None = None,
     delta: np.ndarray | None = None,
     square: np.ndarray | None = None,
 ) -> Callable:
-    """The mean-loss gradient with the dispatch on the model kind and the
-    views of ``params`` and of the output vector ``g`` bound once:
-    ``grad(x, target, terms, hidden)`` writes each block into its view of
-    ``g``, which gives the bits of the products and sums concatenated.
-    ``target`` comes from ``_targets`` and ``terms`` from ``_bind_terms``.
-
-    Each call writes the loss derivative with respect to the outputs into
-    ``err``: softmax minus one-hot for classifiers (subtracting 0.0 leaves
-    the other classes' bits), the residual for the regression models, each
-    over m. ``err`` may be the array the terms arrive in, which is then
-    overwritten. The MLP's backpropagated (m, h) blocks go into ``delta``
-    and ``square``. Buffers that are None are allocated by each call."""
+    """The mean-loss gradient from the loss derivative, with the dispatch on
+    the model kind and the views of ``params`` and of the output vector
+    ``g`` bound once: ``backward(x, e, hidden)`` writes each block into its
+    view of ``g``, which gives the bits of the products and sums
+    concatenated. ``e`` comes from ``_loss_derivative``. The MLP's
+    backpropagated (m, h) blocks go into ``delta`` and ``square``; buffers
+    that are None are allocated by each call."""
     d, c, h = model.input_dim, model.num_classes, model.hidden_dim
-    classifier = model.is_classifier
-
-    def loss_derivative(target, terms):
-        if classifier:
-            e = np.exp(terms, out=err)
-            e -= target
-            e /= len(target)
-            return e
-        return np.divide(terms, len(target), out=err)
-
     if model.kind is ModelKind.LINEAR_REGRESSION:
         gw, gb = g[:d], g[d:]
 
-        def linear_grad(x, target, terms, hidden):
-            e = loss_derivative(target, terms)
+        def linear_backward(x, e, hidden):
             np.dot(x.T, e, out=gw)
             np.add.reduce(e, axis=0, keepdims=True, out=gb)
 
-        return linear_grad
+        return linear_backward
     if model.kind is ModelKind.SOFTMAX_REGRESSION:
         gw, gb = g[: c * d].reshape(c, d), g[c * d :]
 
-        def softmax_grad(x, target, terms, hidden):
-            e = loss_derivative(target, terms)
+        def softmax_backward(x, e, hidden):
             np.dot(e.T, x, out=gw)
             np.add.reduce(e, axis=0, out=gb)
 
-        return softmax_grad
+        return softmax_backward
     w2 = _unpack_mlp(model, params)[2]
     gw1, gb1 = g[: h * d].reshape(h, d), g[h * d : h * d + h]
     gw2, gb2 = g[h * d + h : -c].reshape(c, h), g[-c:]
     if c == 1:
         gw2 = gw2[0]
 
-    def mlp_grad(x, target, terms, hidden):
-        e = loss_derivative(target, terms)
+    def mlp_backward(x, e, hidden):
         if c == 1:
             np.dot(hidden.T, e, out=gw2)
             np.add.reduce(e, axis=0, keepdims=True, out=gb2)
@@ -359,7 +353,7 @@ def _bind_grad(
         np.dot(back.T, x, out=gw1)
         np.add.reduce(back, axis=0, out=gb1)
 
-    return mlp_grad
+    return mlp_backward
 
 
 def _terms_grad(
@@ -372,9 +366,11 @@ def _terms_grad(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mean-loss gradient written into ``out`` (allocated when None), leaving
-    ``terms`` as it is; see ``_bind_grad``."""
+    ``terms`` as it is; ``target`` comes from ``_targets``. See
+    ``_bind_backward``."""
     g = np.empty(model.param_count()) if out is None else out
-    _bind_grad(model, params, g)(x, target, terms, hidden)
+    e = _loss_derivative(model, target, terms, len(target))
+    _bind_backward(model, params, g)(x, e, hidden)
     return g
 
 
@@ -383,115 +379,346 @@ def _losses(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _terms_losses(model, _output_terms(model, out, y), y)
 
 
-def _bind_step(model: ModelSpec, params: np.ndarray, g: np.ndarray, m: int) -> Callable:
-    """``step(x, target)``: the mean-loss gradient of ``m`` rows at
-    ``params``, written into ``g``. The forward pass, the terms and the loss
-    derivative run in place on one outputs array, beside scratch arrays, all
-    allocated here once; each keeps the bits of the one-shot calls."""
-    c, h, mlp = model.num_classes, model.hidden_dim, model.kind is ModelKind.MLP_TANH
-    out = np.empty((m,) if model.kind is ModelKind.LINEAR_REGRESSION else (m, c))
-    hidden = delta = square = None
-    if mlp:
-        hidden, delta, square = np.empty((m, h)), np.empty((m, h)), np.empty((m, h))
-    forward = _bind_forward(model, params, out, hidden)
-    terms = _bind_terms(model, out)
-    # The loss derivative goes over the terms: for the MLP's scalar head, over
-    # the (m,) view of its (m, 1) outputs that the forward pass returns.
-    err = out[:, 0] if mlp and c == 1 else out
-    grad = _bind_grad(model, params, g, err, delta, square)
+class _Pool:
+    """What local training reads, built once per run: the dataset rows
+    ``x``, checked against the model here, their targets (one-hot rows for
+    classifiers, float labels otherwise), the rates eta(i) of every step a
+    call can take, at most ``steps``, and their running sums, added one by
+    one as the steps take them. It also keeps the run's lockstep buffers,
+    one ``_Cohort`` per cohort size, so that the calls of a run bind their
+    kernels once."""
 
-    def step(x, target):
-        z, a = forward(x)
-        grad(x, target, terms(z, target), a)
+    def __init__(
+        self, model: ModelSpec, params: np.ndarray, data: Batch, hyper: SgdHyper, steps: int
+    ):
+        _check_batch(model, params, data)
+        self.model, self.hyper, self.x = model, hyper, data.x
+        if model.is_classifier:
+            self.target = _targets(model, data.y)
+        else:
+            self.target = data.y.astype(np.float64)
+        self.etas = [hyper.learning_rate(i) for i in range(steps)]
+        self.eta_sums = list(itertools.accumulate(self.etas))
+        self._cohorts: dict[int, _Cohort] = {}
 
-    return step
+    def cohort(self, size: int) -> _Cohort:
+        if size not in self._cohorts:
+            self._cohorts[size] = _Cohort(self, size)
+        return self._cohorts[size]
+
+
+class _Cohort:
+    """The slot buffers of a lockstep cohort of ``size`` clients: their
+    parameters, momenta and gradients (size, dim), and each step's rows,
+    targets, outputs and MLP blocks (size, batch_size, ...). The kernels of
+    the first k slots, and of a slot's short batch alone, are bound to them
+    on first use and kept."""
+
+    def __init__(self, pool: _Pool, size: int):
+        model, bs = pool.model, pool.hyper.batch_size
+        c, h, dim = model.num_classes, model.hidden_dim, model.param_count()
+        self.model, self.batch_size = model, bs
+        self.theta, self.v, self.g, self.tmp, self.diff = (np.empty((size, dim)) for _ in range(5))
+        self.x = np.empty((size, bs, pool.x.shape[1]))
+        self.target = np.empty((size, bs) + pool.target.shape[1:])
+        width = c if model.is_classifier else 1
+        self.out, self.counts = np.empty((size, bs, width)), np.full((size, 1, 1), float(bs))
+        self.hidden = self.delta = self.square = None
+        if model.kind is ModelKind.MLP_TANH:
+            self.hidden, self.delta, self.square = (np.empty((size, bs, h)) for _ in range(3))
+        self.scratch = np.empty((size * bs, width)), np.empty((size * bs, 1))
+        self._kernels: dict[int, tuple] = {}
+        self._alone: dict[tuple[int, int], tuple] = {}
+
+    def kernel(self, k: int) -> tuple:
+        """The first k slots' (forward, backward) and their views of theta,
+        v, g, the update's scratch, the rows and the targets."""
+        if k not in self._kernels:
+            views = [
+                None if a is None else a[:k]
+                for a in (self.theta, self.g, self.x, self.target, self.counts, self.out,
+                          self.hidden, self.delta, self.square)
+            ]
+            scratch = tuple(a[: k * self.batch_size] for a in self.scratch)
+            self._kernels[k] = _bind_cohort(self.model, *views, scratch) + (
+                self.theta[:k], self.v[:k], self.g[:k], self.tmp[:k], self.diff[:k],
+                self.x[:k], self.target[:k],
+            )
+        return self._kernels[k]
+
+    def alone(self, slot: int, m: int) -> tuple[Callable[[], None], Callable[[], None]]:
+        """Slot ``slot``'s forward and backward on its first m rows alone,
+        through ``_bind_forward`` and ``_bind_backward``."""
+        if (slot, m) not in self._alone:
+            model, out = self.model, self.out[slot, :m]
+            hidden = None if self.hidden is None else self.hidden[slot, :m]
+            e = out if model.is_classifier else out[:, 0]
+            forward = _bind_forward(
+                model, self.theta[slot], out[:, 0] if model.kind is ModelKind.LINEAR_REGRESSION
+                else out, hidden,
+            )
+            backward = _bind_backward(
+                model, self.theta[slot], self.g[slot],
+                None if self.delta is None else self.delta[slot, :m],
+                None if self.square is None else self.square[slot, :m],
+            )
+            x = self.x[slot, :m]
+            self._alone[slot, m] = (
+                functools.partial(forward, x), functools.partial(backward, x, e, hidden)
+            )
+        return self._alone[slot, m]
+
+
+def _bind_cohort(
+    model: ModelSpec,
+    theta: np.ndarray,
+    g: np.ndarray,
+    x: np.ndarray,
+    target: np.ndarray,
+    counts: np.ndarray,
+    out: np.ndarray,
+    hidden: np.ndarray | None,
+    delta: np.ndarray | None,
+    square: np.ndarray | None,
+    scratch: tuple[np.ndarray, np.ndarray],
+) -> tuple[Callable[[], None], Callable[[bool], None]]:
+    """The stacked gradient step of k slots, each one client: parameters
+    ``theta[i]`` (k, dim), gathered rows ``x[i]`` (b, d) and targets
+    ``target[i]``. ``forward()`` writes the outputs into ``out`` (k, b, C),
+    or (k, b, 1) for the scalar models, and the MLP's activations into
+    ``hidden`` (k, b, h). ``backward(short)`` turns the outputs into the
+    terms and the loss derivative in place, with ``scratch`` (k*b rows) for
+    the log-softmax, and writes each slot's gradient into its row of ``g``,
+    with ``delta`` and ``square`` (k, b, h) for the MLP. Each slot's mean
+    runs over b rows, or, when ``short``, over the count in its entry of
+    ``counts`` (k, 1, 1).
+
+    Each product of the k slots is one stacked ``np.matmul`` and each bias
+    sum one ``np.add.reduce`` over axis 1: per slot, these give the bits of
+    ``np.dot`` and ``np.add.reduce(axis=0)``. The elementwise rest runs once
+    over the stack and keeps each row's bits; the log-softmax sees the
+    outputs as k*b rows of a 2-D array, as ``_bind_forward``'s callers do."""
+    d, c, h, k, bs = model.input_dim, model.num_classes, model.hidden_dim, len(theta), x.shape[1]
+    classifier = model.is_classifier
+    # The outputs as the terms and the loss derivative see them: (k, b, C)
+    # for classifiers, (k, b) with per-slot counts (k, 1) otherwise.
+    z, count = (out, counts) if classifier else (out[..., 0], counts[..., 0])
+    rows = out.reshape(k * bs, -1)
+    columns = list(rows.T) if classifier else None
+
+    def derivative(short):
+        if classifier:
+            _log_softmax(rows, *scratch, columns)
+        else:
+            np.subtract(z, target, out=z)
+        _loss_derivative(model, target, z, count if short else bs, out=z)
+
+    xt, zt = x.transpose(0, 2, 1), out.transpose(0, 2, 1)
+    if model.kind is ModelKind.LINEAR_REGRESSION:
+        wt, b, gw, gb = theta[:, :d, None], theta[:, d:], g[:, :d, None], g[:, d:]
+
+        def linear_forward():
+            np.matmul(x, wt, out=out)
+            np.add(z, b, out=z)
+
+        def linear_backward(short):
+            derivative(short)
+            np.matmul(xt, out, out=gw)
+            np.add.reduce(z, axis=1, keepdims=True, out=gb)
+
+        return linear_forward, linear_backward
+    if model.kind is ModelKind.SOFTMAX_REGRESSION:
+        wt, b = theta[:, : c * d].reshape(k, c, d).transpose(0, 2, 1), theta[:, None, c * d :]
+        gw, gb = g[:, : c * d].reshape(k, c, d), g[:, c * d :]
+
+        def softmax_forward():
+            np.matmul(x, wt, out=out)
+            np.add(out, b, out=out)
+
+        def softmax_backward(short):
+            derivative(short)
+            np.matmul(zt, x, out=gw)
+            np.add.reduce(out, axis=1, out=gb)
+
+        return softmax_forward, softmax_backward
+    w1t = theta[:, : h * d].reshape(k, h, d).transpose(0, 2, 1)
+    b1 = theta[:, None, h * d : h * d + h]
+    w2 = theta[:, h * d + h : h * d + h + c * h].reshape(k, c, h)
+    w2t, b2 = w2.transpose(0, 2, 1), theta[:, None, h * d + h + c * h :]
+    gw1, gb1 = g[:, : h * d].reshape(k, h, d), g[:, h * d : h * d + h]
+    gw2, gb2 = g[:, h * d + h : -c].reshape(k, c, h), g[:, -c:]
+    ht, dt = hidden.transpose(0, 2, 1), delta.transpose(0, 2, 1)
+
+    def mlp_forward():
+        np.matmul(x, w1t, out=hidden)
+        np.add(hidden, b1, out=hidden)
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, w2t, out=out)
+        np.add(out, b2, out=out)
+
+    def mlp_backward(short):
+        derivative(short)
+        if c == 1:
+            np.matmul(ht, out, out=gw2.transpose(0, 2, 1))
+            np.add.reduce(z, axis=1, keepdims=True, out=gb2)
+            np.multiply(out, w2, out=delta)  # np.outer per slot
+        else:
+            np.matmul(zt, hidden, out=gw2)
+            np.add.reduce(out, axis=1, out=gb2)
+            np.matmul(out, w2, out=delta)
+        np.square(hidden, out=square)
+        np.subtract(1.0, square, out=square)
+        np.multiply(delta, square, out=delta)
+        np.matmul(dt, x, out=gw1)
+        np.add.reduce(delta, axis=1, out=gb1)
+
+    return mlp_forward, mlp_backward
 
 
 def _local_sgd(
-    model: ModelSpec,
-    hyper: SgdHyper,
+    pool: _Pool,
+    rows: list[np.ndarray],
     theta: np.ndarray,
     v: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
     epochs: int,
-    rng: np.random.Generator,
-    where: str,
-    adjust: Callable[[np.ndarray, np.ndarray], None] | None = None,
-) -> tuple[int, float]:
-    """Mini-batch momentum SGD on rows ``x`` with labels ``y``, checked by
-    the caller, overwriting ``theta`` and the momentum ``v``.
+    rngs: list[np.random.Generator],
+    where: list[str],
+    prox: tuple[float, np.ndarray] | None = None,
+    controls: tuple[np.ndarray, np.ndarray] | None = None,
+) -> list[int]:
+    """Mini-batch momentum SGD for a cohort of clients, overwriting their
+    parameters ``theta`` and momenta ``v``, stacked (P, dim). Client p
+    trains on the rows ``pool.x[rows[p]]`` with their targets, draws its
+    epochs' permutations from ``rngs[p]`` at the start (the steps draw
+    nothing else, so its stream is as if each epoch drew its own) and steps
+    on slices of ``batch_size`` rows with eta(i), i counting its steps from
+    0. ``prox`` = (mu, theta_g) adds mu*(theta - theta_g) to each gradient,
+    and ``controls`` = (c, c_p), the second stacked (P, dim), adds c - c_p,
+    left to right. The update is ``sgd_step``'s in its operation order.
+    Returns each client's step count.
 
-    Each epoch gathers the rows once in a fresh permutation from ``rng`` into
-    one buffer (one ``take``, about 3x faster than fancy indexing), then
-    steps on its contiguous slices of ``hyper.batch_size`` rows with eta(i),
-    i counting steps from 0. Everything that does not change within the call
-    is bound once at its start: the epochs' permutations (the steps draw
-    nothing else from ``rng``, so its stream is as if each epoch drew its
-    own), the targets built from ``y``, the slices, one ``_bind_step`` kernel
-    per batch length, and the update's buffers. ``adjust(g, theta)``, when
-    given, adds its terms to the gradient in place before the update. The
-    update is ``sgd_step``'s in its operation order.
+    The clients step in lockstep: at step i, every client with a step left
+    takes it with the others, through one ``_bind_cohort`` kernel. Slots
+    are ordered by descending step count, so the clients still stepping are
+    always the first ones. Each step gathers its rows with one ``take`` into
+    (P, batch_size, ...) slot buffers. A slot that holds an epoch's short
+    tail batch of m rows runs its products again alone, through
+    ``_bind_forward`` and ``_bind_backward`` on the m rows, because a
+    product row's bits depend on the row count. Every client thus gets the
+    bits it would get training alone.
 
     A step that leaves non-finite parameters raises FloatingPointError
-    naming ``where`` and the step, yet the steps check nothing: ``theta -=
-    tmp`` is the one write to ``theta``, and x - t is inf or nan for every t
-    when x is, so a coordinate that turns non-finite stays so, and ``theta``
-    is finite after the last step only if it was after every step. One check
-    at the end therefore suffices. If it fails, ``theta`` and ``v`` are
-    restored from copies taken at the start and the same steps run again,
-    each checked, which raises at the first bad step. The floating-point
-    warnings on the way there would only repeat the error, so they are
-    silenced. Returns the step count and the sum of the rates used."""
-    target = _targets(model, y)
-    n, bs = len(target), hyper.batch_size
-    rho, wd = hyper.momentum, hyper.weight_decay
-    g, tmp = np.empty_like(theta), np.empty_like(theta)
-    xp, tp = np.empty(x.shape), np.empty(target.shape, dtype=target.dtype)
-    kernels: dict[int, Callable] = {}
-    batches = []
-    for lo in range(0, n, bs):
-        hi = min(lo + bs, n)
-        if hi - lo not in kernels:
-            kernels[hi - lo] = _bind_step(model, theta, g, hi - lo)
-        batches.append((xp[lo:hi], tp[lo:hi], kernels[hi - lo]))
-    etas = [hyper.learning_rate(i) for i in range(epochs * len(batches))]
-    perms = [rng.permutation(n) for _ in range(epochs)]
-    theta0, v0 = theta.copy(), v.copy()
-
+    naming ``where[p]`` and the step, yet the steps check nothing: ``theta
+    -= tmp`` is the one write to a client's parameters, and x - t is inf or
+    nan for every t when x is, so a coordinate that turns non-finite stays
+    so, and the parameters are finite after the last step only if they were
+    after every step. One check at the end therefore suffices. If it fails,
+    ``theta`` and ``v`` are left as they came, and the lowest-index
+    non-finite client runs its steps again, alone and each checked, which
+    raises at its first bad step, as it would have if the clients had
+    trained one after another. The floating-point warnings on the way there
+    would only repeat the error, so they are silenced."""
+    bs = pool.hyper.batch_size
+    steps = [epochs * -(-len(r) // bs) for r in rows]
+    order = sorted(range(len(rows)), key=lambda p: -steps[p])
+    # Each step's rows, per slot and padded with row 0 after a tail batch.
+    table = np.zeros((max(steps), len(rows), bs), dtype=np.intp)
+    for slot, p in enumerate(order):
+        n = len(rows[p])
+        padded = np.zeros((epochs, -(-n // bs) * bs), dtype=np.intp)
+        for epoch in padded:
+            epoch[:n] = rows[p][rngs[p].permutation(n)]
+        table[: steps[p], slot] = padded.reshape(-1, bs)
+    server, own = controls if controls is not None else (None, None)
+    cohort = pool.cohort(len(rows))
+    theta.take(order, axis=0, out=cohort.theta)
+    v.take(order, axis=0, out=cohort.v)
     with np.errstate(all="ignore"):
-        for check in (False, True):
-            step = 0
-            for perm in perms:
-                # mode="clip" leaves a permutation as it is and skips the copy
-                # that the default mode makes of an ``out``.
-                x.take(perm, axis=0, out=xp, mode="clip")
-                target.take(perm, axis=0, out=tp, mode="clip")
-                for xb, tb, kernel in batches:
-                    kernel(xb, tb)
-                    if adjust is not None:
-                        adjust(g, theta)
-                    # v <- rho*v + (g + wd*theta); theta <- theta - eta*v
-                    np.multiply(theta, wd, out=tmp)
-                    tmp += g
-                    v *= rho
-                    v += tmp
-                    np.multiply(v, etas[step], out=tmp)
-                    theta -= tmp
-                    if check and not np.isfinite(theta).all():
-                        raise FloatingPointError(
-                            f"{where}: non-finite parameters after step {step}"
-                        )
-                    step += 1
-            if np.isfinite(theta).all():
-                break
-            # Some step left non-finite values: replay from the start, checked.
-            np.copyto(theta, theta0)
-            np.copyto(v, v0)
-    eta_sum = 0.0
-    for eta in etas:  # added one by one, as the steps took them
-        eta_sum += eta
-    return len(etas), eta_sum
+        _lockstep(
+            pool, cohort, table, [len(rows[p]) for p in order], epochs, prox, server,
+            None if own is None else own[order], None,
+        )
+        bad = [order[slot] for slot in np.flatnonzero(~np.isfinite(cohort.theta).all(axis=1))]
+        if bad:
+            p = min(bad)
+            slot = order.index(p)
+            alone = pool.cohort(1)
+            alone.theta[0], alone.v[0] = theta[p], v[p]
+            _lockstep(
+                pool, alone, table[: steps[p], slot : slot + 1], [len(rows[p])], epochs, prox,
+                server, None if own is None else own[p : p + 1], where[p],
+            )
+    theta[order] = cohort.theta
+    v[order] = cohort.v
+    return steps
+
+
+def _lockstep(
+    pool: _Pool,
+    cohort: _Cohort,
+    table: np.ndarray,
+    sizes: list[int],
+    epochs: int,
+    prox: tuple[float, np.ndarray] | None,
+    server: np.ndarray | None,
+    own: np.ndarray | None,
+    where: str | None,
+) -> None:
+    """The steps of ``_local_sgd`` from the parameters and momenta in
+    ``cohort``, for the slots of ``table`` (steps, k, b), which holds each
+    step's pool rows; slot i holds ``sizes[i]`` rows, and the slots come by
+    descending step count. ``where``, when given, checks the parameters
+    after every step."""
+    count, bs = len(table), pool.hyper.batch_size
+    rho, wd = pool.hyper.momentum, pool.hyper.weight_decay
+    # active[i]: the slots with a step i; tails[i]: (slot, rows) of the short
+    # batches at step i.
+    active = np.zeros(count, dtype=np.intp)
+    tails: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    for slot, n in enumerate(sizes):
+        per_epoch = -(-n // bs)
+        active[: epochs * per_epoch] += 1
+        if n % bs:
+            for epoch in range(1, epochs + 1):
+                tails[epoch * per_epoch - 1].append((slot, n % bs))
+    live = 0
+    for step, step_live in enumerate(active.tolist()):
+        if step_live != live:
+            live = step_live
+            forward, backward, theta, v, g, tmp, diff, x, target = cohort.kernel(live)
+            if own is not None:
+                own_live = own[:live]
+        # mode="clip" leaves valid indices as they are and skips the copy
+        # that the default mode makes of an ``out``.
+        idx = table[step, :live]
+        pool.x.take(idx, axis=0, out=x, mode="clip")
+        pool.target.take(idx, axis=0, out=target, mode="clip")
+        forward()
+        short = tails[step]
+        for slot, m in short:
+            cohort.counts[slot] = m
+            cohort.alone(slot, m)[0]()
+        backward(bool(short))
+        for slot, m in short:
+            cohort.alone(slot, m)[1]()
+            cohort.counts[slot] = bs
+        if prox is not None:
+            # g + mu*(theta - theta_g) + c - c_k, added left to right.
+            np.subtract(theta, prox[1], out=diff)
+            np.multiply(diff, prox[0], out=diff)
+            g += diff
+        if own is not None:
+            g += server
+            g -= own_live
+        # v <- rho*v + (g + wd*theta); theta <- theta - eta*v
+        np.multiply(theta, wd, out=tmp)
+        tmp += g
+        v *= rho
+        v += tmp
+        np.multiply(v, pool.etas[step], out=tmp)
+        theta -= tmp
+        if where is not None and not np.isfinite(theta).all():
+            raise FloatingPointError(f"{where}: non-finite parameters after step {step}")
 
 
 def _losses_and_grads(

@@ -278,19 +278,19 @@ def test_criterion_9_algorithm_equivalences():
         )
         assert metrics_equal(m_avg_i, m_nova)
 
-        from test_federation import MODEL, client_rows, fresh_state
+        from test_federation import MODEL, client_rows, fresh_state, pool_of
 
         cfg = base_config(algorithm=fc.Algorithm.SCAFFOLD, participants=8, rounds=3)
         dim = MODEL.param_count()
         states = [fresh_state(ds_i, part_i, i, scaffold=True) for i in range(8)]
         theta, server_c = np.zeros(dim), np.zeros(dim)
+        pool = pool_of(cfg, theta, ds_i.batch())
         for t in range(3):
-            for cid in range(8):
-                rng = np.random.default_rng([cfg.seed, 9, t, cid])
-                states[cid] = fc.client_update(
-                    states[cid], theta, cfg, *client_rows(ds_i, states[cid]), t, rng,
-                    server_control=server_c,
-                )
+            rngs = [np.random.default_rng([cfg.seed, 9, t, cid]) for cid in range(8)]
+            states = fc.client_update(
+                states, theta, cfg, pool, [client_rows(ds_i, s) for s in states], t, rngs,
+                server_control=server_c,
+            )
             theta, server_c = fc.aggregate(states, fc.Algorithm.SCAFFOLD, theta, server_c, 8)
             mean_c = np.mean([s.control for s in states], axis=0)
             assert np.abs(server_c - mean_c).max() <= 1e-10

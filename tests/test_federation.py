@@ -82,6 +82,13 @@ def client_rows(ds, state):
     return ds.features[state.indices], ds.labels[state.indices]
 
 
+def pool_of(cfg, params, data):
+    """The run's training pool over the ``Batch`` ``data``, for calls of up
+    to all its rows, as run_experiment builds it."""
+    steps = cfg.local_epochs * -(-len(data) // cfg.hyper.batch_size)
+    return models._Pool(cfg.model, params, data, cfg.hyper, steps)
+
+
 def metrics_equal(a, b):
     return all(
         x.test_acc == y.test_acc
@@ -98,8 +105,9 @@ def test_zero_learning_rate_returns_broadcast_unchanged():
     cfg = base_config(hyper=SgdHyper(eta0=0.0, momentum=0.9))
     theta = np.linspace(-1, 1, MODEL.param_count())
     state = fresh_state(ds, part, 0)
-    new = client_update(
-        state, theta, cfg, *client_rows(ds, state), 0, np.random.default_rng(0)
+    [new] = client_update(
+        [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], 0,
+        [np.random.default_rng(0)],
     )
     assert np.array_equal(new.local_params, theta)
 
@@ -108,16 +116,19 @@ def test_fedprox_zero_mu_identical_to_fedavg():
     ds, part, _ = small_world()
     theta = np.random.default_rng(1).standard_normal(MODEL.param_count()) * 0.1
     state = fresh_state(ds, part, 2)
-    res_a = client_update(
-        state, theta, base_config(), *client_rows(ds, state), 0, np.random.default_rng(9)
+    [res_a] = client_update(
+        [state], theta, base_config(), pool_of(base_config(), theta, ds.batch()),
+        [client_rows(ds, state)], 0, [np.random.default_rng(9)],
     )
-    res_p = client_update(
-        state,
+    prox = base_config(algorithm=Algorithm.FEDPROX, mu_prox=0.0)
+    [res_p] = client_update(
+        [state],
         theta,
-        base_config(algorithm=Algorithm.FEDPROX, mu_prox=0.0),
-        *client_rows(ds, state),
+        prox,
+        pool_of(prox, theta, ds.batch()),
+        [client_rows(ds, state)],
         0,
-        np.random.default_rng(9),
+        [np.random.default_rng(9)],
     )
     assert np.array_equal(res_a.local_params, res_p.local_params)
 
@@ -205,13 +216,13 @@ def test_scaffold_control_is_mean_of_client_controls():
     states = [fresh_state(ds, part, i, scaffold=True) for i in range(8)]
     theta = np.zeros(dim)
     server_c = np.zeros(dim)
+    pool = pool_of(cfg, theta, ds.batch())
     for t in range(3):
-        for cid in range(8):
-            rng = np.random.default_rng([cfg.seed, 2, t, cid])
-            states[cid] = client_update(
-                states[cid], theta, cfg, *client_rows(ds, states[cid]), t, rng,
-                server_control=server_c,
-            )
+        rngs = [np.random.default_rng([cfg.seed, 2, t, cid]) for cid in range(8)]
+        states = client_update(
+            states, theta, cfg, pool, [client_rows(ds, s) for s in states], t, rngs,
+            server_control=server_c,
+        )
         theta, server_c = aggregate(states, Algorithm.SCAFFOLD, theta, server_c, 8)
         mean_control = np.mean([s.control for s in states], axis=0)
         assert np.abs(server_c - mean_control).max() <= 1e-10
@@ -347,7 +358,7 @@ def test_expert_scoring_hands_each_client_its_own_expert_losses(monkeypatch):
 
     def recorded(*args, **kwargs):
         call = signature.bind(*args, **kwargs).arguments
-        handed.append((call["state"].indices, call["expert_losses"]))
+        handed.extend((s.indices, e) for s, e in zip(call["states"], call["expert_losses"]))
         return update(*args, **kwargs)
 
     monkeypatch.setattr(federation, "client_update", recorded)
@@ -381,13 +392,15 @@ def test_data_curriculum_rejects_pacing_fractions_when_built(a, b, field):
 def test_client_update_rejects_rows_that_do_not_fit_the_model(bad):
     from fedcurr import ConfigurationError
 
+    # The rows are checked once per run, when the run's pool is built.
     ds, part, _ = small_world()
     state = fresh_state(ds, part, 0)
     theta = np.zeros(MODEL.param_count())
     with pytest.raises(ConfigurationError):
+        rows = bad(*client_rows(ds, state))
         client_update(
-            state, theta, base_config(), *bad(*client_rows(ds, state)), 0,
-            np.random.default_rng(0),
+            [state], theta, base_config(), pool_of(base_config(), theta, Batch(*rows)), [rows], 0,
+            [np.random.default_rng(0)],
         )
 
 
@@ -475,9 +488,9 @@ def test_client_update_trains_bit_for_bit_as_the_public_functions(model, algorit
         ref_theta, ref_v, ref_tau, ref_control = _reference_update(
             state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
         )
-        state = client_update(
-            state, theta, cfg, *client_rows(ds, state), t, np.random.default_rng([3, t]),
-            server_c,
+        [state] = client_update(
+            [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], t,
+            [np.random.default_rng([3, t])], server_c,
         )
         assert np.array_equal(state.local_params, ref_theta)
         assert np.array_equal(state.momentum, ref_v)
@@ -496,7 +509,8 @@ def _diverging_client_update_step(model, algorithm, eta0) -> int:
         _reference_update(state, theta, cfg, ds, 2, np.random.default_rng(3), server_c)
     with pytest.raises(FloatingPointError) as caught:
         client_update(
-            state, theta, cfg, *client_rows(ds, state), 2, np.random.default_rng(3), server_c
+            [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], 2,
+            [np.random.default_rng(3)], server_c,
         )
     assert str(caught.value) == str(expected.value)
     assert str(caught.value).startswith("round 2, client 1: non-finite parameters after step ")
@@ -529,15 +543,15 @@ def test_late_diverging_client_update_fails_at_the_reference_step(model, algorit
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
 def test_diverging_local_sgd_replays_the_reference_steps(model):
     # The unchecked pass runs all 33 steps; the checked replay must run the
-    # same steps on the same permutations, so every step up to the failing
-    # one sees the reference loop's gradient in both passes.
+    # same steps on the same permutations from the same start, so it stops
+    # at the reference loop's failing step with the reference's gradient,
+    # and the caller's parameters and momenta are left as they came.
     hyper = SgdHyper(
         eta0=LATE_CLIENT_ETA0[FOUR_MODELS.index(model)], decay_alpha=0.0, momentum=0.9,
         weight_decay=5e-4, batch_size=7,
     )
     ds, _, state, theta, _ = _one_client(model, Algorithm.FEDAVG, hyper)
-    x, y = client_rows(ds, state)
-    expected, seen = [], []
+    expected = []
 
     def record(g, _theta):
         expected.append(g.copy())
@@ -545,20 +559,105 @@ def test_diverging_local_sgd_replays_the_reference_steps(model):
 
     with pytest.raises(FloatingPointError) as ref:
         local_sgd_reference(
-            model, hyper, theta.copy(), np.zeros_like(theta), Batch(x, y), 3,
+            model, hyper, theta.copy(), np.zeros_like(theta), Batch(*client_rows(ds, state)), 3,
             np.random.default_rng(6), "client", record,
         )
+    pool = models._Pool(model, theta, ds.batch(), hyper, 33)
+    start = theta[None].copy()
+    params, momenta = start.copy(), np.zeros_like(start)
     with pytest.raises(FloatingPointError) as caught:
         models._local_sgd(
-            model, hyper, theta.copy(), np.zeros_like(theta), x, y, 3,
-            np.random.default_rng(6), "client", lambda g, _theta: seen.append(g.copy()),
+            pool, [state.indices], params, momenta, 3, [np.random.default_rng(6)], ["client"]
         )
     assert str(caught.value) == str(ref.value)
     assert 11 < len(expected) < 22
-    assert len(seen) == 33 + len(expected)
-    for g, first, replayed in zip(expected, seen, seen[33:]):
-        assert np.array_equal(first, g, equal_nan=True)
-        assert np.array_equal(replayed, g, equal_nan=True)
+    assert np.array_equal(pool.cohort(1).g[0], expected[-1], equal_nan=True)
+    assert np.array_equal(params, start) and not momenta.any()
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+def test_cohort_names_the_lowest_id_diverging_client(model):
+    # Clients 1 and 3 diverge, 3 first: its start momentum overflows at step
+    # 0. Trained one after another, client 1 would fail first, so the
+    # cohort's error names client 1 at its own reference step. Client 3
+    # holds more rows, so it takes the first slot.
+    hyper = SgdHyper(
+        eta0=LATE_CLIENT_ETA0[FOUR_MODELS.index(model)], decay_alpha=0.0, momentum=0.9,
+        weight_decay=5e-4, batch_size=7,
+    )
+    ds, _, _, theta, _ = _one_client(model, Algorithm.FEDAVG, hyper)
+    part = partition(ds, PartitionSpec(Scheme.IID, num_clients=4), 5).assignment
+    rows = [part[0][:1], part[1], part[2][:6], np.concatenate([part[3], part[2][6:20]]),
+            part[0][1:9]]
+    momenta = np.zeros((5, len(theta)))
+    momenta[3] = 1e300
+    errors = {}
+    for p, r in enumerate(rows):
+        try:
+            local_sgd_reference(
+                model, hyper, theta.copy(), momenta[p].copy(), Batch(ds.features[r], ds.labels[r]),
+                3, np.random.default_rng([7, p]), f"client {p}",
+            )
+        except FloatingPointError as error:
+            errors[p] = str(error)
+    assert sorted(errors) == [1, 3]
+    assert int(errors[3].rsplit(" ", 1)[1]) < int(errors[1].rsplit(" ", 1)[1])
+    pool = models._Pool(model, theta, ds.batch(), hyper, 3 * 13)
+    with pytest.raises(FloatingPointError) as caught:
+        models._local_sgd(
+            pool, rows, np.tile(theta, (5, 1)), momenta, 3,
+            [np.random.default_rng([7, p]) for p in range(5)], [f"client {p}" for p in range(5)],
+        )
+    assert str(caught.value) == errors[1]
+
+
+# At batch size 7: 1, bs - 1, bs, bs + 1 and 3*bs + 2 rows.
+COHORT_ROWS = [1, 6, 7, 8, 23]
+
+
+@pytest.mark.parametrize("size", range(1, 6))
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
+    # Each client of a cohort of 1-5 gets the bits of the reference loop
+    # run for it alone, from its own start and momentum, with the FedProx or
+    # SCAFFOLD terms. Row counts rotate with the cohort size, so the slots
+    # (by descending step count) come in another order than the clients and
+    # the short batches fall on different steps.
+    rng = np.random.default_rng([size, FOUR_MODELS.index(model), ALGORITHMS.index(algorithm)])
+    ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
+    rows = [rng.choice(len(ds), COHORT_ROWS[(size + p) % 5], replace=False) for p in range(size)]
+    dim = model.param_count()
+    theta = np.stack([init_params(model, rng) for _ in range(size)])
+    v = 0.1 * rng.standard_normal((size, dim))
+    prox = (0.1, init_params(model, rng)) if algorithm is Algorithm.FEDPROX else None
+    controls = None
+    if algorithm is Algorithm.SCAFFOLD:
+        controls = 0.01 * rng.standard_normal(dim), 0.01 * rng.standard_normal((size, dim))
+    expected = []
+    for p in range(size):
+
+        def extra(g, params, p=p):
+            if prox is not None:
+                g = g + prox[0] * (params - prox[1])
+            if controls is not None:
+                g = g + controls[0] - controls[1][p]
+            return g
+
+        expected.append(local_sgd_reference(
+            model, BATCH_7, theta[p].copy(), v[p].copy(), Batch(ds.features[rows[p]],
+            ds.labels[rows[p]]), 3, np.random.default_rng([9, p]), f"client {p}", extra,
+        ))
+    pool = models._Pool(model, theta[0], ds.batch(), BATCH_7, 3 * 4)
+    steps = models._local_sgd(
+        pool, rows, theta, v, 3, [np.random.default_rng([9, p]) for p in range(size)],
+        [f"client {p}" for p in range(size)], prox, controls,
+    )
+    for p, (ref_theta, ref_v, ref_steps, ref_eta_sum) in enumerate(expected):
+        assert np.array_equal(theta[p], ref_theta)
+        assert np.array_equal(v[p], ref_v)
+        assert steps[p] == ref_steps
+        assert pool.eta_sums[steps[p] - 1] == ref_eta_sum
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
@@ -577,9 +676,10 @@ def test_client_update_matches_checked_reference(model, algorithm):
         ref_theta, ref_v, ref_tau, ref_control = _reference_update(
             state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
         )
-        state = client_update(
-            state, theta, cfg, *client_rows(ds, state), t, np.random.default_rng([3, t]),
-            server_c, at_global=at_model(model, theta, Batch(*client_rows(ds, state))),
+        [state] = client_update(
+            [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], t,
+            [np.random.default_rng([3, t])], server_c,
+            at_global=[at_model(model, theta, Batch(*client_rows(ds, state)))],
         )
         assert state.selected % BATCH_7.batch_size != 0
         assert np.array_equal(state.local_params, ref_theta)
@@ -605,9 +705,10 @@ def _check_scoring_rounds(model, scoring, next_theta):
         ref_theta, ref_v, _, _ = _reference_update(
             state, theta, cfg, ds, t, np.random.default_rng([4, t]), expert=expert
         )
-        state = client_update(
-            state, theta, cfg, *client_rows(ds, state), t, np.random.default_rng([4, t]),
-            expert_losses=expert, at_global=at_model(model, theta, Batch(*client_rows(ds, state))),
+        [state] = client_update(
+            [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], t,
+            [np.random.default_rng([4, t])], expert_losses=[expert],
+            at_global=[at_model(model, theta, Batch(*client_rows(ds, state)))],
         )
         assert np.array_equal(state.local_params, ref_theta)
         assert np.array_equal(state.momentum, ref_v)
@@ -640,8 +741,8 @@ def test_data_curriculum_needs_the_pass_at_theta(scoring):
     )
     with pytest.raises(ConfigurationError, match="losses and outputs at theta"):
         client_update(
-            state, theta, cfg, *client_rows(ds, state), 0, np.random.default_rng(0),
-            expert_losses=np.ones(len(state.indices)),
+            [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], 0,
+            [np.random.default_rng(0)], expert_losses=[np.ones(len(state.indices))],
         )
 
 
@@ -760,6 +861,14 @@ def test_late_diverging_train_centralized_fails_at_the_reference_step(model):
     assert str(caught.value) == str(expected.value)
     assert str(caught.value).startswith("expert training: non-finite parameters after step ")
     assert 33 < int(str(caught.value).rsplit(" ", 1)[1]) < 65
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+def test_train_centralized_with_no_epochs_returns_the_initial_parameters(model):
+    # expert_epochs = 0 trains nothing: the expert is the initial model.
+    ds = gen_synthetic(230, 3, 5, 0.1, 1.5, seed=9)
+    expert = train_centralized(model, ds, BATCH_7, epochs=0, seed=4)
+    assert np.array_equal(expert, init_params(model, np.random.default_rng([4, 0])))
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])

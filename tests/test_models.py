@@ -173,6 +173,27 @@ WIDE_MODELS = [
 DESK_SOFTMAX = ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=10, num_classes=4)
 
 
+def cohort_step(model, params, x, y):
+    """One lockstep step of full slots through ``models._bind_cohort``:
+    parameters (k, dim), rows (k, b, d) and labels (k, b). Returns the
+    outputs (k, b, C or 1), the MLP's activations and the gradients (k, dim)."""
+    from fedcurr.models import _Pool
+
+    k, b = y.shape
+    data = Batch(x.reshape(k * b, -1), y.ravel())
+    pool = _Pool(model, params[0], data, SgdHyper(batch_size=b), 0)
+    cohort = pool.cohort(k)
+    cohort.theta[:] = params
+    forward, backward, *_, xs, targets = cohort.kernel(k)
+    pool.x.take(np.arange(k * b).reshape(k, b), axis=0, out=xs)
+    pool.target.take(np.arange(k * b).reshape(k, b), axis=0, out=targets)
+    forward()
+    out = cohort.out.copy()
+    hidden = None if cohort.hidden is None else cohort.hidden.copy()
+    backward(False)
+    return out, hidden, cohort.g.copy()
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -188,10 +209,11 @@ def test_in_place_kernels_match_out_of_place_formulas(model, rows):
     # The forward pass and the gradient write their products with np.dot
     # into arrays they own; every bit must equal the out-of-place @
     # expressions and np.concatenate, in the one-shot calls and in a local
-    # step's kernel. The 7-row remainder is a view that starts mid-array, as
-    # the last mini-batch of an epoch does. With fewer than 8 classes the
-    # one-shot log-softmax sums each row column by column.
-    from fedcurr.models import _bind_step, _forward, _output_terms, _targets, _terms_grad
+    # step's kernel, here one full slot of a lockstep cohort. The 7-row
+    # remainder is a view that starts mid-array, as the last mini-batch of an
+    # epoch does. With fewer than 8 classes the one-shot log-softmax sums
+    # each row column by column.
+    from fedcurr.models import _forward, _output_terms, _targets, _terms_grad
 
     rng = np.random.default_rng(29)
     params = 3.0 * init_params(model, rng)
@@ -210,9 +232,36 @@ def test_in_place_kernels_match_out_of_place_formulas(model, rows):
     assert _terms_grad(model, params, x, target, terms, hidden, out=g) is g
     assert np.array_equal(g, terms_grad_reference(model, params, x, target, terms, hidden))
     assert np.array_equal(_terms_grad(model, params, x, target, terms, hidden), g)
-    step_g = np.full(model.param_count(), np.nan)
-    _bind_step(model, params, step_g, len(x))(x, target)
-    assert np.array_equal(step_g, g)
+    assert np.array_equal(cohort_step(model, params[None], x[None], y[None])[2][0], g)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 10, 100])
+@pytest.mark.parametrize("slots", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "model", WIDE_MODELS + [DESK_SOFTMAX], ids=["linear", "softmax", "mlp", "mlp_scalar", "desk"]
+)
+def test_stacked_products_match_per_slot_products(model, slots, rows):
+    # A lockstep step runs each product of its slots as one stacked
+    # np.matmul and each bias sum as one np.add.reduce over axis 1. Per
+    # slot, the outputs, the MLP's activations and the gradient must keep
+    # the bits of the one-shot np.dot and np.add.reduce(axis=0) calls on
+    # that slot's rows alone. They do for all four kinds, so no kind keeps
+    # per-slot products for full batches.
+    from fedcurr.models import _forward, _output_terms, _targets, _terms_grad
+
+    rng = np.random.default_rng([slots, rows])
+    params = np.stack([3.0 * init_params(model, rng) for _ in range(slots)])
+    labels = model.num_classes if model.is_classifier else 10
+    x = rng.standard_normal((slots, rows, model.input_dim))
+    y = rng.integers(0, labels, (slots, rows))
+    out, hidden, g = cohort_step(model, params, x, y)
+    for i in range(slots):
+        ref_out, ref_hidden = _forward(model, params[i], x[i])
+        assert np.array_equal(out[i] if model.is_classifier else out[i, :, 0], ref_out)
+        assert hidden is ref_hidden is None or np.array_equal(hidden[i], ref_hidden)
+        target = _targets(model, y[i])
+        terms = _output_terms(model, ref_out, target)
+        assert np.array_equal(g[i], _terms_grad(model, params[i], x[i], target, terms, ref_hidden))
 
 
 @pytest.mark.parametrize("rows", [1, 7, 65, 2000])
