@@ -6,7 +6,8 @@ every arm and trial and writes ``metrics.csv`` plus ``summary.csv``;
 verification grid (a ``fedcurr.theory`` case runs itself through
 ``verify()``) and writes ``report.csv``. Outputs are byte-identical across reruns and
 ``--threads`` counts; ``--threads`` only affects ``run``, where it is the
-number of processes that run (arm, trial) jobs at once. Both commands run
+number of processes among which the (arm, trial) jobs are shared; each
+process runs its share's jobs in lockstep by round. Both commands run
 numpy's OpenBLAS on one thread, so outputs do not depend on
 ``OPENBLAS_NUM_THREADS`` either.
 """
@@ -32,6 +33,7 @@ from .errors import ConfigurationError
 from .federation import (
     DataCurriculumConfig,
     ExperimentConfig,
+    JobsResult,
     RoundMetrics,
     run_experiment,
     train_centralized,
@@ -102,26 +104,22 @@ def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> str:
 
 
 Job = tuple[ExperimentConfig, TrialData]
-# Per share: the rows of each job run, in share order, and the first failure
-# as (job index, error), or None.
-ShareResult = tuple[list[list[RoundMetrics]], tuple[int, Exception] | None]
 
 
-def _run_share(jobs: list[Job], share: range) -> ShareResult:
-    """Run the jobs of ``share`` in order, stopping at the first that fails
-    with one of the errors ``main`` reports. ``run_experiment`` is looked up
-    here at call time, so a replacement of ``cli.run_experiment`` also holds
-    in forked workers."""
-    done = []
-    for i in share:
-        exp, data = jobs[i]
-        try:
-            done.append(run_experiment(
-                exp, data.ds, data.part, data.test.batch(), expert_losses=data.expert_losses
-            ))
-        except (ValueError, FloatingPointError) as exc:
-            return done, (i, exc)
-    return done, None
+def _run_share(jobs: list[Job], share: range) -> JobsResult:
+    """Run the jobs of ``share`` in lockstep by round, through one
+    ``run_experiment`` call, which returns the rows of the jobs before the
+    first that fails with one of the errors ``main`` reports, and that
+    failure, named here by its index in ``jobs``. ``run_experiment`` is
+    looked up here at call time, once every trial is built, so a replacement
+    of ``cli.run_experiment`` also holds in forked workers."""
+    done, failure = run_experiment([
+        (exp, data.ds, data.part, data.test.batch(), data.expert_losses)
+        for exp, data in (jobs[i] for i in share)
+    ])
+    if failure is not None:
+        failure = share[failure[0]], failure[1]
+    return done, failure
 
 
 def _worker(jobs: list[Job], share: range, fd: int) -> None:
@@ -139,7 +137,7 @@ def _worker(jobs: list[Job], share: range, fd: int) -> None:
         os._exit(code)
 
 
-def _read_share(pid: int, fd: int) -> ShareResult:
+def _read_share(pid: int, fd: int) -> JobsResult:
     """The result a worker wrote to ``fd``; reaps the worker."""
     try:
         with os.fdopen(fd, "rb") as fh:
@@ -155,13 +153,15 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
     """Each job's round metrics, in job order.
 
     The jobs are dealt into ``p = min(processes, len(jobs))`` fixed shares,
-    share ``k`` being ``jobs[k::p]``. Shares 1..p-1 run in workers forked
-    here, after every trial's data is built, so the workers inherit the data
-    and send back only their metrics; the parent runs share 0 itself before
-    it waits on any worker. The process runs no threads of its own when it
+    share ``k`` being ``jobs[k::p]``, and each share's jobs run in lockstep
+    by round (``_run_share``). Shares 1..p-1 run in workers forked here,
+    after every trial's data is built, so the workers inherit the data and
+    send back only their metrics; the parent runs share 0 itself before it
+    waits on any worker. The process runs no threads of its own when it
     forks. With one share, or where ``fork`` does not exist, no process is
     started. A failed job raises the error of the lowest failing job index,
-    as a run in job order would.
+    as a run in job order would: within a share the lockstep run returns the
+    lowest failing job's error, and across shares the lowest index wins.
     """
     p = min(processes, len(jobs)) if hasattr(os, "fork") else 1
     shares = [range(k, len(jobs), p) for k in range(p)]

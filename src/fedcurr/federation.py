@@ -1,26 +1,33 @@
 """Federated round loop: broadcast, curriculum-aware local training, and
 aggregation under FedAvg, FedProx, SCAFFOLD or FedNova.
 
-Each client's rows, labels and, under expert scoring, expert losses are
-gathered once per run. Each round runs the model once per needed client at
-the broadcast parameters; that pass's losses, raw outputs and gradient feed
-the client ranking, the round diagnostics and sample scoring, which runs no
-model. The rows are checked once per run, when the run's training pool is
-built. Each round's local training is one call of ``models._local_sgd``, the
-one momentum-SGD loop, which trains the participants together and which
-``train_centralized`` shares for the expert model.
+``run_experiment`` runs a list of (arm, trial) jobs in lockstep by round,
+each a generator that stops at its training step. Each client's rows,
+labels, gradient targets and, under expert scoring, expert losses are
+gathered once per run, the targets from the training pool that the call
+builds over its jobs' distinct datasets. Each round runs the model once per
+needed client at the broadcast parameters; that pass's losses, raw outputs
+and gradient feed the client ranking, the round diagnostics and sample
+scoring, which runs no model. The rows are checked once per job, at its
+set-up. Each round's local training, for every job still running, is one
+call of ``models._local_sgd``, the one momentum-SGD loop, which trains all
+the participants together and which ``train_centralized`` shares for the
+expert model.
 
 Determinism contract: every random draw comes from a generator keyed by
 (seed, stream tag, round, client id). The participants of a round train in
-lockstep, each getting the bits it would get training alone, and
-aggregation sums their updates in ascending id order, so reruns are
-bitwise identical. Runs share no state, so the CLI's worker processes, each
-running a fixed share of the (arm, trial) jobs one after another, change no
-digit either.
+lockstep with each other and with those of the other jobs of the call,
+each getting the bits it would get training alone, and aggregation sums a
+job's updates in ascending id order, so reruns are bitwise identical. Jobs
+share the training pool and the local-SGD call, but no state that changes
+a digit: the CLI's worker processes, each running a fixed share of the
+jobs in lockstep, give the bits of the jobs run one after another.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Generator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -141,42 +148,89 @@ def gradient_dissimilarity(grads: list[np.ndarray], weights: np.ndarray) -> floa
     return num / den
 
 
+@dataclass
+class _Training:
+    """One job's part of a round's local training, as ``client_update``
+    yields it: per participant its pool rows, generator, error label,
+    momentum and, under SCAFFOLD, control, and the job's broadcast
+    parameters and server control, which every participant starts from."""
+
+    rows: list[np.ndarray]
+    rngs: list[np.random.Generator]
+    where: list[str]
+    global_params: np.ndarray
+    momenta: np.ndarray  # (P, dim)
+    server_control: np.ndarray | None
+    controls: np.ndarray | None  # (P, dim), SCAFFOLD only
+
+
+_Trained = tuple[np.ndarray, np.ndarray, list[int]]  # parameters, momenta (P, dim), step counts
+
+
+def _train(
+    pool: _Pool, cfg: ExperimentConfig, trainings: list[_Training]
+) -> tuple[list[_Trained], tuple[int, FloatingPointError] | None]:
+    """The jobs' parts of a round's local training, in one
+    ``models._local_sgd`` call: for each part its trained parameters,
+    momenta and step counts, and the first failure as (part index, error),
+    or None. The parts share ``cfg``'s model, rates, epochs and algorithm;
+    FedProx anchors each client to its own job's broadcast parameters, and
+    SCAFFOLD adds its own job's server control."""
+    counts = [len(tr.rows) for tr in trainings]
+    theta = np.repeat(np.array([tr.global_params for tr in trainings]), counts, axis=0)
+    v = np.concatenate([tr.momenta for tr in trainings])
+    prox = controls = None
+    if cfg.algorithm is Algorithm.FEDPROX and cfg.mu_prox != 0.0:
+        prox = cfg.mu_prox, theta.copy()
+    if cfg.algorithm is Algorithm.SCAFFOLD:
+        controls = (
+            np.repeat(np.array([tr.server_control for tr in trainings]), counts, axis=0),
+            np.concatenate([tr.controls for tr in trainings]),
+        )
+    steps, failure = _local_sgd(
+        pool, [r for tr in trainings for r in tr.rows], theta, v, cfg.local_epochs,
+        [rng for tr in trainings for rng in tr.rngs], [w for tr in trainings for w in tr.where],
+        [k for k, n in enumerate(counts) for _ in range(n)], prox, controls,
+    )
+    ends = list(itertools.accumulate(counts))
+    return [
+        (theta[lo:hi], v[lo:hi], steps[lo:hi]) for lo, hi in zip([0] + ends, ends)
+    ], failure
+
+
 def client_update(
     states: list[ClientState],
     global_params: np.ndarray,
     cfg: ExperimentConfig,
     pool: _Pool,
-    rows: list[tuple[np.ndarray, np.ndarray]],
+    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     t: int,
     rngs: list[np.random.Generator],
     server_control: np.ndarray | None = None,
     expert_losses: list[np.ndarray | None] | None = None,
     at_global: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> list[ClientState]:
-    """One round's local training: for each participant, in the order of
-    ``states`` (ascending id), select the paced subset with its own
-    generator ``rngs[k]``; then run the configured epochs of mini-batch SGD
-    for all of them from the broadcast parameters, and return their new
-    states, with the trained parameters in ``local_params``. The states
-    themselves are left as they were. The momentum buffer persists across
-    rounds; the step index (and with it the learning-rate schedule) resets
-    each round.
+) -> Generator[_Training, _Trained, list[ClientState]]:
+    """One job's round of local training, as a generator: for each
+    participant, in the order of ``states`` (ascending id), select the paced
+    subset with its own generator ``rngs[k]``; then yield the participants'
+    ``_Training``, all starting from the broadcast parameters, and take back
+    the trained parameters, momenta and step counts (``_train``). Returns
+    the new states, with the trained parameters in ``local_params``; the
+    states themselves are left as they were. The momentum buffer persists
+    across rounds; the step index (and with it the learning-rate schedule)
+    resets each round.
 
-    ``pool`` holds the dataset's rows and targets, checked once per run, and
-    the run's rates (``models._Pool``). ``rows[k]`` are participant k's rows
-    and labels, ``pool.x[state.indices]`` and ``ds.labels[state.indices]``,
-    and ``expert_losses[k]`` the expert's per-sample losses on them;
-    ``run_experiment`` gathers all three once per run and passes the same
+    ``pool`` holds the share's rows and targets, checked once per run, and
+    the rates (``models._Pool``). ``rows[k]`` are participant k's pool rows
+    and, gathered from them, its features, labels and targets, and
+    ``expert_losses[k]`` the expert's per-sample losses on them;
+    ``run_experiment`` gathers all of them once per run and passes the same
     arrays every round. ``at_global[k]``, which a data curriculum needs,
     holds the per-sample losses and raw outputs of those rows at
     ``global_params``. The pair at the local model is computed here only for
     a scoring that reads it and a client that has trained before to
     parameters other than ``global_params``, and is ``at_global[k]``
-    otherwise. Only the parameter and momentum shapes are checked here;
-    ``models._local_sgd`` then trains the participants in lockstep, with
-    the FedProx and SCAFFOLD terms added to each gradient. A step that
-    leaves non-finite parameters raises FloatingPointError naming the
-    round, the lowest-id such client and its step."""
+    otherwise. Only the parameter and momentum shapes are checked here."""
     model = cfg.model
     if global_params.shape != (model.param_count(),):
         raise ConfigurationError(
@@ -191,33 +245,31 @@ def client_update(
             raise ConfigurationError(f"client {state.client_id} holds no data")
         if state.momentum.shape != global_params.shape:
             raise ConfigurationError("parameter and momentum lengths must match")
+        pool_rows, x, y, target = rows[k]
         if dc is None:
-            chosen.append(state.indices)
+            chosen.append(pool_rows)
             continue
-        x, y = rows[k]
         at_local = at_global[k]
         if (
             dc.scoring in LOCAL_BASED
             and state.local_params is not None
             and not np.array_equal(state.local_params, global_params)
         ):
-            losses, _, outputs = _losses_and_grads(model, state.local_params, [x], [y])
+            # [::2] drops the gradient closures, and the activations they
+            # hold, before the job waits for its training.
+            losses, outputs = _losses_and_grads(model, state.local_params, [x], [y], [target])[::2]
             at_local = losses[0], outputs[0]
         expert = None if expert_losses is None else expert_losses[k]
         scores = score_samples(dc.scoring, y, at_global[k], at_local, expert, rngs[k])
         n_sel = pace(dc.pacing, t, len(y), cfg.rounds)
-        chosen.append(state.indices[np.sort(order_and_select(scores, dc.ordering, n_sel, rngs[k]))])
+        chosen.append(pool_rows[np.sort(order_and_select(scores, dc.ordering, n_sel, rngs[k]))])
 
     scaffold = cfg.algorithm is Algorithm.SCAFFOLD
-    prox = None
-    if cfg.algorithm is Algorithm.FEDPROX and cfg.mu_prox != 0.0:
-        prox = cfg.mu_prox, global_params
-    theta = np.tile(global_params, (len(states), 1))
-    v = np.array([state.momentum for state in states])
-    taus = _local_sgd(
-        pool, chosen, theta, v, cfg.local_epochs, rngs,
-        [f"round {t}, client {state.client_id}" for state in states], prox,
-        (server_control, np.array([state.control for state in states])) if scaffold else None,
+    theta, v, taus = yield _Training(
+        chosen, rngs, [f"round {t}, client {state.client_id}" for state in states],
+        global_params, np.array([state.momentum for state in states]),
+        server_control if scaffold else None,
+        np.array([state.control for state in states]) if scaffold else None,
     )
 
     updated = []
@@ -294,22 +346,29 @@ def evaluate(model: ModelSpec, params: np.ndarray, test: Batch) -> tuple[float, 
     return float((hits == test.y).mean()), float(_losses(model, out, test.y).mean())
 
 
-def run_experiment(
+Job = tuple[ExperimentConfig, Dataset, Partition, Batch, np.ndarray | None]
+# Per call: each job's metrics rows before the first failing job, and that
+# failure as (job index, error), or None.
+JobsResult = tuple[list[list[RoundMetrics]], tuple[int, Exception] | None]
+
+
+def _run_job(
     cfg: ExperimentConfig,
     ds: Dataset,
     part: Partition,
     test: Batch,
-    expert_losses: np.ndarray | None = None,
-) -> list[RoundMetrics]:
-    """Run the full federation and return one metrics row per round
-    (or the initial model's row when rounds == 0).
+    expert_losses: np.ndarray | None,
+) -> Generator[Batch | _Training, tuple[_Pool, int] | _Trained, list[RoundMetrics]]:
+    """One job's federation, as a generator that ``run_experiment`` drives
+    in lockstep with the other jobs of its call.
 
-    ``expert_losses``, which expert scoring needs, holds the expert's
-    per-sample loss of each row of ``ds``. The dataset is checked against the
-    model once, when its training pool is built, and each client's rows,
-    labels and expert losses are gathered from it once per run. Every
-    round's pass at the broadcast parameters reads the rows and labels, and
-    the round's ``client_update`` all three."""
+    After the set-up checks it yields its dataset as a ``Batch``, checked
+    against the model, and is sent the call's pool and each client's pool
+    rows with the features, labels and targets gathered from them
+    (``_gather``). Each round then yields the round's ``_Training`` from
+    ``client_update`` and is sent the trained arrays. It returns one metrics
+    row per round, or, with rounds == 0, the initial model's row before
+    yielding anything."""
     m = part.num_clients
     _check_participants(cfg.participants, m)
     dc = cfg.data_curriculum
@@ -335,10 +394,9 @@ def run_experiment(
         return [RoundMetrics(0, acc, loss, [], float("nan"), float("nan"), float("nan"))]
 
     data = ds.batch()
-    largest = max(len(s.indices) for s in states)
-    pool = _Pool(model, theta, data, cfg.hyper, cfg.local_epochs * -(-largest // cfg.hyper.batch_size))
-    xs = [data.x.take(s.indices, axis=0) for s in states]
-    ys = [data.y[s.indices] for s in states]
+    _check_batch(model, theta, data)
+    pool, clients = yield data
+    _, xs, ys, targets = zip(*clients)
     experts = [expert_losses[s.indices] if expert else None for s in states]
     metrics = []
     for t in range(cfg.rounds):
@@ -352,7 +410,8 @@ def run_experiment(
         # client ranking and the round diagnostics, its losses and outputs
         # sample scoring, and its gradient lambda.
         block_losses, block_grads, block_outputs = _losses_and_grads(
-            model, theta, [xs[i] for i in scored], [ys[i] for i in scored]
+            model, theta, [xs[i] for i in scored], [ys[i] for i in scored],
+            [targets[i] for i in scored],
         )
         if cfg.client_curriculum is not None:  # block i is client i
             ids = select_clients(
@@ -369,8 +428,8 @@ def run_experiment(
         lam = gradient_dissimilarity(grads, w)
         mean_cl = float(np.mean([float(at_theta[i][0].mean()) for i in ids]))
 
-        updated = client_update(  # ascending id: fixed reduction order
-            [states[cid] for cid in ids], theta, cfg, pool, [(xs[cid], ys[cid]) for cid in ids], t,
+        updated = yield from client_update(  # ascending id: fixed reduction order
+            [states[cid] for cid in ids], theta, cfg, pool, [clients[cid] for cid in ids], t,
             [np.random.default_rng([cfg.seed, _CLIENT_STREAM, t, cid]) for cid in ids],
             server_control, [experts[cid] for cid in ids], [at_theta[cid] for cid in ids],
         )
@@ -384,6 +443,105 @@ def run_experiment(
     return metrics
 
 
+def _gather(pool: _Pool, start: int, data: Batch, part: Partition) -> list[tuple]:
+    """Each client's pool rows, and the features, labels and targets
+    gathered from them, for the dataset ``data`` that starts at row
+    ``start`` of ``pool``."""
+    clients = []
+    for indices in part.assignment:
+        rows = start + indices
+        clients.append(
+            (rows, pool.x.take(rows, axis=0), data.y[indices], pool.target.take(rows, axis=0))
+        )
+    return clients
+
+
+def _shared(cfg: ExperimentConfig) -> tuple:
+    """What the jobs of one ``run_experiment`` call train with alike."""
+    return cfg.model, cfg.hyper, cfg.local_epochs, cfg.algorithm, cfg.mu_prox
+
+
+def run_experiment(jobs: list[Job]) -> JobsResult:
+    """Run the federation of each job (cfg, ds, part, test, expert_losses)
+    and return, for each job before the first that fails (for all when none
+    does), one metrics row per round, or the initial model's row when
+    rounds == 0; with that failure as (job index, error), or None.
+    ``expert_losses``, which expert scoring needs, holds the expert's
+    per-sample loss of each row of ``ds``. The jobs differ at most in their
+    seed, data, rounds and curricula; the rest must match (``_shared``).
+
+    The jobs run in lockstep by round, each a ``_run_job`` generator: each
+    scores, selects, aggregates and evaluates on its own, and at each round
+    the participants of all jobs still running train through one
+    ``models._local_sgd`` call (``_train``), over one ``_Pool`` built here
+    from the jobs' distinct datasets (by identity). Each dataset is checked
+    against the model once per job, at its set-up, and the clients' rows are
+    gathered once per distinct (dataset, partition) pair, which the arms of
+    a trial share.
+
+    A job that fails with a ValueError or FloatingPointError stops, and the
+    jobs after it are dropped; those before it run on, so the failure
+    returned is that of the lowest failing job index, as when the jobs run
+    one after another."""
+    if len({_shared(job[0]) for job in jobs}) > 1:
+        raise ConfigurationError(
+            "the jobs of one call must share model, optimizer, local epochs and algorithm"
+        )
+    results: dict[int, list[RoundMetrics]] = {}
+    failure: tuple[int, Exception] | None = None
+    running: dict[int, Generator] = {}
+    waiting: dict[int, Batch | _Training] = {}  # what each running job last yielded
+
+    def fail(j: int, exc: Exception) -> None:
+        nonlocal failure
+        failure = j, exc
+        for i in [i for i in running if i >= j]:
+            del running[i]
+            waiting.pop(i, None)
+
+    def resume(j: int, value) -> None:
+        waiting.pop(j, None)
+        try:
+            waiting[j] = running[j].send(value)
+        except StopIteration as stop:
+            results[j] = stop.value
+            del running[j]
+        except (ValueError, FloatingPointError) as exc:
+            fail(j, exc)
+
+    for j, job in enumerate(jobs):
+        running[j] = _run_job(*job)
+        resume(j, None)
+        if failure is not None:
+            break
+    if waiting:
+        cfg = jobs[0][0]
+        first: dict[int, int] = {}  # id(ds) -> the first waiting job on that dataset
+        for j in waiting:
+            first.setdefault(id(jobs[j][1]), j)
+        largest = max(len(rows) for j in waiting for rows in jobs[j][2].assignment)
+        steps = cfg.local_epochs * -(-largest // cfg.hyper.batch_size)
+        pool = _Pool(cfg.model, cfg.hyper, [waiting[j] for j in first.values()], steps)
+        start = dict(zip(first, pool.starts))
+        gathered: dict[tuple[int, int], list[tuple]] = {}  # (id(ds), id(part)) -> clients
+        for j in list(waiting):
+            if j in running:
+                _, ds, part, _, _ = jobs[j]
+                key = id(ds), id(part)
+                if key not in gathered:
+                    gathered[key] = _gather(pool, start[id(ds)], waiting[j], part)
+                resume(j, (pool, gathered[key]))
+        while waiting:
+            live = sorted(waiting)
+            trained, failed = _train(pool, cfg, [waiting[j] for j in live])
+            if failed is not None:
+                fail(live[failed[0]], failed[1])
+            for j, arrays in zip(live, trained):
+                if j in running:
+                    resume(j, arrays)
+    return [results[j] for j in range(len(jobs) if failure is None else failure[0])], failure
+
+
 def train_centralized(
     model: ModelSpec,
     ds: Dataset,
@@ -393,15 +551,18 @@ def train_centralized(
 ) -> np.ndarray:
     """Plain centralized SGD over the full dataset; used to build expert
     and reference models. The data is checked once, then the steps run in
-    ``models._local_sgd``, as a cohort of one. A step that leaves non-finite
-    parameters raises FloatingPointError naming expert training and the
-    step."""
+    ``models._local_sgd``, as a cohort of one client of one job. A step that
+    leaves non-finite parameters raises FloatingPointError naming expert
+    training and the step."""
     rng = np.random.default_rng([seed, _INIT_STREAM])
     theta = init_params(model, rng)[None]
     data = ds.batch()
-    pool = _Pool(model, theta[0], data, hyper, epochs * -(-len(data) // hyper.batch_size))
-    _local_sgd(
+    _check_batch(model, theta[0], data)
+    pool = _Pool(model, hyper, [data], epochs * -(-len(data) // hyper.batch_size))
+    _, failure = _local_sgd(
         pool, [np.arange(len(data))], theta, np.zeros_like(theta), epochs, [rng],
-        ["expert training"],
+        ["expert training"], [0],
     )
+    if failure is not None:
+        raise failure[1]
     return theta[0]

@@ -18,16 +18,18 @@ matrix products go through ``np.dot``, which writes into a buffer at less
 cost per call than ``np.matmul`` and reaches the same BLAS routine.
 
 ``_local_sgd``, the mini-batch loop that local and centralized training
-share, trains a round's participants in lockstep: ``_bind_cohort`` writes
-the same formulas over a stack of clients, one stacked ``np.matmul`` per
-product, and each step runs the forward pass, the log-softmax and softmax
-minus one-hot in place on one stacked array. A client's short last batch
-of an epoch runs its products again alone, through the one-shot binders, so
-every client gets the bits it would get training alone. The run's rows,
-targets, rates and slot buffers (``_Pool``, ``_Cohort``) are built once per
-run. The steps check nothing: one finite check at the end of the call
-covers them all, and a call that ends with a non-finite client replays that
-client's steps, alone and each checked, to name the first bad one. Every
+share, trains the participants of a round of several jobs in lockstep:
+``_bind_cohort`` writes the same formulas over a stack of clients, one
+stacked ``np.matmul`` per product, and each step runs the forward pass, the
+log-softmax and softmax minus one-hot in place on one stacked array. A
+client's short last batch of an epoch runs its products again alone,
+through the one-shot binders, so every client gets the bits it would get
+training alone. The rows and targets of the jobs' datasets, the rates and
+the slot buffers (``_Pool``, ``_Cohort``) are built once per share of jobs.
+The steps check nothing: one finite check at the end of the call covers
+them all, and a call that ends with a non-finite client keeps the jobs
+whose clients all ended finite and replays the failing job's non-finite
+client, alone and each step checked, to name the first bad step. Every
 in-place form keeps the bits of the out-of-place expressions, and a large
 pass does not page in fresh memory for every temporary.
 """
@@ -366,8 +368,8 @@ def _terms_grad(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mean-loss gradient written into ``out`` (allocated when None), leaving
-    ``terms`` as it is; ``target`` comes from ``_targets``. See
-    ``_bind_backward``."""
+    ``terms`` as it is; ``target`` comes from ``_targets``, or from the rows
+    of ``_Pool.target``. See ``_bind_backward``."""
     g = np.empty(model.param_count()) if out is None else out
     e = _loss_derivative(model, target, terms, len(target))
     _bind_backward(model, params, g)(x, e, hidden)
@@ -380,23 +382,27 @@ def _losses(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _Pool:
-    """What local training reads, built once per run: the dataset rows
-    ``x``, checked against the model here, their targets (one-hot rows for
-    classifiers, float labels otherwise), the rates eta(i) of every step a
-    call can take, at most ``steps``, and their running sums, added one by
-    one as the steps take them. It also keeps the run's lockstep buffers,
-    one ``_Cohort`` per cohort size, so that the calls of a run bind their
-    kernels once."""
+    """What local training reads, built once per share of jobs: the rows
+    ``x`` of the share's datasets, one block after another (block b starts
+    at row ``starts[b]``), their targets (one-hot rows for classifiers,
+    float labels otherwise), the rates eta(i) of every step a call can take,
+    at most ``steps``, and their running sums, added one by one as the steps
+    take them. The callers check each block against the model first. It
+    also keeps the lockstep buffers, one ``_Cohort`` per cohort size, so
+    that the calls of a share bind their kernels once."""
 
-    def __init__(
-        self, model: ModelSpec, params: np.ndarray, data: Batch, hyper: SgdHyper, steps: int
-    ):
-        _check_batch(model, params, data)
-        self.model, self.hyper, self.x = model, hyper, data.x
-        if model.is_classifier:
-            self.target = _targets(model, data.y)
+    def __init__(self, model: ModelSpec, hyper: SgdHyper, blocks: list[Batch], steps: int):
+        self.model, self.hyper = model, hyper
+        if len(blocks) == 1:
+            self.x, y = blocks[0].x, blocks[0].y
         else:
-            self.target = data.y.astype(np.float64)
+            self.x = np.concatenate([b.x for b in blocks])
+            y = np.concatenate([b.y for b in blocks])
+        self.starts = [0] + list(itertools.accumulate(len(b) for b in blocks))[:-1]
+        if model.is_classifier:
+            self.target = _targets(model, y)
+        else:
+            self.target = y.astype(np.float64)
         self.etas = [hyper.learning_rate(i) for i in range(steps)]
         self.eta_sums = list(itertools.accumulate(self.etas))
         self._cohorts: dict[int, _Cohort] = {}
@@ -583,41 +589,46 @@ def _local_sgd(
     epochs: int,
     rngs: list[np.random.Generator],
     where: list[str],
+    jobs: list[int],
     prox: tuple[float, np.ndarray] | None = None,
     controls: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[int]:
+) -> tuple[list[int], tuple[int, FloatingPointError] | None]:
     """Mini-batch momentum SGD for a cohort of clients, overwriting their
     parameters ``theta`` and momenta ``v``, stacked (P, dim). Client p
-    trains on the rows ``pool.x[rows[p]]`` with their targets, draws its
-    epochs' permutations from ``rngs[p]`` at the start (the steps draw
-    nothing else, so its stream is as if each epoch drew its own) and steps
-    on slices of ``batch_size`` rows with eta(i), i counting its steps from
-    0. ``prox`` = (mu, theta_g) adds mu*(theta - theta_g) to each gradient,
-    and ``controls`` = (c, c_p), the second stacked (P, dim), adds c - c_p,
-    left to right. The update is ``sgd_step``'s in its operation order.
-    Returns each client's step count.
+    trains for job ``jobs[p]`` on the rows ``pool.x[rows[p]]`` with their
+    targets, draws its epochs' permutations from ``rngs[p]`` at the start
+    (the steps draw nothing else, so its stream is as if each epoch drew its
+    own) and steps on slices of ``batch_size`` rows with eta(i), i counting
+    its steps from 0. ``prox`` = (mu, anchors) adds mu*(theta - anchor) to
+    each gradient, and ``controls`` = (server, own) adds server - own, left
+    to right; anchors, server and own controls are stacked (P, dim), one
+    row per client. The update is ``sgd_step``'s in its operation order.
+    Returns each client's step count and the failure, as (job, error), or
+    None.
 
-    The clients step in lockstep: at step i, every client with a step left
-    takes it with the others, through one ``_bind_cohort`` kernel. Slots
-    are ordered by descending step count, so the clients still stepping are
-    always the first ones. Each step gathers its rows with one ``take`` into
-    (P, batch_size, ...) slot buffers. A slot that holds an epoch's short
-    tail batch of m rows runs its products again alone, through
-    ``_bind_forward`` and ``_bind_backward`` on the m rows, because a
-    product row's bits depend on the row count. Every client thus gets the
-    bits it would get training alone.
+    The clients step in lockstep, whatever job they train for: at step i,
+    every client with a step left takes it with the others, through one
+    ``_bind_cohort`` kernel. Slots are ordered by descending step count, so
+    the clients still stepping are always the first ones. Each step gathers
+    its rows with one ``take`` into (P, batch_size, ...) slot buffers. A
+    slot that holds an epoch's short tail batch of m rows runs its products
+    again alone, through ``_bind_forward`` and ``_bind_backward`` on the m
+    rows, because a product row's bits depend on the row count. Every client
+    thus gets the bits it would get training alone.
 
-    A step that leaves non-finite parameters raises FloatingPointError
-    naming ``where[p]`` and the step, yet the steps check nothing: ``theta
-    -= tmp`` is the one write to a client's parameters, and x - t is inf or
-    nan for every t when x is, so a coordinate that turns non-finite stays
-    so, and the parameters are finite after the last step only if they were
-    after every step. One check at the end therefore suffices. If it fails,
-    ``theta`` and ``v`` are left as they came, and the lowest-index
-    non-finite client runs its steps again, alone and each checked, which
-    raises at its first bad step, as it would have if the clients had
-    trained one after another. The floating-point warnings on the way there
-    would only repeat the error, so they are silenced."""
+    A step that leaves non-finite parameters fails its job with a
+    FloatingPointError naming ``where[p]`` and the step, yet the steps check
+    nothing: ``theta -= tmp`` is the one write to a client's parameters, and
+    x - t is inf or nan for every t when x is, so a coordinate that turns
+    non-finite stays so, and the parameters are finite after the last step
+    only if they were after every step. One check at the end therefore
+    suffices. If it fails, the clients of the jobs whose clients all ended
+    finite are written back, those of the other jobs are left as they came,
+    and the lowest non-finite client of the lowest failing job runs its
+    steps again, alone and each checked, which stops at its first bad step,
+    as it would have if the clients had trained one after another. The
+    floating-point warnings on the way there would only repeat the error, so
+    they are silenced."""
     bs = pool.hyper.batch_size
     steps = [epochs * -(-len(r) // bs) for r in rows]
     order = sorted(range(len(rows)), key=lambda p: -steps[p])
@@ -629,28 +640,34 @@ def _local_sgd(
         for epoch in padded:
             epoch[:n] = rows[p][rngs[p].permutation(n)]
         table[: steps[p], slot] = padded.reshape(-1, bs)
-    server, own = controls if controls is not None else (None, None)
+    # The per-client stacks in slot order.
+    prox = None if prox is None else (prox[0], prox[1][order])
+    controls = None if controls is None else (controls[0][order], controls[1][order])
     cohort = pool.cohort(len(rows))
     theta.take(order, axis=0, out=cohort.theta)
     v.take(order, axis=0, out=cohort.v)
     with np.errstate(all="ignore"):
-        _lockstep(
-            pool, cohort, table, [len(rows[p]) for p in order], epochs, prox, server,
-            None if own is None else own[order], None,
-        )
+        _lockstep(pool, cohort, table, [len(rows[p]) for p in order], epochs, prox, controls)
         bad = [order[slot] for slot in np.flatnonzero(~np.isfinite(cohort.theta).all(axis=1))]
-        if bad:
-            p = min(bad)
-            slot = order.index(p)
-            alone = pool.cohort(1)
-            alone.theta[0], alone.v[0] = theta[p], v[p]
-            _lockstep(
-                pool, alone, table[: steps[p], slot : slot + 1], [len(rows[p])], epochs, prox,
-                server, None if own is None else own[p : p + 1], where[p],
-            )
-    theta[order] = cohort.theta
-    v[order] = cohort.v
-    return steps
+        failed = {jobs[p] for p in bad}
+        kept = [slot for slot, p in enumerate(order) if jobs[p] not in failed]
+        slots = np.array(order)[kept]
+        theta[slots] = cohort.theta[kept]
+        v[slots] = cohort.v[kept]
+        if not failed:
+            return steps, None
+        job = min(failed)
+        p = min(q for q in bad if jobs[q] == job)
+        slot = order.index(p)
+        alone = pool.cohort(1)
+        alone.theta[0], alone.v[0] = theta[p], v[p]
+        error = _lockstep(
+            pool, alone, table[: steps[p], slot : slot + 1], [len(rows[p])], epochs,
+            None if prox is None else (prox[0], prox[1][slot : slot + 1]),
+            None if controls is None else tuple(c[slot : slot + 1] for c in controls),
+            where[p],
+        )
+    return steps, (job, error)
 
 
 def _lockstep(
@@ -660,15 +677,15 @@ def _lockstep(
     sizes: list[int],
     epochs: int,
     prox: tuple[float, np.ndarray] | None,
-    server: np.ndarray | None,
-    own: np.ndarray | None,
-    where: str | None,
-) -> None:
+    controls: tuple[np.ndarray, np.ndarray] | None,
+    where: str | None = None,
+) -> FloatingPointError | None:
     """The steps of ``_local_sgd`` from the parameters and momenta in
     ``cohort``, for the slots of ``table`` (steps, k, b), which holds each
     step's pool rows; slot i holds ``sizes[i]`` rows, and the slots come by
-    descending step count. ``where``, when given, checks the parameters
-    after every step."""
+    descending step count, as do the rows of the FedProx anchors and the
+    controls. ``where``, when given, checks the parameters after every step
+    and returns the error of the first that leaves them non-finite."""
     count, bs = len(table), pool.hyper.batch_size
     rho, wd = pool.hyper.momentum, pool.hyper.weight_decay
     # active[i]: the slots with a step i; tails[i]: (slot, rows) of the short
@@ -686,8 +703,10 @@ def _lockstep(
         if step_live != live:
             live = step_live
             forward, backward, theta, v, g, tmp, diff, x, target = cohort.kernel(live)
-            if own is not None:
-                own_live = own[:live]
+            if prox is not None:
+                mu, anchor = prox[0], prox[1][:live]
+            if controls is not None:
+                server, own = (c[:live] for c in controls)
         # mode="clip" leaves valid indices as they are and skips the copy
         # that the default mode makes of an ``out``.
         idx = table[step, :live]
@@ -704,12 +723,12 @@ def _lockstep(
             cohort.counts[slot] = bs
         if prox is not None:
             # g + mu*(theta - theta_g) + c - c_k, added left to right.
-            np.subtract(theta, prox[1], out=diff)
-            np.multiply(diff, prox[0], out=diff)
+            np.subtract(theta, anchor, out=diff)
+            np.multiply(diff, mu, out=diff)
             g += diff
-        if own is not None:
+        if controls is not None:
             g += server
-            g -= own_live
+            g -= own
         # v <- rho*v + (g + wd*theta); theta <- theta - eta*v
         np.multiply(theta, wd, out=tmp)
         tmp += g
@@ -718,7 +737,8 @@ def _lockstep(
         np.multiply(v, pool.etas[step], out=tmp)
         theta -= tmp
         if where is not None and not np.isfinite(theta).all():
-            raise FloatingPointError(f"{where}: non-finite parameters after step {step}")
+            return FloatingPointError(f"{where}: non-finite parameters after step {step}")
+    return None
 
 
 def _losses_and_grads(
@@ -726,11 +746,14 @@ def _losses_and_grads(
     params: np.ndarray,
     xs: list[np.ndarray],
     ys: list[np.ndarray],
+    targets: list[np.ndarray],
 ) -> tuple[list[np.ndarray], list[Callable[[], np.ndarray]], list[np.ndarray]]:
     """Unchecked per-sample losses of several blocks of rows ``xs[k]`` with
     labels ``ys[k]``, per block a function that returns its mean-loss
-    gradient from the same forward pass (computed, targets included, only
-    when called), and per block the raw model outputs of that pass.
+    gradient from the same forward pass (computed only when called), and per
+    block the raw model outputs of that pass. ``targets[k]`` are the block's
+    labels in the form the gradient takes them, gathered once per run from
+    the pool's (``_Pool.target``).
 
     Each block goes through the model by itself, so every matrix product sees
     the same rows as it would alone. The row-wise rest runs once over all
@@ -746,7 +769,7 @@ def _losses_and_grads(
 
     def grad_of(k: int) -> Callable[[], np.ndarray]:
         return lambda: _terms_grad(
-            model, params, xs[k], _targets(model, ys[k]), terms[blocks[k]], passes[k][1]
+            model, params, xs[k], targets[k], terms[blocks[k]], passes[k][1]
         )
 
     return [losses[b] for b in blocks], [grad_of(k) for k in range(len(xs))], outputs

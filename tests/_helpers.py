@@ -13,12 +13,14 @@ from fedcurr import (
     ModelSpec,
     Partition,
     SgdHyper,
+    client_update,
     grad,
     init_params,
     per_sample_losses,
+    run_experiment,
     sgd_step,
 )
-from fedcurr.federation import _INIT_STREAM
+from fedcurr.federation import _INIT_STREAM, _train
 from fedcurr.models import _unpack_mlp
 from fedcurr.theory import _check_cohort, _noisy
 
@@ -63,6 +65,30 @@ def validate_bias_schedule(kind: BiasKind, v: np.ndarray) -> None:
         for t in range(T):
             if v[t, -1] != v[t + 1, 0]:
                 raise AssertionError("data-based caps must be continuous across rounds")
+
+
+def run_one(cfg, ds, part, test, expert_losses=None):
+    """``run_experiment`` on one job: its metrics rows, or its error raised."""
+    done, failure = run_experiment([(cfg, ds, part, test, expert_losses)])
+    if failure is not None:
+        raise failure[1]
+    return done[0]
+
+
+def update_alone(states, global_params, cfg, pool, *args, **kwargs):
+    """``client_update`` driven as the only job of its share: its training
+    goes through ``federation._train`` alone. Returns the new states, or
+    raises the job's error."""
+    update = client_update(states, global_params, cfg, pool, *args, **kwargs)
+    training = next(update)
+    [trained], failure = _train(pool, cfg, [training])
+    if failure is not None:
+        raise failure[1]
+    try:
+        update.send(trained)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError("client_update yielded twice")
 
 
 def batch_loss(model: ModelSpec, params: np.ndarray, batch: Batch) -> float:

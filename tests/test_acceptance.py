@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from _helpers import check_partition, partition_score_std
+from _helpers import check_partition, partition_score_std, run_one, update_alone
 
 import fedcurr as fc
 from fedcurr.cli import main as cli_main
@@ -67,7 +67,7 @@ def final_accuracy(seed, arm, part=None, ds=None, test=None, client_curriculum=N
     if ds is None:
         ds, part, test = desk_world(seed)
     cfg = desk_config(seed, arm, client_curriculum)
-    return fc.run_experiment(cfg, ds, part, test)[-1].test_acc
+    return run_one(cfg, ds, part, test)[-1].test_acc
 
 
 def test_criterion_1_pacing_exactness():
@@ -265,20 +265,20 @@ def test_criterion_9_algorithm_equivalences():
 
     with Timer(60.0):
         ds, part, test = small_world(scheme=fc.Scheme.DIRICHLET)
-        m_avg = fc.run_experiment(base_config(), ds, part, test)
-        m_prox = fc.run_experiment(
+        m_avg = run_one(base_config(), ds, part, test)
+        m_prox = run_one(
             base_config(algorithm=fc.Algorithm.FEDPROX, mu_prox=0.0), ds, part, test
         )
         assert metrics_equal(m_avg, m_prox)
 
         ds_i, part_i, test_i = small_world(scheme=fc.Scheme.IID)
-        m_avg_i = fc.run_experiment(base_config(), ds_i, part_i, test_i)
-        m_nova = fc.run_experiment(
+        m_avg_i = run_one(base_config(), ds_i, part_i, test_i)
+        m_nova = run_one(
             base_config(algorithm=fc.Algorithm.FEDNOVA), ds_i, part_i, test_i
         )
         assert metrics_equal(m_avg_i, m_nova)
 
-        from test_federation import MODEL, client_rows, fresh_state, pool_of
+        from test_federation import MODEL, fresh_state, pool_of, training_rows
 
         cfg = base_config(algorithm=fc.Algorithm.SCAFFOLD, participants=8, rounds=3)
         dim = MODEL.param_count()
@@ -287,8 +287,8 @@ def test_criterion_9_algorithm_equivalences():
         pool = pool_of(cfg, theta, ds_i.batch())
         for t in range(3):
             rngs = [np.random.default_rng([cfg.seed, 9, t, cid]) for cid in range(8)]
-            states = fc.client_update(
-                states, theta, cfg, pool, [client_rows(ds_i, s) for s in states], t, rngs,
+            states = update_alone(
+                states, theta, cfg, pool, [training_rows(ds_i, s, pool) for s in states], t, rngs,
                 server_control=server_c,
             )
             theta, server_c = fc.aggregate(states, fc.Algorithm.SCAFFOLD, theta, server_c, 8)

@@ -186,6 +186,23 @@ def test_uneven_shares_match_one_process(tmp_path):
         assert read(outs["1"] / name) == read(outs["2"] / name)
 
 
+def test_lockstepped_shares_match_at_every_thread_count(tmp_path):
+    # Six jobs (3 arms x 2 trials) run in lockstep within each process: one
+    # share of 6, two of 3, three of 2, and at 4 processes shares of 2, 2,
+    # 1 and 1. The outputs are the same bytes at every count.
+    text = MINIMAL_RUN.replace("curriculum,vanilla", "curriculum,anti,vanilla")
+    cfg = write(tmp_path / "run.ini", text.replace("rounds = 1", "rounds = 3"))
+    outs = {}
+    for threads in ("1", "2", "3", "4"):
+        outs[threads] = tmp_path / threads
+        assert main(["run", cfg, "--out", str(outs[threads]), "--threads", threads]) == 0
+        assert_no_child_processes()
+    assert len(read(outs["1"] / "metrics.csv").splitlines()) == 1 + 6 * 3
+    for threads in ("2", "3", "4"):
+        for name in ("metrics.csv", "summary.csv"):
+            assert read(outs["1"] / name) == read(outs[threads] / name)
+
+
 def test_processes_are_capped_at_the_job_count(tmp_path, monkeypatch):
     cfg = write(tmp_path / "run.ini", MINIMAL_RUN)  # 2 arms x 2 trials = 4 jobs
     real_fork = os.fork
@@ -215,12 +232,17 @@ def test_worker_error_is_reported_as_in_job_order(tmp_path, capfd, monkeypatch):
     # job 1's error is still the one reported.
     real = cli.run_experiment
 
-    def flaky(exp, *args, **kwargs):
-        if exp.data_curriculum is not None and exp.seed == 202208:
-            raise ConfigurationError("job 1 failed", field="rounds")
-        if exp.data_curriculum is None and exp.seed == 202207:
-            raise FloatingPointError("job 2 failed")
-        return real(exp, *args, **kwargs)
+    def flaky(jobs):
+        # A share's jobs up to the first failing one, run by the real call.
+        for j, (exp, *_) in enumerate(jobs):
+            if exp.data_curriculum is not None and exp.seed == 202208:
+                error = ConfigurationError("job 1 failed", field="rounds")
+            elif exp.data_curriculum is None and exp.seed == 202207:
+                error = FloatingPointError("job 2 failed")
+            else:
+                continue
+            return real(jobs[:j])[0], (j, error)
+        return real(jobs)
 
     monkeypatch.setattr(cli, "run_experiment", flaky)
     cfg = write(tmp_path / "run.ini", MINIMAL_RUN)
@@ -236,12 +258,12 @@ def test_parent_failure_stops_and_reaps_workers(tmp_path, monkeypatch):
     parent = os.getpid()
     real = cli.run_experiment
 
-    def stuck_worker(exp, *args, **kwargs):
+    def stuck_worker(jobs):
         if os.getpid() != parent:
             time.sleep(60)  # ended by the parent's SIGKILL
-        if exp.seed == 202207 and exp.data_curriculum is not None:
+        if any(exp.seed == 202207 and exp.data_curriculum is not None for exp, *_ in jobs):
             raise RuntimeError("parent job failed")
-        return real(exp, *args, **kwargs)
+        return real(jobs)
 
     monkeypatch.setattr(cli, "run_experiment", stuck_worker)
     cfg = write(tmp_path / "run.ini", MINIMAL_RUN)

@@ -1,8 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _helpers import forward_reference, local_sgd_reference, train_centralized_reference
+from _helpers import (
+    forward_reference,
+    local_sgd_reference,
+    run_one,
+    train_centralized_reference,
+    update_alone,
+)
 
 from fedcurr import (
     Algorithm,
@@ -21,7 +29,6 @@ from fedcurr import (
     ScoringKind,
     SgdHyper,
     aggregate,
-    client_update,
     federation,
     gen_synthetic,
     gradient_dissimilarity,
@@ -78,15 +85,23 @@ def fresh_state(ds, part, cid, scaffold=False):
 
 
 def client_rows(ds, state):
-    """The client's rows, as run_experiment hands them to client_update."""
+    """The client's features and labels."""
     return ds.features[state.indices], ds.labels[state.indices]
 
 
+def training_rows(ds, state, pool):
+    """The client's pool rows, features, labels and targets, as
+    run_experiment hands them to client_update from a pool over ``ds``."""
+    return (state.indices, *client_rows(ds, state), pool.target[state.indices])
+
+
 def pool_of(cfg, params, data):
-    """The run's training pool over the ``Batch`` ``data``, for calls of up
-    to all its rows, as run_experiment builds it."""
+    """A share's training pool over the ``Batch`` ``data`` alone, checked
+    against the model, for calls of up to all its rows, as run_experiment
+    builds it."""
+    models._check_batch(cfg.model, params, data)
     steps = cfg.local_epochs * -(-len(data) // cfg.hyper.batch_size)
-    return models._Pool(cfg.model, params, data, cfg.hyper, steps)
+    return models._Pool(cfg.model, cfg.hyper, [data], steps)
 
 
 def metrics_equal(a, b):
@@ -105,9 +120,9 @@ def test_zero_learning_rate_returns_broadcast_unchanged():
     cfg = base_config(hyper=SgdHyper(eta0=0.0, momentum=0.9))
     theta = np.linspace(-1, 1, MODEL.param_count())
     state = fresh_state(ds, part, 0)
-    [new] = client_update(
-        [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], 0,
-        [np.random.default_rng(0)],
+    pool = pool_of(cfg, theta, ds.batch())
+    [new] = update_alone(
+        [state], theta, cfg, pool, [training_rows(ds, state, pool)], 0, [np.random.default_rng(0)],
     )
     assert np.array_equal(new.local_params, theta)
 
@@ -116,17 +131,19 @@ def test_fedprox_zero_mu_identical_to_fedavg():
     ds, part, _ = small_world()
     theta = np.random.default_rng(1).standard_normal(MODEL.param_count()) * 0.1
     state = fresh_state(ds, part, 2)
-    [res_a] = client_update(
-        [state], theta, base_config(), pool_of(base_config(), theta, ds.batch()),
-        [client_rows(ds, state)], 0, [np.random.default_rng(9)],
+    pool = pool_of(base_config(), theta, ds.batch())
+    [res_a] = update_alone(
+        [state], theta, base_config(), pool, [training_rows(ds, state, pool)], 0,
+        [np.random.default_rng(9)],
     )
     prox = base_config(algorithm=Algorithm.FEDPROX, mu_prox=0.0)
-    [res_p] = client_update(
+    pool = pool_of(prox, theta, ds.batch())
+    [res_p] = update_alone(
         [state],
         theta,
         prox,
-        pool_of(prox, theta, ds.batch()),
-        [client_rows(ds, state)],
+        pool,
+        [training_rows(ds, state, pool)],
         0,
         [np.random.default_rng(9)],
     )
@@ -142,8 +159,8 @@ def test_curriculum_with_full_initial_fraction_matches_off():
         )
     )
     off = base_config()
-    m_on = run_experiment(on, ds, part, test)
-    m_off = run_experiment(off, ds, part, test)
+    m_on = run_one(on, ds, part, test)
+    m_off = run_one(off, ds, part, test)
     assert metrics_equal(m_on, m_off)
 
 
@@ -201,8 +218,8 @@ def test_fednova_unequal_steps_differs_from_fedavg():
 
 def test_fednova_full_run_matches_fedavg_with_equal_sizes():
     ds, part, test = small_world(scheme=Scheme.IID)
-    m_avg = run_experiment(base_config(), ds, part, test)
-    m_nova = run_experiment(base_config(algorithm=Algorithm.FEDNOVA), ds, part, test)
+    m_avg = run_one(base_config(), ds, part, test)
+    m_nova = run_one(base_config(algorithm=Algorithm.FEDNOVA), ds, part, test)
     assert metrics_equal(m_avg, m_nova)
 
 
@@ -219,8 +236,8 @@ def test_scaffold_control_is_mean_of_client_controls():
     pool = pool_of(cfg, theta, ds.batch())
     for t in range(3):
         rngs = [np.random.default_rng([cfg.seed, 2, t, cid]) for cid in range(8)]
-        states = client_update(
-            states, theta, cfg, pool, [client_rows(ds, s) for s in states], t, rngs,
+        states = update_alone(
+            states, theta, cfg, pool, [training_rows(ds, s, pool) for s in states], t, rngs,
             server_control=server_c,
         )
         theta, server_c = aggregate(states, Algorithm.SCAFFOLD, theta, server_c, 8)
@@ -230,7 +247,7 @@ def test_scaffold_control_is_mean_of_client_controls():
 
 def test_scaffold_full_run_smoke():
     ds, part, test = small_world()
-    metrics = run_experiment(
+    metrics = run_one(
         base_config(algorithm=Algorithm.SCAFFOLD), ds, part, test
     )
     assert len(metrics) == 4
@@ -269,7 +286,7 @@ def test_lambda_at_least_one():
 
 def test_zero_rounds_reports_initial_model():
     ds, part, test = small_world()
-    metrics = run_experiment(base_config(rounds=0), ds, part, test)
+    metrics = run_one(base_config(rounds=0), ds, part, test)
     assert len(metrics) == 1
     assert metrics[0].round == 0
     assert metrics[0].participants == []
@@ -282,7 +299,7 @@ def test_run_is_deterministic():
             ScoringKind.G_LOSS, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
         )
     )
-    assert metrics_equal(run_experiment(cfg, ds, part, test), run_experiment(cfg, ds, part, test))
+    assert metrics_equal(run_one(cfg, ds, part, test), run_one(cfg, ds, part, test))
 
 
 def test_client_curriculum_run_smoke():
@@ -291,7 +308,7 @@ def test_client_curriculum_run_smoke():
         pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5),
         ordering=OrderingKind.CURRICULUM,
     )
-    metrics = run_experiment(base_config(client_curriculum=cc, participants=3), ds, part, test)
+    metrics = run_one(base_config(client_curriculum=cc, participants=3), ds, part, test)
     assert len(metrics) == 4
     assert all(len(m.participants) == 3 for m in metrics)
 
@@ -301,7 +318,7 @@ def test_run_checks_participants_against_the_partition():
 
     ds, part, test = small_world(clients=4)
     with pytest.raises(ConfigurationError) as info:
-        run_experiment(base_config(participants=5), ds, part, test)
+        run_one(base_config(participants=5), ds, part, test)
     assert info.value.field == "participants"
 
 
@@ -326,7 +343,7 @@ def test_expert_scoring_requires_expert_losses_in_run():
     from fedcurr import ConfigurationError
 
     with pytest.raises(ConfigurationError):
-        run_experiment(cfg, ds, part, test)
+        run_one(cfg, ds, part, test)
 
 
 @pytest.mark.parametrize("rows", [-1, 1], ids=["short", "long"])
@@ -340,7 +357,7 @@ def test_run_rejects_expert_losses_of_the_wrong_length(rows):
         )
     )
     with pytest.raises(ConfigurationError, match="one expert loss per dataset row"):
-        run_experiment(cfg, ds, part, test, expert_losses=np.ones(len(ds) + rows))
+        run_one(cfg, ds, part, test, expert_losses=np.ones(len(ds) + rows))
 
 
 def test_expert_scoring_hands_each_client_its_own_expert_losses(monkeypatch):
@@ -362,7 +379,7 @@ def test_expert_scoring_hands_each_client_its_own_expert_losses(monkeypatch):
         return update(*args, **kwargs)
 
     monkeypatch.setattr(federation, "client_update", recorded)
-    run_experiment(cfg, ds, part, test, expert_losses=expert_losses)
+    run_one(cfg, ds, part, test, expert_losses=expert_losses)
     assert len(handed) == cfg.rounds * cfg.participants
     for indices, losses in handed:
         assert np.array_equal(losses, expert_losses[indices])
@@ -389,19 +406,14 @@ def test_data_curriculum_rejects_pacing_fractions_when_built(a, b, field):
     ],
     ids=["negative_labels", "labels_past_classes", "short_features", "narrow_features"],
 )
-def test_client_update_rejects_rows_that_do_not_fit_the_model(bad):
+def test_run_rejects_rows_that_do_not_fit_the_model(bad):
     from fedcurr import ConfigurationError
 
-    # The rows are checked once per run, when the run's pool is built.
-    ds, part, _ = small_world()
-    state = fresh_state(ds, part, 0)
-    theta = np.zeros(MODEL.param_count())
+    # The rows are checked once per job, at its set-up, before any round.
+    ds, part, test = small_world()
+    ds.features, ds.labels = bad(ds.features, ds.labels)
     with pytest.raises(ConfigurationError):
-        rows = bad(*client_rows(ds, state))
-        client_update(
-            [state], theta, base_config(), pool_of(base_config(), theta, Batch(*rows)), [rows], 0,
-            [np.random.default_rng(0)],
-        )
+        run_one(base_config(), ds, part, test)
 
 
 def at_model(model, params, batch):
@@ -488,8 +500,9 @@ def test_client_update_trains_bit_for_bit_as_the_public_functions(model, algorit
         ref_theta, ref_v, ref_tau, ref_control = _reference_update(
             state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
         )
-        [state] = client_update(
-            [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], t,
+        pool = pool_of(cfg, theta, ds.batch())
+        [state] = update_alone(
+            [state], theta, cfg, pool, [training_rows(ds, state, pool)], t,
             [np.random.default_rng([3, t])], server_c,
         )
         assert np.array_equal(state.local_params, ref_theta)
@@ -507,9 +520,10 @@ def _diverging_client_update_step(model, algorithm, eta0) -> int:
     ds, cfg, state, theta, server_c = _one_client(model, algorithm, hyper)
     with pytest.raises(FloatingPointError) as expected:
         _reference_update(state, theta, cfg, ds, 2, np.random.default_rng(3), server_c)
+    pool = pool_of(cfg, theta, ds.batch())
     with pytest.raises(FloatingPointError) as caught:
-        client_update(
-            [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], 2,
+        update_alone(
+            [state], theta, cfg, pool, [training_rows(ds, state, pool)], 2,
             [np.random.default_rng(3)], server_c,
         )
     assert str(caught.value) == str(expected.value)
@@ -562,14 +576,14 @@ def test_diverging_local_sgd_replays_the_reference_steps(model):
             model, hyper, theta.copy(), np.zeros_like(theta), Batch(*client_rows(ds, state)), 3,
             np.random.default_rng(6), "client", record,
         )
-    pool = models._Pool(model, theta, ds.batch(), hyper, 33)
+    pool = models._Pool(model, hyper, [ds.batch()], 33)
     start = theta[None].copy()
     params, momenta = start.copy(), np.zeros_like(start)
-    with pytest.raises(FloatingPointError) as caught:
-        models._local_sgd(
-            pool, [state.indices], params, momenta, 3, [np.random.default_rng(6)], ["client"]
-        )
-    assert str(caught.value) == str(ref.value)
+    _, (job, caught) = models._local_sgd(
+        pool, [state.indices], params, momenta, 3, [np.random.default_rng(6)], ["client"], [0]
+    )
+    assert job == 0 and isinstance(caught, FloatingPointError)
+    assert str(caught) == str(ref.value)
     assert 11 < len(expected) < 22
     assert np.array_equal(pool.cohort(1).g[0], expected[-1], equal_nan=True)
     assert np.array_equal(params, start) and not momenta.any()
@@ -602,13 +616,14 @@ def test_cohort_names_the_lowest_id_diverging_client(model):
             errors[p] = str(error)
     assert sorted(errors) == [1, 3]
     assert int(errors[3].rsplit(" ", 1)[1]) < int(errors[1].rsplit(" ", 1)[1])
-    pool = models._Pool(model, theta, ds.batch(), hyper, 3 * 13)
-    with pytest.raises(FloatingPointError) as caught:
-        models._local_sgd(
-            pool, rows, np.tile(theta, (5, 1)), momenta, 3,
-            [np.random.default_rng([7, p]) for p in range(5)], [f"client {p}" for p in range(5)],
-        )
-    assert str(caught.value) == errors[1]
+    pool = models._Pool(model, hyper, [ds.batch()], 3 * 13)
+    _, (job, caught) = models._local_sgd(
+        pool, rows, np.tile(theta, (5, 1)), momenta, 3,
+        [np.random.default_rng([7, p]) for p in range(5)], [f"client {p}" for p in range(5)],
+        [0] * 5,
+    )
+    assert job == 0 and isinstance(caught, FloatingPointError)
+    assert str(caught) == errors[1]
 
 
 # At batch size 7: 1, bs - 1, bs, bs + 1 and 3*bs + 2 rows.
@@ -634,6 +649,9 @@ def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
     controls = None
     if algorithm is Algorithm.SCAFFOLD:
         controls = 0.01 * rng.standard_normal(dim), 0.01 * rng.standard_normal((size, dim))
+    # The kernel takes the anchor and the server control per client.
+    stacked_prox = None if prox is None else (prox[0], np.tile(prox[1], (size, 1)))
+    stacked_controls = None if controls is None else (np.tile(controls[0], (size, 1)), controls[1])
     expected = []
     for p in range(size):
 
@@ -648,11 +666,12 @@ def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
             model, BATCH_7, theta[p].copy(), v[p].copy(), Batch(ds.features[rows[p]],
             ds.labels[rows[p]]), 3, np.random.default_rng([9, p]), f"client {p}", extra,
         ))
-    pool = models._Pool(model, theta[0], ds.batch(), BATCH_7, 3 * 4)
-    steps = models._local_sgd(
+    pool = models._Pool(model, BATCH_7, [ds.batch()], 3 * 4)
+    steps, failure = models._local_sgd(
         pool, rows, theta, v, 3, [np.random.default_rng([9, p]) for p in range(size)],
-        [f"client {p}" for p in range(size)], prox, controls,
+        [f"client {p}" for p in range(size)], list(range(size)), stacked_prox, stacked_controls,
     )
+    assert failure is None
     for p, (ref_theta, ref_v, ref_steps, ref_eta_sum) in enumerate(expected):
         assert np.array_equal(theta[p], ref_theta)
         assert np.array_equal(v[p], ref_v)
@@ -676,8 +695,9 @@ def test_client_update_matches_checked_reference(model, algorithm):
         ref_theta, ref_v, ref_tau, ref_control = _reference_update(
             state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
         )
-        [state] = client_update(
-            [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], t,
+        pool = pool_of(cfg, theta, ds.batch())
+        [state] = update_alone(
+            [state], theta, cfg, pool, [training_rows(ds, state, pool)], t,
             [np.random.default_rng([3, t])], server_c,
             at_global=[at_model(model, theta, Batch(*client_rows(ds, state)))],
         )
@@ -705,8 +725,9 @@ def _check_scoring_rounds(model, scoring, next_theta):
         ref_theta, ref_v, _, _ = _reference_update(
             state, theta, cfg, ds, t, np.random.default_rng([4, t]), expert=expert
         )
-        [state] = client_update(
-            [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], t,
+        pool = pool_of(cfg, theta, ds.batch())
+        [state] = update_alone(
+            [state], theta, cfg, pool, [training_rows(ds, state, pool)], t,
             [np.random.default_rng([4, t])], expert_losses=[expert],
             at_global=[at_model(model, theta, Batch(*client_rows(ds, state)))],
         )
@@ -739,9 +760,10 @@ def test_data_curriculum_needs_the_pass_at_theta(scoring):
         CLASSIFIERS[0], Algorithm.FEDAVG, BATCH_7,
         DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.ANTI),
     )
+    pool = pool_of(cfg, theta, ds.batch())
     with pytest.raises(ConfigurationError, match="losses and outputs at theta"):
-        client_update(
-            [state], theta, cfg, pool_of(cfg, theta, ds.batch()), [client_rows(ds, state)], 0,
+        update_alone(
+            [state], theta, cfg, pool, [training_rows(ds, state, pool)], 0,
             [np.random.default_rng(0)], expert_losses=[np.ones(len(state.indices))],
         )
 
@@ -789,7 +811,7 @@ def test_round_forwards_each_params_and_data_pair_once(monkeypatch, scoring):
         ),
     )
     seen = count_forwards(monkeypatch)
-    metrics = run_experiment(cfg, ds, part, test)
+    metrics = run_one(cfg, ds, part, test)
     assert len(metrics) == 4
     # Per round: 8 clients scored, plus the test set.
     assert len(seen) > 4 * (8 + 1)
@@ -812,9 +834,9 @@ def test_every_scoring_forwards_each_params_and_data_pair_once(monkeypatch, scor
     )
     expert = init_params(MODEL, np.random.default_rng(5))
     expert_losses = per_sample_losses(MODEL, expert, ds.batch())
-    expected = run_experiment(cfg, ds, part, test, expert_losses=expert_losses)
+    expected = run_one(cfg, ds, part, test, expert_losses=expert_losses)
     seen = count_forwards(monkeypatch)
-    metrics = run_experiment(cfg, ds, part, test, expert_losses=expert_losses)
+    metrics = run_one(cfg, ds, part, test, expert_losses=expert_losses)
     assert metrics_equal(metrics, expected)
     # Per round: 4 participants, their local steps and the test set.
     assert len(seen) > 4 * (4 + 1)
@@ -839,9 +861,9 @@ def test_redrawn_sole_participant_is_forwarded_once(monkeypatch, scoring):
             scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
         ),
     )
-    expected = run_experiment(cfg, ds, part, test)
+    expected = run_one(cfg, ds, part, test)
     seen = count_forwards(monkeypatch)
-    metrics = run_experiment(cfg, ds, part, test)
+    metrics = run_one(cfg, ds, part, test)
     assert metrics_equal(metrics, expected)
     assert any(a.participants == b.participants for a, b in zip(metrics, metrics[1:]))
     assert max(seen.values()) == 1
@@ -878,3 +900,137 @@ def test_train_centralized_matches_checked_reference(model):
     hyper = SgdHyper(eta0=0.05, momentum=0.9, weight_decay=5e-4, batch_size=7)
     expected = train_centralized_reference(model, ds, hyper, epochs=3, seed=4)
     assert np.array_equal(train_centralized(model, ds, hyper, epochs=3, seed=4), expected)
+
+
+def rows_equal(a, b) -> bool:
+    """Whether two runs' metrics rows are the same to the bit; ``repr`` of a
+    float names its double exactly, and nan equals nan."""
+    return [repr(dataclasses.astuple(m)) for m in a] == [repr(dataclasses.astuple(m)) for m in b]
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=lambda a: a.value)
+def test_lockstep_jobs_match_their_solo_runs(algorithm):
+    # The jobs of one call train in one local-SGD call per round, yet each
+    # gets the bits of its run alone: vanilla and two data-curriculum arms,
+    # with and without the client curriculum, on 3 trials whose Dirichlet
+    # partitions differ, and one job that stops after 2 rounds.
+    trials = [small_world(seed=seed) for seed in (42, 43, 44)]
+    assert len({tuple(map(len, part.assignment)) for _, part, _ in trials}) == 3
+    cc = ClientSelectionConfig(
+        pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5), ordering=OrderingKind.CURRICULUM
+    )
+    arms = [None] + [
+        DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), ordering)
+        for scoring, ordering in ((ScoringKind.G_LOSS, OrderingKind.CURRICULUM),
+                                  (ScoringKind.LG_LOSS, OrderingKind.ANTI))
+    ]
+    jobs = [
+        (base_config(algorithm=algorithm, mu_prox=0.1, data_curriculum=arm, client_curriculum=c,
+                     participants=3, seed=7 + k), ds, part, test, None)
+        for arm in arms
+        for c in (None, cc)
+        for k, (ds, part, test) in enumerate(trials)
+    ]
+    ds, part, test = trials[1]
+    jobs.append((base_config(algorithm=algorithm, mu_prox=0.1, rounds=2), ds, part, test, None))
+    done, failure = run_experiment(jobs)
+    assert failure is None
+    assert len(done) == len(jobs) and len(done[-1]) == 2
+    for job, rows in zip(jobs, done):
+        assert rows_equal(rows, run_one(*job))
+
+
+# Linear-regression jobs of 2 participants of 4 clients over 5 rounds. On
+# DIVERGING data client 3's features are 1e50 times too large, so a job fails
+# in the first round that draws client 3: round 3 at seed 3, round 1 at seed
+# 8. On FINITE data every job ends.
+LINEAR = ModelSpec(ModelKind.LINEAR_REGRESSION, input_dim=5)
+
+
+def failing_jobs():
+    bad, bad_part, bad_test = small_world(clients=4)
+    bad.features = bad.features.copy()
+    bad.features[bad_part.assignment[3]] *= 1e50
+    good, good_part, good_test = small_world(seed=43, clients=4)
+
+    def job(seed, diverging):
+        cfg = base_config(model=LINEAR, participants=2, rounds=5, seed=seed)
+        if diverging:
+            return cfg, bad, bad_part, bad_test, None
+        return cfg, good, good_part, good_test, None
+
+    return job
+
+
+def solo_error(job) -> Exception:
+    with pytest.raises((FloatingPointError, ValueError)) as caught:
+        run_one(*job)
+    return caught.value
+
+
+def test_lowest_failing_job_is_reported_across_lockstep_jobs():
+    # Job 2 diverges at round 1 and job 0 at round 3: one after another, job
+    # 0 fails first, so its error is the one reported, with the same round,
+    # client and step as its solo run. Jobs 1 and 3 keep training after job
+    # 2 fails.
+    job = failing_jobs()
+    jobs = [job(3, True), job(3, False), job(8, True), job(8, False)]
+    late, early = solo_error(jobs[0]), solo_error(jobs[2])
+    assert str(late).startswith("round 3, client 3: non-finite parameters after step ")
+    assert str(early).startswith("round 1, client 3: non-finite parameters after step ")
+    done, (j, error) = run_experiment(jobs)
+    assert done == [] and j == 0
+    assert type(error) is type(late) and str(error) == str(late)
+
+
+def test_job_before_a_diverging_one_keeps_its_trained_arrays():
+    # Job 1 diverges at round 1 in the same local-SGD call that trains job
+    # 0's participants; job 0 runs on to the end with the bits of its solo
+    # run. Job 2, which would fail later, is dropped.
+    job = failing_jobs()
+    jobs = [job(3, False), job(8, True), job(3, True)]
+    done, (j, error) = run_experiment(jobs)
+    assert j == 1 and str(error) == str(solo_error(jobs[1]))
+    assert len(done) == 1 and rows_equal(done[0], run_one(*jobs[0]))
+
+
+def test_configuration_error_in_a_later_job_hides_no_earlier_result(monkeypatch):
+    # A job that raises ConfigurationError at its round 2 stops; the jobs
+    # before it keep their results and their own errors, and a job after it
+    # that diverges first, at round 1, is not the one reported.
+    from fedcurr import ConfigurationError
+
+    job = failing_jobs()
+    cfg, ds, part, test, _ = job(8, False)
+    broken = Batch(test.x, test.y)  # the test set of the job that breaks
+    evaluate, calls = federation.evaluate, []
+
+    def breaking(model, params, batch):
+        if batch is broken:
+            calls.append(None)
+            if len(calls) == 3:
+                raise ConfigurationError("broken at round 2", field="rounds")
+        return evaluate(model, params, batch)
+
+    monkeypatch.setattr(federation, "evaluate", breaking)
+    jobs = [job(3, False), (cfg, ds, part, broken, None), job(8, True)]
+    done, (j, error) = run_experiment(jobs)
+    assert j == 1 and isinstance(error, ConfigurationError) and str(error) == "broken at round 2"
+    assert len(done) == 1 and rows_equal(done[0], run_one(*jobs[0]))
+    calls.clear()
+    done, (j, error) = run_experiment([job(3, True), (cfg, ds, part, broken, None)])
+    assert done == [] and j == 0 and str(error) == str(solo_error(job(3, True)))
+
+
+@pytest.mark.parametrize(
+    "other", [dict(local_epochs=1), dict(algorithm=Algorithm.FEDNOVA), dict(hyper=BATCH_7)]
+)
+def test_jobs_of_one_call_must_train_alike(other):
+    # One local-SGD call trains the jobs of a call, with one model, rate
+    # schedule, epoch count and algorithm.
+    from fedcurr import ConfigurationError
+
+    ds, part, test = small_world()
+    with pytest.raises(ConfigurationError, match="must share"):
+        run_experiment([(base_config(), ds, part, test, None),
+                        (base_config(**other), ds, part, test, None)])

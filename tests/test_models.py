@@ -149,13 +149,17 @@ def test_classifier_losses_and_gradient_match_indexed_form_exactly(model):
 def test_blockwise_losses_and_grads_match_per_block_calls_exactly(model):
     # The row-wise part runs once over all blocks; each block must still get
     # the bits of its own per_sample_losses and grad calls.
-    from fedcurr.models import _forward, _losses_and_grads
+    from fedcurr.models import _forward, _losses_and_grads, _Pool
 
     rng = np.random.default_rng(19)
     params = init_params(model, rng)
     blocks = [random_batch(model, rng, m=m) for m in (1, 5, 13, 2)]
+    # Each block's targets gathered from a pool over all blocks, as a run
+    # gathers its clients' targets.
+    pool = _Pool(model, SgdHyper(), blocks, 0)
+    targets = [pool.target[start : start + len(b)] for start, b in zip(pool.starts, blocks)]
     losses, grads, outputs = _losses_and_grads(
-        model, params, [b.x for b in blocks], [b.y for b in blocks]
+        model, params, [b.x for b in blocks], [b.y for b in blocks], targets
     )
     for block, block_losses, block_grad, out in zip(blocks, losses, grads, outputs):
         assert np.array_equal(block_losses, per_sample_losses(model, params, block))
@@ -181,7 +185,7 @@ def cohort_step(model, params, x, y):
 
     k, b = y.shape
     data = Batch(x.reshape(k * b, -1), y.ravel())
-    pool = _Pool(model, params[0], data, SgdHyper(batch_size=b), 0)
+    pool = _Pool(model, SgdHyper(batch_size=b), [data], 0)
     cohort = pool.cohort(k)
     cohort.theta[:] = params
     forward, backward, *_, xs, targets = cohort.kernel(k)
@@ -235,8 +239,13 @@ def test_in_place_kernels_match_out_of_place_formulas(model, rows):
     assert np.array_equal(cohort_step(model, params[None], x[None], y[None])[2][0], g)
 
 
-@pytest.mark.parametrize("rows", [1, 2, 7, 10, 100])
-@pytest.mark.parametrize("slots", [1, 2, 3, 5])
+# A round's cohort, and the stack sizes of a share's lockstep jobs: 16 slots
+# for 4 jobs of 4 participants, 40 and 80 for shares of 4 and 8 jobs of 10.
+STACKS = [(slots, rows) for slots in (1, 2, 3, 5) for rows in (1, 2, 7, 10, 100)]
+STACKS += [(slots, rows) for slots in (16, 40, 80) for rows in (10, 100)]
+
+
+@pytest.mark.parametrize("slots,rows", STACKS)
 @pytest.mark.parametrize(
     "model", WIDE_MODELS + [DESK_SOFTMAX], ids=["linear", "softmax", "mlp", "mlp_scalar", "desk"]
 )
@@ -245,7 +254,8 @@ def test_stacked_products_match_per_slot_products(model, slots, rows):
     # np.matmul and each bias sum as one np.add.reduce over axis 1. Per
     # slot, the outputs, the MLP's activations and the gradient must keep
     # the bits of the one-shot np.dot and np.add.reduce(axis=0) calls on
-    # that slot's rows alone. They do for all four kinds, so no kind keeps
+    # that slot's rows alone, at any stack size, since the jobs of a share
+    # train in one stack. They do for all four kinds, so no kind keeps
     # per-slot products for full batches.
     from fedcurr.models import _forward, _output_terms, _targets, _terms_grad
 
