@@ -12,16 +12,20 @@ scoring, which runs no model. The rows are checked once per job, at its
 set-up. Each round's local training, for every job still running, is one
 call of ``models._local_sgd``, the one momentum-SGD loop, which trains all
 the participants together and which ``train_centralized`` shares for the
-expert model.
+expert model. A job fails at the first non-finite value it reads: its
+parameters after a local step, a loss of the pass at theta or at a local
+model, a gradient of lambda, the mean client loss or the test loss.
 
 Determinism contract: every random draw comes from a generator keyed by
 (seed, stream tag, round, client id). The participants of a round train in
-lockstep with each other and with those of the other jobs of the call,
-each getting the bits it would get training alone, and aggregation sums a
-job's updates in ascending id order, so reruns are bitwise identical. Jobs
-share the training pool and the local-SGD call, but no state that changes
-a digit: the CLI's worker processes, each running a fixed share of the
-jobs in lockstep, give the bits of the jobs run one after another.
+lockstep with each other and with those of the other jobs of the call;
+each local step runs a client's products over its own batch_size rows,
+padded where its batch is short, so its bits depend on its own batches
+alone, not on the clients it steps with. Aggregation sums a job's updates
+in ascending id order, so reruns are bitwise identical. Jobs share the
+training pool and the local-SGD call, but no state that changes a digit:
+the CLI's worker processes, each running a fixed share of the jobs in
+lockstep, give the bits of the jobs run one after another.
 """
 
 from __future__ import annotations
@@ -148,6 +152,19 @@ def gradient_dissimilarity(grads: list[np.ndarray], weights: np.ndarray) -> floa
     return num / den
 
 
+def _check_finite(values, where: str, what: str, clients: list[int] | range | None = None) -> None:
+    """Fail the job with a FloatingPointError naming ``where``, ``what``
+    and, when ``clients`` name the rows of ``values``, the first client whose
+    row is not finite, unless every value is finite."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return
+    if clients is not None:
+        first = np.flatnonzero(~finite.reshape(len(clients), -1).all(axis=1))[0]
+        where = f"{where}, client {clients[first]}"
+    raise FloatingPointError(f"{where}: non-finite {what}")
+
+
 @dataclass
 class _Training:
     """One job's part of a round's local training, as ``client_update``
@@ -227,10 +244,13 @@ def client_update(
     ``run_experiment`` gathers all of them once per run and passes the same
     arrays every round. ``at_global[k]``, which a data curriculum needs,
     holds the per-sample losses and raw outputs of those rows at
-    ``global_params``. The pair at the local model is computed here only for
-    a scoring that reads it and a client that has trained before to
-    parameters other than ``global_params``, and is ``at_global[k]``
-    otherwise. Only the parameter and momentum shapes are checked here."""
+    ``global_params``. Under the random ordering, which reads no score, only
+    random scoring runs, for its draw from ``rngs[k]``. Otherwise the pair at
+    the local model is computed here only for a scoring that reads it and a
+    client that has trained before to parameters other than
+    ``global_params``, and is ``at_global[k]`` otherwise; a non-finite loss
+    there fails the job. Only the parameter and momentum shapes are checked
+    here."""
     model = cfg.model
     if global_params.shape != (model.param_count(),):
         raise ConfigurationError(
@@ -249,18 +269,28 @@ def client_update(
         if dc is None:
             chosen.append(pool_rows)
             continue
-        at_local = at_global[k]
-        if (
-            dc.scoring in LOCAL_BASED
-            and state.local_params is not None
-            and not np.array_equal(state.local_params, global_params)
-        ):
-            # [::2] drops the gradient closures, and the activations they
-            # hold, before the job waits for its training.
-            losses, outputs = _losses_and_grads(model, state.local_params, [x], [y], [target])[::2]
-            at_local = losses[0], outputs[0]
-        expert = None if expert_losses is None else expert_losses[k]
-        scores = score_samples(dc.scoring, y, at_global[k], at_local, expert, rngs[k])
+        if dc.ordering is OrderingKind.RANDOM and dc.scoring is not ScoringKind.RANDOM:
+            # The random ordering reads only how many scores there are, and
+            # no scoring but random draws from rngs[k].
+            scores = np.zeros(len(y))
+        else:
+            at_local = at_global[k]
+            if (
+                dc.scoring in LOCAL_BASED
+                and state.local_params is not None
+                and not np.array_equal(state.local_params, global_params)
+            ):
+                # [::2] drops the gradient closures, and the activations they
+                # hold, before the job waits for its training.
+                with np.errstate(all="ignore"):
+                    losses, outputs = _losses_and_grads(
+                        model, state.local_params, [x], [y], [target]
+                    )[::2]
+                where = f"round {t}, client {state.client_id}"
+                _check_finite(losses[0], where, "loss at its local model")
+                at_local = losses[0], outputs[0]
+            expert = None if expert_losses is None else expert_losses[k]
+            scores = score_samples(dc.scoring, y, at_global[k], at_local, expert, rngs[k])
         n_sel = pace(dc.pacing, t, len(y), cfg.rounds)
         chosen.append(pool_rows[np.sort(order_and_select(scores, dc.ordering, n_sel, rngs[k]))])
 
@@ -346,6 +376,15 @@ def evaluate(model: ModelSpec, params: np.ndarray, test: Batch) -> tuple[float, 
     return float((hits == test.y).mean()), float(_losses(model, out, test.y).mean())
 
 
+def _evaluated(model: ModelSpec, params: np.ndarray, test: Batch, t: int) -> tuple[float, float]:
+    """``evaluate`` for round ``t`` of a job, which a non-finite test loss
+    fails."""
+    with np.errstate(all="ignore"):
+        acc, loss = evaluate(model, params, test)
+    _check_finite(loss, f"round {t}", "test loss")
+    return acc, loss
+
+
 Job = tuple[ExperimentConfig, Dataset, Partition, Batch, np.ndarray | None]
 # Per call: each job's metrics rows before the first failing job, and that
 # failure as (job index, error), or None.
@@ -390,7 +429,7 @@ def _run_job(
     server_control = np.zeros(dim) if cfg.algorithm is Algorithm.SCAFFOLD else None
 
     if cfg.rounds == 0:
-        acc, loss = evaluate(model, theta, test)
+        acc, loss = _evaluated(model, theta, test, 0)
         return [RoundMetrics(0, acc, loss, [], float("nan"), float("nan"), float("nan"))]
 
     data = ds.batch()
@@ -408,25 +447,30 @@ def _run_job(
             scored = ids
         # One forward pass per scored client at theta. Its losses serve the
         # client ranking and the round diagnostics, its losses and outputs
-        # sample scoring, and its gradient lambda.
-        block_losses, block_grads, block_outputs = _losses_and_grads(
-            model, theta, [xs[i] for i in scored], [ys[i] for i in scored],
-            [targets[i] for i in scored],
-        )
-        if cfg.client_curriculum is not None:  # block i is client i
-            ids = select_clients(
-                score_clients(block_losses), cfg.client_curriculum, t, cfg.rounds,
-                cfg.participants, round_rng,
+        # sample scoring, and its gradient lambda. A non-finite value fails
+        # the job here, before any of them reads it.
+        with np.errstate(all="ignore"):
+            block_losses, block_grads, block_outputs = _losses_and_grads(
+                model, theta, [xs[i] for i in scored], [ys[i] for i in scored],
+                [targets[i] for i in scored],
             )
+            means = score_clients(block_losses)
+        _check_finite(means, f"round {t}", "loss at the global model", scored)
+        if cfg.client_curriculum is not None:  # block i is client i
+            ids = select_clients(means, cfg.client_curriculum, t, cfg.rounds, cfg.participants,
+                                 round_rng)
         block = {cid: k for k, cid in enumerate(scored)}
         at_theta = {i: (block_losses[block[i]], block_outputs[block[i]]) for i in ids}
 
         sizes = np.array([len(states[i].indices) for i in ids], dtype=np.float64)
         w = sizes / sizes.sum()
-        grads = [block_grads[block[i]]() for i in ids]
+        with np.errstate(all="ignore"):
+            grads = [block_grads[block[i]]() for i in ids]
+            lam = gradient_dissimilarity(grads, w)
+            mean_cl = float(np.mean([means[block[i]] for i in ids]))
         del block_grads, block_outputs  # free the closures' MLP activations before training
-        lam = gradient_dissimilarity(grads, w)
-        mean_cl = float(np.mean([float(at_theta[i][0].mean()) for i in ids]))
+        _check_finite(grads, f"round {t}", "gradient at the global model", ids)
+        _check_finite(mean_cl, f"round {t}", "mean client loss")
 
         updated = yield from client_update(  # ascending id: fixed reduction order
             [states[cid] for cid in ids], theta, cfg, pool, [clients[cid] for cid in ids], t,
@@ -437,7 +481,7 @@ def _run_job(
             states[state.client_id] = state
         theta, server_control = aggregate(updated, cfg.algorithm, theta, server_control, m)
 
-        acc, loss = evaluate(model, theta, test)
+        acc, loss = _evaluated(model, theta, test, t)
         subset_frac = float(np.mean([s.selected / len(s.indices) for s in updated]))
         metrics.append(RoundMetrics(t, acc, loss, list(ids), mean_cl, lam, subset_frac))
     return metrics

@@ -9,34 +9,35 @@ and a dense Hessian decomposition probe for the least-squares models.
 
 The public functions check their inputs on every call. The private kernels
 behind them take raw arrays checked once by the caller. The one-shot
-formulas live in two binders: ``_bind_forward`` and ``_bind_backward``
-settle the dispatch on the model kind and take the views of the parameter
-(and gradient) vector once, and return functions that see later in-place
-updates of those vectors. The one-shot helpers (``_forward``,
-``_terms_grad``), the block pass and evaluation call them once; their
-matrix products go through ``np.dot``, which writes into a buffer at less
-cost per call than ``np.matmul`` and reaches the same BLAS routine.
+forward pass lives in ``_bind_forward``, which settles the dispatch on the
+model kind and takes the layer views of the parameter vector once, and
+returns a function that sees later in-place updates of that vector; the
+one-shot gradient is ``_terms_grad``. The one-shot helpers, the block pass
+and evaluation call them; their matrix products go through ``np.dot``,
+which costs less per call than ``np.matmul`` and reaches the same BLAS
+routine.
 
 ``_local_sgd``, the mini-batch loop that local and centralized training
 share, trains the participants of a round of several jobs in lockstep:
 ``_bind_cohort`` writes the same formulas over a stack of clients, one
 stacked ``np.matmul`` per product, and each step runs the forward pass, the
-log-softmax and softmax minus one-hot in place on one stacked array. A
-client's short last batch of an epoch runs its products again alone,
-through the one-shot binders, so every client gets the bits it would get
-training alone. The rows and targets of the jobs' datasets, the rates and
-the slot buffers (``_Pool``, ``_Cohort``) are built once per share of jobs.
-The steps check nothing: one finite check at the end of the call covers
-them all, and a call that ends with a non-finite client keeps the jobs
-whose clients all ended finite and replays the failing job's non-finite
-client, alone and each step checked, to name the first bad step. Every
-in-place form keeps the bits of the out-of-place expressions, and a large
-pass does not page in fresh memory for every temporary.
+log-softmax and softmax minus one-hot in place on one stacked array. Every
+slot holds ``batch_size`` rows: a client's short last batch of an epoch is
+padded with rows whose loss derivative is set to 0, and its mean runs over
+its own rows. A client's bits thus depend only on its own batches, not on
+the other clients it steps with. The rows and targets of the jobs'
+datasets, the rates and the slot buffers (``_Pool``, ``_Cohort``) are built
+once per share of jobs. The steps check nothing: one finite check at the
+end of the call covers them all, and a call that ends with a non-finite
+client keeps the jobs whose clients all ended finite and replays the
+failing job's non-finite client, alone and each step checked, to name the
+first bad step. Every in-place form keeps the bits of the out-of-place
+expressions, and a large pass does not page in fresh memory for every
+temporary.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -182,22 +183,14 @@ def _unpack_mlp(model: ModelSpec, params: np.ndarray):
     return w1, b1, w2, b2
 
 
-def _bind_forward(
-    model: ModelSpec,
-    params: np.ndarray,
-    out: np.ndarray | None = None,
-    hidden: np.ndarray | None = None,
-) -> Callable:
+def _bind_forward(model: ModelSpec, params: np.ndarray) -> Callable:
     """The forward pass with the dispatch on the model kind and the layer
     views of ``params`` bound once: ``forward(x)`` returns the outputs, (m,)
     for regression and (m, C) logits for classifiers, and the MLP's hidden
     activations (None for the other models). The views follow in-place
-    updates of ``params``.
-
-    Each call writes its last product into ``out`` (an (m, 1) array for the
-    MLP's scalar head) and the MLP's first into ``hidden``; buffers that are
-    None are allocated by each call. The bias adds and the tanh then work in
-    place. The bits are those of ``x @ w.T + b``."""
+    updates of ``params``. Each product goes into a fresh array, in which the
+    bias adds and the tanh then work in place. The bits are those of
+    ``x @ w.T + b``."""
     d, c = model.input_dim, model.num_classes
     if model.kind is not ModelKind.MLP_TANH:
         if model.kind is ModelKind.LINEAR_REGRESSION:
@@ -206,7 +199,7 @@ def _bind_forward(
             wt, b = params[: c * d].reshape(c, d).T, params[c * d :]
 
         def forward(x):
-            z = np.dot(x, wt, out=out)
+            z = np.dot(x, wt)
             z += b
             return z, None
 
@@ -215,10 +208,10 @@ def _bind_forward(
     w1t, w2t, scalar = w1.T, w2.T, c == 1
 
     def mlp_forward(x):
-        a = np.dot(x, w1t, out=hidden)
+        a = np.dot(x, w1t)
         a += b1
         np.tanh(a, out=a)
-        z = np.dot(a, w2t, out=out)
+        z = np.dot(a, w2t)
         z += b2
         return (z[:, 0] if scalar else z), a
 
@@ -303,61 +296,6 @@ def _loss_derivative(
     return np.divide(terms, rows, out=out)
 
 
-def _bind_backward(
-    model: ModelSpec,
-    params: np.ndarray,
-    g: np.ndarray,
-    delta: np.ndarray | None = None,
-    square: np.ndarray | None = None,
-) -> Callable:
-    """The mean-loss gradient from the loss derivative, with the dispatch on
-    the model kind and the views of ``params`` and of the output vector
-    ``g`` bound once: ``backward(x, e, hidden)`` writes each block into its
-    view of ``g``, which gives the bits of the products and sums
-    concatenated. ``e`` comes from ``_loss_derivative``. The MLP's
-    backpropagated (m, h) blocks go into ``delta`` and ``square``; buffers
-    that are None are allocated by each call."""
-    d, c, h = model.input_dim, model.num_classes, model.hidden_dim
-    if model.kind is ModelKind.LINEAR_REGRESSION:
-        gw, gb = g[:d], g[d:]
-
-        def linear_backward(x, e, hidden):
-            np.dot(x.T, e, out=gw)
-            np.add.reduce(e, axis=0, keepdims=True, out=gb)
-
-        return linear_backward
-    if model.kind is ModelKind.SOFTMAX_REGRESSION:
-        gw, gb = g[: c * d].reshape(c, d), g[c * d :]
-
-        def softmax_backward(x, e, hidden):
-            np.dot(e.T, x, out=gw)
-            np.add.reduce(e, axis=0, out=gb)
-
-        return softmax_backward
-    w2 = _unpack_mlp(model, params)[2]
-    gw1, gb1 = g[: h * d].reshape(h, d), g[h * d : h * d + h]
-    gw2, gb2 = g[h * d + h : -c].reshape(c, h), g[-c:]
-    if c == 1:
-        gw2 = gw2[0]
-
-    def mlp_backward(x, e, hidden):
-        if c == 1:
-            np.dot(hidden.T, e, out=gw2)
-            np.add.reduce(e, axis=0, keepdims=True, out=gb2)
-            back = np.multiply(e[:, None], w2[0], out=delta)  # np.outer
-        else:
-            np.dot(e.T, hidden, out=gw2)
-            np.add.reduce(e, axis=0, out=gb2)
-            back = np.dot(e, w2, out=delta)
-        s = np.square(hidden, out=square)
-        np.subtract(1.0, s, out=s)
-        back *= s
-        np.dot(back.T, x, out=gw1)
-        np.add.reduce(back, axis=0, out=gb1)
-
-    return mlp_backward
-
-
 def _terms_grad(
     model: ModelSpec,
     params: np.ndarray,
@@ -369,10 +307,34 @@ def _terms_grad(
 ) -> np.ndarray:
     """Mean-loss gradient written into ``out`` (allocated when None), leaving
     ``terms`` as it is; ``target`` comes from ``_targets``, or from the rows
-    of ``_Pool.target``. See ``_bind_backward``."""
+    of ``_Pool.target``. Each block is written into its view of the output
+    vector, which gives the bits of the products and sums concatenated."""
+    d, c, h = model.input_dim, model.num_classes, model.hidden_dim
     g = np.empty(model.param_count()) if out is None else out
     e = _loss_derivative(model, target, terms, len(target))
-    _bind_backward(model, params, g)(x, e, hidden)
+    if model.kind is ModelKind.LINEAR_REGRESSION:
+        np.dot(x.T, e, out=g[:d])
+        np.add.reduce(e, axis=0, keepdims=True, out=g[d:])
+        return g
+    if model.kind is ModelKind.SOFTMAX_REGRESSION:
+        np.dot(e.T, x, out=g[: c * d].reshape(c, d))
+        np.add.reduce(e, axis=0, out=g[c * d :])
+        return g
+    w2 = _unpack_mlp(model, params)[2]
+    gw2, gb2 = g[h * d + h : -c].reshape(c, h), g[-c:]
+    if c == 1:
+        np.dot(hidden.T, e, out=gw2[0])
+        np.add.reduce(e, axis=0, keepdims=True, out=gb2)
+        back = np.multiply(e[:, None], w2[0])  # np.outer
+    else:
+        np.dot(e.T, hidden, out=gw2)
+        np.add.reduce(e, axis=0, out=gb2)
+        back = np.dot(e, w2)
+    s = np.square(hidden)
+    np.subtract(1.0, s, out=s)
+    back *= s
+    np.dot(back.T, x, out=g[: h * d].reshape(h, d))
+    np.add.reduce(back, axis=0, out=g[h * d : h * d + h])
     return g
 
 
@@ -416,9 +378,9 @@ class _Pool:
 class _Cohort:
     """The slot buffers of a lockstep cohort of ``size`` clients: their
     parameters, momenta and gradients (size, dim), and each step's rows,
-    targets, outputs and MLP blocks (size, batch_size, ...). The kernels of
-    the first k slots, and of a slot's short batch alone, are bound to them
-    on first use and kept."""
+    targets, outputs and MLP blocks (size, batch_size, ...), and the row
+    count each slot's mean runs over. The kernels of the first k slots are
+    bound to them on first use and kept."""
 
     def __init__(self, pool: _Pool, size: int):
         model, bs = pool.model, pool.hyper.batch_size
@@ -434,7 +396,6 @@ class _Cohort:
             self.hidden, self.delta, self.square = (np.empty((size, bs, h)) for _ in range(3))
         self.scratch = np.empty((size * bs, width)), np.empty((size * bs, 1))
         self._kernels: dict[int, tuple] = {}
-        self._alone: dict[tuple[int, int], tuple] = {}
 
     def kernel(self, k: int) -> tuple:
         """The first k slots' (forward, backward) and their views of theta,
@@ -452,28 +413,6 @@ class _Cohort:
             )
         return self._kernels[k]
 
-    def alone(self, slot: int, m: int) -> tuple[Callable[[], None], Callable[[], None]]:
-        """Slot ``slot``'s forward and backward on its first m rows alone,
-        through ``_bind_forward`` and ``_bind_backward``."""
-        if (slot, m) not in self._alone:
-            model, out = self.model, self.out[slot, :m]
-            hidden = None if self.hidden is None else self.hidden[slot, :m]
-            e = out if model.is_classifier else out[:, 0]
-            forward = _bind_forward(
-                model, self.theta[slot], out[:, 0] if model.kind is ModelKind.LINEAR_REGRESSION
-                else out, hidden,
-            )
-            backward = _bind_backward(
-                model, self.theta[slot], self.g[slot],
-                None if self.delta is None else self.delta[slot, :m],
-                None if self.square is None else self.square[slot, :m],
-            )
-            x = self.x[slot, :m]
-            self._alone[slot, m] = (
-                functools.partial(forward, x), functools.partial(backward, x, e, hidden)
-            )
-        return self._alone[slot, m]
-
 
 def _bind_cohort(
     model: ModelSpec,
@@ -487,17 +426,21 @@ def _bind_cohort(
     delta: np.ndarray | None,
     square: np.ndarray | None,
     scratch: tuple[np.ndarray, np.ndarray],
-) -> tuple[Callable[[], None], Callable[[bool], None]]:
+) -> tuple[Callable[[], None], Callable[[list[tuple[int, int]]], None]]:
     """The stacked gradient step of k slots, each one client: parameters
     ``theta[i]`` (k, dim), gathered rows ``x[i]`` (b, d) and targets
     ``target[i]``. ``forward()`` writes the outputs into ``out`` (k, b, C),
     or (k, b, 1) for the scalar models, and the MLP's activations into
-    ``hidden`` (k, b, h). ``backward(short)`` turns the outputs into the
+    ``hidden`` (k, b, h). ``backward(pads)`` turns the outputs into the
     terms and the loss derivative in place, with ``scratch`` (k*b rows) for
     the log-softmax, and writes each slot's gradient into its row of ``g``,
     with ``delta`` and ``square`` (k, b, h) for the MLP. Each slot's mean
-    runs over b rows, or, when ``short``, over the count in its entry of
-    ``counts`` (k, 1, 1).
+    runs over its b rows, except for the slots in ``pads``: (slot, m) says
+    that only the first m rows of that slot are its batch and the rest pad
+    it. Their mean runs over m, through the slot's entry of ``counts``
+    (k, 1, 1), and the pad rows' loss derivative is set to 0, so they add
+    nothing to any product or sum. It is assigned, not multiplied by a mask,
+    because a pad row's outputs may be inf or nan, and 0 * inf is nan.
 
     Each product of the k slots is one stacked ``np.matmul`` and each bias
     sum one ``np.add.reduce`` over axis 1: per slot, these give the bits of
@@ -512,12 +455,17 @@ def _bind_cohort(
     rows = out.reshape(k * bs, -1)
     columns = list(rows.T) if classifier else None
 
-    def derivative(short):
+    def derivative(pads):
         if classifier:
             _log_softmax(rows, *scratch, columns)
         else:
             np.subtract(z, target, out=z)
-        _loss_derivative(model, target, z, count if short else bs, out=z)
+        for slot, m in pads:
+            counts[slot] = m
+        _loss_derivative(model, target, z, count if pads else bs, out=z)
+        for slot, m in pads:
+            z[slot, m:] = 0.0
+            counts[slot] = bs
 
     xt, zt = x.transpose(0, 2, 1), out.transpose(0, 2, 1)
     if model.kind is ModelKind.LINEAR_REGRESSION:
@@ -527,8 +475,8 @@ def _bind_cohort(
             np.matmul(x, wt, out=out)
             np.add(z, b, out=z)
 
-        def linear_backward(short):
-            derivative(short)
+        def linear_backward(pads):
+            derivative(pads)
             np.matmul(xt, out, out=gw)
             np.add.reduce(z, axis=1, keepdims=True, out=gb)
 
@@ -541,8 +489,8 @@ def _bind_cohort(
             np.matmul(x, wt, out=out)
             np.add(out, b, out=out)
 
-        def softmax_backward(short):
-            derivative(short)
+        def softmax_backward(pads):
+            derivative(pads)
             np.matmul(zt, x, out=gw)
             np.add.reduce(out, axis=1, out=gb)
 
@@ -562,8 +510,8 @@ def _bind_cohort(
         np.matmul(hidden, w2t, out=out)
         np.add(out, b2, out=out)
 
-    def mlp_backward(short):
-        derivative(short)
+    def mlp_backward(pads):
+        derivative(pads)
         if c == 1:
             np.matmul(ht, out, out=gw2.transpose(0, 2, 1))
             np.add.reduce(z, axis=1, keepdims=True, out=gb2)
@@ -610,11 +558,12 @@ def _local_sgd(
     every client with a step left takes it with the others, through one
     ``_bind_cohort`` kernel. Slots are ordered by descending step count, so
     the clients still stepping are always the first ones. Each step gathers
-    its rows with one ``take`` into (P, batch_size, ...) slot buffers. A
-    slot that holds an epoch's short tail batch of m rows runs its products
-    again alone, through ``_bind_forward`` and ``_bind_backward`` on the m
-    rows, because a product row's bits depend on the row count. Every client
-    thus gets the bits it would get training alone.
+    its rows with one ``take`` into (P, batch_size, ...) slot buffers. An
+    epoch's short tail batch of m rows fills its slot like any other batch:
+    the step table pads it with pool row 0, whose loss derivative the kernel
+    sets to 0, and the slot's mean runs over m. Every product thus runs over
+    ``batch_size`` rows per slot, so a client's bits depend only on its own
+    rows, never on the other slots, the stack size or the thread count.
 
     A step that leaves non-finite parameters fails its job with a
     FloatingPointError naming ``where[p]`` and the step, yet the steps check
@@ -689,7 +638,7 @@ def _lockstep(
     count, bs = len(table), pool.hyper.batch_size
     rho, wd = pool.hyper.momentum, pool.hyper.weight_decay
     # active[i]: the slots with a step i; tails[i]: (slot, rows) of the short
-    # batches at step i.
+    # batches at step i, padded to batch_size rows.
     active = np.zeros(count, dtype=np.intp)
     tails: list[list[tuple[int, int]]] = [[] for _ in range(count)]
     for slot, n in enumerate(sizes):
@@ -713,14 +662,7 @@ def _lockstep(
         pool.x.take(idx, axis=0, out=x, mode="clip")
         pool.target.take(idx, axis=0, out=target, mode="clip")
         forward()
-        short = tails[step]
-        for slot, m in short:
-            cohort.counts[slot] = m
-            cohort.alone(slot, m)[0]()
-        backward(bool(short))
-        for slot, m in short:
-            cohort.alone(slot, m)[1]()
-            cohort.counts[slot] = bs
+        backward(tails[step])
         if prox is not None:
             # g + mu*(theta - theta_g) + c - c_k, added left to right.
             np.subtract(theta, anchor, out=diff)

@@ -21,7 +21,7 @@ from fedcurr import (
     sgd_step,
 )
 from fedcurr.federation import _INIT_STREAM, _train
-from fedcurr.models import _unpack_mlp
+from fedcurr.models import _output_terms, _targets, _unpack_mlp
 from fedcurr.theory import _check_cohort, _noisy
 
 
@@ -109,14 +109,18 @@ def forward_reference(model: ModelSpec, params: np.ndarray, x: np.ndarray):
     return (out[:, 0] if model.num_classes == 1 else out), a
 
 
-def terms_grad_reference(model, params, x, target, terms, hidden) -> np.ndarray:
+def terms_grad_reference(model, params, x, target, terms, hidden, rows=None) -> np.ndarray:
     """``models._terms_grad`` as out-of-place expressions joined by
-    ``np.concatenate``."""
-    m = len(target)
+    ``np.concatenate``. With ``rows``, the mean runs over the first ``rows``
+    rows and the loss derivative of the rest, pad rows, is set to 0, as a
+    local step does for a short batch."""
+    m = len(target) if rows is None else rows
     if model.is_classifier:
         p = (np.exp(terms) - target) / m
+        p[m:] = 0.0
     else:
         r = terms / m
+        r[m:] = 0.0
     if model.kind is ModelKind.LINEAR_REGRESSION:
         return np.concatenate([x.T @ r, [r.sum()]])
     if model.kind is ModelKind.SOFTMAX_REGRESSION:
@@ -133,9 +137,23 @@ def terms_grad_reference(model, params, x, target, terms, hidden) -> np.ndarray:
     return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0), np.ravel(gw2), gb2])
 
 
+def padded_grad_reference(model, params, batch, batch_size):
+    """The mean-loss gradient of a short ``batch``, as a local step takes it:
+    the products run over ``batch_size`` rows, the batch padded with rows of
+    zeros whose loss derivative is 0, and the mean runs over the batch's
+    rows. A pad row's contents leave the other rows' bits as they are."""
+    pad = batch_size - len(batch)
+    x = np.concatenate([batch.x, np.zeros((pad, batch.x.shape[1]))])
+    target = _targets(model, np.concatenate([batch.y, np.zeros(pad, dtype=batch.y.dtype)]))
+    out, hidden = forward_reference(model, params, x)
+    terms = _output_terms(model, out, target)
+    return terms_grad_reference(model, params, x, target, terms, hidden, len(batch))
+
+
 def local_sgd_reference(model, hyper, theta, v, data, epochs, rng, where, extra=None):
     """``models._local_sgd`` as a loop of the public, per-call-checked ``grad``
-    and ``sgd_step`` on mini-batches gathered from the ``Batch`` ``data``.
+    and ``sgd_step`` on mini-batches gathered from the ``Batch`` ``data``; an
+    epoch's short last batch takes ``padded_grad_reference`` instead.
     ``extra(g, theta)``, when given, returns the gradient with the FedProx or
     SCAFFOLD terms added, out of place. A step that leaves non-finite
     parameters raises FloatingPointError naming ``where`` and the step.
@@ -146,7 +164,11 @@ def local_sgd_reference(model, hyper, theta, v, data, epochs, rng, where, extra=
             perm = rng.permutation(len(data))
             for lo in range(0, len(data), hyper.batch_size):
                 idx = perm[lo : lo + hyper.batch_size]
-                g = grad(model, theta, Batch(data.x[idx], data.y[idx]))
+                batch = Batch(data.x[idx], data.y[idx])
+                if len(batch) == hyper.batch_size:
+                    g = grad(model, theta, batch)
+                else:
+                    g = padded_grad_reference(model, theta, batch, hyper.batch_size)
                 if extra is not None:
                     g = extra(g, theta)
                 eta_sum += hyper.learning_rate(step)

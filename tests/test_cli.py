@@ -435,6 +435,48 @@ def test_diverging_run_ends_in_one_error_line(tmp_path, capfd):
     assert re.match(r"error: round \d+, client \d+: non-finite parameters", lines[0])
 
 
+# The example with a linear model at eta0 = 5: its parameters grow large but
+# stay finite while its losses overflow. It used to exit 0 with test_loss =
+# inf, and its 12-round variant of 12 jobs printed numpy warnings before its
+# error line.
+OVERFLOWING = {
+    "example": (("kind = softmax", "kind = linear"), ("eta0 = 0.01", "eta0 = 5")),
+    "rounds12_trials3": (
+        ("kind = softmax", "kind = linear"), ("eta0 = 0.01", "eta0 = 5"),
+        ("rounds = 5", "rounds = 12"), ("n_trials = 2", "n_trials = 3"),
+        ("orderings = curriculum,vanilla", "orderings = curriculum,anti,random,vanilla"),
+    ),
+}
+
+
+@pytest.mark.parametrize("edits", OVERFLOWING.values(), ids=OVERFLOWING)
+def test_run_whose_losses_overflow_ends_in_one_error_line(tmp_path, edits):
+    # A subprocess, so that stderr holds every numpy warning, the forked
+    # worker's included.
+    with open(os.path.join(CONFIGS, "example_run.ini"), encoding="utf-8") as fh:
+        text = fh.read()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = write(tmp_path / "overflow.ini", text)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(CONFIGS), "src"))
+    errors = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = subprocess.run(
+            [sys.executable, "-m", "fedcurr.cli", "run", cfg, "--out", str(out),
+             "--threads", threads],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert not (out / "metrics.csv").exists()
+        errors.append(done.stderr)
+    assert errors[0] == errors[1]
+    lines = errors[0].splitlines()
+    assert len(lines) == 1, lines
+    assert re.fullmatch(r"error: round \d+(, client \d+)?: non-finite [a-z ]+", lines[0])
+
+
 def test_diverging_expert_training_ends_in_one_error_line(tmp_path, capsys):
     with open(os.path.join(CONFIGS, "example_run.ini"), encoding="utf-8") as fh:
         text = fh.read()

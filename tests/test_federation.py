@@ -680,6 +680,41 @@ def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+def test_pad_rows_reach_no_gradient(model):
+    # Every epoch of the three clients ends on a short batch, which the step
+    # table pads with pool row 0. Here row 0 belongs to no client and its
+    # features are 1e308: against first-layer weights of at least 0.5, its
+    # first product overflows to inf, so the linear model's residual is inf
+    # and the softmax's log-probabilities are nan. The pad rows' loss
+    # derivative is set to 0, not multiplied by 0, so each client keeps the
+    # bits of the same call with an ordinary row 0.
+    ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
+    rng = np.random.default_rng(13)
+    rows = [1 + rng.choice(299, n, replace=False) for n in (23, 12, 9)]
+    start = np.abs(init_params(model, rng)) + 1.0
+    hyper = SgdHyper(eta0=0.001, momentum=0.9, weight_decay=5e-4, batch_size=7)
+    huge = ds.features.copy()
+    huge[0] = 1e308
+    runs = []
+    for x in (ds.features, huge):
+        pool = models._Pool(model, hyper, [Batch(x, ds.labels)], 3 * 4)
+        theta, v = np.tile(start, (3, 1)), np.zeros((3, len(start)))
+        steps, failure = models._local_sgd(
+            pool, rows, theta, v, 3, [np.random.default_rng([5, p]) for p in range(3)],
+            [f"client {p}" for p in range(3)], [0, 1, 2],
+        )
+        assert failure is None
+        runs.append((theta, v, steps))
+    (theta, v, steps), (huge_theta, huge_v, huge_steps) = runs
+    assert steps == huge_steps == [12, 6, 6]
+    assert np.array_equal(theta, huge_theta) and np.array_equal(v, huge_v)
+    first = model.input_dim * {"linear": 1, "softmax": model.num_classes, "mlp": model.hidden_dim}[
+        model.kind.value
+    ]
+    assert (huge_theta[:, :first] > 0.5).all()
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_client_update_matches_checked_reference(model, algorithm):
     # Two rounds of one client under lg_loss scoring, so the second round
@@ -769,23 +804,39 @@ def test_data_curriculum_needs_the_pass_at_theta(scoring):
 
 
 def count_forwards(monkeypatch) -> dict:
-    """Count every forward pass, local steps included, by the bytes of its
-    (parameters, rows) at the moment it runs. Each pass binds its parameters
-    through ``models._bind_forward``."""
+    """Count every forward pass by the bytes of its (parameters, rows) at the
+    moment it runs. The one-shot passes bind their parameters through
+    ``models._bind_forward``; a local step's stacked pass, bound through
+    ``models._bind_cohort``, counts once per slot, with the slot's rows
+    padded to the batch size."""
     seen = {}
-    bind_forward = models._bind_forward
+    bind_forward, bind_cohort = models._bind_forward, models._bind_cohort
 
-    def bind(model, params, *buffers):
-        forward = bind_forward(model, params, *buffers)
+    def count(params, x):
+        key = (params.tobytes(), x.tobytes(), x.shape)
+        seen[key] = seen.get(key, 0) + 1
+
+    def bind(model, params):
+        forward = bind_forward(model, params)
 
         def counted(x):
-            key = (params.tobytes(), x.tobytes(), x.shape)
-            seen[key] = seen.get(key, 0) + 1
+            count(params, x)
             return forward(x)
 
         return counted
 
+    def bind_stack(model, theta, g, x, *rest):
+        forward, backward = bind_cohort(model, theta, g, x, *rest)
+
+        def counted():
+            for params, rows in zip(theta, x):
+                count(params, rows)
+            forward()
+
+        return counted, backward
+
     monkeypatch.setattr(models, "_bind_forward", bind)
+    monkeypatch.setattr(models, "_bind_cohort", bind_stack)
     return seen
 
 
@@ -867,6 +918,28 @@ def test_redrawn_sole_participant_is_forwarded_once(monkeypatch, scoring):
     assert metrics_equal(metrics, expected)
     assert any(a.participants == b.participants for a, b in zip(metrics, metrics[1:]))
     assert max(seen.values()) == 1
+
+
+def test_random_ordering_forwards_no_client_at_its_local_model(monkeypatch):
+    # The random ordering reads no score, so a random-ordering lg_loss job
+    # runs no pass at a client's local parameters: each client's rows go
+    # through the model once per round that draws it, in the pass at the
+    # broadcast parameters. Its rows equal those of a g_loss job, whose
+    # scores it does not read either.
+    ds, part, test = small_world(scheme=Scheme.IID)
+    pacing = PacingSpec(PacingFamily.LINEAR, 0.8, 0.2)
+    cfg = base_config(
+        data_curriculum=DataCurriculumConfig(ScoringKind.LG_LOSS, pacing, OrderingKind.RANDOM)
+    )
+    seen = count_forwards(monkeypatch)
+    metrics = run_one(cfg, ds, part, test)
+    drawn = [cid for m in metrics for cid in m.participants]
+    assert len(set(drawn)) < len(drawn)  # a client trains again: it has a local model
+    clients = {ds.features[rows].tobytes() for rows in part.assignment}
+    assert sum(n for (_, x, _), n in seen.items() if x in clients) == len(drawn)
+    g_loss = DataCurriculumConfig(ScoringKind.G_LOSS, pacing, OrderingKind.RANDOM)
+    g_loss_cfg = dataclasses.replace(cfg, data_curriculum=g_loss)
+    assert rows_equal(metrics, run_one(g_loss_cfg, ds, part, test))
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])

@@ -194,7 +194,7 @@ def cohort_step(model, params, x, y):
     forward()
     out = cohort.out.copy()
     hidden = None if cohort.hidden is None else cohort.hidden.copy()
-    backward(False)
+    backward([])
     return out, hidden, cohort.g.copy()
 
 
