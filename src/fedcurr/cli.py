@@ -161,7 +161,9 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
     forks. With one share, or where ``fork`` does not exist, no process is
     started. A failed job raises the error of the lowest failing job index,
     as a run in job order would: within a share the lockstep run returns the
-    lowest failing job's error, and across shares the lowest index wins.
+    lowest failing job's error, and across shares the lowest index wins. The
+    error's message starts with the job's ordering and seed, as
+    ``metrics.csv`` writes them.
     """
     p = min(processes, len(jobs)) if hasattr(os, "fork") else 1
     shares = [range(k, len(jobs), p) for k in range(p)]
@@ -197,7 +199,10 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
         if failure is not None:
             failures.append(failure)
     if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+        i, error = min(failures, key=lambda f: f[0])
+        exp = jobs[i][0]
+        name = f"{_ordering(exp.data_curriculum)} arm, seed {exp.seed}"
+        raise type(error)(f"{name}: {error}") from error
     return results
 
 

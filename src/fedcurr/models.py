@@ -8,32 +8,33 @@ the momentum/weight-decay SGD step with a per-round decaying learning rate,
 and a dense Hessian decomposition probe for the least-squares models.
 
 The public functions check their inputs on every call. The private kernels
-behind them take raw arrays checked once by the caller. The one-shot
-forward pass lives in ``_bind_forward``, which settles the dispatch on the
-model kind and takes the layer views of the parameter vector once, and
-returns a function that sees later in-place updates of that vector; the
-one-shot gradient is ``_terms_grad``. The one-shot helpers, the block pass
-and evaluation call them; their matrix products go through ``np.dot``,
-which costs less per call than ``np.matmul`` and reaches the same BLAS
-routine.
+behind them take raw arrays checked once by the caller. Each model kind's
+formulas are written once: ``_bind_forward`` (the forward pass) and
+``_bind_backward`` (the gradient from the loss derivative) settle the
+dispatch on the model kind and take the layer views (``_layers``) of a
+parameter vector, or of a stack of them, once, and return functions that
+see later in-place updates of those parameters. Each product is one
+``np.matmul``, over a leading stack axis when there is one, which gives
+every member of the stack the bits it would get alone. The one-shot
+helpers, the block pass and evaluation run them on one vector;
+``_terms_grad`` is the one-shot gradient.
 
 ``_local_sgd``, the mini-batch loop that local and centralized training
-share, trains the participants of a round of several jobs in lockstep:
-``_bind_cohort`` writes the same formulas over a stack of clients, one
-stacked ``np.matmul`` per product, and each step runs the forward pass, the
-log-softmax and softmax minus one-hot in place on one stacked array. Every
-slot holds ``batch_size`` rows: a client's short last batch of an epoch is
-padded with rows whose loss derivative is set to 0, and its mean runs over
-its own rows. A client's bits thus depend only on its own batches, not on
-the other clients it steps with. The rows and targets of the jobs'
-datasets, the rates and the slot buffers (``_Pool``, ``_Cohort``) are built
-once per share of jobs. The steps check nothing: one finite check at the
-end of the call covers them all, and a call that ends with a non-finite
-client keeps the jobs whose clients all ended finite and replays the
-failing job's non-finite client, alone and each step checked, to name the
-first bad step. Every in-place form keeps the bits of the out-of-place
-expressions, and a large pass does not page in fresh memory for every
-temporary.
+share, trains the participants of a round of several jobs in lockstep: a
+``_Cohort`` binds the same two functions to a stack of clients, and each
+step runs the forward pass, the log-softmax and softmax minus one-hot in
+place on one stacked array. Every slot holds ``batch_size`` rows: a
+client's short last batch of an epoch is padded with rows whose loss
+derivative is set to 0, and its mean runs over its own rows. A client's
+bits thus depend only on its own batches, not on the other clients it steps
+with. The rows and targets of the jobs' datasets, the rates and the slot
+buffers (``_Pool``, ``_Cohort``) are built once per share of jobs. The
+steps check nothing: one finite check at the end of the call covers them
+all, and a call that ends with a non-finite client keeps the jobs whose
+clients all ended finite and replays the failing job's non-finite client,
+alone and each step checked, to name the first bad step. Every in-place
+form keeps the bits of the out-of-place expressions, and a large pass does
+not page in fresh memory for every temporary.
 """
 
 from __future__ import annotations
@@ -174,55 +175,59 @@ def _check_batch(model: ModelSpec, params: np.ndarray, batch: Batch) -> None:
         raise ConfigurationError("labels out of range for classifier")
 
 
-def _unpack_mlp(model: ModelSpec, params: np.ndarray):
+def _layers(model: ModelSpec, theta: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (weight, bias) views of each layer, taken along the last axis of
+    ``theta``, which is one parameter vector (dim,) or a stack (k, dim).
+    Weights are stored as (out, in) rows and come transposed, (..., in,
+    out); biases come as (..., 1, out). The views follow in-place updates of
+    ``theta``, and writing into the views of a gradient fills its blocks."""
     d, c, h = model.input_dim, model.num_classes, model.hidden_dim
-    w1 = params[: h * d].reshape(h, d)
-    b1 = params[h * d : h * d + h]
-    w2 = params[h * d + h : h * d + h + c * h].reshape(c, h)
-    b2 = params[h * d + h + c * h :]
-    return w1, b1, w2, b2
+    if model.kind is ModelKind.MLP_TANH:
+        shapes = [(d, h), (h, c)]
+    else:
+        shapes = [(d, c if model.is_classifier else 1)]
+    lead, layers, start = theta.shape[:-1], [], 0
+    for n_in, n_out in shapes:
+        w = theta[..., start : start + n_out * n_in].reshape(lead + (n_out, n_in))
+        start += n_out * n_in
+        layers.append((w.swapaxes(-1, -2), theta[..., None, start : start + n_out]))
+        start += n_out
+    return layers
 
 
-def _bind_forward(model: ModelSpec, params: np.ndarray) -> Callable:
+def _bind_forward(model: ModelSpec, theta: np.ndarray) -> Callable:
     """The forward pass with the dispatch on the model kind and the layer
-    views of ``params`` bound once: ``forward(x)`` returns the outputs, (m,)
-    for regression and (m, C) logits for classifiers, and the MLP's hidden
-    activations (None for the other models). The views follow in-place
-    updates of ``params``. Each product goes into a fresh array, in which the
-    bias adds and the tanh then work in place. The bits are those of
+    views of ``theta`` (see ``_layers``) bound once. ``forward(x, out,
+    hidden)`` runs rows x (..., m, d) through the parameters, one set per
+    leading index, and returns the outputs (..., m, C), (..., m, 1) for the
+    scalar models, and the MLP's hidden activations (..., m, h), None for
+    the other models. Each product is one ``np.matmul`` into ``out`` and
+    ``hidden`` (fresh arrays when None), in which the bias adds and the tanh
+    then work in place. Per leading index, the bits are those of
     ``x @ w.T + b``."""
-    d, c = model.input_dim, model.num_classes
-    if model.kind is not ModelKind.MLP_TANH:
-        if model.kind is ModelKind.LINEAR_REGRESSION:
-            wt, b = params[:d], params[d:]
-        else:
-            wt, b = params[: c * d].reshape(c, d).T, params[c * d :]
+    layers = _layers(model, theta)
+    mlp, (w, b) = model.kind is ModelKind.MLP_TANH, layers[-1]
 
-        def forward(x):
-            z = np.dot(x, wt)
-            z += b
-            return z, None
+    def forward(x, out=None, hidden=None):
+        if mlp:
+            w1, b1 = layers[0]
+            x = hidden = np.matmul(x, w1, out=hidden)
+            np.add(hidden, b1, out=hidden)
+            np.tanh(hidden, out=hidden)
+        z = np.matmul(x, w, out=out)
+        np.add(z, b, out=z)
+        return z, hidden
 
-        return forward
-    w1, b1, w2, b2 = _unpack_mlp(model, params)
-    w1t, w2t, scalar = w1.T, w2.T, c == 1
-
-    def mlp_forward(x):
-        a = np.dot(x, w1t)
-        a += b1
-        np.tanh(a, out=a)
-        z = np.dot(a, w2t)
-        z += b2
-        return (z[:, 0] if scalar else z), a
-
-    return mlp_forward
+    return forward
 
 
 def _forward(
     model: ModelSpec, params: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One forward pass in fresh arrays; see ``_bind_forward``."""
-    return _bind_forward(model, params)(x)
+    """One forward pass in fresh arrays, the outputs (m,) for regression and
+    (m, C) logits for classifiers; see ``_bind_forward``."""
+    out, hidden = _bind_forward(model, params)(x)
+    return (out if model.is_classifier else out[:, 0]), hidden
 
 
 def _log_softmax(
@@ -296,6 +301,36 @@ def _loss_derivative(
     return np.divide(terms, rows, out=out)
 
 
+def _bind_backward(model: ModelSpec, theta: np.ndarray, g: np.ndarray) -> Callable:
+    """The gradient with the dispatch on the model kind and the layer views
+    of ``theta`` and ``g`` (see ``_layers``), shaped alike, bound once.
+    ``backward(x, e, hidden, delta, square)`` takes the rows x (..., m, d),
+    the loss derivative e with respect to the outputs, shaped as
+    ``_bind_forward`` writes them, and the MLP's hidden activations, and
+    writes the gradient into ``g``, one per leading index; ``delta`` and
+    ``square`` (..., m, h), fresh arrays when None, hold the MLP's
+    backpropagated derivative. Each product is one ``np.matmul`` into its
+    view of ``g`` and each bias sum one ``np.add.reduce(axis=-2)``, which
+    gives the bits of the products and sums concatenated."""
+    layers, grads = _layers(model, theta), _layers(model, g)
+    mlp = model.kind is ModelKind.MLP_TANH
+
+    def backward(x, e, hidden, delta=None, square=None):
+        if mlp:
+            (w2, _), (gw2, gb2) = layers[1], grads[1]
+            np.matmul(hidden.swapaxes(-1, -2), e, out=gw2)
+            np.add.reduce(e, axis=-2, keepdims=True, out=gb2)
+            delta = np.matmul(e, w2.swapaxes(-1, -2), out=delta)
+            square = np.square(hidden, out=square)
+            np.subtract(1.0, square, out=square)
+            e = np.multiply(delta, square, out=delta)
+        gw, gb = grads[0]
+        np.matmul(x.swapaxes(-1, -2), e, out=gw)
+        np.add.reduce(e, axis=-2, keepdims=True, out=gb)
+
+    return backward
+
+
 def _terms_grad(
     model: ModelSpec,
     params: np.ndarray,
@@ -307,34 +342,10 @@ def _terms_grad(
 ) -> np.ndarray:
     """Mean-loss gradient written into ``out`` (allocated when None), leaving
     ``terms`` as it is; ``target`` comes from ``_targets``, or from the rows
-    of ``_Pool.target``. Each block is written into its view of the output
-    vector, which gives the bits of the products and sums concatenated."""
-    d, c, h = model.input_dim, model.num_classes, model.hidden_dim
+    of ``_Pool.target``."""
     g = np.empty(model.param_count()) if out is None else out
     e = _loss_derivative(model, target, terms, len(target))
-    if model.kind is ModelKind.LINEAR_REGRESSION:
-        np.dot(x.T, e, out=g[:d])
-        np.add.reduce(e, axis=0, keepdims=True, out=g[d:])
-        return g
-    if model.kind is ModelKind.SOFTMAX_REGRESSION:
-        np.dot(e.T, x, out=g[: c * d].reshape(c, d))
-        np.add.reduce(e, axis=0, out=g[c * d :])
-        return g
-    w2 = _unpack_mlp(model, params)[2]
-    gw2, gb2 = g[h * d + h : -c].reshape(c, h), g[-c:]
-    if c == 1:
-        np.dot(hidden.T, e, out=gw2[0])
-        np.add.reduce(e, axis=0, keepdims=True, out=gb2)
-        back = np.multiply(e[:, None], w2[0])  # np.outer
-    else:
-        np.dot(e.T, hidden, out=gw2)
-        np.add.reduce(e, axis=0, out=gb2)
-        back = np.dot(e, w2)
-    s = np.square(hidden)
-    np.subtract(1.0, s, out=s)
-    back *= s
-    np.dot(back.T, x, out=g[: h * d].reshape(h, d))
-    np.add.reduce(back, axis=0, out=g[h * d : h * d + h])
+    _bind_backward(model, params, g)(x, e.reshape(len(target), -1), hidden)
     return g
 
 
@@ -398,135 +409,61 @@ class _Cohort:
         self._kernels: dict[int, tuple] = {}
 
     def kernel(self, k: int) -> tuple:
-        """The first k slots' (forward, backward) and their views of theta,
-        v, g, the update's scratch, the rows and the targets."""
-        if k not in self._kernels:
-            views = [
-                None if a is None else a[:k]
-                for a in (self.theta, self.g, self.x, self.target, self.counts, self.out,
-                          self.hidden, self.delta, self.square)
-            ]
-            scratch = tuple(a[: k * self.batch_size] for a in self.scratch)
-            self._kernels[k] = _bind_cohort(self.model, *views, scratch) + (
-                self.theta[:k], self.v[:k], self.g[:k], self.tmp[:k], self.diff[:k],
-                self.x[:k], self.target[:k],
-            )
+        """The first k slots' gradient step, as (forward, backward), and
+        their views of theta, v, g, the update's scratch, the rows and the
+        targets. Each slot is one client: parameters ``theta[i]``, gathered
+        rows ``x[i]`` (b, d) and targets ``target[i]``. ``forward()`` writes
+        the outputs into ``out`` and the MLP's activations into ``hidden``
+        (``_bind_forward`` over the stack). ``backward(pads)`` turns the
+        outputs into the terms and the loss derivative in place, the
+        log-softmax seeing them as k*b rows of a 2-D array as the one-shot
+        callers do, and writes each slot's gradient into its row of ``g``
+        (``_bind_backward`` over the stack). Each slot's mean runs over its b
+        rows, except for the slots in ``pads``: (slot, m) says that only the
+        first m rows of that slot are its batch and the rest pad it. Their
+        mean runs over m, through the slot's entry of ``counts``, and the pad
+        rows' loss derivative is set to 0, so they add nothing to any
+        product or sum. It is assigned, not multiplied by a mask, because a
+        pad row's outputs may be inf or nan, and 0 * inf is nan."""
+        if k in self._kernels:
+            return self._kernels[k]
+        model, bs = self.model, self.batch_size
+        theta, g, x, target, counts, out = (
+            a[:k] for a in (self.theta, self.g, self.x, self.target, self.counts, self.out)
+        )
+        hidden, delta, square = (
+            None if a is None else a[:k] for a in (self.hidden, self.delta, self.square)
+        )
+        forward, backward = _bind_forward(model, theta), _bind_backward(model, theta, g)
+        classifier = model.is_classifier
+        # The outputs as the terms and the loss derivative see them: (k, b, C)
+        # for classifiers, (k, b) with per-slot counts (k, 1) otherwise.
+        z, count = (out, counts) if classifier else (out[..., 0], counts[..., 0])
+        rows = out.reshape(k * bs, -1)
+        columns = list(rows.T) if classifier else None
+        scratch = tuple(a[: k * bs] for a in self.scratch)
+
+        def step_forward():
+            forward(x, out, hidden)
+
+        def step_backward(pads):
+            if classifier:
+                _log_softmax(rows, *scratch, columns)
+            else:
+                np.subtract(z, target, out=z)
+            for slot, m in pads:
+                counts[slot] = m
+            _loss_derivative(model, target, z, count if pads else bs, out=z)
+            for slot, m in pads:
+                z[slot, m:] = 0.0
+                counts[slot] = bs
+            backward(x, out, hidden, delta, square)
+
+        self._kernels[k] = (
+            step_forward, step_backward, theta, self.v[:k], g, self.tmp[:k], self.diff[:k], x,
+            target,
+        )
         return self._kernels[k]
-
-
-def _bind_cohort(
-    model: ModelSpec,
-    theta: np.ndarray,
-    g: np.ndarray,
-    x: np.ndarray,
-    target: np.ndarray,
-    counts: np.ndarray,
-    out: np.ndarray,
-    hidden: np.ndarray | None,
-    delta: np.ndarray | None,
-    square: np.ndarray | None,
-    scratch: tuple[np.ndarray, np.ndarray],
-) -> tuple[Callable[[], None], Callable[[list[tuple[int, int]]], None]]:
-    """The stacked gradient step of k slots, each one client: parameters
-    ``theta[i]`` (k, dim), gathered rows ``x[i]`` (b, d) and targets
-    ``target[i]``. ``forward()`` writes the outputs into ``out`` (k, b, C),
-    or (k, b, 1) for the scalar models, and the MLP's activations into
-    ``hidden`` (k, b, h). ``backward(pads)`` turns the outputs into the
-    terms and the loss derivative in place, with ``scratch`` (k*b rows) for
-    the log-softmax, and writes each slot's gradient into its row of ``g``,
-    with ``delta`` and ``square`` (k, b, h) for the MLP. Each slot's mean
-    runs over its b rows, except for the slots in ``pads``: (slot, m) says
-    that only the first m rows of that slot are its batch and the rest pad
-    it. Their mean runs over m, through the slot's entry of ``counts``
-    (k, 1, 1), and the pad rows' loss derivative is set to 0, so they add
-    nothing to any product or sum. It is assigned, not multiplied by a mask,
-    because a pad row's outputs may be inf or nan, and 0 * inf is nan.
-
-    Each product of the k slots is one stacked ``np.matmul`` and each bias
-    sum one ``np.add.reduce`` over axis 1: per slot, these give the bits of
-    ``np.dot`` and ``np.add.reduce(axis=0)``. The elementwise rest runs once
-    over the stack and keeps each row's bits; the log-softmax sees the
-    outputs as k*b rows of a 2-D array, as ``_bind_forward``'s callers do."""
-    d, c, h, k, bs = model.input_dim, model.num_classes, model.hidden_dim, len(theta), x.shape[1]
-    classifier = model.is_classifier
-    # The outputs as the terms and the loss derivative see them: (k, b, C)
-    # for classifiers, (k, b) with per-slot counts (k, 1) otherwise.
-    z, count = (out, counts) if classifier else (out[..., 0], counts[..., 0])
-    rows = out.reshape(k * bs, -1)
-    columns = list(rows.T) if classifier else None
-
-    def derivative(pads):
-        if classifier:
-            _log_softmax(rows, *scratch, columns)
-        else:
-            np.subtract(z, target, out=z)
-        for slot, m in pads:
-            counts[slot] = m
-        _loss_derivative(model, target, z, count if pads else bs, out=z)
-        for slot, m in pads:
-            z[slot, m:] = 0.0
-            counts[slot] = bs
-
-    xt, zt = x.transpose(0, 2, 1), out.transpose(0, 2, 1)
-    if model.kind is ModelKind.LINEAR_REGRESSION:
-        wt, b, gw, gb = theta[:, :d, None], theta[:, d:], g[:, :d, None], g[:, d:]
-
-        def linear_forward():
-            np.matmul(x, wt, out=out)
-            np.add(z, b, out=z)
-
-        def linear_backward(pads):
-            derivative(pads)
-            np.matmul(xt, out, out=gw)
-            np.add.reduce(z, axis=1, keepdims=True, out=gb)
-
-        return linear_forward, linear_backward
-    if model.kind is ModelKind.SOFTMAX_REGRESSION:
-        wt, b = theta[:, : c * d].reshape(k, c, d).transpose(0, 2, 1), theta[:, None, c * d :]
-        gw, gb = g[:, : c * d].reshape(k, c, d), g[:, c * d :]
-
-        def softmax_forward():
-            np.matmul(x, wt, out=out)
-            np.add(out, b, out=out)
-
-        def softmax_backward(pads):
-            derivative(pads)
-            np.matmul(zt, x, out=gw)
-            np.add.reduce(out, axis=1, out=gb)
-
-        return softmax_forward, softmax_backward
-    w1t = theta[:, : h * d].reshape(k, h, d).transpose(0, 2, 1)
-    b1 = theta[:, None, h * d : h * d + h]
-    w2 = theta[:, h * d + h : h * d + h + c * h].reshape(k, c, h)
-    w2t, b2 = w2.transpose(0, 2, 1), theta[:, None, h * d + h + c * h :]
-    gw1, gb1 = g[:, : h * d].reshape(k, h, d), g[:, h * d : h * d + h]
-    gw2, gb2 = g[:, h * d + h : -c].reshape(k, c, h), g[:, -c:]
-    ht, dt = hidden.transpose(0, 2, 1), delta.transpose(0, 2, 1)
-
-    def mlp_forward():
-        np.matmul(x, w1t, out=hidden)
-        np.add(hidden, b1, out=hidden)
-        np.tanh(hidden, out=hidden)
-        np.matmul(hidden, w2t, out=out)
-        np.add(out, b2, out=out)
-
-    def mlp_backward(pads):
-        derivative(pads)
-        if c == 1:
-            np.matmul(ht, out, out=gw2.transpose(0, 2, 1))
-            np.add.reduce(z, axis=1, keepdims=True, out=gb2)
-            np.multiply(out, w2, out=delta)  # np.outer per slot
-        else:
-            np.matmul(zt, hidden, out=gw2)
-            np.add.reduce(out, axis=1, out=gb2)
-            np.matmul(out, w2, out=delta)
-        np.square(hidden, out=square)
-        np.subtract(1.0, square, out=square)
-        np.multiply(delta, square, out=delta)
-        np.matmul(dt, x, out=gw1)
-        np.add.reduce(delta, axis=1, out=gb1)
-
-    return mlp_forward, mlp_backward
 
 
 def _local_sgd(
@@ -556,7 +493,7 @@ def _local_sgd(
 
     The clients step in lockstep, whatever job they train for: at step i,
     every client with a step left takes it with the others, through one
-    ``_bind_cohort`` kernel. Slots are ordered by descending step count, so
+    stacked ``_Cohort.kernel``. Slots are ordered by descending step count, so
     the clients still stepping are always the first ones. Each step gathers
     its rows with one ``take`` into (P, batch_size, ...) slot buffers. An
     epoch's short tail batch of m rows fills its slot like any other batch:
@@ -702,7 +639,7 @@ def _losses_and_grads(
     blocks, which saves numpy calls and leaves each row's bits as they are."""
     forward = _bind_forward(model, params)
     passes = [forward(x) for x in xs]
-    outputs = [out for out, _ in passes]
+    outputs = [out if model.is_classifier else out[:, 0] for out, _ in passes]
     y = np.concatenate(ys)
     terms = _output_terms(model, np.concatenate(outputs), y)
     losses = _terms_losses(model, terms, y)
@@ -758,10 +695,11 @@ def sgd_step(
 
 
 def _mlp_output_hessian(
-    model: ModelSpec, params: np.ndarray, x: np.ndarray, a: np.ndarray
+    model: ModelSpec, w2: np.ndarray, x: np.ndarray, a: np.ndarray
 ) -> np.ndarray:
     """Dense Hessian of the scalar MLP output f(theta, x) for one sample,
-    whose hidden activations ``a`` come from the forward pass.
+    whose hidden activations ``a`` come from the forward pass; ``w2`` (h,)
+    are the output layer's weights.
 
     Nonzero blocks per hidden unit k (s = 1 - a^2, dd = -2*a*s):
       d2f/dW1_k dW1_k = w2_k*dd_k * x x^T     d2f/dW1_k db1_k = w2_k*dd_k * x
@@ -769,7 +707,6 @@ def _mlp_output_hessian(
       d2f/db1_k dw2_k = s_k                   (all blocks touching b2 vanish)
     """
     d, h = model.input_dim, model.hidden_dim
-    w2 = _unpack_mlp(model, params)[2]
     s = 1.0 - a**2
     dd = -2.0 * a * s
     p = model.param_count()
@@ -778,7 +715,7 @@ def _mlp_output_hessian(
     xxt = np.outer(x, x)
     for k in range(h):
         rows = slice(k * d, (k + 1) * d)
-        c_k = w2[0, k] * dd[k]
+        c_k = w2[k] * dd[k]
         hes[rows, rows] = c_k * xxt
         hes[rows, ib1 + k] = c_k * x
         hes[ib1 + k, rows] = c_k * x
@@ -812,7 +749,8 @@ def hessian_decomposition(
     if model.kind is ModelKind.LINEAR_REGRESSION:
         g = np.hstack([x, np.ones((m, 1))])
     else:
-        ws = _unpack_mlp(model, params)[2][0] * (1.0 - hidden**2)
+        w2 = _layers(model, params)[1][0][:, 0]
+        ws = w2 * (1.0 - hidden**2)
         gw1 = (ws[:, :, None] * x[:, None, :]).reshape(m, -1)
         g = np.hstack([gw1, ws, hidden, np.ones((m, 1))])
     gauss_newton = g.T @ g / m
@@ -820,7 +758,7 @@ def hessian_decomposition(
     residual_term = np.zeros((p, p))
     if model.kind is ModelKind.MLP_TANH:
         for i in range(m):
-            residual_term += resid[i] * _mlp_output_hessian(model, params, x[i], hidden[i])
+            residual_term += resid[i] * _mlp_output_hessian(model, w2, x[i], hidden[i])
         residual_term /= m
     full = gauss_newton + residual_term
     return HessianDecomposition(

@@ -21,7 +21,7 @@ from fedcurr import (
     sgd_step,
 )
 from fedcurr.federation import _INIT_STREAM, _train
-from fedcurr.models import _output_terms, _targets, _unpack_mlp
+from fedcurr.models import _output_terms, _targets
 from fedcurr.theory import _check_cohort, _noisy
 
 
@@ -95,6 +95,15 @@ def batch_loss(model: ModelSpec, params: np.ndarray, batch: Batch) -> float:
     return float(per_sample_losses(model, params, batch).mean())
 
 
+def _mlp_blocks(model: ModelSpec, params: np.ndarray):
+    """The MLP's weights and biases (w1 (h, d), b1, w2 (C, h), b2), sliced
+    from ``params`` in their storage order."""
+    d, c, h = model.input_dim, model.num_classes, model.hidden_dim
+    ends = np.cumsum([h * d, h, c * h])
+    w1, b1, w2, b2 = np.split(params, ends)
+    return w1.reshape(h, d), b1, w2.reshape(c, h), b2
+
+
 def forward_reference(model: ModelSpec, params: np.ndarray, x: np.ndarray):
     """``models._forward`` as out-of-place expressions: (outputs, hidden)."""
     d = model.input_dim
@@ -103,7 +112,7 @@ def forward_reference(model: ModelSpec, params: np.ndarray, x: np.ndarray):
     if model.kind is ModelKind.SOFTMAX_REGRESSION:
         c = model.num_classes
         return x @ params[: c * d].reshape(c, d).T + params[c * d :], None
-    w1, b1, w2, b2 = _unpack_mlp(model, params)
+    w1, b1, w2, b2 = _mlp_blocks(model, params)
     a = np.tanh(x @ w1.T + b1)
     out = a @ w2.T + b2
     return (out[:, 0] if model.num_classes == 1 else out), a
@@ -125,7 +134,7 @@ def terms_grad_reference(model, params, x, target, terms, hidden, rows=None) -> 
         return np.concatenate([x.T @ r, [r.sum()]])
     if model.kind is ModelKind.SOFTMAX_REGRESSION:
         return np.concatenate([(p.T @ x).ravel(), p.sum(axis=0)])
-    w2 = _unpack_mlp(model, params)[2]
+    w2 = _mlp_blocks(model, params)[2]
     if model.num_classes == 1:
         gw2 = hidden.T @ r
         gb2 = np.array([r.sum()])

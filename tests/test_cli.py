@@ -251,7 +251,7 @@ def test_worker_error_is_reported_as_in_job_order(tmp_path, capfd, monkeypatch):
         assert main(["run", cfg, "--out", str(tmp_path / threads), "--threads", threads]) == 1
         assert_no_child_processes()
         errors.append(capfd.readouterr().err)
-    assert errors[0] == errors[1] == "error: job 1 failed\n"
+    assert errors[0] == errors[1] == "error: curriculum arm, seed 202208: job 1 failed\n"
 
 
 def test_parent_failure_stops_and_reaps_workers(tmp_path, monkeypatch):
@@ -432,7 +432,9 @@ def test_diverging_run_ends_in_one_error_line(tmp_path, capfd):
     assert errors[0] == errors[1]
     lines = errors[0].strip().splitlines()
     assert len(lines) == 1
-    assert re.match(r"error: round \d+, client \d+: non-finite parameters", lines[0])
+    assert re.match(
+        r"error: [a-z]+ arm, seed \d+: round \d+, client \d+: non-finite parameters", lines[0]
+    )
 
 
 # The example with a linear model at eta0 = 5: its parameters grow large but
@@ -474,7 +476,9 @@ def test_run_whose_losses_overflow_ends_in_one_error_line(tmp_path, edits):
     assert errors[0] == errors[1]
     lines = errors[0].splitlines()
     assert len(lines) == 1, lines
-    assert re.fullmatch(r"error: round \d+(, client \d+)?: non-finite [a-z ]+", lines[0])
+    assert re.fullmatch(
+        r"error: [a-z]+ arm, seed \d+: round \d+(, client \d+)?: non-finite [a-z ]+", lines[0]
+    )
 
 
 def test_diverging_expert_training_ends_in_one_error_line(tmp_path, capsys):

@@ -805,38 +805,26 @@ def test_data_curriculum_needs_the_pass_at_theta(scoring):
 
 def count_forwards(monkeypatch) -> dict:
     """Count every forward pass by the bytes of its (parameters, rows) at the
-    moment it runs. The one-shot passes bind their parameters through
-    ``models._bind_forward``; a local step's stacked pass, bound through
-    ``models._bind_cohort``, counts once per slot, with the slot's rows
-    padded to the batch size."""
+    moment it runs. Every pass binds its parameters through
+    ``models._bind_forward``; a local step's pass over a stack of clients
+    (k, dim) counts once per slot, with the slot's rows padded to the batch
+    size."""
     seen = {}
-    bind_forward, bind_cohort = models._bind_forward, models._bind_cohort
+    bind_forward = models._bind_forward
 
-    def count(params, x):
-        key = (params.tobytes(), x.tobytes(), x.shape)
-        seen[key] = seen.get(key, 0) + 1
+    def bind(model, theta):
+        forward = bind_forward(model, theta)
 
-    def bind(model, params):
-        forward = bind_forward(model, params)
-
-        def counted(x):
-            count(params, x)
-            return forward(x)
+        def counted(x, *args):
+            stack = zip(theta, x) if theta.ndim == 2 else [(theta, x)]
+            for params, rows in stack:
+                key = (params.tobytes(), rows.tobytes(), rows.shape)
+                seen[key] = seen.get(key, 0) + 1
+            return forward(x, *args)
 
         return counted
 
-    def bind_stack(model, theta, g, x, *rest):
-        forward, backward = bind_cohort(model, theta, g, x, *rest)
-
-        def counted():
-            for params, rows in zip(theta, x):
-                count(params, rows)
-            forward()
-
-        return counted, backward
-
     monkeypatch.setattr(models, "_bind_forward", bind)
-    monkeypatch.setattr(models, "_bind_cohort", bind_stack)
     return seen
 
 

@@ -178,7 +178,7 @@ DESK_SOFTMAX = ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=10, num_classes
 
 
 def cohort_step(model, params, x, y):
-    """One lockstep step of full slots through ``models._bind_cohort``:
+    """One lockstep step of full slots through ``models._Cohort.kernel``:
     parameters (k, dim), rows (k, b, d) and labels (k, b). Returns the
     outputs (k, b, C or 1), the MLP's activations and the gradients (k, dim)."""
     from fedcurr.models import _Pool
@@ -198,6 +198,18 @@ def cohort_step(model, params, x, y):
     return out, hidden, cohort.g.copy()
 
 
+def terms_reference(model, out, y):
+    """The loss terms of the outputs ``out`` as out-of-place expressions:
+    log-probabilities for classifiers, residuals otherwise."""
+    return _indexed_log_softmax(out) if model.is_classifier else out - y
+
+
+KERNEL_MODELS = {
+    "linear": WIDE_MODELS[0], "softmax": WIDE_MODELS[1], "mlp": WIDE_MODELS[2],
+    "mlp_scalar": WIDE_MODELS[3], "desk": DESK_SOFTMAX,
+}
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -206,11 +218,9 @@ def cohort_step(model, params, x, y):
     ],
     ids=["m1", "remainder", "m10000", "m10", "m100", "m2000"],
 )
-@pytest.mark.parametrize(
-    "model", WIDE_MODELS + [DESK_SOFTMAX], ids=["linear", "softmax", "mlp", "mlp_scalar", "desk"]
-)
+@pytest.mark.parametrize("model", KERNEL_MODELS.values(), ids=KERNEL_MODELS)
 def test_in_place_kernels_match_out_of_place_formulas(model, rows):
-    # The forward pass and the gradient write their products with np.dot
+    # The forward pass and the gradient write their products with np.matmul
     # into arrays they own; every bit must equal the out-of-place @
     # expressions and np.concatenate, in the one-shot calls and in a local
     # step's kernel, here one full slot of a lockstep cohort. The 7-row
@@ -230,34 +240,60 @@ def test_in_place_kernels_match_out_of_place_formulas(model, rows):
     assert hidden is ref_hidden is None or np.array_equal(hidden, ref_hidden)
     target = _targets(model, y)
     terms = _output_terms(model, out, target)
-    if model.is_classifier:
-        assert np.array_equal(terms, _indexed_log_softmax(ref_out))
+    assert np.array_equal(terms, terms_reference(model, ref_out, y))
+    ref_g = terms_grad_reference(model, params, x, target, terms, hidden)
     g = np.full(model.param_count(), np.nan)
     assert _terms_grad(model, params, x, target, terms, hidden, out=g) is g
-    assert np.array_equal(g, terms_grad_reference(model, params, x, target, terms, hidden))
-    assert np.array_equal(_terms_grad(model, params, x, target, terms, hidden), g)
-    assert np.array_equal(cohort_step(model, params[None], x[None], y[None])[2][0], g)
+    assert np.array_equal(g, ref_g)
+    assert np.array_equal(_terms_grad(model, params, x, target, terms, hidden), ref_g)
+    assert np.array_equal(cohort_step(model, params[None], x[None], y[None])[2][0], ref_g)
 
 
 # A round's cohort, and the stack sizes of a share's lockstep jobs: 16 slots
 # for 4 jobs of 4 participants, 40 and 80 for shares of 4 and 8 jobs of 10.
 STACKS = [(slots, rows) for slots in (1, 2, 3, 5) for rows in (1, 2, 7, 10, 100)]
 STACKS += [(slots, rows) for slots in (16, 40, 80) for rows in (10, 100)]
-
-
-@pytest.mark.parametrize("slots,rows", STACKS)
-@pytest.mark.parametrize(
-    "model", WIDE_MODELS + [DESK_SOFTMAX], ids=["linear", "softmax", "mlp", "mlp_scalar", "desk"]
+# Degenerate widths, a feature, a hidden unit or two classes, where numpy
+# routes a product with a dimension of 1 past the matrix-matrix BLAS call.
+NARROW_MODELS = (
+    [ModelSpec(ModelKind.LINEAR_REGRESSION, input_dim=d) for d in (1, 2, 3)]
+    + [
+        ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=d, num_classes=c)
+        for d in (1, 2, 3)
+        for c in (2, 3)
+    ]
+    + [
+        ModelSpec(ModelKind.MLP_TANH, input_dim=d, num_classes=c, hidden_dim=h)
+        for d in (1, 2, 3)
+        for c in (1, 2, 3)
+        for h in (1, 2, 3)
+    ]
 )
+STACK_CASES = [
+    pytest.param(model, slots, rows, id=f"{name}-{slots}-{rows}")
+    for name, model in KERNEL_MODELS.items()
+    for slots, rows in STACKS
+] + [
+    pytest.param(
+        model, slots, rows,
+        id=f"{model.kind.value}_d{model.input_dim}_c{model.num_classes}"
+        f"_h{model.hidden_dim}-{slots}-{rows}",
+    )
+    for model in NARROW_MODELS
+    for slots in (1, 2, 3)
+    for rows in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("model,slots,rows", STACK_CASES)
 def test_stacked_products_match_per_slot_products(model, slots, rows):
     # A lockstep step runs each product of its slots as one stacked
-    # np.matmul and each bias sum as one np.add.reduce over axis 1. Per
+    # np.matmul and each bias sum as one np.add.reduce over the rows. Per
     # slot, the outputs, the MLP's activations and the gradient must keep
-    # the bits of the one-shot np.dot and np.add.reduce(axis=0) calls on
-    # that slot's rows alone, at any stack size, since the jobs of a share
-    # train in one stack. They do for all four kinds, so no kind keeps
-    # per-slot products for full batches.
-    from fedcurr.models import _forward, _output_terms, _targets, _terms_grad
+    # the bits of the out-of-place @ expressions on that slot's rows alone,
+    # at any stack size, since the jobs of a share train in one stack, and
+    # at any width, however numpy routes the product.
+    from fedcurr.models import _targets
 
     rng = np.random.default_rng([slots, rows])
     params = np.stack([3.0 * init_params(model, rng) for _ in range(slots)])
@@ -266,12 +302,12 @@ def test_stacked_products_match_per_slot_products(model, slots, rows):
     y = rng.integers(0, labels, (slots, rows))
     out, hidden, g = cohort_step(model, params, x, y)
     for i in range(slots):
-        ref_out, ref_hidden = _forward(model, params[i], x[i])
+        ref_out, ref_hidden = forward_reference(model, params[i], x[i])
         assert np.array_equal(out[i] if model.is_classifier else out[i, :, 0], ref_out)
         assert hidden is ref_hidden is None or np.array_equal(hidden[i], ref_hidden)
-        target = _targets(model, y[i])
-        terms = _output_terms(model, ref_out, target)
-        assert np.array_equal(g[i], _terms_grad(model, params[i], x[i], target, terms, ref_hidden))
+        terms = terms_reference(model, ref_out, y[i])
+        ref_g = terms_grad_reference(model, params[i], x[i], _targets(model, y[i]), terms, ref_hidden)
+        assert np.array_equal(g[i], ref_g)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 65, 2000])
