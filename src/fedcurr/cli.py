@@ -33,7 +33,7 @@ from .errors import ConfigurationError
 from .federation import (
     DataCurriculumConfig,
     ExperimentConfig,
-    JobsResult,
+    JobResult,
     RoundMetrics,
     run_experiment,
     train_centralized,
@@ -106,20 +106,16 @@ def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> str:
 Job = tuple[ExperimentConfig, TrialData]
 
 
-def _run_share(jobs: list[Job], share: range) -> JobsResult:
+def _run_share(jobs: list[Job], share: range) -> list[JobResult]:
     """Run the jobs of ``share`` in lockstep by round, through one
-    ``run_experiment`` call, which returns the rows of the jobs before the
-    first that fails with one of the errors ``main`` reports, and that
-    failure, named here by its index in ``jobs``. ``run_experiment`` is
+    ``run_experiment`` call, which returns each job's rows or the error,
+    one of those ``main`` reports, that stopped it. ``run_experiment`` is
     looked up here at call time, once every trial is built, so a replacement
     of ``cli.run_experiment`` also holds in forked workers."""
-    done, failure = run_experiment([
+    return run_experiment([
         (exp, data.ds, data.part, data.test.batch(), data.expert_losses)
         for exp, data in (jobs[i] for i in share)
     ])
-    if failure is not None:
-        failure = share[failure[0]], failure[1]
-    return done, failure
 
 
 def _worker(jobs: list[Job], share: range, fd: int) -> None:
@@ -137,7 +133,7 @@ def _worker(jobs: list[Job], share: range, fd: int) -> None:
         os._exit(code)
 
 
-def _read_share(pid: int, fd: int) -> JobsResult:
+def _read_share(pid: int, fd: int) -> list[JobResult]:
     """The result a worker wrote to ``fd``; reaps the worker."""
     try:
         with os.fdopen(fd, "rb") as fh:
@@ -159,11 +155,10 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
     send back only their metrics; the parent runs share 0 itself before it
     waits on any worker. The process runs no threads of its own when it
     forks. With one share, or where ``fork`` does not exist, no process is
-    started. A failed job raises the error of the lowest failing job index,
-    as a run in job order would: within a share the lockstep run returns the
-    lowest failing job's error, and across shares the lowest index wins. The
-    error's message starts with the job's ordering and seed, as
-    ``metrics.csv`` writes them.
+    started. Each job's rows or error are those of its run alone, so the
+    first failed job in job order is the one a run in job order would stop
+    at: its error is raised, its message starting with the job's ordering
+    and seed, as ``metrics.csv`` writes them.
     """
     p = min(processes, len(jobs)) if hasattr(os, "fork") else 1
     shares = [range(k, len(jobs), p) for k in range(p)]
@@ -191,18 +186,14 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
                 os.close(fd)
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    results: list[list[RoundMetrics]] = [[] for _ in jobs]
-    failures = []
-    for share, (done, failure) in zip(shares, outcomes):
-        for i, rows in zip(share, done):
-            results[i] = rows
-        if failure is not None:
-            failures.append(failure)
-    if failures:
-        i, error = min(failures, key=lambda f: f[0])
-        exp = jobs[i][0]
-        name = f"{_ordering(exp.data_curriculum)} arm, seed {exp.seed}"
-        raise type(error)(f"{name}: {error}") from error
+    results: list[JobResult] = [[] for _ in jobs]
+    for share, entries in zip(shares, outcomes):
+        for i, entry in zip(share, entries):
+            results[i] = entry
+    for (exp, _), entry in zip(jobs, results):
+        if isinstance(entry, Exception):
+            name = f"{_ordering(exp.data_curriculum)} arm, seed {exp.seed}"
+            raise type(entry)(f"{name}: {entry}") from entry
     return results
 
 
@@ -327,32 +318,24 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the sectioned key=value config")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="processes running (arm, trial) jobs at once for run; "
-                            "verify ignores it (default: FEDCURR_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="processes running (arm, trial) jobs at once for run, "
+                            "an integer >= 1; verify ignores it (default: 1)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     args = parser.parse_args(argv)
 
-    if args.threads is not None:
-        source, raw = "--threads", str(args.threads)
-    else:
-        source, raw = "FEDCURR_THREADS", os.environ.get("FEDCURR_THREADS", "1")
-    try:
-        processes = int(raw)
-    except ValueError:
-        processes = 0
-    if processes < 1:
-        print(f"error: {source} must be an integer >= 1, got {raw!r}", file=sys.stderr)
+    if args.threads < 1:
+        print(f"error: --threads must be an integer >= 1, got '{args.threads}'", file=sys.stderr)
         return 2
     if args.seed is not None and args.seed < 0:
         print(f"error: --seed must be an integer >= 0, got '{args.seed}'", file=sys.stderr)
         return 2
 
     with _one_blas_thread():
-        return _main(args, processes)
+        return _main(args)
 
 
-def _main(args: argparse.Namespace, processes: int) -> int:
+def _main(args: argparse.Namespace) -> int:
     # Every invalid config fails here, before any work starts.
     try:
         if args.command == "run":
@@ -369,7 +352,7 @@ def _main(args: argparse.Namespace, processes: int) -> int:
         return 2
     try:
         if args.command == "run":
-            return command_run(cfg, args.out, processes)
+            return command_run(cfg, args.out, args.threads)
         return command_verify(cfg, args.out)
     except (ValueError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -253,9 +253,13 @@ def parse_run_config(path: str) -> RunConfig:
 
     names = _get(cp, "data_curriculum", "orderings", str, default="vanilla").split(",")
     names = [name.strip().lower() for name in names if name.strip()]
+    valid = ", ".join(ARMS)
+    if not names:
+        raise ConfigurationError(
+            f"{_at('data_curriculum', 'orderings')}: names no arm; give one or more of {valid}"
+        )
     for i, name in enumerate(names):
         if name not in ARMS:
-            valid = ", ".join(ARMS)
             raise ConfigurationError(
                 f"{_at('data_curriculum', 'orderings')}: {name!r} is not one of {valid}"
             )
@@ -304,8 +308,11 @@ def parse_run_config(path: str) -> RunConfig:
 
 
 def parse_theory_config(path: str) -> list[ConvexCase | NonconvexCase]:
-    """The verify cases of the config, one per section, in config order."""
+    """The verify cases of the config, one per section, in config order; a
+    config with no section checks nothing and is an error."""
     cp = _read(path)
+    if not cp.sections():
+        raise ConfigurationError(f"{path} holds no case; give each case a [section]")
     cases = []
     for section in cp.sections():
         kind = _require(cp, section, "kind").strip().lower()

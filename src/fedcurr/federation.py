@@ -14,7 +14,8 @@ call of ``models._local_sgd``, the one momentum-SGD loop, which trains all
 the participants together and which ``train_centralized`` shares for the
 expert model. A job fails at the first non-finite value it reads: its
 parameters after a local step, a loss of the pass at theta or at a local
-model, a gradient of lambda, the mean client loss or the test loss.
+model, a gradient of lambda, the mean client loss or the test loss. A job
+that fails stops, and the others of its call run on.
 
 Determinism contract: every random draw comes from a generator keyed by
 (seed, stream tag, round, client id). The participants of a round train in
@@ -24,8 +25,10 @@ padded where its batch is short, so its bits depend on its own batches
 alone, not on the clients it steps with. Aggregation sums a job's updates
 in ascending id order, so reruns are bitwise identical. Jobs share the
 training pool and the local-SGD call, but no state that changes a digit:
-the CLI's worker processes, each running a fixed share of the jobs in
-lockstep, give the bits of the jobs run one after another.
+each job's rows, or its error, are those of its run alone, whichever jobs
+share its call and whichever of them fail, so the CLI's worker processes,
+each running a fixed share of the jobs in lockstep, give the bits of the
+jobs run one after another.
 """
 
 from __future__ import annotations
@@ -186,13 +189,13 @@ _Trained = tuple[np.ndarray, np.ndarray, list[int]]  # parameters, momenta (P, d
 
 def _train(
     pool: _Pool, cfg: ExperimentConfig, trainings: list[_Training]
-) -> tuple[list[_Trained], tuple[int, FloatingPointError] | None]:
+) -> list[_Trained | FloatingPointError]:
     """The jobs' parts of a round's local training, in one
     ``models._local_sgd`` call: for each part its trained parameters,
-    momenta and step counts, and the first failure as (part index, error),
-    or None. The parts share ``cfg``'s model, rates, epochs and algorithm;
-    FedProx anchors each client to its own job's broadcast parameters, and
-    SCAFFOLD adds its own job's server control."""
+    momenta and step counts, or the error of its first (lowest-id) client
+    that a step left non-finite. The parts share ``cfg``'s model, rates,
+    epochs and algorithm; FedProx anchors each client to its own job's
+    broadcast parameters, and SCAFFOLD adds its own job's server control."""
     counts = [len(tr.rows) for tr in trainings]
     theta = np.repeat(np.array([tr.global_params for tr in trainings]), counts, axis=0)
     v = np.concatenate([tr.momenta for tr in trainings])
@@ -204,15 +207,17 @@ def _train(
             np.repeat(np.array([tr.server_control for tr in trainings]), counts, axis=0),
             np.concatenate([tr.controls for tr in trainings]),
         )
-    steps, failure = _local_sgd(
+    steps, errors = _local_sgd(
         pool, [r for tr in trainings for r in tr.rows], theta, v, cfg.local_epochs,
         [rng for tr in trainings for rng in tr.rngs], [w for tr in trainings for w in tr.where],
-        [k for k, n in enumerate(counts) for _ in range(n)], prox, controls,
+        prox, controls,
     )
     ends = list(itertools.accumulate(counts))
-    return [
-        (theta[lo:hi], v[lo:hi], steps[lo:hi]) for lo, hi in zip([0] + ends, ends)
-    ], failure
+    parts: list[_Trained | FloatingPointError] = []
+    for lo, hi in zip([0] + ends, ends):
+        failed = [p for p in range(lo, hi) if p in errors]
+        parts.append(errors[failed[0]] if failed else (theta[lo:hi], v[lo:hi], steps[lo:hi]))
+    return parts
 
 
 def client_update(
@@ -386,9 +391,8 @@ def _evaluated(model: ModelSpec, params: np.ndarray, test: Batch, t: int) -> tup
 
 
 Job = tuple[ExperimentConfig, Dataset, Partition, Batch, np.ndarray | None]
-# Per call: each job's metrics rows before the first failing job, and that
-# failure as (job index, error), or None.
-JobsResult = tuple[list[list[RoundMetrics]], tuple[int, Exception] | None]
+# Per job of a call: its metrics rows, or the error that stopped it.
+JobResult = list[RoundMetrics] | ValueError | FloatingPointError
 
 
 def _run_job(
@@ -505,14 +509,14 @@ def _shared(cfg: ExperimentConfig) -> tuple:
     return cfg.model, cfg.hyper, cfg.local_epochs, cfg.algorithm, cfg.mu_prox
 
 
-def run_experiment(jobs: list[Job]) -> JobsResult:
+def run_experiment(jobs: list[Job]) -> list[JobResult]:
     """Run the federation of each job (cfg, ds, part, test, expert_losses)
-    and return, for each job before the first that fails (for all when none
-    does), one metrics row per round, or the initial model's row when
-    rounds == 0; with that failure as (job index, error), or None.
-    ``expert_losses``, which expert scoring needs, holds the expert's
-    per-sample loss of each row of ``ds``. The jobs differ at most in their
-    seed, data, rounds and curricula; the rest must match (``_shared``).
+    and return, per job, one metrics row per round, or the initial model's
+    row when rounds == 0, or the ValueError or FloatingPointError that
+    stopped it. ``expert_losses``, which expert scoring needs, holds the
+    expert's per-sample loss of each row of ``ds``. The jobs differ at most
+    in their seed, data, rounds and curricula; the rest must match
+    (``_shared``).
 
     The jobs run in lockstep by round, each a ``_run_job`` generator: each
     scores, selects, aggregates and evaluates on its own, and at each round
@@ -521,43 +525,28 @@ def run_experiment(jobs: list[Job]) -> JobsResult:
     from the jobs' distinct datasets (by identity). Each dataset is checked
     against the model once per job, at its set-up, and the clients' rows are
     gathered once per distinct (dataset, partition) pair, which the arms of
-    a trial share.
-
-    A job that fails with a ValueError or FloatingPointError stops, and the
-    jobs after it are dropped; those before it run on, so the failure
-    returned is that of the lowest failing job index, as when the jobs run
-    one after another."""
+    a trial share. A job that fails stops; the others run on, and since the
+    jobs share no state that changes a digit, each job's entry is that of
+    its run alone."""
     if len({_shared(job[0]) for job in jobs}) > 1:
         raise ConfigurationError(
             "the jobs of one call must share model, optimizer, local epochs and algorithm"
         )
-    results: dict[int, list[RoundMetrics]] = {}
-    failure: tuple[int, Exception] | None = None
-    running: dict[int, Generator] = {}
+    runs = [_run_job(*job) for job in jobs]
+    results: list[JobResult | None] = [None] * len(jobs)
     waiting: dict[int, Batch | _Training] = {}  # what each running job last yielded
-
-    def fail(j: int, exc: Exception) -> None:
-        nonlocal failure
-        failure = j, exc
-        for i in [i for i in running if i >= j]:
-            del running[i]
-            waiting.pop(i, None)
 
     def resume(j: int, value) -> None:
         waiting.pop(j, None)
         try:
-            waiting[j] = running[j].send(value)
+            waiting[j] = runs[j].send(value)
         except StopIteration as stop:
             results[j] = stop.value
-            del running[j]
         except (ValueError, FloatingPointError) as exc:
-            fail(j, exc)
+            results[j] = exc
 
-    for j, job in enumerate(jobs):
-        running[j] = _run_job(*job)
+    for j in range(len(jobs)):
         resume(j, None)
-        if failure is not None:
-            break
     if waiting:
         cfg = jobs[0][0]
         first: dict[int, int] = {}  # id(ds) -> the first waiting job on that dataset
@@ -569,21 +558,20 @@ def run_experiment(jobs: list[Job]) -> JobsResult:
         start = dict(zip(first, pool.starts))
         gathered: dict[tuple[int, int], list[tuple]] = {}  # (id(ds), id(part)) -> clients
         for j in list(waiting):
-            if j in running:
-                _, ds, part, _, _ = jobs[j]
-                key = id(ds), id(part)
-                if key not in gathered:
-                    gathered[key] = _gather(pool, start[id(ds)], waiting[j], part)
-                resume(j, (pool, gathered[key]))
+            _, ds, part, _, _ = jobs[j]
+            key = id(ds), id(part)
+            if key not in gathered:
+                gathered[key] = _gather(pool, start[id(ds)], waiting[j], part)
+            resume(j, (pool, gathered[key]))
         while waiting:
             live = sorted(waiting)
-            trained, failed = _train(pool, cfg, [waiting[j] for j in live])
-            if failed is not None:
-                fail(live[failed[0]], failed[1])
-            for j, arrays in zip(live, trained):
-                if j in running:
-                    resume(j, arrays)
-    return [results[j] for j in range(len(jobs) if failure is None else failure[0])], failure
+            for j, part in zip(live, _train(pool, cfg, [waiting[j] for j in live])):
+                if isinstance(part, FloatingPointError):
+                    results[j] = part
+                    del waiting[j]
+                else:
+                    resume(j, part)
+    return results
 
 
 def train_centralized(
@@ -595,7 +583,7 @@ def train_centralized(
 ) -> np.ndarray:
     """Plain centralized SGD over the full dataset; used to build expert
     and reference models. The data is checked once, then the steps run in
-    ``models._local_sgd``, as a cohort of one client of one job. A step that
+    ``models._local_sgd``, as a cohort of one client. A step that
     leaves non-finite parameters raises FloatingPointError naming expert
     training and the step."""
     rng = np.random.default_rng([seed, _INIT_STREAM])
@@ -603,10 +591,10 @@ def train_centralized(
     data = ds.batch()
     _check_batch(model, theta[0], data)
     pool = _Pool(model, hyper, [data], epochs * -(-len(data) // hyper.batch_size))
-    _, failure = _local_sgd(
+    _, errors = _local_sgd(
         pool, [np.arange(len(data))], theta, np.zeros_like(theta), epochs, [rng],
-        ["expert training"], [0],
+        ["expert training"],
     )
-    if failure is not None:
-        raise failure[1]
+    if errors:
+        raise errors[0]
     return theta[0]

@@ -27,14 +27,13 @@ place on one stacked array. Every slot holds ``batch_size`` rows: a
 client's short last batch of an epoch is padded with rows whose loss
 derivative is set to 0, and its mean runs over its own rows. A client's
 bits thus depend only on its own batches, not on the other clients it steps
-with. The rows and targets of the jobs' datasets, the rates and the slot
-buffers (``_Pool``, ``_Cohort``) are built once per share of jobs. The
-steps check nothing: one finite check at the end of the call covers them
-all, and a call that ends with a non-finite client keeps the jobs whose
-clients all ended finite and replays the failing job's non-finite client,
-alone and each step checked, to name the first bad step. Every in-place
-form keeps the bits of the out-of-place expressions, and a large pass does
-not page in fresh memory for every temporary.
+with, and so does the first step that leaves its parameters non-finite:
+one finite check of the stack after each step finds that step, which the
+client's error names. The rows and targets of the jobs' datasets, the
+rates and the slot buffers (``_Pool``, ``_Cohort``) are built once per
+share of jobs. Every in-place form keeps the bits of the out-of-place
+expressions, and a large pass does not page in fresh memory for every
+temporary.
 """
 
 from __future__ import annotations
@@ -474,150 +473,108 @@ def _local_sgd(
     epochs: int,
     rngs: list[np.random.Generator],
     where: list[str],
-    jobs: list[int],
     prox: tuple[float, np.ndarray] | None = None,
     controls: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[list[int], tuple[int, FloatingPointError] | None]:
+) -> tuple[list[int], dict[int, FloatingPointError]]:
     """Mini-batch momentum SGD for a cohort of clients, overwriting their
     parameters ``theta`` and momenta ``v``, stacked (P, dim). Client p
-    trains for job ``jobs[p]`` on the rows ``pool.x[rows[p]]`` with their
-    targets, draws its epochs' permutations from ``rngs[p]`` at the start
-    (the steps draw nothing else, so its stream is as if each epoch drew its
-    own) and steps on slices of ``batch_size`` rows with eta(i), i counting
-    its steps from 0. ``prox`` = (mu, anchors) adds mu*(theta - anchor) to
-    each gradient, and ``controls`` = (server, own) adds server - own, left
-    to right; anchors, server and own controls are stacked (P, dim), one
-    row per client. The update is ``sgd_step``'s in its operation order.
-    Returns each client's step count and the failure, as (job, error), or
-    None.
+    trains on the rows ``pool.x[rows[p]]`` with their targets, draws its
+    epochs' permutations from ``rngs[p]`` at the start (the steps draw
+    nothing else, so its stream is as if each epoch drew its own) and steps
+    on slices of ``batch_size`` rows with eta(i), i counting its steps from
+    0. ``prox`` = (mu, anchors) adds mu*(theta - anchor) to each gradient,
+    and ``controls`` = (server, own) adds server - own, left to right;
+    anchors, server and own controls are stacked (P, dim), one row per
+    client. The update is ``sgd_step``'s in its operation order. Returns
+    each client's step count and, for each client p that a step left with
+    non-finite parameters, a FloatingPointError naming ``where[p]`` and the
+    first such step.
 
-    The clients step in lockstep, whatever job they train for: at step i,
-    every client with a step left takes it with the others, through one
-    stacked ``_Cohort.kernel``. Slots are ordered by descending step count, so
-    the clients still stepping are always the first ones. Each step gathers
-    its rows with one ``take`` into (P, batch_size, ...) slot buffers. An
-    epoch's short tail batch of m rows fills its slot like any other batch:
-    the step table pads it with pool row 0, whose loss derivative the kernel
-    sets to 0, and the slot's mean runs over m. Every product thus runs over
-    ``batch_size`` rows per slot, so a client's bits depend only on its own
-    rows, never on the other slots, the stack size or the thread count.
-
-    A step that leaves non-finite parameters fails its job with a
-    FloatingPointError naming ``where[p]`` and the step, yet the steps check
-    nothing: ``theta -= tmp`` is the one write to a client's parameters, and
-    x - t is inf or nan for every t when x is, so a coordinate that turns
-    non-finite stays so, and the parameters are finite after the last step
-    only if they were after every step. One check at the end therefore
-    suffices. If it fails, the clients of the jobs whose clients all ended
-    finite are written back, those of the other jobs are left as they came,
-    and the lowest non-finite client of the lowest failing job runs its
-    steps again, alone and each checked, which stops at its first bad step,
-    as it would have if the clients had trained one after another. The
-    floating-point warnings on the way there would only repeat the error, so
-    they are silenced."""
+    The clients step in lockstep: at step i, every client with a step left
+    takes it with the others, through one stacked ``_Cohort.kernel``. Slots
+    are ordered by descending step count, so the clients still stepping are
+    always the first ones. Each step gathers its rows with one ``take`` into
+    (P, batch_size, ...) slot buffers. An epoch's short tail batch of m rows
+    fills its slot like any other batch: the step table pads it with pool
+    row 0, whose loss derivative the kernel sets to 0, and the slot's mean
+    runs over m. Every product thus runs over ``batch_size`` rows per slot,
+    so a client's bits depend only on its own rows, never on the other
+    slots, the stack size or the thread count, and the first step that
+    leaves its parameters non-finite is the one it would meet alone. One
+    finite check of the live slots after each step finds it; only when that
+    check fails are the slots looked at one by one. A diverging client steps
+    on to its end like the others, and every client is written back. The
+    floating-point warnings on the way would only repeat the error, so they
+    are silenced."""
     bs = pool.hyper.batch_size
+    rho, wd = pool.hyper.momentum, pool.hyper.weight_decay
     steps = [epochs * -(-len(r) // bs) for r in rows]
     order = sorted(range(len(rows)), key=lambda p: -steps[p])
-    # Each step's rows, per slot and padded with row 0 after a tail batch.
+    # Each step's rows, per slot and padded with row 0 after a tail batch;
+    # active[i]: the slots with a step i; tails[i]: (slot, rows) of the short
+    # batches at step i.
     table = np.zeros((max(steps), len(rows), bs), dtype=np.intp)
+    active = np.zeros(len(table), dtype=np.intp)
+    tails: list[list[tuple[int, int]]] = [[] for _ in table]
     for slot, p in enumerate(order):
-        n = len(rows[p])
-        padded = np.zeros((epochs, -(-n // bs) * bs), dtype=np.intp)
+        n, per_epoch = len(rows[p]), -(-len(rows[p]) // bs)
+        padded = np.zeros((epochs, per_epoch * bs), dtype=np.intp)
         for epoch in padded:
             epoch[:n] = rows[p][rngs[p].permutation(n)]
         table[: steps[p], slot] = padded.reshape(-1, bs)
+        active[: steps[p]] += 1
+        if n % bs:
+            for epoch in range(1, epochs + 1):
+                tails[epoch * per_epoch - 1].append((slot, n % bs))
     # The per-client stacks in slot order.
     prox = None if prox is None else (prox[0], prox[1][order])
     controls = None if controls is None else (controls[0][order], controls[1][order])
     cohort = pool.cohort(len(rows))
     theta.take(order, axis=0, out=cohort.theta)
     v.take(order, axis=0, out=cohort.v)
-    with np.errstate(all="ignore"):
-        _lockstep(pool, cohort, table, [len(rows[p]) for p in order], epochs, prox, controls)
-        bad = [order[slot] for slot in np.flatnonzero(~np.isfinite(cohort.theta).all(axis=1))]
-        failed = {jobs[p] for p in bad}
-        kept = [slot for slot, p in enumerate(order) if jobs[p] not in failed]
-        slots = np.array(order)[kept]
-        theta[slots] = cohort.theta[kept]
-        v[slots] = cohort.v[kept]
-        if not failed:
-            return steps, None
-        job = min(failed)
-        p = min(q for q in bad if jobs[q] == job)
-        slot = order.index(p)
-        alone = pool.cohort(1)
-        alone.theta[0], alone.v[0] = theta[p], v[p]
-        error = _lockstep(
-            pool, alone, table[: steps[p], slot : slot + 1], [len(rows[p])], epochs,
-            None if prox is None else (prox[0], prox[1][slot : slot + 1]),
-            None if controls is None else tuple(c[slot : slot + 1] for c in controls),
-            where[p],
-        )
-    return steps, (job, error)
-
-
-def _lockstep(
-    pool: _Pool,
-    cohort: _Cohort,
-    table: np.ndarray,
-    sizes: list[int],
-    epochs: int,
-    prox: tuple[float, np.ndarray] | None,
-    controls: tuple[np.ndarray, np.ndarray] | None,
-    where: str | None = None,
-) -> FloatingPointError | None:
-    """The steps of ``_local_sgd`` from the parameters and momenta in
-    ``cohort``, for the slots of ``table`` (steps, k, b), which holds each
-    step's pool rows; slot i holds ``sizes[i]`` rows, and the slots come by
-    descending step count, as do the rows of the FedProx anchors and the
-    controls. ``where``, when given, checks the parameters after every step
-    and returns the error of the first that leaves them non-finite."""
-    count, bs = len(table), pool.hyper.batch_size
-    rho, wd = pool.hyper.momentum, pool.hyper.weight_decay
-    # active[i]: the slots with a step i; tails[i]: (slot, rows) of the short
-    # batches at step i, padded to batch_size rows.
-    active = np.zeros(count, dtype=np.intp)
-    tails: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-    for slot, n in enumerate(sizes):
-        per_epoch = -(-n // bs)
-        active[: epochs * per_epoch] += 1
-        if n % bs:
-            for epoch in range(1, epochs + 1):
-                tails[epoch * per_epoch - 1].append((slot, n % bs))
+    errors: dict[int, FloatingPointError] = {}
     live = 0
-    for step, step_live in enumerate(active.tolist()):
-        if step_live != live:
-            live = step_live
-            forward, backward, theta, v, g, tmp, diff, x, target = cohort.kernel(live)
+    with np.errstate(all="ignore"):
+        for step, step_live in enumerate(active.tolist()):
+            if step_live != live:
+                live = step_live
+                forward, backward, params, mom, g, tmp, diff, x, target = cohort.kernel(live)
+                if prox is not None:
+                    mu, anchor = prox[0], prox[1][:live]
+                if controls is not None:
+                    server, own = (c[:live] for c in controls)
+            # mode="clip" leaves valid indices as they are and skips the copy
+            # that the default mode makes of an ``out``.
+            idx = table[step, :live]
+            pool.x.take(idx, axis=0, out=x, mode="clip")
+            pool.target.take(idx, axis=0, out=target, mode="clip")
+            forward()
+            backward(tails[step])
             if prox is not None:
-                mu, anchor = prox[0], prox[1][:live]
+                # g + mu*(theta - theta_g) + c - c_k, added left to right.
+                np.subtract(params, anchor, out=diff)
+                np.multiply(diff, mu, out=diff)
+                g += diff
             if controls is not None:
-                server, own = (c[:live] for c in controls)
-        # mode="clip" leaves valid indices as they are and skips the copy
-        # that the default mode makes of an ``out``.
-        idx = table[step, :live]
-        pool.x.take(idx, axis=0, out=x, mode="clip")
-        pool.target.take(idx, axis=0, out=target, mode="clip")
-        forward()
-        backward(tails[step])
-        if prox is not None:
-            # g + mu*(theta - theta_g) + c - c_k, added left to right.
-            np.subtract(theta, anchor, out=diff)
-            np.multiply(diff, mu, out=diff)
-            g += diff
-        if controls is not None:
-            g += server
-            g -= own
-        # v <- rho*v + (g + wd*theta); theta <- theta - eta*v
-        np.multiply(theta, wd, out=tmp)
-        tmp += g
-        v *= rho
-        v += tmp
-        np.multiply(v, pool.etas[step], out=tmp)
-        theta -= tmp
-        if where is not None and not np.isfinite(theta).all():
-            return FloatingPointError(f"{where}: non-finite parameters after step {step}")
-    return None
+                g += server
+                g -= own
+            # v <- rho*v + (g + wd*theta); theta <- theta - eta*v
+            np.multiply(params, wd, out=tmp)
+            tmp += g
+            mom *= rho
+            mom += tmp
+            np.multiply(mom, pool.etas[step], out=tmp)
+            params -= tmp
+            if not np.isfinite(params).all():
+                for slot in np.flatnonzero(~np.isfinite(params).all(axis=1)).tolist():
+                    p = order[slot]
+                    if p not in errors:
+                        errors[p] = FloatingPointError(
+                            f"{where[p]}: non-finite parameters after step {step}"
+                        )
+    theta[order] = cohort.theta
+    v[order] = cohort.v
+    return steps, errors
 
 
 def _losses_and_grads(

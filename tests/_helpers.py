@@ -69,10 +69,10 @@ def validate_bias_schedule(kind: BiasKind, v: np.ndarray) -> None:
 
 def run_one(cfg, ds, part, test, expert_losses=None):
     """``run_experiment`` on one job: its metrics rows, or its error raised."""
-    done, failure = run_experiment([(cfg, ds, part, test, expert_losses)])
-    if failure is not None:
-        raise failure[1]
-    return done[0]
+    [result] = run_experiment([(cfg, ds, part, test, expert_losses)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def update_alone(states, global_params, cfg, pool, *args, **kwargs):
@@ -81,9 +81,9 @@ def update_alone(states, global_params, cfg, pool, *args, **kwargs):
     raises the job's error."""
     update = client_update(states, global_params, cfg, pool, *args, **kwargs)
     training = next(update)
-    [trained], failure = _train(pool, cfg, [training])
-    if failure is not None:
-        raise failure[1]
+    [trained] = _train(pool, cfg, [training])
+    if isinstance(trained, Exception):
+        raise trained
     try:
         update.send(trained)
     except StopIteration as stop:

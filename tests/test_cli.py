@@ -149,25 +149,13 @@ def test_seed_override_changes_output(tmp_path):
     assert read(out1 / "metrics.csv") != read(out2 / "metrics.csv")
 
 
-def test_threads_env_fallback(tmp_path):
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_exits_2(tmp_path, capsys, value):
     cfg = write(tmp_path / "run.ini", MINIMAL_RUN)
-    out = tmp_path / "env"
-    os.environ["FEDCURR_THREADS"] = "2"
-    try:
-        assert main(["run", cfg, "--out", str(out)]) == 0
-    finally:
-        del os.environ["FEDCURR_THREADS"]
-    assert (out / "metrics.csv").exists()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_threads_env_typo_exits_2(tmp_path, capsys, monkeypatch, value):
-    cfg = write(tmp_path / "run.ini", MINIMAL_RUN)
-    monkeypatch.setenv("FEDCURR_THREADS", value)
-    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--threads", value]) == 2
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: FEDCURR_THREADS"), lines
+    assert lines == [f"error: --threads must be an integer >= 1, got '{value}'"]
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
@@ -233,16 +221,14 @@ def test_worker_error_is_reported_as_in_job_order(tmp_path, capfd, monkeypatch):
     real = cli.run_experiment
 
     def flaky(jobs):
-        # A share's jobs up to the first failing one, run by the real call.
+        # The real call's entries, with the errors of jobs 1 and 2 in theirs.
+        results = real(jobs)
         for j, (exp, *_) in enumerate(jobs):
             if exp.data_curriculum is not None and exp.seed == 202208:
-                error = ConfigurationError("job 1 failed", field="rounds")
+                results[j] = ConfigurationError("job 1 failed", field="rounds")
             elif exp.data_curriculum is None and exp.seed == 202207:
-                error = FloatingPointError("job 2 failed")
-            else:
-                continue
-            return real(jobs[:j])[0], (j, error)
-        return real(jobs)
+                results[j] = FloatingPointError("job 2 failed")
+        return results
 
     monkeypatch.setattr(cli, "run_experiment", flaky)
     cfg = write(tmp_path / "run.ini", MINIMAL_RUN)
@@ -381,12 +367,14 @@ def test_verify_report_rows_follow_config_order(tmp_path):
     assert [header] + rows[::-1] == reports["given"]
 
 
-def test_verify_empty_grid(tmp_path):
-    cfg = write(tmp_path / "empty.ini", "")
+def test_verify_empty_grid_exits_2(tmp_path, capsys):
+    # A grid of no case checks nothing; it must not pass with an empty report.
+    cfg = write(tmp_path / "empty.ini", "# no case\n")
     out = tmp_path / "out"
-    assert main(["verify", cfg, "--out", str(out)]) == 0
-    lines = read(out / "report.csv").decode().strip().splitlines()
-    assert len(lines) == 1
+    assert main(["verify", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "no case" in lines[0], lines
+    assert not out.exists()
 
 
 def test_verify_stepsize_precondition_violation(tmp_path, capsys):
@@ -642,6 +630,9 @@ INVALID_CONFIGS = [
     ("run", "client_curriculum", "pacing_b", "0", {}),
     # A repeated arm would run twice and count twice in summary.csv.
     ("run", "data_curriculum", "orderings", "curriculum,curriculum", {}),
+    # No arm: there would be no job to run.
+    ("run", "data_curriculum", "orderings", "", {}),
+    ("run", "data_curriculum", "orderings", ",", {}),
     # Keys nothing reads: a typo, and a section the parser does not know.
     ("run", "federation", "participnts", "4", {}),
     ("run", "federaton", "participants", "4", {}),

@@ -547,19 +547,17 @@ LATE_EXPERT_ETA0 = [1e6, 1e9, 1e9, 1e3]
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_late_diverging_client_update_fails_at_the_reference_step(model, algorithm):
-    # The steps run unchecked and are replayed, each checked, once the
-    # parameters end non-finite; the replay must take the second epoch's
-    # permutation from the same place in the stream.
+    # The steps draw every epoch's permutation up front; the second epoch's
+    # must come from the same place in the stream as the reference's.
     eta0 = LATE_CLIENT_ETA0[FOUR_MODELS.index(model)]
     assert 11 < _diverging_client_update_step(model, algorithm, eta0) < 21
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
 def test_diverging_local_sgd_replays_the_reference_steps(model):
-    # The unchecked pass runs all 33 steps; the checked replay must run the
-    # same steps on the same permutations from the same start, so it stops
-    # at the reference loop's failing step with the reference's gradient,
-    # and the caller's parameters and momenta are left as they came.
+    # The pass runs all 33 steps, on the same permutations from the same
+    # start as the reference loop, so the first step that leaves the
+    # parameters non-finite, which the error names, is the reference's.
     hyper = SgdHyper(
         eta0=LATE_CLIENT_ETA0[FOUR_MODELS.index(model)], decay_alpha=0.0, momentum=0.9,
         weight_decay=5e-4, batch_size=7,
@@ -577,29 +575,27 @@ def test_diverging_local_sgd_replays_the_reference_steps(model):
             np.random.default_rng(6), "client", record,
         )
     pool = models._Pool(model, hyper, [ds.batch()], 33)
-    start = theta[None].copy()
-    params, momenta = start.copy(), np.zeros_like(start)
-    _, (job, caught) = models._local_sgd(
-        pool, [state.indices], params, momenta, 3, [np.random.default_rng(6)], ["client"], [0]
+    _, errors = models._local_sgd(
+        pool, [state.indices], theta[None].copy(), np.zeros((1, len(theta))), 3,
+        [np.random.default_rng(6)], ["client"],
     )
-    assert job == 0 and isinstance(caught, FloatingPointError)
-    assert str(caught) == str(ref.value)
+    assert list(errors) == [0] and isinstance(errors[0], FloatingPointError)
+    assert str(errors[0]) == str(ref.value)
     assert 11 < len(expected) < 22
-    assert np.array_equal(pool.cohort(1).g[0], expected[-1], equal_nan=True)
-    assert np.array_equal(params, start) and not momenta.any()
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
 def test_cohort_names_the_lowest_id_diverging_client(model):
     # Clients 1 and 3 diverge, 3 first: its start momentum overflows at step
-    # 0. Trained one after another, client 1 would fail first, so the
-    # cohort's error names client 1 at its own reference step. Client 3
-    # holds more rows, so it takes the first slot.
+    # 0. Each gets its own error, naming it at its own reference step, and
+    # no other client gets one. Client 3 holds more rows, so it takes the
+    # first slot. As one job's part of the training, the five clients fail
+    # with client 1's error, as if they trained one after another by id.
     hyper = SgdHyper(
         eta0=LATE_CLIENT_ETA0[FOUR_MODELS.index(model)], decay_alpha=0.0, momentum=0.9,
         weight_decay=5e-4, batch_size=7,
     )
-    ds, _, _, theta, _ = _one_client(model, Algorithm.FEDAVG, hyper)
+    ds, cfg, _, theta, _ = _one_client(model, Algorithm.FEDAVG, hyper)
     part = partition(ds, PartitionSpec(Scheme.IID, num_clients=4), 5).assignment
     rows = [part[0][:1], part[1], part[2][:6], np.concatenate([part[3], part[2][6:20]]),
             part[0][1:9]]
@@ -617,13 +613,18 @@ def test_cohort_names_the_lowest_id_diverging_client(model):
     assert sorted(errors) == [1, 3]
     assert int(errors[3].rsplit(" ", 1)[1]) < int(errors[1].rsplit(" ", 1)[1])
     pool = models._Pool(model, hyper, [ds.batch()], 3 * 13)
-    _, (job, caught) = models._local_sgd(
-        pool, rows, np.tile(theta, (5, 1)), momenta, 3,
+    _, caught = models._local_sgd(
+        pool, rows, np.tile(theta, (5, 1)), momenta.copy(), 3,
         [np.random.default_rng([7, p]) for p in range(5)], [f"client {p}" for p in range(5)],
-        [0] * 5,
     )
-    assert job == 0 and isinstance(caught, FloatingPointError)
-    assert str(caught) == errors[1]
+    assert all(isinstance(error, FloatingPointError) for error in caught.values())
+    assert {p: str(error) for p, error in caught.items()} == errors
+    training = federation._Training(
+        rows, [np.random.default_rng([7, p]) for p in range(5)],
+        [f"client {p}" for p in range(5)], theta, momenta, None, None,
+    )
+    [part] = federation._train(pool, dataclasses.replace(cfg, local_epochs=3), [training])
+    assert isinstance(part, FloatingPointError) and str(part) == errors[1]
 
 
 # At batch size 7: 1, bs - 1, bs, bs + 1 and 3*bs + 2 rows.
@@ -667,11 +668,11 @@ def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
             ds.labels[rows[p]]), 3, np.random.default_rng([9, p]), f"client {p}", extra,
         ))
     pool = models._Pool(model, BATCH_7, [ds.batch()], 3 * 4)
-    steps, failure = models._local_sgd(
+    steps, errors = models._local_sgd(
         pool, rows, theta, v, 3, [np.random.default_rng([9, p]) for p in range(size)],
-        [f"client {p}" for p in range(size)], list(range(size)), stacked_prox, stacked_controls,
+        [f"client {p}" for p in range(size)], stacked_prox, stacked_controls,
     )
-    assert failure is None
+    assert errors == {}
     for p, (ref_theta, ref_v, ref_steps, ref_eta_sum) in enumerate(expected):
         assert np.array_equal(theta[p], ref_theta)
         assert np.array_equal(v[p], ref_v)
@@ -699,11 +700,11 @@ def test_pad_rows_reach_no_gradient(model):
     for x in (ds.features, huge):
         pool = models._Pool(model, hyper, [Batch(x, ds.labels)], 3 * 4)
         theta, v = np.tile(start, (3, 1)), np.zeros((3, len(start)))
-        steps, failure = models._local_sgd(
+        steps, errors = models._local_sgd(
             pool, rows, theta, v, 3, [np.random.default_rng([5, p]) for p in range(3)],
-            [f"client {p}" for p in range(3)], [0, 1, 2],
+            [f"client {p}" for p in range(3)],
         )
-        assert failure is None
+        assert errors == {}
         runs.append((theta, v, steps))
     (theta, v, steps), (huge_theta, huge_v, huge_steps) = runs
     assert steps == huge_steps == [12, 6, 6]
@@ -994,8 +995,7 @@ def test_lockstep_jobs_match_their_solo_runs(algorithm):
     ]
     ds, part, test = trials[1]
     jobs.append((base_config(algorithm=algorithm, mu_prox=0.1, rounds=2), ds, part, test, None))
-    done, failure = run_experiment(jobs)
-    assert failure is None
+    done = run_experiment(jobs)
     assert len(done) == len(jobs) and len(done[-1]) == 2
     for job, rows in zip(jobs, done):
         assert rows_equal(rows, run_one(*job))
@@ -1023,45 +1023,27 @@ def failing_jobs():
     return job
 
 
-def solo_error(job) -> Exception:
-    with pytest.raises((FloatingPointError, ValueError)) as caught:
-        run_one(*job)
-    return caught.value
+def solo_result(job):
+    """The job's metrics rows run alone, or the error that stopped it."""
+    try:
+        return run_one(*job)
+    except (ValueError, FloatingPointError) as error:
+        return error
 
 
-def test_lowest_failing_job_is_reported_across_lockstep_jobs():
-    # Job 2 diverges at round 1 and job 0 at round 3: one after another, job
-    # 0 fails first, so its error is the one reported, with the same round,
-    # client and step as its solo run. Jobs 1 and 3 keep training after job
-    # 2 fails.
-    job = failing_jobs()
-    jobs = [job(3, True), job(3, False), job(8, True), job(8, False)]
-    late, early = solo_error(jobs[0]), solo_error(jobs[2])
-    assert str(late).startswith("round 3, client 3: non-finite parameters after step ")
-    assert str(early).startswith("round 1, client 3: non-finite parameters after step ")
-    done, (j, error) = run_experiment(jobs)
-    assert done == [] and j == 0
-    assert type(error) is type(late) and str(error) == str(late)
-
-
-def test_job_before_a_diverging_one_keeps_its_trained_arrays():
-    # Job 1 diverges at round 1 in the same local-SGD call that trains job
-    # 0's participants; job 0 runs on to the end with the bits of its solo
-    # run. Job 2, which would fail later, is dropped.
-    job = failing_jobs()
-    jobs = [job(3, False), job(8, True), job(3, True)]
-    done, (j, error) = run_experiment(jobs)
-    assert j == 1 and str(error) == str(solo_error(jobs[1]))
-    assert len(done) == 1 and rows_equal(done[0], run_one(*jobs[0]))
-
-
-def test_configuration_error_in_a_later_job_hides_no_earlier_result(monkeypatch):
-    # A job that raises ConfigurationError at its round 2 stops; the jobs
-    # before it keep their results and their own errors, and a job after it
-    # that diverges first, at round 1, is not the one reported.
+def test_each_lockstep_job_gets_its_solo_result(monkeypatch):
+    # Jobs 1 and 2 diverge in the same local-SGD call, at round 1, and job 0
+    # at round 3; jobs 3 and 4 end; job 5 raises ConfigurationError at its
+    # round 2. Each job's entry is that of its run alone: the same rows to
+    # the bit, or the same error type and message.
     from fedcurr import ConfigurationError
 
     job = failing_jobs()
+    arm = DataCurriculumConfig(
+        ScoringKind.G_LOSS, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
+    )
+    cfg, *world = job(8, True)
+    curriculum = (dataclasses.replace(cfg, data_curriculum=arm), *world)
     cfg, ds, part, test, _ = job(8, False)
     broken = Batch(test.x, test.y)  # the test set of the job that breaks
     evaluate, calls = federation.evaluate, []
@@ -1074,13 +1056,22 @@ def test_configuration_error_in_a_later_job_hides_no_earlier_result(monkeypatch)
         return evaluate(model, params, batch)
 
     monkeypatch.setattr(federation, "evaluate", breaking)
-    jobs = [job(3, False), (cfg, ds, part, broken, None), job(8, True)]
-    done, (j, error) = run_experiment(jobs)
-    assert j == 1 and isinstance(error, ConfigurationError) and str(error) == "broken at round 2"
-    assert len(done) == 1 and rows_equal(done[0], run_one(*jobs[0]))
-    calls.clear()
-    done, (j, error) = run_experiment([job(3, True), (cfg, ds, part, broken, None)])
-    assert done == [] and j == 0 and str(error) == str(solo_error(job(3, True)))
+    jobs = [job(3, True), job(8, True), curriculum, job(3, False), job(8, False),
+            (cfg, ds, part, broken, None)]
+    done = run_experiment(jobs)
+    assert len(done) == len(jobs)
+    for j, entry in enumerate(done):
+        calls.clear()
+        solo = solo_result(jobs[j])
+        if isinstance(solo, Exception):
+            assert type(entry) is type(solo) and str(entry) == str(solo), j
+        else:
+            assert rows_equal(entry, solo), j
+    assert str(done[0]).startswith("round 3, client 3: non-finite parameters after step ")
+    for j in (1, 2):
+        assert str(done[j]).startswith("round 1, client 3: non-finite parameters after step ")
+    assert [len(done[j]) for j in (3, 4)] == [5, 5]
+    assert isinstance(done[5], ConfigurationError) and str(done[5]) == "broken at round 2"
 
 
 @pytest.mark.parametrize(
