@@ -160,6 +160,19 @@ def test_threads_below_one_exits_2(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_threads_not_an_integer_exits_2(tmp_path, capsys, value):
+    cfg = write(tmp_path / "run.ini", MINIMAL_RUN)
+    with pytest.raises(SystemExit) as stop:
+        main(["run", cfg, "--out", str(tmp_path / "out"), "--threads", value])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert lines[-1].endswith(f"argument --threads: invalid int value: '{value}'"), lines
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_uneven_shares_match_one_process(tmp_path):
     # Three jobs in two processes: the parent runs jobs 0 and 2, a worker job 1.
     text = MINIMAL_RUN.replace("curriculum,vanilla", "curriculum,anti,vanilla")

@@ -1031,19 +1031,64 @@ def solo_result(job):
         return error
 
 
-def test_each_lockstep_job_gets_its_solo_result(monkeypatch):
-    # Jobs 1 and 2 diverge in the same local-SGD call, at round 1, and job 0
-    # at round 3; jobs 3 and 4 end; job 5 raises ConfigurationError at its
-    # round 2. Each job's entry is that of its run alone: the same rows to
-    # the bit, or the same error type and message.
-    from fedcurr import ConfigurationError
+def assert_solo_results(jobs, done):
+    """Each job's entry is that of its run alone: the same rows to the bit,
+    or the same error type and message."""
+    assert len(done) == len(jobs)
+    for j, (job, entry) in enumerate(zip(jobs, done)):
+        solo = solo_result(job)
+        if isinstance(solo, Exception):
+            assert type(entry) is type(solo) and str(entry) == str(solo), j
+        else:
+            assert rows_equal(entry, solo), j
 
+
+def first_error(done):
+    """The entry a run in job order would stop at: the first error."""
+    return next((j, entry) for j, entry in enumerate(done) if isinstance(entry, Exception))
+
+
+def test_lowest_failing_job_is_reported_across_lockstep_jobs():
+    # Job 2 diverges at round 1 and job 0 at round 3: one after another, job
+    # 0 fails first, so its error is the first in job order, with the same
+    # round, client and step as its solo run. Jobs 1 and 3 train to the end.
+    job = failing_jobs()
+    jobs = [job(3, True), job(3, False), job(8, True), job(8, False)]
+    done = run_experiment(jobs)
+    assert_solo_results(jobs, done)
+    assert str(done[0]).startswith("round 3, client 3: non-finite parameters after step ")
+    assert str(done[2]).startswith("round 1, client 3: non-finite parameters after step ")
+    assert [len(done[j]) for j in (1, 3)] == [5, 5]
+    assert first_error(done) == (0, done[0])
+
+
+def test_job_before_a_diverging_one_keeps_its_trained_arrays():
+    # Jobs 1 and 2 diverge at round 1 in the same local-SGD call that trains
+    # job 0's participants; job 0 runs on to the end with the bits of its
+    # solo run. Job 3, which fails later, is not dropped: it gets its own
+    # error.
     job = failing_jobs()
     arm = DataCurriculumConfig(
         ScoringKind.G_LOSS, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
     )
     cfg, *world = job(8, True)
     curriculum = (dataclasses.replace(cfg, data_curriculum=arm), *world)
+    jobs = [job(3, False), job(8, True), curriculum, job(3, True)]
+    done = run_experiment(jobs)
+    assert_solo_results(jobs, done)
+    assert len(done[0]) == 5
+    for j in (1, 2):
+        assert str(done[j]).startswith("round 1, client 3: non-finite parameters after step ")
+    assert str(done[3]).startswith("round 3, client 3: non-finite parameters after step ")
+
+
+def test_configuration_error_in_a_later_job_hides_no_earlier_result(monkeypatch):
+    # A job that raises ConfigurationError at its round 2 stops; the jobs
+    # before it keep their results and their own errors, and a job after it
+    # that diverges first, at round 1, is not the first error in job order.
+    from fedcurr import ConfigurationError
+
+    job = failing_jobs()
     cfg, ds, part, test, _ = job(8, False)
     broken = Batch(test.x, test.y)  # the test set of the job that breaks
     evaluate, calls = federation.evaluate, []
@@ -1056,22 +1101,19 @@ def test_each_lockstep_job_gets_its_solo_result(monkeypatch):
         return evaluate(model, params, batch)
 
     monkeypatch.setattr(federation, "evaluate", breaking)
-    jobs = [job(3, True), job(8, True), curriculum, job(3, False), job(8, False),
-            (cfg, ds, part, broken, None)]
+    jobs = [job(3, False), (cfg, ds, part, broken, None), job(8, True)]
     done = run_experiment(jobs)
-    assert len(done) == len(jobs)
-    for j, entry in enumerate(done):
-        calls.clear()
-        solo = solo_result(jobs[j])
-        if isinstance(solo, Exception):
-            assert type(entry) is type(solo) and str(entry) == str(solo), j
-        else:
-            assert rows_equal(entry, solo), j
-    assert str(done[0]).startswith("round 3, client 3: non-finite parameters after step ")
-    for j in (1, 2):
-        assert str(done[j]).startswith("round 1, client 3: non-finite parameters after step ")
-    assert [len(done[j]) for j in (3, 4)] == [5, 5]
-    assert isinstance(done[5], ConfigurationError) and str(done[5]) == "broken at round 2"
+    assert isinstance(done[1], ConfigurationError) and str(done[1]) == "broken at round 2"
+    assert first_error(done) == (1, done[1])
+    assert len(done[0]) == 5 and rows_equal(done[0], solo_result(jobs[0]))
+    assert str(done[2]).startswith("round 1, client 3: non-finite parameters after step ")
+    assert str(done[2]) == str(solo_result(jobs[2]))
+    calls.clear()
+    jobs = [job(3, True), (cfg, ds, part, broken, None)]
+    done = run_experiment(jobs)
+    assert first_error(done) == (0, done[0])
+    assert str(done[0]) == str(solo_result(jobs[0]))
+    assert isinstance(done[1], ConfigurationError) and str(done[1]) == "broken at round 2"
 
 
 @pytest.mark.parametrize(
