@@ -11,9 +11,12 @@ error, so a misspelt key cannot silently leave its default in place. All
 validation happens while parsing, before any work starts, and every failure
 raises ``ConfigurationError``: syntax problems carry configparser's
 line-numbered message, everything else names the offending key and
-section. Range rules live once, in the domain modules, which raise
+section. Most range rules live in the domain modules, which raise
 ``ConfigurationError`` with the field at fault; the parser maps that field
-back to the key it was read from.
+back to the key it was read from. The parser holds these of its own: a
+verify case's ``dim``, ``Q``, ``T`` and ``J`` and ``[run] n_trials`` must be
+>= 1, and a verify case's ``seed`` and ``problem_seed``, ``[run] seed`` and
+``[partition] expert_epochs`` must be >= 0.
 """
 
 from __future__ import annotations

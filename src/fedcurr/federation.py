@@ -401,7 +401,7 @@ def _run_job(
     part: Partition,
     test: Batch,
     expert_losses: np.ndarray | None,
-) -> Generator[Batch | _Training, tuple[_Pool, int] | _Trained, list[RoundMetrics]]:
+) -> Generator[Batch | _Training, tuple[_Pool, list[tuple]] | _Trained, list[RoundMetrics]]:
     """One job's federation, as a generator that ``run_experiment`` drives
     in lockstep with the other jobs of its call.
 

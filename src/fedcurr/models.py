@@ -337,12 +337,10 @@ def _terms_grad(
     target: np.ndarray,
     terms: np.ndarray,
     hidden: np.ndarray | None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Mean-loss gradient written into ``out`` (allocated when None), leaving
-    ``terms`` as it is; ``target`` comes from ``_targets``, or from the rows
-    of ``_Pool.target``."""
-    g = np.empty(model.param_count()) if out is None else out
+    """Mean-loss gradient, leaving ``terms`` as it is; ``target`` comes from
+    ``_targets``, or from the rows of ``_Pool.target``."""
+    g = np.empty(model.param_count())
     e = _loss_derivative(model, target, terms, len(target))
     _bind_backward(model, params, g)(x, e.reshape(len(target), -1), hidden)
     return g

@@ -1,0 +1,172 @@
+"""Run the shipped configs and a table of variants of configs/example_run.ini
+on two source trees and compare the outputs byte for byte (ROADMAP aim 1):
+
+    python tests/outputs_vs_base.py BASE HEAD
+
+BASE and HEAD are checkouts, or ``git archive`` copies, of the base commit
+and of the change; each runs ``fedcurr.cli`` from its own ``src`` on its own
+``configs``, on this one machine, as digests do not carry across OpenBLAS
+CPU kernels. ``compare`` holds the rules; it exits 1 when one fails.
+"""
+
+from __future__ import annotations
+
+import configparser
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+
+class Variant(NamedTuple):
+    keys: dict[str, str]  # "section.key" -> value, set on configs/example_run.ini
+    threads: tuple[int, ...] = (1,)
+    diverges: bool = False
+
+
+ALL_ARMS = {"data_curriculum.orderings": "curriculum,anti,random,vanilla"}
+MLP = {"model.kind": "mlp", "model.hidden_dim": "16", "dataset.classes": "10"}
+DIV_LINEAR = {"model.kind": "linear", "optimizer.eta0": "5"}
+SCORINGS = ("l_loss", "lg_loss", "g_pred", "l_pred", "lg_pred", "random")
+
+VARIANTS = {
+    "run": Variant({}),  # the shipped example; it covers g_loss scoring
+    # Expert training, the f_ord reshuffle and expert scoring: no shipped config.
+    "expert": Variant({"data_curriculum.scoring": "expert", "partition.f_ord": "0.5",
+                       "partition.expert_epochs": "5"}),
+    # A 4-class softmax, whose log-softmax sums rows column by column.
+    "clients4": Variant({
+        "dataset.classes": "4", "client_curriculum.enabled": "true",
+        "client_curriculum.ordering": "curriculum", "client_curriculum.pacing_family": "linear",
+        "client_curriculum.pacing_a": "0.8", "client_curriculum.pacing_b": "0.2",
+    }),
+    "mlp": Variant(MLP),  # the MLP's products; 10 classes sum rows with np.add.reduce
+    # A scalar head: a one-column product through the output weights.
+    "mlp1": Variant({"model.kind": "mlp", "model.hidden_dim": "8", "dataset.classes": "1"}),
+    # The other aggregation rules and the FedProx and SCAFFOLD gradient terms.
+    "fedprox": Variant({"federation.algorithm": "fedprox", "federation.mu_prox": "0.01"}),
+    "scaffold": Variant({"federation.algorithm": "scaffold"}),
+    "fednova": Variant({"federation.algorithm": "fednova"}),
+    "linear": Variant({"model.kind": "linear"}),  # the regression path
+    **{s: Variant({"data_curriculum.scoring": s, **ALL_ARMS}) for s in SCORINGS},
+    # 12 jobs (4 arms x 3 trials) in lockstep, in one process and in two.
+    "trials3": Variant({"run.n_trials": "3", **ALL_ARMS}, (1, 2)),
+    # The MLP in batches of 7: most epochs end on a padded short batch.
+    "tails": Variant({**MLP, "optimizer.batch_size": "7", "run.n_trials": "2", **ALL_ARMS}, (1, 2)),
+    # Losses overflow (at 5 and 12 rounds), or parameters leave finite values.
+    "div-linear": Variant(DIV_LINEAR, (1, 2), diverges=True),
+    "div-linear12": Variant({**DIV_LINEAR, "federation.rounds": "12", "run.n_trials": "3",
+                             **ALL_ARMS}, (1, 2), diverges=True),
+    "div-eta": Variant({"optimizer.eta0": "1e6"}, (1, 2), diverges=True),
+}
+RUN_FILES = ("metrics.csv", "summary.csv")
+DIVERGED_FILES = ("code", "stderr")  # run_tree writes them for every run
+
+
+def write_config(tree: Path, keys: dict[str, str], path: Path) -> None:
+    """``tree``'s configs/example_run.ini with ``keys`` set, written to ``path``."""
+    cp = configparser.ConfigParser(interpolation=None)
+    with open(tree / "configs" / "example_run.ini", encoding="utf-8") as fh:
+        cp.read_file(fh)
+    for name, value in keys.items():
+        section, key = name.split(".")
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, value)
+    with open(path, "w", encoding="utf-8") as fh:
+        cp.write(fh)
+
+
+def runs() -> list[tuple[str, str, tuple[str, ...], bool]]:
+    """(output directory, that of its variant's first thread count, the
+    files compared, must diverge) of every run."""
+    found = [("verify", "verify", ("report.csv",), False)]
+    for name, variant in VARIANTS.items():
+        files = DIVERGED_FILES if variant.diverges else RUN_FILES
+        dirs = [f"{name}-t{t}" for t in variant.threads]
+        found += [(d, dirs[0], files, variant.diverges) for d in dirs]
+    return found
+
+
+def run_tree(tree: Path, out: Path) -> None:
+    """Run the verify grid and every variant on ``tree``, into ``out``."""
+    out.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    commands = {"verify": ["verify", str(tree / "configs" / "theory_verify.ini")]}
+    for name, variant in VARIANTS.items():
+        write_config(tree, variant.keys, out / f"{name}.ini")
+        for t in variant.threads:
+            commands[f"{name}-t{t}"] = ["run", str(out / f"{name}.ini"), "--threads", str(t)]
+    for name, args in commands.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedcurr.cli", *args, "--out", str(out / name)],
+            cwd=tree, env=env, capture_output=True,
+        )
+        (out / name).mkdir(exist_ok=True)
+        (out / name / "code").write_text(f"{proc.returncode}\n")
+        (out / name / "stderr").write_bytes(proc.stderr)
+
+
+def _read(path: Path) -> bytes | None:
+    return path.read_bytes() if path.exists() else None
+
+
+def compare(base: Path, head: Path, out: Path) -> int:
+    """Print the verdict on the runs ``run_tree`` left in out/base and
+    out/head and return the exit code. Each head run gives the same bytes at
+    every thread count, each diverging head run ends with exit code 1 and one
+    ``error:`` line, and every other run exits 0. Outputs equal the base's
+    byte for byte, unless ``head``'s CHANGES.md says "Digits changed:" more
+    often than ``base``'s: the change's entry gives the size of the change."""
+    errors = []
+    for name, first, files, diverges in runs():
+        for tree in ("base", "head"):
+            if not diverges and _read(out / tree / name / "code") != b"0\n":
+                stderr = (_read(out / tree / name / "stderr") or b"").decode(errors="replace")
+                errors.append(f"{tree} {name} did not exit 0:\n{stderr}")
+        run = out / "head" / name
+        lines = (_read(run / "stderr") or b"").splitlines(keepends=True)
+        if diverges and not (
+            _read(run / "code") == b"1\n" and len(lines) == 1
+            and lines[0].startswith(b"error: ") and lines[0].endswith(b"\n")
+        ):
+            errors.append(f"{name} did not end with exit 1 and one error line")
+        errors += [
+            f"{name}/{f} differs from {first}/{f}: the thread count changed a byte"
+            for f in files if _read(run / f) != _read(out / "head" / first / f)
+        ]
+    if errors:
+        print("\n".join(f"::error::{error}" for error in errors))
+        return 1
+    changed = [
+        f"{name}/{f}" for name, _, files, _ in runs() for f in files
+        if _read(out / "base" / name / f) != _read(out / "head" / name / f)
+    ]
+    if not changed:
+        print("outputs are byte-identical to the base commit")
+        return 0
+    print("\n".join(f"differs from the base commit: {f}" for f in changed))
+    waivers = [(t / "CHANGES.md").read_bytes().count(b"Digits changed:") for t in (base, head)]
+    if waivers[1] > waivers[0]:
+        print("outputs differ from the base commit, and a new CHANGES.md entry says "
+              "'Digits changed:'")
+        return 0
+    print("::error::outputs differ from the base commit; add 'Digits changed:' and the size "
+          "of the change to this change's CHANGES.md entry")
+    return 1
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit(__doc__)
+    base, head = (Path(tree).resolve() for tree in argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_tree(base, Path(tmp) / "base")
+        run_tree(head, Path(tmp) / "head")
+        return compare(base, head, Path(tmp))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
