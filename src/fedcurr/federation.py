@@ -13,9 +13,10 @@ set-up. Each round's local training, for every job still running, is one
 call of ``models._local_sgd``, the one momentum-SGD loop, which trains all
 the participants together and which ``train_centralized`` shares for the
 expert model. A job fails at the first non-finite value it reads: its
-parameters after a local step, a loss of the pass at theta or at a local
-model, a gradient of lambda, the mean client loss or the test loss. A job
-that fails stops, and the others of its call run on.
+parameters after a local step (the step that ``_local_sgd`` returns, worded
+here), a loss of the pass at theta or at a local model, a gradient of
+lambda, the mean client loss or the test loss. A job that fails stops, and
+the others of its call run on.
 
 Determinism contract: every random draw comes from a generator keyed by
 (seed, stream tag, round, client id). The participants of a round train in
@@ -171,31 +172,29 @@ def _check_finite(values, where: str, what: str, clients: list[int] | range | No
 @dataclass
 class _Training:
     """One job's part of a round's local training, as ``client_update``
-    yields it: per participant its pool rows, generator, error label,
-    momentum and, under SCAFFOLD, control, and the job's broadcast
-    parameters and server control, which every participant starts from."""
+    yields it: per participant its pool rows, generator, momentum and, under
+    SCAFFOLD, control, and the job's broadcast parameters and server
+    control, which every participant starts from."""
 
     rows: list[np.ndarray]
     rngs: list[np.random.Generator]
-    where: list[str]
     global_params: np.ndarray
     momenta: np.ndarray  # (P, dim)
     server_control: np.ndarray | None
     controls: np.ndarray | None  # (P, dim), SCAFFOLD only
 
 
-_Trained = tuple[np.ndarray, np.ndarray, list[int]]  # parameters, momenta (P, dim), step counts
+_Trained = tuple[np.ndarray, np.ndarray, list[int], dict[int, int]]  # see _train
 
 
-def _train(
-    pool: _Pool, cfg: ExperimentConfig, trainings: list[_Training]
-) -> list[_Trained | FloatingPointError]:
+def _train(pool: _Pool, cfg: ExperimentConfig, trainings: list[_Training]) -> list[_Trained]:
     """The jobs' parts of a round's local training, in one
     ``models._local_sgd`` call: for each part its trained parameters,
-    momenta and step counts, or the error of its first (lowest-id) client
-    that a step left non-finite. The parts share ``cfg``'s model, rates,
-    epochs and algorithm; FedProx anchors each client to its own job's
-    broadcast parameters, and SCAFFOLD adds its own job's server control."""
+    momenta and step counts, and, keyed by its index in the part, each
+    diverging participant's first non-finite step. The parts share
+    ``cfg``'s model, rates, epochs and algorithm; FedProx anchors each
+    client to its own job's broadcast parameters, and SCAFFOLD adds its own
+    job's server control."""
     counts = [len(tr.rows) for tr in trainings]
     theta = np.repeat(np.array([tr.global_params for tr in trainings]), counts, axis=0)
     v = np.concatenate([tr.momenta for tr in trainings])
@@ -207,17 +206,16 @@ def _train(
             np.repeat(np.array([tr.server_control for tr in trainings]), counts, axis=0),
             np.concatenate([tr.controls for tr in trainings]),
         )
-    steps, errors = _local_sgd(
+    steps, diverged = _local_sgd(
         pool, [r for tr in trainings for r in tr.rows], theta, v, cfg.local_epochs,
-        [rng for tr in trainings for rng in tr.rngs], [w for tr in trainings for w in tr.where],
-        prox, controls,
+        [rng for tr in trainings for rng in tr.rngs], prox, controls,
     )
     ends = list(itertools.accumulate(counts))
-    parts: list[_Trained | FloatingPointError] = []
-    for lo, hi in zip([0] + ends, ends):
-        failed = [p for p in range(lo, hi) if p in errors]
-        parts.append(errors[failed[0]] if failed else (theta[lo:hi], v[lo:hi], steps[lo:hi]))
-    return parts
+    return [
+        (theta[lo:hi], v[lo:hi], steps[lo:hi],
+         {p - lo: step for p, step in diverged.items() if lo <= p < hi})
+        for lo, hi in zip([0] + ends, ends)
+    ]
 
 
 def client_update(
@@ -236,11 +234,11 @@ def client_update(
     participant, in the order of ``states`` (ascending id), select the paced
     subset with its own generator ``rngs[k]``; then yield the participants'
     ``_Training``, all starting from the broadcast parameters, and take back
-    the trained parameters, momenta and step counts (``_train``). Returns
-    the new states, with the trained parameters in ``local_params``; the
-    states themselves are left as they were. The momentum buffer persists
-    across rounds; the step index (and with it the learning-rate schedule)
-    resets each round.
+    the trained parameters, momenta, step counts and diverging participants
+    (``_train``). Returns the new states, with the trained parameters in
+    ``local_params``; the states themselves are left as they were. The
+    momentum buffer persists across rounds; the step index (and with it the
+    learning-rate schedule) resets each round.
 
     ``pool`` holds the share's rows and targets, checked once per run, and
     the rates (``models._Pool``). ``rows[k]`` are participant k's pool rows
@@ -253,9 +251,11 @@ def client_update(
     random scoring runs, for its draw from ``rngs[k]``. Otherwise the pair at
     the local model is computed here only for a scoring that reads it and a
     client that has trained before to parameters other than
-    ``global_params``, and is ``at_global[k]`` otherwise; a non-finite loss
-    there fails the job. Only the parameter and momentum shapes are checked
-    here."""
+    ``global_params``, and is ``at_global[k]`` otherwise. It checks the
+    parameter and momentum lengths and that a data curriculum comes with
+    ``at_global``; a non-finite loss at a local model, or a local step that
+    leaves parameters non-finite, fails the job, the latter naming the
+    lowest-id such participant and its first such step."""
     model = cfg.model
     if global_params.shape != (model.param_count(),):
         raise ConfigurationError(
@@ -266,8 +266,6 @@ def client_update(
         raise ConfigurationError("a data curriculum needs the losses and outputs at theta")
     chosen = []
     for k, state in enumerate(states):
-        if len(state.indices) < 1:
-            raise ConfigurationError(f"client {state.client_id} holds no data")
         if state.momentum.shape != global_params.shape:
             raise ConfigurationError("parameter and momentum lengths must match")
         pool_rows, x, y, target = rows[k]
@@ -300,12 +298,15 @@ def client_update(
         chosen.append(pool_rows[np.sort(order_and_select(scores, dc.ordering, n_sel, rngs[k]))])
 
     scaffold = cfg.algorithm is Algorithm.SCAFFOLD
-    theta, v, taus = yield _Training(
-        chosen, rngs, [f"round {t}, client {state.client_id}" for state in states],
-        global_params, np.array([state.momentum for state in states]),
+    theta, v, taus, diverged = yield _Training(
+        chosen, rngs, global_params, np.array([state.momentum for state in states]),
         server_control if scaffold else None,
         np.array([state.control for state in states]) if scaffold else None,
     )
+    if diverged:
+        k = min(diverged)
+        raise FloatingPointError(f"round {t}, client {states[k].client_id}: non-finite "
+                                 f"parameters after step {diverged[k]}")
 
     updated = []
     for k, state in enumerate(states):
@@ -414,6 +415,9 @@ def _run_job(
     yielding anything."""
     m = part.num_clients
     _check_participants(cfg.participants, m)
+    for i, indices in enumerate(part.assignment):
+        if len(indices) < 1:
+            raise ConfigurationError(f"client {i} holds no data")
     dc = cfg.data_curriculum
     expert = dc is not None and dc.scoring is ScoringKind.EXPERT
     if expert and np.shape(expert_losses) != (len(ds),):
@@ -552,9 +556,7 @@ def run_experiment(jobs: list[Job]) -> list[JobResult]:
         first: dict[int, int] = {}  # id(ds) -> the first waiting job on that dataset
         for j in waiting:
             first.setdefault(id(jobs[j][1]), j)
-        largest = max(len(rows) for j in waiting for rows in jobs[j][2].assignment)
-        steps = cfg.local_epochs * -(-largest // cfg.hyper.batch_size)
-        pool = _Pool(cfg.model, cfg.hyper, [waiting[j] for j in first.values()], steps)
+        pool = _Pool(cfg.model, cfg.hyper, [waiting[j] for j in first.values()])
         start = dict(zip(first, pool.starts))
         gathered: dict[tuple[int, int], list[tuple]] = {}  # (id(ds), id(part)) -> clients
         for j in list(waiting):
@@ -566,11 +568,7 @@ def run_experiment(jobs: list[Job]) -> list[JobResult]:
         while waiting:
             live = sorted(waiting)
             for j, part in zip(live, _train(pool, cfg, [waiting[j] for j in live])):
-                if isinstance(part, FloatingPointError):
-                    results[j] = part
-                    del waiting[j]
-                else:
-                    resume(j, part)
+                resume(j, part)
     return results
 
 
@@ -583,18 +581,17 @@ def train_centralized(
 ) -> np.ndarray:
     """Plain centralized SGD over the full dataset; used to build expert
     and reference models. The data is checked once, then the steps run in
-    ``models._local_sgd``, as a cohort of one client. A step that
-    leaves non-finite parameters raises FloatingPointError naming expert
-    training and the step."""
+    ``models._local_sgd``, as a cohort of one client. A step that leaves
+    non-finite parameters raises FloatingPointError naming expert training
+    and the first such step."""
     rng = np.random.default_rng([seed, _INIT_STREAM])
     theta = init_params(model, rng)[None]
     data = ds.batch()
     _check_batch(model, theta[0], data)
-    pool = _Pool(model, hyper, [data], epochs * -(-len(data) // hyper.batch_size))
-    _, errors = _local_sgd(
-        pool, [np.arange(len(data))], theta, np.zeros_like(theta), epochs, [rng],
-        ["expert training"],
+    _, diverged = _local_sgd(
+        _Pool(model, hyper, [data]), [np.arange(len(data))], theta, np.zeros_like(theta), epochs,
+        [rng],
     )
-    if errors:
-        raise errors[0]
+    if diverged:
+        raise FloatingPointError(f"expert training: non-finite parameters after step {diverged[0]}")
     return theta[0]

@@ -29,11 +29,11 @@ derivative is set to 0, and its mean runs over its own rows. A client's
 bits thus depend only on its own batches, not on the other clients it steps
 with, and so does the first step that leaves its parameters non-finite:
 one finite check of the stack after each step finds that step, which the
-client's error names. The rows and targets of the jobs' datasets, the
-rates and the slot buffers (``_Pool``, ``_Cohort``) are built once per
-share of jobs. Every in-place form keeps the bits of the out-of-place
-expressions, and a large pass does not page in fresh memory for every
-temporary.
+kernel returns and ``federation`` words. The rows and targets of the jobs'
+datasets, the rates and the slot buffers (``_Pool``, ``_Cohort``) are built
+once per share of jobs. Every in-place form keeps the bits of the
+out-of-place expressions, and a large pass does not page in fresh memory for
+every temporary.
 """
 
 from __future__ import annotations
@@ -355,13 +355,14 @@ class _Pool:
     """What local training reads, built once per share of jobs: the rows
     ``x`` of the share's datasets, one block after another (block b starts
     at row ``starts[b]``), their targets (one-hot rows for classifiers,
-    float labels otherwise), the rates eta(i) of every step a call can take,
-    at most ``steps``, and their running sums, added one by one as the steps
-    take them. The callers check each block against the model first. It
+    float labels otherwise), the rates eta(i) of the steps its calls have
+    needed so far and their running sums, which ``_local_sgd`` extends in
+    step order when a call needs more steps, so each sum adds the rates one
+    by one. The callers check each block against the model first. It
     also keeps the lockstep buffers, one ``_Cohort`` per cohort size, so
     that the calls of a share bind their kernels once."""
 
-    def __init__(self, model: ModelSpec, hyper: SgdHyper, blocks: list[Batch], steps: int):
+    def __init__(self, model: ModelSpec, hyper: SgdHyper, blocks: list[Batch]):
         self.model, self.hyper = model, hyper
         if len(blocks) == 1:
             self.x, y = blocks[0].x, blocks[0].y
@@ -373,8 +374,8 @@ class _Pool:
             self.target = _targets(model, y)
         else:
             self.target = y.astype(np.float64)
-        self.etas = [hyper.learning_rate(i) for i in range(steps)]
-        self.eta_sums = list(itertools.accumulate(self.etas))
+        self.etas: list[float] = []
+        self.eta_sums: list[float] = []
         self._cohorts: dict[int, _Cohort] = {}
 
     def cohort(self, size: int) -> _Cohort:
@@ -470,10 +471,9 @@ def _local_sgd(
     v: np.ndarray,
     epochs: int,
     rngs: list[np.random.Generator],
-    where: list[str],
     prox: tuple[float, np.ndarray] | None = None,
     controls: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[list[int], dict[int, FloatingPointError]]:
+) -> tuple[list[int], dict[int, int]]:
     """Mini-batch momentum SGD for a cohort of clients, overwriting their
     parameters ``theta`` and momenta ``v``, stacked (P, dim). Client p
     trains on the rows ``pool.x[rows[p]]`` with their targets, draws its
@@ -484,9 +484,9 @@ def _local_sgd(
     and ``controls`` = (server, own) adds server - own, left to right;
     anchors, server and own controls are stacked (P, dim), one row per
     client. The update is ``sgd_step``'s in its operation order. Returns
-    each client's step count and, for each client p that a step left with
-    non-finite parameters, a FloatingPointError naming ``where[p]`` and the
-    first such step.
+    each client's step count, epochs * ceil(rows / batch_size), up to which
+    the pool's rates grow, and each diverging client's first step that left
+    its parameters non-finite; the caller words the error.
 
     The clients step in lockstep: at step i, every client with a step left
     takes it with the others, through one stacked ``_Cohort.kernel``. Slots
@@ -507,6 +507,9 @@ def _local_sgd(
     bs = pool.hyper.batch_size
     rho, wd = pool.hyper.momentum, pool.hyper.weight_decay
     steps = [epochs * -(-len(r) // bs) for r in rows]
+    for i in range(len(pool.etas), max(steps)):
+        pool.etas.append(pool.hyper.learning_rate(i))
+        pool.eta_sums.append(pool.eta_sums[-1] + pool.etas[-1] if i else pool.etas[0])
     order = sorted(range(len(rows)), key=lambda p: -steps[p])
     # Each step's rows, per slot and padded with row 0 after a tail batch;
     # active[i]: the slots with a step i; tails[i]: (slot, rows) of the short
@@ -530,7 +533,7 @@ def _local_sgd(
     cohort = pool.cohort(len(rows))
     theta.take(order, axis=0, out=cohort.theta)
     v.take(order, axis=0, out=cohort.v)
-    errors: dict[int, FloatingPointError] = {}
+    diverged: dict[int, int] = {}
     live = 0
     with np.errstate(all="ignore"):
         for step, step_live in enumerate(active.tolist()):
@@ -565,14 +568,10 @@ def _local_sgd(
             params -= tmp
             if not np.isfinite(params).all():
                 for slot in np.flatnonzero(~np.isfinite(params).all(axis=1)).tolist():
-                    p = order[slot]
-                    if p not in errors:
-                        errors[p] = FloatingPointError(
-                            f"{where[p]}: non-finite parameters after step {step}"
-                        )
+                    diverged.setdefault(order[slot], step)
     theta[order] = cohort.theta
     v[order] = cohort.v
-    return steps, errors
+    return steps, diverged
 
 
 def _losses_and_grads(

@@ -80,10 +80,7 @@ def update_alone(states, global_params, cfg, pool, *args, **kwargs):
     goes through ``federation._train`` alone. Returns the new states, or
     raises the job's error."""
     update = client_update(states, global_params, cfg, pool, *args, **kwargs)
-    training = next(update)
-    [trained] = _train(pool, cfg, [training])
-    if isinstance(trained, Exception):
-        raise trained
+    [trained] = _train(pool, cfg, [next(update)])
     try:
         update.send(trained)
     except StopIteration as stop:

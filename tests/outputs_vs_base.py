@@ -60,6 +60,9 @@ VARIANTS = {
     "div-linear12": Variant({**DIV_LINEAR, "federation.rounds": "12", "run.n_trials": "3",
                              **ALL_ARMS}, (1, 2), diverges=True),
     "div-eta": Variant({"optimizer.eta0": "1e6"}, (1, 2), diverges=True),
+    # Expert training's parameters leave finite values.
+    "div-expert": Variant({"partition.f_ord": "0.5", "partition.expert_epochs": "5",
+                           "optimizer.eta0": "1e6"}, (1, 2), diverges=True),
 }
 RUN_FILES = ("metrics.csv", "summary.csv")
 DIVERGED_FILES = ("code", "stderr")  # run_tree writes them for every run

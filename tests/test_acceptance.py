@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from _helpers import check_partition, partition_score_std, run_one, update_alone
+from _helpers import check_partition, partition_score_std, run_one
 
 import fedcurr as fc
 from fedcurr.cli import main as cli_main
@@ -261,7 +261,9 @@ def test_criterion_8_consistency_and_client_curriculum():
 
 
 def test_criterion_9_algorithm_equivalences():
-    from test_federation import base_config, metrics_equal, small_world
+    from test_federation import (
+        base_config, metrics_equal, small_world, test_scaffold_control_is_mean_of_client_controls,
+    )
 
     with Timer(60.0):
         ds, part, test = small_world(scheme=fc.Scheme.DIRICHLET)
@@ -277,23 +279,7 @@ def test_criterion_9_algorithm_equivalences():
             base_config(algorithm=fc.Algorithm.FEDNOVA), ds_i, part_i, test_i
         )
         assert metrics_equal(m_avg_i, m_nova)
-
-        from test_federation import MODEL, fresh_state, pool_of, training_rows
-
-        cfg = base_config(algorithm=fc.Algorithm.SCAFFOLD, participants=8, rounds=3)
-        dim = MODEL.param_count()
-        states = [fresh_state(ds_i, part_i, i, scaffold=True) for i in range(8)]
-        theta, server_c = np.zeros(dim), np.zeros(dim)
-        pool = pool_of(cfg, theta, ds_i.batch())
-        for t in range(3):
-            rngs = [np.random.default_rng([cfg.seed, 9, t, cid]) for cid in range(8)]
-            states = update_alone(
-                states, theta, cfg, pool, [training_rows(ds_i, s, pool) for s in states], t, rngs,
-                server_control=server_c,
-            )
-            theta, server_c = fc.aggregate(states, fc.Algorithm.SCAFFOLD, theta, server_c, 8)
-            mean_c = np.mean([s.control for s in states], axis=0)
-            assert np.abs(server_c - mean_c).max() <= 1e-10
+        test_scaffold_control_is_mean_of_client_controls()
     report(9, "FedProx(0) and equal-step FedNova match FedAvg bitwise; SCAFFOLD control mean holds")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fedcurr import (
     Batch,
     ClientSelectionConfig,
     ClientState,
+    ConfigurationError,
     DataCurriculumConfig,
     ExperimentConfig,
     ModelKind,
@@ -74,6 +76,16 @@ def base_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+# The client curriculum, and a data-curriculum arm, that the run tests use.
+CLIENT_CURRICULUM = ClientSelectionConfig(
+    pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5), ordering=OrderingKind.CURRICULUM
+)
+
+
+def curriculum_arm(scoring, ordering=OrderingKind.CURRICULUM):
+    return DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), ordering)
+
+
 def fresh_state(ds, part, cid, scaffold=False):
     dim = MODEL.param_count()
     return ClientState(
@@ -97,11 +109,9 @@ def training_rows(ds, state, pool):
 
 def pool_of(cfg, params, data):
     """A share's training pool over the ``Batch`` ``data`` alone, checked
-    against the model, for calls of up to all its rows, as run_experiment
-    builds it."""
+    against the model, as run_experiment builds it."""
     models._check_batch(cfg.model, params, data)
-    steps = cfg.local_epochs * -(-len(data) // cfg.hyper.batch_size)
-    return models._Pool(cfg.model, cfg.hyper, [data], steps)
+    return models._Pool(cfg.model, cfg.hyper, [data])
 
 
 def metrics_equal(a, b):
@@ -192,6 +202,14 @@ def test_aggregate_empty_raises():
         aggregate([], Algorithm.FEDAVG, np.zeros(2))
 
 
+@pytest.mark.parametrize("server_control,total", [(None, 4), (np.zeros(1), 0)],
+                         ids=["no_server_control", "no_clients"])
+def test_scaffold_aggregate_needs_server_control_state(server_control, total):
+    with pytest.raises(ConfigurationError, match="^SCAFFOLD aggregation needs server control"):
+        aggregate([_update(0, [1.0], 1, 4)], Algorithm.SCAFFOLD, np.zeros(1), server_control,
+                  total)
+
+
 def test_fednova_equal_steps_matches_fedavg_bitwise():
     rng = np.random.default_rng(3)
     theta = rng.standard_normal(6)
@@ -274,6 +292,11 @@ def test_lambda_opposed_gradients_error():
     assert np.isnan(lam)
 
 
+def test_lambda_rejects_weights_that_do_not_sum_to_one():
+    with pytest.raises(ConfigurationError, match="^weights must sum to 1$"):
+        gradient_dissimilarity([np.ones(2), np.ones(2)], np.array([0.5, 0.6]))
+
+
 def test_lambda_at_least_one():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -294,32 +317,47 @@ def test_zero_rounds_reports_initial_model():
 
 def test_run_is_deterministic():
     ds, part, test = small_world()
-    cfg = base_config(
-        data_curriculum=DataCurriculumConfig(
-            ScoringKind.G_LOSS, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
-        )
-    )
+    cfg = base_config(data_curriculum=curriculum_arm(ScoringKind.G_LOSS))
     assert metrics_equal(run_one(cfg, ds, part, test), run_one(cfg, ds, part, test))
 
 
 def test_client_curriculum_run_smoke():
     ds, part, test = small_world()
-    cc = ClientSelectionConfig(
-        pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5),
-        ordering=OrderingKind.CURRICULUM,
-    )
-    metrics = run_one(base_config(client_curriculum=cc, participants=3), ds, part, test)
+    cfg = base_config(client_curriculum=CLIENT_CURRICULUM, participants=3)
+    metrics = run_one(cfg, ds, part, test)
     assert len(metrics) == 4
     assert all(len(m.participants) == 3 for m in metrics)
 
 
 def test_run_checks_participants_against_the_partition():
-    from fedcurr import ConfigurationError
-
     ds, part, test = small_world(clients=4)
     with pytest.raises(ConfigurationError) as info:
         run_one(base_config(participants=5), ds, part, test)
     assert info.value.field == "participants"
+
+
+@pytest.mark.parametrize("selection", [None, "client_curriculum"])
+def test_run_rejects_a_client_that_holds_no_data(selection):
+    # partition() never deals an empty client, but a library caller may.
+    # The job's set-up checks every client, before any round's pass at theta.
+    ds, part, test = small_world()
+    part.assignment[1] = np.sort(np.concatenate(part.assignment[:2]))
+    part.assignment[0] = part.assignment[0][:0]
+    cfg = base_config(client_curriculum=CLIENT_CURRICULUM if selection else None)
+    [result] = run_experiment([(cfg, ds, part, test, None)])
+    assert isinstance(result, ConfigurationError) and str(result) == "client 0 holds no data"
+
+
+def test_client_update_checks_parameter_and_momentum_lengths():
+    ds, part, _ = small_world()
+    cfg, theta, state = base_config(), np.zeros(MODEL.param_count()), fresh_state(ds, part, 0)
+    pool = pool_of(cfg, theta, ds.batch())
+    args = cfg, pool, [training_rows(ds, state, pool)], 0, [np.random.default_rng(0)]
+    with pytest.raises(ConfigurationError, match=r"^parameter length \(11,\) does not match"):
+        update_alone([state], theta[1:], *args)
+    short = dataclasses.replace(state, momentum=np.zeros(len(theta) - 1))
+    with pytest.raises(ConfigurationError, match="^parameter and momentum lengths must match$"):
+        update_alone([short], theta, *args)
 
 
 def test_frozen_scores_give_nested_selections():
@@ -335,27 +373,15 @@ def test_frozen_scores_give_nested_selections():
 
 def test_expert_scoring_requires_expert_losses_in_run():
     ds, part, test = small_world()
-    cfg = base_config(
-        data_curriculum=DataCurriculumConfig(
-            ScoringKind.EXPERT, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
-        )
-    )
-    from fedcurr import ConfigurationError
-
+    cfg = base_config(data_curriculum=curriculum_arm(ScoringKind.EXPERT))
     with pytest.raises(ConfigurationError):
         run_one(cfg, ds, part, test)
 
 
 @pytest.mark.parametrize("rows", [-1, 1], ids=["short", "long"])
 def test_run_rejects_expert_losses_of_the_wrong_length(rows):
-    from fedcurr import ConfigurationError
-
     ds, part, test = small_world()
-    cfg = base_config(
-        data_curriculum=DataCurriculumConfig(
-            ScoringKind.EXPERT, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
-        )
-    )
+    cfg = base_config(data_curriculum=curriculum_arm(ScoringKind.EXPERT))
     with pytest.raises(ConfigurationError, match="one expert loss per dataset row"):
         run_one(cfg, ds, part, test, expert_losses=np.ones(len(ds) + rows))
 
@@ -364,11 +390,7 @@ def test_expert_scoring_hands_each_client_its_own_expert_losses(monkeypatch):
     import inspect
 
     ds, part, test = small_world()
-    cfg = base_config(
-        data_curriculum=DataCurriculumConfig(
-            ScoringKind.EXPERT, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
-        )
-    )
+    cfg = base_config(data_curriculum=curriculum_arm(ScoringKind.EXPERT))
     expert_losses = np.random.default_rng(3).uniform(0.1, 2.0, len(ds))
     update, handed = federation.client_update, []
     signature = inspect.signature(update)
@@ -387,8 +409,6 @@ def test_expert_scoring_hands_each_client_its_own_expert_losses(monkeypatch):
 
 @pytest.mark.parametrize("a,b,field", [(1.5, 0.2, "a"), (0.0, 0.2, "a"), (0.8, 0.0, "b")])
 def test_data_curriculum_rejects_pacing_fractions_when_built(a, b, field):
-    from fedcurr import ConfigurationError
-
     with pytest.raises(ConfigurationError) as info:
         DataCurriculumConfig(
             ScoringKind.G_LOSS, PacingSpec(PacingFamily.LINEAR, a, b), OrderingKind.ANTI
@@ -407,8 +427,6 @@ def test_data_curriculum_rejects_pacing_fractions_when_built(a, b, field):
     ids=["negative_labels", "labels_past_classes", "short_features", "narrow_features"],
 )
 def test_run_rejects_rows_that_do_not_fit_the_model(bad):
-    from fedcurr import ConfigurationError
-
     # The rows are checked once per job, at its set-up, before any round.
     ds, part, test = small_world()
     ds.features, ds.labels = bad(ds.features, ds.labels)
@@ -574,23 +592,22 @@ def test_diverging_local_sgd_replays_the_reference_steps(model):
             model, hyper, theta.copy(), np.zeros_like(theta), Batch(*client_rows(ds, state)), 3,
             np.random.default_rng(6), "client", record,
         )
-    pool = models._Pool(model, hyper, [ds.batch()], 33)
-    _, errors = models._local_sgd(
-        pool, [state.indices], theta[None].copy(), np.zeros((1, len(theta))), 3,
-        [np.random.default_rng(6)], ["client"],
+    _, diverged = models._local_sgd(
+        models._Pool(model, hyper, [ds.batch()]), [state.indices], theta[None].copy(),
+        np.zeros((1, len(theta))), 3, [np.random.default_rng(6)],
     )
-    assert list(errors) == [0] and isinstance(errors[0], FloatingPointError)
-    assert str(errors[0]) == str(ref.value)
+    assert list(diverged) == [0]
+    assert f"client: non-finite parameters after step {diverged[0]}" == str(ref.value)
     assert 11 < len(expected) < 22
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
 def test_cohort_names_the_lowest_id_diverging_client(model):
     # Clients 1 and 3 diverge, 3 first: its start momentum overflows at step
-    # 0. Each gets its own error, naming it at its own reference step, and
-    # no other client gets one. Client 3 holds more rows, so it takes the
-    # first slot. As one job's part of the training, the five clients fail
-    # with client 1's error, as if they trained one after another by id.
+    # 0. Each gets its own reference step, and no other client gets one.
+    # Client 3 holds more rows, so it takes the first slot. As one job's
+    # participants, the five clients fail with client 1's error, as if they
+    # trained one after another by id.
     hyper = SgdHyper(
         eta0=LATE_CLIENT_ETA0[FOUR_MODELS.index(model)], decay_alpha=0.0, momentum=0.9,
         weight_decay=5e-4, batch_size=7,
@@ -612,19 +629,21 @@ def test_cohort_names_the_lowest_id_diverging_client(model):
             errors[p] = str(error)
     assert sorted(errors) == [1, 3]
     assert int(errors[3].rsplit(" ", 1)[1]) < int(errors[1].rsplit(" ", 1)[1])
-    pool = models._Pool(model, hyper, [ds.batch()], 3 * 13)
-    _, caught = models._local_sgd(
+    pool = models._Pool(model, hyper, [ds.batch()])
+    _, diverged = models._local_sgd(
         pool, rows, np.tile(theta, (5, 1)), momenta.copy(), 3,
-        [np.random.default_rng([7, p]) for p in range(5)], [f"client {p}" for p in range(5)],
+        [np.random.default_rng([7, p]) for p in range(5)],
     )
-    assert all(isinstance(error, FloatingPointError) for error in caught.values())
-    assert {p: str(error) for p, error in caught.items()} == errors
-    training = federation._Training(
-        rows, [np.random.default_rng([7, p]) for p in range(5)],
-        [f"client {p}" for p in range(5)], theta, momenta, None, None,
-    )
-    [part] = federation._train(pool, dataclasses.replace(cfg, local_epochs=3), [training])
-    assert isinstance(part, FloatingPointError) and str(part) == errors[1]
+    worded = {p: f"client {p}: non-finite parameters after step {s}" for p, s in diverged.items()}
+    assert worded == errors
+    states = [ClientState(p, r, momenta[p]) for p, r in enumerate(rows)]
+    with pytest.raises(FloatingPointError) as caught:
+        update_alone(
+            states, theta, dataclasses.replace(cfg, local_epochs=3), pool,
+            [(r, ds.features[r], ds.labels[r], pool.target[r]) for r in rows], 4,
+            [np.random.default_rng([7, p]) for p in range(5)],
+        )
+    assert str(caught.value) == f"round 4, {errors[1]}"
 
 
 # At batch size 7: 1, bs - 1, bs, bs + 1 and 3*bs + 2 rows.
@@ -667,12 +686,12 @@ def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
             model, BATCH_7, theta[p].copy(), v[p].copy(), Batch(ds.features[rows[p]],
             ds.labels[rows[p]]), 3, np.random.default_rng([9, p]), f"client {p}", extra,
         ))
-    pool = models._Pool(model, BATCH_7, [ds.batch()], 3 * 4)
-    steps, errors = models._local_sgd(
+    pool = models._Pool(model, BATCH_7, [ds.batch()])
+    steps, diverged = models._local_sgd(
         pool, rows, theta, v, 3, [np.random.default_rng([9, p]) for p in range(size)],
-        [f"client {p}" for p in range(size)], stacked_prox, stacked_controls,
+        stacked_prox, stacked_controls,
     )
-    assert errors == {}
+    assert diverged == {}
     for p, (ref_theta, ref_v, ref_steps, ref_eta_sum) in enumerate(expected):
         assert np.array_equal(theta[p], ref_theta)
         assert np.array_equal(v[p], ref_v)
@@ -698,13 +717,12 @@ def test_pad_rows_reach_no_gradient(model):
     huge[0] = 1e308
     runs = []
     for x in (ds.features, huge):
-        pool = models._Pool(model, hyper, [Batch(x, ds.labels)], 3 * 4)
+        pool = models._Pool(model, hyper, [Batch(x, ds.labels)])
         theta, v = np.tile(start, (3, 1)), np.zeros((3, len(start)))
-        steps, errors = models._local_sgd(
-            pool, rows, theta, v, 3, [np.random.default_rng([5, p]) for p in range(3)],
-            [f"client {p}" for p in range(3)],
+        steps, diverged = models._local_sgd(
+            pool, rows, theta, v, 3, [np.random.default_rng([5, p]) for p in range(3)]
         )
-        assert errors == {}
+        assert diverged == {}
         runs.append((theta, v, steps))
     (theta, v, steps), (huge_theta, huge_v, huge_steps) = runs
     assert steps == huge_steps == [12, 6, 6]
@@ -713,6 +731,22 @@ def test_pad_rows_reach_no_gradient(model):
         model.kind.value
     ]
     assert (huge_theta[:, :first] > 0.5).all()
+
+
+def test_rate_table_grows_in_step_order():
+    # One pool serves a call of 3 steps, then one of 40: the table holds the
+    # rates of 40 steps and their running sums, bit for bit as if built in
+    # one pass.
+    model = FOUR_MODELS[1]
+    pool = models._Pool(model, BATCH_7, [gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5).batch()])
+    for rows, epochs, size in ((np.arange(7), 3, 3), (np.arange(280), 1, 40)):
+        theta = init_params(model, np.random.default_rng(0))[None]
+        models._local_sgd(pool, [rows], theta, np.zeros_like(theta), epochs,
+                          [np.random.default_rng(1)])
+        assert len(pool.etas) == len(pool.eta_sums) == size
+    etas = [BATCH_7.learning_rate(i) for i in range(40)]
+    assert np.array(pool.etas).tobytes() == np.array(etas).tobytes()
+    assert np.array(pool.eta_sums).tobytes() == np.array(list(itertools.accumulate(etas))).tobytes()
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
@@ -790,8 +824,6 @@ def test_sole_participant_scoring_matches_checked_reference(model, scoring):
 
 @pytest.mark.parametrize("scoring", list(ScoringKind), ids=lambda k: k.value)
 def test_data_curriculum_needs_the_pass_at_theta(scoring):
-    from fedcurr import ConfigurationError
-
     ds, cfg, state, theta, _ = _one_client(
         CLASSIFIERS[0], Algorithm.FEDAVG, BATCH_7,
         DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.ANTI),
@@ -839,16 +871,8 @@ def test_round_forwards_each_params_and_data_pair_once(monkeypatch, scoring):
     # the model once. Parameters change every round and every local step, so
     # checking the whole run covers each round.
     ds, part, test = small_world(scheme=Scheme.IID)
-    cc = ClientSelectionConfig(
-        pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5),
-        ordering=OrderingKind.CURRICULUM,
-    )
     cfg = base_config(
-        client_curriculum=cc,
-        participants=3,
-        data_curriculum=DataCurriculumConfig(
-            scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
-        ),
+        client_curriculum=CLIENT_CURRICULUM, participants=3, data_curriculum=curriculum_arm(scoring)
     )
     seen = count_forwards(monkeypatch)
     metrics = run_one(cfg, ds, part, test)
@@ -867,11 +891,7 @@ def test_every_scoring_forwards_each_params_and_data_pair_once(monkeypatch, scor
     # and runs no model. Parameters change every round and every local
     # step, so counting over the whole run covers each round.
     ds, part, test = small_world(scheme=Scheme.IID)
-    cfg = base_config(
-        data_curriculum=DataCurriculumConfig(
-            scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
-        ),
-    )
+    cfg = base_config(data_curriculum=curriculum_arm(scoring))
     expert = init_params(MODEL, np.random.default_rng(5))
     expert_losses = per_sample_losses(MODEL, expert, ds.batch())
     expected = run_one(cfg, ds, part, test, expert_losses=expert_losses)
@@ -894,13 +914,7 @@ def test_redrawn_sole_participant_is_forwarded_once(monkeypatch, scoring):
     # then has its local model equal to the global one, and the round's pass
     # at theta serves the local-based scoring too.
     ds, part, test = small_world(clients=2)
-    cfg = base_config(
-        participants=1,
-        rounds=8,
-        data_curriculum=DataCurriculumConfig(
-            scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
-        ),
-    )
+    cfg = base_config(participants=1, rounds=8, data_curriculum=curriculum_arm(scoring))
     expected = run_one(cfg, ds, part, test)
     seen = count_forwards(monkeypatch)
     metrics = run_one(cfg, ds, part, test)
@@ -978,19 +992,13 @@ def test_lockstep_jobs_match_their_solo_runs(algorithm):
     # partitions differ, and one job that stops after 2 rounds.
     trials = [small_world(seed=seed) for seed in (42, 43, 44)]
     assert len({tuple(map(len, part.assignment)) for _, part, _ in trials}) == 3
-    cc = ClientSelectionConfig(
-        pacing=PacingSpec(PacingFamily.LINEAR, a=0.5, b=0.5), ordering=OrderingKind.CURRICULUM
-    )
-    arms = [None] + [
-        DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), ordering)
-        for scoring, ordering in ((ScoringKind.G_LOSS, OrderingKind.CURRICULUM),
-                                  (ScoringKind.LG_LOSS, OrderingKind.ANTI))
-    ]
+    arms = [None, curriculum_arm(ScoringKind.G_LOSS),
+            curriculum_arm(ScoringKind.LG_LOSS, OrderingKind.ANTI)]
     jobs = [
         (base_config(algorithm=algorithm, mu_prox=0.1, data_curriculum=arm, client_curriculum=c,
                      participants=3, seed=7 + k), ds, part, test, None)
         for arm in arms
-        for c in (None, cc)
+        for c in (None, CLIENT_CURRICULUM)
         for k, (ds, part, test) in enumerate(trials)
     ]
     ds, part, test = trials[1]
@@ -1068,11 +1076,9 @@ def test_job_before_a_diverging_one_keeps_its_trained_arrays():
     # solo run. Job 3, which fails later, is not dropped: it gets its own
     # error.
     job = failing_jobs()
-    arm = DataCurriculumConfig(
-        ScoringKind.G_LOSS, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), OrderingKind.CURRICULUM
-    )
     cfg, *world = job(8, True)
-    curriculum = (dataclasses.replace(cfg, data_curriculum=arm), *world)
+    curriculum = (dataclasses.replace(cfg, data_curriculum=curriculum_arm(ScoringKind.G_LOSS)),
+                  *world)
     jobs = [job(3, False), job(8, True), curriculum, job(3, True)]
     done = run_experiment(jobs)
     assert_solo_results(jobs, done)
@@ -1086,8 +1092,6 @@ def test_configuration_error_in_a_later_job_hides_no_earlier_result(monkeypatch)
     # A job that raises ConfigurationError at its round 2 stops; the jobs
     # before it keep their results and their own errors, and a job after it
     # that diverges first, at round 1, is not the first error in job order.
-    from fedcurr import ConfigurationError
-
     job = failing_jobs()
     cfg, ds, part, test, _ = job(8, False)
     broken = Batch(test.x, test.y)  # the test set of the job that breaks
@@ -1122,8 +1126,6 @@ def test_configuration_error_in_a_later_job_hides_no_earlier_result(monkeypatch)
 def test_jobs_of_one_call_must_train_alike(other):
     # One local-SGD call trains the jobs of a call, with one model, rate
     # schedule, epoch count and algorithm.
-    from fedcurr import ConfigurationError
-
     ds, part, test = small_world()
     with pytest.raises(ConfigurationError, match="must share"):
         run_experiment([(base_config(), ds, part, test, None),

@@ -156,7 +156,7 @@ def test_blockwise_losses_and_grads_match_per_block_calls_exactly(model):
     blocks = [random_batch(model, rng, m=m) for m in (1, 5, 13, 2)]
     # Each block's targets gathered from a pool over all blocks, as a run
     # gathers its clients' targets.
-    pool = _Pool(model, SgdHyper(), blocks, 0)
+    pool = _Pool(model, SgdHyper(), blocks)
     targets = [pool.target[start : start + len(b)] for start, b in zip(pool.starts, blocks)]
     losses, grads, outputs = _losses_and_grads(
         model, params, [b.x for b in blocks], [b.y for b in blocks], targets
@@ -185,7 +185,7 @@ def cohort_step(model, params, x, y):
 
     k, b = y.shape
     data = Batch(x.reshape(k * b, -1), y.ravel())
-    pool = _Pool(model, SgdHyper(batch_size=b), [data], 0)
+    pool = _Pool(model, SgdHyper(batch_size=b), [data])
     cohort = pool.cohort(k)
     cohort.theta[:] = params
     forward, backward, *_, xs, targets = cohort.kernel(k)
