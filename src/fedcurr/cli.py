@@ -22,17 +22,18 @@ import pickle
 import sys
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .config import TEST_SEED_OFFSET, RunConfig, parse_run_config, parse_theory_config
 from .curriculum import ScoringKind
-from .data import Dataset, Partition, gen_synthetic, partition, partition_difficulty
+from .data import gen_synthetic, partition, partition_difficulty
 from .errors import ConfigurationError
 from .federation import (
     DataCurriculumConfig,
     ExperimentConfig,
+    Job,
     JobResult,
     RoundMetrics,
     run_experiment,
@@ -51,24 +52,17 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass
-class TrialData:
-    seed: int
-    ds: Dataset
-    part: Partition
-    test: Dataset
-    expert_losses: np.ndarray | None  # the expert's per-sample loss of each row of ds
-
-
-def _build_trial(cfg: RunConfig, trial: int) -> TrialData:
-    """A trial's data; the expert runs over it once if ``f_ord`` or an arm ranks by it."""
+def _build_trial(cfg: RunConfig, trial: int) -> tuple[int, tuple]:
+    """A trial's seed, and the dataset, partition, test batch and expert losses
+    that its jobs share. The expert runs over the dataset once if ``f_ord`` or an
+    arm ranks by it (else None); a non-finite loss fails the trial at once."""
     seed = cfg.experiment.seed + trial
     model, hyper = cfg.experiment.model, cfg.experiment.hyper
     d = cfg.dataset
     ds = gen_synthetic(d.n, d.classes, d.dim, d.noise_low, d.noise_high, seed)
     test = gen_synthetic(
         cfg.test_n, d.classes, d.dim, d.noise_low, d.noise_high, seed + TEST_SEED_OFFSET
-    )
+    ).batch()
     f_ord = cfg.partition.f_ord
     part = partition(ds, cfg.partition, seed)
     losses = None
@@ -76,10 +70,13 @@ def _build_trial(cfg: RunConfig, trial: int) -> TrialData:
         arm is not None and arm.scoring is ScoringKind.EXPERT for arm in cfg.arms
     ):
         expert = train_centralized(model, ds, hyper, cfg.expert_epochs, seed)
-        losses = per_sample_losses(model, expert, ds.batch())
+        with np.errstate(all="ignore"):
+            losses = per_sample_losses(model, expert, ds.batch())
+        if not np.isfinite(losses).all():
+            raise FloatingPointError("expert training: non-finite loss at the expert model")
     if f_ord is not None:
         part = partition_difficulty(ds, part, f_ord, losses, seed)
-    return TrialData(seed=seed, ds=ds, part=part, test=test, expert_losses=losses)
+    return seed, (ds, part, test, losses)
 
 
 def _ordering(arm: DataCurriculumConfig | None) -> str:
@@ -103,19 +100,13 @@ def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> str:
     return ",".join(cells)
 
 
-Job = tuple[ExperimentConfig, TrialData]
-
-
 def _run_share(jobs: list[Job], share: range) -> list[JobResult]:
     """Run the jobs of ``share`` in lockstep by round, through one
     ``run_experiment`` call, which returns each job's rows or the error,
     one of those ``main`` reports, that stopped it. ``run_experiment`` is
     looked up here at call time, once every trial is built, so a replacement
     of ``cli.run_experiment`` also holds in forked workers."""
-    return run_experiment([
-        (exp, data.ds, data.part, data.test.batch(), data.expert_losses)
-        for exp, data in (jobs[i] for i in share)
-    ])
+    return run_experiment([jobs[i] for i in share])
 
 
 def _worker(jobs: list[Job], share: range, fd: int) -> None:
@@ -190,7 +181,7 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
     for share, entries in zip(shares, outcomes):
         for i, entry in zip(share, entries):
             results[i] = entry
-    for (exp, _), entry in zip(jobs, results):
+    for (exp, *_), entry in zip(jobs, results):
         if isinstance(entry, Exception):
             name = f"{_ordering(exp.data_curriculum)} arm, seed {exp.seed}"
             raise type(entry)(f"{name}: {entry}") from entry
@@ -200,29 +191,27 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
 def command_run(cfg: RunConfig, out_dir: str, processes: int) -> int:
     os.makedirs(out_dir, exist_ok=True)
     trials = [_build_trial(cfg, i) for i in range(cfg.n_trials)]
-    jobs = [
-        (replace(cfg.experiment, seed=data.seed, data_curriculum=arm), data)
+    # Arm by arm over the trials: metrics.csv, the shares and the summary rely on it.
+    jobs: list[Job] = [
+        (replace(cfg.experiment, seed=seed, data_curriculum=arm), *shared)
         for arm in cfg.arms
-        for data in trials
+        for seed, shared in trials
     ]
     results = _run_jobs(jobs, processes)
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     with open(metrics_path, "w", encoding="utf-8") as fh:
         fh.write(METRIC_COLUMNS + "\n")
-        for (exp, _), rows in zip(jobs, results):
+        for (exp, *_), rows in zip(jobs, results):
             for m in rows:
                 fh.write(_metric_row(exp, m) + "\n")
 
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("ordering,n_trials,final_acc_mean,final_acc_std\n")
-        for arm in cfg.arms:
-            finals = [
-                rows[-1].test_acc
-                for (exp, _), rows in zip(jobs, results)
-                if exp.data_curriculum == arm
-            ]
+        n = len(trials)
+        for a, arm in enumerate(cfg.arms):
+            finals = [rows[-1].test_acc for rows in results[a * n : (a + 1) * n]]
             mean = float(np.mean(finals))
             std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
             name = _ordering(arm)
@@ -234,9 +223,16 @@ def command_run(cfg: RunConfig, out_dir: str, processes: int) -> int:
 
 def command_verify(cases: list[ConvexCase | NonconvexCase], out_dir: str) -> int:
     """Run the cases one after another in config order, in this process;
-    each case batches its Monte-Carlo runs. ``--threads`` does not apply."""
+    each case batches its Monte-Carlo runs. ``--threads`` does not apply. A
+    case whose bound or mean is not finite stops the command, its error
+    naming the case, before ``report.csv`` is written."""
     os.makedirs(out_dir, exist_ok=True)
-    reports = [case.verify() for case in cases]
+    reports = []
+    for case in cases:
+        try:
+            reports.append(case.verify())
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"case {case.name}: {exc}") from exc
 
     report_path = os.path.join(out_dir, "report.csv")
     any_failed = False

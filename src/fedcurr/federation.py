@@ -22,8 +22,9 @@ Determinism contract: every random draw comes from a generator keyed by
 (seed, stream tag, round, client id). The participants of a round train in
 lockstep with each other and with those of the other jobs of the call;
 each local step runs a client's products over its own batch_size rows,
-padded where its batch is short, so its bits depend on its own batches
-alone, not on the clients it steps with. Aggregation sums a job's updates
+padded with zero rows where its batch is short, so its bits depend on its
+own batches alone, not on the clients it steps with or on the rows of any
+other job's dataset. Aggregation sums a job's updates
 in ascending id order, so reruns are bitwise identical. Jobs share the
 training pool and the local-SGD call, but no state that changes a digit:
 each job's rows, or its error, are those of its run alone, whichever jobs

@@ -24,7 +24,7 @@ share, trains the participants of a round of several jobs in lockstep: a
 ``_Cohort`` binds the same two functions to a stack of clients, and each
 step runs the forward pass, the log-softmax and softmax minus one-hot in
 place on one stacked array. Every slot holds ``batch_size`` rows: a
-client's short last batch of an epoch is padded with rows whose loss
+client's short last batch of an epoch is padded with zero rows whose loss
 derivative is set to 0, and its mean runs over its own rows. A client's
 bits thus depend only on its own batches, not on the other clients it steps
 with, and so does the first step that leaves its parameters non-finite:
@@ -421,8 +421,9 @@ class _Cohort:
         first m rows of that slot are its batch and the rest pad it. Their
         mean runs over m, through the slot's entry of ``counts``, and the pad
         rows' loss derivative is set to 0, so they add nothing to any
-        product or sum. It is assigned, not multiplied by a mask, because a
-        pad row's outputs may be inf or nan, and 0 * inf is nan."""
+        product or sum. The caller zeroes the pad rows of ``x`` after the
+        gather, so a pad row's products are 0 * 0 wherever the slot's own
+        parameters are finite, never 0 * nan from another client's row."""
         if k in self._kernels:
             return self._kernels[k]
         model, bs = self.model, self.batch_size
@@ -494,10 +495,11 @@ def _local_sgd(
     always the first ones. Each step gathers its rows with one ``take`` into
     (P, batch_size, ...) slot buffers. An epoch's short tail batch of m rows
     fills its slot like any other batch: the step table pads it with pool
-    row 0, whose loss derivative the kernel sets to 0, and the slot's mean
-    runs over m. Every product thus runs over ``batch_size`` rows per slot,
-    so a client's bits depend only on its own rows, never on the other
-    slots, the stack size or the thread count, and the first step that
+    row 0, whose gathered features are then set to zero rows and whose loss
+    derivative the kernel sets to 0, and the slot's mean runs over m. Every
+    product thus runs over ``batch_size`` rows per slot, so a client's bits
+    depend only on its own rows, never on the other slots, on pool row 0,
+    the stack size or the thread count, and the first step that
     leaves its parameters non-finite is the one it would meet alone. One
     finite check of the live slots after each step finds it; only when that
     check fails are the slots looked at one by one. A diverging client steps
@@ -511,9 +513,9 @@ def _local_sgd(
         pool.etas.append(pool.hyper.learning_rate(i))
         pool.eta_sums.append(pool.eta_sums[-1] + pool.etas[-1] if i else pool.etas[0])
     order = sorted(range(len(rows)), key=lambda p: -steps[p])
-    # Each step's rows, per slot and padded with row 0 after a tail batch;
-    # active[i]: the slots with a step i; tails[i]: (slot, rows) of the short
-    # batches at step i.
+    # Each step's rows, per slot and padded with row 0 after a tail batch
+    # (the step zeroes those pad rows once gathered); active[i]: the slots
+    # with a step i; tails[i]: (slot, rows) of the short batches at step i.
     table = np.zeros((max(steps), len(rows), bs), dtype=np.intp)
     active = np.zeros(len(table), dtype=np.intp)
     tails: list[list[tuple[int, int]]] = [[] for _ in table]
@@ -549,6 +551,8 @@ def _local_sgd(
             idx = table[step, :live]
             pool.x.take(idx, axis=0, out=x, mode="clip")
             pool.target.take(idx, axis=0, out=target, mode="clip")
+            for slot, m in tails[step]:
+                x[slot, m:] = 0.0
             forward()
             backward(tails[step])
             if prox is not None:

@@ -190,7 +190,7 @@ def _perturb(
         _check_cohort(oracle.num_clients, cap)
         g += math.sqrt(cap) * directions
     if z is not None:
-        var = oracle.rel_var * np.sum(g * g, axis=-1, keepdims=True) + oracle.sigma**2
+        var = oracle.rel_var * np.sum(g * g, axis=-1, keepdims=True) + oracle.sigma * oracle.sigma
         var /= g.shape[-1]
         z *= np.sqrt(var, out=var)
         g += z
@@ -374,7 +374,7 @@ def bound_nonconvex(
     suffix = np.cumsum(alpha[:, ::-1], axis=1)[:, ::-1]
     cross = float(np.sum(alpha * (alpha + suffix)))
     gap = prob.value(theta0) - prob.f_star
-    second_moment = prob.grad_bound**2 + sigma**2
+    second_moment = prob.grad_bound**2 + sigma * sigma
     return num_clients * gap + 2.0 * cross * prob.lipschitz * second_moment
 
 
@@ -383,6 +383,21 @@ class BoundReport:
     empirical: float
     bound: float
     passed: bool
+
+
+def _report(per_run: np.ndarray, bound: float) -> BoundReport:
+    """The mean of the per-run values against the bound. The mean sums the
+    runs one by one, in spawn order, to keep report.csv's digits. A bound or
+    mean that is not finite raises FloatingPointError, so that every
+    comparison made is between finite numbers."""
+    total = 0.0
+    for value in per_run:
+        total += float(value)
+    empirical = total / len(per_run)
+    for name, value in (("bound", bound), ("empirical mean", empirical)):
+        if not math.isfinite(value):
+            raise FloatingPointError(f"non-finite {name} ({value})")
+    return BoundReport(empirical=empirical, bound=bound, passed=empirical <= bound)
 
 
 # Rounds of noise one draw call fills per run: k rounds hold the noise buffer
@@ -464,23 +479,21 @@ def verify_convex(
     rng: np.random.Generator,
 ) -> BoundReport:
     """Monte-Carlo check that the mean squared distance of the simulated
-    endpoint stays below the evaluated convex bound."""
+    endpoint stays below the evaluated convex bound. A bound or mean that is
+    not finite raises FloatingPointError (``_report``); the floating-point
+    warnings on the way would only repeat it, so they are silenced."""
     _check_runs(n_runs)
-    bound = bound_convex(prob, alpha, bias, rel_var, sigma2, num_clients, theta0)
-    values = _bias_matrix(bias, alpha.shape)
-    oracle = BiasedGradOracle(
-        grad_fn=prob.grad,
-        bias_values=values,
-        directions=zero_sum_directions(num_clients, theta0.shape[0]),
-        rel_var=rel_var,
-        sigma=math.sqrt(sigma2),
-    )
-    endpoints = _simulate_rounds(oracle, alpha, theta0, rng.spawn(n_runs))
-    total = 0.0  # summed run by run, in spawn order, to keep report.csv's digits
-    for dist2 in np.sum((endpoints - prob.theta_star) ** 2, axis=1):
-        total += float(dist2)
-    empirical = total / n_runs
-    return BoundReport(empirical=empirical, bound=bound, passed=empirical <= bound)
+    with np.errstate(all="ignore"):
+        bound = bound_convex(prob, alpha, bias, rel_var, sigma2, num_clients, theta0)
+        oracle = BiasedGradOracle(
+            grad_fn=prob.grad,
+            bias_values=_bias_matrix(bias, alpha.shape),
+            directions=zero_sum_directions(num_clients, theta0.shape[0]),
+            rel_var=rel_var,
+            sigma=math.sqrt(sigma2),
+        )
+        endpoints = _simulate_rounds(oracle, alpha, theta0, rng.spawn(n_runs))
+        return _report(np.sum((endpoints - prob.theta_star) ** 2, axis=1), bound)
 
 
 def verify_nonconvex(
@@ -507,27 +520,25 @@ def verify_nonconvex(
     ||grad f(theta0)||^2, which can be far larger; the weighted sum tends to
     0. The right side's G^2 must bound the oracle's second moment, so the
     noise enters it as sigma^2 (see ``bound_nonconvex``); without it, a
-    large sigma breaks the check on a correct simulator."""
+    large sigma breaks the check on a correct simulator. Non-finite values
+    fail as in ``verify_convex``."""
     _check_runs(n_runs)
-    bound = bound_nonconvex(prob, alpha, num_clients, theta0, sigma)
-    oracle = BiasedGradOracle(
-        grad_fn=prob.grad,
-        bias_values=np.zeros_like(alpha),
-        directions=zero_sum_directions(num_clients, theta0.shape[0]),
-        sigma=sigma,
-    )
     weights = iter(alpha[:-1].sum(axis=1))  # sum_j alpha(t, j) of rounds t < T
     acc = np.zeros(n_runs)  # per-run weighted sum of round-start squared norms
 
     def record(theta_hat: np.ndarray) -> None:
         acc[:] += next(weights) * np.sum(prob.grad(theta_hat) ** 2, axis=1)
 
-    _simulate_rounds(oracle, alpha, theta0, rng.spawn(n_runs), on_round_start=record)
-    total = 0.0  # summed run by run, in spawn order, to keep report.csv's digits
-    for run_total in acc:
-        total += float(run_total)
-    empirical = total / n_runs
-    return BoundReport(empirical=empirical, bound=bound, passed=empirical <= bound)
+    with np.errstate(all="ignore"):
+        bound = bound_nonconvex(prob, alpha, num_clients, theta0, sigma)
+        oracle = BiasedGradOracle(
+            grad_fn=prob.grad,
+            bias_values=np.zeros_like(alpha),
+            directions=zero_sum_directions(num_clients, theta0.shape[0]),
+            sigma=sigma,
+        )
+        _simulate_rounds(oracle, alpha, theta0, rng.spawn(n_runs), on_round_start=record)
+        return _report(acc, bound)
 
 
 class StepsizeMode(Enum):
@@ -591,8 +602,8 @@ class ConvexCase:
     def verify(self) -> BoundReport:
         prob = make_quadratic(self.dim, self.mu, self.lipschitz, self.problem_seed)
         return verify_convex(
-            prob, self._stepsizes(), self._bias(), self.rel_var, self.sigma**2, self.clients,
-            prob.theta_star + self.theta0_scale * np.ones(self.dim), self.n_runs,
+            prob, self._stepsizes(), self._bias(), self.rel_var, self.sigma * self.sigma,
+            self.clients, prob.theta_star + self.theta0_scale * np.ones(self.dim), self.n_runs,
             np.random.default_rng(self.seed),
         )
 

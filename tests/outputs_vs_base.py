@@ -120,7 +120,8 @@ def compare(base: Path, head: Path, out: Path) -> int:
     """Print the verdict on the runs ``run_tree`` left in out/base and
     out/head and return the exit code. Each head run gives the same bytes at
     every thread count, each diverging head run ends with exit code 1 and one
-    ``error:`` line, and every other run exits 0. Outputs equal the base's
+    ``error:`` line, and every other run exits 0, the head's with nothing on
+    stderr, so a numpy warning on a finished run fails. Outputs equal the base's
     byte for byte, unless ``head``'s CHANGES.md says "Digits changed:" more
     often than ``base``'s: the change's entry gives the size of the change."""
     errors = []
@@ -136,6 +137,9 @@ def compare(base: Path, head: Path, out: Path) -> int:
             and lines[0].startswith(b"error: ") and lines[0].endswith(b"\n")
         ):
             errors.append(f"{name} did not end with exit 1 and one error line")
+        if not diverges and _read(run / "code") == b"0\n" and lines:
+            stderr = b"".join(lines).decode(errors="replace")
+            errors.append(f"head {name} exited 0 but wrote to stderr:\n{stderr}")
         errors += [
             f"{name}/{f} differs from {first}/{f}: the thread count changed a byte"
             for f in files if _read(run / f) != _read(out / "head" / first / f)

@@ -402,6 +402,35 @@ def test_verify_stepsize_precondition_violation(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+CONVEX_CASE = "[huge]\nkind = convex\ndim = 4\nmu = 0.5\nL = 4\nM = 1\nQ = 4\nT = 3\nJ = 2\n"
+NONCONVEX_CASE = "[huge]\nkind = nonconvex\ndim = 4\nQ = 4\nT = 3\nJ = 2\nalpha = 0.05\n"
+
+# Cases whose bound or empirical mean is not finite: a bias cap whose
+# square overflows, a start point whose distance does, and a sigma whose
+# square does, convex and nonconvex.
+NON_FINITE_CASES = {
+    "bias": CONVEX_CASE + "sigma = 0.1\nB_end = 1e160\n",
+    "theta0": CONVEX_CASE + "sigma = 0.1\nB_end = 0.5\ntheta0 = 1e160\n",
+    "convex_sigma": CONVEX_CASE + "sigma = 1e160\nB_end = 0.5\n",
+    "nonconvex_sigma": NONCONVEX_CASE + "sigma = 1e160\n",
+}
+
+
+@pytest.mark.parametrize("text", NON_FINITE_CASES.values(), ids=NON_FINITE_CASES)
+def test_verify_case_that_is_not_finite_ends_in_one_error_line(tmp_path, capsys, text):
+    # Such a case cannot pass or fail on its numbers: an inf bound passes
+    # any mean, and a nan compares false.
+    cfg = write(tmp_path / "verify.ini", text + "n_runs = 100\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", cfg, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: case huge: non-finite bound (inf)"], lines
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
 def test_verify_unknown_kind_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "verify.ini", "[case]\nkind = quantum\n")
     assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -482,14 +511,27 @@ def test_run_whose_losses_overflow_ends_in_one_error_line(tmp_path, edits):
     )
 
 
-def test_diverging_expert_training_ends_in_one_error_line(tmp_path, capsys):
+# An expert whose training diverges, and a linear expert whose training
+# ends with finite parameters so large that its per-sample losses overflow.
+DIVERGING_EXPERTS = {
+    "parameters": (
+        (("eta0 = 0.01", "eta0 = 1e6"), ("kind = softmax", "kind = mlp\nhidden_dim = 8"),
+         ("num_clients = 10", "num_clients = 10\nf_ord = 0.5\nexpert_epochs = 3")),
+        r"non-finite parameters after step \d+",
+    ),
+    "losses": (
+        (("eta0 = 0.01", "eta0 = 1e3"), ("kind = softmax", "kind = linear"),
+         ("num_clients = 10", "num_clients = 10\nf_ord = 0.5\nexpert_epochs = 1")),
+        r"non-finite loss at the expert model",
+    ),
+}
+
+
+@pytest.mark.parametrize("edits,pattern", DIVERGING_EXPERTS.values(), ids=DIVERGING_EXPERTS)
+def test_diverging_expert_training_ends_in_one_error_line(tmp_path, capsys, edits, pattern):
     with open(os.path.join(CONFIGS, "example_run.ini"), encoding="utf-8") as fh:
         text = fh.read()
-    for old, new in (
-        ("eta0 = 0.01", "eta0 = 1e6"),
-        ("kind = softmax", "kind = mlp\nhidden_dim = 8"),
-        ("num_clients = 10", "num_clients = 10\nf_ord = 0.5\nexpert_epochs = 3"),
-    ):
+    for old, new in edits:
         assert old in text
         text = text.replace(old, new)
     cfg = write(tmp_path / "diverge.ini", text)
@@ -500,7 +542,7 @@ def test_diverging_expert_training_ends_in_one_error_line(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1, lines
-    assert re.fullmatch(r"error: expert training: non-finite parameters after step \d+", lines[0])
+    assert re.fullmatch(r"error: expert training: " + pattern, lines[0])
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
@@ -539,15 +581,15 @@ def test_trial_trains_and_runs_the_expert_once(tmp_path, monkeypatch, f_ord, sco
     for trial in range(cfg.n_trials):
         for seen in (experts, passes, ranked):
             seen.clear()
-        data = cli._build_trial(cfg, trial)
+        _, (ds, _, _, expert_losses) = cli._build_trial(cfg, trial)
         if not f_ord and scoring != "expert":
-            assert (experts, passes, data.expert_losses) == ([], [], None)
+            assert (experts, passes, expert_losses) == ([], [], None)
             continue
         assert len(experts) == 1
         assert len(passes) == 1
-        assert passes[0][0] is experts[0] and passes[0][1] == len(data.ds)
-        assert data.expert_losses.shape == (len(data.ds),)
-        assert len(ranked) == f_ord and all(r is data.expert_losses for r in ranked)
+        assert passes[0][0] is experts[0] and passes[0][1] == len(ds)
+        assert expert_losses.shape == (len(ds),)
+        assert len(ranked) == f_ord and all(r is expert_losses for r in ranked)
 
 
 def test_client_curriculum_draws_the_participants_per_round(tmp_path):

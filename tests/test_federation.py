@@ -704,10 +704,10 @@ def test_pad_rows_reach_no_gradient(model):
     # Every epoch of the three clients ends on a short batch, which the step
     # table pads with pool row 0. Here row 0 belongs to no client and its
     # features are 1e308: against first-layer weights of at least 0.5, its
-    # first product overflows to inf, so the linear model's residual is inf
-    # and the softmax's log-probabilities are nan. The pad rows' loss
-    # derivative is set to 0, not multiplied by 0, so each client keeps the
-    # bits of the same call with an ordinary row 0.
+    # first product would overflow to inf, so the linear model's residual
+    # would be inf and the softmax's log-probabilities nan. The step zeroes
+    # the pad rows once gathered and sets their loss derivative to 0, so
+    # each client keeps the bits of the same call with an ordinary row 0.
     ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
     rng = np.random.default_rng(13)
     rows = [1 + rng.choice(299, n, replace=False) for n in (23, 12, 9)]
@@ -731,6 +731,28 @@ def test_pad_rows_reach_no_gradient(model):
         model.kind.value
     ]
     assert (huge_theta[:, :first] > 0.5).all()
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+def test_nan_pool_row_0_reaches_no_other_client(model):
+    # Pool row 0 holds nan and belongs to no client of the call. The
+    # client's 23 rows end each epoch on a short batch of 2, which the step
+    # table pads with row 0; the client still gets the bits of the reference
+    # loop, whose pad rows are zero rows.
+    ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
+    x = ds.features.copy()
+    x[0] = np.nan
+    rows = 1 + np.random.default_rng(13).choice(299, 23, replace=False)
+    start = init_params(model, np.random.default_rng(14))
+    ref_theta, ref_v, ref_steps, _ = local_sgd_reference(
+        model, BATCH_7, start.copy(), np.zeros_like(start),
+        Batch(ds.features[rows], ds.labels[rows]), 3, np.random.default_rng(9), "client 0",
+    )
+    pool = models._Pool(model, BATCH_7, [Batch(x, ds.labels)])
+    theta, v = start[None].copy(), np.zeros((1, len(start)))
+    steps, diverged = models._local_sgd(pool, [rows], theta, v, 3, [np.random.default_rng(9)])
+    assert diverged == {} and steps == [ref_steps] == [12]
+    assert np.array_equal(theta[0], ref_theta) and np.array_equal(v[0], ref_v)
 
 
 def test_rate_table_grows_in_step_order():
@@ -1086,6 +1108,22 @@ def test_job_before_a_diverging_one_keeps_its_trained_arrays():
     for j in (1, 2):
         assert str(done[j]).startswith("round 1, client 3: non-finite parameters after step ")
     assert str(done[3]).startswith("round 3, client 3: non-finite parameters after step ")
+
+
+def test_nan_row_of_a_failing_job_leaves_the_others_their_solo_rows():
+    # Job 0's dataset comes first in the call's pool, so its nan row 0 is
+    # the pool's row 0, the row that pads every short batch of the call.
+    # Job 0 fails at its pass at theta; job 1 trains to the end with the
+    # rows of its run alone.
+    bad, part, test = small_world(seed=43)
+    bad.features = bad.features.copy()
+    bad.features[0] = np.nan
+    jobs = [(base_config(seed=1, client_curriculum=CLIENT_CURRICULUM), bad, part, test, None),
+            (base_config(seed=2), *small_world(seed=42), None)]
+    done = run_experiment(jobs)
+    assert_solo_results(jobs, done)
+    assert str(done[0]) == "round 0, client 2: non-finite loss at the global model"
+    assert len(done[1]) == 4
 
 
 def test_configuration_error_in_a_later_job_hides_no_earlier_result(monkeypatch):

@@ -72,6 +72,8 @@ def test_changed_byte_fails_unless_waived(tmp_path, capsys, waived):
     (["head/div-eta-t1", "head/div-eta-t2"], "stderr", lambda data: data + b"Traceback\n",
      "div-eta-t2 did not end with exit 1 and one error line"),
     (["base/fedprox-t1"], "code", lambda data: b"1\n", "base fedprox-t1 did not exit 0"),
+    (["head/verify"], "stderr", lambda data: b"RuntimeWarning: overflow encountered\n",
+     "head verify exited 0 but wrote to stderr:\nRuntimeWarning: overflow encountered"),
 ])
 def test_rule_breach_fails_even_with_a_waiver(tmp_path, capsys, runs, file, edit, message):
     base, head, out = _trees(tmp_path)

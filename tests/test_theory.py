@@ -447,6 +447,20 @@ def test_verify_convex_deterministic_contraction():
     assert report.empirical < 4.0
 
 
+@pytest.mark.parametrize(
+    "per_run,bound,message",
+    [([1.0, np.inf], 5.0, "empirical mean (inf)"), ([1.0, np.nan], 5.0, "empirical mean (nan)"),
+     ([1.0, 2.0], np.inf, "bound (inf)"), ([np.nan, 2.0], np.nan, "bound (nan)")],
+)
+def test_report_compares_only_finite_numbers(per_run, bound, message):
+    # Both verifiers end here: an inf bound would pass any mean, and a nan
+    # would fail against any bound.
+    with pytest.raises(FloatingPointError) as caught:
+        theory._report(np.array(per_run), bound)
+    assert str(caught.value) == f"non-finite {message}"
+    assert theory._report(np.array([1.0, 2.0]), 1.5) == theory.BoundReport(1.5, 1.5, True)
+
+
 def test_verify_convex_requires_enough_runs():
     prob = make_quadratic(4, 0.5, 2.0, seed=5)
     with pytest.raises(ValueError):
