@@ -30,7 +30,6 @@ from .data import (
 from .errors import ConfigurationError
 from .federation import (
     Algorithm,
-    ClientState,
     DataCurriculumConfig,
     ExperimentConfig,
     RoundMetrics,

@@ -189,7 +189,6 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
 
 
 def command_run(cfg: RunConfig, out_dir: str, processes: int) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     trials = [_build_trial(cfg, i) for i in range(cfg.n_trials)]
     # Arm by arm over the trials: metrics.csv, the shares and the summary rely on it.
     jobs: list[Job] = [
@@ -226,7 +225,6 @@ def command_verify(cases: list[ConvexCase | NonconvexCase], out_dir: str) -> int
     each case batches its Monte-Carlo runs. ``--threads`` does not apply. A
     case whose bound or mean is not finite stops the command, its error
     naming the case, before ``report.csv`` is written."""
-    os.makedirs(out_dir, exist_ok=True)
     reports = []
     for case in cases:
         try:
@@ -346,11 +344,16 @@ def _main(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:  # before any work too: the commands write into it
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out '{args.out}': {exc.strerror or exc}", file=sys.stderr)
+        return 2
     try:
         if args.command == "run":
             return command_run(cfg, args.out, args.threads)
         return command_verify(cfg, args.out)
-    except (ValueError, FloatingPointError) as exc:
+    except (ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -285,7 +285,7 @@ def parse_run_config(path: str) -> RunConfig:
 
     experiment = _built(
         ExperimentConfig,
-        _keys("federation", "rounds", "local_epochs", "mu_prox"),
+        {**_keys("federation", "rounds", "local_epochs", "mu_prox"), "eta0": ("optimizer", "eta0")},
         model=model,
         participants=participants,
         rounds=_get(cp, "federation", "rounds", int, required=True),

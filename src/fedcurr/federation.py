@@ -2,7 +2,8 @@
 aggregation under FedAvg, FedProx, SCAFFOLD or FedNova.
 
 ``run_experiment`` runs a list of (arm, trial) jobs in lockstep by round,
-each a generator that stops at its training step. Each client's rows,
+each one ``_run_job`` generator that stops at its training step and keeps
+its clients' state in arrays indexed by client id. Each client's rows,
 labels, gradient targets and, under expert scoring, expert losses are
 gathered once per run, the targets from the training pool that the call
 builds over its jobs' distinct datasets. Each round runs the model once per
@@ -14,9 +15,9 @@ call of ``models._local_sgd``, the one momentum-SGD loop, which trains all
 the participants together and which ``train_centralized`` shares for the
 expert model. A job fails at the first non-finite value it reads: its
 parameters after a local step (the step that ``_local_sgd`` returns, worded
-here), a loss of the pass at theta or at a local model, a gradient of
-lambda, the mean client loss or the test loss. A job that fails stops, and
-the others of its call run on.
+by ``_run_job``), a loss of the pass at theta or at a local model, a
+gradient of lambda, the mean client loss or the test loss. A job that fails
+stops, and the others of its call run on.
 
 Determinism contract: every random draw comes from a generator keyed by
 (seed, stream tag, round, client id). The participants of a round train in
@@ -109,26 +110,14 @@ class ExperimentConfig:
             raise ConfigurationError("local_epochs must be >= 1", field="local_epochs")
         if self.mu_prox < 0:
             raise ConfigurationError("mu_prox must be >= 0", field="mu_prox")
+        if self.algorithm is Algorithm.SCAFFOLD and self.hyper.eta0 == 0:
+            # Its control update divides by the mean rate.
+            raise ConfigurationError("SCAFFOLD needs eta0 > 0", field="eta0")
 
 
 def _check_participants(participants: int, num_clients: int) -> None:
     if not 1 <= participants <= num_clients:
         raise ConfigurationError("need 1 <= participants <= num_clients", field="participants")
-
-
-@dataclass
-class ClientState:
-    """One client across rounds: its data and optimizer state, and what its
-    last ``client_update`` produced, which ``aggregate`` reads."""
-
-    client_id: int
-    indices: np.ndarray
-    momentum: np.ndarray
-    local_params: np.ndarray | None = None  # last locally trained parameters
-    control: np.ndarray | None = None  # SCAFFOLD control variate
-    tau: int = 0  # local steps taken in the last update
-    selected: int = 0  # size of the subset trained in the last update
-    control_delta: np.ndarray | None = None  # SCAFFOLD control change in the last update
 
 
 @dataclass
@@ -172,8 +161,8 @@ def _check_finite(values, where: str, what: str, clients: list[int] | range | No
 
 @dataclass
 class _Training:
-    """One job's part of a round's local training, as ``client_update``
-    yields it: per participant its pool rows, generator, momentum and, under
+    """One job's part of a round's local training, as ``_run_job`` yields
+    it: per participant its chosen pool rows, generator, momentum and, under
     SCAFFOLD, control, and the job's broadcast parameters and server
     control, which every participant starts from."""
 
@@ -220,56 +209,36 @@ def _train(pool: _Pool, cfg: ExperimentConfig, trainings: list[_Training]) -> li
 
 
 def client_update(
-    states: list[ClientState],
+    ids: list[int],
     global_params: np.ndarray,
     cfg: ExperimentConfig,
-    pool: _Pool,
-    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    clients: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    trained: list[np.ndarray | None],
+    expert_losses: list[np.ndarray | None],
+    at_theta: dict[int, tuple[np.ndarray, np.ndarray]],
     t: int,
     rngs: list[np.random.Generator],
-    server_control: np.ndarray | None = None,
-    expert_losses: list[np.ndarray | None] | None = None,
-    at_global: list[tuple[np.ndarray, np.ndarray]] | None = None,
-) -> Generator[_Training, _Trained, list[ClientState]]:
-    """One job's round of local training, as a generator: for each
-    participant, in the order of ``states`` (ascending id), select the paced
-    subset with its own generator ``rngs[k]``; then yield the participants'
-    ``_Training``, all starting from the broadcast parameters, and take back
-    the trained parameters, momenta, step counts and diverging participants
-    (``_train``). Returns the new states, with the trained parameters in
-    ``local_params``; the states themselves are left as they were. The
-    momentum buffer persists across rounds; the step index (and with it the
-    learning-rate schedule) resets each round.
+) -> list[np.ndarray]:
+    """The pool rows each participant of ``ids`` (ascending) trains on in
+    round ``t``: all of its rows without a data curriculum, else its paced
+    subset, selected with its own generator ``rngs[k]``.
 
-    ``pool`` holds the share's rows and targets, checked once per run, and
-    the rates (``models._Pool``). ``rows[k]`` are participant k's pool rows
-    and, gathered from them, its features, labels and targets, and
-    ``expert_losses[k]`` the expert's per-sample losses on them;
-    ``run_experiment`` gathers all of them once per run and passes the same
-    arrays every round. ``at_global[k]``, which a data curriculum needs,
-    holds the per-sample losses and raw outputs of those rows at
-    ``global_params``. Under the random ordering, which reads no score, only
-    random scoring runs, for its draw from ``rngs[k]``. Otherwise the pair at
-    the local model is computed here only for a scoring that reads it and a
-    client that has trained before to parameters other than
-    ``global_params``, and is ``at_global[k]`` otherwise. It checks the
-    parameter and momentum lengths and that a data curriculum comes with
-    ``at_global``; a non-finite loss at a local model, or a local step that
-    leaves parameters non-finite, fails the job, the latter naming the
-    lowest-id such participant and its first such step."""
+    The per-client lists are indexed by client id: ``clients[c]`` holds
+    client c's pool rows and, gathered from them, its features, labels and
+    targets (``_gather``), ``trained[c]`` its last trained parameters (None
+    before its first round) and ``expert_losses[c]`` the expert's per-sample
+    losses on its rows. ``at_theta[c]`` holds the per-sample losses and raw
+    outputs of those rows at ``global_params``. Under the random ordering,
+    which reads no score, only random scoring runs, for its draw from
+    ``rngs[k]``. Otherwise the pair at the local model is computed here only
+    for a scoring that reads it and a client that has trained before to
+    parameters other than ``global_params``, and is ``at_theta[c]``
+    otherwise; a non-finite loss there fails the job."""
     model = cfg.model
-    if global_params.shape != (model.param_count(),):
-        raise ConfigurationError(
-            f"parameter length {global_params.shape} does not match model ({model.param_count()},)"
-        )
     dc = cfg.data_curriculum
-    if dc is not None and at_global is None:
-        raise ConfigurationError("a data curriculum needs the losses and outputs at theta")
     chosen = []
-    for k, state in enumerate(states):
-        if state.momentum.shape != global_params.shape:
-            raise ConfigurationError("parameter and momentum lengths must match")
-        pool_rows, x, y, target = rows[k]
+    for k, cid in enumerate(ids):
+        pool_rows, x, y, target = clients[cid]
         if dc is None:
             chosen.append(pool_rows)
             continue
@@ -278,101 +247,78 @@ def client_update(
             # no scoring but random draws from rngs[k].
             scores = np.zeros(len(y))
         else:
-            at_local = at_global[k]
+            at_local, local_params = at_theta[cid], trained[cid]
             if (
                 dc.scoring in LOCAL_BASED
-                and state.local_params is not None
-                and not np.array_equal(state.local_params, global_params)
+                and local_params is not None
+                and not np.array_equal(local_params, global_params)
             ):
                 # [::2] drops the gradient closures, and the activations they
                 # hold, before the job waits for its training.
                 with np.errstate(all="ignore"):
                     losses, outputs = _losses_and_grads(
-                        model, state.local_params, [x], [y], [target]
+                        model, local_params, [x], [y], [target]
                     )[::2]
-                where = f"round {t}, client {state.client_id}"
-                _check_finite(losses[0], where, "loss at its local model")
+                _check_finite(losses[0], f"round {t}, client {cid}", "loss at its local model")
                 at_local = losses[0], outputs[0]
-            expert = None if expert_losses is None else expert_losses[k]
-            scores = score_samples(dc.scoring, y, at_global[k], at_local, expert, rngs[k])
+            expert = expert_losses[cid]
+            scores = score_samples(dc.scoring, y, at_theta[cid], at_local, expert, rngs[k])
         n_sel = pace(dc.pacing, t, len(y), cfg.rounds)
         chosen.append(pool_rows[np.sort(order_and_select(scores, dc.ordering, n_sel, rngs[k]))])
-
-    scaffold = cfg.algorithm is Algorithm.SCAFFOLD
-    theta, v, taus, diverged = yield _Training(
-        chosen, rngs, global_params, np.array([state.momentum for state in states]),
-        server_control if scaffold else None,
-        np.array([state.control for state in states]) if scaffold else None,
-    )
-    if diverged:
-        k = min(diverged)
-        raise FloatingPointError(f"round {t}, client {states[k].client_id}: non-finite "
-                                 f"parameters after step {diverged[k]}")
-
-    updated = []
-    for k, state in enumerate(states):
-        control_delta = None
-        new_control = state.control
-        if scaffold:
-            step = taus[k]
-            alpha_bar = pool.eta_sums[step - 1] / step
-            new_control = (
-                state.control - server_control + (global_params - theta[k]) / (step * alpha_bar)
-            )
-            control_delta = new_control - state.control
-        updated.append(
-            ClientState(
-                client_id=state.client_id,
-                indices=state.indices,
-                momentum=v[k],
-                local_params=theta[k],
-                control=new_control,
-                tau=taus[k],
-                selected=len(chosen[k]),
-                control_delta=control_delta,
-            )
-        )
-    return updated
+    return chosen
 
 
 def aggregate(
-    states: list[ClientState],
+    trained: np.ndarray,
+    sizes: list[int],
+    steps: list[int],
     algorithm: Algorithm,
     global_params: np.ndarray,
     server_control: np.ndarray | None = None,
+    controls: np.ndarray | None = None,
+    eta_sums: list[float] | None = None,
     num_clients_total: int = 0,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Combine the participants' trained parameters into the new global
-    model; ``states`` are the states ``client_update`` returned this round.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Combine the participants' trained parameters ``trained`` (P, dim),
+    in ascending id order, into the new global model; ``sizes`` are their
+    row counts and ``steps`` their local step counts. Returns the new
+    global parameters, server control and participants' controls.
 
     Weights are the participants' sample counts renormalized to sum to 1.
     The update is applied in delta form, theta - sum w_k * s_k * (theta -
     theta_k), with s_k = 1 except under FedNova where s_k = tau_eff / tau_k;
     tau_eff is computed with an integer numerator so equal step counts give
     s_k exactly 1.
+
+    Under SCAFFOLD each participant's control ``controls[k]`` becomes c_k -
+    c + (theta - theta_k) / (tau_k * alpha_k), alpha_k its mean rate, from
+    the running sums ``eta_sums`` of the rates (``models._Pool``); the server
+    control c moves by P / ``num_clients_total`` times the mean change.
     """
-    if not states:
+    if not len(trained):
         raise ConfigurationError("no client updates to aggregate")
-    sizes = [len(s.indices) for s in states]
     n_round = sum(sizes)
+    scales = [1.0] * len(trained)
     if algorithm is Algorithm.FEDNOVA:
-        tau_eff = sum(n * s.tau for n, s in zip(sizes, states)) / n_round
-        scales = [tau_eff / s.tau for s in states]
-    else:
-        scales = [1.0] * len(states)
-    if len(states) == 1:
-        new = states[0].local_params.copy()
+        tau_eff = sum(n * tau for n, tau in zip(sizes, steps)) / n_round
+        scales = [tau_eff / tau for tau in steps]
+    if len(trained) == 1:
+        new = trained[0].copy()
     else:
         new = global_params.copy()
-        for n, s, scale in zip(sizes, states, scales):
-            new = new - (n / n_round) * scale * (global_params - s.local_params)
-    new_control = server_control
-    if algorithm is Algorithm.SCAFFOLD:
-        if server_control is None or num_clients_total < 1:
-            raise ConfigurationError("SCAFFOLD aggregation needs server control state")
-        mean_delta = sum(s.control_delta for s in states) / len(states)
-        new_control = server_control + (len(states) / num_clients_total) * mean_delta
-    return new, new_control
+        for n, theta_k, scale in zip(sizes, trained, scales):
+            new = new - (n / n_round) * scale * (global_params - theta_k)
+    if algorithm is not Algorithm.SCAFFOLD:
+        return new, server_control, controls
+    if server_control is None or controls is None or eta_sums is None or num_clients_total < 1:
+        raise ConfigurationError("SCAFFOLD aggregation needs server control state")
+    new_controls = np.array([
+        c_k - server_control + (global_params - theta_k) / (tau * (eta_sums[tau - 1] / tau))
+        for c_k, theta_k, tau in zip(controls, trained, steps)
+    ])
+    mean_delta = sum(new_controls - controls) / len(trained)
+    new_server = server_control + (len(trained) / num_clients_total) * mean_delta
+    return new, new_server, new_controls
 
 
 def evaluate(model: ModelSpec, params: np.ndarray, test: Batch) -> tuple[float, float]:
@@ -404,16 +350,22 @@ def _run_job(
     test: Batch,
     expert_losses: np.ndarray | None,
 ) -> Generator[Batch | _Training, tuple[_Pool, list[tuple]] | _Trained, list[RoundMetrics]]:
-    """One job's federation, as a generator that ``run_experiment`` drives
-    in lockstep with the other jobs of its call.
+    """One job's federation, as the generator that ``run_experiment``
+    drives in lockstep with the other jobs of its call.
 
     After the set-up checks it yields its dataset as a ``Batch``, checked
     against the model, and is sent the call's pool and each client's pool
     rows with the features, labels and targets gathered from them
-    (``_gather``). Each round then yields the round's ``_Training`` from
-    ``client_update`` and is sent the trained arrays. It returns one metrics
-    row per round, or, with rounds == 0, the initial model's row before
-    yielding anything."""
+    (``_gather``). It keeps, per client id, the momentum and the SCAFFOLD
+    control as (m, dim) arrays, the last trained parameters and the row
+    count; the momenta persist across rounds, while the step index, and
+    with it the rate schedule, resets each round. Each round it scores,
+    selects (``client_update``), yields the participants' ``_Training``, is
+    sent the trained arrays (``_train``), writes them back by id, and
+    aggregates and evaluates; a local step that leaves parameters non-finite
+    fails the job, naming the lowest-id such participant and its first such
+    step. It returns one metrics row per round, or, with rounds == 0, the
+    initial model's row before yielding anything."""
     m = part.num_clients
     _check_participants(cfg.participants, m)
     for i, indices in enumerate(part.assignment):
@@ -426,16 +378,12 @@ def _run_job(
     model = cfg.model
     theta = init_params(model, np.random.default_rng([cfg.seed, _INIT_STREAM]))
     dim = theta.shape[0]
-    states = [
-        ClientState(
-            client_id=i,
-            indices=part.assignment[i],
-            momentum=np.zeros(dim),
-            control=np.zeros(dim) if cfg.algorithm is Algorithm.SCAFFOLD else None,
-        )
-        for i in range(m)
-    ]
-    server_control = np.zeros(dim) if cfg.algorithm is Algorithm.SCAFFOLD else None
+    scaffold = cfg.algorithm is Algorithm.SCAFFOLD
+    sizes = [len(indices) for indices in part.assignment]
+    momenta = np.zeros((m, dim))
+    controls = np.zeros((m, dim)) if scaffold else None
+    server_control = np.zeros(dim) if scaffold else None
+    trained: list[np.ndarray | None] = [None] * m  # each client's last trained parameters
 
     if cfg.rounds == 0:
         acc, loss = _evaluated(model, theta, test, 0)
@@ -445,7 +393,7 @@ def _run_job(
     _check_batch(model, theta, data)
     pool, clients = yield data
     _, xs, ys, targets = zip(*clients)
-    experts = [expert_losses[s.indices] if expert else None for s in states]
+    experts = [expert_losses[indices] if expert else None for indices in part.assignment]
     metrics = []
     for t in range(cfg.rounds):
         round_rng = np.random.default_rng([cfg.seed, _SERVER_STREAM, t])
@@ -471,27 +419,37 @@ def _run_job(
         block = {cid: k for k, cid in enumerate(scored)}
         at_theta = {i: (block_losses[block[i]], block_outputs[block[i]]) for i in ids}
 
-        sizes = np.array([len(states[i].indices) for i in ids], dtype=np.float64)
-        w = sizes / sizes.sum()
+        w = np.array([sizes[i] for i in ids], dtype=np.float64)
         with np.errstate(all="ignore"):
             grads = [block_grads[block[i]]() for i in ids]
-            lam = gradient_dissimilarity(grads, w)
+            lam = gradient_dissimilarity(grads, w / w.sum())
             mean_cl = float(np.mean([means[block[i]] for i in ids]))
         del block_grads, block_outputs  # free the closures' MLP activations before training
         _check_finite(grads, f"round {t}", "gradient at the global model", ids)
         _check_finite(mean_cl, f"round {t}", "mean client loss")
 
-        updated = yield from client_update(  # ascending id: fixed reduction order
-            [states[cid] for cid in ids], theta, cfg, pool, [clients[cid] for cid in ids], t,
-            [np.random.default_rng([cfg.seed, _CLIENT_STREAM, t, cid]) for cid in ids],
-            server_control, [experts[cid] for cid in ids], [at_theta[cid] for cid in ids],
+        # Ascending id: the fixed reduction order of aggregate.
+        rngs = [np.random.default_rng([cfg.seed, _CLIENT_STREAM, t, cid]) for cid in ids]
+        chosen = client_update(ids, theta, cfg, clients, trained, experts, at_theta, t, rngs)
+        own = controls[ids] if scaffold else None
+        training = _Training(chosen, rngs, theta, momenta[ids], server_control, own)
+        local, v, steps, diverged = yield training
+        if diverged:
+            k = min(diverged)
+            raise FloatingPointError(f"round {t}, client {ids[k]}: non-finite "
+                                     f"parameters after step {diverged[k]}")
+        momenta[ids] = v
+        for k, cid in enumerate(ids):
+            trained[cid] = local[k]
+        theta, server_control, new_controls = aggregate(
+            local, [sizes[cid] for cid in ids], steps, cfg.algorithm, theta, server_control, own,
+            pool.eta_sums, m,
         )
-        for state in updated:
-            states[state.client_id] = state
-        theta, server_control = aggregate(updated, cfg.algorithm, theta, server_control, m)
+        if scaffold:
+            controls[ids] = new_controls
 
         acc, loss = _evaluated(model, theta, test, t)
-        subset_frac = float(np.mean([s.selected / len(s.indices) for s in updated]))
+        subset_frac = float(np.mean([len(c) / sizes[cid] for c, cid in zip(chosen, ids)]))
         metrics.append(RoundMetrics(t, acc, loss, list(ids), mean_cl, lam, subset_frac))
     return metrics
 

@@ -272,10 +272,10 @@ def _output_terms(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarra
 
 def _targets(model: ModelSpec, y: np.ndarray) -> np.ndarray:
     """The labels in the form the gradient takes them: one-hot rows for
-    classifiers, the labels themselves for the regression models."""
+    classifiers, float labels for the regression models."""
     if model.is_classifier:
         return np.eye(model.num_classes)[y]
-    return y
+    return y.astype(np.float64)
 
 
 def _terms_losses(model: ModelSpec, terms: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -370,10 +370,7 @@ class _Pool:
             self.x = np.concatenate([b.x for b in blocks])
             y = np.concatenate([b.y for b in blocks])
         self.starts = [0] + list(itertools.accumulate(len(b) for b in blocks))[:-1]
-        if model.is_classifier:
-            self.target = _targets(model, y)
-        else:
-            self.target = y.astype(np.float64)
+        self.target = _targets(model, y)
         self.etas: list[float] = []
         self.eta_sums: list[float] = []
         self._cohorts: dict[int, _Cohort] = {}

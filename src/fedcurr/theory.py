@@ -245,10 +245,6 @@ class ConvexProblem:
     def __post_init__(self):
         _check_curvature(self.mu, self.L)
 
-    def value(self, theta: np.ndarray) -> float:
-        d = theta - self.theta_star
-        return 0.5 * float(d @ self.matrix @ d)
-
     def grad(self, theta: np.ndarray) -> np.ndarray:
         """Gradient at one point (d,) or at each row of a batch (..., d)."""
         return (theta - self.theta_star) @ self.matrix.T
@@ -534,7 +530,7 @@ def verify_nonconvex(
         oracle = BiasedGradOracle(
             grad_fn=prob.grad,
             bias_values=np.zeros_like(alpha),
-            directions=zero_sum_directions(num_clients, theta0.shape[0]),
+            directions=np.zeros((num_clients, theta0.shape[0])),  # every cap is 0: never read
             sigma=sigma,
         )
         _simulate_rounds(oracle, alpha, theta0, rng.spawn(n_runs), on_round_start=record)
@@ -634,7 +630,6 @@ class NonconvexCase:
         if not self.alpha > 0:  # a zero step never moves theta0
             raise ConfigurationError("alpha must be > 0", field="alpha")
         _check_runs(self.n_runs)
-        _check_directions(self.clients, self.dim)
 
     def _stepsizes(self) -> np.ndarray:
         return constant_stepsizes(self.alpha, self.rounds, self.local_steps)

@@ -20,7 +20,7 @@ from fedcurr import (
     run_experiment,
     sgd_step,
 )
-from fedcurr.federation import _INIT_STREAM, _train
+from fedcurr.federation import _INIT_STREAM, _train, _Training
 from fedcurr.models import _output_terms, _targets
 from fedcurr.theory import _check_cohort, _noisy
 
@@ -75,17 +75,24 @@ def run_one(cfg, ds, part, test, expert_losses=None):
     return result
 
 
-def update_alone(states, global_params, cfg, pool, *args, **kwargs):
-    """``client_update`` driven as the only job of its share: its training
-    goes through ``federation._train`` alone. Returns the new states, or
-    raises the job's error."""
-    update = client_update(states, global_params, cfg, pool, *args, **kwargs)
-    [trained] = _train(pool, cfg, [next(update)])
-    try:
-        update.send(trained)
-    except StopIteration as stop:
-        return stop.value
-    raise AssertionError("client_update yielded twice")
+def update_alone(cfg, pool, ids, global_params, clients, t, rngs, momenta, server_control=None,
+                 controls=None, trained=None, expert_losses=None, at_theta=None):
+    """One job's round of local training as ``federation._run_job`` runs it
+    with no other job in its call: ``client_update`` selects the rows of the
+    participants ``ids``, and ``federation._train`` trains them from
+    ``global_params``. ``clients``, ``trained`` and ``expert_losses`` are
+    per client id, as ``client_update`` takes them; ``momenta`` and
+    ``controls`` are the participants' (P, dim) stacks. Returns the chosen
+    rows, then the trained parameters, momenta, step counts and diverging
+    participants."""
+    unset = [None] * len(clients)
+    chosen = client_update(
+        ids, global_params, cfg, clients, unset if trained is None else trained,
+        unset if expert_losses is None else expert_losses, at_theta or {}, t, rngs,
+    )
+    training = _Training(chosen, rngs, global_params, momenta, server_control, controls)
+    [out] = _train(pool, cfg, [training])
+    return (chosen, *out)
 
 
 def batch_loss(model: ModelSpec, params: np.ndarray, batch: Batch) -> float:

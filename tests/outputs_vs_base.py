@@ -49,6 +49,13 @@ VARIANTS = {
     "fedprox": Variant({"federation.algorithm": "fedprox", "federation.mu_prox": "0.01"}),
     "scaffold": Variant({"federation.algorithm": "scaffold"}),
     "fednova": Variant({"federation.algorithm": "fednova"}),
+    # SCAFFOLD with a local scoring and a growing client set (2 to 4 a
+    # round): the per-client arrays are read and written by id as the
+    # participants change, beside the pass at each local model.
+    "scaffold-local": Variant({
+        "federation.algorithm": "scaffold", "data_curriculum.scoring": "lg_loss", **ALL_ARMS,
+        "client_curriculum.enabled": "true", "client_curriculum.ordering": "anti",
+    }, (1, 2)),
     "linear": Variant({"model.kind": "linear"}),  # the regression path
     **{s: Variant({"data_curriculum.scoring": s, **ALL_ARMS}) for s in SCORINGS},
     # 12 jobs (4 arms x 3 trials) in lockstep, in one process and in two.

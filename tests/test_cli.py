@@ -340,7 +340,8 @@ def test_main_pins_blas_and_restores_the_count(tmp_path, monkeypatch):
     previous = get()
     set_(2)
     try:
-        assert main(["verify", write(tmp_path / "v.ini", SMALL_VERIFY)]) == 0
+        cfg = write(tmp_path / "v.ini", SMALL_VERIFY)
+        assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 0
         assert seen == [1]
         assert get() == 2
     finally:
@@ -671,6 +672,41 @@ def test_shipped_nonconvex_case_passes_at_other_settings(tmp_path, key, value):
     assert read(out / "report.csv").decode().splitlines()[1].endswith(",1")
 
 
+def test_odd_nonconvex_cohort_in_one_dimension_passes(tmp_path, capsys):
+    # The nonconvex oracle adds no bias, so it lays out no direction family
+    # and an odd cohort needs no second dimension.
+    case = "[nc]\nkind = nonconvex\ndim = 1\nQ = 3\nT = 5\nJ = 2\nalpha = 0.05\nsigma = 0.05\n"
+    path = write(tmp_path / "nc.ini", case + "n_runs = 100\n")
+    assert main(["verify", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("PASS nc: ")
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys, command):
+    # A file stands where the directory would go, or in its path: one error
+    # line before any work, no traceback.
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    text, out = (MINIMAL_RUN, taken) if command == "run" else (SMALL_VERIFY, taken / "sub")
+    cfg = write(tmp_path / "c.ini", text)
+    assert main([command, cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    reason = "File exists" if command == "run" else "Not a directory"
+    assert captured.err.splitlines() == [f"error: --out '{out}': {reason}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_output_file_that_cannot_be_written_exits_1(tmp_path, capsys, command):
+    # A directory stands where the output file would go.
+    text, name = (MINIMAL_RUN, "metrics.csv") if command == "run" else (SMALL_VERIFY, "report.csv")
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, write(tmp_path / "c.ini", text), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], lines
+
+
 CLIENT_CC = {"enabled": "true"}
 
 # (command, section, key, value, other keys of that section)
@@ -697,6 +733,8 @@ INVALID_CONFIGS = [
     ("run", "optimizer", "batch_size", "0", {}),
     ("run", "optimizer", "momentum", "1.5", {}),
     ("run", "optimizer", "eta0", "inf", {}),
+    # SCAFFOLD's control update divides by the mean rate.
+    ("run", "optimizer", "eta0", "0", {"federation.algorithm": "scaffold"}),
     ("run", "partition", "num_clients", "0", {}),
     ("run", "partition", "num_clients", "700", {}),
     ("run", "partition", "skew_classes", "3", {"scheme": "label_skew"}),
@@ -727,7 +765,6 @@ INVALID_CONFIGS = [
     ("verify", "nonconvex_logcosh", "n_runs", "0", {}),
     ("verify", "convex_client_schedule", "Q", "1", {}),
     ("verify", "convex_data_schedule", "dim", "1", {"Q": "3"}),
-    ("verify", "nonconvex_logcosh", "dim", "1", {"Q": "3"}),
     ("verify", "convex_client_schedule", "M", "-1", {}),
     # alpha omitted: the default stepsize 1/(8(3+2M)L) would divide by zero.
     ("verify", "convex_client_schedule", "M", "-1.5", {}),
@@ -763,10 +800,12 @@ def test_invalid_config_exits_2_before_any_output(
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep the keys' case
     cp.read(os.path.join(CONFIGS, shipped), encoding="utf-8")
-    if not cp.has_section(section):
-        cp.add_section(section)
-    for k, v in {**others, key: value}.items():
-        cp.set(section, k, v)
+    for name, v in {**others, key: value}.items():
+        # A name "section.key" sets a key of another section.
+        where, _, k = name.rpartition(".")
+        if not cp.has_section(where or section):
+            cp.add_section(where or section)
+        cp.set(where or section, k, v)
     path = tmp_path / "bad.ini"
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)

@@ -17,7 +17,6 @@ from fedcurr import (
     Algorithm,
     Batch,
     ClientSelectionConfig,
-    ClientState,
     ConfigurationError,
     DataCurriculumConfig,
     ExperimentConfig,
@@ -86,25 +85,10 @@ def curriculum_arm(scoring, ordering=OrderingKind.CURRICULUM):
     return DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), ordering)
 
 
-def fresh_state(ds, part, cid, scaffold=False):
-    dim = MODEL.param_count()
-    return ClientState(
-        client_id=cid,
-        indices=part.assignment[cid],
-        momentum=np.zeros(dim),
-        control=np.zeros(dim) if scaffold else None,
-    )
-
-
-def client_rows(ds, state):
-    """The client's features and labels."""
-    return ds.features[state.indices], ds.labels[state.indices]
-
-
-def training_rows(ds, state, pool):
-    """The client's pool rows, features, labels and targets, as
+def clients_of(pool, ds, part):
+    """Per client id, its pool rows, features, labels and targets, as
     run_experiment hands them to client_update from a pool over ``ds``."""
-    return (state.indices, *client_rows(ds, state), pool.target[state.indices])
+    return federation._gather(pool, 0, ds.batch(), part)
 
 
 def pool_of(cfg, params, data):
@@ -129,35 +113,32 @@ def test_zero_learning_rate_returns_broadcast_unchanged():
     ds, part, _ = small_world()
     cfg = base_config(hyper=SgdHyper(eta0=0.0, momentum=0.9))
     theta = np.linspace(-1, 1, MODEL.param_count())
-    state = fresh_state(ds, part, 0)
     pool = pool_of(cfg, theta, ds.batch())
-    [new] = update_alone(
-        [state], theta, cfg, pool, [training_rows(ds, state, pool)], 0, [np.random.default_rng(0)],
+    _, local, *_ = update_alone(
+        cfg, pool, [0], theta, clients_of(pool, ds, part), 0, [np.random.default_rng(0)],
+        np.zeros((1, len(theta))),
     )
-    assert np.array_equal(new.local_params, theta)
+    assert np.array_equal(local[0], theta)
+
+
+def test_scaffold_rejects_a_zero_learning_rate():
+    # Its control update divides by the mean rate; FedAvg trains at 0.
+    with pytest.raises(ConfigurationError) as info:
+        base_config(algorithm=Algorithm.SCAFFOLD, hyper=SgdHyper(eta0=0.0))
+    assert info.value.field == "eta0"
 
 
 def test_fedprox_zero_mu_identical_to_fedavg():
     ds, part, _ = small_world()
     theta = np.random.default_rng(1).standard_normal(MODEL.param_count()) * 0.1
-    state = fresh_state(ds, part, 2)
-    pool = pool_of(base_config(), theta, ds.batch())
-    [res_a] = update_alone(
-        [state], theta, base_config(), pool, [training_rows(ds, state, pool)], 0,
-        [np.random.default_rng(9)],
-    )
-    prox = base_config(algorithm=Algorithm.FEDPROX, mu_prox=0.0)
-    pool = pool_of(prox, theta, ds.batch())
-    [res_p] = update_alone(
-        [state],
-        theta,
-        prox,
-        pool,
-        [training_rows(ds, state, pool)],
-        0,
-        [np.random.default_rng(9)],
-    )
-    assert np.array_equal(res_a.local_params, res_p.local_params)
+    local = []
+    for cfg in (base_config(), base_config(algorithm=Algorithm.FEDPROX, mu_prox=0.0)):
+        pool = pool_of(cfg, theta, ds.batch())
+        local.append(update_alone(
+            cfg, pool, [2], theta, clients_of(pool, ds, part), 0, [np.random.default_rng(9)],
+            np.zeros((1, len(theta))),
+        )[1])
+    assert np.array_equal(*local)
 
 
 def test_curriculum_with_full_initial_fraction_matches_off():
@@ -174,63 +155,62 @@ def test_curriculum_with_full_initial_fraction_matches_off():
     assert metrics_equal(m_on, m_off)
 
 
-def _update(cid, params, n, tau):
-    """A client of ``n`` samples after a ``tau``-step update to ``params``."""
-    params = np.asarray(params, dtype=np.float64)
-    return ClientState(
-        client_id=cid, indices=np.arange(n), momentum=np.zeros_like(params),
-        local_params=params, tau=tau, selected=n,
-    )
-
-
 def test_aggregate_single_participant_exact():
     theta = np.array([5.0, -3.0])
-    new, _ = aggregate([_update(0, [1.5, 2.5], 10, 4)], Algorithm.FEDAVG, theta)
+    new, _, _ = aggregate(np.array([[1.5, 2.5]]), [10], [4], Algorithm.FEDAVG, theta)
     assert np.array_equal(new, np.array([1.5, 2.5]))
 
 
 def test_aggregate_weighted_mean():
     theta = np.array([0.0])
-    new, _ = aggregate(
-        [_update(0, [1.0], 1, 4), _update(1, [3.0], 3, 4)], Algorithm.FEDAVG, theta
-    )
+    new, _, _ = aggregate(np.array([[1.0], [3.0]]), [1, 3], [4, 4], Algorithm.FEDAVG, theta)
     assert_allclose(new, [2.5], rtol=1e-12)
 
 
 def test_aggregate_empty_raises():
     with pytest.raises(ValueError):
-        aggregate([], Algorithm.FEDAVG, np.zeros(2))
+        aggregate(np.zeros((0, 2)), [], [], Algorithm.FEDAVG, np.zeros(2))
+
+
+def test_aggregate_moves_each_scaffold_control_and_the_server_control():
+    # Per participant c_k - c + (theta - theta_k) / S_k, S_k the sum of its
+    # tau_k rates; the server control moves by P / m times the mean change.
+    rng = np.random.default_rng(5)
+    theta, server_c = rng.standard_normal(4), rng.standard_normal(4)
+    trained, controls = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    steps, eta_sums = [2, 5, 3], list(np.cumsum(rng.uniform(0.1, 1.0, 5)))
+    _, new_server, new_controls = aggregate(
+        trained, [4, 6, 5], steps, Algorithm.SCAFFOLD, theta, server_c, controls, eta_sums, 8
+    )
+    expected = np.array([controls[k] - server_c + (theta - trained[k]) / eta_sums[tau - 1]
+                         for k, tau in enumerate(steps)])
+    assert_allclose(new_controls, expected, rtol=1e-12)
+    assert_allclose(new_server, server_c + 3 / 8 * (expected - controls).mean(axis=0), rtol=1e-12)
 
 
 @pytest.mark.parametrize("server_control,total", [(None, 4), (np.zeros(1), 0)],
                          ids=["no_server_control", "no_clients"])
 def test_scaffold_aggregate_needs_server_control_state(server_control, total):
     with pytest.raises(ConfigurationError, match="^SCAFFOLD aggregation needs server control"):
-        aggregate([_update(0, [1.0], 1, 4)], Algorithm.SCAFFOLD, np.zeros(1), server_control,
-                  total)
+        aggregate(np.array([[1.0]]), [1], [4], Algorithm.SCAFFOLD, np.zeros(1), server_control,
+                  np.zeros((1, 1)), [1.0] * 4, total)
 
 
 def test_fednova_equal_steps_matches_fedavg_bitwise():
     rng = np.random.default_rng(3)
     theta = rng.standard_normal(6)
-    updates = [
-        _update(i, rng.standard_normal(6), n, 40)
-        for i, n in enumerate([17, 23, 11])
-    ]
-    avg, _ = aggregate(updates, Algorithm.FEDAVG, theta)
-    nova, _ = aggregate(updates, Algorithm.FEDNOVA, theta)
+    trained, sizes = rng.standard_normal((3, 6)), [17, 23, 11]
+    avg, _, _ = aggregate(trained, sizes, [40] * 3, Algorithm.FEDAVG, theta)
+    nova, _, _ = aggregate(trained, sizes, [40] * 3, Algorithm.FEDNOVA, theta)
     assert np.array_equal(avg, nova)
 
 
 def test_fednova_unequal_steps_differs_from_fedavg():
     rng = np.random.default_rng(4)
     theta = rng.standard_normal(6)
-    updates = [
-        _update(i, rng.standard_normal(6), n, tau)
-        for i, (n, tau) in enumerate([(17, 10), (23, 40), (11, 25)])
-    ]
-    avg, _ = aggregate(updates, Algorithm.FEDAVG, theta)
-    nova, _ = aggregate(updates, Algorithm.FEDNOVA, theta)
+    trained, sizes, steps = rng.standard_normal((3, 6)), [17, 23, 11], [10, 40, 25]
+    avg, _, _ = aggregate(trained, sizes, steps, Algorithm.FEDAVG, theta)
+    nova, _, _ = aggregate(trained, sizes, steps, Algorithm.FEDNOVA, theta)
     assert not np.allclose(avg, nova)
 
 
@@ -248,19 +228,20 @@ def test_scaffold_control_is_mean_of_client_controls():
     ds, part, test = small_world(scheme=Scheme.IID)
     cfg = base_config(algorithm=Algorithm.SCAFFOLD, participants=8, rounds=3)
     dim = MODEL.param_count()
-    states = [fresh_state(ds, part, i, scaffold=True) for i in range(8)]
-    theta = np.zeros(dim)
-    server_c = np.zeros(dim)
+    theta, server_c = np.zeros(dim), np.zeros(dim)
+    momenta, controls = np.zeros((8, dim)), np.zeros((8, dim))
     pool = pool_of(cfg, theta, ds.batch())
+    rows, sizes = part.assignment, [len(rows) for rows in part.assignment]
     for t in range(3):
         rngs = [np.random.default_rng([cfg.seed, 2, t, cid]) for cid in range(8)]
-        states = update_alone(
-            states, theta, cfg, pool, [training_rows(ds, s, pool) for s in states], t, rngs,
-            server_control=server_c,
+        [(local, momenta, steps, diverged)] = federation._train(
+            pool, cfg, [federation._Training(rows, rngs, theta, momenta, server_c, controls)]
         )
-        theta, server_c = aggregate(states, Algorithm.SCAFFOLD, theta, server_c, 8)
-        mean_control = np.mean([s.control for s in states], axis=0)
-        assert np.abs(server_c - mean_control).max() <= 1e-10
+        assert diverged == {}
+        theta, server_c, controls = aggregate(
+            local, sizes, steps, Algorithm.SCAFFOLD, theta, server_c, controls, pool.eta_sums, 8
+        )
+        assert np.abs(server_c - controls.mean(axis=0)).max() <= 1e-10
 
 
 def test_scaffold_full_run_smoke():
@@ -348,18 +329,6 @@ def test_run_rejects_a_client_that_holds_no_data(selection):
     assert isinstance(result, ConfigurationError) and str(result) == "client 0 holds no data"
 
 
-def test_client_update_checks_parameter_and_momentum_lengths():
-    ds, part, _ = small_world()
-    cfg, theta, state = base_config(), np.zeros(MODEL.param_count()), fresh_state(ds, part, 0)
-    pool = pool_of(cfg, theta, ds.batch())
-    args = cfg, pool, [training_rows(ds, state, pool)], 0, [np.random.default_rng(0)]
-    with pytest.raises(ConfigurationError, match=r"^parameter length \(11,\) does not match"):
-        update_alone([state], theta[1:], *args)
-    short = dataclasses.replace(state, momentum=np.zeros(len(theta) - 1))
-    with pytest.raises(ConfigurationError, match="^parameter and momentum lengths must match$"):
-        update_alone([short], theta, *args)
-
-
 def test_frozen_scores_give_nested_selections():
     # With scores held fixed, top-k selections nest as the pacing size grows.
     rng = np.random.default_rng(33)
@@ -397,7 +366,7 @@ def test_expert_scoring_hands_each_client_its_own_expert_losses(monkeypatch):
 
     def recorded(*args, **kwargs):
         call = signature.bind(*args, **kwargs).arguments
-        handed.extend((s.indices, e) for s, e in zip(call["states"], call["expert_losses"]))
+        handed.extend((part.assignment[c], call["expert_losses"][c]) for c in call["ids"])
         return update(*args, **kwargs)
 
     monkeypatch.setattr(federation, "client_update", recorded)
@@ -439,20 +408,25 @@ def at_model(model, params, batch):
     return per_sample_losses(model, params, batch), forward_reference(model, params, batch.x)[0]
 
 
-def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None, expert=None):
-    """client_update written with the public, per-call-checked functions;
-    ``expert`` holds the expert's losses on the client's rows."""
-    full = Batch(ds.features[state.indices], ds.labels[state.indices])
+def _reference_update(arrays, part, global_params, cfg, ds, t, rng, server_control=None,
+                      expert=None):
+    """Client 1's round written with the public, per-call-checked functions,
+    from its entries of the job's per-client ``arrays`` (see ``_one_client``);
+    ``expert`` holds the expert's losses on the client's rows. Returns its
+    trained parameters, momentum, step count and, under SCAFFOLD, control."""
+    momenta, controls, trained = arrays
+    indices = part.assignment[CLIENT]
+    full = Batch(ds.features[indices], ds.labels[indices])
     dc = cfg.data_curriculum
     if dc is not None:
         # Both passes, the local one even where the local model is the global.
-        local = state.local_params if state.local_params is not None else global_params
+        local = trained[CLIENT] if trained[CLIENT] is not None else global_params
         scores = score_samples(
             dc.scoring, full.y, at_model(cfg.model, global_params, full),
             at_model(cfg.model, local, full), expert, rng,
         )
-        n_sel = pace(dc.pacing, t, len(state.indices), cfg.rounds)
-        idx = state.indices[np.sort(order_and_select(scores, dc.ordering, n_sel, rng))]
+        n_sel = pace(dc.pacing, t, len(indices), cfg.rounds)
+        idx = indices[np.sort(order_and_select(scores, dc.ordering, n_sel, rng))]
         batch = Batch(ds.features[idx], ds.labels[idx])
     else:
         batch = full
@@ -461,24 +435,29 @@ def _reference_update(state, global_params, cfg, ds, t, rng, server_control=None
         if cfg.algorithm is Algorithm.FEDPROX:
             g = g + cfg.mu_prox * (theta - global_params)
         if cfg.algorithm is Algorithm.SCAFFOLD:
-            g = g + server_control - state.control
+            g = g + server_control - controls[CLIENT]
         return g
 
     theta, v, step, eta_sum = local_sgd_reference(
-        cfg.model, cfg.hyper, global_params.copy(), state.momentum.copy(), batch,
-        cfg.local_epochs, rng, f"round {t}, client {state.client_id}", extra,
+        cfg.model, cfg.hyper, global_params.copy(), momenta[CLIENT].copy(), batch,
+        cfg.local_epochs, rng, f"round {t}, client {CLIENT}", extra,
     )
-    control = state.control
+    control = None
     if cfg.algorithm is Algorithm.SCAFFOLD:
-        control = state.control - server_control + (global_params - theta) / (
+        control = controls[CLIENT] - server_control + (global_params - theta) / (
             step * (eta_sum / step)
         )
     return theta, v, step, control
 
 
+CLIENT = 1  # the client of the bitwise training tests
+
+
 def _one_client(model, algorithm, hyper, data_curriculum=None):
-    """A config, a client of 75 IID rows and its broadcast parameters (and
-    SCAFFOLD server control) for the bitwise training tests."""
+    """A config, a 4-client IID partition whose client 1 holds 75 rows, and
+    the broadcast parameters and SCAFFOLD server control for the bitwise
+    training tests; then the job's per-client arrays before its first
+    round: momenta, SCAFFOLD controls and last trained parameters."""
     ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
     part = partition(ds, PartitionSpec(Scheme.IID, num_clients=4), 5)
     cfg = base_config(
@@ -491,16 +470,38 @@ def _one_client(model, algorithm, hyper, data_curriculum=None):
     )
     dim = model.param_count()
     scaffold = algorithm is Algorithm.SCAFFOLD
-    state = ClientState(
-        client_id=1,
-        indices=part.assignment[1],
-        momentum=np.zeros(dim),
-        control=np.zeros(dim) if scaffold else None,
-    )
     init_rng = np.random.default_rng(11)
     theta = init_params(model, init_rng)
     server_c = init_rng.standard_normal(dim) * 0.01 if scaffold else None
-    return ds, cfg, state, theta, server_c
+    arrays = np.zeros((4, dim)), np.zeros((4, dim)) if scaffold else None, [None] * 4
+    return ds, part, cfg, theta, server_c, arrays
+
+
+def _client_round(cfg, ds, part, theta, t, rng, arrays, server_c=None, expert=None):
+    """Client 1's round as the one participant of its job, as ``_run_job``
+    runs it: its pass at theta, ``update_alone``, then, unless it diverged,
+    its ``arrays`` written back by id and, under SCAFFOLD, its control from
+    ``aggregate``. Returns its chosen rows, step count and diverging steps."""
+    momenta, controls, trained = arrays
+    pool = pool_of(cfg, theta, ds.batch())
+    clients = clients_of(pool, ds, part)
+    ids = [CLIENT]
+    own = None if controls is None else controls[ids]
+    at_theta = {CLIENT: at_model(cfg.model, theta, Batch(*clients[CLIENT][1:3]))}
+    experts = [expert if c == CLIENT else None for c in range(len(clients))]
+    [chosen], local, v, steps, diverged = update_alone(
+        cfg, pool, ids, theta, clients, t, [rng], momenta[ids], server_c, own, trained, experts,
+        at_theta,
+    )
+    if not diverged:
+        momenta[ids] = v
+        trained[CLIENT] = local[0]
+        if own is not None:
+            controls[ids] = aggregate(
+                local, [len(part.assignment[CLIENT])], steps, cfg.algorithm, theta, server_c,
+                own, pool.eta_sums, 4,
+            )[2]
+    return chosen, steps[0], diverged
 
 
 ALGORITHMS = [Algorithm.FEDAVG, Algorithm.FEDPROX, Algorithm.SCAFFOLD]
@@ -512,41 +513,39 @@ BATCH_7 = SgdHyper(eta0=0.05, momentum=0.9, weight_decay=5e-4, batch_size=7)
 def test_client_update_trains_bit_for_bit_as_the_public_functions(model, algorithm):
     # 75 rows in batches of 7 end each epoch on a 5-row remainder. Three
     # rounds carry the momentum and the SCAFFOLD control across updates.
-    ds, cfg, state, theta, server_c = _one_client(model, algorithm, BATCH_7)
-    assert len(state.indices) % BATCH_7.batch_size != 0
+    ds, part, cfg, theta, server_c, arrays = _one_client(model, algorithm, BATCH_7)
+    momenta, controls, trained = arrays
+    assert len(part.assignment[CLIENT]) % BATCH_7.batch_size != 0
     for t in range(3):
         ref_theta, ref_v, ref_tau, ref_control = _reference_update(
-            state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
+            arrays, part, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
         )
-        pool = pool_of(cfg, theta, ds.batch())
-        [state] = update_alone(
-            [state], theta, cfg, pool, [training_rows(ds, state, pool)], t,
-            [np.random.default_rng([3, t])], server_c,
+        _, tau, _ = _client_round(
+            cfg, ds, part, theta, t, np.random.default_rng([3, t]), arrays, server_c
         )
-        assert np.array_equal(state.local_params, ref_theta)
-        assert np.array_equal(state.momentum, ref_v)
-        assert state.tau == ref_tau == cfg.local_epochs * 11
+        assert np.array_equal(trained[CLIENT], ref_theta)
+        assert np.array_equal(momenta[CLIENT], ref_v)
+        assert tau == ref_tau == cfg.local_epochs * 11
         if algorithm is Algorithm.SCAFFOLD:
-            assert np.array_equal(state.control, ref_control)
-        theta = theta + 0.5 * (state.local_params - theta)
+            assert np.array_equal(controls[CLIENT], ref_control)
+        theta = theta + 0.5 * (trained[CLIENT] - theta)
 
 
 def _diverging_client_update_step(model, algorithm, eta0) -> int:
-    """Check that client_update fails with the message of the reference loop,
-    and return the step that message names."""
+    """Check that client 1's round diverges at the step that the reference
+    loop's error names, and return that step."""
     hyper = SgdHyper(eta0=eta0, decay_alpha=0.0, momentum=0.9, weight_decay=5e-4, batch_size=7)
-    ds, cfg, state, theta, server_c = _one_client(model, algorithm, hyper)
+    ds, part, cfg, theta, server_c, arrays = _one_client(model, algorithm, hyper)
     with pytest.raises(FloatingPointError) as expected:
-        _reference_update(state, theta, cfg, ds, 2, np.random.default_rng(3), server_c)
-    pool = pool_of(cfg, theta, ds.batch())
-    with pytest.raises(FloatingPointError) as caught:
-        update_alone(
-            [state], theta, cfg, pool, [training_rows(ds, state, pool)], 2,
-            [np.random.default_rng(3)], server_c,
-        )
-    assert str(caught.value) == str(expected.value)
-    assert str(caught.value).startswith("round 2, client 1: non-finite parameters after step ")
-    return int(str(caught.value).rsplit(" ", 1)[1])
+        _reference_update(arrays, part, theta, cfg, ds, 2, np.random.default_rng(3), server_c)
+    _, _, diverged = _client_round(
+        cfg, ds, part, theta, 2, np.random.default_rng(3), arrays, server_c
+    )
+    assert list(diverged) == [0]
+    assert str(expected.value) == (
+        f"round 2, client 1: non-finite parameters after step {diverged[0]}"
+    )
+    return diverged[0]
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
@@ -580,7 +579,8 @@ def test_diverging_local_sgd_replays_the_reference_steps(model):
         eta0=LATE_CLIENT_ETA0[FOUR_MODELS.index(model)], decay_alpha=0.0, momentum=0.9,
         weight_decay=5e-4, batch_size=7,
     )
-    ds, _, state, theta, _ = _one_client(model, Algorithm.FEDAVG, hyper)
+    ds, part, _, theta, _, _ = _one_client(model, Algorithm.FEDAVG, hyper)
+    rows = part.assignment[CLIENT]
     expected = []
 
     def record(g, _theta):
@@ -589,11 +589,12 @@ def test_diverging_local_sgd_replays_the_reference_steps(model):
 
     with pytest.raises(FloatingPointError) as ref:
         local_sgd_reference(
-            model, hyper, theta.copy(), np.zeros_like(theta), Batch(*client_rows(ds, state)), 3,
-            np.random.default_rng(6), "client", record,
+            model, hyper, theta.copy(), np.zeros_like(theta),
+            Batch(ds.features[rows], ds.labels[rows]), 3, np.random.default_rng(6), "client",
+            record,
         )
     _, diverged = models._local_sgd(
-        models._Pool(model, hyper, [ds.batch()]), [state.indices], theta[None].copy(),
+        models._Pool(model, hyper, [ds.batch()]), [rows], theta[None].copy(),
         np.zeros((1, len(theta))), 3, [np.random.default_rng(6)],
     )
     assert list(diverged) == [0]
@@ -606,13 +607,13 @@ def test_cohort_names_the_lowest_id_diverging_client(model):
     # Clients 1 and 3 diverge, 3 first: its start momentum overflows at step
     # 0. Each gets its own reference step, and no other client gets one.
     # Client 3 holds more rows, so it takes the first slot. As one job's
-    # participants, the five clients fail with client 1's error, as if they
-    # trained one after another by id.
+    # participants, the five clients diverge at the same steps, and client 1,
+    # whose error the job reports, is the lowest id of them.
     hyper = SgdHyper(
         eta0=LATE_CLIENT_ETA0[FOUR_MODELS.index(model)], decay_alpha=0.0, momentum=0.9,
         weight_decay=5e-4, batch_size=7,
     )
-    ds, cfg, _, theta, _ = _one_client(model, Algorithm.FEDAVG, hyper)
+    ds, _, cfg, theta, _, _ = _one_client(model, Algorithm.FEDAVG, hyper)
     part = partition(ds, PartitionSpec(Scheme.IID, num_clients=4), 5).assignment
     rows = [part[0][:1], part[1], part[2][:6], np.concatenate([part[3], part[2][6:20]]),
             part[0][1:9]]
@@ -636,14 +637,14 @@ def test_cohort_names_the_lowest_id_diverging_client(model):
     )
     worded = {p: f"client {p}: non-finite parameters after step {s}" for p, s in diverged.items()}
     assert worded == errors
-    states = [ClientState(p, r, momenta[p]) for p, r in enumerate(rows)]
-    with pytest.raises(FloatingPointError) as caught:
-        update_alone(
-            states, theta, dataclasses.replace(cfg, local_epochs=3), pool,
-            [(r, ds.features[r], ds.labels[r], pool.target[r]) for r in rows], 4,
-            [np.random.default_rng([7, p]) for p in range(5)],
-        )
-    assert str(caught.value) == f"round 4, {errors[1]}"
+    *_, diverged = update_alone(
+        dataclasses.replace(cfg, local_epochs=3), pool, list(range(5)), theta,
+        [(r, ds.features[r], ds.labels[r], pool.target[r]) for r in rows], 4,
+        [np.random.default_rng([7, p]) for p in range(5)], momenta.copy(),
+    )
+    assert {p: f"client {p}: non-finite parameters after step {s}"
+            for p, s in diverged.items()} == errors
+    assert min(diverged) == 1
 
 
 # At batch size 7: 1, bs - 1, bs, bs + 1 and 3*bs + 2 rows.
@@ -777,29 +778,27 @@ def test_client_update_matches_checked_reference(model, algorithm):
     # Two rounds of one client under lg_loss scoring, so the second round
     # scores with a local model that differs from the global one. The paced
     # subsets, 23 and 39 rows, end on a short batch.
-    ds, cfg, state, theta, server_c = _one_client(
+    ds, part, cfg, theta, server_c, arrays = _one_client(
         model, algorithm, BATCH_7,
         DataCurriculumConfig(
             ScoringKind.LG_LOSS, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.CURRICULUM
         ),
     )
+    momenta, controls, trained = arrays
     for t in range(2):
         ref_theta, ref_v, ref_tau, ref_control = _reference_update(
-            state, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
+            arrays, part, theta, cfg, ds, t, np.random.default_rng([3, t]), server_c
         )
-        pool = pool_of(cfg, theta, ds.batch())
-        [state] = update_alone(
-            [state], theta, cfg, pool, [training_rows(ds, state, pool)], t,
-            [np.random.default_rng([3, t])], server_c,
-            at_global=[at_model(model, theta, Batch(*client_rows(ds, state)))],
+        chosen, tau, _ = _client_round(
+            cfg, ds, part, theta, t, np.random.default_rng([3, t]), arrays, server_c
         )
-        assert state.selected % BATCH_7.batch_size != 0
-        assert np.array_equal(state.local_params, ref_theta)
-        assert np.array_equal(state.momentum, ref_v)
-        assert state.tau == ref_tau
+        assert len(chosen) % BATCH_7.batch_size != 0
+        assert np.array_equal(trained[CLIENT], ref_theta)
+        assert np.array_equal(momenta[CLIENT], ref_v)
+        assert tau == ref_tau
         if algorithm is Algorithm.SCAFFOLD:
-            assert np.array_equal(state.control, ref_control)
-        theta = theta + 0.1 * (state.local_params - theta)
+            assert np.array_equal(controls[CLIENT], ref_control)
+        theta = theta + 0.1 * (trained[CLIENT] - theta)
 
 
 CLASSIFIERS = [FOUR_MODELS[1], FOUR_MODELS[2]]
@@ -808,24 +807,20 @@ CLASSIFIERS = [FOUR_MODELS[1], FOUR_MODELS[2]]
 def _check_scoring_rounds(model, scoring, next_theta):
     """Three rounds of one client against the reference, the broadcast model
     of each next round made by ``next_theta(theta, local_params)``."""
-    ds, cfg, state, theta, _ = _one_client(
+    ds, part, cfg, theta, _, arrays = _one_client(
         model, Algorithm.FEDAVG, BATCH_7,
         DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.ANTI),
     )
-    expert = np.random.default_rng(8).uniform(0.1, 2.0, len(state.indices))
+    momenta, _, trained = arrays
+    expert = np.random.default_rng(8).uniform(0.1, 2.0, len(part.assignment[CLIENT]))
     for t in range(3):
         ref_theta, ref_v, _, _ = _reference_update(
-            state, theta, cfg, ds, t, np.random.default_rng([4, t]), expert=expert
+            arrays, part, theta, cfg, ds, t, np.random.default_rng([4, t]), expert=expert
         )
-        pool = pool_of(cfg, theta, ds.batch())
-        [state] = update_alone(
-            [state], theta, cfg, pool, [training_rows(ds, state, pool)], t,
-            [np.random.default_rng([4, t])], expert_losses=[expert],
-            at_global=[at_model(model, theta, Batch(*client_rows(ds, state)))],
-        )
-        assert np.array_equal(state.local_params, ref_theta)
-        assert np.array_equal(state.momentum, ref_v)
-        theta = next_theta(theta, state.local_params)
+        _client_round(cfg, ds, part, theta, t, np.random.default_rng([4, t]), arrays, expert=expert)
+        assert np.array_equal(trained[CLIENT], ref_theta)
+        assert np.array_equal(momenta[CLIENT], ref_v)
+        theta = next_theta(theta, trained[CLIENT])
 
 
 @pytest.mark.parametrize("model", CLASSIFIERS, ids=["softmax", "mlp"])
@@ -842,20 +837,6 @@ def test_sole_participant_scoring_matches_checked_reference(model, scoring):
     # As the sole participant, the client's local model is the next global
     # one, whose pass at theta then serves both sides; the reference runs both.
     _check_scoring_rounds(model, scoring, lambda theta, local: local.copy())
-
-
-@pytest.mark.parametrize("scoring", list(ScoringKind), ids=lambda k: k.value)
-def test_data_curriculum_needs_the_pass_at_theta(scoring):
-    ds, cfg, state, theta, _ = _one_client(
-        CLASSIFIERS[0], Algorithm.FEDAVG, BATCH_7,
-        DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.3), OrderingKind.ANTI),
-    )
-    pool = pool_of(cfg, theta, ds.batch())
-    with pytest.raises(ConfigurationError, match="losses and outputs at theta"):
-        update_alone(
-            [state], theta, cfg, pool, [training_rows(ds, state, pool)], 0,
-            [np.random.default_rng(0)], expert_losses=[np.ones(len(state.indices))],
-        )
 
 
 def count_forwards(monkeypatch) -> dict:

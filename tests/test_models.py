@@ -204,6 +204,18 @@ def terms_reference(model, out, y):
     return _indexed_log_softmax(out) if model.is_classifier else out - y
 
 
+@pytest.mark.parametrize("model", [LINEAR, MLP_REG], ids=["linear", "mlp_scalar"])
+def test_regression_targets_are_float_labels(model):
+    # The gradient reads the same float labels from a pool as from _targets.
+    from fedcurr.models import _Pool, _targets
+
+    y = np.array([1, 0, 3, 2])
+    target = _targets(model, y)
+    assert target.dtype == np.float64 and np.array_equal(target, y)
+    batch = Batch(np.zeros((4, model.input_dim)), y)
+    assert _Pool(model, SgdHyper(), [batch]).target.tobytes() == target.tobytes()
+
+
 KERNEL_MODELS = {
     "linear": WIDE_MODELS[0], "softmax": WIDE_MODELS[1], "mlp": WIDE_MODELS[2],
     "mlp_scalar": WIDE_MODELS[3], "desk": DESK_SOFTMAX,
