@@ -4,17 +4,19 @@
 every arm and trial and writes ``metrics.csv`` plus ``summary.csv``;
 ``fedcurr verify <config>`` runs each case of the convergence-bound
 verification grid (a ``fedcurr.theory`` case runs itself through
-``verify()``) and writes ``report.csv``. Outputs are byte-identical across reruns and
-``--threads`` counts; ``--threads`` only affects ``run``, where it is the
-number of processes among which the (arm, trial) jobs are shared; each
-process runs its share's jobs in lockstep by round. Both commands run
-numpy's OpenBLAS on one thread, so outputs do not depend on
-``OPENBLAS_NUM_THREADS`` either.
+``verify()``) and writes ``report.csv``; ``_write_csv`` writes each file's
+rows, mappings from column name to cell, under their keys as the header.
+Outputs are byte-identical across reruns and ``--threads`` counts;
+``--threads`` only affects ``run``, where it is the number of processes
+among which the (arm, trial) jobs are shared; each process runs its share's
+jobs in lockstep by round. Both commands run numpy's OpenBLAS on one
+thread, so outputs do not depend on ``OPENBLAS_NUM_THREADS`` either.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import glob
 import os
@@ -42,14 +44,21 @@ from .federation import (
 from .models import per_sample_losses
 from .theory import ConvexCase, NonconvexCase
 
-METRIC_COLUMNS = (
-    "round,algorithm,ordering,scoring,pacing_family,pacing_a,pacing_b,seed,"
-    "test_acc,test_loss,mean_client_loss,lambda,subset_frac"
-)
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """Write ``rows``, each a mapping from column name to cell, under a
+    header of the first row's keys. A float cell takes 17 significant
+    digits, so reruns are byte-identical; a cell holding a comma or a quote
+    is quoted, as the CSV standard does."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _fmt(v) if isinstance(v, float) else v for k, v in row.items()})
 
 
 def _build_trial(cfg: RunConfig, trial: int) -> tuple[int, tuple]:
@@ -83,7 +92,7 @@ def _ordering(arm: DataCurriculumConfig | None) -> str:
     return "vanilla" if arm is None else arm.ordering.value
 
 
-def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> str:
+def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> dict:
     arm = exp.data_curriculum
     if arm is None:
         scoring, family = "none", "none"
@@ -91,13 +100,12 @@ def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> str:
     else:
         scoring, family = arm.scoring.value, arm.pacing.family.value
         a, b = arm.pacing.a, arm.pacing.b
-    cells = [
-        str(m.round), exp.algorithm.value, _ordering(arm), scoring, family,
-        _fmt(a), _fmt(b), str(exp.seed),
-        _fmt(m.test_acc), _fmt(m.test_loss), _fmt(m.mean_client_loss),
-        _fmt(m.lam), _fmt(m.subset_frac),
-    ]
-    return ",".join(cells)
+    return {
+        "round": m.round, "algorithm": exp.algorithm.value, "ordering": _ordering(arm),
+        "scoring": scoring, "pacing_family": family, "pacing_a": a, "pacing_b": b,
+        "seed": exp.seed, "test_acc": m.test_acc, "test_loss": m.test_loss,
+        "mean_client_loss": m.mean_client_loss, "lambda": m.lam, "subset_frac": m.subset_frac,
+    }
 
 
 def _run_share(jobs: list[Job], share: range) -> list[JobResult]:
@@ -199,23 +207,22 @@ def command_run(cfg: RunConfig, out_dir: str, processes: int) -> int:
     results = _run_jobs(jobs, processes)
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        fh.write(METRIC_COLUMNS + "\n")
-        for (exp, *_), rows in zip(jobs, results):
-            for m in rows:
-                fh.write(_metric_row(exp, m) + "\n")
-
+    _write_csv(metrics_path, [
+        _metric_row(exp, m) for (exp, *_), rows in zip(jobs, results) for m in rows
+    ])
+    n = len(trials)
+    summary = []
+    for a, arm in enumerate(cfg.arms):
+        finals = [rows[-1].test_acc for rows in results[a * n : (a + 1) * n]]
+        summary.append({
+            "ordering": _ordering(arm), "n_trials": n, "final_acc_mean": float(np.mean(finals)),
+            "final_acc_std": float(np.std(finals, ddof=1)) if n > 1 else 0.0,
+        })
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("ordering,n_trials,final_acc_mean,final_acc_std\n")
-        n = len(trials)
-        for a, arm in enumerate(cfg.arms):
-            finals = [rows[-1].test_acc for rows in results[a * n : (a + 1) * n]]
-            mean = float(np.mean(finals))
-            std = float(np.std(finals, ddof=1)) if len(finals) > 1 else 0.0
-            name = _ordering(arm)
-            fh.write(f"{name},{len(finals)},{_fmt(mean)},{_fmt(std)}\n")
-            print(f"{name}: final accuracy {mean:.4f} +/- {std:.4f} over {len(finals)} trials")
+    _write_csv(summary_path, summary)
+    for row in summary:
+        print(f"{row['ordering']}: final accuracy {row['final_acc_mean']:.4f} "
+              f"+/- {row['final_acc_std']:.4f} over {n} trials")
     print(f"wrote {metrics_path} and {summary_path}")
     return 0
 
@@ -232,26 +239,19 @@ def command_verify(cases: list[ConvexCase | NonconvexCase], out_dir: str) -> int
         except FloatingPointError as exc:
             raise FloatingPointError(f"case {case.name}: {exc}") from exc
 
+    rows = [{
+        "case": case.name, "kind": case.kind, "T": case.rounds, "J": case.local_steps,
+        "Q": case.clients, "schedule": "none" if case.schedule is None else case.schedule.value,
+        "empirical": rep.empirical, "bound": rep.bound, "slack": rep.bound - rep.empirical,
+        "passed": int(rep.passed),
+    } for case, rep in zip(cases, reports)]
     report_path = os.path.join(out_dir, "report.csv")
-    any_failed = False
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write("case,kind,T,J,Q,schedule,empirical,bound,slack,passed\n")
-        for case, rep in zip(cases, reports):
-            slack = rep.bound - rep.empirical
-            schedule = "none" if case.schedule is None else case.schedule.value
-            fh.write(
-                f"{case.name},{case.kind},{case.rounds},{case.local_steps},{case.clients},"
-                f"{schedule},{_fmt(rep.empirical)},{_fmt(rep.bound)},{_fmt(slack)},"
-                f"{int(rep.passed)}\n"
-            )
-            status = "PASS" if rep.passed else "FAIL"
-            print(
-                f"{status} {case.name}: empirical={rep.empirical:.6g} "
-                f"bound={rep.bound:.6g} slack={slack:.6g}"
-            )
-            any_failed = any_failed or not rep.passed
+    _write_csv(report_path, rows)
+    for row in rows:
+        print(f"{'PASS' if row['passed'] else 'FAIL'} {row['case']}: "
+              f"empirical={row['empirical']:.6g} bound={row['bound']:.6g} slack={row['slack']:.6g}")
     print(f"wrote {report_path}")
-    return 1 if any_failed else 0
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def _openblas_threads():

@@ -1,5 +1,6 @@
 """Run the shipped configs and a table of variants of configs/example_run.ini
-on two source trees and compare the outputs byte for byte (ROADMAP aim 1):
+on two source trees and compare the outputs, each CSV cell by cell and every
+other file byte for byte (ROADMAP aim 1):
 
     python tests/outputs_vs_base.py BASE HEAD
 
@@ -12,6 +13,8 @@ CPU kernels. ``compare`` holds the rules; it exits 1 when one fails.
 from __future__ import annotations
 
 import configparser
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -123,15 +126,42 @@ def _read(path: Path) -> bytes | None:
     return path.read_bytes() if path.exists() else None
 
 
+def _table(data: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(data.decode(errors="replace"), newline="")))
+
+
+def _layout_breach(base: list[list[str]], head: list[list[str]]) -> str | None:
+    """How ``head`` is more than ``base`` with columns appended: a header
+    that does not start with the base's, another row count, or a row not as
+    wide as the head's header; None when it is not."""
+    base_header, header = (rows[0] if rows else [] for rows in (base, head))
+    if header[: len(base_header)] != base_header:
+        return f"header {','.join(header)} does not start with the base's {','.join(base_header)}"
+    if len(head) != len(base):
+        return f"has {len(head)} rows, the base's {len(base)}"
+    if any(len(row) != len(header) for row in head):
+        return f"has a row that is not {len(header)} cells wide, as its header is"
+    return None
+
+
+def _appends(base: list[list[str]], head: list[list[str]]) -> bool:
+    """Whether ``head`` is wider than ``base`` and each of its rows starts
+    with the cells of the base's row."""
+    width = len(base[0])
+    return len(head[0]) > width and all(row[:width] == cells for row, cells in zip(head, base))
+
+
 def compare(base: Path, head: Path, out: Path) -> int:
     """Print the verdict on the runs ``run_tree`` left in out/base and
     out/head and return the exit code. Each head run gives the same bytes at
     every thread count, each diverging head run ends with exit code 1 and one
     ``error:`` line, and every other run exits 0, the head's with nothing on
-    stderr, so a numpy warning on a finished run fails. Outputs equal the base's
-    byte for byte, unless ``head``'s CHANGES.md says "Digits changed:" more
-    often than ``base``'s: the change's entry gives the size of the change."""
-    errors = []
+    stderr, so a numpy warning on a finished run fails. Each head CSV is the
+    base's with columns appended or none (``_layout_breach``). Every cell of
+    the base's columns, and every other file, equals the base's, unless
+    ``head``'s CHANGES.md says "Digits changed:" more often than ``base``'s:
+    the change's entry gives the size of the change. Appended columns pass."""
+    errors, changed, appended = [], [], []
     for name, first, files, diverges in runs():
         for tree in ("base", "head"):
             if not diverges and _read(out / tree / name / "code") != b"0\n":
@@ -151,15 +181,27 @@ def compare(base: Path, head: Path, out: Path) -> int:
             f"{name}/{f} differs from {first}/{f}: the thread count changed a byte"
             for f in files if _read(run / f) != _read(out / "head" / first / f)
         ]
+        for f in files:  # against the base: whole files, or each CSV by column
+            old, new = _read(out / "base" / name / f), _read(run / f)
+            if old == new:
+                continue
+            if not (f.endswith(".csv") and old and new):
+                changed.append(f"{name}/{f}")
+                continue
+            base_rows, head_rows = _table(old), _table(new)
+            breach = _layout_breach(base_rows, head_rows)
+            if breach:
+                errors.append(f"{name}/{f} {breach}")
+            else:
+                (appended if _appends(base_rows, head_rows) else changed).append(f"{name}/{f}")
     if errors:
         print("\n".join(f"::error::{error}" for error in errors))
         return 1
-    changed = [
-        f"{name}/{f}" for name, _, files, _ in runs() for f in files
-        if _read(out / "base" / name / f) != _read(out / "head" / name / f)
-    ]
+    for f in appended:
+        print(f"appends columns to the base commit's: {f}")
     if not changed:
-        print("outputs are byte-identical to the base commit")
+        print("outputs keep every cell of the base commit" if appended
+              else "outputs are byte-identical to the base commit")
         return 0
     print("\n".join(f"differs from the base commit: {f}" for f in changed))
     waivers = [(t / "CHANGES.md").read_bytes().count(b"Digits changed:") for t in (base, head)]

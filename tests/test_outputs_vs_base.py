@@ -45,16 +45,22 @@ def _one_byte(data: bytes) -> bytes:
     return data.replace(b"0.75", b"0.76")
 
 
+def _append_column(data: bytes) -> bytes:
+    return data.replace(b"accuracy\n", b"accuracy,zeta_sq\n").replace(b"0.75\n", b"0.75,0.1\n")
+
+
 def test_identical_outputs_pass(tmp_path, capsys):
     assert ovb.compare(*_trees(tmp_path)) == 0
     assert capsys.readouterr().out == "outputs are byte-identical to the base commit\n"
 
 
 @pytest.mark.parametrize("waived", [False, True])
-def test_changed_byte_fails_unless_waived(tmp_path, capsys, waived):
+@pytest.mark.parametrize("edit", [_one_byte, lambda data: _one_byte(_append_column(data))])
+def test_changed_byte_fails_unless_waived(tmp_path, capsys, waived, edit):
+    # A changed cell of a base column counts beside an appended column too.
     base, head, out = _trees(tmp_path)
     path = out / "head" / "mlp-t1" / "metrics.csv"
-    path.write_bytes(_one_byte(path.read_bytes()))
+    path.write_bytes(edit(path.read_bytes()))
     if waived:
         _waive(head)
     assert ovb.compare(base, head, out) == (0 if waived else 1)
@@ -62,6 +68,23 @@ def test_changed_byte_fails_unless_waived(tmp_path, capsys, waived):
     assert printed.startswith("differs from the base commit: mlp-t1/metrics.csv\n")
     assert ("a new CHANGES.md entry says 'Digits changed:'" in printed) == waived
     assert ("::error::" in printed) != waived
+
+
+def test_appended_column_passes_without_a_waiver(tmp_path, capsys):
+    base, head, out = _trees(tmp_path)
+    for run in ("trials3-t1", "trials3-t2", "verify"):
+        for path in (out / "head" / run).glob("*.csv"):
+            path.write_bytes(_append_column(path.read_bytes()))
+    assert ovb.compare(base, head, out) == 0
+    printed = capsys.readouterr().out
+    assert printed.splitlines() == [
+        "appends columns to the base commit's: verify/report.csv",
+        "appends columns to the base commit's: trials3-t1/metrics.csv",
+        "appends columns to the base commit's: trials3-t1/summary.csv",
+        "appends columns to the base commit's: trials3-t2/metrics.csv",
+        "appends columns to the base commit's: trials3-t2/summary.csv",
+        "outputs keep every cell of the base commit",
+    ]
 
 
 @pytest.mark.parametrize("runs, file, edit, message", [
@@ -74,6 +97,20 @@ def test_changed_byte_fails_unless_waived(tmp_path, capsys, waived):
     (["base/fedprox-t1"], "code", lambda data: b"1\n", "base fedprox-t1 did not exit 0"),
     (["head/verify"], "stderr", lambda data: b"RuntimeWarning: overflow encountered\n",
      "head verify exited 0 but wrote to stderr:\nRuntimeWarning: overflow encountered"),
+    # By column: only columns appended after the base's may pass, and only
+    # when they keep the thread-count rule.
+    (["head/trials3-t2"], "metrics.csv", _append_column,
+     "trials3-t2/metrics.csv differs from trials3-t1/metrics.csv"),
+    (["head/run-t1"], "summary.csv", lambda data: data.replace(b"accuracy", b"acc"),
+     "run-t1/summary.csv header round,acc does not start with the base's round,accuracy"),
+    (["head/verify"], "report.csv", lambda data: b"accuracy,round\n0.75,0\n",
+     "verify/report.csv header accuracy,round does not start with the base's round,accuracy"),
+    (["head/mlp-t1"], "metrics.csv", lambda data: data.split(b"\n")[0] + b"\n",
+     "mlp-t1/metrics.csv has 1 rows, the base's 2"),
+    (["head/mlp-t1"], "metrics.csv", lambda data: data + b"1,0.8,9\n",
+     "mlp-t1/metrics.csv has 3 rows, the base's 2"),
+    (["head/linear-t1"], "metrics.csv", lambda data: data.replace(b"0.75", b"0.75,9"),
+     "linear-t1/metrics.csv has a row that is not 2 cells wide, as its header is"),
 ])
 def test_rule_breach_fails_even_with_a_waiver(tmp_path, capsys, runs, file, edit, message):
     base, head, out = _trees(tmp_path)
