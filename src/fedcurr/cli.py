@@ -227,17 +227,24 @@ def command_run(cfg: RunConfig, out_dir: str, processes: int) -> int:
     return 0
 
 
+_CASE_ERRORS = (FloatingPointError, ValueError, MemoryError)
+
+
 def command_verify(cases: list[ConvexCase | NonconvexCase], out_dir: str) -> int:
     """Run the cases one after another in config order, in this process;
     each case batches its Monte-Carlo runs. ``--threads`` does not apply. A
-    case whose bound or mean is not finite stops the command, its error
-    naming the case, before ``report.csv`` is written."""
+    case whose bound or mean is not finite, or whose arrays do not fit in
+    memory, stops the command, its error naming the case, before
+    ``report.csv`` is written. The error is raised again as its plain type:
+    a subclass such as numpy's ``MemoryError`` cannot be built from a
+    message."""
     reports = []
     for case in cases:
         try:
             reports.append(case.verify())
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"case {case.name}: {exc}") from exc
+        except _CASE_ERRORS as exc:
+            kind = next(k for k in _CASE_ERRORS if isinstance(exc, k))
+            raise kind(f"case {case.name}: {exc}") from exc
 
     rows = [{
         "case": case.name, "kind": case.kind, "T": case.rounds, "J": case.local_steps,
@@ -353,7 +360,7 @@ def _main(args: argparse.Namespace) -> int:
         if args.command == "run":
             return command_run(cfg, args.out, args.threads)
         return command_verify(cfg, args.out)
-    except (ValueError, FloatingPointError, OSError) as exc:
+    except (ValueError, FloatingPointError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,10 +21,12 @@ round t < T by that round's total stepsize, the sum of row t.
 
 Batching: a verifier steps all of its R = n_runs trajectories at once. The
 iterates of every run and client form one (R, Q, d) array, and each local
-step (t, j) is one array update. Run r still draws its noise only from its
-own child generator r of ``rng.spawn(n_runs)``, in the order of the per-call
-oracle: steps (t, j), then clients k, d normals each. Noise is drawn two
-rounds per run and call, so a case holds 2 R (J+1) Q d noise values at once.
+step (t, j) is one array update. All runs share the case's one generator:
+each step draws the noise of every run in one call, in the order (t, j,
+run, client, coordinate), into one reused (R, Q, d) array, so a case holds
+R Q d noise values at once. A case's numbers thus depend on its seed and on
+all of its sizes, n_runs included: the first k runs of an R-run case are
+not a k-run case.
 
 Verify cases: ``ConvexCase`` and ``NonconvexCase`` describe one case of a
 verification grid, and ``verify()`` builds its problem, stepsizes, bias and
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -383,7 +385,7 @@ class BoundReport:
 
 def _report(per_run: np.ndarray, bound: float) -> BoundReport:
     """The mean of the per-run values against the bound. The mean sums the
-    runs one by one, in spawn order, to keep report.csv's digits. A bound or
+    runs one by one, in run order, to keep report.csv's digits. A bound or
     mean that is not finite raises FloatingPointError, so that every
     comparison made is between finite numbers."""
     total = 0.0
@@ -396,19 +398,15 @@ def _report(per_run: np.ndarray, bound: float) -> BoundReport:
     return BoundReport(empirical=empirical, bound=bound, passed=empirical <= bound)
 
 
-# Rounds of noise one draw call fills per run: k rounds hold the noise buffer
-# at k (R, J+1, Q, d) blocks and take 1/k of the per-run calls.
-_NOISE_ROUNDS = 2
-
-
 def _simulate_rounds(
     oracle: BiasedGradOracle,
     alpha: np.ndarray,
     theta0: np.ndarray,
-    rngs: Sequence[np.random.Generator],
+    n_runs: int,
+    rng: np.random.Generator,
     on_round_start: Callable[[np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """Full-participation Local SGD for R = len(rngs) independent runs at
+    """Full-participation Local SGD for R = n_runs independent runs at
     once: rounds t = 0..T-1 of J+1 steps each, with the (T+1, J+1)
     stepsizes ``alpha``, averaging the cohort after every round. Returns
     the (R, d) final averages.
@@ -421,37 +419,28 @@ def _simulate_rounds(
     on that fresh gradient, which is then scaled by the stepsize in place
     and subtracted.
 
-    Run r draws its noise from ``rngs[r]`` alone, in the per-call order
-    (t, j, k, coordinate), one standard normal per coordinate of each
-    oracle call. One call fills up to ``_NOISE_ROUNDS`` rounds of it into an
-    (R, _NOISE_ROUNDS, J+1, Q, d) buffer, the last call only the rounds
-    left; the stream is the one per-round calls would give.
+    All runs draw their noise from ``rng``: each step (t, j) fills one
+    C-contiguous (R, Q, d) array with one standard normal per coordinate,
+    so the draw order is (t, j, run, client, coordinate).
 
     The cohort average is ((theta_0 + theta_1) + ...) / Q, one client column
     at a time, the order ``mean(axis=1)`` sums in; for Q = 1 it is a copy of
     the one column. ``on_round_start`` sees the (R, d) averages at the start
     of every round, each a new array."""
     q, dim = oracle.directions.shape
-    runs = len(rngs)
     rounds, steps = alpha.shape[0] - 1, alpha.shape[1]
-    theta_hat = np.tile(theta0, (runs, 1))
-    thetas = np.empty((runs, q, dim))
-    points = thetas.reshape(runs * q, dim) if q > 1 else thetas
-    noise = None
-    if _noisy(oracle):
-        noise = np.empty((runs, _NOISE_ROUNDS, steps, q, dim))
+    theta_hat = np.tile(theta0, (n_runs, 1))
+    thetas = np.empty((n_runs, q, dim))
+    points = thetas.reshape(n_runs * q, dim) if q > 1 else thetas
+    z = np.empty((n_runs, q, dim)) if _noisy(oracle) else None
     for t in range(rounds):
         if on_round_start is not None:
             on_round_start(theta_hat)
-        block = t % _NOISE_ROUNDS
-        if noise is not None and block == 0:
-            n = min(_NOISE_ROUNDS, rounds - t)
-            for r, child in enumerate(rngs):
-                child.standard_normal(out=noise[r, :n])
         thetas[...] = theta_hat[:, None, :]
         for j in range(steps):
-            g = _fresh_grad(oracle, points).reshape(runs, q, dim)
-            z = None if noise is None else noise[:, block, j]
+            g = _fresh_grad(oracle, points).reshape(n_runs, q, dim)
+            if z is not None:
+                rng.standard_normal(out=z)
             _perturb(oracle, g, oracle.directions, float(oracle.bias_values[t, j]), z)
             g *= alpha[t, j]
             thetas -= g
@@ -488,7 +477,7 @@ def verify_convex(
             rel_var=rel_var,
             sigma=math.sqrt(sigma2),
         )
-        endpoints = _simulate_rounds(oracle, alpha, theta0, rng.spawn(n_runs))
+        endpoints = _simulate_rounds(oracle, alpha, theta0, n_runs, rng)
         return _report(np.sum((endpoints - prob.theta_star) ** 2, axis=1), bound)
 
 
@@ -533,7 +522,7 @@ def verify_nonconvex(
             directions=np.zeros((num_clients, theta0.shape[0])),  # every cap is 0: never read
             sigma=sigma,
         )
-        _simulate_rounds(oracle, alpha, theta0, rng.spawn(n_runs), on_round_start=record)
+        _simulate_rounds(oracle, alpha, theta0, n_runs, rng, on_round_start=record)
         return _report(acc, bound)
 
 

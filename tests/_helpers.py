@@ -217,25 +217,19 @@ def _perturb_reference(oracle, g, directions, cap, z):
     return g
 
 
-def simulate_rounds_reference(oracle, alpha, theta0, rngs, on_round_start=None):
+def simulate_rounds_reference(oracle, alpha, theta0, n_runs, rng, on_round_start=None):
     """``theory._simulate_rounds`` as a stacked (R, Q, d) kernel: a 3-D ``grad_fn``
-    call per step, one noise draw per run and round, out-of-place updates and
-    ``mean(axis=1)`` for the cohort average."""
+    call per step, one (R, Q, d) noise draw per step from ``rng``,
+    out-of-place updates and ``mean(axis=1)`` for the cohort average."""
     q, dim = oracle.directions.shape
-    theta_hat = np.tile(theta0, (len(rngs), 1))
-    noise = None
-    if _noisy(oracle):
-        noise = np.empty((len(rngs), alpha.shape[1], q, dim))
+    theta_hat = np.tile(theta0, (n_runs, 1))
     for t in range(alpha.shape[0] - 1):
         if on_round_start is not None:
             on_round_start(theta_hat)
-        if noise is not None:
-            for r, child in enumerate(rngs):
-                child.standard_normal(out=noise[r])
         thetas = np.repeat(theta_hat[:, None, :], q, axis=1)
         for j in range(alpha.shape[1]):
             g = oracle.grad_fn(thetas)
-            z = None if noise is None else noise[:, j]
+            z = rng.standard_normal((n_runs, q, dim)) if _noisy(oracle) else None
             thetas -= alpha[t, j] * _perturb_reference(
                 oracle, g, oracle.directions, float(oracle.bias_values[t, j]), z
             )

@@ -151,6 +151,24 @@ def _appends(base: list[list[str]], head: list[list[str]]) -> bool:
     return len(head[0]) > width and all(row[:width] == cells for row, cells in zip(head, base))
 
 
+def _changed_cells(path: str, base: list[list[str]], head: list[list[str]]) -> list[str]:
+    """One line for each cell of a base column that ``head`` changes: its
+    data row (from 1), that row's first cell, its column, both values and,
+    for numbers, the relative change."""
+    lines = []
+    for i, (old_row, new_row) in enumerate(zip(base[1:], head[1:]), 1):
+        for column, old, new in zip(base[0], old_row, new_row):
+            if old == new:
+                continue
+            line = f"{path} row {i} ({new_row[0]}) {column}: {old} -> {new}"
+            try:
+                rel = abs(float(new) - float(old)) / abs(float(old))
+            except (ValueError, ZeroDivisionError):
+                rel = None
+            lines.append(line if rel is None else f"{line} (rel {rel:.1e})")
+    return lines
+
+
 def compare(base: Path, head: Path, out: Path) -> int:
     """Print the verdict on the runs ``run_tree`` left in out/base and
     out/head and return the exit code. Each head run gives the same bytes at
@@ -160,8 +178,9 @@ def compare(base: Path, head: Path, out: Path) -> int:
     base's with columns appended or none (``_layout_breach``). Every cell of
     the base's columns, and every other file, equals the base's, unless
     ``head``'s CHANGES.md says "Digits changed:" more often than ``base``'s:
-    the change's entry gives the size of the change. Appended columns pass."""
-    errors, changed, appended = [], [], []
+    the change's entry gives the size of the change. Appended columns pass.
+    Each changed cell of a base column is printed with its old and new value."""
+    errors, changed, appended, cells = [], [], [], []
     for name, first, files, diverges in runs():
         for tree in ("base", "head"):
             if not diverges and _read(out / tree / name / "code") != b"0\n":
@@ -192,8 +211,11 @@ def compare(base: Path, head: Path, out: Path) -> int:
             breach = _layout_breach(base_rows, head_rows)
             if breach:
                 errors.append(f"{name}/{f} {breach}")
+            elif _appends(base_rows, head_rows):
+                appended.append(f"{name}/{f}")
             else:
-                (appended if _appends(base_rows, head_rows) else changed).append(f"{name}/{f}")
+                changed.append(f"{name}/{f}")
+                cells += _changed_cells(f"{name}/{f}", base_rows, head_rows)
     if errors:
         print("\n".join(f"::error::{error}" for error in errors))
         return 1
@@ -203,7 +225,7 @@ def compare(base: Path, head: Path, out: Path) -> int:
         print("outputs keep every cell of the base commit" if appended
               else "outputs are byte-identical to the base commit")
         return 0
-    print("\n".join(f"differs from the base commit: {f}" for f in changed))
+    print("\n".join([f"differs from the base commit: {f}" for f in changed] + cells))
     waivers = [(t / "CHANGES.md").read_bytes().count(b"Digits changed:") for t in (base, head)]
     if waivers[1] > waivers[0]:
         print("outputs differ from the base commit, and a new CHANGES.md entry says "

@@ -2,14 +2,16 @@ import configparser
 import csv
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-from fedcurr import ConfigurationError, cli
+from fedcurr import ConfigurationError, cli, theory
 from fedcurr.cli import main
 from fedcurr.config import parse_run_config
 
@@ -454,6 +456,55 @@ def test_verify_case_that_is_not_finite_ends_in_one_error_line(tmp_path, capsys,
     assert [str(w.message) for w in caught] == []
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == ["error: case huge: non-finite bound (inf)"], lines
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("text", [CONVEX_CASE + "sigma = 0.1\nB_end = 0.5\n", NONCONVEX_CASE],
+                         ids=["convex", "nonconvex"])
+def test_verify_case_too_large_for_memory_ends_in_one_error_line(tmp_path, text):
+    # 2**62 runs: no array of them can exist, so the case must fail at its
+    # first one, and not build anything per run before it. A subprocess
+    # under a 2 GiB address-space cap, so that a case that did would stop.
+    cfg = write(tmp_path / "verify.ini", text + f"n_runs = {2**62}\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(CONFIGS), "src"),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "fedcurr.cli", "verify", cfg, "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=2, preexec_fn=_cap_address_space,
+    )
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: case huge: "), lines
+    assert not (tmp_path / "out" / "report.csv").exists()
+
+
+def test_out_of_memory_ends_in_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(cases, out):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(cli, "command_verify", exhausted)
+    cfg = write(tmp_path / "v.ini", SMALL_VERIFY)
+    assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+
+
+def test_case_out_of_numpy_memory_names_the_case(tmp_path, capsys, monkeypatch):
+    # numpy's MemoryError subclass takes a shape and a dtype, not a message.
+    from numpy._core._exceptions import _ArrayMemoryError
+
+    def exhausted(case):
+        raise _ArrayMemoryError((2**60,), np.dtype(np.float64))
+
+    monkeypatch.setattr(theory.ConvexCase, "verify", exhausted)
+    cfg = write(tmp_path / "v.ini", SMALL_VERIFY)
+    assert main(["verify", cfg, "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: case tiny_convex: Unable to allocate 8.00 EiB for an array with "
+                     "shape (1152921504606846976,) and data type float64"], lines
     assert not (tmp_path / "out" / "report.csv").exists()
 
 

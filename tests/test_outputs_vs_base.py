@@ -70,6 +70,24 @@ def test_changed_byte_fails_unless_waived(tmp_path, capsys, waived, edit):
     assert ("::error::" in printed) != waived
 
 
+def test_each_changed_base_cell_is_printed(tmp_path, capsys):
+    # One line per changed cell of a base column, with the relative change
+    # of a number; an appended column's cells are not listed.
+    base, head, out = _trees(tmp_path)
+    for tree, text in (("base", b"case,empirical,passed\nc1,4.0,1\nc2,0.5,no\n"),
+                       ("head", b"case,empirical,passed,zeta_sq\nc1,4.2,1,0.1\nc2,0.5,1,0.2\n")):
+        (out / tree / "verify" / "report.csv").write_bytes(text)
+    _waive(head)
+    assert ovb.compare(base, head, out) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "differs from the base commit: verify/report.csv",
+        "verify/report.csv row 1 (c1) empirical: 4.0 -> 4.2 (rel 5.0e-02)",
+        "verify/report.csv row 2 (c2) passed: no -> 1",
+        "outputs differ from the base commit, and a new CHANGES.md entry says "
+        "'Digits changed:'",
+    ]
+
+
 def test_appended_column_passes_without_a_waiver(tmp_path, capsys):
     base, head, out = _trees(tmp_path)
     for run in ("trials3-t1", "trials3-t2", "verify"):

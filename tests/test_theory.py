@@ -112,25 +112,27 @@ def test_verify_convex_bias_requires_cohort_of_two():
         )
 
 
-def _reference_rounds(oracle, alpha, theta0, rng, on_round_start):
-    """One run of Local SGD from per-call biased_grad draws."""
+def _reference_rounds(oracle, alpha, theta0, n_runs, rng, on_round_start):
+    """Local SGD of ``n_runs`` runs from per-call biased_grad draws on one
+    generator, in the order (t, j, run, client)."""
     q = oracle.num_clients
-    theta_hat = theta0.copy()
+    theta_hat = [theta0.copy() for _ in range(n_runs)]
     for t in range(alpha.shape[0] - 1):
         on_round_start(theta_hat)
-        thetas = [theta_hat.copy() for _ in range(q)]
+        thetas = [[start.copy() for _ in range(q)] for start in theta_hat]
         for j in range(alpha.shape[1]):
-            for k in range(q):
-                g = biased_grad(oracle, k, thetas[k], t, j, rng)
-                thetas[k] = thetas[k] - alpha[t, j] * g
-        theta_hat = np.mean(thetas, axis=0)
-    return theta_hat
+            for run in thetas:
+                for k in range(q):
+                    g = biased_grad(oracle, k, run[k], t, j, rng)
+                    run[k] = run[k] - alpha[t, j] * g
+        theta_hat = [np.mean(run, axis=0) for run in thetas]
+    return np.array(theta_hat)
 
 
 @pytest.mark.parametrize("kind", list(BiasKind))
 def test_batched_rounds_match_per_call_reference(kind):
-    # Odd cohort (planar triple), M > 0 and sigma > 0: pins the per-run draw
-    # order (t, j, k, then d coordinates) of the batched kernel.
+    # Odd cohort (planar triple), M > 0 and sigma > 0: pins the draw order
+    # (t, j, run, client, then d coordinates) of the batched kernel.
     T, J, q, dim, n_runs = 3, 2, 3, 4, 5
     prob = make_quadratic(dim, 0.5, 2.0, seed=4)
     sched = constant_stepsizes(0.02, T, J)
@@ -139,16 +141,18 @@ def test_batched_rounds_match_per_call_reference(kind):
         prob.grad, bias, zero_sum_directions(q, dim), rel_var=0.7, sigma=0.3
     )
     theta0 = prob.theta_star + np.linspace(-1.0, 1.0, dim)
-    starts = []
+    starts, ref_starts = [], []
     batched = theory._simulate_rounds(
-        oracle, sched, theta0, np.random.default_rng(9).spawn(n_runs), starts.append
+        oracle, sched, theta0, n_runs, np.random.default_rng(9), starts.append
     )
     assert batched.shape == (n_runs, dim)
-    for r, child in enumerate(np.random.default_rng(9).spawn(n_runs)):
-        ref_starts = []
-        endpoint = _reference_rounds(oracle, sched, theta0, child, ref_starts.append)
-        assert_allclose(batched[r], endpoint, rtol=1e-12)
-        assert_allclose([s[r] for s in starts], ref_starts, rtol=1e-12)
+    endpoints = _reference_rounds(
+        oracle, sched, theta0, n_runs, np.random.default_rng(9), ref_starts.append
+    )
+    assert_allclose(batched, endpoints, rtol=1e-12)
+    assert len(starts) == len(ref_starts) == T
+    for s, ref in zip(starts, ref_starts):
+        assert_allclose(s, ref, rtol=1e-12)
 
 
 _DRAW_ORACLES = [(0.7, 0.3, True), (0.0, 0.0, False)]
@@ -156,37 +160,36 @@ _DRAW_ORACLES = [(0.7, 0.3, True), (0.0, 0.0, False)]
 
 @pytest.mark.parametrize(
     "rel_var,sigma,noisy,T",
-    # T = 1 and 3 end in a partly filled two-round noise block, T = 2 in a full one.
+    # One round, and more than one, of each oracle.
     [pytest.param(m, s, n, 3, id=f"{m}-{s}-{n}") for m, s, n in _DRAW_ORACLES]
     + [pytest.param(m, s, n, T, id=f"{m}-{s}-{n}-T{T}")
        for T in (1, 2) for m, s, n in _DRAW_ORACLES],
 )
 def test_batched_rounds_draw_one_normal_per_coordinate(rel_var, sigma, noisy, T):
-    # Each oracle call draws d normals, so a run of T rounds draws
-    # T (J+1) Q d of them from its child generator; a noiseless oracle none.
+    # Each oracle call draws d normals, so R runs of T rounds draw
+    # T (J+1) R Q d of them from the case's generator; a noiseless oracle none.
     J, q, dim, n_runs = 2, 3, 4, 5
     prob = make_quadratic(dim, 0.5, 2.0, seed=4)
     oracle = BiasedGradOracle(
         prob.grad, np.zeros((T + 1, J + 1)), zero_sum_directions(q, dim),
         rel_var=rel_var, sigma=sigma,
     )
-    children = np.random.default_rng(9).spawn(n_runs)
+    rng = np.random.default_rng(9)
     theory._simulate_rounds(
-        oracle, constant_stepsizes(0.02, T, J), prob.theta_star + 1.0, children
+        oracle, constant_stepsizes(0.02, T, J), prob.theta_star + 1.0, n_runs, rng
     )
-    draws = T * (J + 1) * q * dim if noisy else 0
-    for child, fresh in zip(children, np.random.default_rng(9).spawn(n_runs)):
-        fresh.standard_normal(draws)
-        assert child.bit_generator.state == fresh.bit_generator.state
+    fresh = np.random.default_rng(9)
+    fresh.standard_normal(T * (J + 1) * n_runs * q * dim if noisy else 0)
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 def _assert_same_trajectories(oracle, alpha, theta0, n_runs):
-    """The kernel and the stacked reference, each on fresh children of one
-    seed: equal bits at every round start and at the end."""
+    """The kernel and the stacked reference, each on a fresh generator of
+    one seed: equal bits at every round start and at the end."""
     results = []
     for kernel in (theory._simulate_rounds, simulate_rounds_reference):
         starts = []
-        end = kernel(oracle, alpha, theta0, np.random.default_rng(3).spawn(n_runs), starts.append)
+        end = kernel(oracle, alpha, theta0, n_runs, np.random.default_rng(3), starts.append)
         results.append((end, starts))
     (end, starts), (ref_end, ref_starts) = results
     assert np.array_equal(end, ref_end)
@@ -198,7 +201,7 @@ def _assert_same_trajectories(oracle, alpha, theta0, n_runs):
 @pytest.mark.parametrize("T", [1, 2, 3, 5])
 @pytest.mark.parametrize("q,dim", [(q, dim) for q in (1, 2, 3, 4) for dim in (2, 3, 8, 17)])
 def test_convex_kernel_matches_stacked_reference_bitwise(q, dim, T):
-    # 2-D gradient, column-wise average, two-round noise blocks and in-place
+    # 2-D gradient, column-wise average, one noise block per step and in-place
     # updates against the stacked (R, Q, d) kernel; a single client has no bias.
     J, n_runs = 2, 40
     prob = make_quadratic(dim, 0.5, 2.0, seed=dim)
@@ -236,7 +239,7 @@ def test_kernel_leaves_an_aliasing_gradient_input_alone():
     identity = BiasedGradOracle(lambda th: th, caps, zero_sum_directions(q, dim), sigma=0.2)
     fresh = BiasedGradOracle(lambda th: th.copy(), caps, zero_sum_directions(q, dim), sigma=0.2)
     ends = [
-        theory._simulate_rounds(o, sched, theta0, np.random.default_rng(0).spawn(3))
+        theory._simulate_rounds(o, sched, theta0, 3, np.random.default_rng(0))
         for o in (identity, fresh)
     ]
     assert np.array_equal(ends[0], ends[1])
@@ -279,12 +282,13 @@ def test_verify_nonconvex_matches_per_call_reference():
     oracle = BiasedGradOracle(
         prob.grad, np.zeros_like(sched), zero_sum_directions(q, dim), sigma=0.2
     )
+    starts = []
+    _reference_rounds(oracle, sched, theta0, n_runs, np.random.default_rng(5), starts.append)
     total = 0.0
-    for child in np.random.default_rng(5).spawn(n_runs):
-        starts = []
-        _reference_rounds(oracle, sched, theta0, child, starts.append)
+    for r in range(n_runs):
         total += sum(
-            float(np.sum(sched[t])) * float(np.sum(prob.grad(s) ** 2)) for t, s in enumerate(starts)
+            float(np.sum(sched[t])) * float(np.sum(prob.grad(s[r]) ** 2))
+            for t, s in enumerate(starts)
         )
     assert report.empirical == pytest.approx(total / n_runs, rel=1e-12)
 
