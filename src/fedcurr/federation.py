@@ -7,17 +7,17 @@ its clients' state in arrays indexed by client id. Each client's rows,
 labels, gradient targets and, under expert scoring, expert losses are
 gathered once per run, the targets from the training pool that the call
 builds over its jobs' distinct datasets. Each round runs the model once per
-needed client at the broadcast parameters; that pass's losses, raw outputs
-and gradient feed the client ranking, the round diagnostics and sample
-scoring, which runs no model. The rows are checked once per job, at its
-set-up. Each round's local training, for every job still running, is one
-call of ``models._local_sgd``, the one momentum-SGD loop, which trains all
-the participants together and which ``train_centralized`` shares for the
-expert model. A job fails at the first non-finite value it reads: its
-parameters after a local step (the step that ``_local_sgd`` returns, worded
-by ``_run_job``), a loss of the pass at theta or at a local model, a
-gradient of lambda, the mean client loss or the test loss. A job that fails
-stops, and the others of its call run on.
+needed client at the broadcast parameters; that pass's losses and raw
+outputs feed the client ranking, the round diagnostics and sample scoring,
+which runs no model, and its terms and activations lambda's gradients. The
+rows are checked once per job, at its set-up. Each round's local training,
+for every job still running, is one call of ``models._local_sgd``, the one
+momentum-SGD loop, which trains all the participants together and which
+``train_centralized`` shares for the expert model. A job fails at the first
+non-finite value it reads: its parameters after a local step (the step that
+``_local_sgd`` returns, worded by ``_run_job``), a loss of the pass at theta
+or at a local model, a gradient of lambda, the mean client loss or the test
+loss. A job that fails stops, and the others of its call run on.
 
 Determinism contract: every random draw comes from a generator keyed by
 (seed, stream tag, round, client id). The participants of a round train in
@@ -60,11 +60,10 @@ from .models import (
     ModelSpec,
     SgdHyper,
     _check_batch,
-    _forward,
     _local_sgd,
-    _losses,
-    _losses_and_grads,
+    _pass,
     _Pool,
+    _terms_grad,
     init_params,
 )
 
@@ -230,15 +229,15 @@ def client_update(
     losses on its rows. ``at_theta[c]`` holds the per-sample losses and raw
     outputs of those rows at ``global_params``. Under the random ordering,
     which reads no score, only random scoring runs, for its draw from
-    ``rngs[k]``. Otherwise the pair at the local model is computed here only
-    for a scoring that reads it and a client that has trained before to
-    parameters other than ``global_params``, and is ``at_theta[c]``
-    otherwise; a non-finite loss there fails the job."""
+    ``rngs[k]``. Otherwise the pair at the local model is computed here, by
+    one ``_pass``, only for a scoring that reads it and a client that has
+    trained before to parameters other than ``global_params``, and is
+    ``at_theta[c]`` otherwise; a non-finite loss there fails the job."""
     model = cfg.model
     dc = cfg.data_curriculum
     chosen = []
     for k, cid in enumerate(ids):
-        pool_rows, x, y, target = clients[cid]
+        pool_rows, x, y, _ = clients[cid]
         if dc is None:
             chosen.append(pool_rows)
             continue
@@ -253,14 +252,11 @@ def client_update(
                 and local_params is not None
                 and not np.array_equal(local_params, global_params)
             ):
-                # [::2] drops the gradient closures, and the activations they
-                # hold, before the job waits for its training.
+                # [:2] drops the terms and activations, which no scoring reads.
                 with np.errstate(all="ignore"):
-                    losses, outputs = _losses_and_grads(
-                        model, local_params, [x], [y], [target]
-                    )[::2]
-                _check_finite(losses[0], f"round {t}, client {cid}", "loss at its local model")
-                at_local = losses[0], outputs[0]
+                    [losses], [outputs] = _pass(model, local_params, [x], [y])[:2]
+                _check_finite(losses, f"round {t}, client {cid}", "loss at its local model")
+                at_local = losses, outputs
             expert = expert_losses[cid]
             scores = score_samples(dc.scoring, y, at_theta[cid], at_local, expert, rngs[k])
         n_sel = pace(dc.pacing, t, len(y), cfg.rounds)
@@ -324,9 +320,9 @@ def aggregate(
 def evaluate(model: ModelSpec, params: np.ndarray, test: Batch) -> tuple[float, float]:
     """Test accuracy and mean test loss, from one forward pass."""
     _check_batch(model, params, test)
-    out = _forward(model, params, test.x)[0]
+    [losses], [out] = _pass(model, params, [test.x], [test.y])[:2]
     hits = out.argmax(axis=1) if model.is_classifier else np.rint(out)
-    return float((hits == test.y).mean()), float(_losses(model, out, test.y).mean())
+    return float((hits == test.y).mean()), float(losses.mean())
 
 
 def _evaluated(model: ModelSpec, params: np.ndarray, test: Batch, t: int) -> tuple[float, float]:
@@ -403,28 +399,30 @@ def _run_job(
             ids = sorted(int(c) for c in round_rng.choice(m, size=cfg.participants, replace=False))
             scored = ids
         # One forward pass per scored client at theta. Its losses serve the
-        # client ranking and the round diagnostics, its losses and outputs
-        # sample scoring, and its gradient lambda. A non-finite value fails
-        # the job here, before any of them reads it.
+        # client ranking, the round diagnostics and, with its outputs, sample
+        # scoring; its terms and activations give lambda's gradients. A
+        # non-finite value fails the job here, before any of them reads it.
         with np.errstate(all="ignore"):
-            block_losses, block_grads, block_outputs = _losses_and_grads(
-                model, theta, [xs[i] for i in scored], [ys[i] for i in scored],
-                [targets[i] for i in scored],
+            losses, outputs, terms, hidden = _pass(
+                model, theta, [xs[i] for i in scored], [ys[i] for i in scored]
             )
-            means = score_clients(block_losses)
+            means = score_clients(losses)
         _check_finite(means, f"round {t}", "loss at the global model", scored)
         if cfg.client_curriculum is not None:  # block i is client i
             ids = select_clients(means, cfg.client_curriculum, t, cfg.rounds, cfg.participants,
                                  round_rng)
         block = {cid: k for k, cid in enumerate(scored)}
-        at_theta = {i: (block_losses[block[i]], block_outputs[block[i]]) for i in ids}
+        at_theta = {i: (losses[block[i]], outputs[block[i]]) for i in ids}
 
         w = np.array([sizes[i] for i in ids], dtype=np.float64)
         with np.errstate(all="ignore"):
-            grads = [block_grads[block[i]]() for i in ids]
+            grads = [
+                _terms_grad(model, theta, xs[i], targets[i], terms[block[i]], hidden[block[i]])
+                for i in ids
+            ]
             lam = gradient_dissimilarity(grads, w / w.sum())
             mean_cl = float(np.mean([means[block[i]] for i in ids]))
-        del block_grads, block_outputs  # free the closures' MLP activations before training
+        del terms, outputs, hidden  # free the pass's MLP activations before training
         _check_finite(grads, f"round {t}", "gradient at the global model", ids)
         _check_finite(mean_cl, f"round {t}", "mean client loss")
 

@@ -15,9 +15,10 @@ dispatch on the model kind and take the layer views (``_layers``) of a
 parameter vector, or of a stack of them, once, and return functions that
 see later in-place updates of those parameters. Each product is one
 ``np.matmul``, over a leading stack axis when there is one, which gives
-every member of the stack the bits it would get alone. The one-shot
-helpers, the block pass and evaluation run them on one vector;
-``_terms_grad`` is the one-shot gradient.
+every member of the stack the bits it would get alone. ``_pass``, the pass
+behind every loss, evaluation and one-shot gradient, runs them on one vector
+over blocks of rows and returns plain arrays per block, among them the terms
+and activations from which ``_terms_grad`` takes a block's gradient.
 
 ``_local_sgd``, the mini-batch loop that local and centralized training
 share, trains the participants of a round of several jobs in lockstep: a
@@ -170,6 +171,8 @@ def _check_batch(model: ModelSpec, params: np.ndarray, batch: Batch) -> None:
         raise ConfigurationError(
             f"parameter length {params.shape} does not match model ({model.param_count()},)"
         )
+    if model.is_classifier and not np.issubdtype(batch.y.dtype, np.integer):
+        raise ConfigurationError(f"classifier labels must be integers, not {batch.y.dtype}")
     if model.is_classifier and (batch.y.min() < 0 or batch.y.max() >= model.num_classes):
         raise ConfigurationError("labels out of range for classifier")
 
@@ -220,15 +223,6 @@ def _bind_forward(model: ModelSpec, theta: np.ndarray) -> Callable:
     return forward
 
 
-def _forward(
-    model: ModelSpec, params: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One forward pass in fresh arrays, the outputs (m,) for regression and
-    (m, C) logits for classifiers; see ``_bind_forward``."""
-    out, hidden = _bind_forward(model, params)(x)
-    return (out if model.is_classifier else out[:, 0]), hidden
-
-
 def _log_softmax(
     z: np.ndarray, e: np.ndarray, s: np.ndarray, columns, e_columns=None
 ) -> np.ndarray:
@@ -276,12 +270,6 @@ def _targets(model: ModelSpec, y: np.ndarray) -> np.ndarray:
     if model.is_classifier:
         return np.eye(model.num_classes)[y]
     return y.astype(np.float64)
-
-
-def _terms_losses(model: ModelSpec, terms: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if model.is_classifier:
-        return -terms[np.arange(len(y)), y]
-    return 0.5 * terms**2
 
 
 def _loss_derivative(
@@ -344,11 +332,6 @@ def _terms_grad(
     e = _loss_derivative(model, target, terms, len(target))
     _bind_backward(model, params, g)(x, e.reshape(len(target), -1), hidden)
     return g
-
-
-def _losses(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample losses from the outputs ``out``, which are overwritten."""
-    return _terms_losses(model, _output_terms(model, out, y), y)
 
 
 class _Pool:
@@ -575,19 +558,14 @@ def _local_sgd(
     return steps, diverged
 
 
-def _losses_and_grads(
-    model: ModelSpec,
-    params: np.ndarray,
-    xs: list[np.ndarray],
-    ys: list[np.ndarray],
-    targets: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[Callable[[], np.ndarray]], list[np.ndarray]]:
-    """Unchecked per-sample losses of several blocks of rows ``xs[k]`` with
-    labels ``ys[k]``, per block a function that returns its mean-loss
-    gradient from the same forward pass (computed only when called), and per
-    block the raw model outputs of that pass. ``targets[k]`` are the block's
-    labels in the form the gradient takes them, gathered once per run from
-    the pool's (``_Pool.target``).
+def _pass(
+    model: ModelSpec, params: np.ndarray, xs: list[np.ndarray], ys: list[np.ndarray]
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray], list[np.ndarray | None]]:
+    """Unchecked pass of ``params`` over several blocks of rows ``xs[k]``
+    with labels ``ys[k]``. Per block it returns the per-sample losses, the
+    raw outputs ((m, C) logits for classifiers, (m,) for regression), the
+    terms that ``_terms_grad`` reads and the MLP's hidden activations (None
+    for the other models).
 
     Each block goes through the model by itself, so every matrix product sees
     the same rows as it would alone. The row-wise rest runs once over all
@@ -597,31 +575,25 @@ def _losses_and_grads(
     outputs = [out if model.is_classifier else out[:, 0] for out, _ in passes]
     y = np.concatenate(ys)
     terms = _output_terms(model, np.concatenate(outputs), y)
-    losses = _terms_losses(model, terms, y)
+    losses = -terms[np.arange(len(y)), y] if model.is_classifier else 0.5 * terms**2
     ends = np.cumsum([len(b) for b in ys]).tolist()
     blocks = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
-
-    def grad_of(k: int) -> Callable[[], np.ndarray]:
-        return lambda: _terms_grad(
-            model, params, xs[k], targets[k], terms[blocks[k]], passes[k][1]
-        )
-
-    return [losses[b] for b in blocks], [grad_of(k) for k in range(len(xs))], outputs
+    hidden = [h for _, h in passes]
+    return [losses[b] for b in blocks], outputs, [terms[b] for b in blocks], hidden
 
 
 def per_sample_losses(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """One nonnegative loss per sample; cross-entropy for classifiers,
     0.5*(f - y)^2 for the regression models."""
     _check_batch(model, params, batch)
-    return _losses(model, _forward(model, params, batch.x)[0], batch.y)
+    return _pass(model, params, [batch.x], [batch.y])[0][0]
 
 
 def grad(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Gradient of the mean batch loss with respect to the flat parameters."""
     _check_batch(model, params, batch)
-    target = _targets(model, batch.y)
-    out, hidden = _forward(model, params, batch.x)
-    return _terms_grad(model, params, batch.x, target, _output_terms(model, out, target), hidden)
+    _, _, [terms], [hidden] = _pass(model, params, [batch.x], [batch.y])
+    return _terms_grad(model, params, batch.x, _targets(model, batch.y), terms, hidden)
 
 
 def predict(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
@@ -629,7 +601,7 @@ def predict(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     if not model.is_classifier:
         raise ConfigurationError("predict requires a classifier model")
     _check_batch(model, params, batch)
-    return _forward(model, params, batch.x)[0].argmax(axis=1)
+    return _bind_forward(model, params)(batch.x)[0].argmax(axis=1)
 
 
 def sgd_step(
@@ -699,8 +671,8 @@ def hessian_decomposition(
     # One forward pass gives the residuals and, from its hidden activations,
     # the per-sample gradients of the scalar output f(theta, x), rows (m, P).
     m, x = len(batch), batch.x
-    out, hidden = _forward(model, params, x)
-    resid = out - batch.y.astype(np.float64)
+    out, hidden = _bind_forward(model, params)(x)
+    resid = out[:, 0] - batch.y.astype(np.float64)
     if model.kind is ModelKind.LINEAR_REGRESSION:
         g = np.hstack([x, np.ones((m, 1))])
     else:

@@ -109,7 +109,9 @@ def _mlp_blocks(model: ModelSpec, params: np.ndarray):
 
 
 def forward_reference(model: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """``models._forward`` as out-of-place expressions: (outputs, hidden)."""
+    """The raw outputs and hidden activations of ``models._pass`` as
+    out-of-place expressions: (outputs, hidden), the outputs (m,) for
+    regression and (m, C) logits for classifiers."""
     d = model.input_dim
     if model.kind is ModelKind.LINEAR_REGRESSION:
         return x @ params[:d] + params[d], None

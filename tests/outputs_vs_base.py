@@ -59,6 +59,10 @@ VARIANTS = {
         "federation.algorithm": "scaffold", "data_curriculum.scoring": "lg_loss", **ALL_ARMS,
         "client_curriculum.enabled": "true", "client_curriculum.ordering": "anti",
     }, (1, 2)),
+    # The MLP with a pass at each local model, its hidden activations beside
+    # the pass at theta: the wide benchmark's path.
+    "mlp-local": Variant({**MLP, "data_curriculum.scoring": "lg_pred", **ALL_ARMS,
+                          "client_curriculum.enabled": "true"}, (1, 2)),
     "linear": Variant({"model.kind": "linear"}),  # the regression path
     **{s: Variant({"data_curriculum.scoring": s, **ALL_ARMS}) for s in SCORINGS},
     # 12 jobs (4 arms x 3 trials) in lockstep, in one process and in two.

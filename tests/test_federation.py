@@ -32,6 +32,7 @@ from fedcurr import (
     aggregate,
     federation,
     gen_synthetic,
+    grad,
     gradient_dissimilarity,
     init_params,
     models,
@@ -946,6 +947,77 @@ def test_random_ordering_forwards_no_client_at_its_local_model(monkeypatch):
     g_loss = DataCurriculumConfig(ScoringKind.G_LOSS, pacing, OrderingKind.RANDOM)
     g_loss_cfg = dataclasses.replace(cfg, data_curriculum=g_loss)
     assert rows_equal(metrics, run_one(g_loss_cfg, ds, part, test))
+
+
+@pytest.mark.parametrize("selection", [None, CLIENT_CURRICULUM], ids=["drawn", "curriculum"])
+@pytest.mark.parametrize("model", CLASSIFIERS, ids=["softmax", "mlp"])
+def test_round_diagnostics_follow_their_definitions(monkeypatch, model, selection):
+    # Each round's diagnostics, recomputed to the bit from the public
+    # functions at the broadcast parameters that client_update is handed:
+    # lambda weighs each participant's full-data gradient by its row count,
+    # mean_client_loss averages the participants' mean losses, unweighted,
+    # and subset_frac averages each participant's paced share of its rows.
+    ds, part, test = small_world()
+    arm = curriculum_arm(ScoringKind.G_LOSS)
+    cfg = base_config(
+        model=model, participants=3, client_curriculum=selection, data_curriculum=arm
+    )
+    update, rounds = federation.client_update, []
+
+    def recorded(ids, global_params, *args):
+        rounds.append((list(ids), global_params.copy()))
+        return update(ids, global_params, *args)
+
+    monkeypatch.setattr(federation, "client_update", recorded)
+    metrics = run_one(cfg, ds, part, test)
+    assert len(metrics) == len(rounds) == cfg.rounds
+    for row, (ids, theta) in zip(metrics, rounds):
+        assert row.participants == ids
+        batches = [Batch(ds.features[part.assignment[c]], ds.labels[part.assignment[c]])
+                   for c in ids]
+        sizes = np.array([len(b) for b in batches], dtype=np.float64)
+        grads = [grad(model, theta, b) for b in batches]
+        assert row.lam == gradient_dissimilarity(grads, sizes / sizes.sum())
+        means = [per_sample_losses(model, theta, b).mean() for b in batches]
+        assert row.mean_client_loss == float(np.mean(means))
+        fracs = [pace(arm.pacing, row.round, len(b), cfg.rounds) / len(b) for b in batches]
+        assert row.subset_frac == float(np.mean(fracs))
+
+
+def test_no_pass_activations_survive_into_the_training_yield():
+    # The pass at theta holds each scored client's MLP activations (m, h)
+    # until lambda has read them; a job waiting for its training, in the
+    # first round and in one with passes at local models, holds none.
+    ds, part, test = small_world()
+    hidden_dim = 7
+    model = ModelSpec(ModelKind.MLP_TANH, input_dim=5, num_classes=3, hidden_dim=hidden_dim)
+    cfg = base_config(
+        model=model, participants=3, client_curriculum=CLIENT_CURRICULUM,
+        data_curriculum=curriculum_arm(ScoringKind.LG_PRED),
+    )
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from arrays(item)
+
+    job = federation._run_job(cfg, ds, part, test, None)
+    data = next(job)
+    pool = models._Pool(model, cfg.hyper, [data])
+    training = job.send((pool, federation._gather(pool, 0, data, part)))
+    for _ in range(2):
+        assert isinstance(training, federation._Training)
+        held = [a for value in job.gi_frame.f_locals.values() for a in arrays(value)]
+        assert held
+        assert not any(a.ndim == 2 and a.shape[-1] == hidden_dim for a in held)
+        [trained] = federation._train(pool, cfg, [training])
+        training = job.send(trained)
+    job.close()
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])

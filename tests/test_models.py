@@ -13,6 +13,7 @@ from fedcurr import (
     ModelKind,
     ModelSpec,
     SgdHyper,
+    evaluate,
     grad,
     hessian_decomposition,
     init_params,
@@ -128,14 +129,14 @@ def _indexed_log_softmax(logits):
 def test_classifier_losses_and_gradient_match_indexed_form_exactly(model):
     # The models take the row max column by column and subtract a one-hot
     # matrix; both must give the bits of the row-reduced, indexed form.
-    from fedcurr.models import _forward
+    from fedcurr.models import _bind_forward
 
     rng = np.random.default_rng(17)
     for _ in range(20):
         params = 30.0 * init_params(model, rng)  # logits far apart
         batch = random_batch(model, rng, m=13)
         m = len(batch)
-        terms = _indexed_log_softmax(_forward(model, params, batch.x)[0])
+        terms = _indexed_log_softmax(_bind_forward(model, params)(batch.x)[0])
         assert np.array_equal(per_sample_losses(model, params, batch), -terms[np.arange(m), batch.y])
         if model is SOFTMAX:
             p = np.exp(terms)
@@ -149,7 +150,7 @@ def test_classifier_losses_and_gradient_match_indexed_form_exactly(model):
 def test_blockwise_losses_and_grads_match_per_block_calls_exactly(model):
     # The row-wise part runs once over all blocks; each block must still get
     # the bits of its own per_sample_losses and grad calls.
-    from fedcurr.models import _forward, _losses_and_grads, _Pool
+    from fedcurr.models import _bind_forward, _pass, _Pool, _terms_grad
 
     rng = np.random.default_rng(19)
     params = init_params(model, rng)
@@ -158,13 +159,13 @@ def test_blockwise_losses_and_grads_match_per_block_calls_exactly(model):
     # gathers its clients' targets.
     pool = _Pool(model, SgdHyper(), blocks)
     targets = [pool.target[start : start + len(b)] for start, b in zip(pool.starts, blocks)]
-    losses, grads, outputs = _losses_and_grads(
-        model, params, [b.x for b in blocks], [b.y for b in blocks], targets
-    )
-    for block, block_losses, block_grad, out in zip(blocks, losses, grads, outputs):
+    passes = _pass(model, params, [b.x for b in blocks], [b.y for b in blocks])
+    for block, target, block_losses, out, terms, hidden in zip(blocks, targets, *passes):
         assert np.array_equal(block_losses, per_sample_losses(model, params, block))
-        assert np.array_equal(block_grad(), grad(model, params, block))
-        assert np.array_equal(out, _forward(model, params, block.x)[0])
+        block_grad = _terms_grad(model, params, block.x, target, terms, hidden)
+        assert np.array_equal(block_grad, grad(model, params, block))
+        ref = _bind_forward(model, params)(block.x)[0]
+        assert np.array_equal(out, ref if model.is_classifier else ref[:, 0])
 
 
 WIDE_MODELS = [
@@ -239,19 +240,18 @@ def test_in_place_kernels_match_out_of_place_formulas(model, rows):
     # remainder is a view that starts mid-array, as the last mini-batch of an
     # epoch does. With fewer than 8 classes the one-shot log-softmax sums
     # each row column by column.
-    from fedcurr.models import _forward, _output_terms, _targets, _terms_grad
+    from fedcurr.models import _pass, _targets, _terms_grad
 
     rng = np.random.default_rng(29)
     params = 3.0 * init_params(model, rng)
     labels = model.num_classes if model.is_classifier else 10
     x = rng.standard_normal((10_007, model.input_dim))[rows]
     y = rng.integers(0, labels, 10_007)[rows]
-    out, hidden = _forward(model, params, x)
+    _, [out], [terms], [hidden] = _pass(model, params, [x], [y])
     ref_out, ref_hidden = forward_reference(model, params, x)
     assert np.array_equal(out, ref_out)
     assert hidden is ref_hidden is None or np.array_equal(hidden, ref_hidden)
     target = _targets(model, y)
-    terms = _output_terms(model, out, target)
     assert np.array_equal(terms, terms_reference(model, ref_out, y))
     ref_g = terms_grad_reference(model, params, x, target, terms, hidden)
     assert np.array_equal(_terms_grad(model, params, x, target, terms, hidden), ref_g)
@@ -348,14 +348,14 @@ def test_column_row_sums_match_add_reduce(classes, rows):
 def test_mlp_forward_allocates_one_hidden_array():
     # x @ w1.T + b1 and its tanh used to take a fresh (m, h) array each,
     # a peak of about 2 m*h*8 bytes; in place it is one plus the logits.
-    from fedcurr.models import _forward
+    from fedcurr.models import _bind_forward
 
     model = WIDE_MODELS[2]
     rng = np.random.default_rng(31)
     params, x = init_params(model, rng), rng.standard_normal((10_000, 20))
     tracemalloc.start()
     try:
-        _forward(model, params, x)
+        _bind_forward(model, params)(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -366,6 +366,22 @@ def test_dimension_mismatch_raises():
     batch = Batch(np.ones((2, 5)), np.array([0, 1]))
     with pytest.raises(ConfigurationError):
         per_sample_losses(SOFTMAX, np.zeros(SOFTMAX.param_count()), batch)
+
+
+@pytest.mark.parametrize("labels", [[True, False], [1.0, 0.0]], ids=["bool", "float"])
+def test_classifier_rejects_non_integer_labels(labels):
+    # A boolean label would index the logits as a mask, True scored as class
+    # 0, and a float label would fail as an index; both are refused up front.
+    model = ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=3, num_classes=2)
+    params = init_params(model, np.random.default_rng(4))
+    batch = Batch(np.ones((2, 3)), np.array(labels))
+    for call in (per_sample_losses, grad, evaluate):
+        with pytest.raises(ConfigurationError, match="integers"):
+            call(model, params, batch)
+    # Regression labels may stay floats; integer labels still pass.
+    assert len(per_sample_losses(MLP_REG, init_params(MLP_REG, np.random.default_rng(4)),
+                                 Batch(np.ones((2, 3)), np.array([0.5, -1.0])))) == 2
+    assert len(per_sample_losses(model, params, Batch(np.ones((2, 3)), np.array([1, 0])))) == 2
 
 
 def test_sgd_step_plain():
@@ -426,9 +442,9 @@ def test_hessian_mlp_zero_residual():
     rng = np.random.default_rng(13)
     params = init_params(MLP_REG, rng)
     x = rng.standard_normal((5, 3))
-    from fedcurr.models import _forward
+    from fedcurr.models import _bind_forward
 
-    exact = Batch(x, _forward(MLP_REG, params, x)[0])
+    exact = Batch(x, _bind_forward(MLP_REG, params)(x)[0][:, 0])
     dec = hessian_decomposition(MLP_REG, params, exact)
     assert_allclose(dec.residual_term, 0.0, atol=1e-14)
 
