@@ -108,22 +108,13 @@ def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> dict:
     }
 
 
-def _run_share(jobs: list[Job], share: range) -> list[JobResult]:
-    """Run the jobs of ``share`` in lockstep by round, through one
-    ``run_experiment`` call, which returns each job's rows or the error,
-    one of those ``main`` reports, that stopped it. ``run_experiment`` is
-    looked up here at call time, once every trial is built, so a replacement
-    of ``cli.run_experiment`` also holds in forked workers."""
-    return run_experiment([jobs[i] for i in share])
-
-
 def _worker(jobs: list[Job], share: range, fd: int) -> None:
     """Body of a forked worker: run ``share``, write the pickled result to
     ``fd`` and end the process without returning to the caller's stack."""
     code = 1
     try:
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(_run_share(jobs, share), fh)
+            pickle.dump(run_experiment([jobs[i] for i in share]), fh)
         code = 0
     except BaseException:  # a bug, or an unpicklable error: show it, exit 1
         traceback.print_exc()
@@ -133,14 +124,17 @@ def _worker(jobs: list[Job], share: range, fd: int) -> None:
 
 
 def _read_share(pid: int, fd: int) -> list[JobResult]:
-    """The result a worker wrote to ``fd``; reaps the worker."""
+    """The result a worker wrote to ``fd``; reaps the worker. A worker that
+    ends without one, say killed for memory, raises ChildProcessError."""
     try:
         with os.fdopen(fd, "rb") as fh:
             payload = fh.read()
     finally:
         _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0 or not payload:
-        raise RuntimeError(f"job worker {pid} failed (wait status {status})")
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or not payload:
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(f"job worker {pid} failed ({how})")
     return pickle.loads(payload)
 
 
@@ -149,15 +143,17 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
 
     The jobs are dealt into ``p = min(processes, len(jobs))`` fixed shares,
     share ``k`` being ``jobs[k::p]``, and each share's jobs run in lockstep
-    by round (``_run_share``). Shares 1..p-1 run in workers forked here,
-    after every trial's data is built, so the workers inherit the data and
-    send back only their metrics; the parent runs share 0 itself before it
-    waits on any worker. The process runs no threads of its own when it
-    forks. With one share, or where ``fork`` does not exist, no process is
-    started. Each job's rows or error are those of its run alone, so the
-    first failed job in job order is the one a run in job order would stop
-    at: its error is raised, its message starting with the job's ordering
-    and seed, as ``metrics.csv`` writes them.
+    by round through one ``run_experiment`` call. Shares 1..p-1 run in
+    workers forked here, after every trial's data is built, so the workers
+    inherit the data and send back only their metrics; the parent runs share
+    0 itself before it waits on any worker. A worker that ends without its
+    result, say killed for memory, fails the run with ChildProcessError. The
+    process runs no threads of its own when it forks. With one share, or
+    where ``fork`` does not exist, no process is started. Each job's rows or
+    error are those of its run alone, so the first failed job in job order
+    is the one a run in job order would stop at: its error is raised, its
+    message starting with the job's ordering and seed, as ``metrics.csv``
+    writes them.
     """
     p = min(processes, len(jobs)) if hasattr(os, "fork") else 1
     shares = [range(k, len(jobs), p) for k in range(p)]
@@ -174,7 +170,7 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
                 _worker(jobs, share, write_fd)
             os.close(write_fd)
             workers.append((pid, read_fd))
-        outcomes = [_run_share(jobs, shares[0])]
+        outcomes = [run_experiment([jobs[i] for i in shares[0]])]
         while workers:
             outcomes.append(_read_share(*workers.pop(0)))
     finally:

@@ -79,12 +79,13 @@ class RunConfig:
 
 
 def _read(path: str) -> configparser.ConfigParser:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No interpolation: a value is the plain text after "key =", "%" too.
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     cp.read_keys = set()  # the (section, key) pairs _require has read
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigurationError(str(exc)) from exc

@@ -3,10 +3,12 @@ aggregation under FedAvg, FedProx, SCAFFOLD or FedNova.
 
 ``run_experiment`` runs a list of (arm, trial) jobs in lockstep by round,
 each one ``_run_job`` generator that stops at its training step and keeps
-its clients' state in arrays indexed by client id. Each client's rows,
-labels, gradient targets and, under expert scoring, expert losses are
-gathered once per run, the targets from the training pool that the call
-builds over its jobs' distinct datasets. Each round runs the model once per
+its clients' state in arrays indexed by client id. The training pool that
+the call builds holds each client's rows and labels once, client after
+client, per distinct (dataset, partition) pair; a job reads its clients as
+views of the pool, and a participant's chosen rows as its first pool row
+plus positions in its block. Under expert scoring each client's expert
+losses are gathered once per run. Each round runs the model once per
 needed client at the broadcast parameters; that pass's losses and raw
 outputs feed the client ranking, the round diagnostics and sample scoring,
 which runs no model, and its terms and activations lambda's gradients. The
@@ -211,7 +213,7 @@ def client_update(
     ids: list[int],
     global_params: np.ndarray,
     cfg: ExperimentConfig,
-    clients: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    clients: list[tuple[int, np.ndarray, np.ndarray]],
     trained: list[np.ndarray | None],
     expert_losses: list[np.ndarray | None],
     at_theta: dict[int, tuple[np.ndarray, np.ndarray]],
@@ -223,10 +225,11 @@ def client_update(
     subset, selected with its own generator ``rngs[k]``.
 
     The per-client lists are indexed by client id: ``clients[c]`` holds
-    client c's pool rows and, gathered from them, its features, labels and
-    targets (``_gather``), ``trained[c]`` its last trained parameters (None
-    before its first round) and ``expert_losses[c]`` the expert's per-sample
-    losses on its rows. ``at_theta[c]`` holds the per-sample losses and raw
+    client c's first pool row lo and its features and labels, the pool's
+    views of its rows (``_Pool.clients``), so the rows chosen at positions
+    S of its block are lo + S; ``trained[c]`` holds its last trained
+    parameters (None before its first round) and ``expert_losses[c]`` the
+    expert's per-sample losses on its rows. ``at_theta[c]`` holds the per-sample losses and raw
     outputs of those rows at ``global_params``. Under the random ordering,
     which reads no score, only random scoring runs, for its draw from
     ``rngs[k]``. Otherwise the pair at the local model is computed here, by
@@ -237,9 +240,9 @@ def client_update(
     dc = cfg.data_curriculum
     chosen = []
     for k, cid in enumerate(ids):
-        pool_rows, x, y, _ = clients[cid]
+        lo, x, y = clients[cid]
         if dc is None:
-            chosen.append(pool_rows)
+            chosen.append(np.arange(lo, lo + len(y)))
             continue
         if dc.ordering is OrderingKind.RANDOM and dc.scoring is not ScoringKind.RANDOM:
             # The random ordering reads only how many scores there are, and
@@ -260,7 +263,7 @@ def client_update(
             expert = expert_losses[cid]
             scores = score_samples(dc.scoring, y, at_theta[cid], at_local, expert, rngs[k])
         n_sel = pace(dc.pacing, t, len(y), cfg.rounds)
-        chosen.append(pool_rows[np.sort(order_and_select(scores, dc.ordering, n_sel, rngs[k]))])
+        chosen.append(lo + np.sort(order_and_select(scores, dc.ordering, n_sel, rngs[k])))
     return chosen
 
 
@@ -350,12 +353,12 @@ def _run_job(
     drives in lockstep with the other jobs of its call.
 
     After the set-up checks it yields its dataset as a ``Batch``, checked
-    against the model, and is sent the call's pool and each client's pool
-    rows with the features, labels and targets gathered from them
-    (``_gather``). It keeps, per client id, the momentum and the SCAFFOLD
-    control as (m, dim) arrays, the last trained parameters and the row
-    count; the momenta persist across rounds, while the step index, and
-    with it the rate schedule, resets each round. Each round it scores,
+    against the model, and is sent the call's pool and its clients there,
+    each as its first pool row and the views of its features and labels
+    (``_Pool.clients``). It keeps, per client id, the momentum and the
+    SCAFFOLD control as (m, dim) arrays, the last trained parameters and
+    the row count; the momenta persist across rounds, while the step index,
+    and with it the rate schedule, resets each round. Each round it scores,
     selects (``client_update``), yields the participants' ``_Training``, is
     sent the trained arrays (``_train``), writes them back by id, and
     aggregates and evaluates; a local step that leaves parameters non-finite
@@ -388,7 +391,7 @@ def _run_job(
     data = ds.batch()
     _check_batch(model, theta, data)
     pool, clients = yield data
-    _, xs, ys, targets = zip(*clients)
+    _, xs, ys = zip(*clients)
     experts = [expert_losses[indices] if expert else None for indices in part.assignment]
     metrics = []
     for t in range(cfg.rounds):
@@ -417,7 +420,7 @@ def _run_job(
         w = np.array([sizes[i] for i in ids], dtype=np.float64)
         with np.errstate(all="ignore"):
             grads = [
-                _terms_grad(model, theta, xs[i], targets[i], terms[block[i]], hidden[block[i]])
+                _terms_grad(model, theta, xs[i], ys[i], terms[block[i]], hidden[block[i]])
                 for i in ids
             ]
             lam = gradient_dissimilarity(grads, w / w.sum())
@@ -452,19 +455,6 @@ def _run_job(
     return metrics
 
 
-def _gather(pool: _Pool, start: int, data: Batch, part: Partition) -> list[tuple]:
-    """Each client's pool rows, and the features, labels and targets
-    gathered from them, for the dataset ``data`` that starts at row
-    ``start`` of ``pool``."""
-    clients = []
-    for indices in part.assignment:
-        rows = start + indices
-        clients.append(
-            (rows, pool.x.take(rows, axis=0), data.y[indices], pool.target.take(rows, axis=0))
-        )
-    return clients
-
-
 def _shared(cfg: ExperimentConfig) -> tuple:
     """What the jobs of one ``run_experiment`` call train with alike."""
     return cfg.model, cfg.hyper, cfg.local_epochs, cfg.algorithm, cfg.mu_prox
@@ -482,13 +472,13 @@ def run_experiment(jobs: list[Job]) -> list[JobResult]:
     The jobs run in lockstep by round, each a ``_run_job`` generator: each
     scores, selects, aggregates and evaluates on its own, and at each round
     the participants of all jobs still running train through one
-    ``models._local_sgd`` call (``_train``), over one ``_Pool`` built here
-    from the jobs' distinct datasets (by identity). Each dataset is checked
-    against the model once per job, at its set-up, and the clients' rows are
-    gathered once per distinct (dataset, partition) pair, which the arms of
-    a trial share. A job that fails stops; the others run on, and since the
-    jobs share no state that changes a digit, each job's entry is that of
-    its run alone."""
+    ``models._local_sgd`` call (``_train``), over one ``_Pool`` built here.
+    The pool lays out the clients' rows and labels once per distinct
+    (dataset, partition) pair, by identity, which the arms of a trial share,
+    and each job reads its clients as views of them. Each dataset is
+    checked against the model once per job, at its set-up. A job that fails
+    stops; the others run on, and since the jobs share no state that changes
+    a digit, each job's entry is that of its run alone."""
     if len({_shared(job[0]) for job in jobs}) > 1:
         raise ConfigurationError(
             "the jobs of one call must share model, optimizer, local epochs and algorithm"
@@ -510,18 +500,15 @@ def run_experiment(jobs: list[Job]) -> list[JobResult]:
         resume(j, None)
     if waiting:
         cfg = jobs[0][0]
-        first: dict[int, int] = {}  # id(ds) -> the first waiting job on that dataset
+        block = {j: (id(jobs[j][1]), id(jobs[j][2])) for j in waiting}  # (dataset, partition)
+        first: dict[tuple[int, int], int] = {}  # block -> its first waiting job
         for j in waiting:
-            first.setdefault(id(jobs[j][1]), j)
-        pool = _Pool(cfg.model, cfg.hyper, [waiting[j] for j in first.values()])
-        start = dict(zip(first, pool.starts))
-        gathered: dict[tuple[int, int], list[tuple]] = {}  # (id(ds), id(part)) -> clients
+            first.setdefault(block[j], j)
+        pool = _Pool(cfg.model, cfg.hyper, [(waiting[j], jobs[j][2].assignment)
+                                            for j in first.values()])
+        clients = dict(zip(first, pool.clients))
         for j in list(waiting):
-            _, ds, part, _, _ = jobs[j]
-            key = id(ds), id(part)
-            if key not in gathered:
-                gathered[key] = _gather(pool, start[id(ds)], waiting[j], part)
-            resume(j, (pool, gathered[key]))
+            resume(j, (pool, clients[block[j]]))
         while waiting:
             live = sorted(waiting)
             for j, part in zip(live, _train(pool, cfg, [waiting[j] for j in live])):
@@ -545,9 +532,9 @@ def train_centralized(
     theta = init_params(model, rng)[None]
     data = ds.batch()
     _check_batch(model, theta[0], data)
+    rows = np.arange(len(data))
     _, diverged = _local_sgd(
-        _Pool(model, hyper, [data]), [np.arange(len(data))], theta, np.zeros_like(theta), epochs,
-        [rng],
+        _Pool(model, hyper, [(data, [rows])]), [rows], theta, np.zeros_like(theta), epochs, [rng]
     )
     if diverged:
         raise FloatingPointError(f"expert training: non-finite parameters after step {diverged[0]}")

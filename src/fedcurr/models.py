@@ -21,25 +21,24 @@ over blocks of rows and returns plain arrays per block, among them the terms
 and activations from which ``_terms_grad`` takes a block's gradient.
 
 ``_local_sgd``, the mini-batch loop that local and centralized training
-share, trains the participants of a round of several jobs in lockstep: a
-``_Cohort`` binds the same two functions to a stack of clients, and each
-step runs the forward pass, the log-softmax and softmax minus one-hot in
-place on one stacked array. Every slot holds ``batch_size`` rows: a
-client's short last batch of an epoch is padded with zero rows whose loss
-derivative is set to 0, and its mean runs over its own rows. A client's
-bits thus depend only on its own batches, not on the other clients it steps
-with, and so does the first step that leaves its parameters non-finite:
-one finite check of the stack after each step finds that step, which the
-kernel returns and ``federation`` words. The rows and targets of the jobs'
-datasets, the rates and the slot buffers (``_Pool``, ``_Cohort``) are built
-once per share of jobs. Every in-place form keeps the bits of the
-out-of-place expressions, and a large pass does not page in fresh memory for
-every temporary.
+share, trains the participants of a round of several jobs in lockstep:
+``_Pool.kernel`` binds the same two functions to a stack of clients, and
+each step runs the forward pass, the log-softmax and softmax minus one-hot
+(1 subtracted at each row's label) in place on one stacked array. Every
+slot holds ``batch_size`` rows: a client's short last batch of an epoch is
+padded with zero rows whose loss derivative is set to 0, and its mean runs
+over its own rows. A client's bits thus depend only on its own batches,
+not on the other clients it steps with, and so does the first step that
+leaves its parameters non-finite: one finite check of the stack after each
+step finds that step, which the kernel returns and ``federation`` words.
+The rows and labels of the jobs' clients, laid out client after client,
+the rates and the slot buffers (``_Pool``) are built once per share of
+jobs. Every in-place form keeps the bits of the out-of-place expressions,
+and a large pass does not page in fresh memory for every temporary.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -264,25 +263,19 @@ def _output_terms(model: ModelSpec, out: np.ndarray, y: np.ndarray) -> np.ndarra
     return np.subtract(out, y, out=out)
 
 
-def _targets(model: ModelSpec, y: np.ndarray) -> np.ndarray:
-    """The labels in the form the gradient takes them: one-hot rows for
-    classifiers, float labels for the regression models."""
-    if model.is_classifier:
-        return np.eye(model.num_classes)[y]
-    return y.astype(np.float64)
-
-
 def _loss_derivative(
-    model: ModelSpec, target: np.ndarray, terms: np.ndarray, rows, out: np.ndarray | None = None
+    model: ModelSpec, hits, terms: np.ndarray, rows, out: np.ndarray | None = None
 ) -> np.ndarray:
     """The mean loss's derivative with respect to the outputs, from the
-    terms: softmax minus one-hot for classifiers (subtracting 0.0 leaves the
-    other classes' bits), the residual for the regression models, each over
-    ``rows``, a row count or per-slot counts that broadcast. Written into
-    ``out``, which may be ``terms``, or a fresh array when None."""
+    terms: softmax minus one-hot for classifiers, 1 subtracted at ``hits``,
+    the flat positions of each row's label in ``terms`` (the other classes'
+    bits stay as they are), the residual for the regression models, which
+    read no ``hits``, each over ``rows``, a row count or per-slot counts that
+    broadcast. Written into ``out``, which may be ``terms``, or a fresh array
+    when None; either is C-contiguous, so its flat view writes through."""
     if model.is_classifier:
         e = np.exp(terms, out=out)
-        e -= target
+        e.reshape(-1)[hits] -= 1.0
         e /= rows
         return e
     return np.divide(terms, rows, out=out)
@@ -322,75 +315,77 @@ def _terms_grad(
     model: ModelSpec,
     params: np.ndarray,
     x: np.ndarray,
-    target: np.ndarray,
+    y: np.ndarray,
     terms: np.ndarray,
     hidden: np.ndarray | None,
 ) -> np.ndarray:
-    """Mean-loss gradient, leaving ``terms`` as it is; ``target`` comes from
-    ``_targets``, or from the rows of ``_Pool.target``."""
-    g = np.empty(model.param_count())
-    e = _loss_derivative(model, target, terms, len(target))
-    _bind_backward(model, params, g)(x, e.reshape(len(target), -1), hidden)
+    """Mean-loss gradient of the rows ``x`` with labels ``y``, from the
+    ``terms`` and ``hidden`` of their ``_pass``, leaving ``terms`` as it is."""
+    m, g = len(y), np.empty(model.param_count())
+    hits = np.ravel_multi_index((np.arange(m), y), terms.shape) if model.is_classifier else None
+    e = _loss_derivative(model, hits, terms, m)
+    _bind_backward(model, params, g)(x, e.reshape(m, -1), hidden)
     return g
 
 
 class _Pool:
-    """What local training reads, built once per share of jobs: the rows
-    ``x`` of the share's datasets, one block after another (block b starts
-    at row ``starts[b]``), their targets (one-hot rows for classifiers,
-    float labels otherwise), the rates eta(i) of the steps its calls have
-    needed so far and their running sums, which ``_local_sgd`` extends in
-    step order when a call needs more steps, so each sum adds the rates one
-    by one. The callers check each block against the model first. It
-    also keeps the lockstep buffers, one ``_Cohort`` per cohort size, so
-    that the calls of a share bind their kernels once."""
+    """What local training reads, built once per share of jobs. Each block,
+    a dataset with its clients' row indices, is laid out client after
+    client in the rows ``x`` and labels ``y``; ``clients[b]`` holds block
+    b's clients as (lo, features, labels), the views ``x[lo:hi]`` and
+    ``y[lo:hi]`` of its pool rows lo..hi. The callers check each dataset
+    against the model first. The pool also keeps the rates eta(i) of the
+    steps its calls have needed so far and their running sums, which
+    ``_local_sgd`` extends in step order when a call needs more steps, so
+    each sum adds the rates one by one, and one set of lockstep slot
+    buffers, grown to the share's largest cohort: the slots' parameters,
+    momenta and gradients (slots, dim), each step's rows, labels, outputs
+    and MLP blocks (slots, batch_size, ...), and the row count each slot's
+    mean runs over."""
 
-    def __init__(self, model: ModelSpec, hyper: SgdHyper, blocks: list[Batch]):
+    def __init__(self, model: ModelSpec, hyper: SgdHyper, blocks: list[tuple[Batch, list]]):
         self.model, self.hyper = model, hyper
-        if len(blocks) == 1:
-            self.x, y = blocks[0].x, blocks[0].y
-        else:
-            self.x = np.concatenate([b.x for b in blocks])
-            y = np.concatenate([b.y for b in blocks])
-        self.starts = [0] + list(itertools.accumulate(len(b) for b in blocks))[:-1]
-        self.target = _targets(model, y)
+        n = sum(len(rows) for _, clients in blocks for rows in clients)
+        self.x = np.empty((n, blocks[0][0].x.shape[1]))
+        # A classifier's labels, checked to be classes, index its outputs.
+        labels = np.intp if model.is_classifier else np.result_type(*(b.y for b, _ in blocks))
+        self.y = np.empty(n, labels)
+        self.clients: list[list[tuple[int, np.ndarray, np.ndarray]]] = []
+        lo = 0
+        for data, clients in blocks:
+            self.clients.append([])
+            for rows in clients:
+                x, y = self.x[lo : lo + len(rows)], self.y[lo : lo + len(rows)]
+                data.x.take(rows, axis=0, out=x)
+                data.y.take(rows, out=y)
+                self.clients[-1].append((lo, x, y))
+                lo += len(rows)
         self.etas: list[float] = []
         self.eta_sums: list[float] = []
-        self._cohorts: dict[int, _Cohort] = {}
+        self.slots, self._kernels = 0, {}
 
-    def cohort(self, size: int) -> _Cohort:
-        if size not in self._cohorts:
-            self._cohorts[size] = _Cohort(self, size)
-        return self._cohorts[size]
-
-
-class _Cohort:
-    """The slot buffers of a lockstep cohort of ``size`` clients: their
-    parameters, momenta and gradients (size, dim), and each step's rows,
-    targets, outputs and MLP blocks (size, batch_size, ...), and the row
-    count each slot's mean runs over. The kernels of the first k slots are
-    bound to them on first use and kept."""
-
-    def __init__(self, pool: _Pool, size: int):
-        model, bs = pool.model, pool.hyper.batch_size
+    def _grow(self, size: int) -> None:
+        """Slot buffers for ``size`` clients, in place of the smaller ones,
+        whose kernels go with them."""
+        model, bs = self.model, self.hyper.batch_size
         c, h, dim = model.num_classes, model.hidden_dim, model.param_count()
-        self.model, self.batch_size = model, bs
+        self.slots, self._kernels = size, {}
         self.theta, self.v, self.g, self.tmp, self.diff = (np.empty((size, dim)) for _ in range(5))
-        self.x = np.empty((size, bs, pool.x.shape[1]))
-        self.target = np.empty((size, bs) + pool.target.shape[1:])
+        self.step_x = np.empty((size, bs, self.x.shape[1]))
+        self.step_y = np.empty((size, bs), self.y.dtype)
         width = c if model.is_classifier else 1
         self.out, self.counts = np.empty((size, bs, width)), np.full((size, 1, 1), float(bs))
         self.hidden = self.delta = self.square = None
         if model.kind is ModelKind.MLP_TANH:
             self.hidden, self.delta, self.square = (np.empty((size, bs, h)) for _ in range(3))
         self.scratch = np.empty((size * bs, width)), np.empty((size * bs, 1))
-        self._kernels: dict[int, tuple] = {}
 
     def kernel(self, k: int) -> tuple:
         """The first k slots' gradient step, as (forward, backward), and
         their views of theta, v, g, the update's scratch, the rows and the
-        targets. Each slot is one client: parameters ``theta[i]``, gathered
-        rows ``x[i]`` (b, d) and targets ``target[i]``. ``forward()`` writes
+        labels, growing the slot buffers to k slots when they hold fewer.
+        Each slot is one client: parameters ``theta[i]``, gathered rows
+        ``step_x[i]`` (b, d) and labels ``step_y[i]``. ``forward()`` writes
         the outputs into ``out`` and the MLP's activations into ``hidden``
         (``_bind_forward`` over the stack). ``backward(pads)`` turns the
         outputs into the terms and the loss derivative in place, the
@@ -401,14 +396,17 @@ class _Cohort:
         first m rows of that slot are its batch and the rest pad it. Their
         mean runs over m, through the slot's entry of ``counts``, and the pad
         rows' loss derivative is set to 0, so they add nothing to any
-        product or sum. The caller zeroes the pad rows of ``x`` after the
-        gather, so a pad row's products are 0 * 0 wherever the slot's own
-        parameters are finite, never 0 * nan from another client's row."""
+        product or sum. The caller zeroes the pad rows of ``step_x`` after
+        the gather, so a pad row's products are 0 * 0 wherever the slot's own
+        parameters are finite, never 0 * nan from another client's row. The
+        kernel is bound on first use and kept until the buffers grow."""
+        if k > self.slots:
+            self._grow(k)
         if k in self._kernels:
             return self._kernels[k]
-        model, bs = self.model, self.batch_size
-        theta, g, x, target, counts, out = (
-            a[:k] for a in (self.theta, self.g, self.x, self.target, self.counts, self.out)
+        model, bs = self.model, self.hyper.batch_size
+        theta, g, x, y, counts, out = (
+            a[:k] for a in (self.theta, self.g, self.step_x, self.step_y, self.counts, self.out)
         )
         hidden, delta, square = (
             None if a is None else a[:k] for a in (self.hidden, self.delta, self.square)
@@ -421,6 +419,9 @@ class _Cohort:
         rows = out.reshape(k * bs, -1)
         columns = list(rows.T) if classifier else None
         scratch = tuple(a[: k * bs] for a in self.scratch)
+        # Each slot row's flat offset in the outputs, and that of its label.
+        starts, hits = np.arange(k * bs) * rows.shape[1], np.empty(k * bs, dtype=np.intp)
+        labels = y.reshape(-1)
 
         def step_forward():
             forward(x, out, hidden)
@@ -428,19 +429,19 @@ class _Cohort:
         def step_backward(pads):
             if classifier:
                 _log_softmax(rows, *scratch, columns)
+                np.add(starts, labels, out=hits)
             else:
-                np.subtract(z, target, out=z)
+                np.subtract(z, y, out=z)
             for slot, m in pads:
                 counts[slot] = m
-            _loss_derivative(model, target, z, count if pads else bs, out=z)
+            _loss_derivative(model, hits, z, count if pads else bs, out=z)
             for slot, m in pads:
                 z[slot, m:] = 0.0
                 counts[slot] = bs
             backward(x, out, hidden, delta, square)
 
         self._kernels[k] = (
-            step_forward, step_backward, theta, self.v[:k], g, self.tmp[:k], self.diff[:k], x,
-            target,
+            step_forward, step_backward, theta, self.v[:k], g, self.tmp[:k], self.diff[:k], x, y,
         )
         return self._kernels[k]
 
@@ -457,7 +458,7 @@ def _local_sgd(
 ) -> tuple[list[int], dict[int, int]]:
     """Mini-batch momentum SGD for a cohort of clients, overwriting their
     parameters ``theta`` and momenta ``v``, stacked (P, dim). Client p
-    trains on the rows ``pool.x[rows[p]]`` with their targets, draws its
+    trains on the rows ``pool.x[rows[p]]`` with their labels, draws its
     epochs' permutations from ``rngs[p]`` at the start (the steps draw
     nothing else, so its stream is as if each epoch drew its own) and steps
     on slices of ``batch_size`` rows with eta(i), i counting its steps from
@@ -470,13 +471,14 @@ def _local_sgd(
     its parameters non-finite; the caller words the error.
 
     The clients step in lockstep: at step i, every client with a step left
-    takes it with the others, through one stacked ``_Cohort.kernel``. Slots
+    takes it with the others, through one stacked ``_Pool.kernel``. Slots
     are ordered by descending step count, so the clients still stepping are
-    always the first ones. Each step gathers its rows with one ``take`` into
-    (P, batch_size, ...) slot buffers. An epoch's short tail batch of m rows
-    fills its slot like any other batch: the step table pads it with pool
-    row 0, whose gathered features are then set to zero rows and whose loss
-    derivative the kernel sets to 0, and the slot's mean runs over m. Every
+    always the first ones. Each step gathers its rows and labels with one
+    ``take`` each into (P, batch_size, ...) slot buffers. An epoch's short
+    tail batch of m rows fills its slot like any other batch: the step table
+    pads it with pool row 0, whose gathered features are then set to zero
+    rows and whose loss derivative the kernel sets to 0, and the slot's mean
+    runs over m. Every
     product thus runs over ``batch_size`` rows per slot, so a client's bits
     depend only on its own rows, never on the other slots, on pool row 0,
     the stack size or the thread count, and the first step that
@@ -512,16 +514,17 @@ def _local_sgd(
     # The per-client stacks in slot order.
     prox = None if prox is None else (prox[0], prox[1][order])
     controls = None if controls is None else (controls[0][order], controls[1][order])
-    cohort = pool.cohort(len(rows))
-    theta.take(order, axis=0, out=cohort.theta)
-    v.take(order, axis=0, out=cohort.v)
+    n = len(rows)
+    pool.kernel(n)  # step 0's, which trains every client; it grows the slots to them
+    theta.take(order, axis=0, out=pool.theta[:n])
+    v.take(order, axis=0, out=pool.v[:n])
     diverged: dict[int, int] = {}
     live = 0
     with np.errstate(all="ignore"):
         for step, step_live in enumerate(active.tolist()):
             if step_live != live:
                 live = step_live
-                forward, backward, params, mom, g, tmp, diff, x, target = cohort.kernel(live)
+                forward, backward, params, mom, g, tmp, diff, x, y = pool.kernel(live)
                 if prox is not None:
                     mu, anchor = prox[0], prox[1][:live]
                 if controls is not None:
@@ -530,7 +533,7 @@ def _local_sgd(
             # that the default mode makes of an ``out``.
             idx = table[step, :live]
             pool.x.take(idx, axis=0, out=x, mode="clip")
-            pool.target.take(idx, axis=0, out=target, mode="clip")
+            pool.y.take(idx, out=y, mode="clip")
             for slot, m in tails[step]:
                 x[slot, m:] = 0.0
             forward()
@@ -553,8 +556,8 @@ def _local_sgd(
             if not np.isfinite(params).all():
                 for slot in np.flatnonzero(~np.isfinite(params).all(axis=1)).tolist():
                     diverged.setdefault(order[slot], step)
-    theta[order] = cohort.theta
-    v[order] = cohort.v
+    theta[order] = pool.theta[:n]
+    v[order] = pool.v[:n]
     return steps, diverged
 
 
@@ -593,7 +596,7 @@ def grad(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
     """Gradient of the mean batch loss with respect to the flat parameters."""
     _check_batch(model, params, batch)
     _, _, [terms], [hidden] = _pass(model, params, [batch.x], [batch.y])
-    return _terms_grad(model, params, batch.x, _targets(model, batch.y), terms, hidden)
+    return _terms_grad(model, params, batch.x, batch.y, terms, hidden)
 
 
 def predict(model: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:

@@ -21,7 +21,7 @@ from fedcurr import (
     sgd_step,
 )
 from fedcurr.federation import _INIT_STREAM, _train, _Training
-from fedcurr.models import _output_terms, _targets
+from fedcurr.models import _output_terms
 from fedcurr.theory import _check_cohort, _noisy
 
 
@@ -124,6 +124,14 @@ def forward_reference(model: ModelSpec, params: np.ndarray, x: np.ndarray):
     return (out[:, 0] if model.num_classes == 1 else out), a
 
 
+def targets_reference(model: ModelSpec, y: np.ndarray) -> np.ndarray:
+    """The labels as the reference gradient reads them: one-hot rows for
+    classifiers, float labels for the regression models."""
+    if model.is_classifier:
+        return np.eye(model.num_classes)[y]
+    return y.astype(np.float64)
+
+
 def terms_grad_reference(model, params, x, target, terms, hidden, rows=None) -> np.ndarray:
     """``models._terms_grad`` as out-of-place expressions joined by
     ``np.concatenate``. With ``rows``, the mean runs over the first ``rows``
@@ -159,7 +167,7 @@ def padded_grad_reference(model, params, batch, batch_size):
     rows. A pad row's contents leave the other rows' bits as they are."""
     pad = batch_size - len(batch)
     x = np.concatenate([batch.x, np.zeros((pad, batch.x.shape[1]))])
-    target = _targets(model, np.concatenate([batch.y, np.zeros(pad, dtype=batch.y.dtype)]))
+    target = targets_reference(model, np.concatenate([batch.y, np.zeros(pad, dtype=batch.y.dtype)]))
     out, hidden = forward_reference(model, params, x)
     terms = _output_terms(model, out, target)
     return terms_grad_reference(model, params, x, target, terms, hidden, len(batch))

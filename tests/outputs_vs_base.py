@@ -69,6 +69,10 @@ VARIANTS = {
     "trials3": Variant({"run.n_trials": "3", **ALL_ARMS}, (1, 2)),
     # The MLP in batches of 7: most epochs end on a padded short batch.
     "tails": Variant({**MLP, "optimizer.batch_size": "7", "run.n_trials": "2", **ALL_ARMS}, (1, 2)),
+    # 40 Dirichlet clients of the 600 rows at beta 0.05, 25 of them holding
+    # one row: one-row blocks of the training pool and one-row batches.
+    "tiny-clients": Variant({"partition.beta": "0.05", "partition.num_clients": "40", **ALL_ARMS,
+                             "client_curriculum.enabled": "true"}, (1, 2)),
     # Losses overflow (at 5 and 12 rounds), or parameters leave finite values.
     "div-linear": Variant(DIV_LINEAR, (1, 2), diverges=True),
     "div-linear12": Variant({**DIV_LINEAR, "federation.rounds": "12", "run.n_trials": "3",

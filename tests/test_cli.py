@@ -3,6 +3,7 @@ import csv
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -274,6 +275,28 @@ def test_parent_failure_stops_and_reaps_workers(tmp_path, monkeypatch):
         main(["run", cfg, "--out", str(tmp_path / "out"), "--threads", "4"])
     assert time.monotonic() - began < 30
     assert_no_child_processes()
+
+
+def test_killed_worker_ends_in_one_error_line(tmp_path, capfd, monkeypatch):
+    # A worker killed for memory gets SIGKILL; the run ends with exit 1 and
+    # one line naming the worker and the signal, writes no metrics.csv and
+    # reaps every worker.
+    parent, real = os.getpid(), cli.run_experiment
+
+    def killed(jobs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(jobs)
+
+    monkeypatch.setattr(cli, "run_experiment", killed)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "run.ini", MINIMAL_RUN)
+    assert main(["run", cfg, "--out", str(out), "--threads", "2"]) == 1
+    assert_no_child_processes()
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert re.fullmatch(r"error: job worker \d+ failed \(killed by signal 9\)", lines[0]), lines
+    assert not (out / "metrics.csv").exists()
 
 
 # Big enough that OpenBLAS splits the MLP's matrix products across threads,
@@ -861,6 +884,16 @@ INVALID_CONFIGS = [
     ("verify", "convex_client_schedule", "alpha", "5", {}),
     # inverse_round takes its largest step, alpha, in round 0.
     ("verify", "convex_diminishing_alpha", "alpha", "0.02", {}),
+    ("run", "data_curriculum", "orderings", "bogus", {}),
+    ("run", "client_curriculum", "enabled", "maybe", {}),
+    ("run", "partition", "beta", "0", {}),  # the shipped scheme is dirichlet
+    ("run", "partition", "f_ord", "1.5", {}),
+    ("run", "dataset", "classes", "0", {}),
+    ("run", "dataset", "classes", "1", {}),  # the shipped model is softmax
+    ("run", "dataset", "dim", "0", {}),
+    ("run", "model", "hidden_dim", "0", {"kind": "mlp"}),
+    ("run", "federation", "mu_prox", "-1", {}),
+    ("run", "optimizer", "decay_b", "-1", {}),
 ]
 
 
@@ -892,3 +925,37 @@ def test_invalid_config_exits_2_before_any_output(
     assert f"'{key}'" in lines[0] and f"[{section}]" in lines[0], lines[0]
     for name in ("metrics.csv", "summary.csv", "report.csv"):
         assert not (out / name).exists()
+
+
+def bad_configs(tmp_path):
+    """Per case, a config that cannot be read as written and the start of
+    its one error line. Values are plain text, never interpolated:
+    "%(classes)s00" is not 200."""
+
+    def with_n(name, value):
+        return write(tmp_path / name, MINIMAL_RUN.replace("n = 120\n", f"n = {value}\n"))
+
+    (tmp_path / "utf16.ini").write_bytes(b"\xff\xfe[dataset]\n")
+    (tmp_path / "empty.ini").write_bytes(b"")
+    (tmp_path / "folder.ini").mkdir()
+    at_n = "error: key 'n' in section [dataset]: cannot parse"
+    return {
+        "percent": (with_n("percent.ini", "600%"), f"{at_n} '600%'"),
+        "interpolation": (with_n("interp.ini", "%(classes)s00"), f"{at_n} '%(classes)s00'"),
+        "not-utf8": (tmp_path / "utf16.ini", "error: cannot read config: 'utf-8' codec"),
+        "missing": (tmp_path / "missing.ini", "error: cannot read config: "),
+        "directory": (tmp_path / "folder.ini", "error: cannot read config: "),
+        "empty": (tmp_path / "empty.ini", "error: missing required section [dataset]"),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["percent", "interpolation", "not-utf8", "missing", "directory", "empty"]
+)
+def test_config_that_cannot_be_read_as_written_exits_2(tmp_path, capsys, case):
+    path, start = bad_configs(tmp_path)[case]
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(start), lines
+    assert not out.exists()

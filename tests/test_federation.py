@@ -86,17 +86,20 @@ def curriculum_arm(scoring, ordering=OrderingKind.CURRICULUM):
     return DataCurriculumConfig(scoring, PacingSpec(PacingFamily.LINEAR, 0.8, 0.2), ordering)
 
 
-def clients_of(pool, ds, part):
-    """Per client id, its pool rows, features, labels and targets, as
-    run_experiment hands them to client_update from a pool over ``ds``."""
-    return federation._gather(pool, 0, ds.batch(), part)
-
-
-def pool_of(cfg, params, data):
-    """A share's training pool over the ``Batch`` ``data`` alone, checked
-    against the model, as run_experiment builds it."""
+def pool_of(cfg, params, ds, part):
+    """A share's training pool over ``ds`` dealt by ``part`` alone, checked
+    against the model, as run_experiment builds it, and per client id its
+    first pool row, features and labels, as client_update takes them."""
+    data = ds.batch()
     models._check_batch(cfg.model, params, data)
-    return models._Pool(cfg.model, cfg.hyper, [data])
+    pool = models._Pool(cfg.model, cfg.hyper, [(data, part.assignment)])
+    return pool, pool.clients[0]
+
+
+def whole_pool(model, hyper, data):
+    """A training pool whose one client holds every row of the ``Batch``
+    ``data`` in order, so that pool row r is row r of ``data``."""
+    return models._Pool(model, hyper, [(data, [np.arange(len(data))])])
 
 
 def metrics_equal(a, b):
@@ -114,9 +117,9 @@ def test_zero_learning_rate_returns_broadcast_unchanged():
     ds, part, _ = small_world()
     cfg = base_config(hyper=SgdHyper(eta0=0.0, momentum=0.9))
     theta = np.linspace(-1, 1, MODEL.param_count())
-    pool = pool_of(cfg, theta, ds.batch())
+    pool, clients = pool_of(cfg, theta, ds, part)
     _, local, *_ = update_alone(
-        cfg, pool, [0], theta, clients_of(pool, ds, part), 0, [np.random.default_rng(0)],
+        cfg, pool, [0], theta, clients, 0, [np.random.default_rng(0)],
         np.zeros((1, len(theta))),
     )
     assert np.array_equal(local[0], theta)
@@ -134,9 +137,9 @@ def test_fedprox_zero_mu_identical_to_fedavg():
     theta = np.random.default_rng(1).standard_normal(MODEL.param_count()) * 0.1
     local = []
     for cfg in (base_config(), base_config(algorithm=Algorithm.FEDPROX, mu_prox=0.0)):
-        pool = pool_of(cfg, theta, ds.batch())
+        pool, clients = pool_of(cfg, theta, ds, part)
         local.append(update_alone(
-            cfg, pool, [2], theta, clients_of(pool, ds, part), 0, [np.random.default_rng(9)],
+            cfg, pool, [2], theta, clients, 0, [np.random.default_rng(9)],
             np.zeros((1, len(theta))),
         )[1])
     assert np.array_equal(*local)
@@ -231,8 +234,9 @@ def test_scaffold_control_is_mean_of_client_controls():
     dim = MODEL.param_count()
     theta, server_c = np.zeros(dim), np.zeros(dim)
     momenta, controls = np.zeros((8, dim)), np.zeros((8, dim))
-    pool = pool_of(cfg, theta, ds.batch())
-    rows, sizes = part.assignment, [len(rows) for rows in part.assignment]
+    pool, clients = pool_of(cfg, theta, ds, part)
+    rows = [np.arange(lo, lo + len(y)) for lo, _, y in clients]
+    sizes = [len(r) for r in rows]
     for t in range(3):
         rngs = [np.random.default_rng([cfg.seed, 2, t, cid]) for cid in range(8)]
         [(local, momenta, steps, diverged)] = federation._train(
@@ -484,8 +488,7 @@ def _client_round(cfg, ds, part, theta, t, rng, arrays, server_c=None, expert=No
     its ``arrays`` written back by id and, under SCAFFOLD, its control from
     ``aggregate``. Returns its chosen rows, step count and diverging steps."""
     momenta, controls, trained = arrays
-    pool = pool_of(cfg, theta, ds.batch())
-    clients = clients_of(pool, ds, part)
+    pool, clients = pool_of(cfg, theta, ds, part)
     ids = [CLIENT]
     own = None if controls is None else controls[ids]
     at_theta = {CLIENT: at_model(cfg.model, theta, Batch(*clients[CLIENT][1:3]))}
@@ -595,7 +598,7 @@ def test_diverging_local_sgd_replays_the_reference_steps(model):
             record,
         )
     _, diverged = models._local_sgd(
-        models._Pool(model, hyper, [ds.batch()]), [rows], theta[None].copy(),
+        whole_pool(model, hyper, ds.batch()), [rows], theta[None].copy(),
         np.zeros((1, len(theta))), 3, [np.random.default_rng(6)],
     )
     assert list(diverged) == [0]
@@ -631,16 +634,16 @@ def test_cohort_names_the_lowest_id_diverging_client(model):
             errors[p] = str(error)
     assert sorted(errors) == [1, 3]
     assert int(errors[3].rsplit(" ", 1)[1]) < int(errors[1].rsplit(" ", 1)[1])
-    pool = models._Pool(model, hyper, [ds.batch()])
+    pool = models._Pool(model, hyper, [(ds.batch(), rows)])
+    [clients] = pool.clients
     _, diverged = models._local_sgd(
-        pool, rows, np.tile(theta, (5, 1)), momenta.copy(), 3,
-        [np.random.default_rng([7, p]) for p in range(5)],
+        pool, [np.arange(lo, lo + len(y)) for lo, _, y in clients], np.tile(theta, (5, 1)),
+        momenta.copy(), 3, [np.random.default_rng([7, p]) for p in range(5)],
     )
     worded = {p: f"client {p}: non-finite parameters after step {s}" for p, s in diverged.items()}
     assert worded == errors
     *_, diverged = update_alone(
-        dataclasses.replace(cfg, local_epochs=3), pool, list(range(5)), theta,
-        [(r, ds.features[r], ds.labels[r], pool.target[r]) for r in rows], 4,
+        dataclasses.replace(cfg, local_epochs=3), pool, list(range(5)), theta, clients, 4,
         [np.random.default_rng([7, p]) for p in range(5)], momenta.copy(),
     )
     assert {p: f"client {p}: non-finite parameters after step {s}"
@@ -688,7 +691,7 @@ def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
             model, BATCH_7, theta[p].copy(), v[p].copy(), Batch(ds.features[rows[p]],
             ds.labels[rows[p]]), 3, np.random.default_rng([9, p]), f"client {p}", extra,
         ))
-    pool = models._Pool(model, BATCH_7, [ds.batch()])
+    pool = whole_pool(model, BATCH_7, ds.batch())
     steps, diverged = models._local_sgd(
         pool, rows, theta, v, 3, [np.random.default_rng([9, p]) for p in range(size)],
         stacked_prox, stacked_controls,
@@ -699,6 +702,31 @@ def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
         assert np.array_equal(v[p], ref_v)
         assert steps[p] == ref_steps
         assert pool.eta_sums[steps[p] - 1] == ref_eta_sum
+
+
+@pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
+def test_slot_buffers_grow_to_the_largest_cohort(model):
+    # One pool serves cohorts of 2, 5 and 3 clients, as a share's calls do
+    # when a client curriculum admits more clients each round: its slot
+    # buffers grow to 5 slots at the second call. The clients take 2 to 6
+    # steps an epoch, so each call also runs the kernels of fewer slots,
+    # which the first call bound to the smaller buffers. Each call's clients
+    # get the bits of the same call on a fresh pool.
+    ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
+    shared = whole_pool(model, BATCH_7, ds.batch())
+    start = init_params(model, np.random.default_rng(3))
+    for size in (2, 5, 3):
+        rows = [np.arange(40 * p, 40 * p + 9 + 7 * p) for p in range(size)]
+        runs = []
+        for pool in (shared, whole_pool(model, BATCH_7, ds.batch())):
+            theta, v = np.tile(start, (size, 1)), np.zeros((size, len(start)))
+            models._local_sgd(
+                pool, rows, theta, v, 2, [np.random.default_rng([size, p]) for p in range(size)]
+            )
+            runs.append((theta, v))
+        (theta, v), (fresh_theta, fresh_v) = runs
+        assert np.array_equal(theta, fresh_theta) and np.array_equal(v, fresh_v)
+    assert shared.slots == 5
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
@@ -719,7 +747,7 @@ def test_pad_rows_reach_no_gradient(model):
     huge[0] = 1e308
     runs = []
     for x in (ds.features, huge):
-        pool = models._Pool(model, hyper, [Batch(x, ds.labels)])
+        pool = whole_pool(model, hyper, Batch(x, ds.labels))
         theta, v = np.tile(start, (3, 1)), np.zeros((3, len(start)))
         steps, diverged = models._local_sgd(
             pool, rows, theta, v, 3, [np.random.default_rng([5, p]) for p in range(3)]
@@ -750,7 +778,7 @@ def test_nan_pool_row_0_reaches_no_other_client(model):
         model, BATCH_7, start.copy(), np.zeros_like(start),
         Batch(ds.features[rows], ds.labels[rows]), 3, np.random.default_rng(9), "client 0",
     )
-    pool = models._Pool(model, BATCH_7, [Batch(x, ds.labels)])
+    pool = whole_pool(model, BATCH_7, Batch(x, ds.labels))
     theta, v = start[None].copy(), np.zeros((1, len(start)))
     steps, diverged = models._local_sgd(pool, [rows], theta, v, 3, [np.random.default_rng(9)])
     assert diverged == {} and steps == [ref_steps] == [12]
@@ -762,7 +790,7 @@ def test_rate_table_grows_in_step_order():
     # rates of 40 steps and their running sums, bit for bit as if built in
     # one pass.
     model = FOUR_MODELS[1]
-    pool = models._Pool(model, BATCH_7, [gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5).batch()])
+    pool = whole_pool(model, BATCH_7, gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5).batch())
     for rows, epochs, size in ((np.arange(7), 3, 3), (np.arange(280), 1, 40)):
         theta = init_params(model, np.random.default_rng(0))[None]
         models._local_sgd(pool, [rows], theta, np.zeros_like(theta), epochs,
@@ -1008,8 +1036,8 @@ def test_no_pass_activations_survive_into_the_training_yield():
 
     job = federation._run_job(cfg, ds, part, test, None)
     data = next(job)
-    pool = models._Pool(model, cfg.hyper, [data])
-    training = job.send((pool, federation._gather(pool, 0, data, part)))
+    pool = models._Pool(model, cfg.hyper, [(data, part.assignment)])
+    training = job.send((pool, pool.clients[0]))
     for _ in range(2):
         assert isinstance(training, federation._Training)
         held = [a for value in job.gi_frame.f_locals.values() for a in arrays(value)]
@@ -1163,19 +1191,74 @@ def test_job_before_a_diverging_one_keeps_its_trained_arrays():
     assert str(done[3]).startswith("round 3, client 3: non-finite parameters after step ")
 
 
-def test_nan_row_of_a_failing_job_leaves_the_others_their_solo_rows():
-    # Job 0's dataset comes first in the call's pool, so its nan row 0 is
-    # the pool's row 0, the row that pads every short batch of the call.
-    # Job 0 fails at its pass at theta; job 1 trains to the end with the
-    # rows of its run alone.
+def recorded_pools(monkeypatch):
+    """The ``_Pool`` of each later ``run_experiment`` call, in call order."""
+    pools = []
+
+    def recording(*args):
+        pools.append(models._Pool(*args))
+        return pools[-1]
+
+    monkeypatch.setattr(federation, "_Pool", recording)
+    return pools
+
+
+def test_pool_lays_out_each_dataset_and_partition_once(monkeypatch):
+    # Two datasets, the first under two partitions, and two arms on one of
+    # those pairs: the call's pool holds three blocks, one per (dataset,
+    # partition) pair, each client's rows and labels once. Every job reads
+    # its clients as views of the pool, the rows of its own partition; the
+    # two arms read the same block. Each job's rows are those of its solo
+    # run.
+    ds, part, test = small_world()
+    iid = partition(ds, PartitionSpec(Scheme.IID, num_clients=6), 5)
+    ds2, part2, test2 = small_world(seed=43, n=300, clients=5)
+    arm = curriculum_arm(ScoringKind.G_LOSS)
+    jobs = [(base_config(seed=1), ds, part, test, None),
+            (base_config(seed=2, data_curriculum=arm), ds2, part2, test2, None),
+            (base_config(seed=3, data_curriculum=arm), ds, part, test, None),
+            (base_config(seed=4), ds, iid, test, None)]
+    pools, read = recorded_pools(monkeypatch), {}
+    client_update = federation.client_update
+
+    def recording(ids, global_params, cfg, clients, *rest):
+        read.setdefault(cfg.seed, clients)
+        return client_update(ids, global_params, cfg, clients, *rest)
+
+    monkeypatch.setattr(federation, "client_update", recording)
+    done = run_experiment(jobs)
+    monkeypatch.undo()
+    [pool] = pools
+    assert [len(block) for block in pool.clients] == [8, 5, 6]
+    assert len(pool.x) == len(pool.y) == 400 + 300 + 400
+    assert read[1] is read[3] is pool.clients[0]
+    assert read[2] is pool.clients[1] and read[4] is pool.clients[2]
+    for seed, (job_ds, job_part) in zip((1, 2, 4), ((ds, part), (ds2, part2), (ds, iid))):
+        for (lo, x, y), rows in zip(read[seed], job_part.assignment, strict=True):
+            assert np.shares_memory(x, pool.x) and np.shares_memory(y, pool.y)
+            assert np.array_equal(x, pool.x[lo : lo + len(rows)])
+            assert np.array_equal(y, pool.y[lo : lo + len(rows)])
+            assert np.array_equal(x, job_ds.features[rows])
+            assert np.array_equal(y, job_ds.labels[rows])
+    assert_solo_results(jobs, done)
+
+
+def test_nan_row_of_a_failing_job_leaves_the_others_their_solo_rows(monkeypatch):
+    # Job 0's clients come first in the call's pool, so the first row of its
+    # client 0, nan here, is the pool's row 0, the row that pads every short
+    # batch of the call. Job 0 fails at its pass at theta; job 1 trains to
+    # the end with the rows of its run alone.
     bad, part, test = small_world(seed=43)
     bad.features = bad.features.copy()
-    bad.features[0] = np.nan
+    bad.features[part.assignment[0][0]] = np.nan
     jobs = [(base_config(seed=1, client_curriculum=CLIENT_CURRICULUM), bad, part, test, None),
             (base_config(seed=2), *small_world(seed=42), None)]
+    pools = recorded_pools(monkeypatch)
     done = run_experiment(jobs)
+    monkeypatch.undo()
+    assert np.isnan(pools[0].x[0]).all()
     assert_solo_results(jobs, done)
-    assert str(done[0]) == "round 0, client 2: non-finite loss at the global model"
+    assert str(done[0]) == "round 0, client 0: non-finite loss at the global model"
     assert len(done[1]) == 4
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _helpers import batch_loss, forward_reference, terms_grad_reference
+from _helpers import batch_loss, forward_reference, targets_reference, terms_grad_reference
 
 from fedcurr import (
     Batch,
@@ -155,14 +155,14 @@ def test_blockwise_losses_and_grads_match_per_block_calls_exactly(model):
     rng = np.random.default_rng(19)
     params = init_params(model, rng)
     blocks = [random_batch(model, rng, m=m) for m in (1, 5, 13, 2)]
-    # Each block's targets gathered from a pool over all blocks, as a run
-    # gathers its clients' targets.
-    pool = _Pool(model, SgdHyper(), blocks)
-    targets = [pool.target[start : start + len(b)] for start, b in zip(pool.starts, blocks)]
-    passes = _pass(model, params, [b.x for b in blocks], [b.y for b in blocks])
-    for block, target, block_losses, out, terms, hidden in zip(blocks, targets, *passes):
+    # Each block's rows and labels read from a pool over all blocks, each
+    # block one client, as a run reads its clients'.
+    pool = _Pool(model, SgdHyper(), [(b, [np.arange(len(b))]) for b in blocks])
+    _, xs, ys = zip(*(client for [client] in pool.clients))
+    passes = _pass(model, params, xs, ys)
+    for block, x, y, block_losses, out, terms, hidden in zip(blocks, xs, ys, *passes):
         assert np.array_equal(block_losses, per_sample_losses(model, params, block))
-        block_grad = _terms_grad(model, params, block.x, target, terms, hidden)
+        block_grad = _terms_grad(model, params, x, y, terms, hidden)
         assert np.array_equal(block_grad, grad(model, params, block))
         ref = _bind_forward(model, params)(block.x)[0]
         assert np.array_equal(out, ref if model.is_classifier else ref[:, 0])
@@ -179,42 +179,29 @@ DESK_SOFTMAX = ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=10, num_classes
 
 
 def cohort_step(model, params, x, y):
-    """One lockstep step of full slots through ``models._Cohort.kernel``:
+    """One lockstep step of full slots through ``models._Pool.kernel``:
     parameters (k, dim), rows (k, b, d) and labels (k, b). Returns the
     outputs (k, b, C or 1), the MLP's activations and the gradients (k, dim)."""
     from fedcurr.models import _Pool
 
     k, b = y.shape
     data = Batch(x.reshape(k * b, -1), y.ravel())
-    pool = _Pool(model, SgdHyper(batch_size=b), [data])
-    cohort = pool.cohort(k)
-    cohort.theta[:] = params
-    forward, backward, *_, xs, targets = cohort.kernel(k)
+    pool = _Pool(model, SgdHyper(batch_size=b), [(data, [np.arange(k * b)])])
+    forward, backward, theta, *_, xs, labels = pool.kernel(k)
+    theta[:] = params
     pool.x.take(np.arange(k * b).reshape(k, b), axis=0, out=xs)
-    pool.target.take(np.arange(k * b).reshape(k, b), axis=0, out=targets)
+    pool.y.take(np.arange(k * b).reshape(k, b), out=labels)
     forward()
-    out = cohort.out.copy()
-    hidden = None if cohort.hidden is None else cohort.hidden.copy()
+    out = pool.out[:k].copy()
+    hidden = None if pool.hidden is None else pool.hidden[:k].copy()
     backward([])
-    return out, hidden, cohort.g.copy()
+    return out, hidden, pool.g[:k].copy()
 
 
 def terms_reference(model, out, y):
     """The loss terms of the outputs ``out`` as out-of-place expressions:
     log-probabilities for classifiers, residuals otherwise."""
     return _indexed_log_softmax(out) if model.is_classifier else out - y
-
-
-@pytest.mark.parametrize("model", [LINEAR, MLP_REG], ids=["linear", "mlp_scalar"])
-def test_regression_targets_are_float_labels(model):
-    # The gradient reads the same float labels from a pool as from _targets.
-    from fedcurr.models import _Pool, _targets
-
-    y = np.array([1, 0, 3, 2])
-    target = _targets(model, y)
-    assert target.dtype == np.float64 and np.array_equal(target, y)
-    batch = Batch(np.zeros((4, model.input_dim)), y)
-    assert _Pool(model, SgdHyper(), [batch]).target.tobytes() == target.tobytes()
 
 
 KERNEL_MODELS = {
@@ -240,7 +227,7 @@ def test_in_place_kernels_match_out_of_place_formulas(model, rows):
     # remainder is a view that starts mid-array, as the last mini-batch of an
     # epoch does. With fewer than 8 classes the one-shot log-softmax sums
     # each row column by column.
-    from fedcurr.models import _pass, _targets, _terms_grad
+    from fedcurr.models import _pass, _terms_grad
 
     rng = np.random.default_rng(29)
     params = 3.0 * init_params(model, rng)
@@ -251,10 +238,10 @@ def test_in_place_kernels_match_out_of_place_formulas(model, rows):
     ref_out, ref_hidden = forward_reference(model, params, x)
     assert np.array_equal(out, ref_out)
     assert hidden is ref_hidden is None or np.array_equal(hidden, ref_hidden)
-    target = _targets(model, y)
+    target = targets_reference(model, y)
     assert np.array_equal(terms, terms_reference(model, ref_out, y))
     ref_g = terms_grad_reference(model, params, x, target, terms, hidden)
-    assert np.array_equal(_terms_grad(model, params, x, target, terms, hidden), ref_g)
+    assert np.array_equal(_terms_grad(model, params, x, y, terms, hidden), ref_g)
     assert np.array_equal(cohort_step(model, params[None], x[None], y[None])[2][0], ref_g)
 
 
@@ -302,8 +289,6 @@ def test_stacked_products_match_per_slot_products(model, slots, rows):
     # the bits of the out-of-place @ expressions on that slot's rows alone,
     # at any stack size, since the jobs of a share train in one stack, and
     # at any width, however numpy routes the product.
-    from fedcurr.models import _targets
-
     rng = np.random.default_rng([slots, rows])
     params = np.stack([3.0 * init_params(model, rng) for _ in range(slots)])
     labels = model.num_classes if model.is_classifier else 10
@@ -315,7 +300,8 @@ def test_stacked_products_match_per_slot_products(model, slots, rows):
         assert np.array_equal(out[i] if model.is_classifier else out[i, :, 0], ref_out)
         assert hidden is ref_hidden is None or np.array_equal(hidden[i], ref_hidden)
         terms = terms_reference(model, ref_out, y[i])
-        ref_g = terms_grad_reference(model, params[i], x[i], _targets(model, y[i]), terms, ref_hidden)
+        target = targets_reference(model, y[i])
+        ref_g = terms_grad_reference(model, params[i], x[i], target, terms, ref_hidden)
         assert np.array_equal(g[i], ref_g)
 
 
