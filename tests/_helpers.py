@@ -217,12 +217,14 @@ def train_centralized_reference(
 
 
 def _perturb_reference(oracle, g, directions, cap, z):
-    """The oracle formula on exact gradients ``g`` as out-of-place expressions."""
+    """The oracle formula on exact gradients ``g`` as out-of-place expressions,
+    with the squared norm taken by the same ``einsum`` as the kernel's."""
     if cap > 0:
         _check_cohort(oracle.num_clients, cap)
         g = g + math.sqrt(cap) * directions
     if z is not None:
-        var = oracle.rel_var * np.sum(g * g, axis=-1, keepdims=True) + oracle.sigma**2
+        norm2 = np.einsum("...i,...i->...", g, g)[..., None]
+        var = oracle.rel_var * norm2 + oracle.sigma**2
         g = g + np.sqrt(var / g.shape[-1]) * z
     return g
 

@@ -248,14 +248,16 @@ def test_kernel_leaves_an_aliasing_gradient_input_alone():
     assert np.array_equal(theta, theta0)
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64])
 @pytest.mark.parametrize("rel_var,sigma", [(0.5, 0.0), (0.0, 0.3), (0.5, 0.3)])
-def test_noise_second_moment_matches_the_assumption(rel_var, sigma):
+def test_noise_second_moment_matches_the_assumption(rel_var, sigma, bit_generator):
     # E ||xi||^2 = M ||grad + bias||^2 + sigma^2 with equality; 10,000 draws
-    # put the 5% tolerance near 9 standard errors.
+    # put the 5% tolerance near 9 standard errors. SFC64 is the verify
+    # cases' generator (theory._case_rng), PCG64 numpy's default.
     bias = np.full((3, 4), 0.2)
     prob, oracle = _oracle(bias=bias, rel_var=rel_var, sigma=sigma)
     theta = np.full(6, 0.7)
-    rng = np.random.default_rng(17)
+    rng = np.random.Generator(bit_generator(17))
     exact = biased_grad(replace(oracle, rel_var=0.0, sigma=0.0), 1, theta, 0, 0, rng)
     draws = np.array(
         [biased_grad(oracle, 1, theta, 0, 0, rng) - exact for _ in range(10_000)]
@@ -263,6 +265,37 @@ def test_noise_second_moment_matches_the_assumption(rel_var, sigma):
     second = float((draws**2).sum(axis=1).mean())
     target = rel_var * float(exact @ exact) + sigma**2
     assert abs(second - target) / target < 0.05
+
+
+@pytest.mark.parametrize("shape", ["single", "stacked"])
+@pytest.mark.parametrize("dim", range(1, 41))
+def test_perturb_noise_scale_matches_the_summed_norm(dim, shape):
+    # _perturb takes ||g + bias||^2 with einsum; its noise scale must agree
+    # with the plain np.sum form to rounding, on one gradient (d,) and on
+    # the kernel's (R, Q, d) stack.
+    q = 2
+    rng = np.random.default_rng(dim)
+    size = (dim,) if shape == "single" else (5, q, dim)
+    g = rng.standard_normal(size)
+    directions = zero_sum_directions(q, dim)
+    direction = directions[1] if shape == "single" else directions
+    cap, rel_var, sigma = 0.3, 0.7, 0.2
+    oracle = BiasedGradOracle(
+        lambda th: th, np.zeros((1, 1)), directions, rel_var=rel_var, sigma=sigma
+    )
+    z = np.ones(size)
+    out = theory._perturb(oracle, g.copy(), direction, cap, z)
+    biased = g + math.sqrt(cap) * direction
+    scale = np.sqrt(
+        (rel_var * np.sum(biased * biased, axis=-1, keepdims=True) + sigma**2) / dim
+    )
+    assert_allclose(z, np.broadcast_to(scale, size), rtol=1e-14)
+    assert np.array_equal(out, biased + z)
+    # The noiseless path adds the bias and nothing else, in place.
+    noiseless = replace(oracle, rel_var=0.0, sigma=0.0)
+    exact = g.copy()
+    assert theory._perturb(noiseless, exact, direction, cap, None) is exact
+    assert np.array_equal(exact, g + math.sqrt(cap) * direction)
 
 
 @pytest.mark.parametrize("rel_var,sigma", [(-0.1, 0.0), (0.0, -0.1)])
@@ -569,12 +602,12 @@ def test_cases_verify_as_the_library_calls_do():
     expected = verify_convex(
         prob, inverse_round_stepsizes(0.02, 3, 2),
         make_bias_schedule(BiasKind.DATA_BASED, 3, 2, 0.0, 0.3), 0.5, 0.1**2, 4,
-        prob.theta_star + 1.0, 100, np.random.default_rng(1),
+        prob.theta_star + 1.0, 100, theory._case_rng(1),
     )
     assert case.verify() == expected
     expected = verify_nonconvex(
         NonconvexProblem(dim=3), constant_stepsizes(0.1, 3, 2), 4, np.full(3, 0.4), 100,
-        np.random.default_rng(2), sigma=0.02,
+        theory._case_rng(2), sigma=0.02,
     )
     assert _nonconvex_case().verify() == expected
 
