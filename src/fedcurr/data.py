@@ -58,7 +58,7 @@ class PartitionSpec:
     def __post_init__(self):
         if self.num_clients < 1:
             raise ConfigurationError("num_clients must be >= 1", field="num_clients")
-        if self.scheme is Scheme.DIRICHLET and self.beta <= 0:
+        if self.scheme is Scheme.DIRICHLET and not self.beta > 0:
             raise ConfigurationError("Dirichlet beta must be > 0", field="beta")
         if self.f_ord is not None:
             _check_f_ord(self.f_ord)
@@ -74,8 +74,10 @@ def _check_synthetic(n: int, classes: int, noise_low: float, noise_high: float) 
         raise ConfigurationError("need n >= classes >= 1", field="classes")
     if n < classes:
         raise ConfigurationError("need n >= classes >= 1", field="n")
-    if noise_low < 0 or noise_low > noise_high:
+    if not noise_low >= 0 or noise_low > noise_high:
         raise ConfigurationError("need 0 <= noise_low <= noise_high", field="noise_low")
+    if not noise_high >= 0:
+        raise ConfigurationError("need 0 <= noise_low <= noise_high", field="noise_high")
 
 
 def _synthetic_class_sizes(n: int, classes: int) -> np.ndarray:

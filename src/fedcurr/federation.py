@@ -109,7 +109,7 @@ class ExperimentConfig:
             raise ConfigurationError("rounds must be >= 0", field="rounds")
         if self.local_epochs < 1:
             raise ConfigurationError("local_epochs must be >= 1", field="local_epochs")
-        if self.mu_prox < 0:
+        if not self.mu_prox >= 0:
             raise ConfigurationError("mu_prox must be >= 0", field="mu_prox")
         if self.algorithm is Algorithm.SCAFFOLD and self.hyper.eta0 == 0:
             # Its control update divides by the mean rate.
@@ -184,14 +184,13 @@ def _train(pool: _Pool, cfg: ExperimentConfig, trainings: list[_Training]) -> li
     momenta and step counts, and, keyed by its index in the part, each
     diverging participant's first non-finite step. The parts share
     ``cfg``'s model, rates, epochs and algorithm; FedProx anchors each
-    client to its own job's broadcast parameters, and SCAFFOLD adds its own
-    job's server control."""
+    client at its start, its own job's broadcast parameters, and SCAFFOLD
+    adds its own job's server control."""
     counts = [len(tr.rows) for tr in trainings]
     theta = np.repeat(np.array([tr.global_params for tr in trainings]), counts, axis=0)
     v = np.concatenate([tr.momenta for tr in trainings])
-    prox = controls = None
-    if cfg.algorithm is Algorithm.FEDPROX and cfg.mu_prox != 0.0:
-        prox = cfg.mu_prox, theta.copy()
+    mu = cfg.mu_prox if cfg.algorithm is Algorithm.FEDPROX else 0.0
+    controls = None
     if cfg.algorithm is Algorithm.SCAFFOLD:
         controls = (
             np.repeat(np.array([tr.server_control for tr in trainings]), counts, axis=0),
@@ -199,7 +198,7 @@ def _train(pool: _Pool, cfg: ExperimentConfig, trainings: list[_Training]) -> li
         )
     steps, diverged = _local_sgd(
         pool, [r for tr in trainings for r in tr.rows], theta, v, cfg.local_epochs,
-        [rng for tr in trainings for rng in tr.rngs], prox, controls,
+        [rng for tr in trainings for rng in tr.rngs], mu, controls,
     )
     ends = list(itertools.accumulate(counts))
     return [
@@ -275,7 +274,7 @@ def aggregate(
     global_params: np.ndarray,
     server_control: np.ndarray | None = None,
     controls: np.ndarray | None = None,
-    eta_sums: list[float] | None = None,
+    hyper: SgdHyper | None = None,
     num_clients_total: int = 0,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """Combine the participants' trained parameters ``trained`` (P, dim),
@@ -290,9 +289,10 @@ def aggregate(
     s_k exactly 1.
 
     Under SCAFFOLD each participant's control ``controls[k]`` becomes c_k -
-    c + (theta - theta_k) / (tau_k * alpha_k), alpha_k its mean rate, from
-    the running sums ``eta_sums`` of the rates (``models._Pool``); the server
-    control c moves by P / ``num_clients_total`` times the mean change.
+    c + (theta - theta_k) / (tau_k * alpha_k), alpha_k its mean rate over
+    its tau_k steps of ``hyper``'s schedule, whose rates are summed one by
+    one in step order; the server control c moves by P /
+    ``num_clients_total`` times the mean change.
     """
     if not len(trained):
         raise ConfigurationError("no client updates to aggregate")
@@ -309,10 +309,11 @@ def aggregate(
             new = new - (n / n_round) * scale * (global_params - theta_k)
     if algorithm is not Algorithm.SCAFFOLD:
         return new, server_control, controls
-    if server_control is None or controls is None or eta_sums is None or num_clients_total < 1:
+    if server_control is None or controls is None or hyper is None or num_clients_total < 1:
         raise ConfigurationError("SCAFFOLD aggregation needs server control state")
+    rate_sums = list(itertools.accumulate(map(hyper.learning_rate, range(max(steps)))))
     new_controls = np.array([
-        c_k - server_control + (global_params - theta_k) / (tau * (eta_sums[tau - 1] / tau))
+        c_k - server_control + (global_params - theta_k) / (tau * (rate_sums[tau - 1] / tau))
         for c_k, theta_k, tau in zip(controls, trained, steps)
     ])
     mean_delta = sum(new_controls - controls) / len(trained)
@@ -348,13 +349,13 @@ def _run_job(
     part: Partition,
     test: Batch,
     expert_losses: np.ndarray | None,
-) -> Generator[Batch | _Training, tuple[_Pool, list[tuple]] | _Trained, list[RoundMetrics]]:
+) -> Generator[Batch | _Training, list[tuple] | _Trained, list[RoundMetrics]]:
     """One job's federation, as the generator that ``run_experiment``
     drives in lockstep with the other jobs of its call.
 
     After the set-up checks it yields its dataset as a ``Batch``, checked
-    against the model, and is sent the call's pool and its clients there,
-    each as its first pool row and the views of its features and labels
+    against the model, and is sent its clients, each as its first row in
+    the call's pool and the views of its features and labels there
     (``_Pool.clients``). It keeps, per client id, the momentum and the
     SCAFFOLD control as (m, dim) arrays, the last trained parameters and
     the row count; the momenta persist across rounds, while the step index,
@@ -390,7 +391,7 @@ def _run_job(
 
     data = ds.batch()
     _check_batch(model, theta, data)
-    pool, clients = yield data
+    clients = yield data
     _, xs, ys = zip(*clients)
     experts = [expert_losses[indices] if expert else None for indices in part.assignment]
     metrics = []
@@ -444,7 +445,7 @@ def _run_job(
             trained[cid] = local[k]
         theta, server_control, new_controls = aggregate(
             local, [sizes[cid] for cid in ids], steps, cfg.algorithm, theta, server_control, own,
-            pool.eta_sums, m,
+            cfg.hyper, m,
         )
         if scaffold:
             controls[ids] = new_controls
@@ -508,7 +509,7 @@ def run_experiment(jobs: list[Job]) -> list[JobResult]:
                                             for j in first.values()])
         clients = dict(zip(first, pool.clients))
         for j in list(waiting):
-            resume(j, (pool, clients[block[j]]))
+            resume(j, clients[block[j]])
         while waiting:
             live = sorted(waiting)
             for j, part in zip(live, _train(pool, cfg, [waiting[j] for j in live])):

@@ -26,15 +26,16 @@ share, trains the participants of a round of several jobs in lockstep:
 each step runs the forward pass, the log-softmax and softmax minus one-hot
 (1 subtracted at each row's label) in place on one stacked array. Every
 slot holds ``batch_size`` rows: a client's short last batch of an epoch is
-padded with zero rows whose loss derivative is set to 0, and its mean runs
-over its own rows. A client's bits thus depend only on its own batches,
-not on the other clients it steps with, and so does the first step that
-leaves its parameters non-finite: one finite check of the stack after each
-step finds that step, which the kernel returns and ``federation`` words.
+padded with the pool's zero row, whose loss derivative is set to 0, and its
+mean runs over its own rows. A client's bits thus depend only on its own
+batches, not on the other clients it steps with, and so does the first
+step that leaves its parameters non-finite: one finite check of the stack
+after each step finds that step, which the kernel returns and
+``federation`` words.
 The rows and labels of the jobs' clients, laid out client after client,
-the rates and the slot buffers (``_Pool``) are built once per share of
-jobs. Every in-place form keeps the bits of the out-of-place expressions,
-and a large pass does not page in fresh memory for every temporary.
+and the slot buffers (``_Pool``) are built once per share of jobs. Every
+in-place form keeps the bits of the out-of-place expressions, and a large
+pass does not page in fresh memory for every temporary.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class SgdHyper:
 
     def __post_init__(self):
         for name in ("eta0", "decay_alpha", "decay_b", "weight_decay"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigurationError(f"{name} must be >= 0", field=name)
         if not 0 <= self.momentum < 1:
             raise ConfigurationError("momentum must be in [0, 1)", field="momentum")
@@ -333,23 +334,23 @@ class _Pool:
     a dataset with its clients' row indices, is laid out client after
     client in the rows ``x`` and labels ``y``; ``clients[b]`` holds block
     b's clients as (lo, features, labels), the views ``x[lo:hi]`` and
-    ``y[lo:hi]`` of its pool rows lo..hi. The callers check each dataset
-    against the model first. The pool also keeps the rates eta(i) of the
-    steps its calls have needed so far and their running sums, which
-    ``_local_sgd`` extends in step order when a call needs more steps, so
-    each sum adds the rates one by one, and one set of lockstep slot
-    buffers, grown to the share's largest cohort: the slots' parameters,
-    momenta and gradients (slots, dim), each step's rows, labels, outputs
-    and MLP blocks (slots, batch_size, ...), and the row count each slot's
-    mean runs over."""
+    ``y[lo:hi]`` of its pool rows lo..hi. One more row, the last, holds
+    zeros and label 0 and belongs to no client: ``_local_sgd`` pads short
+    batches with it. The callers check each dataset against the model
+    first. The pool also keeps one set of lockstep slot buffers, grown to
+    the share's largest cohort: the slots' parameters, momenta and
+    gradients (slots, dim), each step's rows, labels, outputs and MLP
+    blocks (slots, batch_size, ...), and the row count each slot's mean
+    runs over."""
 
     def __init__(self, model: ModelSpec, hyper: SgdHyper, blocks: list[tuple[Batch, list]]):
         self.model, self.hyper = model, hyper
         n = sum(len(rows) for _, clients in blocks for rows in clients)
-        self.x = np.empty((n, blocks[0][0].x.shape[1]))
+        # Row n, the last, stays zeros: the pad row of short batches.
+        self.x = np.zeros((n + 1, blocks[0][0].x.shape[1]))
         # A classifier's labels, checked to be classes, index its outputs.
         labels = np.intp if model.is_classifier else np.result_type(*(b.y for b, _ in blocks))
-        self.y = np.empty(n, labels)
+        self.y = np.zeros(n + 1, labels)
         self.clients: list[list[tuple[int, np.ndarray, np.ndarray]]] = []
         lo = 0
         for data, clients in blocks:
@@ -360,8 +361,6 @@ class _Pool:
                 data.y.take(rows, out=y)
                 self.clients[-1].append((lo, x, y))
                 lo += len(rows)
-        self.etas: list[float] = []
-        self.eta_sums: list[float] = []
         self.slots, self._kernels = 0, {}
 
     def _grow(self, size: int) -> None:
@@ -396,10 +395,10 @@ class _Pool:
         first m rows of that slot are its batch and the rest pad it. Their
         mean runs over m, through the slot's entry of ``counts``, and the pad
         rows' loss derivative is set to 0, so they add nothing to any
-        product or sum. The caller zeroes the pad rows of ``step_x`` after
-        the gather, so a pad row's products are 0 * 0 wherever the slot's own
-        parameters are finite, never 0 * nan from another client's row. The
-        kernel is bound on first use and kept until the buffers grow."""
+        product or sum. The pad rows are the pool's zero row, so their
+        products are 0 * 0 wherever the slot's own parameters are finite,
+        never 0 * nan from another client's row. The kernel is bound on
+        first use and kept until the buffers grow."""
         if k > self.slots:
             self._grow(k)
         if k in self._kernels:
@@ -453,7 +452,7 @@ def _local_sgd(
     v: np.ndarray,
     epochs: int,
     rngs: list[np.random.Generator],
-    prox: tuple[float, np.ndarray] | None = None,
+    mu: float = 0.0,
     controls: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[list[int], dict[int, int]]:
     """Mini-batch momentum SGD for a cohort of clients, overwriting their
@@ -462,13 +461,13 @@ def _local_sgd(
     epochs' permutations from ``rngs[p]`` at the start (the steps draw
     nothing else, so its stream is as if each epoch drew its own) and steps
     on slices of ``batch_size`` rows with eta(i), i counting its steps from
-    0. ``prox`` = (mu, anchors) adds mu*(theta - anchor) to each gradient,
-    and ``controls`` = (server, own) adds server - own, left to right;
-    anchors, server and own controls are stacked (P, dim), one row per
-    client. The update is ``sgd_step``'s in its operation order. Returns
-    each client's step count, epochs * ceil(rows / batch_size), up to which
-    the pool's rates grow, and each diverging client's first step that left
-    its parameters non-finite; the caller words the error.
+    0. A nonzero ``mu`` adds FedProx's mu*(theta - start) to each gradient,
+    anchoring each client at its own start, and ``controls`` = (server, own)
+    adds server - own, left to right; server and own controls are stacked
+    (P, dim), one row per client. The update is ``sgd_step``'s in its
+    operation order. Returns each client's step count, epochs *
+    ceil(rows / batch_size), and each diverging client's first step that
+    left its parameters non-finite; the caller words the error.
 
     The clients step in lockstep: at step i, every client with a step left
     takes it with the others, through one stacked ``_Pool.kernel``. Slots
@@ -476,34 +475,29 @@ def _local_sgd(
     always the first ones. Each step gathers its rows and labels with one
     ``take`` each into (P, batch_size, ...) slot buffers. An epoch's short
     tail batch of m rows fills its slot like any other batch: the step table
-    pads it with pool row 0, whose gathered features are then set to zero
-    rows and whose loss derivative the kernel sets to 0, and the slot's mean
-    runs over m. Every
-    product thus runs over ``batch_size`` rows per slot, so a client's bits
-    depend only on its own rows, never on the other slots, on pool row 0,
-    the stack size or the thread count, and the first step that
-    leaves its parameters non-finite is the one it would meet alone. One
-    finite check of the live slots after each step finds it; only when that
-    check fails are the slots looked at one by one. A diverging client steps
-    on to its end like the others, and every client is written back. The
-    floating-point warnings on the way would only repeat the error, so they
-    are silenced."""
-    bs = pool.hyper.batch_size
-    rho, wd = pool.hyper.momentum, pool.hyper.weight_decay
+    pads it with the pool's zero row, whose loss derivative the kernel sets
+    to 0, and the slot's mean runs over m. Every product thus runs over
+    ``batch_size`` rows per slot, so a client's bits depend only on its own
+    rows, never on the other slots, the stack size or the thread count, and
+    the first step that leaves its parameters non-finite is the one it
+    would meet alone. One finite check of the live slots after each step
+    finds it; only when that check fails are the slots looked at one by
+    one. A diverging client steps on to its end like the others, and every
+    client is written back. The floating-point warnings on the way would
+    only repeat the error, so they are silenced."""
+    hyper = pool.hyper
+    bs, rho, wd = hyper.batch_size, hyper.momentum, hyper.weight_decay
     steps = [epochs * -(-len(r) // bs) for r in rows]
-    for i in range(len(pool.etas), max(steps)):
-        pool.etas.append(pool.hyper.learning_rate(i))
-        pool.eta_sums.append(pool.eta_sums[-1] + pool.etas[-1] if i else pool.etas[0])
     order = sorted(range(len(rows)), key=lambda p: -steps[p])
-    # Each step's rows, per slot and padded with row 0 after a tail batch
-    # (the step zeroes those pad rows once gathered); active[i]: the slots
-    # with a step i; tails[i]: (slot, rows) of the short batches at step i.
+    # Each step's rows, per slot and padded with the pool's last row, its
+    # zero row, after a tail batch; active[i]: the slots with a step i;
+    # tails[i]: (slot, rows) of the short batches at step i.
     table = np.zeros((max(steps), len(rows), bs), dtype=np.intp)
     active = np.zeros(len(table), dtype=np.intp)
     tails: list[list[tuple[int, int]]] = [[] for _ in table]
     for slot, p in enumerate(order):
         n, per_epoch = len(rows[p]), -(-len(rows[p]) // bs)
-        padded = np.zeros((epochs, per_epoch * bs), dtype=np.intp)
+        padded = np.full((epochs, per_epoch * bs), len(pool.y) - 1, dtype=np.intp)
         for epoch in padded:
             epoch[:n] = rows[p][rngs[p].permutation(n)]
         table[: steps[p], slot] = padded.reshape(-1, bs)
@@ -512,12 +506,12 @@ def _local_sgd(
             for epoch in range(1, epochs + 1):
                 tails[epoch * per_epoch - 1].append((slot, n % bs))
     # The per-client stacks in slot order.
-    prox = None if prox is None else (prox[0], prox[1][order])
     controls = None if controls is None else (controls[0][order], controls[1][order])
     n = len(rows)
     pool.kernel(n)  # step 0's, which trains every client; it grows the slots to them
     theta.take(order, axis=0, out=pool.theta[:n])
     v.take(order, axis=0, out=pool.v[:n])
+    starts = pool.theta[:n].copy() if mu else None
     diverged: dict[int, int] = {}
     live = 0
     with np.errstate(all="ignore"):
@@ -525,8 +519,8 @@ def _local_sgd(
             if step_live != live:
                 live = step_live
                 forward, backward, params, mom, g, tmp, diff, x, y = pool.kernel(live)
-                if prox is not None:
-                    mu, anchor = prox[0], prox[1][:live]
+                if mu:
+                    anchor = starts[:live]
                 if controls is not None:
                     server, own = (c[:live] for c in controls)
             # mode="clip" leaves valid indices as they are and skips the copy
@@ -534,11 +528,9 @@ def _local_sgd(
             idx = table[step, :live]
             pool.x.take(idx, axis=0, out=x, mode="clip")
             pool.y.take(idx, out=y, mode="clip")
-            for slot, m in tails[step]:
-                x[slot, m:] = 0.0
             forward()
             backward(tails[step])
-            if prox is not None:
+            if mu:
                 # g + mu*(theta - theta_g) + c - c_k, added left to right.
                 np.subtract(params, anchor, out=diff)
                 np.multiply(diff, mu, out=diff)
@@ -551,7 +543,7 @@ def _local_sgd(
             tmp += g
             mom *= rho
             mom += tmp
-            np.multiply(mom, pool.etas[step], out=tmp)
+            np.multiply(mom, hyper.learning_rate(step), out=tmp)
             params -= tmp
             if not np.isfinite(params).all():
                 for slot in np.flatnonzero(~np.isfinite(params).all(axis=1)).tolist():

@@ -8,6 +8,14 @@ BASE and HEAD are checkouts, or ``git archive`` copies, of the base commit
 and of the change; each runs ``fedcurr.cli`` from its own ``src`` on its own
 ``configs``, on this one machine, as digests do not carry across OpenBLAS
 CPU kernels. ``compare`` holds the rules; it exits 1 when one fails.
+
+A change that moves digits on purpose names each changed CSV column in a
+line that it adds to CHANGES.md, with the size of the change:
+
+    Digits changed: verify/report.csv empirical, slack
+
+The file is the name the verdict prints, ``*/metrics.csv`` for that file of
+every variant; the waiver's columns run to the end of its line.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,9 +57,10 @@ VARIANTS = {
     "mlp": Variant(MLP),  # the MLP's products; 10 classes sum rows with np.add.reduce
     # A scalar head: a one-column product through the output weights.
     "mlp1": Variant({"model.kind": "mlp", "model.hidden_dim": "8", "dataset.classes": "1"}),
-    # The other aggregation rules and the FedProx and SCAFFOLD gradient terms.
-    "fedprox": Variant({"federation.algorithm": "fedprox", "federation.mu_prox": "0.01"}),
-    "scaffold": Variant({"federation.algorithm": "scaffold"}),
+    # The other aggregation rules and the FedProx and SCAFFOLD gradient terms;
+    # at two thread counts, the anchors and rate sums over other share splits.
+    "fedprox": Variant({"federation.algorithm": "fedprox", "federation.mu_prox": "0.01"}, (1, 2)),
+    "scaffold": Variant({"federation.algorithm": "scaffold"}, (1, 2)),
     "fednova": Variant({"federation.algorithm": "fednova"}),
     # SCAFFOLD with a local scoring and a growing client set (2 to 4 a
     # round): the per-client arrays are read and written by id as the
@@ -84,6 +94,7 @@ VARIANTS = {
 }
 RUN_FILES = ("metrics.csv", "summary.csv")
 DIVERGED_FILES = ("code", "stderr")  # run_tree writes them for every run
+WAIVER = "Digits changed:"
 
 
 def write_config(tree: Path, keys: dict[str, str], path: Path) -> None:
@@ -159,10 +170,12 @@ def _appends(base: list[list[str]], head: list[list[str]]) -> bool:
     return len(head[0]) > width and all(row[:width] == cells for row, cells in zip(head, base))
 
 
-def _changed_cells(path: str, base: list[list[str]], head: list[list[str]]) -> list[str]:
-    """One line for each cell of a base column that ``head`` changes: its
-    data row (from 1), that row's first cell, its column, both values and,
-    for numbers, the relative change."""
+def _changed_cells(
+    path: str, base: list[list[str]], head: list[list[str]]
+) -> list[tuple[str, str, str]]:
+    """(path, column, line) for each cell of a base column that ``head``
+    changes, the line giving its data row (from 1), that row's first cell,
+    its column, both values and, for numbers, the relative change."""
     lines = []
     for i, (old_row, new_row) in enumerate(zip(base[1:], head[1:]), 1):
         for column, old, new in zip(base[0], old_row, new_row):
@@ -173,8 +186,34 @@ def _changed_cells(path: str, base: list[list[str]], head: list[list[str]]) -> l
                 rel = abs(float(new) - float(old)) / abs(float(old))
             except (ValueError, ZeroDivisionError):
                 rel = None
-            lines.append(line if rel is None else f"{line} (rel {rel:.1e})")
+            lines.append((path, column, line if rel is None else f"{line} (rel {rel:.1e})"))
     return lines
+
+
+def _waivers(base: Path, head: Path) -> list[tuple[str, str]]:
+    """The (file, column) pairs named by the ``Digits changed:`` waivers in
+    the lines that ``head``'s CHANGES.md adds to ``base``'s, in order and
+    once each. Each waiver is a file, then its columns, split by commas, to
+    the next waiver or the end of the line; backquotes are dropped. A waiver
+    without a column names nothing."""
+    kept = Counter((base / "CHANGES.md").read_text(encoding="utf-8").splitlines())
+    pairs = []
+    for line in (head / "CHANGES.md").read_text(encoding="utf-8").splitlines():
+        if kept[line]:
+            kept[line] -= 1
+            continue
+        for waiver in line.split(WAIVER)[1:]:
+            file, _, columns = waiver.replace("`", "").strip().partition(" ")
+            pairs += [(file, c.strip()) for c in columns.split(",") if c.strip()]
+    return list(dict.fromkeys(pairs))
+
+
+def _names(waiver: tuple[str, str], path: str, column: str) -> bool:
+    """Whether a waiver's (file, column) names ``column`` of the printed
+    ``path``, variant/file: the same column of the same path, or of that
+    file of any variant for the file ``*/file``."""
+    (variant, _, file), (run, _, printed) = waiver[0].partition("/"), path.partition("/")
+    return waiver[1] == column and variant in ("*", run) and file == printed
 
 
 def compare(base: Path, head: Path, out: Path) -> int:
@@ -183,12 +222,13 @@ def compare(base: Path, head: Path, out: Path) -> int:
     every thread count, each diverging head run ends with exit code 1 and one
     ``error:`` line, and every other run exits 0, the head's with nothing on
     stderr, so a numpy warning on a finished run fails. Each head CSV is the
-    base's with columns appended or none (``_layout_breach``). Every cell of
-    the base's columns, and every other file, equals the base's, unless
-    ``head``'s CHANGES.md says "Digits changed:" more often than ``base``'s:
-    the change's entry gives the size of the change. Appended columns pass.
-    Each changed cell of a base column is printed with its old and new value."""
-    errors, changed, appended, cells = [], [], [], []
+    base's with columns appended or none (``_layout_breach``). Every other
+    file equals the base's, and so does every cell of the base's columns
+    unless a waiver that ``head``'s CHANGES.md adds (``_waivers``) names its
+    file and column. Appended columns pass. Each changed cell of a base
+    column is printed with its old and new value, and each named pair whose
+    cells did not change, as a warning."""
+    errors, changed, whole, appended, cells = [], [], [], [], []
     for name, first, files, diverges in runs():
         for tree in ("base", "head"):
             if not diverges and _read(out / tree / name / "code") != b"0\n":
@@ -214,6 +254,7 @@ def compare(base: Path, head: Path, out: Path) -> int:
                 continue
             if not (f.endswith(".csv") and old and new):
                 changed.append(f"{name}/{f}")
+                whole.append(f"{name}/{f}")
                 continue
             base_rows, head_rows = _table(old), _table(new)
             breach = _layout_breach(base_rows, head_rows)
@@ -223,7 +264,10 @@ def compare(base: Path, head: Path, out: Path) -> int:
                 appended.append(f"{name}/{f}")
             else:
                 changed.append(f"{name}/{f}")
-                cells += _changed_cells(f"{name}/{f}", base_rows, head_rows)
+                found = _changed_cells(f"{name}/{f}", base_rows, head_rows)
+                cells += found
+                if not found:  # the bytes moved, but no cell: no column to name
+                    whole.append(f"{name}/{f}")
     if errors:
         print("\n".join(f"::error::{error}" for error in errors))
         return 1
@@ -233,14 +277,24 @@ def compare(base: Path, head: Path, out: Path) -> int:
         print("outputs keep every cell of the base commit" if appended
               else "outputs are byte-identical to the base commit")
         return 0
-    print("\n".join([f"differs from the base commit: {f}" for f in changed] + cells))
-    waivers = [(t / "CHANGES.md").read_bytes().count(b"Digits changed:") for t in (base, head)]
-    if waivers[1] > waivers[0]:
-        print("outputs differ from the base commit, and a new CHANGES.md entry says "
-              "'Digits changed:'")
+    print("\n".join([f"differs from the base commit: {f}" for f in changed]
+                    + [line for _, _, line in cells]))
+    named = _waivers(base, head)
+    for waiver in named:
+        if not any(_names(waiver, path, column) for path, column, _ in cells):
+            print(f"::warning::'{WAIVER} {' '.join(waiver)}' names no changed cell")
+    unnamed = whole + list(dict.fromkeys(
+        f"{path} {column}" for path, column, _ in cells
+        if not any(_names(waiver, path, column) for waiver in named)
+    ))
+    if not unnamed:
+        print(f"outputs differ from the base commit only in columns that new '{WAIVER}' "
+              "lines name")
         return 0
-    print("::error::outputs differ from the base commit; add 'Digits changed:' and the size "
-          "of the change to this change's CHANGES.md entry")
+    print(f"::error::outputs differ from the base commit in {', '.join(unnamed)}; a changed "
+          f"CSV column passes only when this change's CHANGES.md entry adds a line "
+          f"'{WAIVER} <file> <column>, ...' naming it, with the size of the change, and a "
+          "changed non-CSV file never passes")
     return 1
 
 

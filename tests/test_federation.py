@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 
 import numpy as np
 import pytest
@@ -132,6 +131,26 @@ def test_scaffold_rejects_a_zero_learning_rate():
     assert info.value.field == "eta0"
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: SgdHyper(eta0=NAN), "eta0"),
+    (lambda: SgdHyper(decay_alpha=NAN), "decay_alpha"),
+    (lambda: SgdHyper(decay_b=NAN), "decay_b"),
+    (lambda: SgdHyper(weight_decay=NAN), "weight_decay"),
+    (lambda: base_config(mu_prox=NAN), "mu_prox"),
+    (lambda: PartitionSpec(Scheme.DIRICHLET, num_clients=4, beta=NAN), "beta"),
+    (lambda: gen_synthetic(300, 3, 5, NAN, 1.5, seed=5), "noise_low"),
+    (lambda: gen_synthetic(300, 3, 5, 0.1, NAN, seed=5), "noise_high"),
+], ids=["eta0", "decay_alpha", "decay_b", "weight_decay", "mu_prox", "beta", "noise_low",
+        "noise_high"])
+def test_range_checks_reject_nan(make, field):
+    with pytest.raises(ConfigurationError) as info:
+        make()
+    assert info.value.field == field
+
+
 def test_fedprox_zero_mu_identical_to_fedavg():
     ds, part, _ = small_world()
     theta = np.random.default_rng(1).standard_normal(MODEL.param_count()) * 0.1
@@ -178,18 +197,26 @@ def test_aggregate_empty_raises():
 
 def test_aggregate_moves_each_scaffold_control_and_the_server_control():
     # Per participant c_k - c + (theta - theta_k) / S_k, S_k the sum of its
-    # tau_k rates; the server control moves by P / m times the mean change.
+    # tau_k rates, added one at a time in step order as the reference loop
+    # adds them while it steps: over 300 steps another order (pairwise, or
+    # from the last step) changes bits. The server control moves by P / m
+    # times the mean change.
     rng = np.random.default_rng(5)
     theta, server_c = rng.standard_normal(4), rng.standard_normal(4)
     trained, controls = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-    steps, eta_sums = [2, 5, 3], list(np.cumsum(rng.uniform(0.1, 1.0, 5)))
+    hyper, steps = SgdHyper(eta0=0.7, decay_alpha=0.3, decay_b=0.9), [2, 300, 37]
     _, new_server, new_controls = aggregate(
-        trained, [4, 6, 5], steps, Algorithm.SCAFFOLD, theta, server_c, controls, eta_sums, 8
+        trained, [4, 6, 5], steps, Algorithm.SCAFFOLD, theta, server_c, controls, hyper, 8
     )
-    expected = np.array([controls[k] - server_c + (theta - trained[k]) / eta_sums[tau - 1]
-                         for k, tau in enumerate(steps)])
-    assert_allclose(new_controls, expected, rtol=1e-12)
-    assert_allclose(new_server, server_c + 3 / 8 * (expected - controls).mean(axis=0), rtol=1e-12)
+    expected = []
+    for k, tau in enumerate(steps):
+        eta_sum = 0.0
+        for i in range(tau):
+            eta_sum += hyper.learning_rate(i)
+        expected.append(controls[k] - server_c + (theta - trained[k]) / (tau * (eta_sum / tau)))
+    assert np.array_equal(new_controls, expected)
+    assert_allclose(new_server, server_c + 3 / 8 * (new_controls - controls).mean(axis=0),
+                    rtol=1e-12)
 
 
 @pytest.mark.parametrize("server_control,total", [(None, 4), (np.zeros(1), 0)],
@@ -197,7 +224,7 @@ def test_aggregate_moves_each_scaffold_control_and_the_server_control():
 def test_scaffold_aggregate_needs_server_control_state(server_control, total):
     with pytest.raises(ConfigurationError, match="^SCAFFOLD aggregation needs server control"):
         aggregate(np.array([[1.0]]), [1], [4], Algorithm.SCAFFOLD, np.zeros(1), server_control,
-                  np.zeros((1, 1)), [1.0] * 4, total)
+                  np.zeros((1, 1)), SgdHyper(), total)
 
 
 def test_fednova_equal_steps_matches_fedavg_bitwise():
@@ -244,7 +271,7 @@ def test_scaffold_control_is_mean_of_client_controls():
         )
         assert diverged == {}
         theta, server_c, controls = aggregate(
-            local, sizes, steps, Algorithm.SCAFFOLD, theta, server_c, controls, pool.eta_sums, 8
+            local, sizes, steps, Algorithm.SCAFFOLD, theta, server_c, controls, cfg.hyper, 8
         )
         assert np.abs(server_c - controls.mean(axis=0)).max() <= 1e-10
 
@@ -503,7 +530,7 @@ def _client_round(cfg, ds, part, theta, t, rng, arrays, server_c=None, expert=No
         if own is not None:
             controls[ids] = aggregate(
                 local, [len(part.assignment[CLIENT])], steps, cfg.algorithm, theta, server_c,
-                own, pool.eta_sums, 4,
+                own, cfg.hyper, 4,
             )[2]
     return chosen, steps[0], diverged
 
@@ -661,7 +688,8 @@ COHORT_ROWS = [1, 6, 7, 8, 23]
 def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
     # Each client of a cohort of 1-5 gets the bits of the reference loop
     # run for it alone, from its own start and momentum, with the FedProx or
-    # SCAFFOLD terms. Row counts rotate with the cohort size, so the slots
+    # SCAFFOLD terms; FedProx anchors each client at its own start, and the
+    # starts differ. Row counts rotate with the cohort size, so the slots
     # (by descending step count) come in another order than the clients and
     # the short batches fall on different steps.
     rng = np.random.default_rng([size, FOUR_MODELS.index(model), ALGORITHMS.index(algorithm)])
@@ -669,20 +697,20 @@ def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
     rows = [rng.choice(len(ds), COHORT_ROWS[(size + p) % 5], replace=False) for p in range(size)]
     dim = model.param_count()
     theta = np.stack([init_params(model, rng) for _ in range(size)])
+    start = theta.copy()
     v = 0.1 * rng.standard_normal((size, dim))
-    prox = (0.1, init_params(model, rng)) if algorithm is Algorithm.FEDPROX else None
+    mu = 0.1 if algorithm is Algorithm.FEDPROX else 0.0
     controls = None
     if algorithm is Algorithm.SCAFFOLD:
         controls = 0.01 * rng.standard_normal(dim), 0.01 * rng.standard_normal((size, dim))
-    # The kernel takes the anchor and the server control per client.
-    stacked_prox = None if prox is None else (prox[0], np.tile(prox[1], (size, 1)))
+    # The kernel takes the server control per client.
     stacked_controls = None if controls is None else (np.tile(controls[0], (size, 1)), controls[1])
     expected = []
     for p in range(size):
 
         def extra(g, params, p=p):
-            if prox is not None:
-                g = g + prox[0] * (params - prox[1])
+            if mu:
+                g = g + mu * (params - start[p])
             if controls is not None:
                 g = g + controls[0] - controls[1][p]
             return g
@@ -694,14 +722,21 @@ def test_cohort_trains_each_client_as_the_reference(algorithm, model, size):
     pool = whole_pool(model, BATCH_7, ds.batch())
     steps, diverged = models._local_sgd(
         pool, rows, theta, v, 3, [np.random.default_rng([9, p]) for p in range(size)],
-        stacked_prox, stacked_controls,
+        mu, stacked_controls,
     )
     assert diverged == {}
     for p, (ref_theta, ref_v, ref_steps, ref_eta_sum) in enumerate(expected):
         assert np.array_equal(theta[p], ref_theta)
         assert np.array_equal(v[p], ref_v)
         assert steps[p] == ref_steps
-        assert pool.eta_sums[steps[p] - 1] == ref_eta_sum
+        # From zero controls, SCAFFOLD's new control is the step over the
+        # client's rate sum, which must be the reference's, bit for bit.
+        [control] = aggregate(
+            theta[p : p + 1], [1], [steps[p]], Algorithm.SCAFFOLD, start[p], np.zeros(dim),
+            np.zeros((1, dim)), BATCH_7, 1,
+        )[2]
+        ref_control = (start[p] - ref_theta) / (ref_steps * (ref_eta_sum / ref_steps))
+        assert np.array_equal(control, ref_control)
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
@@ -731,12 +766,12 @@ def test_slot_buffers_grow_to_the_largest_cohort(model):
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
 def test_pad_rows_reach_no_gradient(model):
-    # Every epoch of the three clients ends on a short batch, which the step
-    # table pads with pool row 0. Here row 0 belongs to no client and its
-    # features are 1e308: against first-layer weights of at least 0.5, its
-    # first product would overflow to inf, so the linear model's residual
-    # would be inf and the softmax's log-probabilities nan. The step zeroes
-    # the pad rows once gathered and sets their loss derivative to 0, so
+    # Every epoch of the three clients ends on a short batch. Pool row 0
+    # belongs to no client and its features are 1e308: against first-layer
+    # weights of at least 0.5, its first product would overflow to inf, so
+    # the linear model's residual would be inf and the softmax's
+    # log-probabilities nan, were it ever a pad row. The step table pads
+    # with the pool's zero row, whose loss derivative the step sets to 0, so
     # each client keeps the bits of the same call with an ordinary row 0.
     ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
     rng = np.random.default_rng(13)
@@ -767,8 +802,8 @@ def test_pad_rows_reach_no_gradient(model):
 def test_nan_pool_row_0_reaches_no_other_client(model):
     # Pool row 0 holds nan and belongs to no client of the call. The
     # client's 23 rows end each epoch on a short batch of 2, which the step
-    # table pads with row 0; the client still gets the bits of the reference
-    # loop, whose pad rows are zero rows.
+    # table pads with the pool's zero row, never row 0; the client gets the
+    # bits of the reference loop, whose pad rows are zero rows.
     ds = gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5)
     x = ds.features.copy()
     x[0] = np.nan
@@ -783,22 +818,6 @@ def test_nan_pool_row_0_reaches_no_other_client(model):
     steps, diverged = models._local_sgd(pool, [rows], theta, v, 3, [np.random.default_rng(9)])
     assert diverged == {} and steps == [ref_steps] == [12]
     assert np.array_equal(theta[0], ref_theta) and np.array_equal(v[0], ref_v)
-
-
-def test_rate_table_grows_in_step_order():
-    # One pool serves a call of 3 steps, then one of 40: the table holds the
-    # rates of 40 steps and their running sums, bit for bit as if built in
-    # one pass.
-    model = FOUR_MODELS[1]
-    pool = whole_pool(model, BATCH_7, gen_synthetic(300, 3, 5, 0.1, 1.5, seed=5).batch())
-    for rows, epochs, size in ((np.arange(7), 3, 3), (np.arange(280), 1, 40)):
-        theta = init_params(model, np.random.default_rng(0))[None]
-        models._local_sgd(pool, [rows], theta, np.zeros_like(theta), epochs,
-                          [np.random.default_rng(1)])
-        assert len(pool.etas) == len(pool.eta_sums) == size
-    etas = [BATCH_7.learning_rate(i) for i in range(40)]
-    assert np.array(pool.etas).tobytes() == np.array(etas).tobytes()
-    assert np.array(pool.eta_sums).tobytes() == np.array(list(itertools.accumulate(etas))).tobytes()
 
 
 @pytest.mark.parametrize("model", FOUR_MODELS, ids=["linear", "softmax", "mlp", "mlp_scalar"])
@@ -1037,7 +1056,7 @@ def test_no_pass_activations_survive_into_the_training_yield():
     job = federation._run_job(cfg, ds, part, test, None)
     data = next(job)
     pool = models._Pool(model, cfg.hyper, [(data, part.assignment)])
-    training = job.send((pool, pool.clients[0]))
+    training = job.send(pool.clients[0])
     for _ in range(2):
         assert isinstance(training, federation._Training)
         held = [a for value in job.gi_frame.f_locals.values() for a in arrays(value)]
@@ -1208,8 +1227,9 @@ def test_pool_lays_out_each_dataset_and_partition_once(monkeypatch):
     # those pairs: the call's pool holds three blocks, one per (dataset,
     # partition) pair, each client's rows and labels once. Every job reads
     # its clients as views of the pool, the rows of its own partition; the
-    # two arms read the same block. Each job's rows are those of its solo
-    # run.
+    # two arms read the same block. One last row, zeros with label 0, pads
+    # short batches and is no client's. Each job's rows are those of its
+    # solo run.
     ds, part, test = small_world()
     iid = partition(ds, PartitionSpec(Scheme.IID, num_clients=6), 5)
     ds2, part2, test2 = small_world(seed=43, n=300, clients=5)
@@ -1230,7 +1250,9 @@ def test_pool_lays_out_each_dataset_and_partition_once(monkeypatch):
     monkeypatch.undo()
     [pool] = pools
     assert [len(block) for block in pool.clients] == [8, 5, 6]
-    assert len(pool.x) == len(pool.y) == 400 + 300 + 400
+    assert len(pool.x) == len(pool.y) == 400 + 300 + 400 + 1
+    assert not pool.x[-1].any() and pool.y[-1] == 0
+    assert max(lo + len(y) for block in pool.clients for lo, _, y in block) == len(pool.y) - 1
     assert read[1] is read[3] is pool.clients[0]
     assert read[2] is pool.clients[1] and read[4] is pool.clients[2]
     for seed, (job_ds, job_part) in zip((1, 2, 4), ((ds, part), (ds2, part2), (ds, iid))):
@@ -1245,9 +1267,10 @@ def test_pool_lays_out_each_dataset_and_partition_once(monkeypatch):
 
 def test_nan_row_of_a_failing_job_leaves_the_others_their_solo_rows(monkeypatch):
     # Job 0's clients come first in the call's pool, so the first row of its
-    # client 0, nan here, is the pool's row 0, the row that pads every short
-    # batch of the call. Job 0 fails at its pass at theta; job 1 trains to
-    # the end with the rows of its run alone.
+    # client 0, nan here, is the pool's row 0, which a short batch of the
+    # call could gather were the pad row not the pool's own zero row. Job 0
+    # fails at its pass at theta; job 1 trains to the end with the rows of
+    # its run alone.
     bad, part, test = small_world(seed=43)
     bad.features = bad.features.copy()
     bad.features[part.assignment[0][0]] = np.nan

@@ -36,9 +36,9 @@ def _trees(tmp_path: Path) -> tuple[Path, Path, Path]:
     return tmp_path / "base", tmp_path / "head", tmp_path / "out"
 
 
-def _waive(head: Path) -> None:
-    with open(head / "CHANGES.md", "a") as fh:
-        fh.write("- Digits changed: the last digit of one accuracy.\n")
+def _waive(tree: Path, waiver: str = "mlp-t1/metrics.csv accuracy") -> None:
+    with open(tree / "CHANGES.md", "a") as fh:
+        fh.write(f"- The last digit of one accuracy moves. Digits changed: {waiver}\n")
 
 
 def _one_byte(data: bytes) -> bytes:
@@ -66,8 +66,56 @@ def test_changed_byte_fails_unless_waived(tmp_path, capsys, waived, edit):
     assert ovb.compare(base, head, out) == (0 if waived else 1)
     printed = capsys.readouterr().out
     assert printed.startswith("differs from the base commit: mlp-t1/metrics.csv\n")
-    assert ("a new CHANGES.md entry says 'Digits changed:'" in printed) == waived
+    assert ("only in columns that new 'Digits changed:' lines name" in printed) == waived
     assert ("::error::" in printed) != waived
+
+
+@pytest.mark.parametrize("waiver, passes", [
+    ("mlp-t1/metrics.csv accuracy", True),
+    ("*/metrics.csv accuracy", True),  # that file of every variant
+    ("mlp-t1/metrics.csv round", False),  # another column of the same file
+    ("mlp-t1/summary.csv accuracy", False),  # the column of another file
+    ("", False),  # a bare waiver
+], ids=["named", "wildcard", "unnamed-column", "other-file", "bare"])
+def test_waiver_passes_only_the_columns_it_names(tmp_path, capsys, waiver, passes):
+    base, head, out = _trees(tmp_path)
+    path = out / "head" / "mlp-t1" / "metrics.csv"
+    path.write_bytes(_one_byte(path.read_bytes()))
+    _waive(head, waiver)
+    assert ovb.compare(base, head, out) == (0 if passes else 1)
+    printed = capsys.readouterr().out
+    assert ("::error::outputs differ from the base commit in mlp-t1/metrics.csv accuracy;"
+            in printed) != passes
+
+
+def test_waiver_of_an_unchanged_column_warns(tmp_path, capsys):
+    base, head, out = _trees(tmp_path)
+    path = out / "head" / "mlp-t1" / "metrics.csv"
+    path.write_bytes(_one_byte(path.read_bytes()))
+    _waive(head, "`*/metrics.csv` accuracy, round")
+    assert ovb.compare(base, head, out) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines() if "::warning::" in line]
+    assert warnings == ["::warning::'Digits changed: */metrics.csv round' names no changed cell"]
+
+
+def test_only_the_waivers_a_change_adds_count(tmp_path):
+    # The base's CHANGES.md already holds the waiver: an older entry's.
+    base, head, out = _trees(tmp_path)
+    for tree in (base, head):
+        _waive(tree)
+    path = out / "head" / "mlp-t1" / "metrics.csv"
+    path.write_bytes(_one_byte(path.read_bytes()))
+    assert ovb.compare(base, head, out) == 1
+
+
+def test_changed_non_csv_file_fails_whatever_the_waiver(tmp_path, capsys):
+    base, head, out = _trees(tmp_path)
+    for run in ("div-eta-t1", "div-eta-t2"):
+        (out / "head" / run / "stderr").write_bytes(ERROR_LINE.replace(b"round 4", b"round 5"))
+    _waive(head, "*/stderr error")
+    assert ovb.compare(base, head, out) == 1
+    assert ("::error::outputs differ from the base commit in div-eta-t1/stderr, "
+            "div-eta-t2/stderr;") in capsys.readouterr().out
 
 
 def test_each_changed_base_cell_is_printed(tmp_path, capsys):
@@ -77,14 +125,14 @@ def test_each_changed_base_cell_is_printed(tmp_path, capsys):
     for tree, text in (("base", b"case,empirical,passed\nc1,4.0,1\nc2,0.5,no\n"),
                        ("head", b"case,empirical,passed,zeta_sq\nc1,4.2,1,0.1\nc2,0.5,1,0.2\n")):
         (out / tree / "verify" / "report.csv").write_bytes(text)
-    _waive(head)
+    _waive(head, "verify/report.csv empirical, passed")
     assert ovb.compare(base, head, out) == 0
     assert capsys.readouterr().out.splitlines() == [
         "differs from the base commit: verify/report.csv",
         "verify/report.csv row 1 (c1) empirical: 4.0 -> 4.2 (rel 5.0e-02)",
         "verify/report.csv row 2 (c2) passed: no -> 1",
-        "outputs differ from the base commit, and a new CHANGES.md entry says "
-        "'Digits changed:'",
+        "outputs differ from the base commit only in columns that new 'Digits changed:' "
+        "lines name",
     ]
 
 
@@ -139,4 +187,4 @@ def test_rule_breach_fails_even_with_a_waiver(tmp_path, capsys, runs, file, edit
     assert ovb.compare(base, head, out) == 1
     printed = capsys.readouterr().out
     assert f"::error::{message}" in printed
-    assert "identical" not in printed and "says 'Digits changed:'" not in printed
+    assert "identical" not in printed and "lines name" not in printed
