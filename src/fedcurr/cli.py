@@ -110,11 +110,17 @@ def _metric_row(exp: ExperimentConfig, m: RoundMetrics) -> dict:
 
 def _worker(jobs: list[Job], share: range, fd: int) -> None:
     """Body of a forked worker: run ``share``, write the pickled result to
-    ``fd`` and end the process without returning to the caller's stack."""
+    ``fd`` and end the process without returning to the caller's stack. A
+    share that runs out of memory sends a plain ``MemoryError`` as its
+    result: numpy's subclass cannot be built from a message."""
     code = 1
     try:
+        try:
+            result = run_experiment([jobs[i] for i in share])
+        except MemoryError as exc:
+            result = MemoryError(str(exc))
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(run_experiment([jobs[i] for i in share]), fh)
+            pickle.dump(result, fh)
         code = 0
     except BaseException:  # a bug, or an unpicklable error: show it, exit 1
         traceback.print_exc()
@@ -125,7 +131,8 @@ def _worker(jobs: list[Job], share: range, fd: int) -> None:
 
 def _read_share(pid: int, fd: int) -> list[JobResult]:
     """The result a worker wrote to ``fd``; reaps the worker. A worker that
-    ends without one, say killed for memory, raises ChildProcessError."""
+    ends without one, say killed for memory, raises ChildProcessError, and
+    one that ran out of memory raises its MemoryError."""
     try:
         with os.fdopen(fd, "rb") as fh:
             payload = fh.read()
@@ -135,7 +142,10 @@ def _read_share(pid: int, fd: int) -> list[JobResult]:
     if code != 0 or not payload:
         how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
         raise ChildProcessError(f"job worker {pid} failed ({how})")
-    return pickle.loads(payload)
+    result = pickle.loads(payload)
+    if isinstance(result, MemoryError):
+        raise result
+    return result
 
 
 def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
@@ -147,7 +157,8 @@ def _run_jobs(jobs: list[Job], processes: int) -> list[list[RoundMetrics]]:
     workers forked here, after every trial's data is built, so the workers
     inherit the data and send back only their metrics; the parent runs share
     0 itself before it waits on any worker. A worker that ends without its
-    result, say killed for memory, fails the run with ChildProcessError. The
+    result, say killed for memory, fails the run with ChildProcessError, and
+    one that runs out of memory with its MemoryError. The
     process runs no threads of its own when it forks. With one share, or
     where ``fork`` does not exist, no process is started. Each job's rows or
     error are those of its run alone, so the first failed job in job order

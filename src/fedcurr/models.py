@@ -7,13 +7,18 @@ tanh MLP. The MLP acts as a scalar least-squares regressor when
 the momentum/weight-decay SGD step with a per-round decaying learning rate,
 and a dense Hessian decomposition probe for the least-squares models.
 
+The flat parameter vector's layout is written once, in
+``ModelSpec.layer_shapes``: ``param_count``, ``init_params``, the layer
+views (``_layers``) and the pool's buffers read it.
+
 The public functions check their inputs on every call. The private kernels
 behind them take raw arrays checked once by the caller. Each model kind's
 formulas are written once: ``_bind_forward`` (the forward pass) and
 ``_bind_backward`` (the gradient from the loss derivative) settle the
 dispatch on the model kind and take the layer views (``_layers``) of a
 parameter vector, or of a stack of them, once, and return functions that
-see later in-place updates of those parameters. Each product is one
+see later in-place updates of those parameters; the Hessian probe takes its
+Jacobian from the same backward pass. Each product is one
 ``np.matmul``, over a leading stack axis when there is one, which gives
 every member of the stack the bits it would get alone. ``_pass``, the pass
 behind every loss, evaluation and one-shot gradient, runs them on one vector
@@ -57,7 +62,8 @@ class ModelKind(Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description; parameter length is a function of the fields."""
+    """Architecture description. ``layer_shapes`` lays out the flat
+    parameter vector, whose length is a function of the fields."""
 
     kind: ModelKind
     input_dim: int
@@ -82,13 +88,18 @@ class ModelSpec:
             self.kind is ModelKind.MLP_TANH and self.num_classes >= 2
         )
 
-    def param_count(self) -> int:
+    def layer_shapes(self) -> list[tuple[int, int]]:
+        """Each layer's (inputs, outputs), in storage order: the MLP's hidden
+        layer, then its output layer; one layer for the other models. A
+        layer's weights come first, as ``outputs`` rows of ``inputs``, then
+        its ``outputs`` biases."""
         d, c, h = self.input_dim, self.num_classes, self.hidden_dim
-        if self.kind is ModelKind.LINEAR_REGRESSION:
-            return d + 1
-        if self.kind is ModelKind.SOFTMAX_REGRESSION:
-            return c * d + c
-        return h * d + h + c * h + c
+        if self.kind is ModelKind.MLP_TANH:
+            return [(d, h), (h, c)]
+        return [(d, c if self.is_classifier else 1)]
+
+    def param_count(self) -> int:
+        return sum(n_out * (n_in + 1) for n_in, n_out in self.layer_shapes())
 
 
 @dataclass(frozen=True)
@@ -152,14 +163,10 @@ class HessianDecomposition:
 
 def init_params(model: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) init, layer by layer."""
-    d, c, h = model.input_dim, model.num_classes, model.hidden_dim
-    if model.kind is ModelKind.LINEAR_REGRESSION:
-        return rng.uniform(-1, 1, d + 1) / np.sqrt(d)
-    if model.kind is ModelKind.SOFTMAX_REGRESSION:
-        return rng.uniform(-1, 1, c * d + c) / np.sqrt(d)
-    first = rng.uniform(-1, 1, h * d + h) / np.sqrt(d)
-    second = rng.uniform(-1, 1, c * h + c) / np.sqrt(h)
-    return np.concatenate([first, second])
+    return np.concatenate([
+        rng.uniform(-1, 1, n_out * (n_in + 1)) / np.sqrt(n_in)
+        for n_in, n_out in model.layer_shapes()
+    ])
 
 
 def _check_batch(model: ModelSpec, params: np.ndarray, batch: Batch) -> None:
@@ -183,13 +190,8 @@ def _layers(model: ModelSpec, theta: np.ndarray) -> list[tuple[np.ndarray, np.nd
     Weights are stored as (out, in) rows and come transposed, (..., in,
     out); biases come as (..., 1, out). The views follow in-place updates of
     ``theta``, and writing into the views of a gradient fills its blocks."""
-    d, c, h = model.input_dim, model.num_classes, model.hidden_dim
-    if model.kind is ModelKind.MLP_TANH:
-        shapes = [(d, h), (h, c)]
-    else:
-        shapes = [(d, c if model.is_classifier else 1)]
     lead, layers, start = theta.shape[:-1], [], 0
-    for n_in, n_out in shapes:
+    for n_in, n_out in model.layer_shapes():
         w = theta[..., start : start + n_out * n_in].reshape(lead + (n_out, n_in))
         start += n_out * n_in
         layers.append((w.swapaxes(-1, -2), theta[..., None, start : start + n_out]))
@@ -367,16 +369,16 @@ class _Pool:
         """Slot buffers for ``size`` clients, in place of the smaller ones,
         whose kernels go with them."""
         model, bs = self.model, self.hyper.batch_size
-        c, h, dim = model.num_classes, model.hidden_dim, model.param_count()
+        widths, dim = [n_out for _, n_out in model.layer_shapes()], model.param_count()
+        width = widths[-1]
         self.slots, self._kernels = size, {}
         self.theta, self.v, self.g, self.tmp, self.diff = (np.empty((size, dim)) for _ in range(5))
         self.step_x = np.empty((size, bs, self.x.shape[1]))
         self.step_y = np.empty((size, bs), self.y.dtype)
-        width = c if model.is_classifier else 1
         self.out, self.counts = np.empty((size, bs, width)), np.full((size, 1, 1), float(bs))
         self.hidden = self.delta = self.square = None
         if model.kind is ModelKind.MLP_TANH:
-            self.hidden, self.delta, self.square = (np.empty((size, bs, h)) for _ in range(3))
+            self.hidden, self.delta, self.square = (np.empty((size, bs, widths[0])) for _ in range(3))
         self.scratch = np.empty((size * bs, width)), np.empty((size * bs, 1))
 
     def kernel(self, k: int) -> tuple:
@@ -616,39 +618,6 @@ def sgd_step(
     return new, v
 
 
-def _mlp_output_hessian(
-    model: ModelSpec, w2: np.ndarray, x: np.ndarray, a: np.ndarray
-) -> np.ndarray:
-    """Dense Hessian of the scalar MLP output f(theta, x) for one sample,
-    whose hidden activations ``a`` come from the forward pass; ``w2`` (h,)
-    are the output layer's weights.
-
-    Nonzero blocks per hidden unit k (s = 1 - a^2, dd = -2*a*s):
-      d2f/dW1_k dW1_k = w2_k*dd_k * x x^T     d2f/dW1_k db1_k = w2_k*dd_k * x
-      d2f/db1_k db1_k = w2_k*dd_k             d2f/dW1_k dw2_k = s_k * x
-      d2f/db1_k dw2_k = s_k                   (all blocks touching b2 vanish)
-    """
-    d, h = model.input_dim, model.hidden_dim
-    s = 1.0 - a**2
-    dd = -2.0 * a * s
-    p = model.param_count()
-    hes = np.zeros((p, p))
-    ib1, iw2 = h * d, h * d + h
-    xxt = np.outer(x, x)
-    for k in range(h):
-        rows = slice(k * d, (k + 1) * d)
-        c_k = w2[k] * dd[k]
-        hes[rows, rows] = c_k * xxt
-        hes[rows, ib1 + k] = c_k * x
-        hes[ib1 + k, rows] = c_k * x
-        hes[ib1 + k, ib1 + k] = c_k
-        hes[rows, iw2 + k] = s[k] * x
-        hes[iw2 + k, rows] = s[k] * x
-        hes[ib1 + k, iw2 + k] = s[k]
-        hes[iw2 + k, ib1 + k] = s[k]
-    return hes
-
-
 def hessian_decomposition(
     model: ModelSpec, params: np.ndarray, batch: Batch
 ) -> HessianDecomposition:
@@ -656,32 +625,42 @@ def hessian_decomposition(
     (1/N) sum grad_f grad_f^T plus (1/N) sum (f - y) * hess_f.
 
     Restricted to the least-squares models (linear, or MLP with a scalar
-    head) and to dense-friendly parameter counts.
+    head) and to dense-friendly parameter counts. The rows of the Jacobian,
+    the per-sample gradients of the output f(theta, x), come from the
+    backward pass that training takes its gradients from (``_bind_backward``),
+    one sample per stack slot with a loss derivative of 1. The MLP's hess_f
+    is a closed form per hidden unit k, with s = 1 - a^2, dd = -2*a*s and
+    x~ = (x, 1): w2_k*dd_k * x~ x~^T on the unit's (W1_k, b1_k) block and
+    s_k * x~ between that block and w2_k; every other block vanishes.
     """
     if model.is_classifier:
         raise ConfigurationError("Hessian decomposition requires a squared-error model")
     if model.param_count() > 512:
         raise ConfigurationError("parameter count too large for the dense probe")
     _check_batch(model, params, batch)
-    # One forward pass gives the residuals and, from its hidden activations,
-    # the per-sample gradients of the scalar output f(theta, x), rows (m, P).
-    m, x = len(batch), batch.x
+    m, x, p = len(batch), batch.x, model.param_count()
+    # The forward pass runs on the 2-D rows: over (m, 1, d) stacks its
+    # products, and so the Jacobian's bits, would change.
     out, hidden = _bind_forward(model, params)(x)
     resid = out[:, 0] - batch.y.astype(np.float64)
-    if model.kind is ModelKind.LINEAR_REGRESSION:
-        g = np.hstack([x, np.ones((m, 1))])
-    else:
-        w2 = _layers(model, params)[1][0][:, 0]
-        ws = w2 * (1.0 - hidden**2)
-        gw1 = (ws[:, :, None] * x[:, None, :]).reshape(m, -1)
-        g = np.hstack([gw1, ws, hidden, np.ones((m, 1))])
-    gauss_newton = g.T @ g / m
-    p = model.param_count()
+    jacobian = np.empty((m, p))
+    stacked = None if hidden is None else hidden[:, None, :]
+    _bind_backward(model, params, jacobian)(x[:, None, :], np.ones((m, 1, 1)), stacked)
+    gauss_newton = jacobian.T @ jacobian / m
     residual_term = np.zeros((p, p))
-    if model.kind is ModelKind.MLP_TANH:
-        for i in range(m):
-            residual_term += resid[i] * _mlp_output_hessian(model, w2, x[i], hidden[i])
-        residual_term /= m
+    if hidden is not None:
+        # Row k of ``unit`` holds the flat indices of (W1_k, b1_k), and
+        # ``head[k]`` that of w2_k.
+        (w1, b1), (head, _) = _layers(model, np.arange(p))
+        unit, head = np.vstack([w1, b1]).T, head[:, 0]
+        w2 = _layers(model, params)[1][0][:, 0]
+        xt = np.hstack([x, np.ones((m, 1))])
+        rs = resid[:, None] / m * (1.0 - hidden**2)  # r_i * s_ik
+        blocks = np.einsum("ik,ia,ib->kab", -2.0 * hidden * rs, xt, xt)
+        residual_term[unit[:, :, None], unit[:, None, :]] = w2[:, None, None] * blocks
+        coupling = np.einsum("ik,ia->ka", rs, xt)
+        residual_term[unit, head[:, None]] = coupling
+        residual_term[head[:, None], unit] = coupling
     full = gauss_newton + residual_term
     return HessianDecomposition(
         gauss_newton=gauss_newton,

@@ -308,7 +308,7 @@ def inverse_round_stepsizes(alpha0: float, T: int, J: int) -> np.ndarray:
 def _stepsize_matrix(alpha: np.ndarray) -> np.ndarray:
     """``alpha`` as a float (T+1, J+1) matrix; each stepsize must be >= 0."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 2 or np.any(alpha < 0):
+    if alpha.ndim != 2 or not np.all(alpha >= 0):
         raise ConfigurationError("stepsizes must be a nonnegative (T+1, J+1) matrix", field="alpha")
     return alpha
 
@@ -574,7 +574,7 @@ class ConvexCase:
         # verify() squares it.
         _check_curvature(self.mu, self.lipschitz)
         _check_noise(self.rel_var, self.sigma)
-        if self.alpha is not None and self.alpha <= 0:
+        if self.alpha is not None and not self.alpha > 0:
             raise ConfigurationError("alpha must be > 0; omit it for the default", field="alpha")
         _check_convex_stepsizes(self._stepsizes(), self.lipschitz, self.rel_var)
         # Only the caps of the rounds a run takes (t < T) reach the oracle.

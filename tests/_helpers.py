@@ -108,6 +108,19 @@ def _mlp_blocks(model: ModelSpec, params: np.ndarray):
     return w1.reshape(h, d), b1, w2.reshape(c, h), b2
 
 
+def init_reference(model: ModelSpec, rng: np.random.Generator) -> np.ndarray:
+    """``init_params`` as its per-kind formulas: Uniform(-1, 1) draws over
+    sqrt(fan_in), the MLP's hidden layer's before its output layer's."""
+    d, c, h = model.input_dim, model.num_classes, model.hidden_dim
+    if model.kind is ModelKind.LINEAR_REGRESSION:
+        return rng.uniform(-1, 1, d + 1) / np.sqrt(d)
+    if model.kind is ModelKind.SOFTMAX_REGRESSION:
+        return rng.uniform(-1, 1, c * d + c) / np.sqrt(d)
+    first = rng.uniform(-1, 1, h * d + h) / np.sqrt(d)
+    second = rng.uniform(-1, 1, c * h + c) / np.sqrt(h)
+    return np.concatenate([first, second])
+
+
 def forward_reference(model: ModelSpec, params: np.ndarray, x: np.ndarray):
     """The raw outputs and hidden activations of ``models._pass`` as
     out-of-place expressions: (outputs, hidden), the outputs (m,) for
@@ -158,6 +171,52 @@ def terms_grad_reference(model, params, x, target, terms, hidden, rows=None) -> 
         gb2 = p.sum(axis=0)
         delta = (p @ w2) * (1.0 - hidden**2)
     return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0), np.ravel(gw2), gb2])
+
+
+def jacobian_reference(model: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The per-sample gradients of the scalar output f(theta, x) of a
+    least-squares model, rows (m, P), written out per kind and joined by
+    ``np.hstack``."""
+    m = len(x)
+    if model.kind is ModelKind.LINEAR_REGRESSION:
+        return np.hstack([x, np.ones((m, 1))])
+    _, hidden = forward_reference(model, params, x)
+    ws = _mlp_blocks(model, params)[2][0] * (1.0 - hidden**2)
+    gw1 = (ws[:, :, None] * x[:, None, :]).reshape(m, -1)
+    return np.hstack([gw1, ws, hidden, np.ones((m, 1))])
+
+
+def mlp_output_hessian_reference(
+    model: ModelSpec, params: np.ndarray, x: np.ndarray, a: np.ndarray
+) -> np.ndarray:
+    """Dense Hessian of the scalar MLP output f(theta, x) for one sample
+    ``x``, whose hidden activations are ``a``, filled in per hidden unit.
+
+    Nonzero blocks per hidden unit k (s = 1 - a^2, dd = -2*a*s):
+      d2f/dW1_k dW1_k = w2_k*dd_k * x x^T     d2f/dW1_k db1_k = w2_k*dd_k * x
+      d2f/db1_k db1_k = w2_k*dd_k             d2f/dW1_k dw2_k = s_k * x
+      d2f/db1_k dw2_k = s_k                   (all blocks touching b2 vanish)
+    """
+    d, h = model.input_dim, model.hidden_dim
+    w2 = _mlp_blocks(model, params)[2][0]
+    s = 1.0 - a**2
+    dd = -2.0 * a * s
+    p = model.param_count()
+    hes = np.zeros((p, p))
+    ib1, iw2 = h * d, h * d + h
+    xxt = np.outer(x, x)
+    for k in range(h):
+        rows = slice(k * d, (k + 1) * d)
+        c_k = w2[k] * dd[k]
+        hes[rows, rows] = c_k * xxt
+        hes[rows, ib1 + k] = c_k * x
+        hes[ib1 + k, rows] = c_k * x
+        hes[ib1 + k, ib1 + k] = c_k
+        hes[rows, iw2 + k] = s[k] * x
+        hes[iw2 + k, rows] = s[k] * x
+        hes[ib1 + k, iw2 + k] = s[k]
+        hes[iw2 + k, ib1 + k] = s[k]
+    return hes
 
 
 def padded_grad_reference(model, params, batch, batch_size):

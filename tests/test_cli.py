@@ -299,6 +299,28 @@ def test_killed_worker_ends_in_one_error_line(tmp_path, capfd, monkeypatch):
     assert not (out / "metrics.csv").exists()
 
 
+def test_worker_out_of_memory_ends_in_one_error_line(tmp_path, capfd, monkeypatch):
+    # Only the worker runs out of memory, with numpy's own error; it sends
+    # the error as its share's result, so the run ends with exit 1 and one
+    # line, as at --threads 1, writes no metrics.csv and reaps every worker.
+    parent, real = os.getpid(), cli.run_experiment
+
+    def short_of_memory(jobs):
+        if os.getpid() != parent:
+            np.empty(1 << 50)  # 8 PiB: no machine can map it
+        return real(jobs)
+
+    monkeypatch.setattr(cli, "run_experiment", short_of_memory)
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "run.ini", MINIMAL_RUN)
+    assert main(["run", cfg, "--out", str(out), "--threads", "2"]) == 1
+    assert_no_child_processes()
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: Unable to allocate"), lines
+    assert not (out / "metrics.csv").exists()
+
+
 # Big enough that OpenBLAS splits the MLP's matrix products across threads,
 # which changes the digits of `lambda` when BLAS runs unpinned.
 MLP_RUN = """

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from _helpers import batch_loss, forward_reference, targets_reference, terms_grad_reference
+from _helpers import (
+    _mlp_blocks,
+    batch_loss,
+    forward_reference,
+    init_reference,
+    jacobian_reference,
+    mlp_output_hessian_reference,
+    targets_reference,
+    terms_grad_reference,
+)
 
 from fedcurr import (
     Batch,
@@ -20,6 +29,7 @@ from fedcurr import (
     per_sample_losses,
     sgd_step,
 )
+from fedcurr.models import _layers
 
 SOFTMAX = ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=3, num_classes=4)
 LINEAR = ModelSpec(ModelKind.LINEAR_REGRESSION, input_dim=3)
@@ -54,6 +64,42 @@ def test_param_count():
     assert LINEAR.param_count() == 4
     assert MLP_REG.param_count() == 5 * 3 + 5 + 5 + 1
     assert MLP_CLF.param_count() == 5 * 3 + 5 + 4 * 5 + 4
+    assert SOFTMAX.layer_shapes() == [(3, 4)]
+    assert LINEAR.layer_shapes() == [(3, 1)]
+    assert MLP_REG.layer_shapes() == [(3, 5), (5, 1)]
+    assert MLP_CLF.layer_shapes() == [(3, 5), (5, 4)]
+
+
+def _models_of_every_kind():
+    for d, c, h in [(1, 2, 1), (3, 4, 5), (8, 10, 2), (20, 3, 64)]:
+        yield ModelSpec(ModelKind.LINEAR_REGRESSION, input_dim=d)
+        yield ModelSpec(ModelKind.SOFTMAX_REGRESSION, input_dim=d, num_classes=c)
+        yield ModelSpec(ModelKind.MLP_TANH, input_dim=d, num_classes=1, hidden_dim=h)
+        yield ModelSpec(ModelKind.MLP_TANH, input_dim=d, num_classes=c, hidden_dim=h)
+
+
+def test_init_params_keeps_the_per_kind_draws():
+    for i, model in enumerate(_models_of_every_kind()):
+        params = init_params(model, np.random.default_rng(i))
+        assert params.shape == (model.param_count(),)
+        assert np.array_equal(params, init_reference(model, np.random.default_rng(i)))
+
+
+def test_layers_hand_out_each_flat_index_once_in_storage_order():
+    for model in _models_of_every_kind():
+        p = model.param_count()
+        layers = _layers(model, np.arange(p))
+        # Weights come transposed, (in, out), biases as (1, out).
+        views = [a for w, b in layers for a in (w.T, b[0])]
+        assert np.array_equal(np.concatenate([v.ravel() for v in views]), np.arange(p))
+        if model.kind is ModelKind.MLP_TANH:
+            blocks = _mlp_blocks(model, np.arange(p))
+        else:
+            d, c = model.input_dim, p // (model.input_dim + 1)
+            blocks = (np.arange(c * d).reshape(c, d), np.arange(c * d, p))
+        assert len(views) == len(blocks)
+        for view, block in zip(views, blocks):
+            assert np.array_equal(view, block)
 
 
 def test_zero_params_softmax_loss_is_log_classes():
@@ -460,6 +506,40 @@ def test_hessian_gauss_newton_psd(model):
         batch = random_batch(model, rng)
         dec = hessian_decomposition(model, params, batch)
         assert dec.min_eig_gn >= -1e-10
+
+
+def _hessian_sizes():
+    """(d, h, m) triples: fixed ones with h = 1 and m = 1, then random ones."""
+    rng = np.random.default_rng(29)
+    fixed = [(1, 1, 1), (3, 1, 7), (2, 6, 1), (1, 1, 12)]
+    return fixed + [tuple(int(v) for v in rng.integers(1, [9, 9, 40])) for _ in range(12)]
+
+
+@pytest.mark.parametrize("d,h,m", _hessian_sizes())
+def test_hessian_gauss_newton_is_the_jacobians_outer_product(d, h, m):
+    rng = np.random.default_rng([d, h, m])
+    for model in (ModelSpec(ModelKind.LINEAR_REGRESSION, input_dim=d),
+                  ModelSpec(ModelKind.MLP_TANH, input_dim=d, num_classes=1, hidden_dim=h)):
+        params = 3.0 * init_params(model, rng)
+        batch = random_batch(model, rng, m=m)
+        g = jacobian_reference(model, params, batch.x)
+        dec = hessian_decomposition(model, params, batch)
+        assert np.array_equal(dec.gauss_newton, g.T @ g / m)
+
+
+@pytest.mark.parametrize("d,h,m", _hessian_sizes())
+def test_hessian_residual_term_sums_the_per_sample_output_hessians(d, h, m):
+    rng = np.random.default_rng([d, h, m, 1])
+    model = ModelSpec(ModelKind.MLP_TANH, input_dim=d, num_classes=1, hidden_dim=h)
+    params = 3.0 * init_params(model, rng)
+    batch = random_batch(model, rng, m=m)
+    f, a = forward_reference(model, params, batch.x)
+    ref = sum(
+        (f[i] - batch.y[i]) * mlp_output_hessian_reference(model, params, batch.x[i], a[i])
+        for i in range(m)
+    ) / m
+    dec = hessian_decomposition(model, params, batch)
+    assert_allclose(dec.residual_term, ref, rtol=1e-12, atol=0)
 
 
 def test_hessian_rejects_classifiers():

@@ -589,6 +589,32 @@ def test_nonconvex_case_rejects_a_step_that_is_not_positive(alpha):
     assert caught.value.field == "alpha"
 
 
+def _one_nan(alpha):
+    alpha[1, 1] = float("nan")
+    return alpha
+
+
+NAN_STEPSIZES = [
+    ("convex_case", lambda: _convex_case(alpha=float("nan"))),
+    ("bound_convex", lambda: bound_convex(
+        _quadratic(), _one_nan(constant_stepsizes(0.01, 3, 2)),
+        make_bias_schedule(BiasKind.DATA_BASED, 3, 2, 0.0, 0.3), 0.5, 0.01, 4, np.zeros(4))),
+    ("bound_nonconvex", lambda: bound_nonconvex(
+        NonconvexProblem(dim=3), _one_nan(constant_stepsizes(0.1, 3, 2)), 4, np.zeros(3))),
+    ("bound_convex_inverse_round", lambda: bound_convex(
+        _quadratic(), inverse_round_stepsizes(float("nan"), 3, 2),
+        make_bias_schedule(BiasKind.DATA_BASED, 3, 2, 0.0, 0.3), 0.5, 0.01, 4, np.zeros(4))),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in NAN_STEPSIZES], ids=[n for n, _ in NAN_STEPSIZES])
+def test_nan_stepsizes_fail_as_alpha(build):
+    # NaN passes every "< 0" and "<= 0" test, so it would reach the bound as nan.
+    with pytest.raises(ConfigurationError) as caught:
+        build()
+    assert caught.value.field == "alpha"
+
+
 def test_convex_case_with_zero_caps_in_its_rounds_runs_with_one_client():
     # A client schedule from B_start = 0 over T = 1 applies only its round-0
     # caps, all zero, so the cohort rule does not apply.
